@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use xqy_xdm::fixpoint::LimitError;
+
 /// Errors raised by plan construction, compilation or execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlgebraError {
@@ -11,30 +13,11 @@ pub enum AlgebraError {
     InvalidPlan(String),
     /// Execution failed (missing document, schema mismatch, …).
     Execution(String),
-    /// A fixpoint did not converge within the configured limits.
-    NoFixpoint {
-        /// Iterations performed.
-        iterations: usize,
-    },
-    /// The cooperative deadline (`Executor::set_deadline`) passed while a
-    /// fixpoint was iterating.  Checked at the per-iteration barrier, so
-    /// the run aborts between iterations, never mid-mutation.
-    DeadlineExceeded {
-        /// Iterations completed when the deadline was detected.
-        iterations: usize,
-    },
-    /// A per-query resource budget was exhausted at the iteration barrier
-    /// (after one round of graceful degradation for the memory budget).
-    BudgetExceeded {
-        /// Which budget: `"memory"` or `"iterations"`.
-        budget: String,
-        /// Approximate usage when the check failed.
-        used: u64,
-        /// The configured limit.
-        limit: u64,
-        /// Iterations completed when the budget tripped.
-        iterations: usize,
-    },
+    /// The fixpoint iteration barrier stopped a run: it did not converge
+    /// within the engine-wide guards, or the deadline or a per-query budget
+    /// of [`Executor::limits`](crate::Executor::limits) ran out.  Checked
+    /// between iterations, so the run never aborts mid-mutation.
+    Limit(LimitError),
 }
 
 impl fmt::Display for AlgebraError {
@@ -48,21 +31,7 @@ impl fmt::Display for AlgebraError {
             }
             AlgebraError::InvalidPlan(msg) => write!(f, "invalid plan: {msg}"),
             AlgebraError::Execution(msg) => write!(f, "plan execution error: {msg}"),
-            AlgebraError::NoFixpoint { iterations } => {
-                write!(f, "fixpoint did not converge after {iterations} iterations")
-            }
-            AlgebraError::DeadlineExceeded { iterations } => {
-                write!(f, "query deadline exceeded after {iterations} iterations")
-            }
-            AlgebraError::BudgetExceeded {
-                budget,
-                used,
-                limit,
-                iterations,
-            } => write!(
-                f,
-                "{budget} budget exceeded ({used} used, limit {limit}) after {iterations} iterations"
-            ),
+            AlgebraError::Limit(limit) => write!(f, "fixpoint stopped: {limit}"),
         }
     }
 }
@@ -78,8 +47,10 @@ mod tests {
         assert!(AlgebraError::Unsupported("order by".into())
             .to_string()
             .contains("order by"));
-        assert!(AlgebraError::NoFixpoint { iterations: 7 }
-            .to_string()
-            .contains('7'));
+        let no_fixpoint = LimitError::NoFixpoint {
+            iterations: 7,
+            limit: "iteration",
+        };
+        assert!(AlgebraError::Limit(no_fixpoint).to_string().contains('7'));
     }
 }

@@ -36,22 +36,26 @@
 //! per-item Table-2 loop, invalidating the static cache only when the
 //! store's [document-load epoch](NodeStore::load_epoch) moves.
 //!
-//! ## Parallel batched runs
+//! ## Fixpoints
 //!
-//! [`Executor::run_fixpoint_batched`] can shard its per-seed work across OS
-//! threads ([`Executor::set_threads`]).  Internally every evaluation path
-//! goes through an internal `StoreRef` — exclusive for the sequential paths, shared
-//! read-only for parallel shards — and the parallel path is gated on the
-//! body being construction-free ([`Plan::contains_construct`]), because
-//! `Construct` is the one operator that mutates the store.  Shards respect
-//! seed grouping and merge at the iteration barrier, so results are
-//! bit-identical to the sequential driver.
+//! The executor does not own a fixpoint loop: [`Executor::run_fixpoint`]
+//! and [`Executor::run_fixpoint_batched`] hand a compiled body to the
+//! shared Figure-3 driver ([`xqy_xdm::fixpoint`]) as a
+//! [`Body`], and a nested `µ`/`µ∆` operator
+//! re-enters the same driver.  A batched run can shard its body evaluation
+//! across OS threads ([`Executor::set_threads`]): every evaluation path
+//! goes through an internal `StoreRef` — exclusive for the sequential paths,
+//! shared read-only for parallel shards — and the parallel path is gated on
+//! the body being construction-free ([`Plan::contains_construct`]), because
+//! `Construct` is the one operator that mutates the store.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
-use xqy_xdm::{shard, CowStore, DocId, Interner, NodeId, NodeSet, NodeStore, StoreMut, StrId};
+use xqy_xdm::fixpoint::{self, Body, Config, FixpointStrategy, Group, LimitError, Limits, Seeds};
+use xqy_xdm::{shard, CowStore, DocId, Interner, NodeId, NodeStore, StoreMut, StrId};
+
+pub use xqy_xdm::fixpoint::{BatchSharing, ExecStats};
 
 use crate::error::AlgebraError;
 use crate::plan::{FunKind, Operator, Plan, PlanNodeId, SEED_COLUMN};
@@ -341,74 +345,21 @@ impl MuStrategy {
     }
 }
 
-/// How a batched multi-source fixpoint shares body evaluations across its
-/// seeds (see [`Executor::run_fixpoint_batched`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BatchSharing {
-    /// Feed the body every `(seed, frontier-node)` pair per iteration.
-    /// Each seed's rows stay disjoint inside the plan, so this is sound
-    /// for *every* seed-local body — including non-distributive ones
-    /// (per-seed differences, set operations between rec-dependent arms).
-    #[default]
-    PerSeed,
-    /// Feed the body each **distinct** frontier node once (tagged with
-    /// itself) and distribute its image to every seed whose frontier
-    /// contained it.  Overlapping frontiers — the common case in the
-    /// bidder-network / curriculum per-item workloads — pay each node's
-    /// body scan once instead of once per seed.  Sound only for
-    /// **distributive** bodies (`e(X) = ⋃ₓ∈X e({x})`, the property the
-    /// ∪ push-up check certifies): a non-distributive body evaluated
-    /// per-node is simply a different function.
-    DistinctNodes,
-}
-
-impl BatchSharing {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            BatchSharing::PerSeed => "per-seed",
-            BatchSharing::DistinctNodes => "distinct-nodes",
+impl From<FixpointStrategy> for MuStrategy {
+    fn from(strategy: FixpointStrategy) -> Self {
+        match strategy {
+            FixpointStrategy::Naive => MuStrategy::Mu,
+            FixpointStrategy::Delta => MuStrategy::MuDelta,
         }
     }
 }
 
-/// Statistics of one fixpoint execution.
-#[derive(Debug, Clone, Default, Eq)]
-pub struct ExecStats {
-    /// Iterations of the do-while loop.  For a batched run this is the
-    /// *maximum* per-seed recursion depth — the shared loop runs until the
-    /// deepest seed converges.
-    pub iterations: usize,
-    /// Total rows fed into the recursion body plan across all evaluations.
-    pub rows_fed_back: u64,
-    /// Number of body plan evaluations.  A batched run evaluates the body
-    /// once per shared iteration (the whole point of batching: `max(depth)`
-    /// evaluations instead of `sum(depth)` across seeds).
-    pub body_evaluations: usize,
-    /// Rows in the final result.
-    pub result_rows: usize,
-    /// Number of seeds evaluated together by
-    /// [`Executor::run_fixpoint_batched`]; `0` for a plain per-seed run.
-    pub batch_seeds: usize,
-    /// Rows fed into each body evaluation, in evaluation order — the
-    /// frontier-growth curve the cost model's feedback loop consumes.
-    /// Deterministic for a given (plan, store, seeds) input, so it takes
-    /// part in equality.
-    pub frontier_curve: Vec<u64>,
-    /// Wall time of the run in microseconds.  **Excluded from equality**:
-    /// the parallel ≡ sequential property tests compare whole stats
-    /// structs, and wall time legitimately differs between runs.
-    pub wall_micros: u64,
-}
-
-impl PartialEq for ExecStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.iterations == other.iterations
-            && self.rows_fed_back == other.rows_fed_back
-            && self.body_evaluations == other.body_evaluations
-            && self.result_rows == other.result_rows
-            && self.batch_seeds == other.batch_seeds
-            && self.frontier_curve == other.frontier_curve
+impl From<MuStrategy> for FixpointStrategy {
+    fn from(strategy: MuStrategy) -> Self {
+        match strategy {
+            MuStrategy::Mu => FixpointStrategy::Naive,
+            MuStrategy::MuDelta => FixpointStrategy::Delta,
+        }
     }
 }
 
@@ -416,7 +367,7 @@ impl PartialEq for ExecStats {
 ///
 /// The executor's public entry points take any [`StoreMut`]-convertible
 /// handle (`&mut NodeStore` or a session's `&mut CowStore`) and wrap it in
-/// the matching variant; the parallel batched driver instead hands each
+/// the matching variant; a parallel batched run instead hands each
 /// worker executor a [`StoreRef::Shared`] view of the same store.  Every
 /// operator reads through [`StoreRef::read`]; only `Construct` — the one
 /// operator that mutates the store — goes through [`StoreRef::write`],
@@ -531,15 +482,11 @@ pub struct Executor {
     static_cache_hits: u64,
     /// Times a rec-independent plan node was actually evaluated.
     static_plan_evals: u64,
-    /// Maximum fixpoint iterations before reporting divergence.
-    pub max_iterations: usize,
-    /// Per-query iteration *budget* (`ResourceLimits::max_iterations`),
-    /// checked at the same barrier but reported as
-    /// [`AlgebraError::BudgetExceeded`] instead of divergence.
-    budget_iterations: Option<usize>,
-    /// Cooperative deadline, checked at the same per-iteration barrier as
-    /// `max_iterations`; `None` never times out.
-    deadline: Option<Instant>,
+    /// What the fixpoint iteration barrier enforces: the divergence guards
+    /// and the per-query deadline and budgets.  Persists across runs until
+    /// reset; a breach stops the run between iterations, never
+    /// mid-mutation.
+    pub limits: Limits,
     /// Shard count for batched fixpoint runs; `1` = sequential (default).
     threads: usize,
     /// Persistent worker executors for parallel batched runs, created
@@ -568,30 +515,10 @@ impl Executor {
             store_epoch: 0,
             static_cache_hits: 0,
             static_plan_evals: 0,
-            max_iterations: 100_000,
-            budget_iterations: None,
-            deadline: None,
+            limits: Limits::default(),
             threads: 1,
             workers: Vec::new(),
         }
-    }
-
-    /// Install (or clear) the cooperative deadline.  Fixpoint drivers check
-    /// it once per iteration — at the same barrier as the `max_iterations`
-    /// guard — and abort with [`AlgebraError::DeadlineExceeded`] once the
-    /// instant has passed, so a timed-out run stops between iterations,
-    /// never mid-mutation.  The deadline persists across runs until reset.
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Install (or clear) the per-query iteration budget.  Unlike
-    /// `max_iterations` (whose breach means "the fixpoint diverged"),
-    /// exceeding this caller-supplied cap is a resource verdict:
-    /// [`AlgebraError::BudgetExceeded`] with `budget = "iterations"`.
-    /// Persists across runs until reset, like the deadline.
-    pub fn set_budget_iterations(&mut self, budget: Option<usize>) {
-        self.budget_iterations = budget;
     }
 
     /// Map a store text-pool symbol to this executor's interner through
@@ -620,54 +547,6 @@ impl Executor {
         exec_sym
     }
 
-    /// Per-iteration barrier guard: failpoint, deadline, iteration caps and
-    /// the approximate memory budget (see [`Executor::set_deadline`],
-    /// [`Executor::set_budget_iterations`], [`xqy_xdm::budget`]).
-    ///
-    /// On first memory-budget breach the executor *degrades* instead of
-    /// failing: it releases its static/volatile table caches (recomputable
-    /// at re-evaluation cost), credits the freed estimate back, and drops
-    /// to sequential sharding; only a re-breach after relief is fatal.
-    fn check_limits(&mut self, iterations: usize) -> Result<()> {
-        xqy_xdm::fail::point("fixpoint.barrier")
-            .map_err(|e| AlgebraError::Execution(e.to_string()))?;
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(AlgebraError::DeadlineExceeded { iterations });
-            }
-        }
-        if let Some(max) = self.budget_iterations {
-            if iterations >= max {
-                return Err(AlgebraError::BudgetExceeded {
-                    budget: "iterations".into(),
-                    used: iterations as u64,
-                    limit: max as u64,
-                    iterations,
-                });
-            }
-        }
-        if iterations >= self.max_iterations {
-            return Err(AlgebraError::NoFixpoint { iterations });
-        }
-        if let Some(budget) = xqy_xdm::budget::current() {
-            if budget.over_limit().is_some() {
-                if budget.try_relieve() {
-                    budget.credit(self.release_static_memory());
-                    self.threads = 1;
-                }
-                if let Some(used) = budget.over_limit() {
-                    return Err(AlgebraError::BudgetExceeded {
-                        budget: "memory".into(),
-                        used,
-                        limit: budget.limit(),
-                        iterations,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Drop the executor's recomputable table caches (static and volatile,
     /// workers included), returning an estimate of the bytes freed — the
     /// relational side of budget relief.
@@ -687,12 +566,16 @@ impl Executor {
         freed
     }
 
-    /// Set the shard count for [`Executor::run_fixpoint_batched`].  `1`
-    /// (the default) takes the sequential code path; `t > 1` shards
-    /// construction-free batched runs across `t` OS threads evaluating
-    /// over a shared read-only view of the store.  Results are identical
-    /// either way — sharding respects seed grouping and the per-iteration
-    /// barrier.
+    /// Set the shard count for [`Executor::run_fixpoint_batched`]
+    /// ([`xqy_xdm::fixpoint::Config::threads`]).  The one sharding rule: the
+    /// driver splits its per-seed phases over at most this many threads and
+    /// offers the same count to the body, which shards the seed-carried
+    /// plan's tagged groups across persistent worker executors reading a
+    /// shared view of the store.  A single seed has nothing to split, a
+    /// constructing body pins the run to the exclusive store handle, `1`
+    /// (the default) runs everything inline, and once a memory budget has
+    /// used its relief round the rest of the query is sequential.  Results
+    /// and statistics are identical at any count.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -1232,9 +1115,9 @@ impl Executor {
                 let body_root = input_ids[1];
                 let body_plan = subplan(plan, body_root);
                 let strategy = if matches!(op, Operator::Mu) {
-                    MuStrategy::Mu
+                    FixpointStrategy::Naive
                 } else {
-                    MuStrategy::MuDelta
+                    FixpointStrategy::Delta
                 };
                 // The whole plan-scoped state swaps out in one move; the
                 // nested run rebuilds its own and the outer plan's comes
@@ -1242,17 +1125,24 @@ impl Executor {
                 // the nested run derives its own from its seed.
                 let saved_state = std::mem::take(&mut self.plan_state);
                 let saved_doc = self.context_doc;
-                let result =
-                    self.run_fixpoint_ref(store, &body_plan, &seed.item_nodes(), strategy, false);
+                let seed = seed.item_nodes();
+                let result = self.drive(
+                    store,
+                    &body_plan,
+                    Seeds::Set(&seed),
+                    strategy,
+                    false,
+                    BatchSharing::PerSeed,
+                );
                 self.plan_state = saved_state;
                 self.context_doc = saved_doc;
-                let (table, _stats) = result?;
-                Ok(table)
+                let (mut groups, _stats) = result?;
+                Ok(Table::from_nodes(&groups.pop().unwrap_or_default()))
             }
         }
     }
 
-    /// Drive a fixpoint over `body` seeded with `seed` using `strategy`.
+    /// Run the fixpoint of `body` seeded with `seed` using `strategy`.
     ///
     /// With `seed_in_result = false` the accumulation starts from the body
     /// applied to the seed (Definition 2.1); with `true` it starts from the
@@ -1265,101 +1155,19 @@ impl Executor {
         strategy: MuStrategy,
         seed_in_result: bool,
     ) -> Result<(Table, ExecStats)> {
-        self.run_fixpoint_ref(
-            &mut StoreRef::from(store.into()),
-            body,
-            seed,
-            strategy,
-            seed_in_result,
-        )
+        let seeds = Seeds::Set(seed);
+        let sharing = BatchSharing::PerSeed;
+        let (mut groups, stats) =
+            self.run_fixpoint_groups(store, body, seeds, strategy.into(), seed_in_result, sharing)?;
+        Ok((Table::from_nodes(&groups.pop().unwrap_or_default()), stats))
     }
 
-    /// [`Executor::run_fixpoint`] over a [`StoreRef`] — the form a nested
-    /// `µ`/`µ∆` operator re-enters with, so nested fixpoints inside a
-    /// parallel shard run against the shared store view (they are
-    /// construction-free by the parallel gate, so read access suffices).
-    fn run_fixpoint_ref(
-        &mut self,
-        store: &mut StoreRef<'_>,
-        body: &Plan,
-        seed: &[NodeId],
-        strategy: MuStrategy,
-        seed_in_result: bool,
-    ) -> Result<(Table, ExecStats)> {
-        if !self.context_doc_explicit {
-            // Resolve id() lookups against the seed's document by default,
-            // re-derived per run so a persistent executor follows its seeds
-            // — and reset to None on an empty seed, so a run never resolves
-            // IDs against a stale document from a previous run (or store).
-            // IdLookup demands the document lazily, so empty-seeded runs
-            // over id()-bodies still evaluate to empty rather than erroring.
-            self.context_doc = seed.first().map(|n| DocId(n.doc));
-        }
-        // Volatile tables (constructed identities, id() resolutions) are
-        // scoped to one run; priming happens once here — neither the body
-        // plan nor the store epoch can change between iterations.
-        self.plan_state.volatile_cache.clear();
-        self.prime_for_plan(store.read(), body);
-        let started = Instant::now();
-        let mut stats = ExecStats::default();
-        // The accumulator lives as a NodeSet bitset for the whole run:
-        // union/except are word-parallel and the termination tests are
-        // emptiness checks, so no HashSet is built and no re-sort happens
-        // per iteration.  Document-ordered vectors are materialized only to
-        // feed the body plan (and once at the end, for the result table).
-        let mut res: NodeSet = if seed_in_result {
-            NodeSet::from_nodes(seed.iter().copied())
-        } else {
-            NodeSet::from_nodes(self.eval_body(store, body, seed, &mut stats)?)
-        };
-        // Mu feeds the whole accumulator back each round and needs it in
-        // document order; MuDelta instead tracks ∆ (starting as a copy of
-        // the initial accumulation) and only materializes that.  Each
-        // strategy pays only for the state it reads.
-        let (mut res_vec, mut delta) = match strategy {
-            MuStrategy::Mu => (res.to_vec(store.read()), NodeSet::new()),
-            MuStrategy::MuDelta => (Vec::new(), res.clone()),
-        };
-        loop {
-            self.check_limits(stats.iterations)?;
-            stats.iterations += 1;
-            match strategy {
-                MuStrategy::Mu => {
-                    let step = self.eval_body(store, body, &res_vec, &mut stats)?;
-                    let mut fresh = NodeSet::from_nodes(step);
-                    fresh.except_in_place(&res);
-                    if fresh.is_empty() {
-                        break;
-                    }
-                    res.union_in_place(&fresh);
-                    res_vec = res.to_vec(store.read());
-                }
-                MuStrategy::MuDelta => {
-                    let delta_vec = delta.to_vec(store.read());
-                    let step = self.eval_body(store, body, &delta_vec, &mut stats)?;
-                    delta = NodeSet::from_nodes(step);
-                    delta.except_in_place(&res);
-                    if delta.is_empty() {
-                        res_vec = res.to_vec(store.read());
-                        break;
-                    }
-                    res.union_in_place(&delta);
-                }
-            }
-        }
-        stats.result_rows = res.len();
-        stats.wall_micros = started.elapsed().as_micros() as u64;
-        Ok((Table::from_nodes(&res_vec), stats))
-    }
-
-    /// Drive one **batched multi-source fixpoint**: evaluate the recursion
+    /// Run one **batched multi-source fixpoint**: evaluate the recursion
     /// body once per iteration over a two-column `(`[`SEED_COLUMN`]`, item)`
     /// relation holding the frontiers of *all* seeds, instead of running one
     /// fixpoint per seed.  Every body scan, join and duplicate elimination
     /// is shared across the batch; Naïve/Delta semantics are applied
-    /// **per seed** by regrouping each iteration's output on the seed
-    /// column and taking the group-wise difference against that seed's
-    /// accumulator.
+    /// **per seed** by the driver.
     ///
     /// `body` must be the [seed-carried form](Plan::seed_carried) of the
     /// recursion body — the per-seed plan rewritten so every rec-dependent
@@ -1385,253 +1193,110 @@ impl Executor {
         seed_in_result: bool,
         sharing: BatchSharing,
     ) -> Result<(Table, ExecStats)> {
-        let mut store_ref = StoreRef::from(store.into());
-        let store = &mut store_ref;
-        let started = Instant::now();
-        let mut stats = ExecStats {
-            batch_seeds: seeds.len(),
-            ..ExecStats::default()
-        };
+        let batch = Seeds::Each(seeds);
+        let (groups, stats) =
+            self.run_fixpoint_groups(store, body, batch, strategy.into(), seed_in_result, sharing)?;
+        let mut seed_col = Vec::with_capacity(stats.result_rows);
+        let mut item_col = Vec::with_capacity(stats.result_rows);
+        for (seed, nodes) in seeds.iter().zip(&groups) {
+            seed_col.extend(std::iter::repeat_n(Key::Node(*seed), nodes.len()));
+            item_col.extend(nodes.iter().map(|&node| Key::Node(node)));
+        }
         let schema = vec![SEED_COLUMN.to_string(), "item".to_string()];
-        if seeds.is_empty() {
-            return Ok((Table::new(schema), stats));
-        }
-        debug_assert!(
-            {
-                let mut uniq: Vec<NodeId> = seeds.to_vec();
-                uniq.sort();
-                uniq.dedup();
-                uniq.len() == seeds.len()
-            },
-            "batched seeds must be distinct"
-        );
-        if !self.context_doc_explicit {
-            // Same derivation as `run_fixpoint`: id() resolves against the
-            // seed's document.  The batched dispatcher only batches
-            // same-document seed sets over id()-using plans, so "the first
-            // seed's document" is *the* document of the batch.
-            self.context_doc = seeds.first().map(|n| DocId(n.doc));
-        }
-        self.plan_state.volatile_cache.clear();
-        self.prime_for_plan(store.read(), body);
+        Ok((Table::from_columns(schema, vec![seed_col, item_col]), stats))
+    }
 
-        // Shard count for this run: >1 only when parallelism is requested,
-        // there is more than one seed to spread, and the body is
-        // construction-free (construction mutates the store and pins the
-        // run to the exclusive sequential path).  `shards == 1` takes the
-        // sequential code verbatim — `shard::for_each_shard` and
-        // `shard::map_sharded` run inline on the caller thread.
-        let shards = if self.threads > 1 && seeds.len() > 1 && !body.contains_construct() {
-            self.threads.min(seeds.len())
-        } else {
-            1
+    /// The general entry point behind [`Executor::run_fixpoint`] and
+    /// [`Executor::run_fixpoint_batched`]: run the fixpoint(s) of `body`
+    /// over `seeds` and return one node list per source, in document order
+    /// — `body` in per-seed form for [`Seeds::Set`] (where `sharing` is
+    /// immaterial), in seed-carried form for [`Seeds::Each`].
+    pub fn run_fixpoint_groups<'a>(
+        &mut self,
+        store: impl Into<StoreMut<'a>>,
+        body: &Plan,
+        seeds: Seeds<'_>,
+        strategy: FixpointStrategy,
+        seed_in_result: bool,
+        sharing: BatchSharing,
+    ) -> Result<(Vec<Vec<NodeId>>, ExecStats)> {
+        let store = &mut StoreRef::from(store.into());
+        self.drive(store, body, seeds, strategy, seed_in_result, sharing)
+    }
+
+    /// Hand `plan` to the shared Figure-3 driver as a [`Body`] — the one
+    /// entry every fixpoint of this executor goes through, the nested
+    /// `µ`/`µ∆` operator included (which is why it takes a [`StoreRef`]: a
+    /// nested fixpoint inside a parallel shard runs against the shared
+    /// store view).  A batch ([`Seeds::Each`]) takes `plan` in seed-carried
+    /// form, a single-source run in per-seed form.
+    fn drive(
+        &mut self,
+        store: &mut StoreRef<'_>,
+        plan: &Plan,
+        seeds: Seeds<'_>,
+        strategy: FixpointStrategy,
+        seed_in_result: bool,
+        sharing: BatchSharing,
+    ) -> Result<(Vec<Vec<NodeId>>, ExecStats)> {
+        if !self.context_doc_explicit {
+            // Resolve id() lookups against the seed's document by default,
+            // re-derived per run so a persistent executor follows its seeds
+            // — and reset to None on an empty seed, so a run never resolves
+            // IDs against a stale document from a previous run (or store).
+            // IdLookup demands the document lazily, so empty-seeded runs
+            // over id()-bodies still evaluate to empty rather than erroring.
+            // The batched dispatcher only batches same-document seed sets
+            // over id()-using plans, so "the first seed's document" is *the*
+            // document of a batch.
+            let (Seeds::Set(nodes) | Seeds::Each(nodes)) = seeds;
+            self.context_doc = nodes.first().map(|n| DocId(n.doc));
+        }
+        // Volatile tables (constructed identities, id() resolutions) are
+        // scoped to one run; priming happens once here — neither the body
+        // plan nor the store epoch can change between iterations.
+        self.plan_state.volatile_cache.clear();
+        self.prime_for_plan(store.read(), plan);
+
+        // Shard only when parallelism is requested, there is more than one
+        // source to spread, and the body is construction-free (construction
+        // mutates the store and pins the run to the exclusive handle).
+        let threads = match seeds {
+            Seeds::Each(seeds) if !plan.contains_construct() => self.threads.min(seeds.len()),
+            _ => 1,
         };
-        if shards > 1 {
-            while self.workers.len() < shards {
+        if threads > 1 {
+            while self.workers.len() < threads {
                 self.workers.push(Executor::new());
             }
-            for worker in &mut self.workers[..shards] {
+            for worker in &mut self.workers[..threads] {
                 // Workers mirror the parent's per-run state: same context
                 // document (and derivation mode, so nested fixpoints
                 // re-derive exactly as the sequential run would), fresh
                 // volatile scope, caches primed for this plan and store.
-                worker.max_iterations = self.max_iterations;
-                worker.budget_iterations = self.budget_iterations;
-                worker.deadline = self.deadline;
+                worker.limits = self.limits;
                 worker.context_doc = self.context_doc;
                 worker.context_doc_explicit = self.context_doc_explicit;
                 worker.plan_state.volatile_cache.clear();
-                worker.prime_for_plan(store.read(), body);
+                worker.prime_for_plan(store.read(), plan);
             }
         }
 
-        let n = seeds.len();
-
-        // Per-seed accumulators, index-aligned with `seeds`.  The shared
-        // loop below is Figure 3 run once for the whole batch: the frontier
-        // fed to the body is the union of the per-seed frontiers, and the
-        // grow/terminate decision is group-wise.
-        let mut res: Vec<NodeSet> = if seed_in_result {
-            seeds.iter().map(|&s| NodeSet::from_nodes([s])).collect()
-        } else {
-            let singletons: Vec<Vec<NodeId>> = seeds.iter().map(|&s| vec![s]).collect();
-            let groups =
-                self.step_batched(store, body, seeds, &singletons, sharing, shards, &mut stats)?;
-            groups.into_iter().map(NodeSet::from_nodes).collect()
+        let config = Config {
+            strategy,
+            sharing,
+            seed_in_result,
+            threads,
+            limits: self.limits,
         };
-        // Mu re-feeds each seed's whole accumulator until that seed stops
-        // growing; MuDelta tracks a per-seed ∆.  `active[i]` / a non-empty
-        // `delta[i]` mark the seeds still iterating — converged seeds
-        // contribute no rows to later frontiers.
-        let mut active = vec![true; n];
-        let mut delta: Vec<NodeSet> = match strategy {
-            MuStrategy::Mu => Vec::new(),
-            MuStrategy::MuDelta => res.clone(),
+        let mut body = PlanBody {
+            executor: self,
+            store,
+            plan,
+            carried: matches!(seeds, Seeds::Each(_)),
         };
-        loop {
-            self.check_limits(stats.iterations)?;
-            stats.iterations += 1;
-            let grew;
-            match strategy {
-                MuStrategy::Mu => {
-                    // Frontier materialization and the per-seed merge both
-                    // shard by seed range; the `step_batched` call between
-                    // them is the iteration barrier — every shard's image
-                    // is in before any seed's accumulator moves.
-                    let frontier: Vec<Vec<NodeId>> = {
-                        let shared = store.read();
-                        let pairs: Vec<(&NodeSet, bool)> =
-                            res.iter().zip(active.iter().copied()).collect();
-                        shard::map_sharded(shards, &pairs, |&(set, is_active)| {
-                            if is_active {
-                                set.to_vec(shared)
-                            } else {
-                                Vec::new()
-                            }
-                        })
-                    };
-                    let groups = self
-                        .step_batched(store, body, seeds, &frontier, sharing, shards, &mut stats)?;
-                    let mut merge: Vec<(Vec<NodeId>, &mut NodeSet, &mut bool)> = groups
-                        .into_iter()
-                        .zip(res.iter_mut())
-                        .zip(active.iter_mut())
-                        .map(|((group, set), is_active)| (group, set, is_active))
-                        .collect();
-                    let shard_grew = shard::for_each_shard(shards, &mut merge, |_, items| {
-                        let mut grew = false;
-                        for (group, set, is_active) in items.iter_mut() {
-                            if !**is_active {
-                                continue;
-                            }
-                            let mut fresh = NodeSet::from_nodes(std::mem::take(group));
-                            fresh.except_in_place(set);
-                            if fresh.is_empty() {
-                                **is_active = false;
-                            } else {
-                                set.union_in_place(&fresh);
-                                grew = true;
-                            }
-                        }
-                        grew
-                    });
-                    grew = shard_grew.into_iter().any(|g| g);
-                }
-                MuStrategy::MuDelta => {
-                    let frontier: Vec<Vec<NodeId>> = {
-                        let shared = store.read();
-                        shard::map_sharded(shards, &delta, |d| d.to_vec(shared))
-                    };
-                    let groups = self
-                        .step_batched(store, body, seeds, &frontier, sharing, shards, &mut stats)?;
-                    let mut merge: Vec<(Vec<NodeId>, &mut NodeSet, &mut NodeSet)> = groups
-                        .into_iter()
-                        .zip(res.iter_mut())
-                        .zip(delta.iter_mut())
-                        .map(|((group, set), d)| (group, set, d))
-                        .collect();
-                    let shard_grew = shard::for_each_shard(shards, &mut merge, |_, items| {
-                        let mut grew = false;
-                        for (group, set, d) in items.iter_mut() {
-                            if d.is_empty() {
-                                continue;
-                            }
-                            let mut next = NodeSet::from_nodes(std::mem::take(group));
-                            next.except_in_place(set);
-                            if !next.is_empty() {
-                                set.union_in_place(&next);
-                                grew = true;
-                            }
-                            **d = next;
-                        }
-                        grew
-                    });
-                    grew = shard_grew.into_iter().any(|g| g);
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-
-        let per_seed: Vec<Vec<NodeId>> = {
-            let shared = store.read();
-            shard::map_sharded(shards, &res, |set| set.to_vec(shared))
-        };
-        let mut seed_col = Vec::new();
-        let mut item_col = Vec::new();
-        for (i, nodes) in per_seed.iter().enumerate() {
-            for &node in nodes {
-                seed_col.push(Key::Node(seeds[i]));
-                item_col.push(Key::Node(node));
-            }
-        }
-        stats.result_rows = item_col.len();
-        stats.wall_micros = started.elapsed().as_micros() as u64;
-        Ok((Table::from_columns(schema, vec![seed_col, item_col]), stats))
-    }
-
-    /// One shared iteration of the batched loop: apply the body to the
-    /// per-seed `frontier` lists and return the per-seed step results.
-    ///
-    /// Under [`BatchSharing::PerSeed`] the body is evaluated once over all
-    /// `(seed, node)` pairs.  Under [`BatchSharing::DistinctNodes`] it is
-    /// evaluated once over the *distinct* frontier nodes — each node tagged
-    /// with itself — and every node's image is distributed to the seeds
-    /// whose frontier contained it, so overlapping frontiers pay each node
-    /// exactly once.
-    #[allow(clippy::too_many_arguments)] // internal driver step: one call site per mode
-    fn step_batched(
-        &mut self,
-        store: &mut StoreRef<'_>,
-        body: &Plan,
-        seeds: &[NodeId],
-        frontier: &[Vec<NodeId>],
-        sharing: BatchSharing,
-        shards: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Vec<NodeId>>> {
-        match sharing {
-            BatchSharing::PerSeed => {
-                let tagged: Vec<(NodeId, &[NodeId])> = seeds
-                    .iter()
-                    .zip(frontier)
-                    .map(|(&s, nodes)| (s, nodes.as_slice()))
-                    .collect();
-                self.eval_tagged_batch(store, body, &tagged, shards, stats)
-            }
-            BatchSharing::DistinctNodes => {
-                // Which seeds contain each distinct frontier node, and the
-                // distinct nodes in deterministic first-appearance order.
-                let mut owners: HashMap<NodeId, Vec<u32>> = HashMap::new();
-                let mut distinct: Vec<NodeId> = Vec::new();
-                for (i, nodes) in frontier.iter().enumerate() {
-                    for &node in nodes {
-                        let slot = owners.entry(node).or_insert_with(|| {
-                            distinct.push(node);
-                            Vec::new()
-                        });
-                        slot.push(i as u32);
-                    }
-                }
-                let singletons: Vec<[NodeId; 1]> = distinct.iter().map(|&d| [d]).collect();
-                let tagged: Vec<(NodeId, &[NodeId])> = distinct
-                    .iter()
-                    .zip(&singletons)
-                    .map(|(&d, s)| (d, s.as_slice()))
-                    .collect();
-                let images = self.eval_tagged_batch(store, body, &tagged, shards, stats)?;
-                // Distribute each node's image to the seeds that fed it.
-                let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); seeds.len()];
-                for (node, image) in distinct.iter().zip(images) {
-                    let seeds_of_node = &owners[node];
-                    for &i in seeds_of_node {
-                        groups[i as usize].extend_from_slice(&image);
-                    }
-                }
-                Ok(groups)
-            }
-        }
+        let (result, stats) = fixpoint::run(&mut body, &config, seeds);
+        Ok((result?, stats))
     }
 
     /// Evaluate the (seed-carried) body once over `tagged` — a list of
@@ -1745,6 +1410,49 @@ impl Executor {
         let rec = Table::from_nodes(input);
         let out = self.eval_plan_in_run(store, body, &rec)?;
         Ok(out.item_nodes())
+    }
+}
+
+/// A compiled recursion body as the driver sees it: the per-seed plan is
+/// evaluated group by group, the seed-carried plan once over all groups
+/// (on the worker shards when asked to).
+struct PlanBody<'a, 's> {
+    executor: &'a mut Executor,
+    store: &'a mut StoreRef<'s>,
+    plan: &'a Plan,
+    carried: bool,
+}
+
+impl Body for PlanBody<'_, '_> {
+    type Error = AlgebraError;
+
+    fn images(
+        &mut self,
+        groups: &[Group<'_>],
+        shards: usize,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<Vec<NodeId>>> {
+        if self.carried {
+            return self
+                .executor
+                .eval_tagged_batch(self.store, self.plan, groups, shards, stats);
+        }
+        groups
+            .iter()
+            .map(|&(_, nodes)| self.executor.eval_body(self.store, self.plan, nodes, stats))
+            .collect()
+    }
+
+    fn store(&self) -> &NodeStore {
+        self.store.read()
+    }
+
+    fn release_memory(&mut self) -> u64 {
+        self.executor.release_static_memory()
+    }
+
+    fn limit_error(&self, error: LimitError) -> AlgebraError {
+        AlgebraError::Limit(error)
     }
 }
 
@@ -2258,10 +1966,10 @@ mod tests {
     #[test]
     fn default_executor_matches_new() {
         assert_eq!(
-            Executor::default().max_iterations,
-            Executor::new().max_iterations
+            Executor::default().limits.max_iterations,
+            Executor::new().limits.max_iterations
         );
-        assert!(Executor::default().max_iterations > 0);
+        assert!(Executor::default().limits.max_iterations > 0);
     }
 
     /// Node constructors create a fresh identity per fixpoint *run* even

@@ -407,7 +407,7 @@ impl Plan {
     /// `true` when any operator of the plan is an [`Operator::Construct`].
     /// Construction mints fresh node identities — the one operator that
     /// *mutates* the store — so such plans cannot be sharded across threads
-    /// over a shared store view; the parallel batched driver checks this
+    /// over a shared store view; a parallel batched run checks this
     /// and falls back to the sequential path.
     pub fn contains_construct(&self) -> bool {
         self.nodes

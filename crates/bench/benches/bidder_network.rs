@@ -2,7 +2,7 @@
 //! both back-ends.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xqy_bench::{bidder_network, engine_for, run_cell, Algorithm, Backend};
+use xqy_bench::{bidder_network, engine_for, run_cell, Backend, FixpointStrategy};
 use xqy_datagen::Scale;
 
 fn bench(c: &mut Criterion) {
@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
     for scale in [Scale::Small] {
         let workload = bidder_network(scale);
         for backend in [Backend::SourceLevel, Backend::Algebraic] {
-            for algorithm in [Algorithm::Naive, Algorithm::Delta] {
+            for algorithm in [FixpointStrategy::Naive, FixpointStrategy::Delta] {
                 let id = BenchmarkId::new(
                     format!("{}/{}", backend.name(), algorithm.name()),
                     scale.name(),

@@ -1,7 +1,7 @@
 //! Table 2, rows 6–7: the curriculum transitive-closure consistency check.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xqy_bench::{curriculum_workload, engine_for, run_cell, Algorithm, Backend};
+use xqy_bench::{curriculum_workload, engine_for, run_cell, Backend, FixpointStrategy};
 use xqy_datagen::Scale;
 
 fn bench(c: &mut Criterion) {
@@ -11,7 +11,7 @@ fn bench(c: &mut Criterion) {
     for scale in [Scale::Small] {
         let workload = curriculum_workload(scale);
         for backend in [Backend::SourceLevel, Backend::Algebraic] {
-            for algorithm in [Algorithm::Naive, Algorithm::Delta] {
+            for algorithm in [FixpointStrategy::Naive, FixpointStrategy::Delta] {
                 let id = BenchmarkId::new(
                     format!("{}/{}", backend.name(), algorithm.name()),
                     scale.name(),

@@ -2,7 +2,7 @@
 //! horizontal (following-speech) structure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use xqy_bench::{dialogs, engine_for, run_cell, Algorithm, Backend};
+use xqy_bench::{dialogs, engine_for, run_cell, Backend, FixpointStrategy};
 use xqy_datagen::Scale;
 
 fn bench(c: &mut Criterion) {
@@ -10,7 +10,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     let workload = dialogs(Scale::Small);
     for backend in [Backend::SourceLevel, Backend::Algebraic] {
-        for algorithm in [Algorithm::Naive, Algorithm::Delta] {
+        for algorithm in [FixpointStrategy::Naive, FixpointStrategy::Delta] {
             let id = BenchmarkId::new(backend.name(), algorithm.name());
             group.bench_with_input(id, &workload, |b, workload| {
                 let mut engine = engine_for(workload);

@@ -20,8 +20,8 @@
 //! the recursion depths.
 
 use xqy_bench::{
-    engine_for, run_cell, run_cell_batched, run_cell_batched_parallel, table2_rows, Algorithm,
-    Backend,
+    engine_for, run_cell, run_cell_batched, run_cell_batched_parallel, table2_rows, Backend,
+    FixpointStrategy,
 };
 use xqy_ifp::Parallelism;
 
@@ -57,7 +57,7 @@ fn main() {
     for workload in rows {
         let mut cells = Vec::new();
         for backend in [Backend::Algebraic, Backend::SourceLevel] {
-            for algorithm in [Algorithm::Naive, Algorithm::Delta] {
+            for algorithm in [FixpointStrategy::Naive, FixpointStrategy::Delta] {
                 let mut engine = engine_for(&workload);
                 cells.push(run_cell(&mut engine, &workload, backend, algorithm));
             }
@@ -68,7 +68,12 @@ fn main() {
         // driver (distinct-frontier sharing in the interpreter).
         let batched = workload.per_item.then(|| {
             let mut engine = engine_for(&workload);
-            run_cell_batched(&mut engine, &workload, Backend::Algebraic, Algorithm::Delta)
+            run_cell_batched(
+                &mut engine,
+                &workload,
+                Backend::Algebraic,
+                FixpointStrategy::Delta,
+            )
         });
         // The same relational batched cell, sharded over `threads` OS
         // threads (the tentpole of PR 6) — the thread-count column.
@@ -78,7 +83,7 @@ fn main() {
                 &mut engine,
                 &workload,
                 Backend::Algebraic,
-                Algorithm::Delta,
+                FixpointStrategy::Delta,
                 parallelism,
             )
         });
@@ -88,7 +93,7 @@ fn main() {
                 &mut engine,
                 &workload,
                 Backend::SourceLevel,
-                Algorithm::Delta,
+                FixpointStrategy::Delta,
             )
         });
         let (alg_naive, alg_delta, src_naive, src_delta) =

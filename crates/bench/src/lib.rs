@@ -21,43 +21,10 @@
 use std::time::{Duration, Instant};
 
 use xqy_datagen::{auction, curriculum, hospital, play, Scale};
-use xqy_ifp::{Bindings, Engine, Parallelism, PreparedQuery, Strategy};
+use xqy_ifp::{Bindings, Engine, Parallelism, PreparedQuery};
 
+pub use xqy_ifp::eval::FixpointStrategy;
 pub use xqy_ifp::Backend;
-
-/// Naïve or Delta, uniformly over both back-ends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// Figure 3(a) / µ.
-    Naive,
-    /// Figure 3(b) / µ∆.
-    Delta,
-}
-
-impl Algorithm {
-    /// Display name used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::Naive => "Naive",
-            Algorithm::Delta => "Delta",
-        }
-    }
-
-    /// The (forced) engine strategy for this algorithm.
-    pub fn strategy(&self) -> Strategy {
-        match self {
-            Algorithm::Naive => Strategy::Naive,
-            Algorithm::Delta => Strategy::Delta,
-        }
-    }
-
-    /// The per-occurrence strategy this algorithm forces.
-    pub fn strategy_as_fixpoint(&self) -> xqy_ifp::eval::FixpointStrategy {
-        self.strategy()
-            .forced()
-            .expect("Naive/Delta always force an algorithm")
-    }
-}
 
 /// A benchmark workload: document, seed and recursion body.
 pub struct Workload {
@@ -193,9 +160,9 @@ pub fn prepare_cell(
     engine: &mut Engine,
     workload: &Workload,
     backend: Backend,
-    algorithm: Algorithm,
+    algorithm: FixpointStrategy,
 ) -> PreparedQuery {
-    engine.set_strategy(algorithm.strategy());
+    engine.set_strategy(algorithm.into());
     engine
         .prepare(&workload.query())
         .expect("workload query parses")
@@ -233,7 +200,7 @@ pub fn run_cell(
     engine: &mut Engine,
     workload: &Workload,
     backend: Backend,
-    algorithm: Algorithm,
+    algorithm: FixpointStrategy,
 ) -> CellResult {
     let prepared = prepare_cell(engine, workload, backend, algorithm);
     let bindings = seed_bindings(engine, workload);
@@ -242,10 +209,7 @@ pub fn run_cell(
         .execute(engine, &bindings)
         .expect("workload query runs");
     let elapsed = start.elapsed();
-    debug_assert!(outcome
-        .occurrences
-        .iter()
-        .all(|o| o.strategy == algorithm.strategy_as_fixpoint()));
+    debug_assert!(outcome.occurrences.iter().all(|o| o.strategy == algorithm));
     cell_result(&outcome, elapsed)
 }
 
@@ -259,7 +223,7 @@ pub fn run_cell_batched(
     engine: &mut Engine,
     workload: &Workload,
     backend: Backend,
-    algorithm: Algorithm,
+    algorithm: FixpointStrategy,
 ) -> CellResult {
     run_cell_batched_parallel(
         engine,
@@ -279,10 +243,10 @@ pub fn run_cell_batched_parallel(
     engine: &mut Engine,
     workload: &Workload,
     backend: Backend,
-    algorithm: Algorithm,
+    algorithm: FixpointStrategy,
     parallelism: Parallelism,
 ) -> CellResult {
-    engine.set_strategy(algorithm.strategy());
+    engine.set_strategy(algorithm.into());
     let prepared = engine
         .prepare(&workload.batched_query())
         .expect("workload query parses")
@@ -331,7 +295,7 @@ mod tests {
         let workload = curriculum_workload(Scale::Small);
         let mut sizes = Vec::new();
         for backend in [Backend::SourceLevel, Backend::Algebraic] {
-            for algorithm in [Algorithm::Naive, Algorithm::Delta] {
+            for algorithm in [FixpointStrategy::Naive, FixpointStrategy::Delta] {
                 let mut engine = engine_for(&workload);
                 let cell = run_cell(&mut engine, &workload, backend, algorithm);
                 sizes.push(cell.result_size);
@@ -350,13 +314,13 @@ mod tests {
             &mut engine,
             &workload,
             Backend::SourceLevel,
-            Algorithm::Naive,
+            FixpointStrategy::Naive,
         );
         let delta = run_cell(
             &mut engine,
             &workload,
             Backend::SourceLevel,
-            Algorithm::Delta,
+            FixpointStrategy::Delta,
         );
         assert_eq!(naive.result_size, delta.result_size);
         assert!(delta.nodes_fed_back < naive.nodes_fed_back);
@@ -368,7 +332,12 @@ mod tests {
         // prepared query must compile its recursion body exactly once.
         let workload = curriculum_workload(Scale::Small);
         let mut engine = engine_for(&workload);
-        let prepared = prepare_cell(&mut engine, &workload, Backend::Algebraic, Algorithm::Delta);
+        let prepared = prepare_cell(
+            &mut engine,
+            &workload,
+            Backend::Algebraic,
+            FixpointStrategy::Delta,
+        );
         let bindings = seed_bindings(&mut engine, &workload);
         let compiles_before = xqy_ifp::algebra::compile_count();
         let outcome = prepared.execute(&mut engine, &bindings).unwrap();
@@ -388,8 +357,9 @@ mod tests {
         let workload = curriculum_workload(Scale::Small);
         for backend in [Backend::Algebraic, Backend::Auto] {
             let mut engine = engine_for(&workload);
-            let per_item = run_cell(&mut engine, &workload, backend, Algorithm::Delta);
-            let batched = run_cell_batched(&mut engine, &workload, backend, Algorithm::Delta);
+            let per_item = run_cell(&mut engine, &workload, backend, FixpointStrategy::Delta);
+            let batched =
+                run_cell_batched(&mut engine, &workload, backend, FixpointStrategy::Delta);
             assert_eq!(batched.result_size, per_item.result_size);
             assert_eq!(batched.depth, per_item.depth);
             assert!(
@@ -409,12 +379,13 @@ mod tests {
         let workload = curriculum_workload(Scale::Small);
         for backend in [Backend::Algebraic, Backend::SourceLevel] {
             let mut engine = engine_for(&workload);
-            let sequential = run_cell_batched(&mut engine, &workload, backend, Algorithm::Delta);
+            let sequential =
+                run_cell_batched(&mut engine, &workload, backend, FixpointStrategy::Delta);
             let parallel = run_cell_batched_parallel(
                 &mut engine,
                 &workload,
                 backend,
-                Algorithm::Delta,
+                FixpointStrategy::Delta,
                 Parallelism::Fixed(4),
             );
             assert_eq!(parallel.result_size, sequential.result_size);

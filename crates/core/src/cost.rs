@@ -43,9 +43,7 @@
 
 use std::sync::Mutex;
 
-use xqy_eval::{
-    FixpointBackendTag, FixpointObserver, FixpointStats, FixpointStrategy, FixpointStrategyTag,
-};
+use xqy_eval::{FixpointBackendTag, FixpointObserver, FixpointStats, FixpointStrategy};
 use xqy_xdm::StoreStatistics;
 
 /// One point of the `{strategy} × {backend} × {batching}` plan grid.
@@ -266,13 +264,9 @@ pub struct RunObservation {
 
 impl RunObservation {
     fn from_stats(stats: &FixpointStats) -> Option<Self> {
-        let strategy = match stats.strategy? {
-            FixpointStrategyTag::Naive => FixpointStrategy::Naive,
-            FixpointStrategyTag::Delta => FixpointStrategy::Delta,
-        };
         Some(RunObservation {
             alternative: PlanAlternative {
-                strategy,
+                strategy: stats.strategy?,
                 backend: stats.backend,
                 batched: stats.batch_seeds > 0,
             },
@@ -765,7 +759,7 @@ mod tests {
         assert_eq!(first.source, DecisionSource::Estimated);
 
         cell.observe(&FixpointStats {
-            strategy: Some(FixpointStrategyTag::Naive),
+            strategy: Some(FixpointStrategy::Naive),
             backend: FixpointBackendTag::Interpreted,
             iterations: 31,
             result_size: 30,
@@ -780,7 +774,7 @@ mod tests {
 
         // Once Delta has been measured too, wall times settle the ranking.
         cell.observe(&FixpointStats {
-            strategy: Some(FixpointStrategyTag::Delta),
+            strategy: Some(FixpointStrategy::Delta),
             backend: FixpointBackendTag::Interpreted,
             iterations: 31,
             result_size: 30,
@@ -798,7 +792,7 @@ mod tests {
         let st = stats(4030, 31, 4029);
         let cell = FeedbackCell::new();
         cell.observe(&FixpointStats {
-            strategy: Some(FixpointStrategyTag::Naive),
+            strategy: Some(FixpointStrategy::Naive),
             backend: FixpointBackendTag::Interpreted,
             iterations: 31,
             result_size: 30,

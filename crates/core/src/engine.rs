@@ -50,6 +50,16 @@ impl Strategy {
     }
 }
 
+impl From<FixpointStrategy> for Strategy {
+    /// The strategy that forces `algorithm` on every occurrence.
+    fn from(algorithm: FixpointStrategy) -> Self {
+        match algorithm {
+            FixpointStrategy::Naive => Strategy::Naive,
+            FixpointStrategy::Delta => Strategy::Delta,
+        }
+    }
+}
+
 /// Thread-count policy for **parallel batched fixpoint execution**.
 ///
 /// Applies to the per-seed phases of batched multi-source fixpoints — the

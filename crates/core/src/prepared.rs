@@ -48,14 +48,14 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use xqy_algebra::{
-    compile_recursion_body, AlgebraError, BatchSharing, CompiledBody, Executor, MuStrategy,
+    compile_recursion_body, AlgebraError, BatchSharing, CompiledBody, ExecStats, Executor,
 };
 use xqy_eval::{
     EvalError, Evaluator, FixpointBackendTag, FixpointInterceptor, FixpointStats, FixpointStrategy,
-    FixpointStrategyTag,
 };
 use xqy_parser::ast::{Expr, QueryModule};
 use xqy_parser::parse_query;
+use xqy_xdm::fixpoint::{Limits, Seeds};
 use xqy_xdm::{NodeId, QueryBudget, Sequence, StoreMut, StoreStatistics};
 
 use crate::cost::{
@@ -260,21 +260,6 @@ impl PreparedOccurrence {
     }
 }
 
-/// How this occurrence's strategy maps onto the relational operators.
-fn mu_strategy(strategy: FixpointStrategy) -> MuStrategy {
-    match strategy {
-        FixpointStrategy::Naive => MuStrategy::Mu,
-        FixpointStrategy::Delta => MuStrategy::MuDelta,
-    }
-}
-
-fn strategy_tag(strategy: FixpointStrategy) -> FixpointStrategyTag {
-    match strategy {
-        FixpointStrategy::Naive => FixpointStrategyTag::Naive,
-        FixpointStrategy::Delta => FixpointStrategyTag::Delta,
-    }
-}
-
 /// The per-occurrence execution decision recorded in a [`QueryOutcome`]:
 /// which algorithm, back-end and batching ran each `with … recurse`
 /// occurrence, who decided (knobs, static cost model, or feedback), and at
@@ -315,12 +300,12 @@ pub struct OccurrencePlan {
 }
 
 /// Per-query resource budgets, enforced cooperatively at the fixpoint
-/// iteration barriers of both back-ends (the same places the engine's own
-/// divergence limits are checked), so a query over budget aborts between
-/// iterations, never mid-mutation.
+/// driver's iteration barrier — one barrier for every back-end and batching
+/// mode, the same place the engine's own divergence limits are checked — so
+/// a query over budget aborts between iterations, never mid-mutation.
 ///
-/// Unlike the engine-wide safety nets (`max_fixpoint_iterations` /
-/// `max_fixpoint_nodes`, whose breach means "the IFP is undefined"),
+/// Unlike the engine-wide safety nets (`Limits::max_iterations` /
+/// `Limits::max_nodes`, whose breach means "the IFP is undefined"),
 /// exceeding a caller-supplied limit here is a *resource* verdict: a typed
 /// [`EvalError::BudgetExceeded`] (or `DeadlineExceeded`) carrying the
 /// occurrence and iteration count, which the query service maps to
@@ -730,44 +715,14 @@ impl PreparedQuery {
         // revision), price each occurrence's candidate grid, pick a plan.
         let stats = store.read().statistics();
         let decisions = self.decide_plans(&stats, None)?;
-
-        let threads = self.parallelism.threads();
-        // Per-query memory budget: the growth points of the data model and
-        // the relational executor charge the thread-installed cell (shard
-        // workers re-install it, see `xqy_xdm::shard`), and both drivers
-        // check it at their iteration barriers.
-        let memory_budget = opts.limits.max_memory_bytes.map(QueryBudget::new);
-        let _budget_scope = memory_budget.clone().map(xqy_xdm::budget::install);
-        let mut evaluator = Evaluator::new(store);
-        evaluator.options_mut().seed_in_result = opts.seed_in_result;
-        evaluator.options_mut().fixpoint_threads = threads;
-        evaluator.options_mut().deadline = opts.limits.deadline;
-        evaluator.options_mut().max_result_nodes = opts.limits.max_result_nodes;
-        evaluator.options_mut().budget_iterations = opts.limits.max_iterations;
-        evaluator.options_mut().memory_budget = memory_budget;
-        evaluator.set_fixpoint_strategy(self.default_strategy);
+        let _budget_scope = install_budget(&opts.limits);
+        let mut evaluator = self.evaluator(store, opts, &decisions);
         for (name, value) in bindings.iter() {
             evaluator.bind_global(name, value.clone());
         }
-        for (occ, decision) in self.occurrences.iter().zip(&decisions) {
-            evaluator.set_fixpoint_strategy_for(
-                &occ.var,
-                occ.body.clone(),
-                decision.alternative.strategy,
-            );
-            evaluator.set_fixpoint_observer_for(&occ.var, occ.body.clone(), occ.feedback.clone());
-        }
-        let entries = self.plan_entries(&decisions);
         // Counter snapshot, so the outcome reports per-*execute* deltas of
         // the persistent executors' lifetime totals.
         let cache_before = self.cache_totals();
-        if !entries.is_empty() {
-            evaluator.set_fixpoint_interceptor(Box::new(PlanDriver {
-                entries,
-                threads,
-                limits: opts.limits,
-            }));
-        }
 
         let result = evaluator.eval_module(&self.module)?;
         let fixpoints = evaluator.fixpoint_runs().to_vec();
@@ -779,6 +734,43 @@ impl PreparedQuery {
             occurrences,
             fixpoints,
         })
+    }
+
+    /// The evaluator every execution route runs on: options and limits
+    /// from `opts`, the decided algorithm and the feedback observer per
+    /// occurrence, and the interceptor that drives the algebraic decisions.
+    fn evaluator<'s>(
+        &self,
+        store: StoreMut<'s>,
+        opts: &ExecOptions,
+        decisions: &[PlanDecision],
+    ) -> Evaluator<'s> {
+        let threads = self.parallelism.threads();
+        let mut evaluator = Evaluator::new(store);
+        let options = evaluator.options_mut();
+        options.seed_in_result = opts.seed_in_result;
+        options.fixpoint_threads = threads;
+        options.limits = Limits {
+            deadline: opts.limits.deadline,
+            budget_iterations: opts.limits.max_iterations,
+            max_result_nodes: opts.limits.max_result_nodes,
+            ..options.limits
+        };
+        evaluator.set_fixpoint_strategy(self.default_strategy);
+        for (occ, decision) in self.occurrences.iter().zip(decisions) {
+            let body = || occ.body.clone();
+            evaluator.set_fixpoint_strategy_for(&occ.var, body(), decision.alternative.strategy);
+            evaluator.set_fixpoint_observer_for(&occ.var, body(), occ.feedback.clone());
+        }
+        let entries = self.plan_entries(decisions);
+        if !entries.is_empty() {
+            evaluator.set_fixpoint_interceptor(Box::new(PlanDriver {
+                entries,
+                threads,
+                limits: evaluator.options().limits,
+            }));
+        }
+        evaluator
     }
 
     /// The single IFP occurrence a batched execution can dispatch through
@@ -874,14 +866,34 @@ impl PreparedQuery {
         seeds: &Sequence,
         bindings: &Bindings,
     ) -> Result<BatchedOutcome> {
+        let opts = ExecOptions {
+            seed_in_result: engine.seed_in_result,
+            limits: ResourceLimits::default(),
+        };
+        self.execute_batched_on(&mut engine.store, seed_var, seeds, bindings, &opts)
+    }
+
+    /// [`execute_batched`](Self::execute_batched) against any store handle
+    /// and under explicit [`ExecOptions`] — the batched counterpart of
+    /// [`execute_on`](Self::execute_on), and the way to run a batch under
+    /// [`ResourceLimits`].
+    pub fn execute_batched_on<'s>(
+        &self,
+        store: impl Into<StoreMut<'s>>,
+        seed_var: &str,
+        seeds: &Sequence,
+        bindings: &Bindings,
+        opts: &ExecOptions,
+    ) -> Result<BatchedOutcome> {
         for var in &self.external_vars {
             if var != seed_var && bindings.get(var).is_none() {
                 return Err(IfpError::UnboundVariable(var.clone()));
             }
         }
+        let mut store: StoreMut<'s> = store.into();
+        let stats = store.read().statistics();
         if seeds.all_nodes() {
             if let Some(occ) = self.batched_occurrence(seed_var) {
-                let stats = engine.store.statistics();
                 let decisions = self.decide_plans(&stats, Some(seeds.len().max(1)))?;
                 // The eval-layer route can honor any decision except a
                 // measured preference for the *interpreted per-seed* loop
@@ -889,7 +901,7 @@ impl PreparedQuery {
                 // that one, fall through to the general per-seed loop.
                 if decisions[0].alternative.batched || decisions[0].plan.is_some() {
                     return self.execute_batched_fixpoint(
-                        engine, occ, seed_var, seeds, bindings, &stats, decisions,
+                        store, occ, seed_var, seeds, bindings, opts, &stats, decisions,
                     );
                 }
             }
@@ -898,7 +910,6 @@ impl PreparedQuery {
         // `$seed_var` (or the seeds are not all nodes, and the per-seed
         // execution must surface the evaluator's type error) — run the
         // module once per seed item, exactly as the contract reads.
-        let stats = engine.store.statistics();
         let decisions = self.decide_plans(&stats, None)?;
         let cache_before = self.cache_totals();
         let mut result = Sequence::empty();
@@ -908,12 +919,12 @@ impl PreparedQuery {
             let per_item = bindings
                 .clone()
                 .with(seed_var, Sequence::singleton(item.clone()));
-            let outcome = self.execute(engine, &per_item)?;
+            let outcome = self.execute_on(store.reborrow(), &per_item, opts)?;
             result.extend(outcome.result.clone());
             per_seed.push(outcome.result);
             fixpoints.extend(outcome.fixpoints);
         }
-        // The inner `execute` calls rolled their own feedback up; the
+        // The inner `execute_on` calls rolled their own feedback up; the
         // outer summaries are empty and the report falls back to the
         // per-execute decisions.
         let summaries = vec![None; self.occurrences.len()];
@@ -937,11 +948,12 @@ impl PreparedQuery {
     #[allow(clippy::too_many_arguments)]
     fn execute_batched_fixpoint(
         &self,
-        engine: &mut Engine,
+        store: StoreMut<'_>,
         occ: &PreparedOccurrence,
         seed_var: &str,
         seeds: &Sequence,
         bindings: &Bindings,
+        opts: &ExecOptions,
         stats: &StoreStatistics,
         decisions: Vec<PlanDecision>,
     ) -> Result<BatchedOutcome> {
@@ -959,12 +971,18 @@ impl PreparedQuery {
             positions.push(idx);
         }
 
-        let seed_in_result = engine.seed_in_result;
-        let threads = self.parallelism.threads();
-        let mut evaluator = Evaluator::new(&mut engine.store);
-        evaluator.options_mut().seed_in_result = seed_in_result;
-        evaluator.options_mut().fixpoint_threads = threads;
-        evaluator.set_fixpoint_strategy(self.default_strategy);
+        let _budget_scope = install_budget(&opts.limits);
+        let mut evaluator = self.evaluator(store, opts, &decisions);
+        // Distributive occurrences may share per-node body evaluations
+        // across seeds on the batched source-level route (the analogue of
+        // `BatchSharing::DistinctNodes`).
+        for o in &self.occurrences {
+            evaluator.set_fixpoint_batch_sharing_for(
+                &o.var,
+                o.body.clone(),
+                o.report.is_distributive(),
+            );
+        }
         // The source-level fallback evaluates the recursion body directly;
         // give it the module's functions and the non-seed externals.
         evaluator.register_functions(&self.module.functions);
@@ -973,31 +991,7 @@ impl PreparedQuery {
                 evaluator.bind_global(name, value.clone());
             }
         }
-        for (o, decision) in self.occurrences.iter().zip(&decisions) {
-            evaluator.set_fixpoint_strategy_for(
-                &o.var,
-                o.body.clone(),
-                decision.alternative.strategy,
-            );
-            // Distributive occurrences may share per-node body evaluations
-            // across seeds in the batched source-level driver (the
-            // source-level analogue of `BatchSharing::DistinctNodes`).
-            evaluator.set_fixpoint_batch_sharing_for(
-                &o.var,
-                o.body.clone(),
-                o.report.is_distributive(),
-            );
-            evaluator.set_fixpoint_observer_for(&o.var, o.body.clone(), o.feedback.clone());
-        }
-        let entries = self.plan_entries(&decisions);
         let cache_before = self.cache_totals();
-        if !entries.is_empty() {
-            evaluator.set_fixpoint_interceptor(Box::new(PlanDriver {
-                entries,
-                threads,
-                limits: ResourceLimits::default(),
-            }));
-        }
 
         let (groups, batched) = evaluator.run_fixpoint_batched(&occ.var, &occ.body, &unique)?;
         let fixpoints = evaluator.fixpoint_runs().to_vec();
@@ -1021,6 +1015,16 @@ impl PreparedQuery {
             batched,
         })
     }
+}
+
+/// Install the per-query memory budget of `limits`, if any, on this thread:
+/// the growth points of the data model and the relational executor charge
+/// the installed cell (shard workers re-install it, see `xqy_xdm::shard`)
+/// and the fixpoint driver checks it at its iteration barrier.
+fn install_budget(limits: &ResourceLimits) -> Option<xqy_xdm::budget::BudgetScope> {
+    limits
+        .max_memory_bytes
+        .map(|bytes| xqy_xdm::budget::install(QueryBudget::new(bytes)))
 }
 
 /// The result of a [`PreparedQuery::execute_batched`] call: the aggregate
@@ -1064,7 +1068,7 @@ struct PlanEntry {
     compiled: Arc<CompiledBody>,
     strategy: FixpointStrategy,
     /// `false` when the cost decision picked the per-seed algebraic route
-    /// inside a batched execution: the batched hook declines so the
+    /// inside a batched execution: the interceptor declines the batch so the
     /// evaluator falls back to one (algebraic) fixpoint per seed.
     batched: bool,
     executor: Arc<Mutex<Executor>>,
@@ -1082,12 +1086,25 @@ struct PlanEntry {
 struct PlanDriver {
     entries: Vec<PlanEntry>,
     /// Shard count for batched runs (from the prepared query's
-    /// [`Parallelism`] policy); per-seed runs are always sequential.
+    /// [`Parallelism`] policy); a single-source run has nothing to shard.
     threads: usize,
-    /// Per-query limits (deadline and budgets), installed on the entry's
-    /// executor before each run so the algebraic iteration barrier enforces
-    /// them too.
-    limits: ResourceLimits,
+    /// What the iteration barrier enforces, installed on the entry's
+    /// executor before each run: the same limits the evaluator runs under.
+    limits: Limits,
+}
+
+impl PlanEntry {
+    /// The eval-layer statistics of a run `executor` just finished for this
+    /// entry, given its cache counters from before the run.
+    fn stats(&self, executor: &Executor, run: ExecStats, before: (u64, u64)) -> FixpointStats {
+        FixpointStats {
+            strategy: Some(self.strategy),
+            backend: FixpointBackendTag::Algebraic,
+            static_cache_hits: executor.static_cache_hits() - before.0,
+            static_plan_evals: executor.static_plan_evals() - before.1,
+            ..run.into()
+        }
+    }
 }
 
 /// Take an occurrence's persistent-executor lock even if a previous holder
@@ -1110,28 +1127,13 @@ fn lock_executor(lock: &Mutex<Executor>) -> std::sync::MutexGuard<'_, Executor> 
 }
 
 /// Map an executor failure to the eval-layer error the interceptor
-/// contract reports: deadline and budget verdicts stay **typed** — and gain
-/// the occurrence variable — so the service can distinguish (and attribute)
-/// a timeout or an exhausted budget; everything else is carried as an
-/// opaque back-end message.
+/// contract reports: barrier verdicts stay **typed** — and gain the
+/// occurrence variable — so the service can distinguish (and attribute) a
+/// timeout or an exhausted budget; everything else is carried as an opaque
+/// back-end message.
 fn backend_error(var: &str, err: AlgebraError) -> EvalError {
     match err {
-        AlgebraError::DeadlineExceeded { iterations } => EvalError::DeadlineExceeded {
-            occurrence: var.to_string(),
-            iterations,
-        },
-        AlgebraError::BudgetExceeded {
-            budget,
-            used,
-            limit,
-            iterations,
-        } => EvalError::BudgetExceeded {
-            budget,
-            used,
-            limit,
-            occurrence: var.to_string(),
-            iterations,
-        },
+        AlgebraError::Limit(limit) => xqy_eval::fixpoint::limit_error(var, limit),
         other => EvalError::Backend(other.to_string()),
     }
 }
@@ -1142,138 +1144,56 @@ impl FixpointInterceptor for PlanDriver {
         store: StoreMut<'_>,
         var: &str,
         body: &Expr,
-        seed: &[NodeId],
-        seed_in_result: bool,
-    ) -> Option<xqy_eval::Result<(Vec<NodeId>, FixpointStats)>> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.var == var && *e.body == *body)?;
-        let mut executor = lock_executor(&entry.executor);
-        executor.set_deadline(self.limits.deadline);
-        executor.set_budget_iterations(self.limits.max_iterations);
-        let hits_before = executor.static_cache_hits();
-        let evals_before = executor.static_plan_evals();
-        Some(
-            match executor.run_fixpoint(
-                store,
-                &entry.compiled.plan,
-                seed,
-                mu_strategy(entry.strategy),
-                seed_in_result,
-            ) {
-                Ok((table, stats)) => Ok((
-                    table.item_nodes(),
-                    FixpointStats {
-                        strategy: Some(strategy_tag(entry.strategy)),
-                        backend: FixpointBackendTag::Algebraic,
-                        iterations: stats.iterations,
-                        nodes_fed_back: stats.rows_fed_back,
-                        payload_calls: stats.body_evaluations,
-                        result_size: stats.result_rows,
-                        static_cache_hits: executor.static_cache_hits() - hits_before,
-                        static_plan_evals: executor.static_plan_evals() - evals_before,
-                        batch_seeds: 0,
-                        frontier_curve: stats.frontier_curve,
-                        wall_micros: stats.wall_micros,
-                    },
-                )),
-                Err(err) => Err(backend_error(var, err)),
-            },
-        )
-    }
-
-    fn run_fixpoint_batched(
-        &mut self,
-        store: StoreMut<'_>,
-        var: &str,
-        body: &Expr,
-        seeds: &[NodeId],
+        seeds: Seeds<'_>,
         seed_in_result: bool,
     ) -> Option<xqy_eval::Result<(Vec<Vec<NodeId>>, FixpointStats)>> {
         let entry = self
             .entries
             .iter()
             .find(|e| e.var == var && *e.body == *body)?;
-        // The cost decision may prefer the per-seed algebraic route over
-        // the batched one (observed wall times): decline here so the
-        // evaluator falls back to one fixpoint per seed through
-        // `run_fixpoint` above.
-        if !entry.batched {
-            return None;
-        }
-        // Bodies outside the seed-local subset have no seed-carried plan:
-        // decline, so the evaluator falls back to one fixpoint per seed.
-        let batched_plan = entry.compiled.batched_plan.as_ref()?;
-        // `id()` resolves against one context document per run; per-seed
-        // runs follow each seed's own document, so a batch may only fold
-        // seeds of a single document.
-        if entry.compiled.plan.contains_id_lookup() {
-            let mut docs = seeds.iter().map(|n| n.doc);
-            let first = docs.next();
-            if docs.any(|d| Some(d) != first) {
-                return None;
-            }
-        }
-        // Distributive bodies (`e(X) = ⋃ₓ e({x})`, certified by the ∪
-        // push-up check) additionally share body scans between seeds whose
-        // frontiers overlap: each distinct frontier node is evaluated once
-        // per iteration.  Non-distributive seed-local bodies keep strict
-        // per-seed rows.
-        let sharing = if entry.compiled.distributivity.distributive {
-            BatchSharing::DistinctNodes
-        } else {
-            BatchSharing::PerSeed
-        };
-        let mut executor = lock_executor(&entry.batched_executor);
-        executor.set_threads(self.threads);
-        executor.set_deadline(self.limits.deadline);
-        executor.set_budget_iterations(self.limits.max_iterations);
-        let hits_before = executor.static_cache_hits();
-        let evals_before = executor.static_plan_evals();
-        Some(
-            match executor.run_fixpoint_batched(
-                store,
-                batched_plan,
-                seeds,
-                mu_strategy(entry.strategy),
-                seed_in_result,
-                sharing,
-            ) {
-                Ok((table, stats)) => {
-                    // Regroup the (seed, node) rows per seed, aligned with
-                    // the input order.  The driver emits rows grouped by
-                    // seed already; the index makes no ordering assumption.
-                    let index: std::collections::HashMap<NodeId, usize> =
-                        seeds.iter().enumerate().map(|(i, &s)| (s, i)).collect();
-                    let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); seeds.len()];
-                    let (seed_col, item_col) = (table.col(0), table.col(1));
-                    for (seed_key, item_key) in seed_col.iter().zip(item_col) {
-                        if let (Some(seed), Some(item)) = (seed_key.as_node(), item_key.as_node()) {
-                            if let Some(&i) = index.get(&seed) {
-                                groups[i].push(item);
-                            }
-                        }
-                    }
-                    Ok((
-                        groups,
-                        FixpointStats {
-                            strategy: Some(strategy_tag(entry.strategy)),
-                            backend: FixpointBackendTag::Algebraic,
-                            iterations: stats.iterations,
-                            nodes_fed_back: stats.rows_fed_back,
-                            payload_calls: stats.body_evaluations,
-                            result_size: stats.result_rows,
-                            static_cache_hits: executor.static_cache_hits() - hits_before,
-                            static_plan_evals: executor.static_plan_evals() - evals_before,
-                            batch_seeds: stats.batch_seeds,
-                            frontier_curve: stats.frontier_curve,
-                            wall_micros: stats.wall_micros,
-                        },
-                    ))
+        let (executor, plan, sharing) = match seeds {
+            Seeds::Set(_) => (&entry.executor, &entry.compiled.plan, BatchSharing::PerSeed),
+            Seeds::Each(seeds) => {
+                // The cost decision may prefer the per-seed algebraic route
+                // over the batched one (observed wall times): decline the
+                // batch, so the evaluator offers it seed by seed.
+                if !entry.batched {
+                    return None;
                 }
-                Err(err) => Err(backend_error(var, err)),
-            },
+                // Bodies outside the seed-local subset have no seed-carried
+                // plan: decline likewise.
+                let batched_plan = entry.compiled.batched_plan.as_ref()?;
+                // `id()` resolves against one context document per run;
+                // per-seed runs follow each seed's own document, so a batch
+                // may only fold seeds of a single document.
+                if entry.compiled.plan.contains_id_lookup()
+                    && seeds.iter().any(|n| n.doc != seeds[0].doc)
+                {
+                    return None;
+                }
+                // Distributive bodies (`e(X) = ⋃ₓ e({x})`, certified by the
+                // ∪ push-up check) additionally share body scans between
+                // seeds whose frontiers overlap: each distinct frontier node
+                // is evaluated once per iteration.  Non-distributive
+                // seed-local bodies keep strict per-seed rows.
+                let sharing = if entry.compiled.distributivity.distributive {
+                    BatchSharing::DistinctNodes
+                } else {
+                    BatchSharing::PerSeed
+                };
+                (&entry.batched_executor, batched_plan, sharing)
+            }
+        };
+        let mut executor = lock_executor(executor);
+        executor.set_threads(self.threads);
+        executor.limits = self.limits;
+        let before = (executor.static_cache_hits(), executor.static_plan_evals());
+        let strategy = entry.strategy;
+        Some(
+            executor
+                .run_fixpoint_groups(store, plan, seeds, strategy, seed_in_result, sharing)
+                .map(|(groups, run)| (groups, entry.stats(&executor, run, before)))
+                .map_err(|err| backend_error(var, err)),
         )
     }
 }

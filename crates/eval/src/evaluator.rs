@@ -17,6 +17,7 @@ use crate::context::{Environment, Focus};
 use crate::error::EvalError;
 use crate::fixpoint::{self, FixpointInterceptor, FixpointStats, FixpointStrategy};
 use crate::Result;
+use xqy_xdm::fixpoint::Seeds;
 
 /// Tunable evaluation options.
 #[derive(Debug, Clone)]
@@ -33,41 +34,25 @@ pub struct EvalOptions {
     /// lists the seed as the iteration-0 result) and corresponds to the
     /// reflexive closure `e*`.
     pub seed_in_result: bool,
-    /// Abort an IFP after this many iterations (the IFP is then *undefined*,
-    /// per Definition 2.1 of the paper).
-    pub max_fixpoint_iterations: usize,
-    /// Abort an IFP once the accumulated result exceeds this many nodes.
-    pub max_fixpoint_nodes: usize,
     /// Maximum user-defined function recursion depth.
     pub max_recursion_depth: usize,
-    /// Shard count for the per-seed phases of **batched** fixpoint runs —
-    /// the image folds of the shared driver and the final result
-    /// materializations.  `1` (the default) is fully sequential.  Body
-    /// evaluations themselves always run on the interpreter thread (the
-    /// evaluator holds the store mutably); the algebraic back-end is where
-    /// body-level parallelism lives.
+    /// Shard count of the fixpoint driver ([`xqy_xdm::fixpoint::Config::threads`]).
+    /// The one sharding rule: the driver splits its per-source phases — the
+    /// `except`/`union` folds and the document-order materializations —
+    /// over at most this many threads, and offers the same count to the
+    /// recursion body.  A run over one source has nothing to split, `1`
+    /// (the default) runs everything inline, and once a memory budget has
+    /// used its relief round the rest of the query is sequential.  The
+    /// interpreter evaluates bodies on its own thread whatever the count
+    /// (it holds the store mutably); body-level parallelism lives in the
+    /// algebraic back-end.
     pub fixpoint_threads: usize,
-    /// Cooperative deadline: fixpoint drivers check it at every iteration
-    /// barrier (the same place the iteration / node-count limits are
-    /// enforced) and abort with [`EvalError::DeadlineExceeded`] once the
-    /// instant has passed.  `None` (the default) never times out.
-    pub deadline: Option<std::time::Instant>,
-    /// Per-query result-size budget (`ResourceLimits::max_result_nodes`):
-    /// unlike the engine-wide `max_fixpoint_nodes` safety net (whose breach
-    /// means "the IFP is undefined", [`EvalError::NoFixpoint`]), exceeding
-    /// this caller-supplied cap is a *resource* verdict —
-    /// [`EvalError::BudgetExceeded`] with `budget = "result-nodes"`.
-    pub max_result_nodes: Option<usize>,
-    /// Per-query iteration budget (`ResourceLimits::max_iterations`),
-    /// checked before the engine-wide `max_fixpoint_iterations`; breach is
-    /// [`EvalError::BudgetExceeded`] with `budget = "iterations"`.
-    pub budget_iterations: Option<usize>,
-    /// Per-query approximate memory budget.  Growth points in the data
-    /// model charge it (see [`xqy_xdm::budget`]); the fixpoint drivers
-    /// check it at the iteration barrier, degrade once (drop store memos,
-    /// fall back to sequential sharding) and then fail with
-    /// [`EvalError::BudgetExceeded`] (`budget = "memory"`).
-    pub memory_budget: Option<std::sync::Arc<xqy_xdm::QueryBudget>>,
+    /// What the fixpoint driver's iteration barrier enforces: the
+    /// engine-wide divergence guards (breach: the IFP is *undefined* per
+    /// Definition 2.1, [`EvalError::NoFixpoint`]) and the per-query
+    /// deadline and budgets ([`EvalError::DeadlineExceeded`] /
+    /// [`EvalError::BudgetExceeded`]).  The defaults guard only.
+    pub limits: xqy_xdm::fixpoint::Limits,
 }
 
 impl Default for EvalOptions {
@@ -75,14 +60,9 @@ impl Default for EvalOptions {
         EvalOptions {
             fixpoint_strategy: FixpointStrategy::Naive,
             seed_in_result: false,
-            max_fixpoint_iterations: 100_000,
-            max_fixpoint_nodes: 50_000_000,
             max_recursion_depth: 4_096,
             fixpoint_threads: 1,
-            deadline: None,
-            max_result_nodes: None,
-            budget_iterations: None,
-            memory_budget: None,
+            limits: xqy_xdm::fixpoint::Limits::default(),
         }
     }
 }
@@ -239,11 +219,15 @@ impl<'s> Evaluator<'s> {
     /// `true` when batch sharing has been granted for `(var, body)` via
     /// [`set_fixpoint_batch_sharing_for`](Self::set_fixpoint_batch_sharing_for).
     pub fn fixpoint_batch_sharing_for(&self, var: &str, body: &Expr) -> bool {
+        self.overrides(var, body).is_some_and(|o| o.share)
+    }
+
+    /// The override record installed for `(var, body)`, if any.
+    fn overrides(&self, var: &str, body: &Expr) -> Option<&OccurrenceOverrides> {
         self.occurrence_overrides
             .iter()
             .find(|((v, b), _)| v == var && b.as_ref() == body)
-            .map(|(_, o)| o.share)
-            .unwrap_or(false)
+            .map(|(_, o)| o)
     }
 
     /// Attach an observer to the occurrence `(var, body)`: it is handed the
@@ -268,10 +252,8 @@ impl<'s> Evaluator<'s> {
 
     /// The strategy that will evaluate the occurrence `(var, body)`.
     pub fn fixpoint_strategy_for(&self, var: &str, body: &Expr) -> FixpointStrategy {
-        self.occurrence_overrides
-            .iter()
-            .find(|((v, b), _)| v == var && b.as_ref() == body)
-            .and_then(|(_, o)| o.strategy)
+        self.overrides(var, body)
+            .and_then(|o| o.strategy)
             .unwrap_or(self.options.fixpoint_strategy)
     }
 
@@ -289,12 +271,7 @@ impl<'s> Evaluator<'s> {
     /// Record a run attributed to the occurrence `(var, body)`, notifying
     /// the occurrence's observer (if any) first.
     pub(crate) fn record_fixpoint_run_for(&mut self, var: &str, body: &Expr, stats: FixpointStats) {
-        if let Some(observer) = self
-            .occurrence_overrides
-            .iter()
-            .find(|((v, b), _)| v == var && b.as_ref() == body)
-            .and_then(|(_, o)| o.observer.clone())
-        {
+        if let Some(observer) = self.overrides(var, body).and_then(|o| o.observer.as_ref()) {
             observer.observe(&stats);
         }
         self.fixpoint_runs.push(stats);
@@ -338,19 +315,17 @@ impl<'s> Evaluator<'s> {
     /// This is the batched dispatch point of the eval layer.  Routing, in
     /// order:
     ///
-    /// 1. the installed [`FixpointInterceptor`]'s
-    ///    [`run_fixpoint_batched`](FixpointInterceptor::run_fixpoint_batched)
-    ///    hook — one shared fixpoint over the `(seed, node)` relation on
-    ///    the relational back-end (returns `(groups, true)`);
-    /// 2. per seed: the interceptor's single-source
-    ///    [`run_fixpoint`](FixpointInterceptor::run_fixpoint) hook — one
-    ///    algebraic fixpoint per seed for occurrences that compile but are
-    ///    not seed-local;
-    /// 3. the **batched source-level driver**
+    /// 1. the installed [`FixpointInterceptor`], offered the whole batch
+    ///    ([`Seeds::Each`]) — one shared fixpoint over the `(seed, node)`
+    ///    relation on the relational back-end (returns `(groups, true)`);
+    /// 2. the interceptor again, offered the batch seed by seed
+    ///    ([`Seeds::Set`] of one) — one algebraic fixpoint per seed for
+    ///    occurrences that compile but are not seed-local;
+    /// 3. the **batched source-level route**
     ///    ([`fixpoint::evaluate_fixpoint_batched`]) for occurrences the
     ///    interceptor declines entirely (bodies outside the algebraic
-    ///    subset, or no interceptor installed): one shared Figure-3 loop
-    ///    over all seeds under the strategy
+    ///    subset, or no interceptor installed): one run of the shared
+    ///    driver over all seeds under the strategy
     ///    [`fixpoint_strategy_for`](Self::fixpoint_strategy_for) reports,
     ///    with the globals bound via [`bind_global`](Self::bind_global) in
     ///    scope.  Distributive bodies (granted via
@@ -373,42 +348,14 @@ impl<'s> Evaluator<'s> {
             // recorded (matching a per-seed loop over an empty set).
             return Ok((Vec::new(), false));
         }
-        if let Some(mut interceptor) = self.interceptor.take() {
-            let outcome = interceptor.run_fixpoint_batched(
-                self.store.reborrow(),
-                var,
-                body,
-                seeds,
-                self.options.seed_in_result,
-            );
-            self.interceptor = Some(interceptor);
-            if let Some(result) = outcome {
-                let (groups, stats) = result?;
-                debug_assert_eq!(groups.len(), seeds.len());
-                self.record_fixpoint_run_for(var, body, stats);
-                return Ok((groups, true));
-            }
+        if let Some(groups) = self.intercept(var, body, Seeds::Each(seeds))? {
+            debug_assert_eq!(groups.len(), seeds.len());
+            return Ok((groups, true));
         }
         let mut groups = Vec::with_capacity(seeds.len());
         for (idx, &seed) in seeds.iter().enumerate() {
-            let mut handled = None;
-            if let Some(mut interceptor) = self.interceptor.take() {
-                let outcome = interceptor.run_fixpoint(
-                    self.store.reborrow(),
-                    var,
-                    body,
-                    &[seed],
-                    self.options.seed_in_result,
-                );
-                self.interceptor = Some(interceptor);
-                if let Some(result) = outcome {
-                    let (nodes, stats) = result?;
-                    self.record_fixpoint_run_for(var, body, stats);
-                    handled = Some(nodes);
-                }
-            }
-            match handled {
-                Some(nodes) => groups.push(nodes),
+            match self.intercept(var, body, Seeds::Set(&[seed]))? {
+                Some(mut nodes) => groups.push(nodes.pop().unwrap_or_default()),
                 None if idx == 0 => {
                     // The interceptor matches occurrences by `(var, body)`,
                     // so a decline is seed-independent: the whole batch is
@@ -434,6 +381,33 @@ impl<'s> Evaluator<'s> {
             }
         }
         Ok((groups, false))
+    }
+
+    /// Offer the occurrence `(var, body)` over `seeds` to the installed
+    /// interceptor.  `Ok(None)` when there is none or it declines;
+    /// otherwise the run is recorded and its per-source node lists (or its
+    /// error) returned.  The box is taken out for the call so the
+    /// interceptor can receive the store handle, and restored before any
+    /// nested occurrence evaluates.
+    fn intercept(
+        &mut self,
+        var: &str,
+        body: &Expr,
+        seeds: Seeds<'_>,
+    ) -> Result<Option<Vec<Vec<NodeId>>>> {
+        let Some(mut interceptor) = self.interceptor.take() else {
+            return Ok(None);
+        };
+        let seed_in_result = self.options.seed_in_result;
+        let outcome =
+            interceptor.run_fixpoint(self.store.reborrow(), var, body, seeds, seed_in_result);
+        self.interceptor = Some(interceptor);
+        let Some(result) = outcome else {
+            return Ok(None);
+        };
+        let (groups, stats) = result?;
+        self.record_fixpoint_run_for(var, body, stats);
+        Ok(Some(groups))
     }
 
     /// Route 3 of [`run_fixpoint_batched`](Self::run_fixpoint_batched): the
@@ -717,24 +691,11 @@ impl<'s> Evaluator<'s> {
                 let seed_value = self.eval_expr(seed, env, focus)?;
                 // Offer node-seeded occurrences to the interceptor first
                 // (non-node seeds fall through to evaluate_fixpoint, which
-                // reports the type error).  The box is taken out for the
-                // call so the interceptor can receive `self.store` mutably;
-                // it is restored before any nested occurrence evaluates.
-                if seed_value.all_nodes() {
-                    if let Some(mut interceptor) = self.interceptor.take() {
-                        let outcome = interceptor.run_fixpoint(
-                            self.store.reborrow(),
-                            var,
-                            body,
-                            &seed_value.nodes(),
-                            self.options.seed_in_result,
-                        );
-                        self.interceptor = Some(interceptor);
-                        if let Some(result) = outcome {
-                            let (nodes, stats) = result?;
-                            self.record_fixpoint_run_for(var, body, stats);
-                            return Ok(Sequence::from_nodes(nodes));
-                        }
+                // reports the type error).
+                if self.interceptor.is_some() && seed_value.all_nodes() {
+                    let seeds = seed_value.nodes();
+                    if let Some(mut groups) = self.intercept(var, body, Seeds::Set(&seeds))? {
+                        return Ok(Sequence::from_nodes(groups.pop().unwrap_or_default()));
                     }
                 }
                 let strategy = self.fixpoint_strategy_for(var, body);

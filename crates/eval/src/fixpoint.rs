@@ -1,20 +1,8 @@
-//! The inflationary fixed point runtime: algorithms *Naïve* and *Delta*.
-//!
-//! This module implements Figure 3 of the paper:
-//!
-//! ```text
-//! (a) Naïve                          (b) Delta
-//! res ← e_rec(e_seed);               res ← e_rec(e_seed);
-//! do                                 ∆ ← res;
-//!   res ← e_rec(res) union res;      do
-//! while res grows;                     ∆ ← e_rec(∆) except res;
-//!                                      res ← ∆ union res;
-//!                                    while res grows;
-//! ```
-//!
-//! Both algorithms record the statistics Table 2 of the paper reports:
-//! the recursion depth (number of iterations) and the **total number of
-//! nodes fed back** into the recursion body `e_rec`.
+//! The source-level side of the inflationary fixed point: the interpreter
+//! as a [`Body`] of the shared Figure-3 driver ([`xqy_xdm::fixpoint`]), the
+//! per-run statistics the evaluator records, and the hooks a higher layer
+//! uses to take an occurrence over ([`FixpointInterceptor`]) or watch it
+//! ([`FixpointObserver`]).
 //!
 //! Delta is only a safe replacement for Naïve when the recursion body is
 //! *distributive* for the recursion variable (Theorem 3.2); the runtime does
@@ -22,33 +10,18 @@
 //! `Auto` mode's) responsibility.  Example 2.4 of the paper, where the two
 //! algorithms genuinely differ, is reproduced in the tests below.
 
+use std::collections::HashMap;
+
 use xqy_parser::ast::Expr;
-use xqy_xdm::{shard, NodeId, NodeSet, NodeStore, Sequence};
+use xqy_xdm::fixpoint::{self, BatchSharing, Body, Config, ExecStats, Group, LimitError, Seeds};
+use xqy_xdm::{NodeId, NodeStore, Sequence};
 
 use crate::context::Environment;
 use crate::error::EvalError;
 use crate::evaluator::Evaluator;
 use crate::Result;
 
-/// Which algorithm evaluates `with … seeded by … recurse`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FixpointStrategy {
-    /// Figure 3(a): feed the entire accumulated result back each iteration.
-    #[default]
-    Naive,
-    /// Figure 3(b): feed only the newly discovered nodes back each iteration.
-    Delta,
-}
-
-impl FixpointStrategy {
-    /// Human-readable name (matches the paper's terminology).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FixpointStrategy::Naive => "Naive",
-            FixpointStrategy::Delta => "Delta",
-        }
-    }
-}
+pub use xqy_xdm::fixpoint::FixpointStrategy;
 
 /// Which engine actually drove one fixed point computation.
 ///
@@ -88,7 +61,20 @@ impl FixpointBackendTag {
 /// occurrences whose bodies were pre-compiled to algebraic plans on the
 /// relational back-end, without re-entering the interpreter per iteration.
 pub trait FixpointInterceptor {
-    /// Attempt to run the fixpoint for `(var, body)` seeded by `seed`.
+    /// Attempt to run the occurrence `(var, body)` over `seeds`: one
+    /// fixpoint over a whole seed set ([`Seeds::Set`]), or **one fixpoint
+    /// per seed** as a single batched multi-source run ([`Seeds::Each`],
+    /// the seeds distinct — see
+    /// [`Evaluator::run_fixpoint_batched`](crate::Evaluator::run_fixpoint_batched)).
+    ///
+    /// On success the result holds one node list per source — one list for
+    /// a set, one per seed and index-aligned for a batch, each equal to
+    /// what a separate run over that singleton seed would return — plus
+    /// the [`FixpointStats`] of the whole run.  Implementors decline
+    /// (return `None`) an occurrence they have no plan for, and a batch
+    /// they cannot fold — e.g. a body outside the seed-local subset, or an
+    /// `id()`-using body whose seeds span documents; the evaluator then
+    /// offers the batch seed by seed before running it source-level.
     ///
     /// `store` is the evaluator's store handle — exclusive or copy-on-write
     /// (see [`StoreMut`](xqy_xdm::StoreMut)); implementors that construct
@@ -98,38 +84,9 @@ pub trait FixpointInterceptor {
         store: xqy_xdm::StoreMut<'_>,
         var: &str,
         body: &Expr,
-        seed: &[NodeId],
+        seeds: Seeds<'_>,
         seed_in_result: bool,
-    ) -> Option<Result<(Vec<NodeId>, FixpointStats)>>;
-
-    /// Attempt to run **one fixpoint per seed of `seeds`** as a single
-    /// batched multi-source fixpoint (see
-    /// [`Evaluator::run_fixpoint_batched`](crate::Evaluator::run_fixpoint_batched)).
-    ///
-    /// On success the result holds one node list per seed, index-aligned
-    /// with `seeds`, each equal to what a separate
-    /// [`run_fixpoint`](Self::run_fixpoint) over that singleton seed would
-    /// return, plus one [`FixpointStats`] for the whole batch (with
-    /// [`FixpointStats::batch_seeds`] set).  `seeds` are distinct — the
-    /// caller deduplicates.
-    ///
-    /// The default declines every occurrence, which routes the evaluator to
-    /// its per-seed fallback: per-seed interception where available, the
-    /// source-level Naïve/Delta algorithms otherwise.  Implementors decline
-    /// (return `None`) when the occurrence has no batchable plan — e.g. a
-    /// body outside the seed-local subset, or an `id()`-using body whose
-    /// seeds span documents.
-    fn run_fixpoint_batched(
-        &mut self,
-        store: xqy_xdm::StoreMut<'_>,
-        var: &str,
-        body: &Expr,
-        seeds: &[NodeId],
-        seed_in_result: bool,
-    ) -> Option<Result<(Vec<Vec<NodeId>>, FixpointStats)>> {
-        let _ = (store, var, body, seeds, seed_in_result);
-        None
-    }
+    ) -> Option<Result<(Vec<Vec<NodeId>>, FixpointStats)>>;
 }
 
 /// An observer a higher layer may attach to a fixpoint occurrence (see
@@ -147,7 +104,7 @@ pub trait FixpointObserver: Send + Sync {
 #[derive(Debug, Clone, Eq, Default)]
 pub struct FixpointStats {
     /// The strategy that was used.
-    pub strategy: Option<FixpointStrategyTag>,
+    pub strategy: Option<FixpointStrategy>,
     /// Which back-end drove the computation.
     pub backend: FixpointBackendTag,
     /// Number of do-while iterations executed (the paper's
@@ -201,21 +158,125 @@ impl PartialEq for FixpointStats {
     }
 }
 
-/// A copyable tag mirroring [`FixpointStrategy`] for inclusion in stats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FixpointStrategyTag {
-    /// Naïve algorithm.
-    Naive,
-    /// Delta algorithm.
-    Delta,
+impl From<ExecStats> for FixpointStats {
+    /// The driver's counters under the interpreter's names; the strategy
+    /// (and, for an intercepted run, the back-end) is the caller's to add.
+    fn from(stats: ExecStats) -> Self {
+        FixpointStats {
+            iterations: stats.iterations,
+            nodes_fed_back: stats.rows_fed_back,
+            payload_calls: stats.body_evaluations,
+            result_size: stats.result_rows,
+            batch_seeds: stats.batch_seeds,
+            frontier_curve: stats.frontier_curve,
+            wall_micros: stats.wall_micros,
+            ..FixpointStats::default()
+        }
+    }
 }
 
-impl From<FixpointStrategy> for FixpointStrategyTag {
-    fn from(value: FixpointStrategy) -> Self {
-        match value {
-            FixpointStrategy::Naive => FixpointStrategyTag::Naive,
-            FixpointStrategy::Delta => FixpointStrategyTag::Delta,
+/// The interpreter as a recursion body: bind `var`, evaluate `body`,
+/// require a node-sequence result.
+struct Interpreted<'a, 's> {
+    eval: &'a mut Evaluator<'s>,
+    var: &'a str,
+    body: &'a Expr,
+    env: &'a mut Environment,
+    /// node → image of the singleton body application, kept for the whole
+    /// run.  `Some` only under [`BatchSharing::DistinctNodes`], where every
+    /// group is `(n, [n])` and the body is distributive and pure by the
+    /// caller's precondition — so a node discovered by several seeds in
+    /// different rounds costs one evaluation in total.
+    memo: Option<HashMap<NodeId, Vec<NodeId>>>,
+}
+
+impl Interpreted<'_, '_> {
+    /// One invocation of the recursion body, counted.
+    fn call(&mut self, input: &[NodeId], stats: &mut ExecStats) -> Result<Vec<NodeId>> {
+        stats.rows_fed_back += input.len() as u64;
+        stats.frontier_curve.push(input.len() as u64);
+        stats.body_evaluations += 1;
+        xqy_xdm::fail::point("alloc.sequence").map_err(|e| EvalError::Xdm(e.to_string()))?;
+        let input = Sequence::from_nodes(input.iter().copied());
+        let value = self
+            .eval
+            .eval_with_binding(self.body, self.env, self.var, input)?;
+        if !value.all_nodes() {
+            return Err(EvalError::Type(
+                "the recursion body of an inflationary fixed point must return nodes".into(),
+            ));
         }
+        Ok(value.nodes())
+    }
+}
+
+impl Body for Interpreted<'_, '_> {
+    type Error = EvalError;
+
+    /// Group by group on the interpreter thread (the evaluator holds the
+    /// store mutably), whatever `shards` says.
+    fn images(
+        &mut self,
+        groups: &[Group<'_>],
+        _shards: usize,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<Vec<NodeId>>> {
+        let mut images = Vec::with_capacity(groups.len());
+        for &(tag, nodes) in groups {
+            let known = self.memo.as_ref().and_then(|memo| memo.get(&tag));
+            images.push(match known {
+                Some(image) => image.clone(),
+                None => {
+                    let image = self.call(nodes, stats)?;
+                    if let Some(memo) = &mut self.memo {
+                        memo.insert(tag, image.clone());
+                    }
+                    image
+                }
+            });
+        }
+        Ok(images)
+    }
+
+    fn store(&self) -> &NodeStore {
+        self.eval.store_ref()
+    }
+
+    fn release_memory(&mut self) -> u64 {
+        self.eval.store_ref().release_memory()
+    }
+
+    fn limit_error(&self, error: LimitError) -> EvalError {
+        limit_error(self.var, error)
+    }
+}
+
+/// The evaluation error for a barrier verdict on the occurrence `var` — for
+/// the interpreter's own runs and for interceptors reporting a back-end's.
+pub fn limit_error(var: &str, error: LimitError) -> EvalError {
+    let occurrence = var.to_string();
+    match error {
+        LimitError::Fault(fault) => EvalError::Backend(fault.to_string()),
+        LimitError::Deadline { iterations } => EvalError::DeadlineExceeded {
+            occurrence,
+            iterations,
+        },
+        LimitError::Budget {
+            budget,
+            used,
+            limit,
+            iterations,
+        } => EvalError::BudgetExceeded {
+            budget: budget.into(),
+            used,
+            limit,
+            occurrence,
+            iterations,
+        },
+        LimitError::NoFixpoint { iterations, limit } => EvalError::NoFixpoint {
+            iterations,
+            limit: limit.into(),
+        },
     }
 }
 
@@ -234,231 +295,24 @@ pub fn evaluate_fixpoint(
             "the seed of an inflationary fixed point must be a node sequence".into(),
         ));
     }
-    let started = std::time::Instant::now();
-    let mut stats = FixpointStats {
-        strategy: Some(strategy.into()),
-        ..FixpointStats::default()
-    };
-    // Initial accumulation: Definition 2.1 starts from e_rec(e_seed); the
-    // seed-inclusive reading (Example 2.4 / reflexive closure) starts from
-    // the seed itself.  See `EvalOptions::seed_in_result`.
-    let initial = if eval.options().seed_in_result {
-        seed.nodes()
-    } else {
-        match call_payload(eval, var, &seed.nodes(), body, env, &mut stats) {
-            Ok(nodes) => nodes,
-            Err(err) => {
-                stats.wall_micros = started.elapsed().as_micros() as u64;
-                eval.record_fixpoint_run_for(var, body, stats);
-                return Err(err);
-            }
-        }
-    };
-    let result = match strategy {
-        FixpointStrategy::Naive => naive(eval, var, &initial, body, env, &mut stats),
-        FixpointStrategy::Delta => delta(eval, var, &initial, body, env, &mut stats),
-    };
-    match result {
-        Ok(nodes) => {
-            stats.result_size = nodes.len();
-            stats.wall_micros = started.elapsed().as_micros() as u64;
-            eval.record_fixpoint_run_for(var, body, stats);
-            Ok(Sequence::from_nodes(nodes))
-        }
-        Err(err) => {
-            stats.wall_micros = started.elapsed().as_micros() as u64;
-            eval.record_fixpoint_run_for(var, body, stats);
-            Err(err)
-        }
-    }
+    let seeds = Seeds::Set(&seed.nodes());
+    let mut groups = drive(eval, var, body, env, strategy, false, seeds)?;
+    Ok(Sequence::from_nodes(groups.pop().unwrap_or_default()))
 }
 
-/// One invocation of the recursion body: bind `var`, evaluate, require a
-/// node-sequence result, update the fed-back counter.
-fn call_payload(
-    eval: &mut Evaluator<'_>,
-    var: &str,
-    input: &[NodeId],
-    body: &Expr,
-    env: &mut Environment,
-    stats: &mut FixpointStats,
-) -> Result<Vec<NodeId>> {
-    stats.nodes_fed_back += input.len() as u64;
-    stats.frontier_curve.push(input.len() as u64);
-    stats.payload_calls += 1;
-    xqy_xdm::fail::point("alloc.sequence").map_err(|e| EvalError::Xdm(e.to_string()))?;
-    let value =
-        eval.eval_with_binding(body, env, var, Sequence::from_nodes(input.iter().copied()))?;
-    if !value.all_nodes() {
-        return Err(EvalError::Type(
-            "the recursion body of an inflationary fixed point must return nodes".into(),
-        ));
-    }
-    Ok(value.nodes())
-}
-
-fn check_limits(
-    eval: &mut Evaluator<'_>,
-    var: &str,
-    stats: &FixpointStats,
-    result_len: usize,
-) -> Result<()> {
-    xqy_xdm::fail::point("fixpoint.barrier").map_err(|e| EvalError::Backend(e.to_string()))?;
-    let options = eval.options();
-    if let Some(deadline) = options.deadline {
-        if std::time::Instant::now() >= deadline {
-            return Err(EvalError::DeadlineExceeded {
-                occurrence: var.to_string(),
-                iterations: stats.iterations,
-            });
-        }
-    }
-    if let Some(max) = options.budget_iterations {
-        if stats.iterations >= max {
-            return Err(EvalError::BudgetExceeded {
-                budget: "iterations".into(),
-                used: stats.iterations as u64,
-                limit: max as u64,
-                occurrence: var.to_string(),
-                iterations: stats.iterations,
-            });
-        }
-    }
-    if stats.iterations >= options.max_fixpoint_iterations {
-        return Err(EvalError::NoFixpoint {
-            iterations: stats.iterations,
-            limit: "iteration".into(),
-        });
-    }
-    if let Some(max) = options.max_result_nodes {
-        if result_len > max {
-            return Err(EvalError::BudgetExceeded {
-                budget: "result-nodes".into(),
-                used: result_len as u64,
-                limit: max as u64,
-                occurrence: var.to_string(),
-                iterations: stats.iterations,
-            });
-        }
-    }
-    if result_len > options.max_fixpoint_nodes {
-        return Err(EvalError::NoFixpoint {
-            iterations: stats.iterations,
-            limit: "node".into(),
-        });
-    }
-    if let Some(budget) = options.memory_budget.clone() {
-        if budget.over_limit().is_some() {
-            // Graceful degradation before failing (once per budget): trade
-            // the store's recomputable memos for headroom and drop to
-            // sequential sharding, then re-check.
-            if budget.try_relieve() {
-                let freed = eval.store_ref().release_memory();
-                budget.credit(freed);
-                eval.options_mut().fixpoint_threads = 1;
-            }
-            if let Some(used) = budget.over_limit() {
-                return Err(EvalError::BudgetExceeded {
-                    budget: "memory".into(),
-                    used,
-                    limit: budget.limit(),
-                    occurrence: var.to_string(),
-                    iterations: stats.iterations,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Algorithm Naïve (Figure 3(a)), starting from the already-computed initial
-/// accumulation `initial`.
+/// Evaluate **one inflationary fixpoint per seed of `seeds`** as one run of
+/// the shared driver — the source-level counterpart of the algebraic
+/// executor's batched `(seed, node)` run.
 ///
-/// The accumulator is a [`NodeSet`] bitset; `union` is word-parallel and
-/// the `while res grows` test reduces to "did the step discover any node
-/// outside `res`" — union with an inflationary operand changes the set
-/// exactly when `step ∖ res` is non-empty, so no re-sort and no second
-/// set is ever built.  The document-ordered `Vec` fed to the recursion
-/// body is re-materialized only when the set actually grew.
-fn naive(
-    eval: &mut Evaluator<'_>,
-    var: &str,
-    initial: &[NodeId],
-    body: &Expr,
-    env: &mut Environment,
-    stats: &mut FixpointStats,
-) -> Result<Vec<NodeId>> {
-    let mut res = NodeSet::from_nodes(initial.iter().copied());
-    let mut res_vec = res.to_vec(&eval.store);
-    loop {
-        check_limits(eval, var, stats, res.len())?;
-        stats.iterations += 1;
-        let step = call_payload(eval, var, &res_vec, body, env, stats)?;
-        let mut fresh = NodeSet::from_nodes(step);
-        fresh.except_in_place(&res);
-        if fresh.is_empty() {
-            return Ok(res_vec);
-        }
-        res.union_in_place(&fresh);
-        res_vec = res.to_vec(&eval.store);
-    }
-}
-
-/// Algorithm Delta (Figure 3(b)), starting from the already-computed initial
-/// accumulation `initial`.
-///
-/// `∆ ← e_rec(∆) except res; res ← ∆ union res` — both on [`NodeSet`]
-/// bitsets, so the per-iteration set algebra is word-parallel and the
-/// termination test is an emptiness check.  Only the (usually small) `∆`
-/// is materialized into document order per iteration, to feed the body.
-fn delta(
-    eval: &mut Evaluator<'_>,
-    var: &str,
-    initial: &[NodeId],
-    body: &Expr,
-    env: &mut Environment,
-    stats: &mut FixpointStats,
-) -> Result<Vec<NodeId>> {
-    let mut res = NodeSet::from_nodes(initial.iter().copied());
-    let mut delta = res.clone();
-    loop {
-        check_limits(eval, var, stats, res.len())?;
-        stats.iterations += 1;
-        let delta_vec = delta.to_vec(&eval.store);
-        let step = call_payload(eval, var, &delta_vec, body, env, stats)?;
-        delta = NodeSet::from_nodes(step);
-        delta.except_in_place(&res);
-        if delta.is_empty() {
-            return Ok(res.to_vec(&eval.store));
-        }
-        res.union_in_place(&delta);
-    }
-}
-
-// ----------------------------------------------------------------------
-// Batched multi-source source-level driver
-// ----------------------------------------------------------------------
-
-/// Evaluate **one inflationary fixpoint per seed of `seeds`** in a single
-/// shared Figure-3 loop — the source-level counterpart of the algebraic
-/// executor's batched `(seed, node)` driver.
-///
-/// Each seed keeps its own accumulator and frontier; one round of the
-/// shared loop advances every still-growing seed by one iteration, and the
-/// loop ends when every seed has reached its fixpoint.  Two evaluation
-/// modes:
-///
-/// * **Shared** (`share_frontiers = true`, only sound for *distributive*
-///   bodies — `e(X) = ⋃ₓ e({x})`, Theorem 3.2): the body is evaluated once
-///   per **distinct** frontier node across all seeds and the images are
-///   distributed to every owning seed.  Images are memoized across
-///   iterations (the body is pure by precondition — the caller additionally
-///   screens out constructor-containing bodies), so a node discovered by
-///   several seeds in different rounds still costs one evaluation total.
-/// * **Grouped** (`share_frontiers = false`): the body is evaluated on each
-///   seed's own frontier, exactly as a per-seed loop would — correct for
-///   every body, sharing only the environment setup and the loop
-///   bookkeeping.
+/// * `share_frontiers = true` (only sound for *distributive*, pure bodies —
+///   `e(X) = ⋃ₓ e({x})`, Theorem 3.2; the caller screens both): the body is
+///   evaluated once per **distinct** frontier node across all seeds, the
+///   images are memoized across iterations and distributed to every owning
+///   seed.  Under that precondition Naïve and Delta coincide, and feeding
+///   each frontier node once is equivalent to both, so the run feeds `∆`
+///   whatever `strategy` (which is still the one recorded) says.
+/// * `share_frontiers = false`: the body is evaluated on each seed's own
+///   frontier, exactly as a per-seed loop would — correct for every body.
 ///
 /// Returns one node list per seed, index-aligned with `seeds` (which must
 /// be distinct — callers deduplicate), each equal to what
@@ -466,8 +320,7 @@ fn delta(
 /// [`FixpointStats`] entry is recorded for the whole batch:
 /// [`FixpointStats::batch_seeds`]` = seeds.len()`, `iterations` is the
 /// maximum per-seed recursion depth, `payload_calls` / `nodes_fed_back`
-/// count the body evaluations actually performed (shared mode: one per
-/// distinct frontier node; grouped mode: one per seed per round).
+/// count the body evaluations actually performed.
 pub fn evaluate_fixpoint_batched(
     eval: &mut Evaluator<'_>,
     var: &str,
@@ -477,217 +330,46 @@ pub fn evaluate_fixpoint_batched(
     strategy: FixpointStrategy,
     share_frontiers: bool,
 ) -> Result<Vec<Vec<NodeId>>> {
-    let started = std::time::Instant::now();
-    let mut stats = FixpointStats {
-        strategy: Some(strategy.into()),
-        backend: FixpointBackendTag::Interpreted,
-        batch_seeds: seeds.len(),
-        ..FixpointStats::default()
-    };
-    let result = if share_frontiers {
-        batched_shared(eval, var, seeds, body, env, &mut stats)
-    } else {
-        batched_grouped(eval, var, seeds, body, env, strategy, &mut stats)
-    };
-    match result {
-        Ok(groups) => {
-            stats.result_size = groups.iter().map(Vec::len).sum();
-            stats.wall_micros = started.elapsed().as_micros() as u64;
-            eval.record_fixpoint_run_for(var, body, stats);
-            Ok(groups)
-        }
-        Err(err) => {
-            stats.wall_micros = started.elapsed().as_micros() as u64;
-            eval.record_fixpoint_run_for(var, body, stats);
-            Err(err)
-        }
-    }
+    let seeds = Seeds::Each(seeds);
+    drive(eval, var, body, env, strategy, share_frontiers, seeds)
 }
 
-/// The **shared** batched mode: distinct-frontier evaluation with a
-/// cross-iteration image memo.  Precondition: the body is distributive and
-/// pure (no constructors), so `e(X) = ⋃ₓ e({x})` and `e({x})` is stable
-/// across re-evaluations — under which Naïve and Delta coincide, and
-/// feeding each frontier node exactly once is equivalent to both.
-fn batched_shared(
+/// Run the shared driver over the interpreter and record the run.
+fn drive(
     eval: &mut Evaluator<'_>,
     var: &str,
-    seeds: &[NodeId],
-    body: &Expr,
-    env: &mut Environment,
-    stats: &mut FixpointStats,
-) -> Result<Vec<Vec<NodeId>>> {
-    use std::collections::HashMap;
-
-    /// One seed's loop state.
-    struct SeedState {
-        res: NodeSet,
-        /// Nodes whose images have not been folded into `res` yet.
-        frontier: Vec<NodeId>,
-    }
-
-    // node → image of the singleton body application, memoized for the
-    // whole run (sound by the purity precondition).
-    let mut images: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-    let ensure_image = |eval: &mut Evaluator<'_>,
-                        env: &mut Environment,
-                        stats: &mut FixpointStats,
-                        node: NodeId,
-                        images: &mut HashMap<NodeId, Vec<NodeId>>|
-     -> Result<()> {
-        if let std::collections::hash_map::Entry::Vacant(slot) = images.entry(node) {
-            let img = call_payload(eval, var, &[node], body, env, stats)?;
-            slot.insert(img);
-        }
-        Ok(())
-    };
-
-    // Initial accumulation per seed (see `evaluate_fixpoint`): the seed
-    // itself under the seed-inclusive reading, e_rec({seed}) otherwise.
-    let seed_in_result = eval.options().seed_in_result;
-    let mut states = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let initial: Vec<NodeId> = if seed_in_result {
-            vec![seed]
-        } else {
-            ensure_image(eval, env, stats, seed, &mut images)?;
-            images[&seed].clone()
-        };
-        let res = NodeSet::from_nodes(initial.iter().copied());
-        let frontier = res.iter().collect();
-        states.push(SeedState { res, frontier });
-    }
-
-    loop {
-        let active: Vec<usize> = (0..states.len())
-            .filter(|&i| !states[i].frontier.is_empty())
-            .collect();
-        if active.is_empty() {
-            break;
-        }
-        // The shared round counter stands in for each seed's iteration
-        // count (a seed drops out the round it stabilizes, so its depth is
-        // ≤ the rounds executed); the node limit applies to each seed's
-        // accumulator individually — both as the per-seed loop enforces.
-        let max_len = states.iter().map(|s| s.res.len()).max().unwrap_or(0);
-        check_limits(eval, var, stats, max_len)?;
-        stats.iterations += 1;
-        // Evaluate every distinct frontier node not yet memoized, once.
-        for &i in &active {
-            for idx in 0..states[i].frontier.len() {
-                let node = states[i].frontier[idx];
-                ensure_image(eval, env, stats, node, &mut images)?;
-            }
-        }
-        // Fold the images per seed: ∆ ← (⋃ images of frontier) ∖ res.
-        // The memo is read-only during the fold, so the per-seed folds
-        // shard across threads when `fixpoint_threads > 1` (a seed with an
-        // empty frontier — i.e. not in `active` — is a no-op either way);
-        // `threads == 1` runs inline on the caller thread.
-        let threads = eval.options().fixpoint_threads;
-        shard::for_each_shard(threads, &mut states, |_, chunk| {
-            for state in chunk {
-                if state.frontier.is_empty() {
-                    continue;
-                }
-                let mut step = NodeSet::new();
-                for node in &state.frontier {
-                    step.extend(images[node].iter().copied());
-                }
-                step.except_in_place(&state.res);
-                state.res.union_in_place(&step);
-                state.frontier = step.iter().collect();
-            }
-        });
-    }
-
-    Ok(materialize_states(
-        eval.options().fixpoint_threads,
-        &eval.store,
-        states.iter().map(|s| &s.res),
-    ))
-}
-
-/// Materialize every seed's accumulator into document order, sharded
-/// across `threads` when asked to (the store is only read here).
-fn materialize_states<'a>(
-    threads: usize,
-    store: &NodeStore,
-    sets: impl Iterator<Item = &'a NodeSet>,
-) -> Vec<Vec<NodeId>> {
-    let sets: Vec<&NodeSet> = sets.collect();
-    shard::map_sharded(threads, &sets, |set| set.to_vec(store))
-}
-
-/// The **grouped** batched mode: per-seed body evaluations advanced in
-/// lockstep rounds — exact for arbitrary (also non-distributive, also
-/// constructing) bodies, since each seed sees precisely the evaluation
-/// sequence its own per-seed loop would have performed.
-fn batched_grouped(
-    eval: &mut Evaluator<'_>,
-    var: &str,
-    seeds: &[NodeId],
     body: &Expr,
     env: &mut Environment,
     strategy: FixpointStrategy,
-    stats: &mut FixpointStats,
+    share: bool,
+    seeds: Seeds<'_>,
 ) -> Result<Vec<Vec<NodeId>>> {
-    /// One seed's loop state.
-    struct SeedState {
-        res: NodeSet,
-        /// What the next body call is fed: the whole accumulator (Naïve) or
-        /// the last iteration's novelty (Delta), in document order.
-        frontier: Vec<NodeId>,
-        done: bool,
+    let options = eval.options();
+    let mut config = Config {
+        strategy,
+        sharing: BatchSharing::PerSeed,
+        seed_in_result: options.seed_in_result,
+        threads: options.fixpoint_threads,
+        limits: options.limits,
+    };
+    if share {
+        config.strategy = FixpointStrategy::Delta;
+        config.sharing = BatchSharing::DistinctNodes;
     }
-
-    let seed_in_result = eval.options().seed_in_result;
-    let mut states = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
-        let initial: Vec<NodeId> = if seed_in_result {
-            vec![seed]
-        } else {
-            call_payload(eval, var, &[seed], body, env, stats)?
-        };
-        let res = NodeSet::from_nodes(initial.iter().copied());
-        let frontier = res.to_vec(&eval.store);
-        states.push(SeedState {
-            res,
-            frontier,
-            done: false,
-        });
-    }
-
-    loop {
-        if states.iter().all(|s| s.done) {
-            break;
-        }
-        // Same limit conventions as the shared mode: rounds stand in for
-        // per-seed iterations, node limit per seed accumulator.
-        let max_len = states.iter().map(|s| s.res.len()).max().unwrap_or(0);
-        check_limits(eval, var, stats, max_len)?;
-        stats.iterations += 1;
-        for state in states.iter_mut().filter(|s| !s.done) {
-            let step = call_payload(eval, var, &state.frontier, body, env, stats)?;
-            let mut fresh = NodeSet::from_nodes(step);
-            fresh.except_in_place(&state.res);
-            if fresh.is_empty() {
-                state.done = true;
-                continue;
-            }
-            state.res.union_in_place(&fresh);
-            state.frontier = match strategy {
-                FixpointStrategy::Naive => state.res.to_vec(&eval.store),
-                FixpointStrategy::Delta => fresh.to_vec(&eval.store),
-            };
-        }
-    }
-
-    Ok(materialize_states(
-        eval.options().fixpoint_threads,
-        &eval.store,
-        states.iter().map(|s| &s.res),
-    ))
+    let mut interpreted = Interpreted {
+        eval,
+        var,
+        body,
+        env,
+        memo: share.then(HashMap::new),
+    };
+    let (result, stats) = fixpoint::run(&mut interpreted, &config, seeds);
+    let stats = FixpointStats {
+        strategy: Some(strategy),
+        ..stats.into()
+    };
+    eval.record_fixpoint_run_for(var, body, stats);
+    result
 }
 
 #[cfg(test)]
@@ -871,7 +553,7 @@ mod tests {
     fn diverging_fixpoint_with_constructors_is_reported_undefined() {
         let mut store = NodeStore::new();
         let mut evaluator = Evaluator::new(&mut store);
-        evaluator.options_mut().max_fixpoint_iterations = 50;
+        evaluator.options_mut().limits.max_iterations = 50;
         // Each iteration constructs a brand new element, so the result keeps
         // growing: the IFP is undefined (Definition 2.1).
         let err = evaluator
@@ -889,7 +571,7 @@ mod tests {
         let stats = evaluator.last_fixpoint_stats().unwrap();
         assert_eq!(stats.result_size, 3);
         assert!(stats.payload_calls >= 2);
-        assert_eq!(stats.strategy, Some(FixpointStrategyTag::Delta));
+        assert_eq!(stats.strategy, Some(FixpointStrategy::Delta));
     }
 
     #[test]

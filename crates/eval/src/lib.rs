@@ -75,7 +75,6 @@ pub use error::EvalError;
 pub use evaluator::{EvalOptions, Evaluator};
 pub use fixpoint::{
     FixpointBackendTag, FixpointInterceptor, FixpointObserver, FixpointStats, FixpointStrategy,
-    FixpointStrategyTag,
 };
 
 /// Result alias for evaluation.

@@ -9,8 +9,8 @@ use xqy_ifp::IfpError;
 ///
 /// Admission, deadline, budget and containment failures are **typed** (not
 /// stringly wrapped) so load-shedding clients can distinguish "retry later"
-/// ([`ServiceError::Saturated`], which carries a [`retry_after`]
-/// (ServiceError::Saturated::retry_after) hint) from "this query is too
+/// ([`ServiceError::Saturated`], which carries a `retry_after` hint) from
+/// "this query is too
 /// expensive for its budget" ([`ServiceError::DeadlineExceeded`],
 /// [`ServiceError::ResourceExhausted`]) from a genuine query failure
 /// ([`ServiceError::Query`]) from a contained engine panic

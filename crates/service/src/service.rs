@@ -639,28 +639,13 @@ fn map_engine_error(err: IfpError, timeout: Option<Duration>) -> ServiceError {
             occurrence: (!occurrence.is_empty()).then_some(occurrence),
             iterations: Some(iterations as u64),
         },
-        // Algebra aborts outside a fixpoint driver reach us unmapped (the
-        // drivers convert them to the eval variants above, adding the
+        // Algebra aborts outside an interceptor reach us unmapped (the
+        // interceptor converts them to the eval variants above, adding the
         // occurrence); carry what they know.
-        IfpError::Algebra(AlgebraError::DeadlineExceeded { iterations }) => {
-            ServiceError::DeadlineExceeded {
-                timeout: timeout.unwrap_or_default(),
-                occurrence: None,
-                iterations: Some(iterations as u64),
-            }
-        }
-        IfpError::Algebra(AlgebraError::BudgetExceeded {
-            budget,
-            used,
-            limit,
-            iterations,
-        }) => ServiceError::ResourceExhausted {
-            budget,
-            used,
-            limit,
-            occurrence: None,
-            iterations: Some(iterations as u64),
-        },
+        IfpError::Algebra(AlgebraError::Limit(limit)) => map_engine_error(
+            IfpError::Eval(xqy_ifp::eval::fixpoint::limit_error("", limit)),
+            timeout,
+        ),
         other => ServiceError::Query(other),
     }
 }

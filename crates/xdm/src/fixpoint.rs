@@ -1,0 +1,871 @@
+//! The inflationary fixed point driver: Figure 3 of the paper, written once.
+//!
+//! ```text
+//! (a) Naïve                          (b) Delta
+//! res ← e_rec(e_seed);               res ← e_rec(e_seed);
+//! do                                 ∆ ← res;
+//!   res ← e_rec(res) union res;      do
+//! while res grows;                     ∆ ← e_rec(∆) except res;
+//!                                      res ← ∆ union res;
+//!                                    while res grows;
+//! ```
+//!
+//! The two algorithms are the same loop with one switch — feed `res` or
+//! feed `∆` ([`FixpointStrategy`]) — exactly as µ and µ∆ are the same
+//! operator in the algebra (Section 4 / Table 1).  [`run`] is that loop,
+//! generalised in the two directions the engine needs and no further:
+//!
+//! * it advances **many sources at once**: each source keeps its own `res`
+//!   and frontier and drops out the round it stops growing, so a run over
+//!   one source *is* the per-seed algorithm and a run over `n` sources is
+//!   `n` per-seed runs in lockstep;
+//! * the recursion body is a [`Body`] — "tagged frontier groups → image
+//!   groups" — implemented by the source-level interpreter and by the
+//!   relational executor.
+//!
+//! Delta replaces Naïve safely only for *distributive* bodies (Theorem
+//! 3.2); the driver does not check this, its callers do.
+//!
+//! Who counts what: the body counts what it evaluates
+//! ([`ExecStats::rows_fed_back`], [`ExecStats::body_evaluations`],
+//! [`ExecStats::frontier_curve`] — so a memoizing body reports the calls it
+//! saved); the driver counts rounds, result size and wall time.
+
+use std::collections::HashMap;
+use std::fmt;
+use std::time::Instant;
+
+use crate::budget::{self, QueryBudget};
+use crate::fail::{self, FaultError};
+use crate::{shard, NodeId, NodeSet, NodeStore};
+
+/// Which algorithm evaluates `with … seeded by … recurse`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum FixpointStrategy {
+    /// Figure 3(a): feed the entire accumulated result back each iteration.
+    #[default]
+    Naive,
+    /// Figure 3(b): feed only the newly discovered nodes back each iteration.
+    Delta,
+}
+
+impl FixpointStrategy {
+    /// Human-readable name (matches the paper's terminology).
+    pub fn name(&self) -> &'static str {
+        match self {
+            FixpointStrategy::Naive => "Naive",
+            FixpointStrategy::Delta => "Delta",
+        }
+    }
+}
+
+/// How a multi-source run represents the frontier it hands the body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum BatchSharing {
+    /// One group per source: `(source tag, that source's frontier)`.  Each
+    /// source sees precisely the evaluations its own per-seed loop would
+    /// perform, so this is sound for *every* body — including
+    /// non-distributive and constructing ones.
+    #[default]
+    PerSeed,
+    /// One group per **distinct** frontier node, `(n, [n])`, whose image is
+    /// distributed to every source whose frontier contained `n`.
+    /// Overlapping frontiers — the common case in the per-item workloads —
+    /// pay each node once instead of once per source.  Sound only for
+    /// **distributive** bodies (`e(X) = ⋃ₓ∈X e({x})`, Theorem 3.2): a
+    /// non-distributive body evaluated per node is simply a different
+    /// function.
+    DistinctNodes,
+}
+
+impl BatchSharing {
+    /// Display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            BatchSharing::PerSeed => "per-seed",
+            BatchSharing::DistinctNodes => "distinct-nodes",
+        }
+    }
+}
+
+/// Statistics of one fixpoint run — the quantities Table 2 reports.
+#[derive(Debug, Clone, Default, Eq)]
+pub struct ExecStats {
+    /// Iterations of the do-while loop (the paper's "recursion depth").
+    /// For a multi-source run this is the *maximum* per-source depth — the
+    /// shared loop runs until the deepest source converges.
+    pub iterations: usize,
+    /// Total nodes fed into the recursion body across all evaluations —
+    /// the paper's "Total # of Nodes Fed Back".
+    pub rows_fed_back: u64,
+    /// Number of body evaluations, as the body counts them (the
+    /// interpreter: one per group it evaluates; the relational batch: one
+    /// per round, however many groups and shards).
+    pub body_evaluations: usize,
+    /// Nodes in the final result, summed over sources.
+    pub result_rows: usize,
+    /// Number of seeds a batch ([`Seeds::Each`]) evaluated together; `0`
+    /// for a single-source run ([`Seeds::Set`]).
+    pub batch_seeds: usize,
+    /// Nodes fed into each body evaluation, in evaluation order — the
+    /// frontier-growth curve the cost model's feedback loop consumes.
+    /// Deterministic for a given input at any thread count, so it takes
+    /// part in equality.
+    pub frontier_curve: Vec<u64>,
+    /// Wall time of the run in microseconds.  **Excluded from equality**:
+    /// the parallel ≡ sequential property tests compare whole stats
+    /// structs, and wall time legitimately differs between runs.
+    pub wall_micros: u64,
+}
+
+impl PartialEq for ExecStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.iterations == other.iterations
+            && self.rows_fed_back == other.rows_fed_back
+            && self.body_evaluations == other.body_evaluations
+            && self.result_rows == other.result_rows
+            && self.batch_seeds == other.batch_seeds
+            && self.frontier_curve == other.frontier_curve
+    }
+}
+
+/// What the iteration barrier enforces, besides the thread-installed
+/// memory budget ([`budget::current`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Limits {
+    /// Cooperative deadline; `None` never times out.
+    pub deadline: Option<Instant>,
+    /// Per-query iteration budget — a *resource* verdict
+    /// ([`LimitError::Budget`]), checked before `max_iterations`.
+    pub budget_iterations: Option<usize>,
+    /// Engine-wide iteration guard: reaching it means the IFP is undefined
+    /// (Definition 2.1), reported as [`LimitError::NoFixpoint`].
+    pub max_iterations: usize,
+    /// Per-query cap on any single accumulator, in nodes
+    /// ([`LimitError::Budget`]).
+    pub max_result_nodes: Option<usize>,
+    /// Engine-wide accumulator guard ([`LimitError::NoFixpoint`]).
+    pub max_nodes: usize,
+}
+
+impl Default for Limits {
+    fn default() -> Self {
+        Limits {
+            deadline: None,
+            budget_iterations: None,
+            max_iterations: 100_000,
+            max_result_nodes: None,
+            max_nodes: 50_000_000,
+        }
+    }
+}
+
+/// Why the barrier stopped a run.  Each back-end maps this to its own error
+/// type in [`Body::limit_error`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LimitError {
+    /// The `fixpoint.barrier` failpoint fired.
+    Fault(FaultError),
+    /// The deadline passed.
+    Deadline {
+        /// Rounds completed when it was detected.
+        iterations: usize,
+    },
+    /// A per-query budget is exhausted.
+    Budget {
+        /// `"iterations"`, `"result-nodes"` or `"memory"`.
+        budget: &'static str,
+        /// Usage when the check failed.
+        used: u64,
+        /// The configured limit.
+        limit: u64,
+        /// Rounds completed when it tripped.
+        iterations: usize,
+    },
+    /// An engine-wide divergence guard tripped: the IFP is undefined.
+    NoFixpoint {
+        /// Rounds completed.
+        iterations: usize,
+        /// `"iteration"` or `"node"`.
+        limit: &'static str,
+    },
+}
+
+impl fmt::Display for LimitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LimitError::Fault(fault) => fault.fmt(f),
+            LimitError::Deadline { iterations } => {
+                write!(f, "deadline exceeded after {iterations} iterations")
+            }
+            LimitError::Budget {
+                budget,
+                used,
+                limit,
+                iterations,
+            } => write!(
+                f,
+                "{budget} budget exceeded ({used} used, limit {limit}) after {iterations} iterations"
+            ),
+            LimitError::NoFixpoint { iterations, limit } => {
+                write!(f, "{limit} limit reached after {iterations} iterations")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LimitError {}
+
+/// A tagged group of nodes: what the driver hands a [`Body`].
+pub type Group<'a> = (NodeId, &'a [NodeId]);
+
+/// What a run is seeded by — the two shapes the engine has.
+#[derive(Debug, Clone, Copy)]
+pub enum Seeds<'a> {
+    /// One fixpoint over the whole node set: a single source, whose tag is
+    /// arbitrary (such runs use bodies that ignore tags).
+    Set(&'a [NodeId]),
+    /// One fixpoint per node (a *batch*): one source per node, tagged with
+    /// it.  The nodes must be distinct.
+    Each(&'a [NodeId]),
+}
+
+/// A recursion body `e_rec`, as one back-end evaluates it.
+pub trait Body {
+    /// The back-end's error type.
+    type Error;
+
+    /// Apply the body to each group's nodes and return the images,
+    /// index-aligned with `groups`.
+    ///
+    /// Tags are distinct within one call and otherwise opaque: under
+    /// [`BatchSharing::PerSeed`] they are the tags of the run's sources,
+    /// under [`BatchSharing::DistinctNodes`] every group is `(n, [n])`.  A
+    /// body that carries tags through its evaluation (the relational
+    /// seed-carried plan) may evaluate all groups at once, on up to
+    /// `shards` threads; any other body evaluates group by group, in order.
+    /// The body adds what it actually evaluated to `stats`.
+    fn images(
+        &mut self,
+        groups: &[Group<'_>],
+        shards: usize,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<Vec<NodeId>>, Self::Error>;
+
+    /// The store whose document order the frontiers and results follow.
+    fn store(&self) -> &NodeStore;
+
+    /// Budget relief: drop recomputable memory that was charged to the
+    /// budget — the interpreter's store memos, the executor's static
+    /// tables — and return an estimate of the bytes freed.
+    fn release_memory(&mut self) -> u64;
+
+    /// Map a barrier verdict into the back-end's error type.
+    fn limit_error(&self, error: LimitError) -> Self::Error;
+}
+
+/// The parameters of one [`run`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Config {
+    /// Feed `res` or feed `∆`.
+    pub strategy: FixpointStrategy,
+    /// The frontier representation.
+    pub sharing: BatchSharing,
+    /// `false`: start from `e_rec(e_seed)` (Definition 2.1).  `true`: start
+    /// from the seed itself (the reading of the paper's Example 2.4).
+    pub seed_in_result: bool,
+    /// Shard count for the per-source phases and for [`Body::images`];
+    /// `≤ 1` is sequential.  Forced to 1 once the memory budget has used
+    /// its relief round.
+    pub threads: usize,
+    /// What the barrier enforces.
+    pub limits: Limits,
+}
+
+/// One source's loop state.
+struct Source {
+    tag: NodeId,
+    res: NodeSet,
+    /// What the next body evaluation is fed.
+    frontier: Vec<NodeId>,
+    /// This source's own image of the current round ([`Images::Own`]).
+    image: Vec<NodeId>,
+    /// Cleared the round the source stops growing.
+    active: bool,
+}
+
+/// Where a round's images are, per frontier representation.
+enum Images {
+    /// In each active source's `image`.
+    Own,
+    /// One image per distinct frontier node: `images[index[node]]`.
+    Shared {
+        index: HashMap<NodeId, usize>,
+        images: Vec<Vec<NodeId>>,
+    },
+}
+
+/// Run one inflationary fixed point per source of `seeds`, returning the
+/// results in document order, one per source, and the run's statistics
+/// (also on failure, with what was counted until then).
+pub fn run<B: Body>(
+    body: &mut B,
+    config: &Config,
+    seeds: Seeds<'_>,
+) -> (Result<Vec<Vec<NodeId>>, B::Error>, ExecStats) {
+    let started = Instant::now();
+    let source = |tag, frontier| Source {
+        tag,
+        res: NodeSet::new(),
+        frontier,
+        image: Vec::new(),
+        active: true,
+    };
+    let (sources, batch_seeds) = match seeds {
+        Seeds::Set(seed) => {
+            let untagged = NodeId::new(u32::MAX, u32::MAX);
+            (vec![source(untagged, seed.to_vec())], 0)
+        }
+        Seeds::Each(seeds) => {
+            debug_assert!(
+                seeds.iter().collect::<std::collections::HashSet<_>>().len() == seeds.len(),
+                "the seeds of a batch must be distinct"
+            );
+            let sources = seeds.iter().map(|&seed| source(seed, vec![seed]));
+            (sources.collect(), seeds.len())
+        }
+    };
+    let mut run = Run {
+        body,
+        config,
+        budget: budget::current(),
+        sources,
+        stats: ExecStats {
+            batch_seeds,
+            ..ExecStats::default()
+        },
+    };
+    let result = run.iterate();
+    let mut stats = run.stats;
+    if let Ok(groups) = &result {
+        stats.result_rows = groups.iter().map(Vec::len).sum();
+    }
+    stats.wall_micros = started.elapsed().as_micros() as u64;
+    (result, stats)
+}
+
+/// The state of one [`run`].
+struct Run<'a, B> {
+    body: &'a mut B,
+    config: &'a Config,
+    budget: Option<std::sync::Arc<QueryBudget>>,
+    sources: Vec<Source>,
+    stats: ExecStats,
+}
+
+impl<B: Body> Run<'_, B> {
+    /// Figure 3, line by line.
+    fn iterate(&mut self) -> Result<Vec<Vec<NodeId>>, B::Error> {
+        if self.sources.is_empty() {
+            // Zero sources are zero fixpoints: the body is never evaluated.
+            return Ok(Vec::new());
+        }
+        // res ← e_rec(e_seed); ∆ ← res — or both ← e_seed.
+        let initial = if self.config.seed_in_result {
+            for source in &mut self.sources {
+                source.image = std::mem::take(&mut source.frontier);
+            }
+            Images::Own
+        } else {
+            self.feed()?
+        };
+        self.absorb(&initial, true);
+        // do … while res grows
+        while self.sources.iter().any(|s| s.active) {
+            self.barrier()
+                .map_err(|error| self.body.limit_error(error))?;
+            self.stats.iterations += 1;
+            // e_rec(res) resp. e_rec(∆) …
+            let images = self.feed()?;
+            // … except res; union res
+            self.absorb(&images, false);
+        }
+        let store = self.body.store();
+        Ok(shard::map_sharded(self.shards(), &self.sources, |s| {
+            s.res.to_vec(store)
+        }))
+    }
+
+    /// The shard count, re-read wherever it is used: budget relief drops
+    /// the rest of the run (and of the query) to sequential.
+    fn shards(&self) -> usize {
+        match &self.budget {
+            Some(budget) if budget.relieved() => 1,
+            _ => self.config.threads,
+        }
+    }
+
+    /// Apply the body to the frontiers of the active sources.
+    fn feed(&mut self) -> Result<Images, B::Error> {
+        let shards = self.shards();
+        let active = || self.sources.iter().filter(|s| s.active);
+        match self.config.sharing {
+            BatchSharing::PerSeed => {
+                let groups: Vec<Group<'_>> = active().map(|s| (s.tag, &s.frontier[..])).collect();
+                let images = self.body.images(&groups, shards, &mut self.stats)?;
+                for (source, image) in self.sources.iter_mut().filter(|s| s.active).zip(images) {
+                    source.image = image;
+                }
+                Ok(Images::Own)
+            }
+            BatchSharing::DistinctNodes => {
+                // The distinct frontier nodes, in first-appearance order.
+                let mut index: HashMap<NodeId, usize> = HashMap::new();
+                let mut distinct: Vec<NodeId> = Vec::new();
+                for &node in active().flat_map(|s| &s.frontier) {
+                    index.entry(node).or_insert_with(|| {
+                        distinct.push(node);
+                        distinct.len() - 1
+                    });
+                }
+                let groups: Vec<Group<'_>> = distinct
+                    .iter()
+                    .map(|node| (*node, std::slice::from_ref(node)))
+                    .collect();
+                let images = self.body.images(&groups, shards, &mut self.stats)?;
+                Ok(Images::Shared { index, images })
+            }
+        }
+    }
+
+    /// Fold a round's images into the active sources, sharded by source:
+    /// `∆ ← image except res; res ← ∆ union res`, then the next frontier is
+    /// `res` (Naïve) or `∆` (Delta).  A source whose `∆` is empty has
+    /// converged — except in the `first` fold, which only initialises `res`
+    /// (from singleton seeds in a batch, so it is not worth sharding).
+    fn absorb(&mut self, images: &Images, first: bool) {
+        let shards = if first { 1 } else { self.shards() };
+        let (strategy, store) = (self.config.strategy, self.body.store());
+        shard::for_each_shard(shards, &mut self.sources, |_, chunk| {
+            for source in chunk.iter_mut().filter(|s| s.active) {
+                let mut delta = match images {
+                    Images::Own => NodeSet::from_nodes(std::mem::take(&mut source.image)),
+                    Images::Shared { index, images } => NodeSet::from_nodes(
+                        source
+                            .frontier
+                            .iter()
+                            .flat_map(|node| images[index[node]].iter().copied()),
+                    ),
+                };
+                delta.except_in_place(&source.res);
+                if delta.is_empty() && !first {
+                    source.active = false;
+                    continue;
+                }
+                source.res.union_in_place(&delta);
+                let next = match strategy {
+                    FixpointStrategy::Naive => &source.res,
+                    FixpointStrategy::Delta => &delta,
+                };
+                source.frontier = next.to_vec(store);
+            }
+        });
+    }
+
+    /// The iteration barrier, checked before every round: failpoint,
+    /// deadline, iteration budget, iteration guard, result-size budget, node
+    /// guard, memory budget.  On the first memory breach the run *degrades*
+    /// instead of failing — the body drops its recomputable memory, the
+    /// freed estimate is credited back, and sharding stops (see
+    /// [`Run::shards`]) — only a re-breach after relief is fatal.
+    fn barrier(&mut self) -> Result<(), LimitError> {
+        let limits = &self.config.limits;
+        let iterations = self.stats.iterations;
+        let largest = self.sources.iter().map(|s| s.res.len()).max().unwrap_or(0);
+        fail::point("fixpoint.barrier").map_err(LimitError::Fault)?;
+        if limits
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
+        {
+            return Err(LimitError::Deadline { iterations });
+        }
+        let exceeded = |budget, used: usize, limit: usize| LimitError::Budget {
+            budget,
+            used: used as u64,
+            limit: limit as u64,
+            iterations,
+        };
+        match limits.budget_iterations {
+            Some(max) if iterations >= max => return Err(exceeded("iterations", iterations, max)),
+            _ => {}
+        }
+        if iterations >= limits.max_iterations {
+            let limit = "iteration";
+            return Err(LimitError::NoFixpoint { iterations, limit });
+        }
+        match limits.max_result_nodes {
+            Some(max) if largest > max => return Err(exceeded("result-nodes", largest, max)),
+            _ => {}
+        }
+        if largest > limits.max_nodes {
+            let limit = "node";
+            return Err(LimitError::NoFixpoint { iterations, limit });
+        }
+        if let Some(budget) = &self.budget {
+            if budget.over_limit().is_some() && budget.try_relieve() {
+                budget.credit(self.body.release_memory());
+            }
+            if let Some(used) = budget.over_limit() {
+                return Err(LimitError::Budget {
+                    budget: "memory",
+                    used,
+                    limit: budget.limit(),
+                    iterations,
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Axis, NodeTest};
+
+    /// A toy body over a parsed document: the elements one `axis` step
+    /// (by default, child) from the group's nodes — or, as `guard`ed, the
+    /// body of the paper's Example 2.4, `if (count($x/self::a)) then $x/*
+    /// else ()`, which is not distributive.  Counts one evaluation per
+    /// group, like the interpreter.
+    struct Children<'a> {
+        store: &'a NodeStore,
+        axis: Axis,
+        guard: bool,
+        /// What `release_memory` claims to free.
+        releases: u64,
+        /// The `shards` argument of every `images` call.
+        shards_seen: Vec<usize>,
+    }
+
+    impl<'a> Children<'a> {
+        fn new(store: &'a NodeStore) -> Self {
+            Children {
+                store,
+                axis: Axis::Child,
+                guard: false,
+                releases: 0,
+                shards_seen: Vec::new(),
+            }
+        }
+    }
+
+    impl Body for Children<'_> {
+        type Error = LimitError;
+
+        fn images(
+            &mut self,
+            groups: &[Group<'_>],
+            shards: usize,
+            stats: &mut ExecStats,
+        ) -> Result<Vec<Vec<NodeId>>, LimitError> {
+            self.shards_seen.push(shards);
+            let is_a = |n: &NodeId| self.store.name(*n).is_some_and(|q| q.local == "a");
+            Ok(groups
+                .iter()
+                .map(|&(_, nodes)| {
+                    stats.rows_fed_back += nodes.len() as u64;
+                    stats.frontier_curve.push(nodes.len() as u64);
+                    stats.body_evaluations += 1;
+                    if self.guard && !nodes.iter().any(is_a) {
+                        return Vec::new();
+                    }
+                    nodes
+                        .iter()
+                        .flat_map(|&n| self.store.axis_nodes(n, self.axis, &NodeTest::AnyElement))
+                        .collect()
+                })
+                .collect())
+        }
+
+        fn store(&self) -> &NodeStore {
+            self.store
+        }
+
+        fn release_memory(&mut self) -> u64 {
+            self.releases
+        }
+
+        fn limit_error(&self, error: LimitError) -> LimitError {
+            error
+        }
+    }
+
+    /// `<r>` with a three-level subtree, a two-level one and a leaf.
+    fn tree() -> (NodeStore, Vec<NodeId>) {
+        let mut store = NodeStore::new();
+        let doc = store
+            .parse_document("<r><a><b><c/><c/></b><b/></a><d><e/></d><f/></r>")
+            .unwrap();
+        let root = store.document_element(doc).unwrap();
+        let tops = store.axis_nodes(root, Axis::Child, &NodeTest::AnyElement);
+        (store, tops)
+    }
+
+    fn config(strategy: FixpointStrategy, sharing: BatchSharing, threads: usize) -> Config {
+        Config {
+            strategy,
+            sharing,
+            threads,
+            ..Config::default()
+        }
+    }
+
+    fn run_ok(
+        store: &NodeStore,
+        config: &Config,
+        seeds: Seeds<'_>,
+    ) -> (Vec<Vec<NodeId>>, ExecStats) {
+        let (result, stats) = run(&mut Children::new(store), config, seeds);
+        (result.unwrap(), stats)
+    }
+
+    use BatchSharing::{DistinctNodes, PerSeed};
+    use FixpointStrategy::{Delta, Naive};
+
+    #[test]
+    fn naive_and_delta_agree_on_a_distributive_body() {
+        let (store, tops) = tree();
+        let root = store.document_element(crate::DocId(0)).unwrap();
+        let (naive, naive_stats) = run_ok(&store, &config(Naive, PerSeed, 1), Seeds::Set(&[root]));
+        let (delta, delta_stats) = run_ok(&store, &config(Delta, PerSeed, 1), Seeds::Set(&[root]));
+        assert_eq!(naive, delta);
+        // Definition 2.1: the seed itself is not part of the result.
+        assert_eq!(naive[0].len(), 8);
+        assert_eq!(naive[0][0], tops[0]);
+        // res₀ = 3 tops; three rounds find 3, 2 and 0 new nodes.
+        assert_eq!(naive_stats.iterations, 3);
+        assert_eq!(delta_stats.iterations, 3);
+        assert_eq!(naive_stats.frontier_curve, [1, 3, 6, 8]);
+        assert_eq!(delta_stats.frontier_curve, [1, 3, 3, 2]);
+        assert_eq!(delta_stats.rows_fed_back, 9);
+        assert_eq!(delta_stats.result_rows, 8);
+        assert_eq!(delta_stats.batch_seeds, 0);
+    }
+
+    #[test]
+    fn naive_and_delta_differ_on_example_2_4() {
+        let mut store = NodeStore::new();
+        let doc = store
+            .parse_document("<r><a/><b><c><d/></c></b></r>")
+            .unwrap();
+        let root = store.document_element(doc).unwrap();
+        let seed = store.axis_nodes(root, Axis::Child, &NodeTest::AnyElement);
+        let mut results = Vec::new();
+        for strategy in [Naive, Delta] {
+            let config = Config {
+                seed_in_result: true,
+                ..config(strategy, PerSeed, 1)
+            };
+            let mut body = Children::new(&store);
+            body.guard = true;
+            let (result, stats) = run(&mut body, &config, Seeds::Set(&seed));
+            results.push((result.unwrap().remove(0).len(), stats.iterations));
+        }
+        // The paper's table: Naïve reaches (a, b, c, d) and stabilises at
+        // iteration 3; Delta stops at (a, b, c) after iteration 2.
+        assert_eq!(results, [(4, 3), (3, 2)]);
+    }
+
+    #[test]
+    fn a_batch_is_its_seeds_run_one_by_one() {
+        let (store, tops) = tree();
+        for strategy in [Naive, Delta] {
+            let config = config(strategy, PerSeed, 1);
+            let (batch, batch_stats) = run_ok(&store, &config, Seeds::Each(&tops));
+            let mut singles = ExecStats::default();
+            for (seed, expected) in tops.iter().zip(&batch) {
+                let (single, stats) = run_ok(&store, &config, Seeds::Each(&[*seed]));
+                assert_eq!(&single[0], expected);
+                // … and a batch of one is the single-source run.
+                let (set, set_stats) = run_ok(&store, &config, Seeds::Set(&[*seed]));
+                assert_eq!(set, single);
+                assert_eq!(set_stats.frontier_curve, stats.frontier_curve);
+                singles.iterations = singles.iterations.max(stats.iterations);
+                singles.rows_fed_back += stats.rows_fed_back;
+                singles.body_evaluations += stats.body_evaluations;
+                singles.result_rows += stats.result_rows;
+            }
+            assert_eq!(batch_stats.batch_seeds, 3);
+            assert_eq!(batch_stats.iterations, singles.iterations);
+            assert_eq!(batch_stats.rows_fed_back, singles.rows_fed_back);
+            assert_eq!(batch_stats.body_evaluations, singles.body_evaluations);
+            assert_eq!(batch_stats.result_rows, singles.result_rows);
+        }
+    }
+
+    #[test]
+    fn shard_count_and_frontier_representation_do_not_change_the_answer() {
+        // Ancestors of the leaves: the leaves' frontiers overlap.
+        let (store, _) = tree();
+        let root = store.document_element(crate::DocId(0)).unwrap();
+        let mut leaves = store.axis_nodes(root, Axis::Descendant, &NodeTest::AnyElement);
+        leaves.retain(|&n| store.children(n).is_empty());
+        assert_eq!(leaves.len(), 5);
+        let run_up = |config: &Config| {
+            let mut body = Children::new(&store);
+            body.axis = Axis::Parent;
+            let (result, stats) = run(&mut body, config, Seeds::Each(&leaves));
+            (result.unwrap(), stats)
+        };
+        for strategy in [Naive, Delta] {
+            let (expected, expected_stats) = run_up(&config(strategy, PerSeed, 1));
+            // The first leaf is a `c`: ancestors r, a, b in document order.
+            assert_eq!((expected[0].len(), expected[0][0]), (3, root));
+            let sharded = run_up(&config(strategy, PerSeed, 4));
+            assert_eq!(sharded, (expected.clone(), expected_stats.clone()));
+            for threads in [1, 4] {
+                let (shared, shared_stats) = run_up(&config(strategy, DistinctNodes, threads));
+                assert_eq!(shared, expected);
+                assert_eq!(shared_stats.iterations, expected_stats.iterations);
+                // Overlapping frontiers pay each distinct node once a round.
+                assert!(shared_stats.rows_fed_back < expected_stats.rows_fed_back);
+            }
+        }
+        assert!(run_ok(&store, &Config::default(), Seeds::Each(&[]))
+            .0
+            .is_empty());
+    }
+
+    #[test]
+    fn each_limit_stops_the_run_at_its_round() {
+        let (store, tops) = tree();
+        let stopped = |limits: Limits| {
+            let config = Config {
+                limits,
+                ..config(Delta, PerSeed, 1)
+            };
+            let (result, stats) = run(&mut Children::new(&store), &config, Seeds::Each(&tops));
+            (result.unwrap_err(), stats.iterations)
+        };
+        let unlimited = Limits::default();
+        // The deepest seed needs two rounds; its accumulator holds 2 and 4
+        // nodes at the barriers before them.
+        let past = Instant::now();
+        assert_eq!(
+            stopped(Limits {
+                deadline: Some(past),
+                ..unlimited
+            }),
+            (LimitError::Deadline { iterations: 0 }, 0)
+        );
+        let budget = |budget, used, limit, iterations| LimitError::Budget {
+            budget,
+            used,
+            limit,
+            iterations,
+        };
+        assert_eq!(
+            stopped(Limits {
+                budget_iterations: Some(1),
+                ..unlimited
+            }),
+            (budget("iterations", 1, 1, 1), 1)
+        );
+        assert_eq!(
+            stopped(Limits {
+                max_iterations: 1,
+                budget_iterations: Some(2),
+                ..unlimited
+            })
+            .0,
+            LimitError::NoFixpoint {
+                iterations: 1,
+                limit: "iteration"
+            }
+        );
+        assert_eq!(
+            stopped(Limits {
+                max_result_nodes: Some(3),
+                ..unlimited
+            }),
+            (budget("result-nodes", 4, 3, 1), 1)
+        );
+        assert_eq!(
+            stopped(Limits {
+                max_nodes: 1,
+                max_result_nodes: Some(1),
+                ..unlimited
+            })
+            .0,
+            budget("result-nodes", 2, 1, 0)
+        );
+        assert_eq!(
+            stopped(Limits {
+                max_nodes: 1,
+                ..unlimited
+            })
+            .0,
+            LimitError::NoFixpoint {
+                iterations: 0,
+                limit: "node"
+            }
+        );
+        // Generous limits change nothing.
+        let limits = Limits {
+            budget_iterations: Some(2),
+            max_result_nodes: Some(4),
+            ..unlimited
+        };
+        let config = Config {
+            limits,
+            ..config(Delta, PerSeed, 1)
+        };
+        assert_eq!(run_ok(&store, &config, Seeds::Each(&tops)).1.iterations, 2);
+    }
+
+    #[test]
+    fn memory_relief_is_granted_once_and_ends_sharding() {
+        let (store, tops) = tree();
+        let config = config(Delta, PerSeed, 4);
+        let over_budget = || {
+            let budget = QueryBudget::new(100);
+            budget.charge(150);
+            budget
+        };
+
+        // Relief that frees enough: the run completes, sequentially from
+        // the barrier that relieved it (the first) on.
+        let budget = over_budget();
+        let mut body = Children::new(&store);
+        body.releases = 60;
+        let (result, stats) = {
+            let _scope = budget::install(budget.clone());
+            run(&mut body, &config, Seeds::Each(&tops))
+        };
+        assert_eq!(
+            result.unwrap(),
+            run_ok(&store, &config, Seeds::Each(&tops)).0
+        );
+        assert!(budget.relieved());
+        assert_eq!(budget.used(), 90);
+        assert_eq!(stats.iterations, 2);
+        assert_eq!(body.shards_seen, [4, 1, 1]);
+
+        // Relief that does not: a typed error at that same barrier.
+        let budget = over_budget();
+        let mut body = Children::new(&store);
+        body.releases = 10;
+        let (result, _) = {
+            let _scope = budget::install(budget.clone());
+            run(&mut body, &config, Seeds::Each(&tops))
+        };
+        let error = LimitError::Budget {
+            budget: "memory",
+            used: 140,
+            limit: 100,
+            iterations: 0,
+        };
+        assert_eq!(result.unwrap_err(), error);
+    }
+}

@@ -38,6 +38,7 @@ pub mod budget;
 pub mod cow;
 pub mod error;
 pub mod fail;
+pub mod fixpoint;
 pub mod intern;
 pub mod node;
 pub mod nodeset;

@@ -100,14 +100,11 @@ fn auto_strategy_is_per_occurrence_with_mixed_bodies() {
     // The query-level summary stays conservative.
     assert_eq!(outcome.strategy_used(), FixpointStrategy::Naive);
     // The per-run statistics carry the per-occurrence strategies too.
-    use xqy_ifp::eval::FixpointStrategyTag;
+    use xqy_ifp::eval::FixpointStrategy;
     let tags: Vec<_> = outcome.fixpoints.iter().map(|s| s.strategy).collect();
     assert_eq!(
         tags,
-        vec![
-            Some(FixpointStrategyTag::Delta),
-            Some(FixpointStrategyTag::Naive)
-        ]
+        vec![Some(FixpointStrategy::Delta), Some(FixpointStrategy::Naive)]
     );
 }
 
