@@ -49,11 +49,10 @@
 //! the body being construction-free ([`Plan::contains_construct`]), because
 //! `Construct` is the one operator that mutates the store.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use xqy_xdm::fixpoint::{self, Body, Config, FixpointStrategy, Group, LimitError, Limits, Seeds};
-use xqy_xdm::{shard, CowStore, DocId, Interner, NodeId, NodeStore, StoreMut, StrId};
+use xqy_xdm::{shard, CowStore, DocId, IdMap, IdSet, Interner, NodeId, NodeStore, StoreMut, StrId};
 
 pub use xqy_xdm::fixpoint::{BatchSharing, ExecStats};
 
@@ -283,17 +282,17 @@ impl Table {
         let mask: Vec<bool> = match self.cols.len() {
             0 => return self,
             1 => {
-                let mut seen = HashSet::with_capacity(self.rows);
+                let mut seen = IdSet::with_capacity_and_hasher(self.rows, Default::default());
                 self.cols[0].iter().map(|&k| seen.insert(k)).collect()
             }
             2 => {
-                let mut seen = HashSet::with_capacity(self.rows);
+                let mut seen = IdSet::with_capacity_and_hasher(self.rows, Default::default());
                 (0..self.rows)
                     .map(|r| seen.insert((self.cols[0][r], self.cols[1][r])))
                     .collect()
             }
             _ => {
-                let mut seen = HashSet::with_capacity(self.rows);
+                let mut seen = IdSet::with_capacity_and_hasher(self.rows, Default::default());
                 (0..self.rows).map(|r| seen.insert(self.row(r))).collect()
             }
         };
@@ -429,13 +428,13 @@ struct PlanState {
     /// Cache of plan nodes that do not depend on the recursion input —
     /// their tables are reused across fixpoint iterations *and* across
     /// fixpoint runs.
-    static_cache: HashMap<PlanNodeId, Table>,
+    static_cache: IdMap<PlanNodeId, Table>,
     /// Per-*run* cache for rec-independent but **volatile** plan nodes —
     /// subtrees containing `Construct` (fresh node identity per run) or
     /// `IdLookup` (resolves against the per-run context document).  Reused
     /// across the iterations of one fixpoint run, cleared at the start of
     /// the next, never carried across runs or stores.
-    volatile_cache: HashMap<PlanNodeId, Table>,
+    volatile_cache: IdMap<PlanNodeId, Table>,
     /// `rec_dependent[id]` — does plan node `id` (transitively) consume a
     /// `RecInput`?  Computed once per plan, not once per body evaluation.
     rec_dependent: Vec<bool>,
@@ -724,7 +723,7 @@ impl Executor {
         let root = plan
             .root()
             .ok_or_else(|| AlgebraError::InvalidPlan("plan has no root".into()))?;
-        let mut memo: HashMap<PlanNodeId, Table> = HashMap::new();
+        let mut memo: IdMap<PlanNodeId, Table> = IdMap::default();
         self.eval_node(store, plan, root, rec, &mut memo)
     }
 
@@ -734,7 +733,7 @@ impl Executor {
         plan: &Plan,
         id: PlanNodeId,
         rec: &Table,
-        memo: &mut HashMap<PlanNodeId, Table>,
+        memo: &mut IdMap<PlanNodeId, Table>,
     ) -> Result<Table> {
         if let Some(cached) = memo.get(&id) {
             return Ok(cached.clone());
@@ -843,7 +842,7 @@ impl Executor {
                 let li = left_table.column_index(left)?;
                 let ri = right_table.column_index(right)?;
                 // Hash index over the right input, on typed keys.
-                let mut index: HashMap<Key, Vec<usize>> = HashMap::new();
+                let mut index: IdMap<Key, Vec<usize>> = IdMap::default();
                 for (row_idx, &key) in right_table.cols[ri].iter().enumerate() {
                     index.entry(key).or_default().push(row_idx);
                 }
@@ -929,10 +928,10 @@ impl Executor {
                 let right = inputs.remove(1);
                 let left = inputs.remove(0);
                 let mask: Vec<bool> = if left.cols.len() == 1 && right.cols.len() == 1 {
-                    let keys: HashSet<Key> = right.cols[0].iter().copied().collect();
+                    let keys: IdSet<Key> = right.cols[0].iter().copied().collect();
                     left.cols[0].iter().map(|k| !keys.contains(k)).collect()
                 } else {
-                    let keys: HashSet<Vec<Key>> = (0..right.rows).map(|r| right.row(r)).collect();
+                    let keys: IdSet<Vec<Key>> = (0..right.rows).map(|r| right.row(r)).collect();
                     (0..left.rows)
                         .map(|r| !keys.contains(&left.row(r)))
                         .collect()
@@ -949,7 +948,7 @@ impl Executor {
                     Some(col) => {
                         let idx = input.column_index(col)?;
                         let mut order: Vec<Key> = Vec::new();
-                        let mut groups: HashMap<Key, i64> = HashMap::new();
+                        let mut groups: IdMap<Key, i64> = IdMap::default();
                         for &key in input.cols[idx].iter() {
                             *groups.entry(key).or_insert_with(|| {
                                 order.push(key);
@@ -1376,7 +1375,7 @@ impl Executor {
         let out = self.eval_plan_in_run(store, body, &rec)?;
         let si = out.column_index(SEED_COLUMN)?;
         let ii = out.column_index("item")?;
-        let index: HashMap<NodeId, usize> = tagged
+        let index: IdMap<NodeId, usize> = tagged
             .iter()
             .enumerate()
             .map(|(i, &(tag, _))| (tag, i))
@@ -1541,7 +1540,7 @@ fn effective_boolean(table: &Table) -> bool {
 /// Extract the sub-plan rooted at `root` as its own [`Plan`] (used to
 /// re-drive the body input of a µ / µ∆ operator).
 fn subplan(plan: &Plan, root: PlanNodeId) -> Plan {
-    let mut mapping: HashMap<PlanNodeId, PlanNodeId> = HashMap::new();
+    let mut mapping: IdMap<PlanNodeId, PlanNodeId> = IdMap::default();
     let mut out = Plan::new();
     let new_root = copy_into(plan, root, &mut out, &mut mapping);
     out.set_root(new_root);
@@ -1552,7 +1551,7 @@ fn copy_into(
     plan: &Plan,
     id: PlanNodeId,
     out: &mut Plan,
-    mapping: &mut HashMap<PlanNodeId, PlanNodeId>,
+    mapping: &mut IdMap<PlanNodeId, PlanNodeId>,
 ) -> PlanNodeId {
     if let Some(&mapped) = mapping.get(&id) {
         return mapped;

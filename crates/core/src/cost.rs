@@ -172,19 +172,63 @@ pub fn static_params(
 ///   node once (`R + I`).  Naïve wins only when the recursion is very
 ///   shallow (estimated depth below ~2), where Delta's per-iteration
 ///   difference bookkeeping has nothing to amortize against.
-/// * **Source-level vs. algebraic** — the interpreter pays a much higher
-///   per-node constant (environment frames, tree walking) while the
-///   relational executor pays more per iteration (table materialization)
-///   and per run (seed-table setup).  Per seed, algebraic wins at any
-///   non-trivial result size; the interesting flip is batched:
-/// * **Batched** — the shared source-level driver memoizes each distinct
-///   frontier node's image *once per run* for distributive bodies, so its
-///   feed term is `~distinct` total; the algebraic batched driver
-///   re-evaluates the distinct frontier every iteration.  At depth the
-///   source route therefore overtakes the algebraic one — the Table-2
-///   reversal between small and medium scale.  A batched run can always
-///   degenerate to the grouped per-seed loop (sharing only setup), so its
-///   static cost is capped just below the per-seed loop's.
+/// * **Source-level vs. algebraic** — since path steps run once per focus
+///   *set* the interpreter is the cheaper of the two per fed node as well
+///   as per iteration and per run (constants below), so a per-seed loop
+///   goes to the interpreter whenever both are available; the interesting
+///   choice is batched:
+/// * **Batched** — the shared source-level driver evaluates each distinct
+///   frontier node once per run, as one body call on a singleton; the
+///   algebraic batched driver evaluates the whole distinct frontier in one
+///   call per iteration, but re-evaluates it every iteration.  A shallow
+///   recursion therefore favours the executor (few iterations, no per-node
+///   call overhead) and a deep one the interpreter.  A batched run can
+///   always degenerate to the grouped per-seed loop (sharing only setup),
+///   so its static cost is capped just below the per-seed loop's.
+///
+/// # Calibration
+///
+/// The constants were re-derived after the interpreter's path steps became
+/// set-at-a-time, from Delta runs of the Table-2 bodies (release build, µs,
+/// best of seven; the ledger reports the same quantities as
+/// `eval.ns_per_fed_node`, `algebra.ns_per_fed_row`,
+/// `eval.fixpoint_batched_ms`, `algebra.fixpoint_batched_ms`):
+///
+/// | cell (runs, body calls, nodes fed) | source | algebraic |
+/// |---|---|---|
+/// | hospital S, one run (1, 5, 1 227) | 138 | 196 |
+/// | hospital L, one run (1, 5, 29 176) | 6 362 | 9 194 |
+/// | dialogs M per seed (145, 860, 840) | 645 | 1 043 |
+/// | curriculum S per seed (104, 1 656, 3 514) | 1 386 | 4 463 |
+/// | curriculum M per seed (816, 26 659, 229 434) | 50 868 | 151 835 |
+/// | bidders M per seed (400, 2 747, 133 462) | 95 695 | 123 912 |
+/// | hospital S per patient, batched (depth 4) | 1 422 | 1 174 |
+/// | bidders S batched (depth 9) | 1 578 | 2 356 |
+/// | curriculum M batched (depth 49) | 22 502 | 26 976 |
+///
+/// * *Per fed node.*  The single-run hospital cells are all per-node work:
+///   0.11–0.22 µs in the interpreter against 0.16–0.32 in the executor, a
+///   ratio of 0.63–0.70 at `body_scale` 1.25.  The executor keeps its
+///   `0.12`; the interpreter's constant is `0.08` (it was `0.6`, five times
+///   the executor's, when every focus node paid its own `Focus`, `ddo` and
+///   string-keyed `id()` probe).
+/// * *Per iteration, per run.*  Dialogs feeds one node per call, so its
+///   4.4 µs (source) and 7.2 µs (algebraic) per six-call run bound these
+///   from above; `0.5`/`1.0` and `0.8`/`2.5` fit and are unchanged.
+/// * *No per-run term in the store size.*  The same dialogs runs sit on a
+///   5 930-node store: the former `0.003·N` (source) and `0.002·N`
+///   (algebraic) "scan" terms alone priced a run at 17.8 and 11.9 µs, more
+///   than the whole run takes, and by their 3:2 ratio decided every
+///   per-seed cell at scale for the executor, which the curriculum and
+///   bidder rows refute.  Nothing measured grows with the store per run
+///   (hospital's per-node cost does, S → L, but that is per fed node), so
+///   the term is gone.
+/// * *Batched, source-level.*  The shared driver's run reports one body
+///   call per distinct frontier node (`payload_calls` = `nodes_fed_back`),
+///   so a distinct node costs a call *and* a node, `per_iter + per_node`.
+///   With the executor at `0.6·I` evaluations per distinct node the two
+///   routes cross near depth 7, between the measured depth-4 cell (executor
+///   ahead by 17 %) and depth-9 cell (interpreter ahead by 33 %).
 pub fn cost(alt: PlanAlternative, params: &CostParams, features: &OccurrenceFeatures) -> f64 {
     let i = params.depth.max(1.0);
     let r = params.result.max(1.0);
@@ -199,18 +243,10 @@ pub fn cost(alt: PlanAlternative, params: &CostParams, features: &OccurrenceFeat
     let body_scale =
         1.0 + features.body_size as f64 / 32.0 + if features.constructs { 0.5 } else { 0.0 };
     let (per_node, per_iter, setup) = match alt.backend {
-        FixpointBackendTag::Interpreted => (0.6 * body_scale, 0.5, 1.0),
+        FixpointBackendTag::Interpreted => (0.08 * body_scale, 0.5, 1.0),
         FixpointBackendTag::Algebraic => (0.12 * body_scale, 0.8, 2.5),
     };
-    // Per-run work that scales with the data, paid once per fixpoint run:
-    // context setup, document-table touches, result materialization.  This
-    // is what makes a per-seed loop lose to a batched run at scale — the
-    // batched routes pay it once for the whole seed set.
-    let scan = match alt.backend {
-        FixpointBackendTag::Interpreted => 0.003 * params.store_nodes,
-        FixpointBackendTag::Algebraic => 0.002 * params.store_nodes,
-    };
-    let per_seed_loop = s * (setup + scan + per_iter * i + per_node * fed);
+    let per_seed_loop = s * (setup + per_iter * i + per_node * fed);
     if !alt.batched {
         return per_seed_loop;
     }
@@ -230,9 +266,10 @@ pub fn cost(alt: PlanAlternative, params: &CostParams, features: &OccurrenceFeat
         }
         FixpointBackendTag::Interpreted => {
             if features.distributive {
-                // Shared mode memoizes each distinct node's image once per
-                // run; the per-iteration work left is cheap set folding.
-                setup + per_iter * i + per_node * distinct + 0.02 * i * s
+                // Shared mode: one singleton body call per distinct node,
+                // once per run; the per-iteration work left is cheap set
+                // folding.
+                setup + (per_iter + per_node) * distinct + 0.02 * i * s
             } else {
                 // Grouped lockstep: the same evaluations as the per-seed
                 // loop, sharing only the setup.
@@ -681,54 +718,59 @@ mod tests {
     #[test]
     fn batched_backend_ranking_flips_with_depth() {
         let f = features(true);
-        // Shallow: the algebraic batched route's per-iteration re-evaluation
-        // has few iterations to pay for and wins.
-        let shallow = CostParams {
-            depth: 3.0,
-            result: 40.0,
-            seeds: 50.0,
-            store_nodes: 2000.0,
+        let batched = |backend, params: &CostParams| {
+            cost(alt(FixpointStrategy::Delta, backend, true), params, &f)
         };
-        let alg = cost(
-            alt(FixpointStrategy::Delta, FixpointBackendTag::Algebraic, true),
-            &shallow,
-            &f,
-        );
-        let src = cost(
-            alt(
-                FixpointStrategy::Delta,
-                FixpointBackendTag::Interpreted,
-                true,
-            ),
-            &shallow,
-            &f,
-        );
+        // Shallow, the shape of hospital S run per patient (422 seeds, five
+        // ancestors each, depth 4): one set evaluation per iteration beats
+        // one singleton call per distinct node — measured 1.17 ms on the
+        // executor against 1.42 ms on the interpreter.
+        let shallow = CostParams {
+            depth: 4.0,
+            result: 5.0,
+            seeds: 422.0,
+            store_nodes: 10_760.0,
+        };
+        let alg = batched(FixpointBackendTag::Algebraic, &shallow);
+        let src = batched(FixpointBackendTag::Interpreted, &shallow);
         assert!(
             alg < src,
             "shallow: algebraic {alg} should beat source {src}"
         );
-        // Deep: the source-level shared driver's once-per-run memoization wins.
+        // Deep, the shape of bidders S (120 seeds, ~90 persons each, depth
+        // 9): evaluating each distinct node once per run wins — measured
+        // 1.58 ms on the interpreter against 2.36 ms on the executor.
         let deep = CostParams {
-            depth: 30.0,
-            result: 40.0,
-            seeds: 50.0,
-            store_nodes: 2000.0,
+            depth: 9.0,
+            result: 90.0,
+            seeds: 120.0,
+            store_nodes: 3_624.0,
         };
-        let alg = cost(
-            alt(FixpointStrategy::Delta, FixpointBackendTag::Algebraic, true),
-            &deep,
-            &f,
-        );
-        let src = cost(
-            alt(
-                FixpointStrategy::Delta,
-                FixpointBackendTag::Interpreted,
-                true,
-            ),
-            &deep,
-            &f,
-        );
+        let alg = batched(FixpointBackendTag::Algebraic, &deep);
+        let src = batched(FixpointBackendTag::Interpreted, &deep);
         assert!(src < alg, "deep: source {src} should beat algebraic {alg}");
+    }
+
+    #[test]
+    fn per_seed_loops_go_to_the_interpreter() {
+        // Every per-seed Delta cell measured after path steps became
+        // set-at-a-time is faster source-level (curriculum M 51 ms against
+        // 152 ms, bidders M 96 against 124, hospital L 6.4 against 9.2), at
+        // any store size: no per-run term grows with the store any more.
+        let f = features(true);
+        for &(n, parents, links) in &[
+            (2_000u64, 600u64, 1_999u64),
+            (50_000, 15_000, 49_999),
+            (500_000, 150_000, 499_999),
+        ] {
+            let p = static_params(&stats(n, parents, links), &f, 1.0);
+            let per_seed = |backend| cost(alt(FixpointStrategy::Delta, backend, false), &p, &f);
+            let (src, alg) = (
+                per_seed(FixpointBackendTag::Interpreted),
+                per_seed(FixpointBackendTag::Algebraic),
+            );
+            assert!(src < alg, "n={n}: source {src} should beat algebraic {alg}");
+        }
     }
 
     #[test]

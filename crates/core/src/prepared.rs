@@ -83,9 +83,10 @@ pub enum Backend {
     /// µ∆).  Preparing succeeds even for bodies outside the algebraic
     /// subset, but executing reports [`xqy_algebra::AlgebraError::Unsupported`].
     Algebraic,
-    /// Per occurrence: use the pre-compiled algebraic plan when the body
-    /// lies inside the algebraic subset, fall back to the interpreter
-    /// otherwise.
+    /// Per occurrence and per execution: the [cost model](crate::cost)
+    /// picks between the pre-compiled algebraic plan — when the body lies
+    /// inside the algebraic subset — and the interpreter; bodies outside
+    /// the subset always run on the interpreter.
     Auto,
 }
 

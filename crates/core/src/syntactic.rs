@@ -360,7 +360,6 @@ fn ds(
                         "data"
                             | "string"
                             | "id"
-                            | "idref"
                             | "name"
                             | "local-name"
                             | "root"

@@ -161,8 +161,11 @@ fn pin(
 /// Table-2 pins: which grid point wins each (workload, scale) cell.
 #[test]
 fn table2_cell_choices_are_pinned() {
-    // Q1, one seed per execution: the algebraic Delta loop wins at every
-    // scale (the interpreter's per-node constant dominates it).
+    // Q1, one seed per execution: the source-level Delta loop wins at every
+    // scale.  Measured with set-at-a-time path steps (Delta, per seed):
+    // curriculum S 1.4 ms source-level against 4.5 ms algebraic, curriculum
+    // M 51 against 152 — the ledger's `curric_m.perseed` cell, 60 ms on
+    // `delta_source` against 181 on `delta_algebra`.
     for (name, st) in [
         ("q1/small/execute", small()),
         ("q1/medium/execute", medium()),
@@ -176,36 +179,30 @@ fn table2_cell_choices_are_pinned() {
             1,
             alt(
                 FixpointStrategy::Delta,
-                FixpointBackendTag::Algebraic,
+                FixpointBackendTag::Interpreted,
                 false,
             ),
         );
     }
 
-    // Q1 batched, small scale: shallow recursion — the algebraic batched
-    // route's per-iteration re-evaluation has little depth to pay for.
-    pin(
-        "q1/small/batched",
-        &small(),
-        &q1(),
-        true,
-        32,
-        alt(FixpointStrategy::Delta, FixpointBackendTag::Algebraic, true),
-    );
-
-    // Q1 batched, medium and large scale: the Table-2 reversal.  Deeper
-    // recursion favors the shared source-level driver, which memoizes each
-    // distinct frontier node's image once per run.
-    for (name, st) in [
-        ("q1/medium/batched", medium()),
-        ("q1/large/batched", large()),
+    // Q1 batched: the shared source-level driver, which evaluates each
+    // distinct frontier node once per run, at every scale.  Measured:
+    // curriculum S batched 0.55 ms source-level against 0.96 ms algebraic,
+    // curriculum M (depth 49) 22.5 against 27.0.  (Before path steps ran
+    // set-at-a-time the small cell went to the executor; the executor still
+    // takes shallow batches of tiny closures — `cost`'s unit tests pin that
+    // flip on the measured depth-4 hospital cell.)
+    for (name, st, seeds) in [
+        ("q1/small/batched", small(), 32),
+        ("q1/medium/batched", medium(), 128),
+        ("q1/large/batched", large(), 128),
     ] {
         pin(
             name,
             &st,
             &q1(),
             true,
-            128,
+            seeds,
             alt(
                 FixpointStrategy::Delta,
                 FixpointBackendTag::Interpreted,
@@ -243,6 +240,8 @@ fn table2_cell_choices_are_pinned() {
 
     // A wide, flat store: estimated depth < 2, so Naïve's re-feeding never
     // materializes and Delta's difference bookkeeping is pure overhead.
+    // Source-level like every per-seed cell: Naïve per seed measures 19 ms
+    // source-level against 29 ms algebraic on bidders S.
     let wide = curriculum_stats(4_030, 31, 4_029);
     pin(
         "wide/shallow/execute",
@@ -252,7 +251,7 @@ fn table2_cell_choices_are_pinned() {
         1,
         alt(
             FixpointStrategy::Naive,
-            FixpointBackendTag::Algebraic,
+            FixpointBackendTag::Interpreted,
             false,
         ),
     );

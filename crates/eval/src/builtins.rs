@@ -46,7 +46,6 @@ pub const BUILTIN_NAMES: &[&str] = &[
     "root",
     "doc",
     "id",
-    "idref",
     "distinct-values",
     "deep-equal",
     "sum",
@@ -285,7 +284,10 @@ pub fn call_builtin(
                 None => Err(EvalError::DocumentNotFound(uri)),
             }
         }
-        ("id" | "idref", 1 | 2) => {
+        // No `idref`: the store types no attribute as IDREF, so there is
+        // nothing to answer it from; the name stays undefined rather than
+        // answering as `id`.
+        ("id", 1 | 2) => {
             // id(values) uses the context node's document; id(values, node)
             // uses the supplied node's document.
             let anchor =
@@ -667,6 +669,28 @@ mod tests {
         assert_eq!(result.len(), 1);
         let result = eval_doc(doc, "doc('d.xml')/r/a[1]/id('n1 n2')");
         assert_eq!(result.len(), 2);
+    }
+
+    #[test]
+    fn idref_is_undefined_not_an_alias_of_id() {
+        // `idref('n2')` asks for the nodes *referring* to n2 (here the
+        // <ref>); answering as `id` would return the element *carrying* it.
+        let doc = "<r><a id=\"n1\"><ref>n2</ref></a><a id=\"n2\"/></r>";
+        let mut store = NodeStore::new();
+        store.parse_document_with_uri("d.xml", doc).unwrap();
+        let mut evaluator = Evaluator::new(&mut store);
+        for query in [
+            "doc('d.xml')/r/idref('n2')",
+            "doc('d.xml')/r/a/idref(./ref)",
+            "fn:idref('n2', doc('d.xml'))",
+        ] {
+            let err = evaluator.eval_query_str(query).unwrap_err();
+            assert!(
+                matches!(&err, EvalError::UndefinedFunction { name, .. } if name.ends_with("idref")),
+                "{query}: {err}"
+            );
+        }
+        assert!(!is_builtin("idref"));
     }
 
     #[test]

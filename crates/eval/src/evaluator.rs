@@ -8,8 +8,8 @@ use xqy_parser::ast::{
 };
 use xqy_parser::{parse_query, BinaryOp};
 use xqy_xdm::{
-    ddo, intersect, node_except, node_union, AtomicValue, Interner, Item, NodeId, NodeKind,
-    NodeStore, Sequence, StoreMut, StrId,
+    ddo, ddo_vec, intersect, node_except, node_union, AtomicValue, DocId, Interner, Item, NodeId,
+    NodeKind, NodeStore, Sequence, StoreMut, StrId,
 };
 
 use crate::compare::{arithmetic, effective_boolean_value, general_pair_compare, value_compare};
@@ -708,64 +708,41 @@ impl<'s> Evaluator<'s> {
     // Paths, predicates
     // ------------------------------------------------------------------
 
-    /// Evaluate a path step: for every item of `input` (as the focus), run
-    /// `step`, then combine.  If all results are nodes the combined result
-    /// is returned in distinct document order, mirroring `fs:ddo`.
+    /// Evaluate a path step `input/step`, combining the per-focus results;
+    /// node results come back in distinct document order, mirroring `fs:ddo`.
+    ///
+    /// A step that [distributes over its focus](distributes_over_focus) is
+    /// evaluated once for the whole node-backed `input`
+    /// ([`step_over_set`](Self::step_over_set)).  Everything else — and any
+    /// `input` holding non-node items — takes the loop below, one `Focus`
+    /// per item, which is the general semantics.
     pub(crate) fn eval_path_step(
         &mut self,
         input: &Sequence,
         step: &Expr,
         env: &mut Environment,
     ) -> Result<Sequence> {
-        let size = input.len();
-        // Fused fast path: a predicate-free axis step over a node-backed
-        // focus sequence needs neither per-focus `Focus` frames nor a
-        // per-focus result `Sequence` — every axis traversal appends into
-        // one buffer and a single `ddo` orders the union.  (Equivalent to
-        // the general path: for predicate-free steps, `ddo` of the
-        // concatenation equals `ddo` of concatenated per-focus `ddo`s —
-        // `ddo` is idempotent and the outer pass fixes order either way.)
-        if let (
-            Expr::AxisStep {
-                axis,
-                test,
-                predicates,
-            },
-            Some(ids),
-        ) = (step, input.node_ids())
-        {
-            if predicates.is_empty() {
-                let mut raw = Vec::new();
-                for &node in ids {
-                    self.store.axis_nodes_into(node, *axis, test, &mut raw);
-                }
-                let ordered = ddo(&self.store, &raw);
-                return Ok(Sequence::from_nodes(ordered));
+        let ids = input.node_ids();
+        if let Some(ids) = ids {
+            if distributes_over_focus(step) {
+                return self.step_over_set(ids, step, env).map(Sequence::from_nodes);
             }
         }
+        let size = input.len();
         let mut out = Sequence::empty();
-        if let Some(ids) = input.node_ids() {
-            // Node-backed input: iterate the id buffer directly, never
-            // materializing an `Item` view of the (possibly large) frontier.
-            for (i, &node) in ids.iter().enumerate() {
-                let focus = Focus {
-                    item: Item::Node(node),
-                    position: i + 1,
-                    size,
-                };
-                let result = self.eval_expr(step, env, Some(&focus))?;
-                out.extend(result);
-            }
-        } else {
-            for i in 0..size {
-                let focus = Focus {
-                    item: input.items()[i].clone(),
-                    position: i + 1,
-                    size,
-                };
-                let result = self.eval_expr(step, env, Some(&focus))?;
-                out.extend(result);
-            }
+        for i in 0..size {
+            let focus = Focus {
+                // A node-backed input is read off its id buffer, never
+                // materializing an `Item` view of the (possibly large) set.
+                item: match ids {
+                    Some(ids) => Item::Node(ids[i]),
+                    None => input.items()[i].clone(),
+                },
+                position: i + 1,
+                size,
+            };
+            let result = self.eval_expr(step, env, Some(&focus))?;
+            out.extend(result);
         }
         if let Some(ids) = out.node_ids() {
             let ordered = ddo(&self.store, ids);
@@ -780,6 +757,54 @@ impl<'s> Evaluator<'s> {
                 "path step result mixes nodes and atomic values".into(),
             ))
         }
+    }
+
+    /// `ddo(⋃ₙ step(n))` over the focus nodes `focus`, for a `step` that
+    /// [`distributes_over_focus`]: Figure 5's judgement read with `.` as
+    /// the variable — STEP for an axis step, STEP2 for `p/s`, FUNCALL for
+    /// the item-wise `id`, UNION — so by the argument of Theorem 3.2 the
+    /// step applied to the set equals the union of its per-node results,
+    /// and one `ddo` at each level replaces one per focus node.
+    fn step_over_set(
+        &mut self,
+        focus: &[NodeId],
+        step: &Expr,
+        env: &mut Environment,
+    ) -> Result<Vec<NodeId>> {
+        let mut out = Vec::new();
+        match step {
+            Expr::ContextItem => out.extend_from_slice(focus),
+            Expr::AxisStep { axis, test, .. } => {
+                for &node in focus {
+                    self.store.axis_nodes_into(node, *axis, test, &mut out);
+                }
+            }
+            Expr::Path { input, step } => {
+                // `step` meets the set `input` produced: set-valued again
+                // if it distributes, per node if it is a predicated axis
+                // step.
+                let mid = Sequence::from_nodes(self.step_over_set(focus, input, env)?);
+                return self.eval_path_step(&mid, step, env).map(|s| s.nodes());
+            }
+            Expr::FunctionCall { args, .. } => {
+                // One-argument `id` is anchored at the focus node's own
+                // document, so the focus is cut into runs of one document
+                // (a document-ordered focus is one run per document; any
+                // other order only makes more runs) and each run resolves
+                // its argument nodes against that document in one probe.
+                for run in focus.chunk_by(|a, b| a.doc == b.doc) {
+                    let arg_nodes = self.step_over_set(run, &args[0], env)?;
+                    self.store
+                        .lookup_id_nodes(DocId(run[0].doc), &arg_nodes, &mut out);
+                }
+            }
+            Expr::Binary { lhs, rhs, .. } => {
+                out = self.step_over_set(focus, lhs, env)?;
+                out.extend(self.step_over_set(focus, rhs, env)?);
+            }
+            _ => unreachable!("step_over_set: caller checks distributes_over_focus"),
+        }
+        Ok(ddo_vec(&self.store, out))
     }
 
     fn apply_predicate(
@@ -1139,7 +1164,7 @@ impl<'s> Evaluator<'s> {
 
     /// Resolve `fn:id(values)` relative to `doc_node`'s document.
     pub(crate) fn lookup_ids(&mut self, doc_node: NodeId, values: &[AtomicValue]) -> Vec<NodeId> {
-        let doc = xqy_xdm::DocId(doc_node.doc);
+        let doc = DocId(doc_node.doc);
         let mut out = Vec::new();
         for value in values {
             // Borrow string-shaped values directly — atomized node values
@@ -1158,7 +1183,7 @@ impl<'s> Evaluator<'s> {
                 }
             }
         }
-        ddo(&self.store, &out)
+        ddo_vec(&self.store, out)
     }
 
     /// Evaluate the recursion body of an IFP with `var` bound to `value`
@@ -1185,6 +1210,44 @@ pub(crate) fn strip_prefix(name: &str) -> &str {
     match name.split_once(':') {
         Some((_, local)) => local,
         None => name,
+    }
+}
+
+/// Is `step` **distributive in its context item** — is `E/step` the union
+/// of `n/step` over the nodes `n` of `E`, whatever their positions?  The
+/// closed grammar [`Evaluator::step_over_set`] implements:
+///
+/// ```text
+/// d ::= .  |  axis::test  |  d/d  |  d/axis::test[preds]  |  id(d)  |  d | d
+/// ```
+///
+/// Each form yields nodes only and reads nothing of the focus but its
+/// item.  The right-hand side of a nested `/` is limited to the grammar or
+/// an axis step (whose predicates open a focus of their own): an arbitrary
+/// expression there could observe `position()`/`last()` of the
+/// intermediate set or return atomic values once per *originating* node,
+/// and both differ between the set and the per-node reading.  Left out on
+/// purpose: two-argument `id` (anchored elsewhere), `idref`, constructors
+/// (fresh identities per call), and anything with a predicate at the top.
+fn distributes_over_focus(step: &Expr) -> bool {
+    match step {
+        Expr::ContextItem => true,
+        Expr::AxisStep { predicates, .. } => predicates.is_empty(),
+        Expr::Path { input, step } => {
+            distributes_over_focus(input)
+                && (matches!(**step, Expr::AxisStep { .. }) || distributes_over_focus(step))
+        }
+        // Built-ins win over user declarations (`eval_function_call`), so a
+        // one-argument `id` is always `fn:id`.
+        Expr::FunctionCall { name, args } => {
+            strip_prefix(name) == "id" && args.len() == 1 && distributes_over_focus(&args[0])
+        }
+        Expr::Binary {
+            op: BinaryOp::Union,
+            lhs,
+            rhs,
+        } => distributes_over_focus(lhs) && distributes_over_focus(rhs),
+        _ => false,
     }
 }
 
@@ -1318,6 +1381,47 @@ mod tests {
         assert_eq!(store.string_value(result.nodes()[0]), "3");
         let (_, result) = eval_with_doc(doc, "doc('doc.xml')/r/i[position() < 3]");
         assert_eq!(result.len(), 2);
+    }
+
+    #[test]
+    fn the_distributive_step_grammar_is_closed() {
+        let step_of = |src: &str| match xqy_parser::parse_expr(&format!("$e/{src}")).unwrap() {
+            Expr::Path { step, .. } => *step,
+            other => panic!("{src}: not a path: {other:?}"),
+        };
+        for src in [
+            ".",
+            "a",
+            "descendant-or-self::node()",
+            "id(./sells/@ref)",
+            "fn:id(.)",
+            "(./a | id(./@r) union ../b)",
+            "(./a/b[1])",
+            "(id(./@r)/a[@k = 'v'][last()])",
+            "(./a[1]/b)",
+            "id(./a[1])",
+        ] {
+            assert!(distributes_over_focus(&step_of(src)), "{src}");
+        }
+        for src in [
+            "a[1]",
+            "a[@k]",
+            "position()",
+            "(./a/position())",
+            "(./a/last())",
+            "(./a/string(.))",
+            "id(./@r)[1]",
+            "id(./@r, .)",
+            "id(a[1])",
+            "idref(./@r)",
+            "(./a intersect ./b)",
+            "(./a except ./b)",
+            "<x/>",
+            "(./a/<x/>)",
+            "$e",
+        ] {
+            assert!(!distributes_over_focus(&step_of(src)), "{src}");
+        }
     }
 
     #[test]

@@ -10,11 +10,9 @@
 //! `Auto` mode's) responsibility.  Example 2.4 of the paper, where the two
 //! algorithms genuinely differ, is reproduced in the tests below.
 
-use std::collections::HashMap;
-
 use xqy_parser::ast::Expr;
 use xqy_xdm::fixpoint::{self, BatchSharing, Body, Config, ExecStats, Group, LimitError, Seeds};
-use xqy_xdm::{NodeId, NodeStore, Sequence};
+use xqy_xdm::{IdMap, NodeId, NodeStore, Sequence};
 
 use crate::context::Environment;
 use crate::error::EvalError;
@@ -187,7 +185,7 @@ struct Interpreted<'a, 's> {
     /// group is `(n, [n])` and the body is distributive and pure by the
     /// caller's precondition — so a node discovered by several seeds in
     /// different rounds costs one evaluation in total.
-    memo: Option<HashMap<NodeId, Vec<NodeId>>>,
+    memo: Option<IdMap<NodeId, Vec<NodeId>>>,
 }
 
 impl Interpreted<'_, '_> {
@@ -361,7 +359,7 @@ fn drive(
         var,
         body,
         env,
-        memo: share.then(HashMap::new),
+        memo: share.then(IdMap::default),
     };
     let (result, stats) = fixpoint::run(&mut interpreted, &config, seeds);
     let stats = FixpointStats {

@@ -39,6 +39,7 @@ pub mod cow;
 pub mod error;
 pub mod fail;
 pub mod fixpoint;
+pub mod hash;
 pub mod intern;
 pub mod node;
 pub mod nodeset;
@@ -55,10 +56,11 @@ pub use budget::QueryBudget;
 pub use cow::{CowStore, StoreMut};
 pub use error::XdmError;
 pub use fail::{FaultAction, FaultError, FaultTrigger};
+pub use hash::{IdMap, IdSet};
 pub use intern::{Interner, StrId, TextPool};
 pub use node::{Axis, NodeId, NodeKind, NodeTest, QName};
 pub use nodeset::NodeSet;
-pub use ops::{ddo, intersect, is_subset, node_except, node_union, set_equal};
+pub use ops::{ddo, ddo_vec, intersect, is_subset, node_except, node_union, set_equal};
 pub use sequence::Sequence;
 pub use stats::{DocumentStatistics, StoreStatistics};
 pub use store::{DocId, NodeStore, SnapshotPin, StoreSnapshot, StrView};

@@ -34,17 +34,20 @@ pub const SPARSE_LIMIT: usize = 64;
 
 /// `fs:distinct-doc-order` — sort into document order, drop duplicates.
 pub fn ddo(store: &NodeStore, nodes: &[NodeId]) -> Vec<NodeId> {
-    if nodes.len() <= 1 {
-        // Zero- and one-element inputs are trivially distinct and ordered —
-        // the per-node steps of a path expression hit this constantly.
-        return nodes.to_vec();
-    }
     if nodes.len() <= SPARSE_LIMIT {
-        let mut out = nodes.to_vec();
-        store.sort_distinct(&mut out);
-        return out;
+        return ddo_vec(store, nodes.to_vec());
     }
     NodeSet::from_nodes(nodes.iter().copied()).to_vec(store)
+}
+
+/// [`ddo`] of a buffer the caller owns: small inputs — zero, one, or the
+/// few nodes a path step yields per frontier — are ordered in place.
+pub fn ddo_vec(store: &NodeStore, mut nodes: Vec<NodeId>) -> Vec<NodeId> {
+    if nodes.len() <= SPARSE_LIMIT {
+        store.sort_distinct(&mut nodes);
+        return nodes;
+    }
+    NodeSet::from_nodes(nodes).to_vec(store)
 }
 
 /// Node-set union (`union` / `|`): all nodes of either operand, in document

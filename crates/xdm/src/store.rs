@@ -21,18 +21,26 @@
 //! only ever mutated through `&mut NodeStore`, so shared references never
 //! race on it.  The *derived* per-document state — document-order ranks and
 //! the ID index, which are rebuilt lazily on first access after a mutation —
-//! lives behind a per-document `RwLock`, and the `id()` probe memo behind a
-//! `Mutex`, so every read-only operation (document order, `sort_distinct`,
-//! ID lookup) works through `&NodeStore`.  `NodeStore` is therefore [`Sync`]
-//! and a frozen [`StoreSnapshot`] can be handed to a scoped thread pool; see
-//! [`NodeStore::pin`] / [`NodeStore::snapshot`] for the freeze protocol.
+//! lives behind a per-document `RwLock`: readers of an up-to-date document
+//! share the read lock, and the first reader after a mutation rebuilds under
+//! the write lock.  Every read-only operation (document order,
+//! `sort_distinct`, `fn:id` probes) therefore works through `&NodeStore`,
+//! and an `id()` probe is one read guard plus one probe of that index —
+//! there is no memo in front of it and no store-wide lock on the way.  The
+//! two memos that remain (string-value concatenations, statistics) sit
+//! behind a `Mutex` each; the string-value memo is skipped, not queued on,
+//! under contention.
+//! `NodeStore` is therefore [`Sync`] and a frozen [`StoreSnapshot`] can be
+//! handed to a scoped thread pool; see [`NodeStore::pin`] /
+//! [`NodeStore::snapshot`] for the freeze protocol.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use crate::error::XdmError;
+use crate::hash::IdMap;
 use crate::intern::{StrId, TextPool};
 use crate::node::{Axis, NodeId, NodeKind, NodeTest, QName};
 use crate::value::UText;
@@ -62,9 +70,9 @@ struct Derived {
     /// `order[i]` is the document-order rank of node `i`.
     order: Vec<u32>,
     /// Map from ID value (as its text-pool symbol) to the first element
-    /// carrying it.  Keying on [`StrId`] makes the rebuild allocation-free:
-    /// attribute payloads already carry their symbols.
-    id_index: HashMap<StrId, u32>,
+    /// carrying it.  Keying on [`StrId`] makes the rebuild allocation-free
+    /// and lets `fn:id` probe with an argument node's payload symbol as is.
+    id_index: IdMap<StrId, u32>,
     /// Set when the document has been mutated since the last rebuild.
     dirty: bool,
     /// `true` when arena index order coincides with document order (always
@@ -72,8 +80,8 @@ struct Derived {
     /// Lets [`crate::NodeSet`] emit document order straight from its bitmaps.
     index_is_order: bool,
     /// Bumped every time a rebuild actually happens.  Caches of
-    /// per-document derived state (the store's `id()` probe memo) compare
-    /// this to detect that a rebuild happened — regardless of *which* store
+    /// per-document derived state (the string-value memo) compare this to
+    /// detect that a rebuild happened — regardless of *which* store
     /// operation triggered it.
     version: u64,
 }
@@ -82,7 +90,7 @@ impl Derived {
     fn new() -> Self {
         Derived {
             order: Vec::new(),
-            id_index: HashMap::new(),
+            id_index: IdMap::default(),
             dirty: true,
             index_is_order: true,
             version: 0,
@@ -208,7 +216,7 @@ fn assign_order(nodes: &[NodeData], order: &mut [u32], node: u32, rank: &mut u32
 fn rebuild_id_index(
     nodes: &[NodeData],
     id_attr_names: &[String],
-    id_index: &mut HashMap<StrId, u32>,
+    id_index: &mut IdMap<StrId, u32>,
 ) {
     for (idx, node) in nodes.iter().enumerate() {
         if !node.kind.is_element() {
@@ -227,26 +235,13 @@ fn rebuild_id_index(
     }
 }
 
-/// Memo of [`NodeStore::lookup_id`] probes, one map per document, each
-/// tagged with the `Derived::version` it was built against; see the field
-/// documentation on [`NodeStore`].
-#[derive(Debug, Default, Clone)]
-struct IdProbeCache {
-    /// The [`NodeStore::load_epoch`] value the memo is valid for.
-    epoch: u64,
-    /// Keyed on the probed value's text-pool symbol, so a repeated probe
-    /// neither allocates on hit *nor* on miss.
-    per_doc: HashMap<u32, (u64, HashMap<StrId, Option<NodeId>>)>,
-}
-
 /// Memo of element/document `string_value` concatenations, one map per
-/// document, each tagged with the `Derived::version` it was built against —
-/// the same invalidation protocol as [`IdProbeCache`]: entries survive
-/// exactly as long as the document's derived state, whichever store
-/// operation triggered the rebuild.
+/// document, each tagged with the `Derived::version` it was built against:
+/// entries survive exactly as long as the document's derived state,
+/// whichever store operation triggered the rebuild.
 #[derive(Debug, Default, Clone)]
 struct TextMemoCache {
-    per_doc: HashMap<u32, (u64, HashMap<u32, Arc<str>>)>,
+    per_doc: IdMap<u32, (u64, IdMap<u32, Arc<str>>)>,
 }
 
 /// A node's string value without a forced render: borrowed straight from
@@ -343,28 +338,15 @@ pub struct NodeStore {
     /// staleness boundary the [`SnapshotPin`] / [`StoreSnapshot`] freeze
     /// protocol validates against.
     revision: u64,
-    /// Memo of [`NodeStore::lookup_id`] probes, one map per document, each
-    /// tagged with the `Derived::version` it was built against.  The
-    /// fixpoint drivers probe the same handful of ID values once per
-    /// iteration (and, in per-item workloads, once per seed); the memo
-    /// answers repeats without re-touching the full `id_index`.
-    /// Invalidation: the whole memo is dropped when
-    /// [`NodeStore::load_epoch`] moves (`IdProbeCache::epoch` records the
-    /// epoch the memo was built under), and a single document's entries are
-    /// dropped when its version tag no longer matches — i.e. whenever a
-    /// rebuild happened, *whichever* store operation triggered it
-    /// (doc-order queries refresh too, not just `lookup_id` itself).
-    /// Behind a `Mutex` so probes work from shared (snapshot) read paths.
-    id_probe: Mutex<IdProbeCache>,
-    /// Lifetime count of probes answered from the memo.  Atomic for the
-    /// same reason the memo is locked; the counter is monotonic telemetry,
-    /// so `Relaxed` ordering suffices.
+    /// Lifetime count of `fn:id` probes answered by a document's ID index
+    /// ([`NodeStore::id_probe_hits`]).  Monotonic telemetry that publishes
+    /// no other data, so `Relaxed` ordering suffices.
     id_probe_hits: AtomicU64,
     /// Memo of element/document `string_value` concatenations — atomizing
     /// the same element across fixpoint iterations re-renders nothing.
     /// Invalidated per document by the `Derived::version` tag (see
-    /// [`TextMemoCache`]); behind a `Mutex` for the same reason as
-    /// `id_probe`.
+    /// [`TextMemoCache`]); behind a `Mutex` so shared (snapshot) read paths
+    /// can fill it.
     text_memo: Mutex<TextMemoCache>,
     /// Memo of [`NodeStore::statistics`], keyed on the revision it was
     /// computed at (`StoreStatistics::revision`).  Behind a `Mutex` so the
@@ -383,11 +365,7 @@ impl Clone for NodeStore {
             nodes_created: self.nodes_created,
             load_epoch: self.load_epoch,
             revision: self.revision,
-            id_probe: Mutex::new(mutex_lock(&self.id_probe).clone()),
-            id_probe_hits: AtomicU64::new(
-                self.id_probe_hits
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            ),
+            id_probe_hits: AtomicU64::new(self.id_probe_hits.load(Relaxed)),
             text_memo: Mutex::new(mutex_lock(&self.text_memo).clone()),
             stats_memo: Mutex::new(mutex_lock(&self.stats_memo).clone()),
         }
@@ -411,7 +389,7 @@ impl Clone for NodeStore {
 static NEXT_LOAD_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_load_epoch() -> u64 {
-    NEXT_LOAD_EPOCH.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    NEXT_LOAD_EPOCH.fetch_add(1, Relaxed)
 }
 
 impl NodeStore {
@@ -549,94 +527,115 @@ impl NodeStore {
 
     /// Find the element in `doc` whose ID-typed attribute equals `value`.
     ///
-    /// Probes are memoized per load-epoch: fixpoint iterations probing the
-    /// same ID values over and over are answered from a per-document memo
-    /// ([`NodeStore::id_probe_hits`] counts them), which is invalidated
-    /// whenever [`NodeStore::load_epoch`] moves (new document, new ID
-    /// attribute registration) and, per document, whenever the document is
-    /// refreshed after a mutation.  The memo lives behind a `Mutex`, so
-    /// probes work from shared references — including snapshot reads from
-    /// multiple threads.
+    /// One probe of the document's ID index under its read guard (the index
+    /// is rebuilt first if the document was mutated since the last rebuild,
+    /// so a probe never sees a stale index).  Works from shared references,
+    /// including snapshot reads from several threads: readers of a clean
+    /// document share the guard and nothing else is locked.  The index is
+    /// keyed by text-pool symbol, so a value the pool has never seen cannot
+    /// match and is answered without touching it.
+    ///
+    /// `fn:id` over argument *nodes* goes through
+    /// [`lookup_id_nodes`](NodeStore::lookup_id_nodes), which skips the
+    /// string altogether.
     pub fn lookup_id(&self, doc: DocId, value: &str) -> Option<NodeId> {
         let d = self.docs.get(doc.0 as usize)?;
-        let derived = d.derived();
-        // Every `id_index` key is an attribute payload, and every attribute
-        // payload lives in the text pool — so a value the pool has never
-        // seen cannot match, and the whole probe (memo included) can key on
-        // the pool symbol instead of allocating the probed string.
         let sym = self.text.get(value)?;
-        // Under concurrent snapshot readers the memo's mutex would be a
-        // store-wide serialization point; the derived ID index answers in
-        // O(1) anyway, so a contended probe skips the memo instead of
-        // queueing on it.  Single-threaded probes (and their hit counter)
-        // are unaffected.
-        let mut probe = match self.id_probe.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                return derived.id_index.get(&sym).map(|&n| NodeId::new(doc.0, n));
-            }
-        };
-        if probe.epoch != self.load_epoch {
-            probe.per_doc.clear();
-            probe.epoch = self.load_epoch;
-        }
-        // The memo is valid only for the index-rebuild generation it was
-        // filled under.  Comparing versions (instead of checking `dirty`
-        // here) also catches rebuilds triggered by *other* store
-        // operations — a doc-order query between a mutation and this probe
-        // refreshes the document without passing through `lookup_id`.
-        let (version, memo) = probe
-            .per_doc
-            .entry(doc.0)
-            .or_insert_with(|| (derived.version, HashMap::new()));
-        if *version != derived.version {
-            *version = derived.version;
-            memo.clear();
-        }
-        if let Some(&hit) = memo.get(&sym) {
-            self.id_probe_hits
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return hit;
-        }
-        let found = derived.id_index.get(&sym).map(|&n| NodeId::new(doc.0, n));
-        memo.insert(sym, found);
-        found
+        self.id_probe_hits.fetch_add(1, Relaxed);
+        let found = d.derived().id_index.get(&sym).copied();
+        found.map(|n| NodeId::new(doc.0, n))
     }
 
-    /// Lifetime count of [`NodeStore::lookup_id`] probes answered from the
-    /// per-epoch memo instead of the document index.
-    pub fn id_probe_hits(&self) -> u64 {
-        self.id_probe_hits
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Drop the store's recomputable memos (string-value concatenations and
-    /// `id()` probe entries), returning an estimate of the bytes freed.
+    /// `fn:id(args)` anchored at `doc`: append to `out`, for every node of
+    /// `args`, the elements of `doc` whose ID equals a whitespace-separated
+    /// token of the node's string value (in argument order, duplicates
+    /// kept — callers order and deduplicate).
     ///
-    /// This is the store's contribution to budget *relief* (see
-    /// [`crate::budget`]): under memory pressure a driver trades these
-    /// caches — repopulated lazily, at recompute cost — for headroom before
-    /// failing the query.  Works through `&self`; concurrent readers simply
-    /// see cold memos afterwards.
-    pub fn release_memory(&self) -> u64 {
-        let mut freed = 0u64;
+    /// Attribute and text payloads already *are* text-pool symbols and the
+    /// ID index is keyed by symbol, so a whitespace-free payload probes the
+    /// index as is — no string is hashed, no value handle cloned — and the
+    /// whole call takes the document's read guard once.  IDREFS-style
+    /// payloads are tokenised first; an element whose value is a genuine
+    /// concatenation takes the string route of
+    /// [`lookup_id`](NodeStore::lookup_id) token by token.
+    pub fn lookup_id_nodes(&self, doc: DocId, args: &[NodeId], out: &mut Vec<NodeId>) {
+        let Some(d) = self.docs.get(doc.0 as usize) else {
+            return;
+        };
+        // Rendering a concatenation consults the argument document's derived
+        // state; that must not happen under the guard held below (a second
+        // read of one `RwLock` on one thread can deadlock behind a waiting
+        // writer), so those arguments wait until it is released.
+        let mut concatenated = Vec::new();
         {
-            let mut memo = mutex_lock(&self.text_memo);
-            for (_, (_, map)) in memo.per_doc.iter() {
-                for arc in map.values() {
-                    freed += arc.len() as u64 + 64;
+            let derived = d.derived();
+            let mut probes = 0u64;
+            let mut probe = |sym: StrId| {
+                probes += 1;
+                if let Some(&n) = derived.id_index.get(&sym) {
+                    out.push(NodeId::new(doc.0, n));
+                }
+            };
+            for &arg in args {
+                let sym = match self.string_value_sym(arg) {
+                    Some(sym) => sym,
+                    None => match self.container_text_direct(arg) {
+                        Some(ContainerText::Sym(sym)) => sym,
+                        Some(_) => continue,
+                        None => {
+                            concatenated.push(arg);
+                            continue;
+                        }
+                    },
+                };
+                let text = self.text.resolve(sym);
+                let mut tokens = text.split_whitespace();
+                match tokens.next() {
+                    None => {}
+                    Some(first) if first.len() == text.len() => probe(sym),
+                    Some(first) => std::iter::once(first)
+                        .chain(tokens)
+                        .filter_map(|token| self.text.get(token))
+                        .for_each(&mut probe),
                 }
             }
-            memo.per_doc.clear();
+            self.id_probe_hits.fetch_add(probes, Relaxed);
         }
-        {
-            let mut probe = mutex_lock(&self.id_probe);
-            for (_, (_, map)) in probe.per_doc.iter() {
-                freed += map.len() as u64 * 64;
+        for arg in concatenated {
+            let text = self.string_value_ref(arg);
+            out.extend(
+                text.split_whitespace()
+                    .filter_map(|token| self.lookup_id(doc, token)),
+            );
+        }
+    }
+
+    /// Lifetime count of `fn:id` probes a document's ID index answered —
+    /// found or not; a value the text pool has never seen is refused before
+    /// it reaches an index and is not counted.  The name dates from a probe
+    /// memo that no longer exists; it is kept for the benchmark adapter and
+    /// retires with it (ROADMAP 1a).
+    pub fn id_probe_hits(&self) -> u64 {
+        self.id_probe_hits.load(Relaxed)
+    }
+
+    /// Drop the store's recomputable memo (string-value concatenations),
+    /// returning an estimate of the bytes freed.
+    ///
+    /// This is the store's contribution to budget *relief* (see
+    /// [`crate::budget`]): under memory pressure a driver trades this
+    /// cache — repopulated lazily, at recompute cost — for headroom before
+    /// failing the query.  Works through `&self`; concurrent readers simply
+    /// see a cold memo afterwards.
+    pub fn release_memory(&self) -> u64 {
+        let mut freed = 0u64;
+        let mut memo = mutex_lock(&self.text_memo);
+        for (_, (_, map)) in memo.per_doc.iter() {
+            for arc in map.values() {
+                freed += arc.len() as u64 + 64;
             }
-            probe.per_doc.clear();
         }
+        memo.per_doc.clear();
         freed
     }
 
@@ -1061,20 +1060,27 @@ impl NodeStore {
         }
     }
 
+    /// The text of an element/document node where no concatenation is
+    /// needed — childless nodes and single-text-child elements, the dominant
+    /// shapes in data-oriented documents.  Takes no lock.
+    fn container_text_direct(&self, node: NodeId) -> Option<ContainerText> {
+        match self.data(node).children.as_slice() {
+            [] => Some(ContainerText::Empty),
+            &[only] => match &self.docs[node.doc as usize].nodes[only as usize].kind {
+                NodeKind::Text(t) => Some(ContainerText::Sym(*t)),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
     /// The concatenated text of an element/document node, memoized per
-    /// document behind the derived-state version tag.  `O(1)` fast paths
-    /// skip the memo for childless nodes and single-text-child elements —
-    /// the dominant shapes in data-oriented documents.
+    /// document behind the derived-state version tag
+    /// ([`container_text_direct`](Self::container_text_direct) shapes skip
+    /// the memo).
     fn container_text(&self, node: NodeId) -> ContainerText {
-        let data = self.data(node);
-        match data.children.as_slice() {
-            [] => return ContainerText::Empty,
-            &[only] => {
-                if let NodeKind::Text(t) = &self.docs[node.doc as usize].nodes[only as usize].kind {
-                    return ContainerText::Sym(*t);
-                }
-            }
-            _ => {}
+        if let Some(direct) = self.container_text_direct(node) {
+            return direct;
         }
         // Force the derived state current *before* consulting the memo: a
         // mutation only marks the document dirty — the version tag the memo
@@ -1094,7 +1100,7 @@ impl NodeStore {
         let (tag, map) = memo
             .per_doc
             .entry(node.doc)
-            .or_insert_with(|| (version, HashMap::new()));
+            .or_insert_with(|| (version, IdMap::default()));
         if *tag != version {
             *tag = version;
             map.clear();
@@ -1113,7 +1119,7 @@ impl NodeStore {
         let (tag, map) = memo
             .per_doc
             .entry(node.doc)
-            .or_insert_with(|| (version, HashMap::new()));
+            .or_insert_with(|| (version, IdMap::default()));
         if *tag == version {
             map.insert(node.node, arc.clone());
         }
@@ -1172,9 +1178,23 @@ impl NodeStore {
         if nodes.len() <= 1 {
             return;
         }
+        let doc = nodes[0].doc;
+        if nodes.iter().all(|n| n.doc == doc) {
+            // One document (every path step of a query over one document):
+            // one guard, sorted and deduplicated in place — by arena index
+            // where that is document order, by rank otherwise.
+            let derived = self.docs[doc as usize].derived();
+            if derived.index_is_order {
+                nodes.sort_unstable_by_key(|n| n.node);
+            } else {
+                nodes.sort_unstable_by_key(|n| derived.order[n.node as usize]);
+            }
+            nodes.dedup();
+            return;
+        }
         // Refresh every involved document once (one read guard per doc),
         // then sort by the cached ranks.
-        let mut guards: HashMap<u32, RwLockReadGuard<'_, Derived>> = HashMap::new();
+        let mut guards: IdMap<u32, RwLockReadGuard<'_, Derived>> = IdMap::default();
         for &n in nodes.iter() {
             guards
                 .entry(n.doc)
@@ -1549,60 +1569,84 @@ mod tests {
         assert_eq!(store.attribute_value(c1, "code"), Some("c1"));
     }
 
+    /// `fn:id` over argument nodes, ordered and deduplicated.
+    fn id_nodes(store: &NodeStore, doc: DocId, args: &[NodeId]) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        store.lookup_id_nodes(doc, args, &mut out);
+        store.sort_distinct(&mut out);
+        out
+    }
+
     #[test]
     fn id_probe_cache_answers_repeats_and_invalidates_on_epoch_bump() {
+        // Named for the probe memo it once pinned; what it holds now is
+        // that neither probe route ever answers from a stale ID index.
         let mut store = NodeStore::new();
         let doc = store
-            .parse_document("<curriculum><course code=\"c1\"/><course code=\"c2\"/></curriculum>")
+            .parse_document(
+                "<curriculum><course code=\"c1\" next=\"c2\"/><course code=\"c2\" title=\"t\"/></curriculum>",
+            )
             .unwrap();
-        // Miss, cached: the second identical probe is a memo hit.
+        let root = store.document_element(doc).unwrap();
+        let c1_elem = store.axis_nodes(root, Axis::Child, &NodeTest::AnyElement)[0];
+        let next = store.axis_nodes(c1_elem, Axis::Attribute, &NodeTest::Name("next".into()));
         assert_eq!(store.lookup_id(doc, "c1"), None);
-        let hits = store.id_probe_hits();
         assert_eq!(store.lookup_id(doc, "c1"), None);
-        assert_eq!(store.id_probe_hits(), hits + 1);
+        assert_eq!(id_nodes(&store, doc, &next), vec![]);
 
-        // Registering an ID attribute bumps the load epoch: the stale
-        // cached miss must NOT survive — the probe now finds the element.
+        // Registering an ID attribute bumps the load epoch: the earlier
+        // misses must NOT survive — both routes now find the elements.
         store.register_id_attribute(doc, "code");
-        let c1 = store.lookup_id(doc, "c1").expect("cache was invalidated");
+        let c1 = store.lookup_id(doc, "c1").expect("index was rebuilt");
         assert_eq!(store.attribute_value(c1, "code"), Some("c1"));
+        let c2 = store.lookup_id(doc, "c2").expect("index was rebuilt");
+        assert_eq!(id_nodes(&store, doc, &next), vec![c2]);
 
-        // Repeated hits after the rebuild come from the memo again.
+        // Every probe the index answers is counted, found or not; a value
+        // the text pool has never seen does not reach it.
         let hits = store.id_probe_hits();
         assert_eq!(store.lookup_id(doc, "c1"), Some(c1));
-        assert_eq!(store.lookup_id(doc, "c1"), Some(c1));
-        assert_eq!(store.id_probe_hits(), hits + 2);
+        assert_eq!(store.lookup_id(doc, "t"), None);
+        assert_eq!(store.lookup_id(doc, "never-interned"), None);
+        assert_eq!(id_nodes(&store, doc, &next), vec![c2]);
+        assert_eq!(store.id_probe_hits(), hits + 3);
 
         // Loading a new document bumps the epoch too; probes against the
         // old document still resolve correctly afterwards.
         let _ = store.parse_document("<x/>").unwrap();
         assert_eq!(store.lookup_id(doc, "c1"), Some(c1));
-        assert_eq!(store.lookup_id(doc, "c2"), store.lookup_id(doc, "c2"));
+        assert_eq!(id_nodes(&store, doc, &next), vec![c2]);
     }
 
     #[test]
     fn id_probe_cache_sees_same_epoch_document_mutation() {
         // Mutating a document (construction) marks it dirty without moving
-        // the load epoch; the per-document memo entries must be dropped on
-        // the next index rebuild so probes see the post-mutation index.
+        // the load epoch; the next probe — by string or by symbol — must
+        // see the post-mutation index.
         let mut store = NodeStore::new();
-        let doc = store.parse_document("<r><a id=\"n1\"/></r>").unwrap();
+        let doc = store
+            .parse_document("<r><a id=\"n1\" to=\"n2\" then=\"n3\"/></r>")
+            .unwrap();
         let n1 = store.lookup_id(doc, "n1").unwrap();
-        assert_eq!(store.lookup_id(doc, "n2"), None); // cached miss
+        let to = store.axis_nodes(n1, Axis::Attribute, &NodeTest::Name("to".into()));
+        let then = store.axis_nodes(n1, Axis::Attribute, &NodeTest::Name("then".into()));
+        assert_eq!(store.lookup_id(doc, "n2"), None);
+        assert_eq!(id_nodes(&store, doc, &to), vec![]);
         let root = store.document_element(doc).unwrap();
         let fresh = store.create_element(doc, QName::local("b"));
         store
             .add_attribute(fresh, QName::local("id"), "n2")
             .unwrap();
         store.append_child(root, fresh).unwrap();
+        assert_eq!(id_nodes(&store, doc, &to), vec![fresh], "miss not stale");
         assert_eq!(store.lookup_id(doc, "n2"), Some(fresh), "miss not stale");
         assert_eq!(store.lookup_id(doc, "n1"), Some(n1));
 
         // The treacherous interleaving: mutate, then let a *different*
         // store operation (a doc-order comparison, as the fixpoint drivers
-        // issue between iterations) trigger the refresh, then probe.  The
-        // memo's version tag — not the dirty flag — must catch this.
-        assert_eq!(store.lookup_id(doc, "n3"), None); // cached miss
+        // issue between iterations) trigger the refresh, then probe.
+        assert_eq!(store.lookup_id(doc, "n3"), None);
+        assert_eq!(id_nodes(&store, doc, &then), vec![]);
         let later = store.create_element(doc, QName::local("c"));
         store
             .add_attribute(later, QName::local("id"), "n3")
@@ -1612,8 +1656,55 @@ mod tests {
         assert_eq!(
             store.lookup_id(doc, "n3"),
             Some(later),
-            "externally triggered refresh must invalidate the memo"
+            "an externally triggered refresh must show in the next probe"
         );
+        assert_eq!(id_nodes(&store, doc, &then), vec![later]);
+    }
+
+    #[test]
+    fn id_over_argument_nodes_tokenises_like_the_string_route() {
+        let mut store = NodeStore::new();
+        let doc = store
+            .parse_document(
+                "<r><e id=\"a\"/><e id=\"b\"/><e id=\"a b\"/>\
+                 <q refs=\" b  a zz\" one=\"a\" both=\"a b\" none=\"\"/>\
+                 <t>b</t><m>a<i/> b</m><n><i>a</i></n><o/></r>",
+            )
+            .unwrap();
+        let other = store.parse_document("<r><e id=\"a\"/></r>").unwrap();
+        let root = store.document_element(doc).unwrap();
+        let kids = store.axis_nodes(root, Axis::Child, &NodeTest::AnyElement);
+        let (a, b, q) = (kids[0], kids[1], kids[3]);
+        let attr = |name: &str| store.axis_nodes(q, Axis::Attribute, &NodeTest::Name(name.into()));
+        // Whole payload as one symbol, IDREFS list, unknown token, empty.
+        assert_eq!(id_nodes(&store, doc, &attr("one")), vec![a]);
+        assert_eq!(id_nodes(&store, doc, &attr("refs")), vec![a, b]);
+        assert_eq!(id_nodes(&store, doc, &attr("none")), vec![]);
+        // "a b" is two tokens, never the ID spelled "a b".
+        assert_eq!(id_nodes(&store, doc, &attr("both")), vec![a, b]);
+        // Element arguments: single text child, genuine concatenations
+        // (mixed content, nested element), no text at all.
+        assert_eq!(id_nodes(&store, doc, &kids[4..5]), vec![b]);
+        assert_eq!(id_nodes(&store, doc, &kids[5..6]), vec![a, b]);
+        assert_eq!(id_nodes(&store, doc, &kids[6..7]), vec![a]);
+        assert_eq!(id_nodes(&store, doc, &kids[7..8]), vec![]);
+        // The anchor document decides where ids resolve, not the argument's.
+        let other_a = store.lookup_id(other, "a").unwrap();
+        assert_eq!(id_nodes(&store, other, &kids[4..7]), vec![other_a]);
+        assert_eq!(id_nodes(&store, DocId(99), &kids[4..7]), vec![]);
+        // Agreement with the string route on every argument at once.
+        let args: Vec<NodeId> = kids[3..].iter().copied().chain(attr("refs")).collect();
+        let mut by_string: Vec<NodeId> = args
+            .iter()
+            .flat_map(|&n| {
+                let value = store.string_value(n);
+                let tokens: Vec<String> = value.split_whitespace().map(String::from).collect();
+                tokens
+            })
+            .filter_map(|token| store.lookup_id(doc, &token))
+            .collect();
+        store.sort_distinct(&mut by_string);
+        assert_eq!(id_nodes(&store, doc, &args), by_string);
     }
 
     #[test]
@@ -1651,6 +1742,31 @@ mod tests {
         shuffled.extend(all.iter().cloned());
         store.sort_distinct(&mut shuffled);
         assert_eq!(shuffled, all);
+    }
+
+    #[test]
+    fn sort_distinct_ranks_a_fragment_whose_index_order_is_not_document_order() {
+        let mut store = NodeStore::new();
+        let doc = sample(&mut store);
+        // Children created before their parent: arena order c1, c2, p but
+        // document order p, c1, c2.
+        let frag = store.new_fragment();
+        let c1 = store.create_element(frag, QName::local("c1"));
+        let c2 = store.create_element(frag, QName::local("c2"));
+        let p = store.create_element(frag, QName::local("p"));
+        store.append_child(p, c1).unwrap();
+        store.append_child(p, c2).unwrap();
+        assert!(!store.index_order_is_document_order(frag));
+        let mut nodes = vec![c2, p, c1, c2, p];
+        store.sort_distinct(&mut nodes);
+        assert_eq!(nodes, vec![p, c1, c2]);
+
+        // Mixed-document input: documents by creation order, ranks within.
+        let root = store.document_element(doc).unwrap();
+        let kids = store.axis_nodes(root, Axis::Child, &NodeTest::AnyElement);
+        let mut mixed = vec![c2, kids[1], p, kids[0], c2, root, kids[1]];
+        store.sort_distinct(&mut mixed);
+        assert_eq!(mixed, vec![root, kids[0], kids[1], p, c2]);
     }
 
     #[test]

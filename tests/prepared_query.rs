@@ -184,10 +184,14 @@ fn auto_strategy_mixes_delta_and_naive_per_occurrence() {
 }
 
 #[test]
-fn auto_backend_mixes_algebraic_and_interpreted_per_occurrence() {
+fn auto_backend_is_bounded_by_capability_and_settled_by_cost() {
     // `position()` inside a predicate is outside the algebraic compiler's
-    // subset, so under Backend::Auto the first occurrence runs on the
-    // relational executor and the second falls back to the interpreter.
+    // subset, so under Backend::Auto the second occurrence can only run on
+    // the interpreter.  The first compiles, which leaves the choice to the
+    // cost model — and since path steps run once per focus set a per-seed
+    // run is cheaper source-level (curriculum S per seed: 1.4 ms against
+    // 4.5 ms on the relational executor), so it goes there too.  Until then
+    // the model sent it to the executor and this query mixed back-ends.
     let mut engine = curriculum_engine();
     engine.set_backend(Backend::Auto);
     let prepared = engine
@@ -201,23 +205,23 @@ fn auto_backend_mixes_algebraic_and_interpreted_per_occurrence() {
 
     let bindings = seed_for(&mut engine, "c1");
     let outcome = prepared.execute(&mut engine, &bindings).unwrap();
-    assert_eq!(
-        outcome.occurrences[0].backend,
-        FixpointBackendTag::Algebraic
-    );
-    assert_eq!(
-        outcome.occurrences[1].backend,
-        FixpointBackendTag::Interpreted
-    );
     // Both compute the same 3-course closure; the sequence constructor
     // concatenates the two results without deduplication.
     assert_eq!(outcome.result.len(), 6);
     assert_eq!(outcome.fixpoints.len(), 2);
+    for (plan, run) in outcome.occurrences.iter().zip(&outcome.fixpoints) {
+        assert_eq!(plan.backend, FixpointBackendTag::Interpreted);
+        assert_eq!(run.backend, FixpointBackendTag::Interpreted);
+    }
+
+    // The compiled plan is still there for whoever asks for it.
+    let forced = engine
+        .prepare(&format!("with $x seeded by $seed recurse {PREREQ_BODY}"))
+        .unwrap()
+        .with_backend(Backend::Algebraic);
+    let outcome = forced.execute(&mut engine, &bindings).unwrap();
     assert_eq!(outcome.fixpoints[0].backend, FixpointBackendTag::Algebraic);
-    assert_eq!(
-        outcome.fixpoints[1].backend,
-        FixpointBackendTag::Interpreted
-    );
+    assert_eq!(outcome.result.len(), 3);
 }
 
 #[test]
