@@ -331,13 +331,6 @@ pub struct ResourceLimits {
     pub deadline: Option<Instant>,
 }
 
-impl ResourceLimits {
-    /// `true` when no limit is set (the default).
-    pub fn is_unlimited(&self) -> bool {
-        *self == ResourceLimits::default()
-    }
-}
-
 /// Per-execution settings for [`PreparedQuery::execute_on`].
 ///
 /// [`PreparedQuery::execute`] derives these from the engine (and never sets
@@ -466,18 +459,6 @@ impl PreparedQuery {
     /// The parsed module.
     pub fn module(&self) -> &QueryModule {
         &self.module
-    }
-
-    /// The [fingerprint](xqy_algebra::Plan::fingerprint) of each
-    /// occurrence's compiled algebraic plan, in syntactic order; `None` for
-    /// occurrences outside the algebraic subset.  Two prepared queries
-    /// whose fingerprints coincide drive identical plans — the identity a
-    /// shared plan cache exposes for observability.
-    pub fn plan_fingerprints(&self) -> Vec<Option<u64>> {
-        self.occurrences
-            .iter()
-            .map(|occ| occ.compiled.as_ref().ok().map(|c| c.plan.fingerprint()))
-            .collect()
     }
 
     /// A copy of this prepared artifact with **fresh** persistent

@@ -6,26 +6,33 @@
 //!
 //! * a **writer master** (`Mutex<NodeStore>`) that [`load_document`]
 //!   (QueryService::load_document) and friends mutate, and
-//! * the **published snapshot** (`RwLock<Arc<Published>>`): an immutable,
-//!   eagerly refreshed clone of the master that queries read.
+//! * the **published snapshot** (`RwLock<Arc<PublishedSnapshot>>`): an
+//!   immutable clone of the master that queries read.
 //!
-//! [`publish`](QueryService::publish) clones the master under the writer
-//! lock, pre-builds its derived state ([`NodeStore::refresh_all`]) and
-//! atomically swaps the `Arc` in.  A query pins the `Arc` current at its
-//! start and keeps it for its whole execution — a concurrent republish
-//! never changes data under a running query, and dropping the last pin
-//! frees the superseded snapshot.  Because the swap replaces a whole
-//! `Arc<Published>` (store + epoch + revision built before the swap), no
-//! reader can observe a half-published store.  Publication is also
-//! **all-or-nothing under failure**: the fresh snapshot is built fully
-//! before the published slot is touched, so a panic or injected fault
-//! mid-clone or mid-refresh leaves the previous snapshot installed and
-//! the plan cache un-invalidated.
+//! Documents are immutable shared values (see [`xqy_ifp::xdm::store`]), so
+//! a clone of the master is one pointer per document: the snapshot shares
+//! every document, and everything derived from it, with the master and
+//! with the snapshots before it.  [`publish`](QueryService::publish)
+//! clones the master under the writer lock, builds the derived state of
+//! the documents that do not have it yet ([`NodeStore::refresh_all`] —
+//! those loaded or changed since the last publication) and atomically
+//! swaps the `Arc` in; its cost follows what changed, not what is stored.
+//! A query pins the `Arc` current at its start and keeps it for its whole
+//! execution — a concurrent republish never changes data under a running
+//! query, and dropping the last pin frees what only the superseded
+//! snapshot held.  Because the swap replaces a whole
+//! `Arc<PublishedSnapshot>` (store + epoch + revision built before the
+//! swap), no reader can observe a half-published store.  Publication is
+//! also **all-or-nothing under failure**: the fresh snapshot is built
+//! fully before the published slot is touched, so a panic or injected
+//! fault mid-clone or mid-refresh leaves the previous snapshot installed
+//! and the plan cache un-invalidated.
 //!
 //! Queries whose bodies *construct* nodes never write to the shared
 //! snapshot: each execution wraps its pinned `Arc<NodeStore>` in a
-//! [`CowStore`], so the first construction clones the store privately and
-//! all other sessions keep reading the shared copy unblocked.
+//! [`CowStore`], so the first construction switches the session to a store
+//! of its own — sharing every published document, adding its fragments —
+//! and all other sessions keep reading the snapshot unblocked.
 //!
 //! # Failure domains
 //!
@@ -307,8 +314,20 @@ impl QueryService {
     }
 
     /// Atomically publish the writer master's current state: clone it,
-    /// eagerly rebuild its derived state, and swap it in as the snapshot
-    /// new queries pin.  In-flight queries keep the snapshot they pinned.
+    /// build whatever derived state is missing, and swap it in as the
+    /// snapshot new queries pin.  In-flight queries keep the snapshot they
+    /// pinned.
+    ///
+    /// The clone copies no node: the snapshot shares every document with
+    /// the master, and so with the previous snapshot every document that
+    /// did not change in between, derived state included.  `refresh_all`
+    /// therefore builds order ranks, ID index and statistics only for
+    /// documents loaded (or given a new ID declaration) since they were
+    /// last built, and the statistics fingerprint is a sum over
+    /// per-document summaries.  The one O(document) copy left is on the
+    /// writer's side: declaring an ID attribute on a document a snapshot
+    /// still shares copies that document.
+    ///
     /// If the load epoch moved since the previous publication (documents
     /// or ID registrations changed), the plan cache is invalidated
     /// *before* the swap becomes visible: pinning the new snapshot
@@ -337,8 +356,9 @@ impl QueryService {
             })
         }));
         // The unwind was caught before the writer guard dropped, so the
-        // lock is not poisoned, and cloning only *read* the master.  Only
-        // a fully built snapshot reaches the swap below.
+        // lock is not poisoned, and cloning only *read* the master (derived
+        // state built on the way is the documents' own and stays valid).
+        // Only a fully built snapshot reaches the swap below.
         let fresh = match built {
             Ok(result) => result?,
             Err(payload) => {
@@ -485,7 +505,8 @@ impl QueryService {
         let cache_outcome = lease.outcome;
 
         // Copy-on-write view: reads are served by the shared snapshot; a
-        // construction body diverges privately instead of blocking anyone.
+        // construction body gets a store of its own (one pointer per
+        // published document) instead of blocking anyone.
         let started = Instant::now();
         let mut cow = CowStore::new(Arc::clone(&pinned.store));
         let mut limits = self.config.limits;
@@ -681,7 +702,8 @@ fn jittered(delay: Duration, state: &mut u64) -> Duration {
     delay.mul_f64(0.5 + (z % 1024) as f64 / 2048.0)
 }
 
-/// Clone `master` into a fresh, eagerly refreshed published snapshot.
+/// Clone `master` into a fresh published snapshot with all derived state
+/// built.
 fn publish_clone(master: &NodeStore) -> PublishedSnapshot {
     let clone = master.clone();
     clone.refresh_all();
@@ -813,9 +835,9 @@ mod tests {
     fn published_snapshots_share_the_text_pool() {
         let service = service_with_curriculum();
         let first = service.published();
-        // Publishing an unchanged master is O(1) on the text plane: the
-        // clone shares the writer's payload table, so consecutive
-        // snapshots point at one storage.
+        // Publishing an unchanged master copies no text: the clone shares
+        // the writer's payload table, so consecutive snapshots point at
+        // one storage.
         let second = service.publish().unwrap();
         assert!(first.store.shares_text_pool(&second.store));
         assert_eq!(first.store.text_pool_id(), second.store.text_pool_id());

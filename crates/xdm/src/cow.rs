@@ -6,16 +6,19 @@
 //! construction performed by one session must never be visible to (or block)
 //! another.  [`CowStore`] resolves this per session: it starts as a cheap
 //! shared handle on the published store and transparently switches to a
-//! private deep clone on the first write ([`Arc::make_mut`]), so
-//! construction-free queries share one store while constructing queries pay
-//! for their own copy — and only they do.
+//! private store on the first write ([`Arc::make_mut`]).  That private
+//! store is a [`NodeStore::clone`]: one pointer per document, every
+//! document and its derived state still shared with the published store.
+//! What the session then constructs goes into fresh fragments of its own,
+//! so a constructing query pays for the nodes it builds and not for the
+//! documents it reads.
 //!
 //! [`StoreMut`] is the uniform handle the evaluator and the plan executor
 //! thread through their call stacks: either classic exclusive access
 //! (`&mut NodeStore`, the single-query engine path) or a copy-on-write
 //! session store.  It `Deref`s to [`NodeStore`] so read paths are untouched;
 //! `DerefMut` routes through [`CowStore::write`], which is where the
-//! one-time clone happens.
+//! one-time switch happens.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -24,9 +27,10 @@ use crate::store::NodeStore;
 
 /// A session-private copy-on-write view of a shared [`NodeStore`].
 ///
-/// Cloning the handle's `Arc` is O(1); the backing store is deep-cloned at
-/// most once, on the first [`write`](CowStore::write) while the `Arc` is
-/// still shared.  The clone preserves every [`NodeId`](crate::NodeId), the
+/// Cloning the handle's `Arc` is O(1); the backing store is cloned at most
+/// once — O(documents), no node copied — on the first
+/// [`write`](CowStore::write) while the `Arc` is still shared.  The clone
+/// preserves every [`NodeId`](crate::NodeId), the
 /// [load epoch](NodeStore::load_epoch) and the
 /// [revision](NodeStore::revision), so node handles, caches keyed on the
 /// epoch, and document-order state all remain valid across the switch.
@@ -46,20 +50,14 @@ impl CowStore {
         }
     }
 
-    /// Wrap an owned store (the handle is the sole owner; writes never
-    /// clone).
-    pub fn from_store(store: NodeStore) -> Self {
-        CowStore::new(Arc::new(store))
-    }
-
     /// Read access to the (possibly still shared) store.
     pub fn read(&self) -> &NodeStore {
         &self.inner
     }
 
-    /// Write access.  If the store is still shared this deep-clones it
-    /// first ([`Arc::make_mut`]) — from then on the handle owns a private
-    /// copy and later writes are free.
+    /// Write access.  If the store is still shared this clones it first
+    /// ([`Arc::make_mut`]; the clone shares every document) — from then on
+    /// the handle owns a private store and later writes are free.
     pub fn write(&mut self) -> &mut NodeStore {
         self.diverged = true;
         Arc::make_mut(&mut self.inner)

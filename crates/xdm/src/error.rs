@@ -24,26 +24,6 @@ pub enum XdmError {
     WrongNodeKind(String),
     /// A value could not be cast to the requested atomic type.
     InvalidCast(String),
-    /// A [`SnapshotPin`](crate::store::SnapshotPin) could not be frozen
-    /// because the store was mutated after the pin was taken.  Rejecting
-    /// the freeze (instead of silently reading moved data) is what makes
-    /// the parallel fixpoint drivers' freeze boundary safe.
-    ///
-    /// # Staleness contract
-    ///
-    /// A pin records the store's [`load_epoch`](crate::NodeStore::load_epoch)
-    /// and [`revision`](crate::NodeStore::revision) at the moment it was
-    /// taken.  [`freeze`](crate::store::SnapshotPin::freeze) succeeds iff
-    /// *both* counters still match — i.e. no document was loaded **and** no
-    /// node was constructed or mutated in between.  Any mutation therefore
-    /// permanently invalidates every pin taken before it; a stale pin can
-    /// never become fresh again and must be re-taken with
-    /// [`pin`](crate::NodeStore::pin).  Callers who only need to measure
-    /// drift without freezing can compare
-    /// [`SnapshotPin::age`](crate::store::SnapshotPin::age) /
-    /// [`SnapshotPin::is_current`](crate::store::SnapshotPin::is_current)
-    /// instead of trying and failing.
-    StaleSnapshot(String),
 }
 
 impl XdmError {
@@ -65,7 +45,6 @@ impl fmt::Display for XdmError {
             XdmError::DanglingNode(msg) => write!(f, "dangling node reference: {msg}"),
             XdmError::WrongNodeKind(msg) => write!(f, "wrong node kind: {msg}"),
             XdmError::InvalidCast(msg) => write!(f, "invalid cast: {msg}"),
-            XdmError::StaleSnapshot(msg) => write!(f, "stale store snapshot: {msg}"),
         }
     }
 }

@@ -240,14 +240,6 @@ pub fn configure(site: &str, action: FaultAction, trigger: FaultTrigger) {
     STATE.store(ARMED, Ordering::Release);
 }
 
-/// Arm failpoints from a spec string (same grammar as `XQY_FAULTS`).
-pub fn configure_str(spec: &str) -> Result<(), String> {
-    for (site, action, trigger) in parse_spec(spec)? {
-        configure(&site, action, trigger);
-    }
-    Ok(())
-}
-
 /// Disarm every failpoint and forget its hit counts.
 pub fn reset() {
     lock_registry().clear();

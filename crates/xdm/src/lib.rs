@@ -63,7 +63,7 @@ pub use nodeset::NodeSet;
 pub use ops::{ddo, ddo_vec, intersect, is_subset, node_except, node_union, set_equal};
 pub use sequence::Sequence;
 pub use stats::{DocumentStatistics, StoreStatistics};
-pub use store::{DocId, NodeStore, SnapshotPin, StoreSnapshot, StrView};
+pub use store::{DocId, NodeStore, StrView};
 pub use value::{AtomicValue, Item, UText};
 
 /// Convenient result alias used throughout the crate.

@@ -391,10 +391,9 @@ impl NodeSet {
     /// emitted straight from the bitmap; only documents whose order
     /// diverged pay for a rank sort.
     ///
-    /// Materialization is a pure read: it works through `&NodeStore` (or a
-    /// [`crate::store::StoreSnapshot`]), so set results can be rendered
-    /// from shared references — including concurrently from the parallel
-    /// drivers' shards.
+    /// Materialization is a pure read: it works through `&NodeStore`, so
+    /// set results can be rendered from shared references — including
+    /// concurrently from the parallel drivers' shards.
     pub fn to_vec(&self, store: &NodeStore) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.len);
         for (&doc, words) in &self.docs {

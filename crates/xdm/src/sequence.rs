@@ -142,16 +142,6 @@ impl Sequence {
         }
     }
 
-    /// Build a node sequence sharing an existing id buffer (O(1), no copy).
-    pub fn from_shared_nodes(nodes: Arc<Vec<NodeId>>) -> Self {
-        Sequence {
-            repr: Repr::Nodes(NodeSeq {
-                ids: nodes,
-                items: OnceLock::new(),
-            }),
-        }
-    }
-
     /// Number of items.
     pub fn len(&self) -> usize {
         match &self.repr {

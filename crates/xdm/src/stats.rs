@@ -1,9 +1,10 @@
 //! Store statistics for cost-based plan selection.
 //!
-//! [`crate::NodeStore::statistics`] walks every document once per store
-//! [`revision`](crate::NodeStore::revision) and summarizes the shape of the
-//! data: node counts per kind, child-axis fanout, tree depth, `id()` index
-//! density and text-pool size.  The cost model in `xqy_core::cost` feeds
+//! Every document is summarized once — with the rest of its derived state,
+//! shared by every store holding it — into a [`DocumentStatistics`]: node
+//! counts per kind, child-axis fanout, tree depth, `id()` index size.
+//! [`crate::NodeStore::statistics`] adds those up, with the text-pool size,
+//! into a [`StoreStatistics`].  The cost model in `xqy_core::cost` feeds
 //! these numbers into its per-alternative formulas, and the service layer
 //! folds [`StoreStatistics::fingerprint`] into plan-cache keys so a
 //! republish with materially different data re-costs instead of reusing a
@@ -46,10 +47,11 @@ impl DocumentStatistics {
     }
 }
 
-/// Shape summary of a whole [`crate::NodeStore`], memoized per revision.
+/// Shape summary of a whole [`crate::NodeStore`]: the sum of its documents'
+/// summaries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoreStatistics {
-    /// The [`crate::NodeStore::revision`] these statistics were computed at.
+    /// The [`crate::NodeStore::revision`] these statistics were assembled at.
     pub revision: u64,
     /// Number of documents (parsed or constructed fragments).
     pub documents: u64,
@@ -70,15 +72,6 @@ impl StoreStatistics {
             1.0
         } else {
             self.totals.child_links as f64 / self.totals.parents as f64
-        }
-    }
-
-    /// Fraction of elements carrying an ID-typed attribute (0.0..=1.0).
-    pub fn id_density(&self) -> f64 {
-        if self.totals.elements == 0 {
-            0.0
-        } else {
-            self.totals.id_entries as f64 / self.totals.elements as f64
         }
     }
 

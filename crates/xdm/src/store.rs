@@ -12,37 +12,45 @@
 //! * cheap, index-based navigation for all XPath axes.
 //!
 //! Trees are mutable while they are being built (constructors append children
-//! one by one); document-order ranks and the ID index are recomputed lazily
-//! whenever a document has been mutated since the last query.
+//! one by one); document-order ranks, the ID index and the shape statistics
+//! are computed on first use after a mutation.
 //!
 //! # Sharing a store across threads
 //!
-//! Node data itself (`NodeData`, parent/child links, attribute payloads) is
-//! only ever mutated through `&mut NodeStore`, so shared references never
-//! race on it.  The *derived* per-document state — document-order ranks and
-//! the ID index, which are rebuilt lazily on first access after a mutation —
-//! lives behind a per-document `RwLock`: readers of an up-to-date document
-//! share the read lock, and the first reader after a mutation rebuilds under
-//! the write lock.  Every read-only operation (document order,
-//! `sort_distinct`, `fn:id` probes) therefore works through `&NodeStore`,
-//! and an `id()` probe is one read guard plus one probe of that index —
-//! there is no memo in front of it and no store-wide lock on the way.  The
-//! two memos that remain (string-value concatenations, statistics) sit
-//! behind a `Mutex` each; the string-value memo is skipped, not queued on,
-//! under contention.
-//! `NodeStore` is therefore [`Sync`] and a frozen [`StoreSnapshot`] can be
-//! handed to a scoped thread pool; see [`NodeStore::pin`] /
-//! [`NodeStore::snapshot`] for the freeze protocol.
+//! A document is an immutable shared value.  The store holds its documents
+//! as `Arc<Document>`, so cloning a store (a session's copy-on-write
+//! divergence, the service's `publish()`) copies one pointer per document
+//! and no node.  Every mutation goes through one private function,
+//! `doc_mut`: it takes the document exclusively ([`Arc::make_mut`] — a
+//! document some other store still holds is copied first, and only that
+//! document) and drops its derived state.
+//!
+//! Everything derived from a document's nodes and ID declarations — order
+//! ranks, the ID index, whether arena order is document order, its
+//! [`DocumentStatistics`], and the memo of its string-value concatenations
+//! — lives in one `OnceLock` inside the document.  It is built by whichever
+//! reader needs it first, through `&NodeStore`, and every store, snapshot
+//! and session holding that document then reads the same copy.  "Is this
+//! derived state stale?" is answered by ownership, not by a tag: a shared
+//! document cannot change, and a mutated one has had its derived state
+//! taken away.  An `id()` probe is therefore one atomic load plus one probe
+//! of that index; the only lock on a read path is the per-document `Mutex`
+//! around the string-value memo, held for a lookup or an insert and never
+//! while a concatenation is rendered.  `NodeStore` is [`Sync`]: the parallel
+//! fixpoint drivers hand one `&NodeStore` to every shard of a scoped thread
+//! pool.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::error::XdmError;
 use crate::hash::IdMap;
 use crate::intern::{StrId, TextPool};
 use crate::node::{Axis, NodeId, NodeKind, NodeTest, QName};
+use crate::stats::{DocumentStatistics, StoreStatistics};
 use crate::value::UText;
 use crate::Result;
 
@@ -61,56 +69,66 @@ struct NodeData {
     attributes: Vec<u32>,
 }
 
-/// Lazily rebuilt per-document state: document-order ranks and the ID
-/// index.  Kept behind a `RwLock` so the rebuild can happen through a
-/// shared `&NodeStore` reference (readers of an up-to-date document take
-/// the read lock only).
-#[derive(Debug, Clone)]
+/// Everything computed from a document's nodes and ID declarations, built
+/// once per document value and shared by every store holding it.
+#[derive(Debug)]
 struct Derived {
     /// `order[i]` is the document-order rank of node `i`.
     order: Vec<u32>,
     /// Map from ID value (as its text-pool symbol) to the first element
-    /// carrying it.  Keying on [`StrId`] makes the rebuild allocation-free
+    /// carrying it.  Keying on [`StrId`] makes the build allocation-free
     /// and lets `fn:id` probe with an argument node's payload symbol as is.
     id_index: IdMap<StrId, u32>,
-    /// Set when the document has been mutated since the last rebuild.
-    dirty: bool,
     /// `true` when arena index order coincides with document order (always
     /// the case for parsed documents; constructed fragments may diverge).
     /// Lets [`crate::NodeSet`] emit document order straight from its bitmaps.
     index_is_order: bool,
-    /// Bumped every time a rebuild actually happens.  Caches of
-    /// per-document derived state (the string-value memo) compare this to
-    /// detect that a rebuild happened — regardless of *which* store
-    /// operation triggered it.
-    version: u64,
+    /// The document's share of [`NodeStore::statistics`].
+    stats: DocumentStatistics,
+    /// Memo of element/document `string_value` concatenations by arena
+    /// index — atomizing the same element across fixpoint iterations
+    /// re-renders nothing.  Filled through shared references, hence the
+    /// `Mutex`; it only ever holds values that are true of this document.
+    text_memo: Mutex<IdMap<u32, Arc<str>>>,
 }
 
 impl Derived {
-    fn new() -> Self {
+    fn build(nodes: &[NodeData], id_attr_names: &[String]) -> Self {
+        let mut order = vec![0; nodes.len()];
+        let mut rank = 0u32;
+        // Every node that has no parent is a root of its own fragment;
+        // fragments are ordered by arena index of their roots.
+        for root in 0..nodes.len() as u32 {
+            if nodes[root as usize].parent.is_none() {
+                assign_order(nodes, &mut order, root, &mut rank);
+            }
+        }
+        let id_index = build_id_index(nodes, id_attr_names);
         Derived {
-            order: Vec::new(),
-            id_index: IdMap::default(),
-            dirty: true,
-            index_is_order: true,
-            version: 0,
+            index_is_order: order.windows(2).all(|w| w[0] < w[1]),
+            order,
+            stats: document_statistics(nodes, id_index.len() as u64),
+            id_index,
+            text_memo: Mutex::default(),
         }
     }
 }
 
-/// Take a lock even if a previous holder panicked: the guarded data is
-/// rebuilt-from-scratch derived state (or a memo), so a half-finished
-/// update is repaired by the `dirty` / version protocol, not poisoned.
-fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(|e| e.into_inner())
-}
-
+/// Take the memo lock even if a previous holder panicked: every update is
+/// one whole-entry insert, so the map is valid at every step.
 fn mutex_lock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// What one memoized concatenation is accounted at against a
+/// [`QueryBudget`](crate::QueryBudget): charged on insert, credited by
+/// [`NodeStore::release_memory`].
+fn memo_cost(text: &str) -> u64 {
+    text.len() as u64 + 64
+}
+
 /// A single document (or constructed tree fragment) in the store.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Document {
     nodes: Vec<NodeData>,
     /// Attribute names treated as ID-typed (in addition to `xml:id`/`id`).
@@ -118,87 +136,28 @@ struct Document {
     /// Optional URI this document was loaded under (used by `fn:doc`).
     /// Shares one allocation with the store's `by_uri` key.
     uri: Option<Arc<str>>,
-    /// Lazily recomputed order ranks / ID index; see [`Derived`].
-    derived: RwLock<Derived>,
+    /// Built on first use, dropped by `NodeStore::doc_mut`; see [`Derived`].
+    derived: OnceLock<Derived>,
 }
 
+/// The copy `NodeStore::doc_mut` makes of a document another store still
+/// holds.  It is about to be mutated, so its derived state starts unbuilt.
 impl Clone for Document {
     fn clone(&self) -> Self {
         Document {
             nodes: self.nodes.clone(),
             id_attr_names: self.id_attr_names.clone(),
             uri: self.uri.clone(),
-            derived: RwLock::new(read_lock(&self.derived).clone()),
+            derived: OnceLock::new(),
         }
     }
 }
 
 impl Document {
-    fn new() -> Self {
-        Document {
-            nodes: Vec::new(),
-            id_attr_names: Vec::new(),
-            uri: None,
-            derived: RwLock::new(Derived::new()),
-        }
-    }
-
-    fn push(&mut self, data: NodeData) -> u32 {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(data);
-        self.mark_dirty();
-        idx
-    }
-
-    /// Flag the derived state as stale.  Only callable with exclusive
-    /// access, so this never contends with concurrent readers.
-    fn mark_dirty(&mut self) {
+    fn derived(&self) -> &Derived {
         self.derived
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .dirty = true;
+            .get_or_init(|| Derived::build(&self.nodes, &self.id_attr_names))
     }
-
-    /// The up-to-date derived state, rebuilding it first if the document
-    /// was mutated since the last rebuild.  Works through `&self`: readers
-    /// of a clean document share a read lock; the first reader after a
-    /// mutation takes the write lock and rebuilds.  (std's `RwLock` cannot
-    /// downgrade a write guard, hence the re-acquire loop; a racing second
-    /// rebuild attempt sees `dirty == false` and skips.)
-    fn derived(&self) -> RwLockReadGuard<'_, Derived> {
-        loop {
-            let guard = read_lock(&self.derived);
-            if !guard.dirty {
-                return guard;
-            }
-            drop(guard);
-            let mut guard = self.derived.write().unwrap_or_else(|e| e.into_inner());
-            if guard.dirty {
-                rebuild_derived(&self.nodes, &self.id_attr_names, &mut guard);
-            }
-        }
-    }
-}
-
-/// Rebuild `derived` from the node arena (order ranks, `index_is_order`,
-/// ID index), bumping its version tag.
-fn rebuild_derived(nodes: &[NodeData], id_attr_names: &[String], derived: &mut Derived) {
-    derived.version += 1;
-    derived.order = vec![0; nodes.len()];
-    derived.id_index.clear();
-    if !nodes.is_empty() {
-        let mut rank = 0u32;
-        // Every node that has no parent is a root of its own fragment;
-        // fragments are ordered by arena index of their roots.
-        for root in 0..nodes.len() as u32 {
-            if nodes[root as usize].parent.is_none() {
-                assign_order(nodes, &mut derived.order, root, &mut rank);
-            }
-        }
-    }
-    derived.index_is_order = derived.order.windows(2).all(|w| w[0] < w[1]);
-    rebuild_id_index(nodes, id_attr_names, &mut derived.id_index);
-    derived.dirty = false;
 }
 
 fn assign_order(nodes: &[NodeData], order: &mut [u32], node: u32, rank: &mut u32) {
@@ -213,11 +172,8 @@ fn assign_order(nodes: &[NodeData], order: &mut [u32], node: u32, rank: &mut u32
     }
 }
 
-fn rebuild_id_index(
-    nodes: &[NodeData],
-    id_attr_names: &[String],
-    id_index: &mut IdMap<StrId, u32>,
-) {
+fn build_id_index(nodes: &[NodeData], id_attr_names: &[String]) -> IdMap<StrId, u32> {
+    let mut id_index = IdMap::default();
     for (idx, node) in nodes.iter().enumerate() {
         if !node.kind.is_element() {
             continue;
@@ -233,15 +189,42 @@ fn rebuild_id_index(
             }
         }
     }
+    id_index
 }
 
-/// Memo of element/document `string_value` concatenations, one map per
-/// document, each tagged with the `Derived::version` it was built against:
-/// entries survive exactly as long as the document's derived state,
-/// whichever store operation triggered the rebuild.
-#[derive(Debug, Default, Clone)]
-struct TextMemoCache {
-    per_doc: IdMap<u32, (u64, IdMap<u32, Arc<str>>)>,
+fn document_statistics(nodes: &[NodeData], id_entries: u64) -> DocumentStatistics {
+    let mut d = DocumentStatistics {
+        nodes: nodes.len() as u64,
+        id_entries,
+        ..Default::default()
+    };
+    for node in nodes {
+        match node.kind {
+            NodeKind::Element(_) => d.elements += 1,
+            NodeKind::Attribute(..) => d.attributes += 1,
+            NodeKind::Text(_) => d.text_nodes += 1,
+            _ => {}
+        }
+        let fanout = node.children.len() as u64;
+        if fanout > 0 {
+            d.parents += 1;
+            d.child_links += fanout;
+            d.max_fanout = d.max_fanout.max(fanout);
+        }
+    }
+    // Depth via DFS along child links from each parentless root;
+    // attributes count as nodes but not as depth.
+    let mut stack: Vec<(u32, u64)> = (0..nodes.len() as u32)
+        .filter(|&i| nodes[i as usize].parent.is_none())
+        .map(|i| (i, 0))
+        .collect();
+    while let Some((idx, depth)) = stack.pop() {
+        d.max_depth = d.max_depth.max(depth);
+        for &c in &nodes[idx as usize].children {
+            stack.push((c, depth + 1));
+        }
+    }
+    d
 }
 
 /// A node's string value without a forced render: borrowed straight from
@@ -303,7 +286,7 @@ enum ContainerText {
     Empty,
     /// Exactly one text child — its pool symbol, no concatenation needed.
     Sym(StrId),
-    /// A genuine concatenation (usually from the per-document memo).
+    /// A genuine concatenation, from the document's memo.
     Concat(Arc<str>),
 }
 
@@ -312,7 +295,9 @@ enum ContainerText {
 /// See the [module documentation](self) for the design rationale.
 #[derive(Debug, Default)]
 pub struct NodeStore {
-    docs: Vec<Document>,
+    /// Shared, immutable document values; mutated only through
+    /// [`doc_mut`](NodeStore::doc_mut).
+    docs: Vec<Arc<Document>>,
     /// URI → document index, for `fn:doc` stability (same URI, same nodes).
     /// Keys share their allocation with `Document::uri`.
     by_uri: HashMap<Arc<str>, u32>,
@@ -332,42 +317,33 @@ pub struct NodeStore {
     load_epoch: u64,
     /// Bumped by **every** mutating method (node construction, attachment,
     /// parses, ID registrations).  Unlike `load_epoch` (which deliberately
-    /// ignores construction) and the per-document `Derived::version` (which
-    /// can move during a read-triggered lazy rebuild), this counter moves
-    /// exactly when the store's node data could have changed — it is the
-    /// staleness boundary the [`SnapshotPin`] / [`StoreSnapshot`] freeze
-    /// protocol validates against.
+    /// ignores construction), this counter moves exactly when the store's
+    /// node data could have changed; the service layer names a published
+    /// snapshot by it.
     revision: u64,
     /// Lifetime count of `fn:id` probes answered by a document's ID index
     /// ([`NodeStore::id_probe_hits`]).  Monotonic telemetry that publishes
     /// no other data, so `Relaxed` ordering suffices.
     id_probe_hits: AtomicU64,
-    /// Memo of element/document `string_value` concatenations — atomizing
-    /// the same element across fixpoint iterations re-renders nothing.
-    /// Invalidated per document by the `Derived::version` tag (see
-    /// [`TextMemoCache`]); behind a `Mutex` so shared (snapshot) read paths
-    /// can fill it.
-    text_memo: Mutex<TextMemoCache>,
-    /// Memo of [`NodeStore::statistics`], keyed on the revision it was
-    /// computed at (`StoreStatistics::revision`).  Behind a `Mutex` so the
-    /// cost model can pull statistics through shared (snapshot) reads.
-    stats_memo: Mutex<Option<Arc<crate::stats::StoreStatistics>>>,
+    /// [`NodeStore::statistics`] as last assembled; emptied by every
+    /// mutation ([`touch`](NodeStore::touch)).
+    stats: OnceLock<Arc<StoreStatistics>>,
 }
 
+/// O(documents): one pointer per document, no node.  The clone shares every
+/// document — derived state included, built or not — and the text pool with
+/// `self` until either side mutates.
 impl Clone for NodeStore {
     fn clone(&self) -> Self {
         NodeStore {
             docs: self.docs.clone(),
             by_uri: self.by_uri.clone(),
-            // O(1): the clone shares the payload table until either side
-            // interns a new string (see [`TextPool`]).
             text: self.text.clone(),
             nodes_created: self.nodes_created,
             load_epoch: self.load_epoch,
             revision: self.revision,
             id_probe_hits: AtomicU64::new(self.id_probe_hits.load(Relaxed)),
-            text_memo: Mutex::new(mutex_lock(&self.text_memo).clone()),
-            stats_memo: Mutex::new(mutex_lock(&self.stats_memo).clone()),
+            stats: self.stats.clone(),
         }
     }
 }
@@ -422,8 +398,6 @@ impl NodeStore {
     }
 
     /// The store's mutation revision: bumped by every mutating method.
-    /// This is the staleness boundary of the snapshot freeze protocol —
-    /// see [`NodeStore::pin`].
     pub fn revision(&self) -> u64 {
         self.revision
     }
@@ -437,34 +411,53 @@ impl NodeStore {
     // Document management
     // ------------------------------------------------------------------
 
+    /// Record that the store is about to change: moves the revision and
+    /// drops the statistics assembled for the previous one.
+    fn touch(&mut self) {
+        self.revision += 1;
+        self.stats.take();
+    }
+
+    /// Exclusive access to one document — the only way a document is ever
+    /// mutated.  A document another store still holds is copied first (that
+    /// document, no other); its derived state is dropped either way, so a
+    /// reader can never meet derived state older than the nodes.
+    fn doc_mut(&mut self, doc: u32) -> &mut Document {
+        self.touch();
+        let d = Arc::make_mut(&mut self.docs[doc as usize]);
+        d.derived.take();
+        d
+    }
+
+    fn push_document(&mut self, doc: Document) -> DocId {
+        self.touch();
+        self.docs.push(Arc::new(doc));
+        DocId(self.docs.len() as u32 - 1)
+    }
+
     /// Create a fresh, empty document with a document node as its root.
     pub fn new_document(&mut self) -> DocId {
-        let mut doc = Document::new();
-        doc.push(NodeData {
+        let mut doc = Document::default();
+        doc.nodes.push(NodeData {
             kind: NodeKind::Document,
             parent: None,
             children: Vec::new(),
             attributes: Vec::new(),
         });
         self.nodes_created += 1;
-        self.revision += 1;
-        self.docs.push(doc);
-        DocId(self.docs.len() as u32 - 1)
+        self.push_document(doc)
     }
 
     /// Create a fresh document *without* a document node; used for trees
     /// built by element constructors, whose roots are parentless elements.
     pub fn new_fragment(&mut self) -> DocId {
-        self.docs.push(Document::new());
-        self.revision += 1;
-        DocId(self.docs.len() as u32 - 1)
+        self.push_document(Document::default())
     }
 
     /// Parse `text` as an XML document and add it to the store.
     pub fn parse_document(&mut self, text: &str) -> Result<DocId> {
         let doc = crate::parse::parse_into(self, text)?;
         self.load_epoch = fresh_load_epoch();
-        self.revision += 1;
         Ok(doc)
     }
 
@@ -474,24 +467,17 @@ impl NodeStore {
         if let Some(&idx) = self.by_uri.get(uri) {
             return Ok(DocId(idx));
         }
-        let doc = crate::parse::parse_into(self, text)?;
+        let doc = self.parse_document(text)?;
         // One allocation, shared by the document record and the URI index.
         let uri: Arc<str> = Arc::from(uri);
-        self.docs[doc.0 as usize].uri = Some(uri.clone());
+        self.doc_mut(doc.0).uri = Some(uri.clone());
         self.by_uri.insert(uri, doc.0);
-        self.load_epoch = fresh_load_epoch();
-        self.revision += 1;
         Ok(doc)
     }
 
     /// Look up a document previously registered under `uri`.
     pub fn doc(&self, uri: &str) -> Option<DocId> {
         self.by_uri.get(uri).map(|&idx| DocId(idx))
-    }
-
-    /// The URI a document was registered under, if any.
-    pub fn document_uri(&self, doc: DocId) -> Option<&str> {
-        self.docs.get(doc.0 as usize).and_then(|d| d.uri.as_deref())
     }
 
     /// The document node (node 0) of `doc`, if the document has one.
@@ -514,24 +500,22 @@ impl NodeStore {
 
     /// Declare that attributes named `name` are ID-typed in `doc` (mirrors a
     /// DTD `#ID` declaration, e.g. `code` in the paper's curriculum data).
+    /// On a document other stores share this is the one O(document) copy a
+    /// writer pays: the ID index is part of the shared derived state.
     pub fn register_id_attribute(&mut self, doc: DocId, name: &str) {
-        if let Some(d) = self.docs.get_mut(doc.0 as usize) {
-            if !d.id_attr_names.iter().any(|n| n == name) {
-                d.id_attr_names.push(name.to_string());
-                d.mark_dirty();
-                self.load_epoch = fresh_load_epoch();
-                self.revision += 1;
-            }
+        let declared = |d: &Arc<Document>| d.id_attr_names.iter().any(|n| n == name);
+        if self.docs.get(doc.0 as usize).is_some_and(|d| !declared(d)) {
+            self.doc_mut(doc.0).id_attr_names.push(name.to_string());
+            self.load_epoch = fresh_load_epoch();
         }
     }
 
     /// Find the element in `doc` whose ID-typed attribute equals `value`.
     ///
-    /// One probe of the document's ID index under its read guard (the index
-    /// is rebuilt first if the document was mutated since the last rebuild,
-    /// so a probe never sees a stale index).  Works from shared references,
-    /// including snapshot reads from several threads: readers of a clean
-    /// document share the guard and nothing else is locked.  The index is
+    /// One probe of the document's ID index (built first if this is the
+    /// first read since the document was mutated, so a probe never sees a
+    /// stale index).  Works from shared references, including reads of one
+    /// snapshot from several threads, and takes no lock.  The index is
     /// keyed by text-pool symbol, so a value the pool has never seen cannot
     /// match and is answered without touching it.
     ///
@@ -548,66 +532,52 @@ impl NodeStore {
 
     /// `fn:id(args)` anchored at `doc`: append to `out`, for every node of
     /// `args`, the elements of `doc` whose ID equals a whitespace-separated
-    /// token of the node's string value (in argument order, duplicates
-    /// kept — callers order and deduplicate).
+    /// token of the node's string value (duplicates kept — callers order
+    /// and deduplicate).
     ///
     /// Attribute and text payloads already *are* text-pool symbols and the
     /// ID index is keyed by symbol, so a whitespace-free payload probes the
-    /// index as is — no string is hashed, no value handle cloned — and the
-    /// whole call takes the document's read guard once.  IDREFS-style
-    /// payloads are tokenised first; an element whose value is a genuine
-    /// concatenation takes the string route of
-    /// [`lookup_id`](NodeStore::lookup_id) token by token.
+    /// index as is — no string is hashed, no value handle cloned.
+    /// IDREFS-style payloads and genuine element concatenations are
+    /// tokenised first.
     pub fn lookup_id_nodes(&self, doc: DocId, args: &[NodeId], out: &mut Vec<NodeId>) {
         let Some(d) = self.docs.get(doc.0 as usize) else {
             return;
         };
-        // Rendering a concatenation consults the argument document's derived
-        // state; that must not happen under the guard held below (a second
-        // read of one `RwLock` on one thread can deadlock behind a waiting
-        // writer), so those arguments wait until it is released.
-        let mut concatenated = Vec::new();
-        {
-            let derived = d.derived();
-            let mut probes = 0u64;
-            let mut probe = |sym: StrId| {
-                probes += 1;
-                if let Some(&n) = derived.id_index.get(&sym) {
-                    out.push(NodeId::new(doc.0, n));
-                }
-            };
-            for &arg in args {
-                let sym = match self.string_value_sym(arg) {
-                    Some(sym) => sym,
-                    None => match self.container_text_direct(arg) {
-                        Some(ContainerText::Sym(sym)) => sym,
-                        Some(_) => continue,
-                        None => {
-                            concatenated.push(arg);
-                            continue;
-                        }
-                    },
-                };
-                let text = self.text.resolve(sym);
-                let mut tokens = text.split_whitespace();
-                match tokens.next() {
-                    None => {}
-                    Some(first) if first.len() == text.len() => probe(sym),
-                    Some(first) => std::iter::once(first)
-                        .chain(tokens)
-                        .filter_map(|token| self.text.get(token))
-                        .for_each(&mut probe),
-                }
+        let id_index = &d.derived().id_index;
+        let mut probes = 0u64;
+        let mut probe = |sym: StrId| {
+            probes += 1;
+            if let Some(&n) = id_index.get(&sym) {
+                out.push(NodeId::new(doc.0, n));
             }
-            self.id_probe_hits.fetch_add(probes, Relaxed);
+        };
+        let mut probe_tokens = |text: &str, whole: Option<StrId>| {
+            let mut tokens = text.split_whitespace();
+            match (tokens.next(), whole) {
+                (None, _) => {}
+                (Some(first), Some(sym)) if first.len() == text.len() => probe(sym),
+                (Some(first), _) => std::iter::once(first)
+                    .chain(tokens)
+                    .filter_map(|token| self.text.get(token))
+                    .for_each(&mut probe),
+            }
+        };
+        for &arg in args {
+            let sym = match self.string_value_sym(arg) {
+                Some(sym) => sym,
+                None => match self.container_text(arg) {
+                    ContainerText::Empty => continue,
+                    ContainerText::Sym(sym) => sym,
+                    ContainerText::Concat(text) => {
+                        probe_tokens(&text, None);
+                        continue;
+                    }
+                },
+            };
+            probe_tokens(self.text.resolve(sym), Some(sym));
         }
-        for arg in concatenated {
-            let text = self.string_value_ref(arg);
-            out.extend(
-                text.split_whitespace()
-                    .filter_map(|token| self.lookup_id(doc, token)),
-            );
-        }
+        self.id_probe_hits.fetch_add(probes, Relaxed);
     }
 
     /// Lifetime count of `fn:id` probes a document's ID index answered —
@@ -619,23 +589,21 @@ impl NodeStore {
         self.id_probe_hits.load(Relaxed)
     }
 
-    /// Drop the store's recomputable memo (string-value concatenations),
-    /// returning an estimate of the bytes freed.
+    /// Drop the recomputable string-value memos of every document this
+    /// store holds, returning an estimate of the bytes freed — what filling
+    /// them charged.
     ///
     /// This is the store's contribution to budget *relief* (see
     /// [`crate::budget`]): under memory pressure a driver trades this
     /// cache — repopulated lazily, at recompute cost — for headroom before
-    /// failing the query.  Works through `&self`; concurrent readers simply
-    /// see a cold memo afterwards.
+    /// failing the query.  Works through `&self`; other holders of the
+    /// same documents simply see a cold memo afterwards.
     pub fn release_memory(&self) -> u64 {
         let mut freed = 0u64;
-        let mut memo = mutex_lock(&self.text_memo);
-        for (_, (_, map)) in memo.per_doc.iter() {
-            for arc in map.values() {
-                freed += arc.len() as u64 + 64;
-            }
+        for derived in self.docs.iter().filter_map(|d| d.derived.get()) {
+            let memo = std::mem::take(&mut *mutex_lock(&derived.text_memo));
+            freed += memo.values().map(|text| memo_cost(text)).sum::<u64>();
         }
-        memo.per_doc.clear();
         freed
     }
 
@@ -645,69 +613,23 @@ impl NodeStore {
 
     /// Shape statistics over every document in the store: node counts per
     /// kind, child-axis fanout, tree depth, `id()` index density and
-    /// text-pool size.  Computed once per [`NodeStore::revision`] and
-    /// memoized (the walk is `O(nodes)`), so the cost model can call this
-    /// on every execution.  Works through `&self` — snapshot readers share
-    /// the memo.
-    pub fn statistics(&self) -> Arc<crate::stats::StoreStatistics> {
-        {
-            let memo = mutex_lock(&self.stats_memo);
-            if let Some(stats) = memo.as_ref() {
-                if stats.revision == self.revision {
-                    return Arc::clone(stats);
-                }
-            }
-        }
-        let stats = Arc::new(self.compute_statistics());
-        *mutex_lock(&self.stats_memo) = Some(Arc::clone(&stats));
-        stats
-    }
-
-    fn compute_statistics(&self) -> crate::stats::StoreStatistics {
-        use crate::stats::{DocumentStatistics, StoreStatistics};
-        let mut out = StoreStatistics {
-            revision: self.revision,
-            documents: self.docs.len() as u64,
-            per_document: Vec::with_capacity(self.docs.len()),
-            totals: DocumentStatistics::default(),
-            text_pool_strings: self.text.len() as u64,
-        };
-        for doc in &self.docs {
-            let mut d = DocumentStatistics {
-                nodes: doc.nodes.len() as u64,
-                id_entries: doc.derived().id_index.len() as u64,
-                ..Default::default()
-            };
-            for node in &doc.nodes {
-                match node.kind {
-                    NodeKind::Element(_) => d.elements += 1,
-                    NodeKind::Attribute(..) => d.attributes += 1,
-                    NodeKind::Text(_) => d.text_nodes += 1,
-                    _ => {}
-                }
-                let fanout = node.children.len() as u64;
-                if fanout > 0 {
-                    d.parents += 1;
-                    d.child_links += fanout;
-                    d.max_fanout = d.max_fanout.max(fanout);
-                }
-            }
-            // Depth via DFS along child links from each parentless root;
-            // attributes count as nodes but not as depth.
-            let mut stack: Vec<(u32, u64)> = (0..doc.nodes.len() as u32)
-                .filter(|&i| doc.nodes[i as usize].parent.is_none())
-                .map(|i| (i, 0))
-                .collect();
-            while let Some((idx, depth)) = stack.pop() {
-                d.max_depth = d.max_depth.max(depth);
-                for &c in &doc.nodes[idx as usize].children {
-                    stack.push((c, depth + 1));
-                }
-            }
-            out.totals.absorb(&d);
-            out.per_document.push(d);
-        }
-        out
+    /// text-pool size.  Each document is walked once, when its derived
+    /// state is built; this call adds the per-document summaries up —
+    /// `O(documents)` — and keeps the sum until the next mutation, so the
+    /// cost model can call it on every execution.  Works through `&self`.
+    pub fn statistics(&self) -> Arc<StoreStatistics> {
+        Arc::clone(self.stats.get_or_init(|| {
+            let per_document: Vec<_> = self.docs.iter().map(|d| d.derived().stats).collect();
+            let mut totals = DocumentStatistics::default();
+            per_document.iter().for_each(|d| totals.absorb(d));
+            Arc::new(StoreStatistics {
+                revision: self.revision,
+                documents: self.docs.len() as u64,
+                per_document,
+                totals,
+                text_pool_strings: self.text.len() as u64,
+            })
+        }))
     }
 
     // ------------------------------------------------------------------
@@ -719,10 +641,10 @@ impl NodeStore {
         // footprint (arena slot + parent-children backlink) against any
         // installed per-query budget.
         crate::budget::charge(std::mem::size_of::<NodeData>() as u64 + 8);
-        let d = &mut self.docs[doc.0 as usize];
-        let idx = d.push(data);
+        let nodes = &mut self.doc_mut(doc.0).nodes;
+        nodes.push(data);
+        let idx = nodes.len() as u32 - 1;
         self.nodes_created += 1;
-        self.revision += 1;
         NodeId::new(doc.0, idx)
     }
 
@@ -796,7 +718,7 @@ impl NodeStore {
                 "append_child: parent and child belong to different documents".into(),
             ));
         }
-        let d = &mut self.docs[parent.doc as usize];
+        let d = &self.docs[parent.doc as usize];
         if d.nodes[child.node as usize].parent.is_some() {
             return Err(XdmError::WrongNodeKind(
                 "append_child: child already has a parent".into(),
@@ -811,10 +733,9 @@ impl NodeStore {
                 )))
             }
         }
+        let d = self.doc_mut(parent.doc);
         d.nodes[child.node as usize].parent = Some(parent.node);
         d.nodes[parent.node as usize].children.push(child.node);
-        d.mark_dirty();
-        self.revision += 1;
         Ok(())
     }
 
@@ -856,10 +777,8 @@ impl NodeStore {
                 attributes: Vec::new(),
             },
         );
-        let d = &mut self.docs[element.doc as usize];
+        let d = self.doc_mut(element.doc);
         d.nodes[element.node as usize].attributes.push(attr.node);
-        d.mark_dirty();
-        self.revision += 1;
         Ok(attr)
     }
 
@@ -1024,8 +943,8 @@ impl NodeStore {
 
     /// The string value of a node without rendering a fresh `String`:
     /// leaf-shaped nodes borrow straight from the text pool; element and
-    /// document concatenations come from the per-document memo as a shared
-    /// `Arc<str>` (rendered at most once per document revision).
+    /// document concatenations come from the document's memo as a shared
+    /// `Arc<str>`.
     pub fn string_value_ref(&self, node: NodeId) -> StrView<'_> {
         match self.kind(node) {
             NodeKind::Attribute(_, v) => StrView::Borrowed(self.text.resolve(*v)),
@@ -1042,8 +961,7 @@ impl NodeStore {
 
     /// The string value of a node as an atomization payload: a shared
     /// `Arc<str>` handle wherever one exists (leaf payloads, memoized
-    /// concatenations), an owned `String` only when the memo could not be
-    /// consulted.  This is what `Evaluator::atomize` hands out.
+    /// concatenations).  This is what `Evaluator::atomize` hands out.
     pub fn untyped_value(&self, node: NodeId) -> UText {
         match self.kind(node) {
             NodeKind::Attribute(_, v)
@@ -1060,70 +978,39 @@ impl NodeStore {
         }
     }
 
-    /// The text of an element/document node where no concatenation is
-    /// needed — childless nodes and single-text-child elements, the dominant
-    /// shapes in data-oriented documents.  Takes no lock.
-    fn container_text_direct(&self, node: NodeId) -> Option<ContainerText> {
-        match self.data(node).children.as_slice() {
-            [] => Some(ContainerText::Empty),
-            &[only] => match &self.docs[node.doc as usize].nodes[only as usize].kind {
-                NodeKind::Text(t) => Some(ContainerText::Sym(*t)),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// The concatenated text of an element/document node, memoized per
-    /// document behind the derived-state version tag
-    /// ([`container_text_direct`](Self::container_text_direct) shapes skip
-    /// the memo).
+    /// The text of an element/document node.  Childless nodes and
+    /// single-text-child elements — the dominant shapes in data-oriented
+    /// documents — need no concatenation and touch nothing shared; a genuine
+    /// concatenation is rendered once per document value and kept in the
+    /// document's memo, charged to the budget of the query that rendered it.
     fn container_text(&self, node: NodeId) -> ContainerText {
-        if let Some(direct) = self.container_text_direct(node) {
-            return direct;
-        }
-        // Force the derived state current *before* consulting the memo: a
-        // mutation only marks the document dirty — the version tag the memo
-        // is validated against moves on rebuild.
-        let version = self.docs[node.doc as usize].derived().version;
-        let mut memo = match self.text_memo.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                // Contended (concurrent snapshot readers): render without
-                // memoizing rather than serializing every reader here.
-                let mut out = String::new();
-                self.collect_text(node, &mut out);
-                return ContainerText::Concat(Arc::from(out));
+        let d = &self.docs[node.doc as usize];
+        match d.nodes[node.node as usize].children.as_slice() {
+            [] => return ContainerText::Empty,
+            &[only] => {
+                if let NodeKind::Text(t) = d.nodes[only as usize].kind {
+                    return ContainerText::Sym(t);
+                }
             }
-        };
-        let (tag, map) = memo
-            .per_doc
-            .entry(node.doc)
-            .or_insert_with(|| (version, IdMap::default()));
-        if *tag != version {
-            *tag = version;
-            map.clear();
+            _ => {}
         }
-        if let Some(arc) = map.get(&node.node) {
-            return ContainerText::Concat(arc.clone());
+        let memo = &d.derived().text_memo;
+        if let Some(text) = mutex_lock(memo).get(&node.node) {
+            return ContainerText::Concat(text.clone());
         }
-        drop(memo);
-        // Render outside the lock; `version` cannot move while we hold
-        // `&self` (mutation needs `&mut self`, and our `derived()` call
-        // above already cleared `dirty`).
+        // Render outside the lock; a reader racing on the same node renders
+        // the same text and the first insert wins.
         let mut out = String::new();
         self.collect_text(node, &mut out);
-        let arc: Arc<str> = Arc::from(out);
-        let mut memo = mutex_lock(&self.text_memo);
-        let (tag, map) = memo
-            .per_doc
-            .entry(node.doc)
-            .or_insert_with(|| (version, IdMap::default()));
-        if *tag == version {
-            map.insert(node.node, arc.clone());
+        let text: Arc<str> = Arc::from(out);
+        match mutex_lock(memo).entry(node.node) {
+            Entry::Occupied(first) => ContainerText::Concat(first.get().clone()),
+            Entry::Vacant(slot) => {
+                crate::budget::charge(memo_cost(&text));
+                slot.insert(text.clone());
+                ContainerText::Concat(text)
+            }
         }
-        ContainerText::Concat(arc)
     }
 
     fn collect_text(&self, node: NodeId, out: &mut String) {
@@ -1143,8 +1030,7 @@ impl NodeStore {
     // ------------------------------------------------------------------
 
     fn order_rank(&self, node: NodeId) -> (u32, u32) {
-        let d = &self.docs[node.doc as usize];
-        let derived = d.derived();
+        let derived = self.docs[node.doc as usize].derived();
         (node.doc, derived.order[node.node as usize])
     }
 
@@ -1181,33 +1067,18 @@ impl NodeStore {
         let doc = nodes[0].doc;
         if nodes.iter().all(|n| n.doc == doc) {
             // One document (every path step of a query over one document):
-            // one guard, sorted and deduplicated in place — by arena index
-            // where that is document order, by rank otherwise.
+            // sorted and deduplicated in place — by arena index where that
+            // is document order, by rank otherwise.
             let derived = self.docs[doc as usize].derived();
             if derived.index_is_order {
                 nodes.sort_unstable_by_key(|n| n.node);
             } else {
                 nodes.sort_unstable_by_key(|n| derived.order[n.node as usize]);
             }
-            nodes.dedup();
-            return;
+        } else {
+            nodes.sort_by_cached_key(|&n| self.order_rank(n));
         }
-        // Refresh every involved document once (one read guard per doc),
-        // then sort by the cached ranks.
-        let mut guards: IdMap<u32, RwLockReadGuard<'_, Derived>> = IdMap::default();
-        for &n in nodes.iter() {
-            guards
-                .entry(n.doc)
-                .or_insert_with(|| self.docs[n.doc as usize].derived());
-        }
-        let mut keyed: Vec<((u32, u32), NodeId)> = nodes
-            .iter()
-            .map(|&n| ((n.doc, guards[&n.doc].order[n.node as usize]), n))
-            .collect();
-        keyed.sort_by_key(|a| a.0);
-        keyed.dedup_by(|a, b| a.1 == b.1);
-        nodes.clear();
-        nodes.extend(keyed.into_iter().map(|(_, n)| n));
+        nodes.dedup();
     }
 
     // ------------------------------------------------------------------
@@ -1368,135 +1239,16 @@ impl NodeStore {
     }
 
     // ------------------------------------------------------------------
-    // Snapshots
+    // Derived state
     // ------------------------------------------------------------------
 
-    /// Eagerly rebuild every document's derived state (order ranks, ID
-    /// indexes).  After this, read paths through a shared reference take
-    /// uncontended read locks only — no thread pays the rebuild inside a
-    /// parallel section.
+    /// Build the derived state (order ranks, ID index, statistics) of every
+    /// document that does not have it yet — `O(documents)` when all do.
+    /// After this no reader pays a build inside a parallel section.
     pub fn refresh_all(&self) {
         for d in &self.docs {
-            drop(d.derived());
+            d.derived();
         }
-    }
-
-    /// Record the store's current mutation state (and eagerly refresh all
-    /// derived state) so a [`StoreSnapshot`] can later be frozen with
-    /// [`SnapshotPin::freeze`] — which fails if the store was mutated in
-    /// between, rather than silently reading moved data.
-    pub fn pin(&self) -> SnapshotPin {
-        self.refresh_all();
-        SnapshotPin {
-            epoch: self.load_epoch,
-            revision: self.revision,
-        }
-    }
-
-    /// Pin and freeze in one step.  Infallible: holding the returned
-    /// snapshot borrows the store shared, so no mutation can intervene.
-    pub fn snapshot(&self) -> StoreSnapshot<'_> {
-        let pin = self.pin();
-        StoreSnapshot {
-            store: self,
-            epoch: pin.epoch,
-            revision: pin.revision,
-        }
-    }
-}
-
-/// A recorded freeze point of a [`NodeStore`]: the `(load_epoch, revision)`
-/// pair at [`NodeStore::pin`] time.  Owning no borrow, a pin can outlive
-/// intervening code that mutates the store — [`SnapshotPin::freeze`] then
-/// *detects* the mutation and refuses to produce a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotPin {
-    epoch: u64,
-    revision: u64,
-}
-
-impl SnapshotPin {
-    /// The [`NodeStore::load_epoch`] recorded when the pin was taken.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The [`NodeStore::revision`] recorded when the pin was taken.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
-    /// How many mutations `store` has seen since this pin was taken
-    /// (`0` means [`freeze`](SnapshotPin::freeze) would still succeed,
-    /// provided the load epoch also matches).  Saturates at zero if the
-    /// pin belongs to a different (younger) store.
-    pub fn age(&self, store: &NodeStore) -> u64 {
-        store.revision.saturating_sub(self.revision)
-    }
-
-    /// `true` iff `store` has not been mutated since this pin was taken —
-    /// i.e. both the load epoch and the mutation revision still match, and
-    /// [`freeze`](SnapshotPin::freeze) would succeed.
-    pub fn is_current(&self, store: &NodeStore) -> bool {
-        store.load_epoch == self.epoch && store.revision == self.revision
-    }
-
-    /// Freeze `store` into a read-only snapshot, verifying it has not been
-    /// mutated since this pin was taken.  Returns
-    /// [`XdmError::StaleSnapshot`] if the load epoch or mutation revision
-    /// moved — a stale snapshot is rejected, never silently read.
-    pub fn freeze<'s>(&self, store: &'s NodeStore) -> Result<StoreSnapshot<'s>> {
-        if store.load_epoch != self.epoch || store.revision != self.revision {
-            return Err(XdmError::StaleSnapshot(format!(
-                "store moved since pin: epoch {} -> {}, revision {} -> {}",
-                self.epoch, store.load_epoch, self.revision, store.revision
-            )));
-        }
-        Ok(StoreSnapshot {
-            store,
-            epoch: self.epoch,
-            revision: self.revision,
-        })
-    }
-}
-
-/// A read-only, epoch-pinned view of a [`NodeStore`].
-///
-/// A snapshot `Deref`s to the store, exposing every `&self` read path
-/// (axes, document order, `sort_distinct`, `lookup_id`, …) while the borrow
-/// checker guarantees no mutation can happen for the snapshot's lifetime.
-/// `NodeStore` keeps all lazily-derived state behind internal locks, so a
-/// snapshot is [`Sync`]: the parallel fixpoint drivers hand one `&`
-/// reference to every shard of a scoped thread pool.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreSnapshot<'s> {
-    store: &'s NodeStore,
-    epoch: u64,
-    revision: u64,
-}
-
-impl<'s> StoreSnapshot<'s> {
-    /// The underlying store reference (with the snapshot's full lifetime).
-    pub fn store(&self) -> &'s NodeStore {
-        self.store
-    }
-
-    /// The [`NodeStore::load_epoch`] this snapshot was frozen at.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The [`NodeStore::revision`] this snapshot was frozen at.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-}
-
-impl std::ops::Deref for StoreSnapshot<'_> {
-    type Target = NodeStore;
-
-    fn deref(&self) -> &NodeStore {
-        self.store
     }
 }
 
@@ -1505,7 +1257,6 @@ impl std::ops::Deref for StoreSnapshot<'_> {
 const _: fn() = || {
     fn assert_sync<T: Sync>() {}
     assert_sync::<NodeStore>();
-    assert_sync::<StoreSnapshot<'_>>();
 };
 
 #[cfg(test)]
@@ -1620,8 +1371,8 @@ mod tests {
 
     #[test]
     fn id_probe_cache_sees_same_epoch_document_mutation() {
-        // Mutating a document (construction) marks it dirty without moving
-        // the load epoch; the next probe — by string or by symbol — must
+        // Mutating a document (construction) drops its derived state without
+        // moving the load epoch; the next probe — by string or by symbol — must
         // see the post-mutation index.
         let mut store = NodeStore::new();
         let doc = store
@@ -1652,7 +1403,7 @@ mod tests {
             .add_attribute(later, QName::local("id"), "n3")
             .unwrap();
         store.append_child(root, later).unwrap();
-        let _ = store.doc_order(root, fresh); // refreshes, clears dirty
+        let _ = store.doc_order(root, fresh); // builds the derived state
         assert_eq!(
             store.lookup_id(doc, "n3"),
             Some(later),
@@ -1878,54 +1629,144 @@ mod tests {
         assert!(store.append_child(p2, r).is_err());
     }
 
-    #[test]
-    fn snapshot_freeze_rejects_interleaved_mutation() {
-        let mut store = NodeStore::new();
-        let doc = sample(&mut store);
-        let root = store.document_element(doc).unwrap();
-
-        // Clean pin → freeze succeeds and reads work.
-        let pin = store.pin();
-        {
-            let snap = pin.freeze(&store).expect("unmutated store freezes");
-            assert_eq!(snap.epoch(), store.load_epoch());
-            assert_eq!(snap.revision(), store.revision());
-            assert_eq!(snap.document_element(doc), Some(root));
-        }
-
-        // Structural mutation without node creation (append_child) must
-        // still invalidate the pin.
-        let pin = store.pin();
-        let fresh = store.create_element(doc, QName::local("z"));
-        store.append_child(root, fresh).unwrap();
-        let err = pin.freeze(&store).unwrap_err();
-        assert!(matches!(err, XdmError::StaleSnapshot(_)), "{err}");
-
-        // A parse (epoch move) invalidates too.
-        let pin = store.pin();
-        store.parse_document("<x/>").unwrap();
-        assert!(matches!(
-            pin.freeze(&store),
-            Err(XdmError::StaleSnapshot(_))
-        ));
-
-        // Re-pinning after the mutations freezes fine again.
-        let pin = store.pin();
-        assert!(pin.freeze(&store).is_ok());
+    /// Which of `b`'s documents are the very allocation `a` holds.
+    fn shared_docs(a: &NodeStore, b: &NodeStore) -> Vec<bool> {
+        let pairs = a.docs.iter().zip(&b.docs);
+        pairs.map(|(x, y)| Arc::ptr_eq(x, y)).collect()
     }
 
     #[test]
-    fn snapshot_reads_are_shareable_across_threads() {
+    fn clone_shares_every_document_and_its_derived_state() {
         let mut store = NodeStore::new();
         let doc = sample(&mut store);
-        // Leave the derived state dirty on one fragment so the lazy
-        // rebuild happens under contention at least sometimes.
+        let cold = store.parse_document("<m>a<i/>b</m>").unwrap();
+        store.refresh_all();
+        store.docs[cold.0 as usize] = Arc::new((*store.docs[cold.0 as usize]).clone());
+        assert!(store.docs[cold.0 as usize].derived.get().is_none());
+
+        let clone = store.clone();
+        assert_eq!(shared_docs(&store, &clone), vec![true, true]);
+        assert!(clone.shares_text_pool(&store));
+        // Built before the clone: the clone reads the writer's copy.
+        assert!(std::ptr::eq(
+            store.docs[doc.0 as usize].derived(),
+            clone.docs[doc.0 as usize].derived()
+        ));
+        // Built through one holder after the clone: visible through the other.
+        let m = clone.document_element(cold).unwrap();
+        assert_eq!(clone.string_value(m), "ab");
+        let built = store.docs[cold.0 as usize].derived.get().expect("shared");
+        assert_eq!(mutex_lock(&built.text_memo).len(), 1);
+        assert_eq!(store.statistics(), clone.statistics());
+    }
+
+    #[test]
+    fn mutation_copies_only_the_mutated_document() {
+        let mut store = NodeStore::new();
+        let a = sample(&mut store);
+        let b = store.parse_document("<x code=\"k\"/>").unwrap();
+        store.refresh_all();
+        let published = store.clone();
+        let before = published.statistics();
+
+        // The writer declares an ID attribute on a shared document: that
+        // document is copied and loses its derived state, the other stays.
+        store.register_id_attribute(b, "code");
+        assert_eq!(shared_docs(&store, &published), vec![true, false]);
+        assert!(store.docs[a.0 as usize].derived.get().is_some());
+        assert!(store.docs[b.0 as usize].derived.get().is_none());
+        assert!(published.docs[b.0 as usize].derived.get().is_some());
+        assert!(store.lookup_id(b, "k").is_some());
+        assert_eq!(published.lookup_id(b, "k"), None);
+
+        // A session constructs on its clone: only fresh fragments differ.
+        let mut session = published.clone();
+        let frag = session.new_fragment();
+        session.create_element(frag, QName::local("e"));
+        assert_eq!(shared_docs(&session, &published), vec![true, true]);
+        assert_eq!(published.document_count(), 2);
+        assert_eq!(published.statistics(), before);
+        assert_eq!(session.statistics().documents, 3);
+
+        // A second mutation of a document the writer already owns copies
+        // nothing: same allocation, derived state dropped again.
+        store.refresh_all();
+        let owned = Arc::as_ptr(&store.docs[b.0 as usize]);
+        let x = store.document_element(b).unwrap();
+        store.add_attribute(x, QName::local("id"), "z").unwrap();
+        assert_eq!(Arc::as_ptr(&store.docs[b.0 as usize]), owned);
+        assert!(store.docs[b.0 as usize].derived.get().is_none());
+        assert_eq!(store.lookup_id(b, "z"), Some(x));
+    }
+
+    #[test]
+    fn first_touch_of_a_cold_shared_document_races_to_one_answer() {
+        let mut store = NodeStore::new();
+        let doc = store
+            .parse_document("<r><m id=\"a\">x<i/>y</m><n id=\"b\"/></r>")
+            .unwrap();
+        let clones: Vec<NodeStore> = (0..8).map(|_| store.clone()).collect();
+        let barrier = std::sync::Barrier::new(clones.len());
+        let answers: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = clones
+                .iter()
+                .map(|clone| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let m = clone.lookup_id(doc, "a").unwrap();
+                        let derived: *const Derived = clone.docs[doc.0 as usize].derived();
+                        let stats = clone.statistics().fingerprint();
+                        (m, clone.string_value(m), stats, derived as usize)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(answers[0].1, "xy");
+        assert!(answers.iter().all(|a| *a == answers[0]), "{answers:?}");
+    }
+
+    #[test]
+    fn string_value_memo_is_charged_when_filled_and_credited_when_released() {
+        let mut store = NodeStore::new();
+        let doc = store
+            .parse_document("<r><m>ab<i/>cd</m><s>one</s></r>")
+            .unwrap();
+        let root = store.document_element(doc).unwrap();
+        let kids = store.children(root);
+        let budget = crate::QueryBudget::new(u64::MAX);
+        let _scope = crate::budget::install(budget.clone());
+        budget.charge(1000);
+
+        // A single-text-child element is not memoized and costs nothing.
+        assert_eq!(store.string_value_ref(kids[1]).as_str(), "one");
+        assert_eq!(budget.used(), 1000);
+        // Two concatenations enter the memo; re-reading them is free.
+        assert_eq!(store.string_value_ref(kids[0]).as_str(), "abcd");
+        assert_eq!(store.string_value_ref(root).as_str(), "abcdone");
+        let filled = budget.used();
+        assert_eq!(filled, 1000 + (4 + 64) + (7 + 64));
+        assert_eq!(store.string_value_ref(root).as_str(), "abcdone");
+        assert_eq!(budget.used(), filled);
+
+        // Releasing credits exactly what filling charged.
+        budget.credit(store.release_memory());
+        assert_eq!(budget.used(), 1000);
+        assert_eq!(store.release_memory(), 0);
+    }
+
+    #[test]
+    fn store_reads_are_shareable_across_threads() {
+        let mut store = NodeStore::new();
+        let doc = sample(&mut store);
+        // Leave the derived state unbuilt on one fragment so its first
+        // build happens under contention at least sometimes.
         let frag = store.new_fragment();
         let child = store.create_element(frag, QName::local("child"));
         let parent = store.create_element(frag, QName::local("parent"));
         store.append_child(parent, child).unwrap();
 
-        let snap = store.snapshot();
+        let snap = &store;
         let root = snap.document_element(doc).unwrap();
         let expected: Vec<NodeId> = snap.axis_nodes(root, Axis::Descendant, &NodeTest::AnyElement);
         std::thread::scope(|s| {
