@@ -628,16 +628,6 @@ impl Executor {
                 .sum::<u64>()
     }
 
-    /// Drop the rec-independent caches (documents loaded into the store
-    /// bump its [load epoch](NodeStore::load_epoch) and invalidate
-    /// automatically; this is the explicit override).
-    pub fn invalidate_static_cache(&mut self) {
-        self.plan_state = PlanState::default();
-        for worker in &mut self.workers {
-            worker.invalidate_static_cache();
-        }
-    }
-
     /// Re-key the caches for `plan` against `store`'s current state.
     fn prime_for_plan(&mut self, store: &NodeStore, plan: &Plan) {
         if self.store_epoch != store.load_epoch() {

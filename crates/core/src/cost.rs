@@ -28,10 +28,10 @@
 //!    parameters: the expected iteration count and per-seed result size.
 //! 3. **Costing** — [`cost`] prices every [`PlanAlternative`] in abstract
 //!    microseconds; [`decide`] picks the cheapest candidate.
-//! 4. **Feedback** — a per-occurrence [`FeedbackCell`] observes the real
-//!    [`FixpointStats`] of every run (iterations, frontier curve, wall
-//!    time).  The next [`decide`] re-costs the grid with *observed*
-//!    parameters, and once the model's champion has itself been measured,
+//! 4. **Feedback** — a per-occurrence [`FeedbackCell`] is handed the real
+//!    [`FixpointStats`] of every finished execution's runs (iterations,
+//!    result size, wall time).  The next [`decide`] re-costs the grid with
+//!    *observed* parameters, and once the model's champion has itself been measured,
 //!    measured wall times settle the ranking.  The cell is keyed on the
 //!    statistics [fingerprint](StoreStatistics::fingerprint): when the data
 //!    materially changes, the observations are discarded and selection
@@ -41,9 +41,9 @@
 //! [`OccurrencePlan`](crate::OccurrencePlan): the chosen alternative, who
 //! chose it ([`DecisionSource`]), and the estimated vs. observed cost.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-use xqy_eval::{FixpointBackendTag, FixpointObserver, FixpointStats, FixpointStrategy};
+use xqy_eval::{FixpointBackendTag, FixpointStats, FixpointStrategy};
 use xqy_xdm::StoreStatistics;
 
 /// One point of the `{strategy} × {backend} × {batching}` plan grid.
@@ -328,9 +328,6 @@ impl RunObservation {
 struct FeedbackInner {
     /// The statistics fingerprint the observations were taken under.
     fingerprint: Option<u64>,
-    /// Accumulator for the execution currently in flight (an `execute`
-    /// call, or every per-seed run of one batch), per alternative.
-    current: Vec<RunObservation>,
     /// One (latest) completed observation per alternative tried.
     observed: Vec<RunObservation>,
     /// The most recently completed observation — the freshest workload
@@ -338,13 +335,13 @@ struct FeedbackInner {
     recent: Option<RunObservation>,
 }
 
-/// The per-occurrence feedback loop: observes every fixpoint run's
-/// [`FixpointStats`] (as the occurrence's [`FixpointObserver`]), rolls
-/// them up per execution, and advises the next [`decide`] call.
+/// The per-occurrence feedback loop: what completed executions of the
+/// occurrence observed, advising the next [`decide`] call.
 ///
-/// Lifecycle per execution: the prepared query installs the cell as the
-/// occurrence's observer, the eval layer calls [`observe`](Self::observe)
-/// once per fixpoint run, and after evaluation the prepared query calls
+/// The cell is shared by every session executing the prepared query, so it
+/// holds **completed** observations only.  The runs of an execution in
+/// flight are that execution's own (the evaluator's run log); once
+/// evaluation is over the prepared query hands them to
 /// [`finish_run`](Self::finish_run) with the store's statistics
 /// fingerprint.  A fingerprint change (the data materially changed)
 /// discards all accumulated observations.
@@ -353,42 +350,44 @@ pub struct FeedbackCell {
     inner: Mutex<FeedbackInner>,
 }
 
-/// Take the cell's lock even if a previous holder panicked (the cell is
-/// shared across every clone and fork of a prepared query, so one
-/// contained panic must not poison cost feedback for the whole service).
-/// The in-flight accumulation of the panicked run may be half-recorded, so
-/// it is discarded; completed observations are append-only and stay valid.
-fn feedback_lock(lock: &Mutex<FeedbackInner>) -> std::sync::MutexGuard<'_, FeedbackInner> {
-    match lock.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            lock.clear_poison();
-            let mut guard = poisoned.into_inner();
-            guard.current.clear();
-            guard
-        }
-    }
-}
-
 impl FeedbackCell {
     /// A fresh cell with no observations.
     pub fn new() -> Self {
         FeedbackCell::default()
     }
 
-    /// Roll the in-flight accumulation into the observation table under
-    /// `fingerprint`, returning the execution's aggregate (the dominant
-    /// alternative by wall time).  Returns `None` when nothing ran.
-    pub fn finish_run(&self, fingerprint: u64) -> Option<RunObservation> {
-        let mut inner = feedback_lock(&self.inner);
+    /// Take the cell's lock even if a previous holder panicked: every
+    /// update below is a whole-value store, so the table stays valid, and
+    /// one contained panic must not poison cost feedback for the service.
+    fn lock(&self) -> std::sync::MutexGuard<'_, FeedbackInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Roll one finished execution's `runs` of the occurrence into the
+    /// observation table under `fingerprint`, one observation per
+    /// alternative that ran, and return the execution's aggregate (the
+    /// dominant alternative by wall time).  Returns `None` when nothing
+    /// ran.
+    pub fn finish_run<'a>(
+        &self,
+        fingerprint: u64,
+        runs: impl IntoIterator<Item = &'a FixpointStats>,
+    ) -> Option<RunObservation> {
+        let mut current: Vec<RunObservation> = Vec::new();
+        for obs in runs.into_iter().filter_map(RunObservation::from_stats) {
+            match current
+                .iter_mut()
+                .find(|o| o.alternative == obs.alternative)
+            {
+                Some(slot) => slot.absorb(&obs),
+                None => current.push(obs),
+            }
+        }
+        let mut inner = self.lock();
         if inner.fingerprint != Some(fingerprint) {
             inner.observed.clear();
             inner.recent = None;
             inner.fingerprint = Some(fingerprint);
-        }
-        let current = std::mem::take(&mut inner.current);
-        if current.is_empty() {
-            return None;
         }
         let mut dominant: Option<RunObservation> = None;
         for obs in current {
@@ -413,7 +412,7 @@ impl FeedbackCell {
     /// The corrected workload parameters and measured wall times for the
     /// next decision, if observations exist for this `fingerprint`.
     fn advise(&self, fingerprint: u64) -> Option<Advice> {
-        let inner = feedback_lock(&self.inner);
+        let inner = self.lock();
         if inner.fingerprint != Some(fingerprint) {
             return None;
         }
@@ -431,25 +430,7 @@ impl FeedbackCell {
     /// Number of distinct alternatives observed under the current
     /// fingerprint (diagnostic).
     pub fn observed_alternatives(&self) -> usize {
-        feedback_lock(&self.inner).observed.len()
-    }
-}
-
-impl FixpointObserver for FeedbackCell {
-    fn observe(&self, stats: &FixpointStats) {
-        let Some(obs) = RunObservation::from_stats(stats) else {
-            return;
-        };
-        let mut inner = feedback_lock(&self.inner);
-        if let Some(slot) = inner
-            .current
-            .iter_mut()
-            .find(|o| o.alternative == obs.alternative)
-        {
-            slot.absorb(&obs);
-        } else {
-            inner.current.push(obs);
-        }
+        self.lock().observed.len()
     }
 }
 
@@ -800,30 +781,30 @@ mod tests {
         assert_eq!(first.alternative.strategy, FixpointStrategy::Naive);
         assert_eq!(first.source, DecisionSource::Estimated);
 
-        cell.observe(&FixpointStats {
+        let naive_run = FixpointStats {
             strategy: Some(FixpointStrategy::Naive),
             backend: FixpointBackendTag::Interpreted,
             iterations: 31,
             result_size: 30,
             wall_micros: 900,
             ..FixpointStats::default()
-        });
-        assert!(cell.finish_run(st.fingerprint()).is_some());
+        };
+        assert!(cell.finish_run(st.fingerprint(), [&naive_run]).is_some());
 
         let second = decide(&grid, &f, &st, &cell, 1);
         assert_eq!(second.alternative.strategy, FixpointStrategy::Delta);
         assert_eq!(second.source, DecisionSource::Adapted);
 
         // Once Delta has been measured too, wall times settle the ranking.
-        cell.observe(&FixpointStats {
+        let delta_run = FixpointStats {
             strategy: Some(FixpointStrategy::Delta),
             backend: FixpointBackendTag::Interpreted,
             iterations: 31,
             result_size: 30,
             wall_micros: 120,
             ..FixpointStats::default()
-        });
-        cell.finish_run(st.fingerprint());
+        };
+        cell.finish_run(st.fingerprint(), [&delta_run]);
         let third = decide(&grid, &f, &st, &cell, 1);
         assert_eq!(third.alternative.strategy, FixpointStrategy::Delta);
         assert_eq!(third.estimated_micros, 120);
@@ -833,15 +814,15 @@ mod tests {
     fn fingerprint_change_discards_observations() {
         let st = stats(4030, 31, 4029);
         let cell = FeedbackCell::new();
-        cell.observe(&FixpointStats {
+        let naive_run = FixpointStats {
             strategy: Some(FixpointStrategy::Naive),
             backend: FixpointBackendTag::Interpreted,
             iterations: 31,
             result_size: 30,
             wall_micros: 900,
             ..FixpointStats::default()
-        });
-        cell.finish_run(st.fingerprint());
+        };
+        cell.finish_run(st.fingerprint(), [&naive_run]);
         assert_eq!(cell.observed_alternatives(), 1);
 
         // Materially different data → different fingerprint → observations
@@ -862,7 +843,7 @@ mod tests {
         ];
         let d = decide(&grid, &features(true), &grown, &cell, 1);
         assert_eq!(d.source, DecisionSource::Estimated);
-        cell.finish_run(grown.fingerprint());
+        cell.finish_run(grown.fingerprint(), []);
         assert_eq!(cell.observed_alternatives(), 0);
     }
 

@@ -13,6 +13,27 @@
 //! current document store, with externally bound variables supplied through
 //! [`Bindings`].
 //!
+//! # The plan and its runtimes
+//!
+//! Preparation consults no store, and executing never writes to the
+//! artifact: a [`PreparedQuery`] is an immutable plan, so one
+//! `Arc<PreparedQuery>` serves any number of concurrent executions — over
+//! different stores, snapshots and bindings.  What *does* change while a
+//! fixpoint runs — the relational executors, with their interners and
+//! rec-independent static caches — is a separate value, a *runtime*: per
+//! occurrence the `[per-seed, batched]` executor pair.  A runtime belongs to
+//! exactly one execution at a time.  An execution whose plan decision routes
+//! an occurrence through the relational executor checks one out of the
+//! query's pool of idle runtimes (minting one when every pooled runtime is
+//! in flight, so the pool never holds more than the peak concurrency the
+//! query has seen), owns it for the run, and returns it — warm — when it
+//! ends, unless the thread is unwinding from a panic: a runtime that may
+//! hold half-applied state is dropped, and the next execution mints a fresh
+//! one.  The executors key their caches on the plan fingerprint and on the
+//! store's [load epoch](xqy_xdm::NodeStore::load_epoch), so a warm runtime
+//! meeting a different store re-keys itself; nothing about a cached plan can
+//! go stale.
+//!
 //! ```
 //! use xqy_ifp::{Bindings, Engine};
 //!
@@ -44,7 +65,8 @@
 //! }
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use xqy_algebra::{
@@ -58,9 +80,7 @@ use xqy_parser::parse_query;
 use xqy_xdm::fixpoint::{Limits, Seeds};
 use xqy_xdm::{NodeId, QueryBudget, Sequence, StoreMut, StoreStatistics};
 
-use crate::cost::{
-    self, DecisionSource, FeedbackCell, OccurrenceFeatures, PlanAlternative, RunObservation,
-};
+use crate::cost::{self, DecisionSource, FeedbackCell, OccurrenceFeatures, PlanAlternative};
 use crate::engine::{DistributivityReport, Engine, Parallelism, QueryOutcome, Strategy};
 use crate::syntactic::is_distributivity_safe;
 use crate::{IfpError, Result};
@@ -185,27 +205,12 @@ pub struct PreparedOccurrence {
     /// Static features feeding the cost model (body size, `id()` usage,
     /// constructor presence, capability flags).
     features: OccurrenceFeatures,
-    /// The occurrence's feedback loop: observed run statistics keyed on the
-    /// store-statistics fingerprint, consulted by every plan decision.
-    /// Shared across clones *and* forks — observations describe the data,
-    /// not an executor, and the cell self-invalidates when the data
-    /// materially changes.
+    /// The occurrence's feedback loop: what completed executions observed,
+    /// keyed on the store-statistics fingerprint and consulted by every
+    /// plan decision.  Shared by every execution (and clone) of the query —
+    /// observations describe the data, not an executor, and the cell
+    /// self-invalidates when the data materially changes.
     feedback: Arc<FeedbackCell>,
-    /// The occurrence's *persistent* plan executor: its interner and its
-    /// rec-independent static cache survive across `execute()` calls (and
-    /// across every seed of a per-item loop).  Shared — clones of the
-    /// prepared query reuse the same executor, which is sound because the
-    /// executor re-keys itself on the plan fingerprint and on the store's
-    /// document-load epoch.  Staleness after `Engine::load_document*` is
-    /// handled by that epoch check, not by rebuilding executors.
-    executor: Arc<Mutex<Executor>>,
-    /// A second persistent executor dedicated to the occurrence's
-    /// **seed-carried batched plan** (whose fingerprint differs from the
-    /// per-seed plan's).  Keeping the two plans on separate executors lets
-    /// a caller interleave [`PreparedQuery::execute`] and
-    /// [`PreparedQuery::execute_batched`] without thrashing either static
-    /// cache on every switch.
-    batched_executor: Arc<Mutex<Executor>>,
 }
 
 impl PreparedOccurrence {
@@ -247,18 +252,6 @@ impl PreparedOccurrence {
     pub fn features(&self) -> &OccurrenceFeatures {
         &self.features
     }
-
-    /// Lifetime totals of the occurrence's persistent executors (per-seed
-    /// and batched combined): `(static_cache_hits, static_plan_evals)`.
-    /// Per-execute deltas are reported in [`OccurrencePlan`].
-    pub fn executor_cache_totals(&self) -> (u64, u64) {
-        let exec = lock_executor(&self.executor);
-        let batched = lock_executor(&self.batched_executor);
-        (
-            exec.static_cache_hits() + batched.static_cache_hits(),
-            exec.static_plan_evals() + batched.static_plan_evals(),
-        )
-    }
 }
 
 /// The per-occurrence execution decision recorded in a [`QueryOutcome`]:
@@ -290,13 +283,13 @@ pub struct OccurrencePlan {
     /// occurrence, in microseconds; `None` when the occurrence did not run
     /// (dead code, empty seed set).
     pub observed_cost_micros: Option<u64>,
-    /// Static-cache hits of the occurrence's persistent executor during
-    /// *this* `execute()` call: rec-independent plan tables that came back
-    /// as shared handles.  Always zero on the interpreted back-end.
+    /// Static-cache hits of the occurrence's fixpoint runs during *this*
+    /// `execute()` call: rec-independent plan tables that came back as
+    /// shared handles.  Always zero on the interpreted back-end.
     pub static_cache_hits: u64,
     /// Rec-independent plan nodes actually evaluated during this
-    /// `execute()` call.  With a persistent executor the second execution
-    /// of a prepared query against an unchanged store reports zero here.
+    /// `execute()` call.  A warm runtime makes the second execution of a
+    /// prepared query against an unchanged store report zero here.
     pub static_plan_evals: u64,
 }
 
@@ -346,8 +339,10 @@ pub struct ExecOptions {
 }
 
 /// A parsed, analysed and (where possible) compiled query, ready to be
-/// executed any number of times.  Create with [`Engine::prepare`]; see the
-/// [module docs](self) for the amortization story.
+/// executed any number of times — concurrently, through one shared
+/// reference.  Create with [`Engine::prepare`]; see the [module docs](self)
+/// for the amortization story and for how the immutable plan is kept apart
+/// from the runtimes that execute it.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     module: QueryModule,
@@ -360,6 +355,57 @@ pub struct PreparedQuery {
     parallelism: Parallelism,
     occurrences: Vec<PreparedOccurrence>,
     external_vars: Vec<String>,
+    /// The query's idle runtimes (shared with its clones, whose occurrences
+    /// are the same).
+    runtimes: Arc<RuntimePool>,
+}
+
+/// The run-time state of one execution: per occurrence (index-aligned with
+/// [`PreparedQuery::occurrences`]) the persistent `[per-seed, batched]`
+/// executor pair, whose interners and rec-independent static caches survive
+/// from one execution — and one seed of a per-item loop — to the next.  The
+/// seed-carried batched plan has its own executor because its fingerprint
+/// differs from the per-seed plan's: interleaved
+/// [`PreparedQuery::execute`] and [`PreparedQuery::execute_batched`] calls
+/// would otherwise thrash one static cache on every switch.
+type Runtime = Vec<[Executor; 2]>;
+
+/// Index of the per-seed plan's executor in a [`Runtime`] pair.
+const PER_SEED: usize = 0;
+/// Index of the seed-carried batched plan's executor in a [`Runtime`] pair.
+const BATCHED: usize = 1;
+
+/// The idle runtimes of one prepared query, and how many were ever minted.
+#[derive(Debug, Default)]
+struct RuntimePool {
+    idle: Mutex<Vec<Runtime>>,
+    minted: AtomicU64,
+}
+
+impl RuntimePool {
+    /// The idle list; it is only ever pushed to and popped from, so a
+    /// poisoned lock still guards a valid list.
+    fn idle(&self) -> std::sync::MutexGuard<'_, Vec<Runtime>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One execution's exclusive hold on a [`Runtime`].  Dropping it returns the
+/// runtime to the pool it came from — unless the thread is unwinding: a
+/// fixpoint aborted mid-iteration may have left the executors half-applied,
+/// so that runtime is dropped instead.
+#[derive(Debug)]
+struct CheckedOut {
+    executors: Runtime,
+    pool: Arc<RuntimePool>,
+}
+
+impl Drop for CheckedOut {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.pool.idle().push(std::mem::take(&mut self.executors));
+        }
+    }
 }
 
 impl PreparedQuery {
@@ -404,6 +450,7 @@ impl PreparedQuery {
             parallelism,
             occurrences,
             external_vars,
+            runtimes: Arc::default(),
         }
     }
 
@@ -461,21 +508,28 @@ impl PreparedQuery {
         &self.module
     }
 
-    /// A copy of this prepared artifact with **fresh** persistent
-    /// executors, sharing the compiled plans (which are `Arc`s, so no
-    /// re-compilation happens).  A `clone()` shares the per-occurrence
-    /// executors, whose `Mutex` is held for a whole fixpoint run — sessions
-    /// that execute the *same* cached query concurrently would serialize on
-    /// it.  Forking gives each session its own executors at the cost of
-    /// re-warming their static caches; a plan cache keeps a pool of
-    /// released forks so the warm-up amortizes across queries.
-    pub fn fork_executors(&self) -> Self {
-        let mut forked = self.clone();
-        for occ in &mut forked.occurrences {
-            occ.executor = Arc::new(Mutex::new(Executor::new()));
-            occ.batched_executor = Arc::new(Mutex::new(Executor::new()));
+    /// How many runtimes this query (with its clones) has minted so far:
+    /// one for its first execution on the relational executor, one more
+    /// each time an execution found every pooled runtime in flight, and
+    /// one to replace each runtime dropped by a panic.
+    pub fn runtimes_minted(&self) -> u64 {
+        self.runtimes.minted.load(Ordering::Relaxed)
+    }
+
+    /// Take an idle runtime out of the pool, or mint one.
+    fn check_out(&self) -> CheckedOut {
+        let pooled = self.runtimes.idle().pop();
+        let executors = pooled.unwrap_or_else(|| {
+            self.runtimes.minted.fetch_add(1, Ordering::Relaxed);
+            self.occurrences
+                .iter()
+                .map(|_| Default::default())
+                .collect()
+        });
+        CheckedOut {
+            executors,
+            pool: Arc::clone(&self.runtimes),
         }
-        forked
     }
 
     /// The grid of plan alternatives the knobs leave open for `occ`,
@@ -588,75 +642,53 @@ impl PreparedQuery {
         self.occurrences
             .iter()
             .zip(decisions)
-            .filter_map(|(occ, decision)| {
+            .enumerate()
+            .filter_map(|(occurrence, (occ, decision))| {
                 decision.plan.as_ref().map(|compiled| PlanEntry {
+                    occurrence,
                     var: occ.var.clone(),
                     body: occ.body.clone(),
                     compiled: compiled.clone(),
                     strategy: decision.alternative.strategy,
                     batched: decision.alternative.batched,
-                    executor: occ.executor.clone(),
-                    batched_executor: occ.batched_executor.clone(),
                 })
             })
             .collect()
     }
 
-    /// Roll every occurrence's in-flight feedback into its observation
-    /// table (keyed on `fingerprint`) and return the per-occurrence run
-    /// summaries of the execution that just finished.
-    fn finish_feedback(&self, fingerprint: u64) -> Vec<Option<RunObservation>> {
-        self.occurrences
-            .iter()
-            .map(|occ| occ.feedback.finish_run(fingerprint))
-            .collect()
-    }
-
-    /// Snapshot of every occurrence's executor counters, taken before an
-    /// execution so the outcome can report per-execute deltas.
-    fn cache_totals(&self) -> Vec<(u64, u64)> {
-        self.occurrences
-            .iter()
-            .map(PreparedOccurrence::executor_cache_totals)
-            .collect()
-    }
-
-    /// The per-occurrence decisions of one execution: the decided
-    /// alternative — corrected by what *actually* ran when the runtime had
-    /// to fall back (e.g. a batched algebraic route declining a cross-
-    /// document `id()` seed set) — the decision provenance and costs, and
-    /// the executor-counter deltas since `cache_before`.
+    /// The per-occurrence report of one execution, rolling the runs
+    /// `evaluator` logged into each occurrence's feedback cell (keyed on
+    /// `fingerprint`) on the way: the decided alternative — corrected by
+    /// what *actually* ran when the runtime had to fall back (e.g. a batched
+    /// algebraic route declining a cross-document `id()` seed set) — the
+    /// decision provenance and costs, and the static-cache counters of the
+    /// occurrence's own runs.  Without an evaluator (the runs were inner
+    /// executions', already rolled up) the report is the decisions'.
     fn occurrence_plans(
         &self,
         decisions: &[PlanDecision],
-        summaries: &[Option<RunObservation>],
-        cache_before: &[(u64, u64)],
+        evaluator: Option<&Evaluator<'_>>,
+        fingerprint: u64,
     ) -> Vec<OccurrencePlan> {
         self.occurrences
             .iter()
             .zip(decisions)
-            .zip(cache_before)
-            .enumerate()
-            .map(|(i, ((occ, decision), &(hits_before, evals_before)))| {
-                let (hits_after, evals_after) = occ.executor_cache_totals();
-                let summary = summaries.get(i).copied().flatten();
-                let ran = summary.map(|s| s.alternative);
+            .map(|(occ, decision)| {
+                let runs = evaluator
+                    .into_iter()
+                    .flat_map(|e| e.fixpoint_runs_of(&occ.var, &occ.body));
+                let ran = occ.feedback.finish_run(fingerprint, runs.clone());
+                let alternative = ran.map_or(decision.alternative, |r| r.alternative);
                 OccurrencePlan {
                     variable: occ.var.clone(),
-                    strategy: ran
-                        .map(|a| a.strategy)
-                        .unwrap_or(decision.alternative.strategy),
-                    backend: ran
-                        .map(|a| a.backend)
-                        .unwrap_or(decision.alternative.backend),
-                    batched: ran
-                        .map(|a| a.batched)
-                        .unwrap_or(decision.alternative.batched),
+                    strategy: alternative.strategy,
+                    backend: alternative.backend,
+                    batched: alternative.batched,
                     decided_by: decision.source,
                     estimated_cost_micros: decision.estimated_micros,
-                    observed_cost_micros: summary.map(|s| s.wall_micros),
-                    static_cache_hits: hits_after - hits_before,
-                    static_plan_evals: evals_after - evals_before,
+                    observed_cost_micros: ran.map(|r| r.wall_micros),
+                    static_cache_hits: runs.clone().map(|r| r.static_cache_hits).sum(),
+                    static_plan_evals: runs.map(|r| r.static_plan_evals).sum(),
                 }
             })
             .collect()
@@ -702,25 +734,21 @@ impl PreparedQuery {
         for (name, value) in bindings.iter() {
             evaluator.bind_global(name, value.clone());
         }
-        // Counter snapshot, so the outcome reports per-*execute* deltas of
-        // the persistent executors' lifetime totals.
-        let cache_before = self.cache_totals();
 
         let result = evaluator.eval_module(&self.module)?;
-        let fixpoints = evaluator.fixpoint_runs().to_vec();
-        let summaries = self.finish_feedback(stats.fingerprint());
-        let occurrences = self.occurrence_plans(&decisions, &summaries, &cache_before);
         Ok(QueryOutcome {
             result,
             distributivity: self.distributivity(),
-            occurrences,
-            fixpoints,
+            occurrences: self.occurrence_plans(&decisions, Some(&evaluator), stats.fingerprint()),
+            fixpoints: evaluator.fixpoint_runs().to_vec(),
         })
     }
 
     /// The evaluator every execution route runs on: options and limits
-    /// from `opts`, the decided algorithm and the feedback observer per
-    /// occurrence, and the interceptor that drives the algebraic decisions.
+    /// from `opts`, the decided algorithm per occurrence, and — only when a
+    /// decision routes through the relational executor — the interceptor
+    /// that drives those decisions on a checked-out runtime, which it owns
+    /// until the evaluator is dropped.
     fn evaluator<'s>(
         &self,
         store: StoreMut<'s>,
@@ -740,14 +768,14 @@ impl PreparedQuery {
         };
         evaluator.set_fixpoint_strategy(self.default_strategy);
         for (occ, decision) in self.occurrences.iter().zip(decisions) {
-            let body = || occ.body.clone();
-            evaluator.set_fixpoint_strategy_for(&occ.var, body(), decision.alternative.strategy);
-            evaluator.set_fixpoint_observer_for(&occ.var, body(), occ.feedback.clone());
+            let strategy = decision.alternative.strategy;
+            evaluator.set_fixpoint_strategy_for(&occ.var, occ.body.clone(), strategy);
         }
         let entries = self.plan_entries(decisions);
         if !entries.is_empty() {
             evaluator.set_fixpoint_interceptor(Box::new(PlanDriver {
                 entries,
+                runtime: self.check_out(),
                 threads,
                 limits: evaluator.options().limits,
             }));
@@ -892,8 +920,12 @@ impl PreparedQuery {
         // `$seed_var` (or the seeds are not all nodes, and the per-seed
         // execution must surface the evaluator's type error) — run the
         // module once per seed item, exactly as the contract reads.
+        //
+        // The inner `execute_on` calls roll their own feedback up; the
+        // outer report is the per-execute decisions with the inner calls'
+        // static-cache counters summed.
         let decisions = self.decide_plans(&stats, None)?;
-        let cache_before = self.cache_totals();
+        let mut occurrences = self.occurrence_plans(&decisions, None, stats.fingerprint());
         let mut result = Sequence::empty();
         let mut per_seed = Vec::with_capacity(seeds.len());
         let mut fixpoints = Vec::new();
@@ -905,16 +937,16 @@ impl PreparedQuery {
             result.extend(outcome.result.clone());
             per_seed.push(outcome.result);
             fixpoints.extend(outcome.fixpoints);
+            for (total, inner) in occurrences.iter_mut().zip(&outcome.occurrences) {
+                total.static_cache_hits += inner.static_cache_hits;
+                total.static_plan_evals += inner.static_plan_evals;
+            }
         }
-        // The inner `execute_on` calls rolled their own feedback up; the
-        // outer summaries are empty and the report falls back to the
-        // per-execute decisions.
-        let summaries = vec![None; self.occurrences.len()];
         Ok(BatchedOutcome {
             outcome: QueryOutcome {
                 result,
                 distributivity: self.distributivity(),
-                occurrences: self.occurrence_plans(&decisions, &summaries, &cache_before),
+                occurrences,
                 fixpoints,
             },
             per_seed,
@@ -973,10 +1005,8 @@ impl PreparedQuery {
                 evaluator.bind_global(name, value.clone());
             }
         }
-        let cache_before = self.cache_totals();
 
         let (groups, batched) = evaluator.run_fixpoint_batched(&occ.var, &occ.body, &unique)?;
-        let fixpoints = evaluator.fixpoint_runs().to_vec();
         let per_seed: Vec<Sequence> = positions
             .iter()
             .map(|&i| Sequence::from_nodes(groups[i].clone()))
@@ -985,13 +1015,16 @@ impl PreparedQuery {
         for seq in &per_seed {
             result.extend(seq.clone());
         }
-        let summaries = self.finish_feedback(stats.fingerprint());
         Ok(BatchedOutcome {
             outcome: QueryOutcome {
                 result,
                 distributivity: self.distributivity(),
-                occurrences: self.occurrence_plans(&decisions, &summaries, &cache_before),
-                fixpoints,
+                occurrences: self.occurrence_plans(
+                    &decisions,
+                    Some(&evaluator),
+                    stats.fingerprint(),
+                ),
+                fixpoints: evaluator.fixpoint_runs().to_vec(),
             },
             per_seed,
             batched,
@@ -1042,9 +1075,11 @@ struct PlanDecision {
     plan: Option<Arc<CompiledBody>>,
 }
 
-/// One interceptor entry: an occurrence with a pre-compiled plan and its
-/// persistent executors (per-seed and batched).
+/// One interceptor entry: an occurrence whose decision routes through the
+/// relational executor, with its pre-compiled plan.
 struct PlanEntry {
+    /// Index of the occurrence, and so of its executor pair in the runtime.
+    occurrence: usize,
     var: String,
     body: Arc<Expr>,
     compiled: Arc<CompiledBody>,
@@ -1053,8 +1088,6 @@ struct PlanEntry {
     /// inside a batched execution: the interceptor declines the batch so the
     /// evaluator falls back to one (algebraic) fixpoint per seed.
     batched: bool,
-    executor: Arc<Mutex<Executor>>,
-    batched_executor: Arc<Mutex<Executor>>,
 }
 
 /// The [`FixpointInterceptor`] installed by [`PreparedQuery::execute`]: it
@@ -1064,9 +1097,12 @@ struct PlanEntry {
 /// execution and every seed of a per-item workload — the driver hands the
 /// occurrence's long-lived executor `&mut` access to the store per run
 /// instead of building a fresh executor (which would re-intern every
-/// string and re-evaluate every rec-independent plan node per seed).
+/// string and re-evaluate every rec-independent plan node per seed).  The
+/// executors are the driver's own for as long as it lives: it holds the
+/// execution's checked-out runtime and gives it back when dropped.
 struct PlanDriver {
     entries: Vec<PlanEntry>,
+    runtime: CheckedOut,
     /// Shard count for batched runs (from the prepared query's
     /// [`Parallelism`] policy); a single-source run has nothing to shard.
     threads: usize,
@@ -1085,25 +1121,6 @@ impl PlanEntry {
             static_cache_hits: executor.static_cache_hits() - before.0,
             static_plan_evals: executor.static_plan_evals() - before.1,
             ..run.into()
-        }
-    }
-}
-
-/// Take an occurrence's persistent-executor lock even if a previous holder
-/// panicked.  The executor behind it may have been left mid-run, so rather
-/// than trusting its caches we reset it to a fresh state: every invariant
-/// (interner, sym-translation, static cache) is rebuilt lazily at
-/// re-evaluation cost, which a recovery path gladly pays.  The service
-/// additionally drops the whole plan-cache fork a panic was caught on, so
-/// this path only runs for panics that escaped outside a fork's lifetime.
-fn lock_executor(lock: &Mutex<Executor>) -> std::sync::MutexGuard<'_, Executor> {
-    match lock.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            lock.clear_poison();
-            let mut guard = poisoned.into_inner();
-            *guard = Executor::new();
-            guard
         }
     }
 }
@@ -1133,8 +1150,8 @@ impl FixpointInterceptor for PlanDriver {
             .entries
             .iter()
             .find(|e| e.var == var && *e.body == *body)?;
-        let (executor, plan, sharing) = match seeds {
-            Seeds::Set(_) => (&entry.executor, &entry.compiled.plan, BatchSharing::PerSeed),
+        let (route, plan, sharing) = match seeds {
+            Seeds::Set(_) => (PER_SEED, &entry.compiled.plan, BatchSharing::PerSeed),
             Seeds::Each(seeds) => {
                 // The cost decision may prefer the per-seed algebraic route
                 // over the batched one (observed wall times): decline the
@@ -1163,10 +1180,10 @@ impl FixpointInterceptor for PlanDriver {
                 } else {
                     BatchSharing::PerSeed
                 };
-                (&entry.batched_executor, batched_plan, sharing)
+                (BATCHED, batched_plan, sharing)
             }
         };
-        let mut executor = lock_executor(executor);
+        let executor = &mut self.runtime.executors[entry.occurrence][route];
         executor.set_threads(self.threads);
         executor.limits = self.limits;
         let before = (executor.static_cache_hits(), executor.static_plan_evals());
@@ -1174,7 +1191,7 @@ impl FixpointInterceptor for PlanDriver {
         Some(
             executor
                 .run_fixpoint_groups(store, plan, seeds, strategy, seed_in_result, sharing)
-                .map(|(groups, run)| (groups, entry.stats(&executor, run, before)))
+                .map(|(groups, run)| (groups, entry.stats(executor, run, before)))
                 .map_err(|err| backend_error(var, err)),
         )
     }
@@ -1213,8 +1230,8 @@ pub(crate) fn analyse_occurrences(
             FixpointStrategy::Naive
         });
         let features = occurrence_features(&body, &report, &compiled);
-        // Identical occurrences share one feedback cell, so the evaluator's
-        // single observer slot per (var, body) pair feeds them all.
+        // Identical occurrences share one feedback cell: the evaluator logs
+        // their runs under one (var, body) pair.
         let feedback = occurrences
             .iter()
             .find(|o: &&PreparedOccurrence| o.var == var && *o.body == body)
@@ -1228,8 +1245,6 @@ pub(crate) fn analyse_occurrences(
             compiled,
             features,
             feedback,
-            executor: Arc::new(Mutex::new(Executor::new())),
-            batched_executor: Arc::new(Mutex::new(Executor::new())),
         });
     }
     occurrences
@@ -1373,5 +1388,144 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(Backend::Auto.name(), "auto");
         assert_eq!(Backend::default(), Backend::SourceLevel);
+    }
+
+    const CURRICULUM: &str = r#"<curriculum>
+        <course code="c1"><prerequisites><pre_code>c2</pre_code><pre_code>c3</pre_code></prerequisites></course>
+        <course code="c2"><prerequisites><pre_code>c4</pre_code></prerequisites></course>
+        <course code="c3"><prerequisites/></course>
+        <course code="c4"><prerequisites/></course>
+    </curriculum>"#;
+
+    fn curriculum_store() -> xqy_xdm::NodeStore {
+        let mut store = xqy_xdm::NodeStore::new();
+        let doc = store
+            .parse_document_with_uri("curriculum.xml", CURRICULUM)
+            .unwrap();
+        store.register_id_attribute(doc, "code");
+        store
+    }
+
+    /// The prerequisite closure of `$seed` on the relational executor, so
+    /// every execution needs a runtime.
+    fn algebraic_closure() -> PreparedQuery {
+        PreparedQuery::prepare(
+            "with $x seeded by $seed recurse $x/id(./prerequisites/pre_code)",
+            Strategy::Auto,
+            Backend::Algebraic,
+            Parallelism::Sequential,
+        )
+        .unwrap()
+    }
+
+    /// Execute `plan` over the course `code` on a store of its own; the
+    /// closure as text and the execution's `static_plan_evals`.
+    fn closure_of(plan: &PreparedQuery, code: &str) -> (String, u64) {
+        let mut store = curriculum_store();
+        let course = store.lookup_id(store.doc("curriculum.xml").unwrap(), code);
+        let seed = Bindings::new().with("seed", Sequence::from_nodes(course));
+        let outcome = plan
+            .execute_on(&mut store, &seed, &ExecOptions::default())
+            .unwrap();
+        (
+            outcome.result.display(&store),
+            outcome.occurrences[0].static_plan_evals,
+        )
+    }
+
+    #[test]
+    fn concurrent_executions_share_one_plan_and_pool_their_runtimes() {
+        const CODES: [&str; 4] = ["c1", "c2", "c3", "c4"];
+        let sequential: Vec<String> = CODES
+            .iter()
+            .map(|code| closure_of(&algebraic_closure(), code).0)
+            .collect();
+        assert!(sequential[0].contains("c4") && sequential[3].is_empty());
+
+        let plan = Arc::new(algebraic_closure());
+        let wave = || -> Vec<String> {
+            let start = std::sync::Barrier::new(CODES.len());
+            std::thread::scope(|scope| {
+                let sessions: Vec<_> = CODES
+                    .iter()
+                    .map(|code| {
+                        let (plan, start) = (&plan, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            closure_of(plan, code).0
+                        })
+                    })
+                    .collect();
+                sessions.into_iter().map(|s| s.join().unwrap()).collect()
+            })
+        };
+        assert_eq!(wave(), sequential);
+        let minted = plan.runtimes_minted();
+        assert!((1..=4).contains(&minted), "minted {minted}");
+        assert_eq!(plan.runtimes.idle().len() as u64, minted, "all came back");
+        // Sequential executions find a runtime in the pool: nothing is minted
+        // for them.  (A second concurrent wave may still mint, up to the
+        // peak concurrency, if the first happened to overlap less.)
+        for (code, expected) in CODES.iter().zip(&sequential) {
+            assert_eq!(&closure_of(&plan, code).0, expected);
+        }
+        assert_eq!(plan.runtimes_minted(), minted);
+        assert_eq!(wave(), sequential);
+        assert!(plan.runtimes_minted() <= 4);
+    }
+
+    #[test]
+    fn second_execute_reuses_the_warm_runtime() {
+        // One store for both executions: the static cache is keyed on its
+        // load epoch.
+        let mut store = curriculum_store();
+        let plan = PreparedQuery::prepare(
+            "with $x seeded by doc('curriculum.xml')/curriculum/course[@code='c1'] \
+             recurse doc('curriculum.xml')/curriculum/course[@code='c4']",
+            Strategy::Auto,
+            Backend::Algebraic,
+            Parallelism::Sequential,
+        )
+        .unwrap();
+        let mut evals = || {
+            let outcome = plan
+                .execute_on(&mut store, &Bindings::new(), &ExecOptions::default())
+                .unwrap();
+            assert_eq!(outcome.result.len(), 1);
+            outcome.occurrences[0].static_plan_evals
+        };
+        assert!(evals() > 0, "the body has a rec-independent sub-plan");
+        assert_eq!(evals(), 0, "the runtime came back to the pool warm");
+        assert_eq!(plan.runtimes_minted(), 1);
+    }
+
+    #[test]
+    fn runtime_dropped_during_unwind_is_not_pooled() {
+        let plan = algebraic_closure();
+        drop(plan.check_out());
+        assert_eq!(
+            plan.runtimes.idle().len(),
+            1,
+            "a finished execution pools it"
+        );
+        let in_flight = plan.check_out();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = in_flight;
+            panic!("mid-query panic");
+        }));
+        assert!(unwound.is_err());
+        assert!(
+            plan.runtimes.idle().is_empty(),
+            "possibly half-applied state"
+        );
+        assert_eq!(
+            closure_of(&plan, "c2").0,
+            closure_of(&algebraic_closure(), "c2").0
+        );
+        assert_eq!(
+            plan.runtimes_minted(),
+            2,
+            "the next execution minted afresh"
+        );
     }
 }

@@ -102,29 +102,18 @@ pub struct Evaluator<'s> {
 
 /// The per-occurrence settings a higher layer can install on an evaluator
 /// (one record per `(var, body)` pair; see
-/// [`Evaluator::set_fixpoint_strategy_for`],
-/// [`Evaluator::set_fixpoint_batch_sharing_for`] and
-/// [`Evaluator::set_fixpoint_observer_for`]).
-#[derive(Clone, Default)]
+/// [`Evaluator::set_fixpoint_strategy_for`] and
+/// [`Evaluator::set_fixpoint_batch_sharing_for`]), plus which recorded runs
+/// were this occurrence's ([`Evaluator::fixpoint_runs_of`]).
+#[derive(Debug, Clone, Default)]
 struct OccurrenceOverrides {
     /// Algorithm override; `None` falls back to the global
     /// [`EvalOptions::fixpoint_strategy`].
     strategy: Option<FixpointStrategy>,
     /// Batch-sharing grant for the batched source-level driver.
     share: bool,
-    /// Observer notified with the [`FixpointStats`] of every recorded run
-    /// of this occurrence (the cost model's feedback channel).
-    observer: Option<Arc<dyn crate::fixpoint::FixpointObserver>>,
-}
-
-impl std::fmt::Debug for OccurrenceOverrides {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OccurrenceOverrides")
-            .field("strategy", &self.strategy)
-            .field("share", &self.share)
-            .field("observer", &self.observer.is_some())
-            .finish()
-    }
+    /// Indexes into [`Evaluator::fixpoint_runs`] of this occurrence's runs.
+    runs: Vec<usize>,
 }
 
 impl<'s> Evaluator<'s> {
@@ -230,20 +219,6 @@ impl<'s> Evaluator<'s> {
             .map(|(_, o)| o)
     }
 
-    /// Attach an observer to the occurrence `(var, body)`: it is handed the
-    /// [`FixpointStats`] of every run of that occurrence right after the
-    /// run is recorded — whichever back-end (interpreted or intercepted)
-    /// produced it.  The prepared-query layer installs its cost-model
-    /// feedback cells through this.
-    pub fn set_fixpoint_observer_for(
-        &mut self,
-        var: &str,
-        body: Arc<Expr>,
-        observer: Arc<dyn crate::fixpoint::FixpointObserver>,
-    ) {
-        self.occurrence_overrides_for(var, body).observer = Some(observer);
-    }
-
     /// Install a [`FixpointInterceptor`] that may take over the evaluation
     /// of IFP occurrences (see the trait docs).
     pub fn set_fixpoint_interceptor(&mut self, interceptor: Box<dyn FixpointInterceptor>) {
@@ -268,11 +243,30 @@ impl<'s> Evaluator<'s> {
         self.fixpoint_runs.last()
     }
 
-    /// Record a run attributed to the occurrence `(var, body)`, notifying
-    /// the occurrence's observer (if any) first.
+    /// The recorded runs of the occurrence `(var, body)` — whichever
+    /// back-end (interpreted or intercepted) produced them — in execution
+    /// order.  Only occurrences with an installed override record (e.g. a
+    /// [`set_fixpoint_strategy_for`](Self::set_fixpoint_strategy_for)
+    /// call) are tracked; the prepared-query layer reads its cost-model
+    /// feedback from here once evaluation is over.
+    pub fn fixpoint_runs_of(
+        &self,
+        var: &str,
+        body: &Expr,
+    ) -> impl Iterator<Item = &FixpointStats> + Clone {
+        let runs = self.overrides(var, body).map_or(&[][..], |o| &o.runs);
+        runs.iter().map(|&run| &self.fixpoint_runs[run])
+    }
+
+    /// Record a run attributed to the occurrence `(var, body)`.
     pub(crate) fn record_fixpoint_run_for(&mut self, var: &str, body: &Expr, stats: FixpointStats) {
-        if let Some(observer) = self.overrides(var, body).and_then(|o| o.observer.as_ref()) {
-            observer.observe(&stats);
+        let run = self.fixpoint_runs.len();
+        if let Some((_, overrides)) = self
+            .occurrence_overrides
+            .iter_mut()
+            .find(|((v, b), _)| v == var && b.as_ref() == body)
+        {
+            overrides.runs.push(run);
         }
         self.fixpoint_runs.push(stats);
     }
@@ -298,7 +292,7 @@ impl<'s> Evaluator<'s> {
     /// A fresh environment pre-loaded with the global bindings.  Cloning a
     /// global's value is cheap for node sequences (a shared handle); nothing
     /// else is copied — this replaces the old whole-`globals` clone that
-    /// every `eval_module`/`eval_expr_str` call paid.
+    /// every `eval_module` call paid.
     fn env_with_globals(&self) -> Environment {
         let mut env = Environment::with_capacity(self.globals.len());
         for (name, value) in &self.globals {
@@ -490,13 +484,6 @@ impl<'s> Evaluator<'s> {
             self.globals.push((id, value));
         }
         self.eval_expr(&module.body, &mut env, None)
-    }
-
-    /// Evaluate a standalone expression with an empty environment.
-    pub fn eval_expr_str(&mut self, source: &str) -> Result<Sequence> {
-        let expr = xqy_parser::parse_expr(source)?;
-        let mut env = self.env_with_globals();
-        self.eval_expr(&expr, &mut env, None)
     }
 
     /// Evaluate `expr` under `env` with optional focus.

@@ -1,8 +1,7 @@
 //! The source-level side of the inflationary fixed point: the interpreter
 //! as a [`Body`] of the shared Figure-3 driver ([`xqy_xdm::fixpoint`]), the
-//! per-run statistics the evaluator records, and the hooks a higher layer
-//! uses to take an occurrence over ([`FixpointInterceptor`]) or watch it
-//! ([`FixpointObserver`]).
+//! per-run statistics the evaluator records, and the hook a higher layer
+//! uses to take an occurrence over ([`FixpointInterceptor`]).
 //!
 //! Delta is only a safe replacement for Naïve when the recursion body is
 //! *distributive* for the recursion variable (Theorem 3.2); the runtime does
@@ -85,17 +84,6 @@ pub trait FixpointInterceptor {
         seeds: Seeds<'_>,
         seed_in_result: bool,
     ) -> Option<Result<(Vec<Vec<NodeId>>, FixpointStats)>>;
-}
-
-/// An observer a higher layer may attach to a fixpoint occurrence (see
-/// [`Evaluator::set_fixpoint_observer_for`](crate::Evaluator::set_fixpoint_observer_for)):
-/// it receives every recorded [`FixpointStats`] for that occurrence —
-/// whichever back-end produced it — right after the run finishes.  The
-/// `xqy_ifp` cost model uses this to feed observed iteration depth, result
-/// size and wall time back into its per-occurrence feedback cells.
-pub trait FixpointObserver: Send + Sync {
-    /// Called once per recorded fixpoint run of the observed occurrence.
-    fn observe(&self, stats: &FixpointStats);
 }
 
 /// Statistics of one fixed point computation.

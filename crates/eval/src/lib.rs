@@ -73,9 +73,7 @@ pub mod fixpoint;
 pub use context::{Environment, Focus};
 pub use error::EvalError;
 pub use evaluator::{EvalOptions, Evaluator};
-pub use fixpoint::{
-    FixpointBackendTag, FixpointInterceptor, FixpointObserver, FixpointStats, FixpointStrategy,
-};
+pub use fixpoint::{FixpointBackendTag, FixpointInterceptor, FixpointStats, FixpointStrategy};
 
 /// Result alias for evaluation.
 pub type Result<T> = std::result::Result<T, EvalError>;

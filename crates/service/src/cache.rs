@@ -1,28 +1,24 @@
 //! Cross-session prepared-plan cache.
 //!
 //! Preparation (parse → distributivity analysis → algebraic compilation)
-//! is the expensive, *store-independent* half of query processing: a
-//! [`PreparedQuery`] captures the analysed module and its compiled plans
-//! but pins no documents, so one prepared artifact can serve every session
-//! and every snapshot.  The cache keys on the query *text* plus the knobs
-//! that change the prepared artifact (backend, strategy, parallelism), and
-//! is invalidated wholesale whenever the published snapshot's load epoch
-//! moves — document identity may have changed, so compiled plans that
-//! embedded `doc(...)` resolutions must be rebuilt.  Revision-only motion
-//! (constructed nodes) keeps the cache warm.
+//! is the expensive, *store-independent* half of query processing, and a
+//! [`PreparedQuery`] is an immutable value: it captures the analysed module
+//! and its compiled plans, pins no documents and is never written to by an
+//! execution (the executors that run it are checked out of the query's own
+//! runtime pool, one per execution in flight — see [`xqy_ifp::prepared`]).
+//! So the cache is a plain map from [`Key`] — the query *text* plus the
+//! knobs that change the prepared artifact (backend, strategy, parallelism)
+//! plus the statistics fingerprint the plan was costed against — to one
+//! `Arc<PreparedQuery>` that every session executes directly and
+//! concurrently, on any snapshot.
 //!
-//! # Leases and the executor pool
-//!
-//! A prepared query's persistent plan executors live behind a `Mutex` held
-//! for a whole fixpoint run, so handing every session the *same* artifact
-//! would serialize concurrent executions of a popular query.  Instead the
-//! cache hands out **leases**: each entry keeps a pool of executor forks
-//! ([`PreparedQuery::fork_executors`] — shared compiled plans, private
-//! executors), [`acquire`](PlanCache::acquire) pops an idle fork (or mints
-//! one when all are in flight), and dropping the [`PlanLease`] returns the
-//! fork — with its now-warm static caches — to the pool.  N sessions thus
-//! run N truly concurrent executions of one cached query, while the
-//! expensive preparation still happens exactly once per distinct text.
+//! Nothing invalidates an entry.  A plan never read the store, so a
+//! publication cannot make it wrong: `doc(...)` resolves at run time, and a
+//! warm executor meeting a snapshot with a different load epoch re-keys its
+//! own caches.  A *materially* different snapshot changes the fingerprint
+//! in the key, so its queries miss, re-cost from fresh estimates, and the
+//! entries of the old shape age out.  An execution that still holds a plan
+//! when its entry is evicted simply finishes on it.
 //!
 //! Eviction is least-recently-used via a monotone tick stamped on every
 //! hit; capacity is fixed at construction.  All counters
@@ -51,9 +47,9 @@ pub struct CacheCounters {
     pub misses: u64,
     /// Entries displaced by capacity pressure (LRU).
     pub evictions: u64,
-    /// Entries dropped because the snapshot's load epoch moved.
-    pub invalidations: u64,
-    /// Executor forks minted because every pooled fork was in flight.
+    /// Runtimes minted beyond a plan's first — because every pooled one was
+    /// in flight (or the one in flight was lost to a panic) — summed over
+    /// the resident plans and, as of their eviction, the retired ones.
     pub forks: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -68,58 +64,43 @@ pub struct CacheCounters {
 /// reusing a plan — and warm feedback observations — taken under data that
 /// no longer exists.  Immaterial republishes keep hitting the same entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    query: String,
-    backend: Backend,
-    strategy: Strategy,
-    parallelism: Parallelism,
-    stats_fingerprint: u64,
+pub(crate) struct Key {
+    pub(crate) query: String,
+    pub(crate) backend: Backend,
+    pub(crate) strategy: Strategy,
+    pub(crate) parallelism: Parallelism,
+    pub(crate) stats_fingerprint: u64,
 }
 
 #[derive(Debug)]
 struct Entry {
-    /// The canonical artifact forks are minted from (also the first lease's
-    /// artifact, returned to the pool when released).
-    master: Arc<PreparedQuery>,
-    /// Released forks, warm and ready for the next session.
-    idle: Vec<Arc<PreparedQuery>>,
+    plan: Arc<PreparedQuery>,
     last_used: u64,
-    /// Unique id of this entry *incarnation*.  Every lease carries the id
-    /// of the entry it came from, and release only pools a fork whose id
-    /// matches the resident entry's — so a fork leased before an
-    /// invalidation or eviction is dropped on release instead of being
-    /// resurrected into a newer entry for the same query text.
-    generation: u64,
+}
+
+/// The runtimes `plan` minted beyond its first.
+fn forks(plan: &PreparedQuery) -> u64 {
+    plan.runtimes_minted().saturating_sub(1)
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     entries: HashMap<Key, Entry>,
     tick: u64,
-    /// Source of unique [`Entry::generation`] ids (bumped per insertion).
-    next_generation: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
-    invalidations: u64,
-    forks: u64,
+    /// [`forks`] of the evicted plans, as of their eviction.
+    retired_forks: u64,
 }
 
 impl Inner {
-    /// Pop an idle fork of `key`'s entry (or mint a fresh one), returning
-    /// it with the entry's generation.
-    fn lease_artifact(&mut self, key: &Key, tick: u64) -> Option<(Arc<PreparedQuery>, u64)> {
+    /// The resident plan under `key`, its recency refreshed.
+    fn touch(&mut self, key: &Key) -> Option<Arc<PreparedQuery>> {
+        self.tick += 1;
         let entry = self.entries.get_mut(key)?;
-        entry.last_used = tick;
-        let generation = entry.generation;
-        let artifact = match entry.idle.pop() {
-            Some(fork) => fork,
-            None => {
-                self.forks += 1;
-                Arc::new(entry.master.fork_executors())
-            }
-        };
-        Some((artifact, generation))
+        entry.last_used = self.tick;
+        Some(Arc::clone(&entry.plan))
     }
 }
 
@@ -130,10 +111,6 @@ pub(crate) struct PlanCache {
     inner: Mutex<Inner>,
     capacity: usize,
 }
-
-/// Caps how many released forks an entry retains; concurrency beyond this
-/// mints throw-away forks instead of growing the pool without bound.
-const MAX_IDLE_FORKS: usize = 64;
 
 impl PlanCache {
     pub(crate) fn new(capacity: usize) -> Self {
@@ -147,204 +124,56 @@ impl PlanCache {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Lease a prepared plan for one execution; records a hit (refreshing
-    /// recency) or a miss.  On a miss the caller prepares *outside* the
-    /// cache lock and calls [`PlanCache::insert`].
-    pub(crate) fn acquire(
-        &self,
-        query: &str,
-        backend: Backend,
-        strategy: Strategy,
-        parallelism: Parallelism,
-        stats_fingerprint: u64,
-    ) -> Option<PlanLease<'_>> {
-        let key = Key {
-            query: query.to_owned(),
-            backend,
-            strategy,
-            parallelism,
-            stats_fingerprint,
-        };
+    /// Look `key`'s plan up; records a hit (refreshing recency) or a miss.
+    /// On a miss the caller prepares *outside* the cache lock and calls
+    /// [`PlanCache::insert`].
+    pub(crate) fn get(&self, key: &Key) -> Option<Arc<PreparedQuery>> {
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.lease_artifact(&key, tick) {
-            Some((prepared, generation)) => {
-                inner.hits += 1;
-                Some(PlanLease {
-                    cache: self,
-                    key,
-                    prepared: Some(prepared),
-                    generation,
-                    corrupt: false,
-                    outcome: CacheOutcome::Hit,
-                })
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        let plan = inner.touch(key);
+        match plan {
+            Some(_) => inner.hits += 1,
+            None => inner.misses += 1,
         }
+        plan
     }
 
-    /// Insert a freshly prepared plan (after an [`acquire`]
-    /// (PlanCache::acquire) miss) and lease it, evicting the
-    /// least-recently-used entry if the cache is full.  If another session
-    /// raced us and inserted the same key first, its entry wins and the
-    /// lease comes from its pool, so all sessions share one preparation.
-    pub(crate) fn insert(
-        &self,
-        query: &str,
-        backend: Backend,
-        strategy: Strategy,
-        parallelism: Parallelism,
-        stats_fingerprint: u64,
-        prepared: Arc<PreparedQuery>,
-    ) -> PlanLease<'_> {
-        let key = Key {
-            query: query.to_owned(),
-            backend,
-            strategy,
-            parallelism,
-            stats_fingerprint,
-        };
+    /// Insert a freshly prepared plan (after a [`get`](PlanCache::get)
+    /// miss), evicting the least-recently-used entry if the cache is full,
+    /// and return the plan to execute.  If another session raced us and
+    /// inserted the same key first, its plan wins and is returned instead,
+    /// so all sessions share one preparation.
+    pub(crate) fn insert(&self, key: Key, prepared: Arc<PreparedQuery>) -> Arc<PreparedQuery> {
         let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let (artifact, generation) = match inner.lease_artifact(&key, tick) {
-            Some(leased) => leased,
-            None => {
-                if inner.entries.len() >= self.capacity {
-                    if let Some(victim) = inner
-                        .entries
-                        .iter()
-                        .min_by_key(|(_, entry)| entry.last_used)
-                        .map(|(key, _)| key.clone())
-                    {
-                        inner.entries.remove(&victim);
-                        inner.evictions += 1;
-                    }
-                }
-                inner.next_generation += 1;
-                let generation = inner.next_generation;
-                inner.entries.insert(
-                    key.clone(),
-                    Entry {
-                        master: Arc::clone(&prepared),
-                        idle: Vec::new(),
-                        last_used: tick,
-                        generation,
-                    },
-                );
-                (prepared, generation)
-            }
-        };
-        PlanLease {
-            cache: self,
-            key,
-            prepared: Some(artifact),
-            generation,
-            corrupt: false,
-            outcome: CacheOutcome::Miss,
+        if let Some(resident) = inner.touch(&key) {
+            return resident;
         }
-    }
-
-    /// Return a lease's artifact to its entry's pool.  The fork is dropped
-    /// instead when the entry it was leased from is gone — evicted,
-    /// invalidated, or (generation mismatch) replaced by a newer
-    /// incarnation under the same key — so stale artifacts never
-    /// resurface after [`invalidate_all`](PlanCache::invalidate_all).
-    fn release(&self, key: &Key, prepared: Arc<PreparedQuery>, generation: u64) {
-        let mut inner = self.lock();
-        if let Some(entry) = inner.entries.get_mut(key) {
-            if entry.generation == generation && entry.idle.len() < MAX_IDLE_FORKS {
-                entry.idle.push(prepared);
+        if inner.entries.len() >= self.capacity {
+            let victim = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(key, _)| key.clone());
+            if let Some(retired) = victim.and_then(|key| inner.entries.remove(&key)) {
+                inner.evictions += 1;
+                inner.retired_forks += forks(&retired.plan);
             }
         }
-    }
-
-    /// Drop every entry — called when the published snapshot's load epoch
-    /// moves and compiled document references may be stale.  In-flight
-    /// leases are unaffected (their artifacts are dropped on release).
-    pub(crate) fn invalidate_all(&self) {
-        let mut inner = self.lock();
-        let dropped = inner.entries.len() as u64;
-        inner.entries.clear();
-        inner.invalidations += dropped;
+        let last_used = inner.tick;
+        let plan = Arc::clone(&prepared);
+        inner.entries.insert(key, Entry { plan, last_used });
+        prepared
     }
 
     /// Cumulative counters plus current occupancy.
     pub(crate) fn counters(&self) -> CacheCounters {
         let inner = self.lock();
+        let resident_forks: u64 = inner.entries.values().map(|e| forks(&e.plan)).sum();
         CacheCounters {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
-            invalidations: inner.invalidations,
-            forks: inner.forks,
+            forks: inner.retired_forks + resident_forks,
             entries: inner.entries.len(),
-        }
-    }
-}
-
-/// One session's exclusive hold on a prepared artifact: executors are
-/// private to the lease for its lifetime, and dropping it returns them —
-/// warm — to the entry's pool.
-///
-/// A lease whose execution panicked is [`poison`](PlanLease::poison)ed
-/// first: its fork's executors may hold half-applied state (a fixpoint
-/// aborted mid-iteration, caches in an unknown state), so pooling it would
-/// hand corruption to the next session.  A poisoned lease — and any lease
-/// dropped while its thread is unwinding — discards the fork instead; the
-/// entry stays resident and the next session simply mints a fresh fork
-/// from the untouched master.
-#[derive(Debug)]
-pub(crate) struct PlanLease<'c> {
-    cache: &'c PlanCache,
-    key: Key,
-    prepared: Option<Arc<PreparedQuery>>,
-    /// [`Entry::generation`] of the entry this lease came from; the fork
-    /// is only pooled on drop while that incarnation is still resident.
-    generation: u64,
-    /// Set when the execution this lease served panicked: the fork is
-    /// dropped on release instead of being pooled.
-    corrupt: bool,
-    /// Whether this lease came from the cache or a fresh preparation.
-    pub(crate) outcome: CacheOutcome,
-}
-
-impl PlanLease<'_> {
-    pub(crate) fn prepared(&self) -> &PreparedQuery {
-        self.prepared
-            .as_ref()
-            .expect("lease artifact present until drop")
-    }
-
-    /// Mark this lease's fork possibly corrupt (its execution panicked);
-    /// on drop it is discarded instead of returned to the pool.
-    pub(crate) fn poison(&mut self) {
-        self.corrupt = true;
-    }
-
-    #[cfg(test)]
-    fn artifact(&self) -> &Arc<PreparedQuery> {
-        self.prepared
-            .as_ref()
-            .expect("lease artifact present until drop")
-    }
-}
-
-impl Drop for PlanLease<'_> {
-    fn drop(&mut self) {
-        if let Some(prepared) = self.prepared.take() {
-            // `thread::panicking()` covers unwinds that drop the lease
-            // before the service boundary could mark it: either way the
-            // fork never reaches the pool.
-            if self.corrupt || std::thread::panicking() {
-                drop(prepared);
-            } else {
-                self.cache.release(&self.key, prepared, self.generation);
-            }
         }
     }
 }
@@ -352,6 +181,9 @@ impl Drop for PlanLease<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use xqy_ifp::xdm::{Item, NodeStore, Sequence};
+    use xqy_ifp::{Bindings, ExecOptions};
 
     fn prepared(query: &str) -> Arc<PreparedQuery> {
         Arc::new(
@@ -372,25 +204,22 @@ mod tests {
     /// The fingerprint tests key on unless they probe it explicitly.
     const FP: u64 = 0xfeed;
 
-    fn get<'c>(cache: &'c PlanCache, q: &str) -> Option<PlanLease<'c>> {
-        cache.acquire(
-            q,
-            Backend::Auto,
-            Strategy::Auto,
-            Parallelism::Sequential,
-            FP,
-        )
+    fn key(query: &str) -> Key {
+        Key {
+            query: query.to_owned(),
+            backend: Backend::Auto,
+            strategy: Strategy::Auto,
+            parallelism: Parallelism::Sequential,
+            stats_fingerprint: FP,
+        }
     }
 
-    fn put<'c>(cache: &'c PlanCache, q: &str) -> PlanLease<'c> {
-        cache.insert(
-            q,
-            Backend::Auto,
-            Strategy::Auto,
-            Parallelism::Sequential,
-            FP,
-            prepared(q),
-        )
+    fn get(cache: &PlanCache, q: &str) -> Option<Arc<PreparedQuery>> {
+        cache.get(&key(q))
+    }
+
+    fn put(cache: &PlanCache, q: &str) -> Arc<PreparedQuery> {
+        cache.insert(key(q), prepared(q))
     }
 
     #[test]
@@ -414,23 +243,23 @@ mod tests {
     #[test]
     fn key_includes_backend_and_strategy() {
         let cache = PlanCache::new(8);
-        cache.insert(
-            Q1,
-            Backend::SourceLevel,
-            Strategy::Naive,
-            Parallelism::Sequential,
-            FP,
-            prepared(Q1),
-        );
-        assert!(cache
-            .get_for_test(Q1, Backend::Auto, Strategy::Naive)
-            .is_none());
-        assert!(cache
-            .get_for_test(Q1, Backend::SourceLevel, Strategy::Delta)
-            .is_none());
-        assert!(cache
-            .get_for_test(Q1, Backend::SourceLevel, Strategy::Naive)
-            .is_some());
+        let naive_source = Key {
+            backend: Backend::SourceLevel,
+            strategy: Strategy::Naive,
+            ..key(Q1)
+        };
+        cache.insert(naive_source.clone(), prepared(Q1));
+        let other_backend = Key {
+            backend: Backend::Auto,
+            ..naive_source.clone()
+        };
+        let other_strategy = Key {
+            strategy: Strategy::Delta,
+            ..naive_source.clone()
+        };
+        assert!(cache.get(&other_backend).is_none());
+        assert!(cache.get(&other_strategy).is_none());
+        assert!(cache.get(&naive_source).is_some());
     }
 
     /// A materially different snapshot (different statistics fingerprint)
@@ -440,144 +269,108 @@ mod tests {
     fn key_includes_stats_fingerprint() {
         let cache = PlanCache::new(8);
         put(&cache, Q1); // keyed under FP
-        assert!(cache
-            .acquire(
-                Q1,
-                Backend::Auto,
-                Strategy::Auto,
-                Parallelism::Sequential,
-                FP
-            )
-            .is_some());
-        assert!(cache
-            .acquire(
-                Q1,
-                Backend::Auto,
-                Strategy::Auto,
-                Parallelism::Sequential,
-                FP ^ 1,
-            )
-            .is_none());
-    }
-
-    impl PlanCache {
-        fn get_for_test(
-            &self,
-            q: &str,
-            backend: Backend,
-            strategy: Strategy,
-        ) -> Option<PlanLease<'_>> {
-            self.acquire(q, backend, strategy, Parallelism::Sequential, FP)
-        }
-    }
-
-    #[test]
-    fn invalidation_drops_all_entries_and_counts_them() {
-        let cache = PlanCache::new(8);
-        put(&cache, Q1);
-        put(&cache, Q2);
-        cache.invalidate_all();
-        assert!(get(&cache, Q1).is_none());
-        assert_eq!(cache.counters().invalidations, 2);
-        assert_eq!(cache.counters().entries, 0);
-    }
-
-    /// Regression: a fork leased *before* `invalidate_all` must not be
-    /// pooled into a re-inserted entry for the same query text — that
-    /// would resurrect exactly the artifacts the invalidation purged.
-    #[test]
-    fn stale_lease_is_not_pooled_into_a_reinserted_entry() {
-        let cache = PlanCache::new(8);
-        let stale = put(&cache, Q1); // pre-invalidation fork, in flight
-        cache.invalidate_all();
-        let fresh = put(&cache, Q1); // same key, new incarnation
-        let fresh_ptr = Arc::as_ptr(fresh.artifact());
-        drop(fresh); // new master back to the new entry's pool
-        drop(stale); // must be dropped, not pushed onto that pool
-                     // The pool is LIFO: had the stale fork been pooled, we'd get it.
-        let next = get(&cache, Q1).unwrap();
-        assert_eq!(Arc::as_ptr(next.artifact()), fresh_ptr);
-    }
-
-    /// Same contract across LRU eviction: a lease from an evicted entry
-    /// is dropped on release even if the key has since been re-inserted.
-    #[test]
-    fn lease_from_an_evicted_entry_is_dropped_on_release() {
-        let cache = PlanCache::new(1);
-        let stale = put(&cache, Q1);
-        put(&cache, Q2); // evicts Q1
-        let fresh = put(&cache, Q1); // evicts Q2, new Q1 incarnation
-        let fresh_ptr = Arc::as_ptr(fresh.artifact());
-        drop(fresh);
-        drop(stale);
-        let next = get(&cache, Q1).unwrap();
-        assert_eq!(Arc::as_ptr(next.artifact()), fresh_ptr);
+        assert!(cache.get(&key(Q1)).is_some());
+        let other_shape = Key {
+            stats_fingerprint: FP ^ 1,
+            ..key(Q1)
+        };
+        assert!(cache.get(&other_shape).is_none());
     }
 
     #[test]
     fn racing_insert_shares_the_first_entry() {
         let cache = PlanCache::new(8);
         let first = put(&cache, Q1);
-        // A racing second insert leases from the existing entry instead of
-        // replacing it; with the master out on `first`'s lease, it gets a
-        // fork.
+        // A racing second insert does not replace the entry: both callers
+        // execute the *same* plan.
         let second = put(&cache, Q1);
-        assert!(!Arc::ptr_eq(first.artifact(), second.artifact()));
+        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.counters().entries, 1);
-        assert_eq!(cache.counters().forks, 1);
+        assert_eq!(cache.counters().forks, 0);
     }
 
-    /// PR 10: a lease whose execution panicked must drop its fork on
-    /// release, not pool it — the next session gets a fresh fork from the
-    /// master, never the possibly-corrupt one.
-    #[test]
-    fn poisoned_lease_drops_its_fork_instead_of_pooling() {
-        let cache = PlanCache::new(8);
-        put(&cache, Q1); // master returns to the pool on drop
-        let mut poisoned = get(&cache, Q1).unwrap();
-        let poisoned_ptr = Arc::as_ptr(poisoned.artifact());
-        poisoned.poison();
-        drop(poisoned);
-        // The pool is LIFO: had the poisoned fork been pooled, we'd get it.
-        let next = get(&cache, Q1).unwrap();
-        assert_ne!(Arc::as_ptr(next.artifact()), poisoned_ptr);
-        assert_eq!(cache.counters().entries, 1, "entry itself stays resident");
+    const CURRICULUM: &str = r#"<curriculum>
+        <course code="c1"><prerequisites><pre_code>c2</pre_code></prerequisites></course>
+        <course code="c2"><prerequisites><pre_code>c3</pre_code></prerequisites></course>
+        <course code="c3"><prerequisites/></course>
+    </curriculum>"#;
+
+    /// A closure on the relational executor (so it needs a runtime), then a
+    /// loop of `$n` steps that keeps the runtime checked out for a while.
+    const SLOW_CLOSURE: &str = "(count(with $x seeded by \
+        doc('curriculum.xml')/curriculum/course[@code='c1'] \
+        recurse $x/id(./prerequisites/pre_code)), \
+        count(for $i in (1 to $n) return $i))";
+
+    fn run_slow_closure(plan: &PreparedQuery, store: &NodeStore, n: i64) -> String {
+        let mut store = store.clone();
+        let bindings = Bindings::new().with("n", Sequence::singleton(Item::integer(n)));
+        let outcome = plan
+            .execute_on(&mut store, &bindings, &ExecOptions::default())
+            .expect("closure executes");
+        outcome.result.display(&store)
     }
 
-    /// Same contract when the lease is dropped by an unwinding thread
-    /// (a panic between acquire and the service boundary).
+    /// An execution needs only the `Arc` it was handed: it finishes
+    /// correctly on a plan whose entry was evicted meanwhile, and the
+    /// runtimes the plan minted stay in `forks` after the entry is gone.
     #[test]
-    fn lease_dropped_during_unwind_is_not_pooled() {
-        let cache = Arc::new(PlanCache::new(8));
-        put(&cache, Q1);
-        let leaked = {
-            let lease = get(&cache, Q1).unwrap();
-            let ptr = Arc::as_ptr(lease.artifact());
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _held = lease;
-                panic!("mid-query panic");
-            }));
-            assert!(result.is_err());
-            ptr
-        };
-        let next = get(&cache, Q1).unwrap();
-        assert_ne!(Arc::as_ptr(next.artifact()), leaked);
-    }
+    fn a_plan_held_across_its_eviction_still_executes_and_its_forks_stay_counted() {
+        let mut store = NodeStore::new();
+        let doc = store
+            .parse_document_with_uri("curriculum.xml", CURRICULUM)
+            .unwrap();
+        store.register_id_attribute(doc, "code");
+        let algebraic = PreparedQuery::prepare(
+            SLOW_CLOSURE,
+            Strategy::Auto,
+            Backend::Algebraic,
+            Parallelism::Sequential,
+        )
+        .unwrap();
+        let cache = PlanCache::new(1);
+        let plan = cache.insert(key(SLOW_CLOSURE), Arc::new(algebraic));
 
-    #[test]
-    fn concurrent_leases_fork_and_pool_on_release() {
-        let cache = PlanCache::new(8);
-        put(&cache, Q1); // master returns to the pool on drop
-        let a = get(&cache, Q1).unwrap();
-        let b = get(&cache, Q1).unwrap(); // pool empty → fork
-        assert!(!Arc::ptr_eq(a.artifact(), b.artifact()));
-        assert_eq!(cache.counters().forks, 1);
-        let b_ptr = Arc::as_ptr(b.artifact());
-        drop(a);
-        drop(b);
-        // Released forks are reused (LIFO), not re-minted.
-        let c = get(&cache, Q1).unwrap();
-        assert_eq!(Arc::as_ptr(c.artifact()), b_ptr);
-        assert_eq!(cache.counters().forks, 1);
+        // Two executions of the one plan, started together, overlap — the
+        // later one finds the pool empty and mints a second runtime — unless
+        // the scheduler happens to run them back to back; retry until it
+        // does not.
+        for _ in 0..50 {
+            let start = Barrier::new(2);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        start.wait();
+                        assert_eq!(run_slow_closure(&plan, &store, 100_000), "2 100000");
+                    });
+                }
+            });
+            if plan.runtimes_minted() >= 2 {
+                break;
+            }
+        }
+        let minted = cache.counters().forks;
+        assert!(minted >= 1, "two overlapping executions share one runtime");
+
+        // An execution is in flight on the plan when another query takes
+        // the cache's only slot.
+        let started = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let in_flight = scope.spawn(|| {
+                started.wait();
+                run_slow_closure(&plan, &store, 100_000)
+            });
+            started.wait();
+            put(&cache, Q1); // evicts the closure's entry
+            assert_eq!(in_flight.join().unwrap(), "2 100000");
+        });
+        assert!(cache.get(&key(SLOW_CLOSURE)).is_none());
+        assert_eq!(run_slow_closure(&plan, &store, 0), "2 0");
+        let counters = cache.counters();
+        assert_eq!((counters.entries, counters.evictions), (1, 1));
+        assert_eq!(
+            counters.forks, minted,
+            "a retired plan's mints stay counted"
+        );
     }
 }

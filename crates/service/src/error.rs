@@ -68,9 +68,11 @@ pub enum ServiceError {
     /// variable, missing document, diverging fixpoint, …).
     Query(IfpError),
     /// A panic inside the engine was caught at the service boundary and
-    /// contained: the admission permit was released, the possibly-corrupt
-    /// executor fork was discarded instead of being pooled, and the
-    /// published snapshot is untouched.  Subsequent queries are
+    /// contained: the admission permit was released, the runtime the
+    /// execution had checked out of its plan — executors possibly
+    /// half-applied — was dropped by the unwind instead of returning to the
+    /// plan's pool, and the cached plan and the published snapshot, which
+    /// an execution cannot write to, are untouched.  Subsequent queries are
     /// unaffected.
     Internal {
         /// The panic payload (or injected-fault description).

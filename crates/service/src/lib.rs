@@ -16,9 +16,11 @@
 //!   ([`xqy_ifp::xdm::CowStore`]) instead of blocking readers.
 //! * **A cross-session plan cache** — preparation (parse, distributivity
 //!   analysis, algebraic compilation) happens once per distinct query
-//!   text; every other session gets the shared [`xqy_ifp::PreparedQuery`]
-//!   artifact.  LRU eviction, hit/miss/eviction counters, and wholesale
-//!   invalidation when a publication moves the store's load epoch.
+//!   text; every session executes the one shared, immutable
+//!   [`xqy_ifp::PreparedQuery`] directly and concurrently, each execution
+//!   on a runtime of its own from the plan's pool.  A plain LRU map with
+//!   hit/miss/eviction counters: a plan never read the store, so no
+//!   publication invalidates it.
 //! * **Admission, deadlines and budgets** — a bounded semaphore caps
 //!   concurrent executions (typed [`ServiceError::Saturated`], carrying a
 //!   `retry_after` hint consumed by
@@ -30,9 +32,10 @@
 //!   cannot take the service down.
 //! * **Failure-domain isolation** — each query is its own failure
 //!   domain: an engine panic is caught at the service boundary and
-//!   surfaced as the typed [`ServiceError::Internal`]; the possibly
-//!   corrupt executor fork is discarded instead of pooled, the admission
-//!   slot is released, and every other session continues undisturbed.
+//!   surfaced as the typed [`ServiceError::Internal`]; the runtime that
+//!   was in flight, possibly half-applied, is dropped by the unwind
+//!   instead of returned to its pool, the admission slot is released, and
+//!   every other session continues undisturbed.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -25,8 +25,10 @@
 //! swap), no reader can observe a half-published store.  Publication is
 //! also **all-or-nothing under failure**: the fresh snapshot is built
 //! fully before the published slot is touched, so a panic or injected
-//! fault mid-clone or mid-refresh leaves the previous snapshot installed
-//! and the plan cache un-invalidated.
+//! fault mid-clone or mid-refresh leaves the previous snapshot
+//! installed.  The plan cache takes no part in publication: a cached
+//! plan never read the store, so no snapshot can make it stale (see
+//! [`crate::cache`]).
 //!
 //! Queries whose bodies *construct* nodes never write to the shared
 //! snapshot: each execution wraps its pinned `Arc<NodeStore>` in a
@@ -40,10 +42,12 @@
 //! the engine — an evaluator bug, a shard worker, an injected fault — is
 //! caught at the service boundary (`catch_unwind`), converted to the
 //! typed [`ServiceError::Internal`], and contained: the admission permit
-//! is released by RAII, the possibly-corrupt executor fork is *dropped*
-//! instead of returned to the plan-cache pool (see [`crate::cache`]), and
-//! the published snapshot and writer master are untouched.  Subsequent
-//! queries observe nothing.
+//! is released by RAII, the runtime the execution had checked out — its
+//! executors possibly half-applied — is *dropped* by the unwind instead of
+//! returned to the plan's pool (see [`xqy_ifp::prepared`]), and the cached
+//! plan, the published snapshot and the writer master, none of which the
+//! execution could write to, are untouched.  Subsequent queries observe
+//! nothing.
 //!
 //! # Plan cache, deadlines and budgets
 //!
@@ -69,7 +73,7 @@ use xqy_ifp::{
 };
 
 use crate::admission::Admission;
-use crate::cache::{CacheCounters, CacheOutcome, PlanCache, PlanLease};
+use crate::cache::{CacheCounters, CacheOutcome, Key, PlanCache};
 use crate::error::{Result, ServiceError};
 
 /// Construction-time knobs of a [`QueryService`].
@@ -171,7 +175,10 @@ pub struct PublishedSnapshot {
 pub struct ServiceStats {
     /// Time spent waiting for an admission slot.
     pub queue_wait: Duration,
-    /// Time spent preparing (or fetching) the plan and executing.
+    /// Time spent executing the plan over the pinned snapshot.  The clock
+    /// starts once the plan is in hand: admission wait is
+    /// [`queue_wait`](Self::queue_wait), and neither the cache lookup nor a
+    /// miss's preparation is counted.
     pub execute_time: Duration,
     /// `load_epoch` of the snapshot the query ran against.
     pub snapshot_epoch: u64,
@@ -328,17 +335,18 @@ impl QueryService {
     /// writer's side: declaring an ID attribute on a document a snapshot
     /// still shares copies that document.
     ///
-    /// If the load epoch moved since the previous publication (documents
-    /// or ID registrations changed), the plan cache is invalidated
-    /// *before* the swap becomes visible: pinning the new snapshot
-    /// requires the read lock we hold for writing here, so no query can
-    /// pair the new epoch with a plan cached under the old one.
+    /// The plan cache is not touched, whatever changed: a prepared plan
+    /// never read the store, so a plan cached under the old snapshot is as
+    /// right on the new one — `doc(...)` resolves at run time, and a warm
+    /// executor that meets the new load epoch re-keys its own caches.  A
+    /// materially different snapshot has a different statistics
+    /// fingerprint, which is part of the cache key, so its queries re-cost
+    /// by missing.
     ///
     /// Publication is all-or-nothing under failure: the fresh snapshot is
     /// built *fully* before the published slot is touched, so a panic (or
     /// an injected `publish.clone` / `publish.refresh` fault) surfaces as
-    /// a typed error with the previous snapshot still installed and the
-    /// plan cache un-invalidated.
+    /// a typed error with the previous snapshot still installed.
     ///
     /// Returns the published snapshot.
     pub fn publish(&self) -> Result<PublishedSnapshot> {
@@ -368,15 +376,10 @@ impl QueryService {
                 })
             }
         };
-        let mut slot = self
+        *self
             .published
             .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if slot.epoch != fresh.epoch {
-            self.cache.invalidate_all();
-        }
-        *slot = Arc::new(fresh.clone());
-        drop(slot);
+            .unwrap_or_else(PoisonError::into_inner) = Arc::new(fresh.clone());
         drop(writer);
         Ok(fresh)
     }
@@ -416,8 +419,7 @@ impl QueryService {
         // Outer containment: anything that unwinds outside the inner
         // execution boundary (e.g. an injected panic during plan-cache
         // insertion) is still converted to a typed error.  RAII cleans up
-        // on the unwind path: the admission permit releases its slot and
-        // an in-flight lease drops (not pools) its fork.
+        // on the unwind path: the admission permit releases its slot.
         let result = catch_unwind(AssertUnwindSafe(|| {
             self.execute_admitted(query, bindings, submitted, timeout, deadline)
         }))
@@ -495,14 +497,10 @@ impl QueryService {
         // point has no effect on this query.
         let pinned = self.published();
 
-        // The lease holds this session's private executor fork; dropping it
-        // (on every exit path) returns the fork, warm, to the cache's pool
-        // — unless the execution panicked, in which case the fork is
-        // poisoned below and discarded instead.  Keyed on the pinned
-        // snapshot's statistics fingerprint: a materially different
-        // republish re-costs instead of hitting.
-        let mut lease = self.prepared_plan(query, pinned.stats_fingerprint)?;
-        let cache_outcome = lease.outcome;
+        // The shared plan, keyed on the pinned snapshot's statistics
+        // fingerprint: a materially different republish re-costs instead of
+        // hitting.
+        let (plan, cache_outcome) = self.prepared_plan(query, pinned.stats_fingerprint)?;
 
         // Copy-on-write view: reads are served by the shared snapshot; a
         // construction body gets a store of its own (one pointer per
@@ -522,20 +520,17 @@ impl QueryService {
         // happens to each captured value when the closure panics:
         //   * `cow` is private to this query and never used again — the
         //     shared snapshot behind it is only read;
-        //   * the lease's executor fork may hold half-applied state, so it
-        //     is poisoned and discarded (never pooled) below;
-        //   * executor-internal mutexes poisoned by the unwind are reset
-        //     on next use (`lock_executor` in xqy_ifp replaces a poisoned
-        //     executor with a fresh one);
+        //   * the plan is immutable; the runtime the execution checked out
+        //     of it may hold half-applied state and was dropped, not
+        //     pooled, by the unwind itself;
         //   * the budget scope and shard-worker state are thread-local and
         //     unwound by RAII.
         let executed = catch_unwind(AssertUnwindSafe(|| {
-            lease.prepared().execute_on(&mut cow, bindings, &opts)
+            plan.execute_on(&mut cow, bindings, &opts)
         }));
         let outcome = match executed {
             Ok(result) => result.map_err(|err| map_engine_error(err, timeout))?,
             Err(payload) => {
-                lease.poison();
                 return Err(ServiceError::Internal {
                     message: panic_message(payload),
                     context: "query execution".into(),
@@ -558,33 +553,29 @@ impl QueryService {
         })
     }
 
-    /// Lease `query`'s prepared plan from the cache, or prepare it (outside
-    /// the cache lock) and insert it for the next session.
-    fn prepared_plan(&self, query: &str, stats_fingerprint: u64) -> Result<PlanLease<'_>> {
-        let (backend, strategy, parallelism) = (
-            self.config.backend,
-            self.config.strategy,
-            self.config.parallelism,
-        );
-        if let Some(lease) =
-            self.cache
-                .acquire(query, backend, strategy, parallelism, stats_fingerprint)
-        {
-            return Ok(lease);
+    /// `query`'s prepared plan from the cache, or prepare it (outside the
+    /// cache lock) and insert it for the next session.
+    fn prepared_plan(
+        &self,
+        query: &str,
+        stats_fingerprint: u64,
+    ) -> Result<(Arc<PreparedQuery>, CacheOutcome)> {
+        let key = Key {
+            query: query.to_owned(),
+            backend: self.config.backend,
+            strategy: self.config.strategy,
+            parallelism: self.config.parallelism,
+            stats_fingerprint,
+        };
+        if let Some(plan) = self.cache.get(&key) {
+            return Ok((plan, CacheOutcome::Hit));
         }
         let prepared = Arc::new(
-            PreparedQuery::prepare(query, strategy, backend, parallelism)
+            PreparedQuery::prepare(query, key.strategy, key.backend, key.parallelism)
                 .map_err(ServiceError::Query)?,
         );
         fail::point("cache.insert").map_err(|e| fault_internal(e, "plan-cache insert"))?;
-        Ok(self.cache.insert(
-            query,
-            backend,
-            strategy,
-            parallelism,
-            stats_fingerprint,
-            prepared,
-        ))
+        Ok((self.cache.insert(key, prepared), CacheOutcome::Miss))
     }
 
     /// Fold one observed execution time into the moving average behind
@@ -770,19 +761,55 @@ mod tests {
         assert!(counters.cache.hits >= 1);
     }
 
+    /// The plan cache is not keyed on the load epoch — a plan never read
+    /// the store — so no publication drops an entry.  What *is* keyed on it
+    /// is the executor's static cache, inside the runtime the plan pools: a
+    /// republish at the same epoch keeps that warm too, an epoch move
+    /// invalidates it, and only it.
     #[test]
     fn publish_same_epoch_keeps_cache_epoch_move_invalidates() {
-        let service = service_with_curriculum();
-        service.execute(CLOSURE_QUERY).unwrap();
-        assert_eq!(service.counters().cache.entries, 1);
-        // Republishing unchanged data keeps the cache warm.
+        let service = QueryService::new(ServiceConfig {
+            backend: Backend::Algebraic,
+            ..ServiceConfig::default()
+        });
+        service
+            .load_document_with_ids("curriculum.xml", CURRICULUM, &["code"])
+            .unwrap();
         service.publish().unwrap();
+        // A body with rec-independent work: the doc-rooted course scan.
+        let query = "with $x seeded by doc('curriculum.xml')/curriculum/course[@code='c1'] \
+                     recurse doc('curriculum.xml')/curriculum/course[@code='c3']";
+        let run = || {
+            let served = service.execute(query).unwrap();
+            assert_eq!(served.outcome.result.len(), 1);
+            (
+                served.stats.cache,
+                served.outcome.occurrences[0].static_plan_evals,
+            )
+        };
+        let (cache, evals) = run();
+        assert_eq!(cache, CacheOutcome::Miss);
+        assert!(evals > 0);
+
+        // Republishing unchanged data: same epoch, everything stays warm.
+        let before = service.publish().unwrap();
         assert_eq!(service.counters().cache.entries, 1);
-        // Loading a new document moves the load epoch → invalidation.
-        service.load_document("other.xml", "<r/>").unwrap();
-        service.publish().unwrap();
-        assert_eq!(service.counters().cache.entries, 0);
-        assert!(service.counters().cache.invalidations >= 1);
+        assert_eq!(run(), (CacheOutcome::Hit, 0));
+
+        // An ID declaration (matching nothing, so the data's shape — the
+        // cache key's fingerprint — stays) moves the load epoch.
+        service
+            .load_document_with_ids("curriculum.xml", CURRICULUM, &["label"])
+            .unwrap();
+        let after = service.publish().unwrap();
+        assert_ne!(before.epoch, after.epoch);
+        assert_eq!(before.stats_fingerprint, after.stats_fingerprint);
+        assert_eq!(service.counters().cache.entries, 1);
+        let (cache, evals) = run();
+        assert_eq!(cache, CacheOutcome::Hit, "the same plan serves on");
+        assert!(evals > 0, "its executor re-keyed itself on the new epoch");
+        assert_eq!(run(), (CacheOutcome::Hit, 0));
+        assert_eq!(service.counters().cache.forks, 0);
     }
 
     /// PR 9: plan-cache keys carry the published snapshot's statistics

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use xqy_ifp::xdm::{CowStore, DocId, NodeId, NodeStore};
 use xqy_ifp::{Backend, Bindings, ExecOptions, Parallelism, PreparedQuery, Strategy};
-use xqy_service::{PublishedSnapshot, QueryService};
+use xqy_service::{CacheOutcome, PublishedSnapshot, QueryService, ServiceConfig};
 
 const GRAPH: &str = r#"<g><n key="a" to="b">A<i/>a</n><n key="b" to="c">B</n><n key="c">C</n></g>"#;
 
@@ -154,4 +154,103 @@ fn publishing_one_small_document_shares_every_older_one() {
         assert!(shares_document(&next.store, &again.store, DocId(doc)));
     }
     assert_eq!(again.stats_fingerprint, next.stats_fingerprint);
+}
+
+/// A cached plan never read the store, so nothing a publication does can
+/// make it wrong — `publish()` leaves the plan cache alone.  One plan, and
+/// the one warm runtime it has pooled, serve the snapshots on both sides of
+/// a publication that moved the load epoch: the executor re-keys its static
+/// cache on the epoch it meets and resolves `id()` per run, and that alone
+/// has to keep every answer equal to a fresh service's on the same data.
+#[test]
+fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
+    // Enough declared IDs that three more do not move the statistics
+    // fingerprint — the cache key — so the closure below *hits* after the
+    // publication instead of re-preparing.
+    let mut courses = String::from("<courses>");
+    for i in 0..40 {
+        courses.push_str(&format!("<course code=\"k{i}\"/>"));
+    }
+    courses.push_str("</courses>");
+    let closure = QUERIES[0];
+    let algebraic = || {
+        let service = QueryService::new(ServiceConfig {
+            backend: Backend::Algebraic,
+            ..ServiceConfig::default()
+        });
+        service
+            .load_document_with_ids("courses.xml", &courses, &["code"])
+            .unwrap();
+        service
+    };
+    // What a service that never saw an earlier snapshot answers.
+    let fresh = |declare_key: bool, late: bool| {
+        let service = algebraic();
+        let ids: &[&str] = if declare_key { &["key"] } else { &[] };
+        service.load_document_with_ids("g.xml", GRAPH, ids).unwrap();
+        if late {
+            service.load_document("late.xml", "<late/>").unwrap();
+        }
+        service.publish().unwrap();
+        service.execute(closure).unwrap().display()
+    };
+
+    let service = algebraic();
+    service.load_document("g.xml", GRAPH).unwrap();
+    let pinned = service.publish().unwrap();
+    let first = service.execute(closure).unwrap();
+    assert_eq!(first.stats.cache, CacheOutcome::Miss);
+    assert_eq!(first.display(), fresh(false, false));
+    assert_eq!(first.display(), "", "no ID declared on g.xml yet");
+    assert_eq!(service.counters().cache.entries, 1);
+
+    // The writer declares an ID attribute on a published document: the load
+    // epoch moves, the closure's answer changes, the data's shape does not.
+    service
+        .load_document_with_ids("g.xml", GRAPH, &["key"])
+        .unwrap();
+    let next = service.publish().unwrap();
+    assert_ne!(next.epoch, pinned.epoch);
+    assert_eq!(next.stats_fingerprint, pinned.stats_fingerprint);
+    assert_eq!(service.counters().cache.entries, 1, "publish() dropped it");
+    for _ in 0..3 {
+        let after = service.execute(closure).unwrap();
+        assert_eq!(after.stats.cache, CacheOutcome::Hit);
+        assert_eq!(after.stats.snapshot_epoch, next.epoch);
+        assert_eq!(after.display(), fresh(true, false));
+        assert_ne!(after.display(), "");
+    }
+    assert_eq!(service.counters().cache.forks, 0, "one runtime served both");
+
+    // Readers still pinned to the old snapshot share plans with readers of
+    // the new one: one plan, back and forth across the epochs.
+    let plan = PreparedQuery::prepare(
+        closure,
+        Strategy::Auto,
+        Backend::Algebraic,
+        Parallelism::Sequential,
+    )
+    .unwrap();
+    for snapshot in [&pinned, &next, &pinned, &next] {
+        let mut cow = CowStore::new(Arc::clone(&snapshot.store));
+        let outcome = plan
+            .execute_on(&mut cow, &Bindings::new(), &ExecOptions::default())
+            .unwrap();
+        let declared = snapshot.epoch == next.epoch;
+        assert_eq!(outcome.result.display(cow.read()), fresh(declared, false));
+    }
+    assert_eq!(plan.runtimes_minted(), 1);
+
+    // The writer loads a document as well.  The document count is part of
+    // the fingerprint, so this snapshot's queries re-cost under a new key —
+    // next to the old entry, which nothing removed.
+    service.load_document("late.xml", "<late/>").unwrap();
+    let last = service.publish().unwrap();
+    assert_ne!(last.epoch, next.epoch);
+    assert_eq!(service.counters().cache.entries, 1, "publish() dropped it");
+    assert_eq!(
+        service.execute(closure).unwrap().display(),
+        fresh(true, true)
+    );
+    assert_eq!(service.counters().cache.entries, 2);
 }

@@ -27,16 +27,9 @@
 use std::collections::BTreeMap;
 
 use crate::node::NodeId;
-use crate::shard;
 use crate::store::{DocId, NodeStore};
 
 const WORD_BITS: usize = 64;
-
-/// Minimum per-document bitmap size (in words) before the `_sharded`
-/// kernels actually split the word range across threads.  Below this the
-/// word loop is far cheaper than spawning scoped threads, so the kernels
-/// fall back to the sequential loop for that document.
-const SHARD_MIN_WORDS: usize = 1024;
 
 /// A set of node identities, stored as per-document `u64` bitmaps.
 ///
@@ -177,138 +170,6 @@ impl NodeSet {
                         *word &= mask;
                         self.len -= removed.count_ones() as usize;
                     }
-                }
-            }
-            Self::trim(words);
-            if words.is_empty() {
-                emptied.push(doc);
-            }
-        }
-        for doc in emptied {
-            self.docs.remove(&doc);
-        }
-    }
-
-    /// Thread count to use for one document's word range: sequential
-    /// unless the range is large enough to amortize thread spawns.
-    fn word_shards(threads: usize, words: usize) -> usize {
-        if words >= SHARD_MIN_WORDS {
-            threads
-        } else {
-            1
-        }
-    }
-
-    /// Word-sharded `self ∪= other`: each document's word range is split
-    /// into contiguous shards processed by scoped threads, with the
-    /// per-shard added-bit counts summed at the join.  Bit-identical to
-    /// [`NodeSet::union_in_place`]; `threads <= 1` *is* the sequential
-    /// code path.
-    pub fn union_in_place_sharded(&mut self, other: &NodeSet, threads: usize) {
-        if threads <= 1 {
-            return self.union_in_place(other);
-        }
-        for (&doc, other_words) in &other.docs {
-            let words = self.docs.entry(doc).or_default();
-            if words.len() < other_words.len() {
-                words.resize(other_words.len(), 0);
-            }
-            let n = other_words.len();
-            let added: usize = shard::zip_shards(
-                Self::word_shards(threads, n),
-                &mut words[..n],
-                other_words,
-                |mine, incoming| {
-                    let mut added = 0usize;
-                    for (word, &inc) in mine.iter_mut().zip(incoming) {
-                        added += (inc & !*word).count_ones() as usize;
-                        *word |= inc;
-                    }
-                    added
-                },
-            )
-            .into_iter()
-            .sum();
-            self.len += added;
-        }
-    }
-
-    /// Word-sharded `self ∖= other`; see [`NodeSet::union_in_place_sharded`].
-    pub fn except_in_place_sharded(&mut self, other: &NodeSet, threads: usize) {
-        if threads <= 1 {
-            return self.except_in_place(other);
-        }
-        let mut emptied = Vec::new();
-        for (&doc, words) in self.docs.iter_mut() {
-            let Some(other_words) = other.docs.get(&doc) else {
-                continue;
-            };
-            let n = words.len().min(other_words.len());
-            let removed: usize = shard::zip_shards(
-                Self::word_shards(threads, n),
-                &mut words[..n],
-                &other_words[..n],
-                |mine, masks| {
-                    let mut removed = 0usize;
-                    for (word, &mask) in mine.iter_mut().zip(masks) {
-                        removed += (*word & mask).count_ones() as usize;
-                        *word &= !mask;
-                    }
-                    removed
-                },
-            )
-            .into_iter()
-            .sum();
-            self.len -= removed;
-            Self::trim(words);
-            if words.is_empty() {
-                emptied.push(doc);
-            }
-        }
-        for doc in emptied {
-            self.docs.remove(&doc);
-        }
-    }
-
-    /// Word-sharded `self ∩= other`; see [`NodeSet::union_in_place_sharded`].
-    pub fn intersect_in_place_sharded(&mut self, other: &NodeSet, threads: usize) {
-        if threads <= 1 {
-            return self.intersect_in_place(other);
-        }
-        let mut emptied = Vec::new();
-        for (&doc, words) in self.docs.iter_mut() {
-            match other.docs.get(&doc) {
-                None => {
-                    for word in words.iter_mut() {
-                        self.len -= word.count_ones() as usize;
-                        *word = 0;
-                    }
-                }
-                Some(other_words) => {
-                    let n = words.len().min(other_words.len());
-                    let removed: usize = shard::zip_shards(
-                        Self::word_shards(threads, n),
-                        &mut words[..n],
-                        &other_words[..n],
-                        |mine, masks| {
-                            let mut removed = 0usize;
-                            for (word, &mask) in mine.iter_mut().zip(masks) {
-                                removed += (*word & !mask).count_ones() as usize;
-                                *word &= mask;
-                            }
-                            removed
-                        },
-                    )
-                    .into_iter()
-                    .sum();
-                    // Words past the operand's bitmap have no counterpart:
-                    // everything there leaves the intersection.
-                    let mut tail_removed = 0usize;
-                    for word in words[n..].iter_mut() {
-                        tail_removed += word.count_ones() as usize;
-                        *word = 0;
-                    }
-                    self.len -= removed + tail_removed;
                 }
             }
             Self::trim(words);
@@ -575,40 +436,6 @@ mod tests {
         assert_eq!(set.to_vec(&store), vec![parent, child]);
         // Bit iteration remains arena-ordered; only to_vec re-sorts.
         assert_eq!(set.iter().collect::<Vec<_>>(), vec![child, parent]);
-    }
-
-    #[test]
-    fn sharded_kernels_match_sequential_bit_for_bit() {
-        // Synthetic ids: the set algebra never touches the store, so
-        // bitmaps big enough to cross SHARD_MIN_WORDS can be built without
-        // parsing a huge document.
-        fn mk(doc: u32, upto: u32, step: usize) -> NodeSet {
-            NodeSet::from_nodes((0..upto).step_by(step).map(|i| NodeId::new(doc, i)))
-        }
-        let a0 = mk(0, 200_000, 3).union(&mk(1, 50_000, 7));
-        let b0 = mk(0, 200_000, 5).union(&mk(2, 80_000, 2));
-        for threads in [1, 2, 8] {
-            let mut sharded = a0.clone();
-            sharded.union_in_place_sharded(&b0, threads);
-            let mut sequential = a0.clone();
-            sequential.union_in_place(&b0);
-            assert_eq!(sharded, sequential, "union at {threads} threads");
-            assert_eq!(sharded.len(), sharded.iter().count());
-
-            let mut sharded = a0.clone();
-            sharded.except_in_place_sharded(&b0, threads);
-            let mut sequential = a0.clone();
-            sequential.except_in_place(&b0);
-            assert_eq!(sharded, sequential, "except at {threads} threads");
-            assert_eq!(sharded.len(), sharded.iter().count());
-
-            let mut sharded = a0.clone();
-            sharded.intersect_in_place_sharded(&b0, threads);
-            let mut sequential = a0.clone();
-            sequential.intersect_in_place(&b0);
-            assert_eq!(sharded, sequential, "intersect at {threads} threads");
-            assert_eq!(sharded.len(), sharded.iter().count());
-        }
     }
 
     #[test]

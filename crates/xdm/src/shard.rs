@@ -1,10 +1,10 @@
 //! A minimal scoped-thread shard pool for the parallel fixpoint drivers.
 //!
 //! The batched fixpoint loops of `xqy_eval` / `xqy_algebra` are built from
-//! embarrassingly parallel per-seed (and per-bitmap-word) phases separated
-//! by an iteration barrier.  This module provides the two splitting
-//! primitives they need, on plain [`std::thread::scope`] — no vendored
-//! thread-pool crate, no global state, no work stealing.  Threads are
+//! embarrassingly parallel per-seed phases separated by an iteration
+//! barrier.  This module provides the two splitting primitives they need,
+//! on plain [`std::thread::scope`] — no vendored thread-pool crate, no
+//! global state, no work stealing.  Threads are
 //! spawned per call; the drivers only shard phases whose work comfortably
 //! dwarfs thread spawn cost, and callers pass `threads <= 1` to run the
 //! exact sequential code path (the parallelism gate the engine's
@@ -84,42 +84,6 @@ pub fn map_sharded<T: Sync, R: Send>(
     })
 }
 
-/// Run `f` over matching contiguous shards of two equal-length slices
-/// (`f(left_shard, right_shard)`), concurrently when `threads > 1`.
-/// Returns per-shard results in shard order.  This is the word-sharding
-/// primitive of the [`crate::NodeSet`] kernels: `left` is the mutated
-/// bitmap, `right` the operand's matching word range.
-pub fn zip_shards<A: Send, B: Sync, R: Send>(
-    threads: usize,
-    left: &mut [A],
-    right: &[B],
-    f: impl Fn(&mut [A], &[B]) -> R + Sync,
-) -> Vec<R> {
-    debug_assert_eq!(left.len(), right.len());
-    let shards = threads.min(left.len()).max(1);
-    if shards <= 1 {
-        return vec![f(left, right)];
-    }
-    let chunk = left.len().div_ceil(shards);
-    let budget = crate::budget::current();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let budget = &budget;
-        let handles: Vec<_> = left
-            .chunks_mut(chunk)
-            .zip(right.chunks(chunk))
-            .map(|(a, b)| {
-                scope.spawn(move || {
-                    let _budget = budget.clone().map(crate::budget::install);
-                    crate::fail::point_panic("shard.worker");
-                    f(a, b)
-                })
-            })
-            .collect();
-        handles.into_iter().map(join_shard).collect()
-    })
-}
-
 /// Join a shard, re-raising a shard panic on the calling thread so a
 /// failed parallel phase aborts the whole fixpoint run instead of
 /// silently dropping a shard's contribution.  The re-raised panic then
@@ -169,22 +133,6 @@ mod tests {
         let mut empty: Vec<u8> = Vec::new();
         assert_eq!(for_each_shard(8, &mut empty, |_, s| s.len()), vec![0]);
         assert_eq!(map_sharded(8, &[42u8], |&b| b), vec![42]);
-    }
-
-    #[test]
-    fn zip_shards_pairs_matching_ranges() {
-        for threads in [0, 1, 2, 3, 16] {
-            let mut left: Vec<u64> = (0..41).collect();
-            let right: Vec<u64> = (0..41).map(|i| i * 10).collect();
-            let sums = zip_shards(threads, &mut left, &right, |a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a.len()
-            });
-            assert_eq!(left, (0..41).map(|i| i * 11).collect::<Vec<_>>());
-            assert_eq!(sums.iter().sum::<usize>(), 41);
-        }
     }
 
     #[test]

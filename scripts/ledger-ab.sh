@@ -127,7 +127,7 @@ awk -F'\t' -v contract="$contract" '
                 order[++metrics] = name
                 better[name] = line ~ /"better": "higher"/ ? 1 : -1
                 match(line, /"bound": [0-9.]*/)
-                bound[name] = substr(line, RSTART + 9, RLENGTH - 9)
+                bound[name] = substr(line, RSTART + 9, RLENGTH - 9) + 0
             }
         }
     }

@@ -430,3 +430,52 @@ fn prepared_query_executed_against_a_different_engine_sees_that_store() {
         "the switch of stores must invalidate the static cache"
     );
 }
+
+/// An execution's run summary is its own.  The feedback cell is shared by
+/// every session executing the plan, so it may only hold *completed*
+/// observations: were the in-flight accumulator in there too, the fast
+/// executions below would roll the slow one's runs up as theirs — leaving
+/// the execution that did the work without an observed cost, and the cost
+/// model with two runs' wall time under one observation.
+#[test]
+fn concurrent_executions_of_one_plan_keep_their_own_run_summaries() {
+    use xqy_ifp::xdm::{Item, Sequence};
+
+    let prepared = curriculum_engine()
+        .prepare(&format!(
+            "(count(with $x seeded by doc('curriculum.xml')/curriculum/course[@code='c1'] \
+               recurse {PREREQ_BODY}), \
+              count(for $i in (1 to $n) return $i))"
+        ))
+        .unwrap();
+    // One execution with `$n = n`: 1 when it came back without its own
+    // fixpoint run or without that run's observed cost, else 0.
+    let lost = |engine: &mut Engine, n: i64| {
+        let steps = Bindings::new().with("n", Sequence::singleton(Item::integer(n)));
+        let outcome = prepared.execute(engine, &steps).unwrap();
+        let whole =
+            outcome.fixpoints.len() == 1 && outcome.occurrences[0].observed_cost_micros.is_some();
+        usize::from(!whole)
+    };
+
+    let (slow_lost, fast_lost) = std::thread::scope(|scope| {
+        // The fixpoint runs first; the loop then keeps the execution in
+        // flight, its runs not yet rolled up, while this thread finishes
+        // execution after execution.
+        let slow = scope.spawn(|| {
+            let mut engine = curriculum_engine();
+            (0..20).map(|_| lost(&mut engine, 200_000)).sum::<usize>()
+        });
+        let mut engine = curriculum_engine();
+        let mut fast_lost = 0;
+        while !slow.is_finished() {
+            fast_lost += lost(&mut engine, 0);
+        }
+        (slow.join().unwrap(), fast_lost)
+    });
+    assert_eq!(
+        (slow_lost, fast_lost),
+        (0, 0),
+        "(slow, fast) executions whose run summary went to another execution"
+    );
+}
