@@ -37,9 +37,19 @@ pub fn parse_expr(source: &str) -> Result<Expr> {
     Ok(expr)
 }
 
+/// Deepest nesting of expressions the parser accepts.  Every cycle of the
+/// descent passes through [`Parser::nested`], so this bounds the parser's
+/// own stack and the depth of the tree every later recursive pass (analysis,
+/// compilation, evaluation, drop) walks.  Sized for the unoptimised build,
+/// where one trip down the precedence ladder takes ≈ 36 KB of stack: a query
+/// at the limit parses, runs and drops on a 2 MiB thread with room to spare.
+const MAX_NESTING: usize = 32;
+
 struct Parser<'a> {
     lexer: Lexer<'a>,
     peeked: Option<Token>,
+    /// Live [`Parser::nested`] levels.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -47,7 +57,28 @@ impl<'a> Parser<'a> {
         Parser {
             lexer: Lexer::new(source),
             peeked: None,
+            depth: 0,
         }
+    }
+
+    /// Run `parse` one nesting level down, or fail once [`MAX_NESTING`]
+    /// levels are open — a typed error where the descent would otherwise
+    /// run out of stack, which aborts the process.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            let offset = match &self.peeked {
+                Some(tok) => tok.offset,
+                None => self.lexer.pos(),
+            };
+            return Err(ParseError::new(
+                offset,
+                format!("expression nested deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     // ------------------------------------------------------------------
@@ -298,6 +329,10 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_expr_single(&mut self) -> Result<Expr> {
+        self.nested(Self::parse_expr_single_body)
+    }
+
+    fn parse_expr_single_body(&mut self) -> Result<Expr> {
         if self.at_keyword("for")? || self.at_keyword("let")? {
             return self.parse_flwor();
         }
@@ -678,7 +713,7 @@ impl<'a> Parser<'a> {
     fn parse_unary_expr(&mut self) -> Result<Expr> {
         if self.at(&TokenKind::Minus)? {
             self.next()?;
-            let expr = self.parse_unary_expr()?;
+            let expr = self.nested(Self::parse_unary_expr)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Minus,
                 expr: Box::new(expr),
@@ -686,7 +721,7 @@ impl<'a> Parser<'a> {
         }
         if self.at(&TokenKind::Plus)? {
             self.next()?;
-            let expr = self.parse_unary_expr()?;
+            let expr = self.nested(Self::parse_unary_expr)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Plus,
                 expr: Box::new(expr),
@@ -1218,7 +1253,7 @@ impl<'a> Parser<'a> {
                 continue;
             }
             if self.lexer.raw_starts_with("<") {
-                let nested = self.parse_direct_element_raw()?;
+                let nested = self.nested(Self::parse_direct_element_raw)?;
                 content.push(ConstructorContent::Expr(nested));
                 continue;
             }

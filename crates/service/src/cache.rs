@@ -8,17 +8,17 @@
 //! runtime pool, one per execution in flight — see [`xqy_ifp::prepared`]).
 //! So the cache is a plain map from [`Key`] — the query *text* plus the
 //! knobs that change the prepared artifact (backend, strategy, parallelism)
-//! plus the statistics fingerprint the plan was costed against — to one
-//! `Arc<PreparedQuery>` that every session executes directly and
+//! — to one `Arc<PreparedQuery>` that every session executes directly and
 //! concurrently, on any snapshot.
 //!
 //! Nothing invalidates an entry.  A plan never read the store, so a
-//! publication cannot make it wrong: `doc(...)` resolves at run time, and a
+//! publication cannot make it wrong: `doc(...)` resolves at run time, a
 //! warm executor meeting a snapshot with a different load epoch re-keys its
-//! own caches.  A *materially* different snapshot changes the fingerprint
-//! in the key, so its queries miss, re-cost from fresh estimates, and the
-//! entries of the old shape age out.  An execution that still holds a plan
-//! when its entry is evicted simply finishes on it.
+//! own caches, and every execution takes its cost-based decisions from the
+//! statistics of the snapshot it runs on (the plan's feedback cells drop
+//! their observations themselves when the data changes *materially*).  An
+//! execution that still holds a plan when its entry is evicted simply
+//! finishes on it.
 //!
 //! Eviction is least-recently-used via a monotone tick stamped on every
 //! hit; capacity is fixed at construction.  All counters
@@ -56,20 +56,14 @@ pub struct CacheCounters {
 }
 
 /// Cache key: the query text plus every knob that changes the prepared
-/// artifact, plus the store-statistics fingerprint of the published
-/// snapshot the plan was costed against.  The fingerprint keeps cost-based
-/// decisions honest across republishes: when the data changes *materially*
-/// (any power-of-two bucket of the shape statistics moves) the key no
-/// longer matches, so the query re-costs from fresh estimates instead of
-/// reusing a plan — and warm feedback observations — taken under data that
-/// no longer exists.  Immaterial republishes keep hitting the same entry.
+/// artifact.  Nothing about the store is in it — loading a document never
+/// costs a re-parse and re-compile of a query text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct Key {
     pub(crate) query: String,
     pub(crate) backend: Backend,
     pub(crate) strategy: Strategy,
     pub(crate) parallelism: Parallelism,
-    pub(crate) stats_fingerprint: u64,
 }
 
 #[derive(Debug)]
@@ -201,16 +195,12 @@ mod tests {
     const Q2: &str = "2 + 2";
     const Q3: &str = "3 + 3";
 
-    /// The fingerprint tests key on unless they probe it explicitly.
-    const FP: u64 = 0xfeed;
-
     fn key(query: &str) -> Key {
         Key {
             query: query.to_owned(),
             backend: Backend::Auto,
             strategy: Strategy::Auto,
             parallelism: Parallelism::Sequential,
-            stats_fingerprint: FP,
         }
     }
 
@@ -260,21 +250,6 @@ mod tests {
         assert!(cache.get(&other_backend).is_none());
         assert!(cache.get(&other_strategy).is_none());
         assert!(cache.get(&naive_source).is_some());
-    }
-
-    /// A materially different snapshot (different statistics fingerprint)
-    /// must miss, so the query re-costs; the same fingerprint keeps
-    /// hitting.
-    #[test]
-    fn key_includes_stats_fingerprint() {
-        let cache = PlanCache::new(8);
-        put(&cache, Q1); // keyed under FP
-        assert!(cache.get(&key(Q1)).is_some());
-        let other_shape = Key {
-            stats_fingerprint: FP ^ 1,
-            ..key(Q1)
-        };
-        assert!(cache.get(&other_shape).is_none());
     }
 
     #[test]

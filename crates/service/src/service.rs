@@ -163,11 +163,6 @@ pub struct PublishedSnapshot {
     pub epoch: u64,
     /// [`NodeStore::revision`] at publication.
     pub revision: u64,
-    /// [`StoreStatistics::fingerprint`](xqy_ifp::xdm::StoreStatistics::fingerprint)
-    /// of the store at publication.  Folded into plan-cache keys so a
-    /// republish with materially different data re-costs its plans instead
-    /// of reusing decisions taken under the old shape.
-    pub stats_fingerprint: u64,
 }
 
 /// Per-query execution statistics.
@@ -338,10 +333,10 @@ impl QueryService {
     /// The plan cache is not touched, whatever changed: a prepared plan
     /// never read the store, so a plan cached under the old snapshot is as
     /// right on the new one — `doc(...)` resolves at run time, and a warm
-    /// executor that meets the new load epoch re-keys its own caches.  A
-    /// materially different snapshot has a different statistics
-    /// fingerprint, which is part of the cache key, so its queries re-cost
-    /// by missing.
+    /// executor that meets the new load epoch re-keys its own caches.
+    /// Every execution decides from its own snapshot's statistics, and a
+    /// plan's feedback cells drop observations taken under a materially
+    /// different shape, so a cached plan re-costs without being re-prepared.
     ///
     /// Publication is all-or-nothing under failure: the fresh snapshot is
     /// built *fully* before the published slot is touched, so a panic (or
@@ -359,7 +354,6 @@ impl QueryService {
             Ok(PublishedSnapshot {
                 epoch: clone.load_epoch(),
                 revision: clone.revision(),
-                stats_fingerprint: clone.statistics().fingerprint(),
                 store: Arc::new(clone),
             })
         }));
@@ -497,10 +491,7 @@ impl QueryService {
         // point has no effect on this query.
         let pinned = self.published();
 
-        // The shared plan, keyed on the pinned snapshot's statistics
-        // fingerprint: a materially different republish re-costs instead of
-        // hitting.
-        let (plan, cache_outcome) = self.prepared_plan(query, pinned.stats_fingerprint)?;
+        let (plan, cache_outcome) = self.prepared_plan(query)?;
 
         // Copy-on-write view: reads are served by the shared snapshot; a
         // construction body gets a store of its own (one pointer per
@@ -555,17 +546,12 @@ impl QueryService {
 
     /// `query`'s prepared plan from the cache, or prepare it (outside the
     /// cache lock) and insert it for the next session.
-    fn prepared_plan(
-        &self,
-        query: &str,
-        stats_fingerprint: u64,
-    ) -> Result<(Arc<PreparedQuery>, CacheOutcome)> {
+    fn prepared_plan(&self, query: &str) -> Result<(Arc<PreparedQuery>, CacheOutcome)> {
         let key = Key {
             query: query.to_owned(),
             backend: self.config.backend,
             strategy: self.config.strategy,
             parallelism: self.config.parallelism,
-            stats_fingerprint,
         };
         if let Some(plan) = self.cache.get(&key) {
             return Ok((plan, CacheOutcome::Hit));
@@ -701,7 +687,6 @@ fn publish_clone(master: &NodeStore) -> PublishedSnapshot {
     PublishedSnapshot {
         epoch: clone.load_epoch(),
         revision: clone.revision(),
-        stats_fingerprint: clone.statistics().fingerprint(),
         store: Arc::new(clone),
     }
 }
@@ -743,6 +728,29 @@ mod tests {
         service.publish().unwrap();
         let outcome = service.execute(CLOSURE_QUERY).unwrap();
         assert_eq!(outcome.outcome.result.len(), 2); // c2, c3
+    }
+
+    /// A stack overflow is an abort `catch_unwind` cannot contain, so a
+    /// hostile nesting depth has to come back as a typed error — on a
+    /// client's default-stack thread — and leave the service answering.
+    #[test]
+    fn hostile_nesting_is_an_error_and_the_service_answers_on() {
+        let service = Arc::new(service_with_curriculum());
+        let client = Arc::clone(&service);
+        let refused = std::thread::spawn(move || {
+            client.execute(&format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000)))
+        });
+        assert!(matches!(
+            refused.join().expect("client thread"),
+            Err(ServiceError::Query(xqy_ifp::IfpError::Parse(_)))
+        ));
+        let deep = format!("{}{}", "<e>".repeat(10_000), "</e>".repeat(10_000));
+        assert!(matches!(
+            service.load_document("deep.xml", &deep),
+            Err(ServiceError::Query(xqy_ifp::IfpError::Document(_)))
+        ));
+        let outcome = service.execute(CLOSURE_QUERY).unwrap();
+        assert_eq!(outcome.outcome.result.len(), 2);
     }
 
     #[test]
@@ -796,14 +804,17 @@ mod tests {
         assert_eq!(service.counters().cache.entries, 1);
         assert_eq!(run(), (CacheOutcome::Hit, 0));
 
-        // An ID declaration (matching nothing, so the data's shape — the
-        // cache key's fingerprint — stays) moves the load epoch.
+        // An ID declaration (matching nothing, so the data's shape stays)
+        // moves the load epoch.
         service
             .load_document_with_ids("curriculum.xml", CURRICULUM, &["label"])
             .unwrap();
         let after = service.publish().unwrap();
         assert_ne!(before.epoch, after.epoch);
-        assert_eq!(before.stats_fingerprint, after.stats_fingerprint);
+        assert_eq!(
+            before.store.statistics().fingerprint(),
+            after.store.statistics().fingerprint()
+        );
         assert_eq!(service.counters().cache.entries, 1);
         let (cache, evals) = run();
         assert_eq!(cache, CacheOutcome::Hit, "the same plan serves on");
@@ -812,33 +823,34 @@ mod tests {
         assert_eq!(service.counters().cache.forks, 0);
     }
 
-    /// PR 9: plan-cache keys carry the published snapshot's statistics
-    /// fingerprint.  A republish with *materially* different data (bucket
-    /// shifts in the shape statistics) must miss the cache and re-cost the
-    /// plan from fresh estimates; an unchanged republish keeps hitting.
+    /// The plan cache is keyed on text and knobs only, so a republish never
+    /// costs a re-parse; what a republish with *materially* different data
+    /// (bucket shifts in the shape statistics) does cost is the plan's
+    /// feedback: the cached plan decides from fresh estimates again.
     #[test]
     fn republish_with_materially_changed_data_recosts() {
         let service = service_with_curriculum();
+        let fingerprint = || service.published().store.statistics().fingerprint();
         let first = service.execute(CLOSURE_QUERY).unwrap();
         assert_eq!(first.stats.cache, CacheOutcome::Miss);
         assert_eq!(
             first.outcome.occurrences[0].decided_by,
             xqy_ifp::DecisionSource::Estimated
         );
-        let before = service.published().stats_fingerprint;
+        let before = fingerprint();
 
-        // An unchanged republish keeps the same fingerprint and the plan
-        // stays cached.
+        // Same data, same plan, and now its own observation to decide from.
         service.publish().unwrap();
-        assert_eq!(service.published().stats_fingerprint, before);
+        assert_eq!(fingerprint(), before);
+        let warm = service.execute(CLOSURE_QUERY).unwrap();
+        assert_eq!(warm.stats.cache, CacheOutcome::Hit);
         assert_eq!(
-            service.execute(CLOSURE_QUERY).unwrap().stats.cache,
-            CacheOutcome::Hit
+            warm.outcome.occurrences[0].decided_by,
+            xqy_ifp::DecisionSource::Adapted
         );
 
         // Grow the data by orders of magnitude: several statistics buckets
-        // move, so the fingerprint must change and the next execution must
-        // re-cost (a fresh preparation, decided from fresh estimates).
+        // move, so the observations no longer describe this store.
         let mut big = String::from("<bulk>");
         for i in 0..5_000 {
             big.push_str(&format!("<row n=\"{i}\"><cell/></row>"));
@@ -846,16 +858,19 @@ mod tests {
         big.push_str("</bulk>");
         service.load_document("bulk.xml", &big).unwrap();
         service.publish().unwrap();
-        assert_ne!(service.published().stats_fingerprint, before);
+        assert_ne!(fingerprint(), before);
 
         let recosted = service.execute(CLOSURE_QUERY).unwrap();
-        assert_eq!(recosted.stats.cache, CacheOutcome::Miss);
+        assert_eq!(recosted.stats.cache, CacheOutcome::Hit);
         assert_eq!(
             recosted.outcome.occurrences[0].decided_by,
             xqy_ifp::DecisionSource::Estimated
         );
-        // The answer is untouched by the re-cost.
-        assert_eq!(recosted.outcome.result.len(), first.outcome.result.len());
+        assert_eq!(
+            recosted.outcome.result.display(&recosted.store),
+            first.outcome.result.display(&first.store)
+        );
+        assert_eq!(service.counters().cache.misses, 1);
     }
 
     #[test]

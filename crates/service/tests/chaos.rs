@@ -620,7 +620,7 @@ fn append_fault_report(text: &str) {
 /// fixpoint over one accumulator, so nothing shards per seed — which is
 /// why the chaos matrix above reports `shard.worker` at zero hits.  The
 /// batched per-seed path ([`PreparedQuery::execute_batched`], the
-/// bench/oracle entry point) does shard, so this scenario drives it
+/// ledger/oracle entry point) does shard, so this scenario drives it
 /// directly: an injected worker panic must be re-raised at the shard
 /// join (aborting the whole batched run rather than silently dropping a
 /// shard's contribution), and once disarmed the same engine must

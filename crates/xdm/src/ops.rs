@@ -20,8 +20,8 @@
 //! `intersect` / `except` expressions, `fs:ddo`).
 //!
 //! The pre-`NodeSet` implementations (sort-based `ddo`, `HashSet` filters)
-//! are preserved in [`baseline`] so the `nodeset` micro-benchmark can
-//! quantify the difference; they are not used by the engine.
+//! live on in the test module `baseline`, as the reference the unit tests
+//! hold the kernels against.
 
 use crate::node::NodeId;
 use crate::nodeset::NodeSet;
@@ -108,10 +108,10 @@ pub fn is_subset(a: &[NodeId], b: &[NodeId]) -> bool {
     a.iter().all(|&n| bset.contains(n))
 }
 
-pub mod baseline {
-    //! The pre-`NodeSet` implementations, kept verbatim for the `nodeset`
-    //! micro-benchmark (`crates/bench/benches/nodeset.rs`) to compare
-    //! against.  Not used by the engine.
+#[cfg(test)]
+mod baseline {
+    //! The pre-`NodeSet` implementations, kept verbatim as the reference
+    //! the tests below compare the kernels with.
 
     use std::collections::HashSet;
 

@@ -25,6 +25,7 @@ pub fn parse_into(store: &mut NodeStore, text: &str) -> Result<DocId> {
         pos: 0,
         store,
         doc,
+        depth: 0,
     };
     parser.skip_prolog()?;
     parser.parse_content(root, true)?;
@@ -38,11 +39,20 @@ pub fn parse_into(store: &mut NodeStore, text: &str) -> Result<DocId> {
     Ok(doc)
 }
 
+/// Deepest element nesting the parser accepts: it bounds this descent's
+/// stack and the depth of the tree the recursive walkers over a document
+/// (string value, serialization, deep copy) descend, where running out of
+/// stack would abort the process.  Sized for the unoptimised build on a
+/// 2 MiB thread.
+const MAX_ELEMENT_DEPTH: usize = 128;
+
 struct Parser<'a, 's> {
     input: &'a [u8],
     pos: usize,
     store: &'s mut NodeStore,
     doc: DocId,
+    /// Open elements around `pos`.
+    depth: usize,
 }
 
 impl<'a, 's> Parser<'a, 's> {
@@ -250,6 +260,11 @@ impl<'a, 's> Parser<'a, 's> {
 
     fn parse_element(&mut self, parent: NodeId) -> Result<()> {
         debug_assert_eq!(self.peek(), Some(b'<'));
+        if self.depth == MAX_ELEMENT_DEPTH {
+            return Err(self.error(format!(
+                "elements nested deeper than {MAX_ELEMENT_DEPTH} levels"
+            )));
+        }
         self.bump(1);
         let name = self.read_name()?;
         let element = self.store.create_element(self.doc, QName::parse(&name));
@@ -262,7 +277,9 @@ impl<'a, 's> Parser<'a, 's> {
             match self.peek() {
                 Some(b'>') => {
                     self.bump(1);
+                    self.depth += 1;
                     self.parse_content(element, false)?;
+                    self.depth -= 1;
                     // Closing tag.
                     if !self.starts_with("</") {
                         return Err(self.error(format!("expected closing tag for <{name}>")));

@@ -223,20 +223,27 @@ fn batched_fast_path_runs_one_shared_fixpoint() {
     // The shared loop's depth is the max per-seed depth, and the body ran
     // once per shared iteration — strictly fewer evaluations than the six
     // per-seed fixpoints would have performed together.
-    let per_seed_calls: usize = {
-        let mut total = 0;
-        for &seed in &seeds.nodes() {
-            let bindings = Bindings::new().with("seed", Sequence::from_nodes(vec![seed]));
-            let outcome = prepared.execute(&mut engine, &bindings).unwrap();
-            total += outcome.fixpoints[0].payload_calls;
-        }
-        total
-    };
+    let (mut per_seed_calls, mut per_seed_fed, mut per_seed_depth) = (0, 0, 0);
+    for &seed in &seeds.nodes() {
+        let bindings = Bindings::new().with("seed", Sequence::from_nodes(vec![seed]));
+        let outcome = prepared.execute(&mut engine, &bindings).unwrap();
+        per_seed_calls += outcome.fixpoints[0].payload_calls;
+        per_seed_fed += outcome.fixpoints[0].nodes_fed_back;
+        per_seed_depth = per_seed_depth.max(outcome.fixpoints[0].iterations);
+    }
+    let shared = &batch.outcome.fixpoints[0];
+    assert_eq!(shared.iterations, per_seed_depth);
     assert!(
-        batch.outcome.fixpoints[0].payload_calls < per_seed_calls,
+        shared.payload_calls < per_seed_calls,
         "batched made {} body calls, per-seed {}",
-        batch.outcome.fixpoints[0].payload_calls,
+        shared.payload_calls,
         per_seed_calls
+    );
+    assert!(
+        shared.nodes_fed_back <= per_seed_fed,
+        "batched fed back {} rows, per-seed {}",
+        shared.nodes_fed_back,
+        per_seed_fed
     );
 }
 

@@ -154,6 +154,7 @@ proptest! {
                     .zip(sequential.outcome.fixpoints.iter())
                 {
                     prop_assert_eq!(p.iterations, s.iterations);
+                    prop_assert_eq!(p.nodes_fed_back, s.nodes_fed_back);
                     prop_assert_eq!(p.payload_calls, s.payload_calls);
                     prop_assert_eq!(p.batch_seeds, s.batch_seeds);
                     prop_assert_eq!(p.backend, s.backend);

@@ -272,6 +272,10 @@ fn per_item_prepared_query_batches_per_seed_fixpoints() {
     let outcome = prepared.execute(&mut engine, &bindings).unwrap();
     assert_eq!(xqy_ifp::algebra::compile_count(), compiles);
     assert_eq!(outcome.fixpoints.len(), 4, "one fixpoint per course");
+    assert!(outcome
+        .fixpoints
+        .iter()
+        .all(|s| s.backend == FixpointBackendTag::Algebraic));
     // c1 -> 3, c2 -> 1, c3/c4 -> 0; the for-loop concatenates the closures.
     assert_eq!(outcome.result.len(), 4);
 }
