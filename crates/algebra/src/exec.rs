@@ -983,16 +983,17 @@ impl Executor {
                 let store = store.read();
                 let input = inputs.remove(0);
                 let idx = input.column_index("item")?;
+                let step = store.step(*axis, test);
                 let mut src = Vec::new();
                 let mut items = Vec::new();
+                let mut selected = Vec::new();
                 for (r, key) in input.cols[idx].iter().enumerate() {
                     let Some(node) = key.as_node() else {
                         continue;
                     };
-                    for result in store.axis_nodes(node, *axis, test) {
-                        src.push(r);
-                        items.push(Key::Node(result));
-                    }
+                    step.nodes_into(node, &mut selected);
+                    src.resize(src.len() + selected.len(), r);
+                    items.extend(selected.drain(..).map(Key::Node));
                 }
                 Ok(replace_item_column(&input, idx, src, items).distinct())
             }

@@ -235,15 +235,10 @@ pub fn call_builtin(
                 args[0].items()[0].clone()
             };
             let name = match item.as_node() {
-                Some(n) => match eval.store.kind(n) {
-                    NodeKind::Element(q) | NodeKind::Attribute(q, _) => {
-                        if name == "local-name" {
-                            q.local.clone()
-                        } else {
-                            q.to_string()
-                        }
-                    }
-                    NodeKind::ProcessingInstruction(t, _) => {
+                Some(n) => match (eval.store.name(n), eval.store.kind(n)) {
+                    (Some(q), _) if name == "local-name" => q.local.clone(),
+                    (Some(q), _) => q.to_string(),
+                    (None, NodeKind::ProcessingInstruction(t, _)) => {
                         eval.store.resolve_text(*t).to_string()
                     }
                     _ => String::new(),
@@ -507,8 +502,7 @@ fn deep_equal(eval: &Evaluator<'_>, a: &Sequence, b: &Sequence) -> bool {
 }
 
 fn deep_equal_nodes(eval: &Evaluator<'_>, a: xqy_xdm::NodeId, b: xqy_xdm::NodeId) -> bool {
-    let (ka, kb) = (eval.store.kind(a).clone(), eval.store.kind(b).clone());
-    match (&ka, &kb) {
+    match (eval.store.kind(a), eval.store.kind(b)) {
         (NodeKind::Text(x), NodeKind::Text(y)) => x == y,
         (NodeKind::Comment(x), NodeKind::Comment(y)) => x == y,
         (NodeKind::Attribute(nx, vx), NodeKind::Attribute(ny, vy)) => nx == ny && vx == vy,
@@ -526,7 +520,8 @@ fn deep_equal_nodes(eval: &Evaluator<'_>, a: xqy_xdm::NodeId, b: xqy_xdm::NodeId
             // directly: equal syms ⇔ equal strings within one pool.
             for attr in &attrs_a {
                 if let NodeKind::Attribute(name, value) = eval.store.kind(*attr) {
-                    match eval.store.attribute_value_sym(b, &name.local) {
+                    let name = &eval.store.resolve_name(*name).local;
+                    match eval.store.attribute_value_sym(b, name) {
                         Some(v) if v == *value => {}
                         _ => return false,
                     }

@@ -119,10 +119,10 @@ fn append_content(eval: &mut Evaluator<'_>, element: NodeId, value: &Sequence) -
                         .create_text(frag, std::mem::take(&mut pending_text));
                     eval.store.append_child(element, t)?;
                 }
-                match eval.store.kind(*n).clone() {
+                match *eval.store.kind(*n) {
                     NodeKind::Attribute(name, attr_value) => {
-                        // The payload symbol already lives in this store's
-                        // pool — re-attach it without resolving.
+                        // Name and payload symbols already live in this
+                        // store — re-attach them without resolving.
                         eval.store
                             .add_attribute_interned(element, name, attr_value)?;
                     }

@@ -762,8 +762,9 @@ impl<'s> Evaluator<'s> {
         match step {
             Expr::ContextItem => out.extend_from_slice(focus),
             Expr::AxisStep { axis, test, .. } => {
+                let step = self.store.step(*axis, test);
                 for &node in focus {
-                    self.store.axis_nodes_into(node, *axis, test, &mut out);
+                    step.nodes_into(node, &mut out);
                 }
             }
             Expr::Path { input, step } => {
@@ -1119,7 +1120,7 @@ impl<'s> Evaluator<'s> {
                         kind.is_element()
                             && (inner.is_empty()
                                 || inner == "*"
-                                || kind.name().map(|q| q.local == inner).unwrap_or(false))
+                                || self.store.name(*n).is_some_and(|q| q.local == inner))
                     }
                     _ if base.starts_with("attribute(") || base == "attribute()" => {
                         let inner = base
@@ -1129,7 +1130,7 @@ impl<'s> Evaluator<'s> {
                         kind.is_attribute()
                             && (inner.is_empty()
                                 || inner == "*"
-                                || kind.name().map(|q| q.local == inner).unwrap_or(false))
+                                || self.store.name(*n).is_some_and(|q| q.local == inner))
                     }
                     _ => false,
                 }

@@ -753,6 +753,42 @@ mod tests {
         assert_eq!(outcome.outcome.result.len(), 2);
     }
 
+    /// A load that fails to parse must not reach the next publication: the
+    /// master keeps its document count and statistics, and the URI stays
+    /// free for a well-formed document.
+    #[test]
+    fn a_malformed_load_ships_nothing_with_the_next_publish() {
+        let service = service_with_curriculum();
+        let before = service.published();
+        let shape = |s: &PublishedSnapshot| {
+            let stats = s.store.statistics();
+            (s.store.document_count(), stats.totals, stats.fingerprint())
+        };
+        for _ in 0..3 {
+            assert!(matches!(
+                service.load_document_with_ids("late.xml", "<late><half id=\"h\">", &["code"]),
+                Err(ServiceError::Query(xqy_ifp::IfpError::Document(_)))
+            ));
+        }
+        service.publish().unwrap();
+        let after = service.published();
+        assert_eq!(shape(&after), shape(&before));
+        assert_eq!(after.epoch, before.epoch);
+        assert_eq!(after.store.doc("late.xml"), None);
+
+        service
+            .load_document_with_ids("late.xml", "<late><whole id=\"h\"/></late>", &[])
+            .unwrap();
+        service.publish().unwrap();
+        let whole = service.execute("doc('late.xml')/late/id('h')").unwrap();
+        assert_eq!(whole.outcome.result.len(), 1);
+        assert_eq!(service.published().store.document_count(), 2);
+        assert_eq!(
+            service.execute(CLOSURE_QUERY).unwrap().outcome.result.len(),
+            2
+        );
+    }
+
     #[test]
     fn cross_session_cache_hit_and_stats() {
         let service = service_with_curriculum();

@@ -12,9 +12,11 @@
 //! executor: strings interned while evaluating one seed are still valid —
 //! and already cached — for every later seed of a per-item loop.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+
+use crate::node::QName;
 
 /// A symbol: the dense id of an interned string.
 ///
@@ -144,6 +146,135 @@ impl TextPool {
     /// `true` when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
+    }
+
+    /// Forget every string interned after the pool held `len` of them —
+    /// how a failed parse takes its payloads back.  Only the caller that
+    /// grew the pool may shrink it, before anyone else has seen the
+    /// symbols it drops.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.strings.len() {
+            let map = Arc::make_mut(&mut self.map);
+            for dropped in Arc::make_mut(&mut self.strings).drain(len..) {
+                map.remove(&dropped);
+            }
+        }
+    }
+}
+
+/// A symbol: the dense id of an interned element or attribute name.
+///
+/// Only meaningful together with the [`NameTable`] that produced it (or a
+/// clone of it); two `NameId`s from one table are equal iff prefix and
+/// local part both are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NameId(pub u32);
+
+/// The grow-only, `Arc`-shared table of the distinct [`QName`]s a store's
+/// elements and attributes carry — the [`TextPool`]'s sibling for names,
+/// owned, cloned (O(1)) and diverged (copied by the first new name interned
+/// while shared) exactly like it.  A node holds a [`NameId`]; the table
+/// turns it back into the `QName`.
+///
+/// Names match *ignoring prefixes* throughout the engine, so besides its
+/// own id every name has a **local class** ([`local_of`](NameTable::local_of)):
+/// the id of the first name interned with the same local part.  Two names
+/// have the same local part iff their classes are equal, which is what lets
+/// a [`Matcher`](crate::Matcher) decide a candidate by comparing integers.
+///
+/// The table only grows, and a store's clones extend it independently, so
+/// every id a shared document carries resolves to the same name in every
+/// store holding that document.  Nothing outside a store caches name ids,
+/// hence no identity like [`TextPool::pool_id`].
+#[derive(Debug, Clone, Default)]
+pub struct NameTable(Arc<Names>);
+
+#[derive(Debug, Clone, Default)]
+struct Names {
+    /// `names[id]` is the name of `NameId(id)`.
+    names: Vec<QName>,
+    /// `local_of[id]` is the local class of `NameId(id)`.
+    local_of: Vec<u32>,
+    /// Local part → ids of the names carrying it, in interning order (the
+    /// first one is the class); read by `intern` alone.  Ordered, not
+    /// hashed: a store has a handful of names, which a B-tree finds in a
+    /// few short comparisons where keyed hashing the probe costs more, and
+    /// names come from outside, so an unkeyed hash is not an option.
+    by_local: BTreeMap<Box<str>, Vec<u32>>,
+}
+
+impl NameTable {
+    /// Intern the name `prefix:local` (allocating only on first sight).
+    pub fn intern(&mut self, prefix: Option<&str>, local: &str) -> NameId {
+        let known = self.0.by_local.get(local).and_then(|ids| {
+            let same_prefix = |&&id: &&u32| self.0.names[id as usize].prefix.as_deref() == prefix;
+            ids.iter().find(same_prefix)
+        });
+        if let Some(&id) = known {
+            return NameId(id);
+        }
+        let table = Arc::make_mut(&mut self.0);
+        let id = table.names.len() as u32;
+        // Two copies of the local part, the prefix, and the three entries.
+        crate::budget::charge(2 * local.len() as u64 + prefix.map_or(0, str::len) as u64 + 96);
+        let ids = table.by_local.entry(local.into()).or_default();
+        ids.push(id);
+        table.local_of.push(ids[0]);
+        table.names.push(QName {
+            prefix: prefix.map(String::from),
+            local: local.to_string(),
+        });
+        NameId(id)
+    }
+
+    /// Intern a lexical `local` or `prefix:local` name.
+    pub fn intern_lexical(&mut self, lexical: &str) -> NameId {
+        let (prefix, local) = QName::parse_parts(lexical);
+        self.intern(prefix, local)
+    }
+
+    /// The name behind `id`.
+    ///
+    /// # Panics
+    /// Panics if `id` did not come from this table (or a clone of it).
+    pub fn resolve(&self, id: NameId) -> &QName {
+        &self.0.names[id.0 as usize]
+    }
+
+    /// The local class of `id`: equal for two names iff their local parts
+    /// are, and itself the id of a name with that local part.
+    #[inline]
+    pub fn local_of(&self, id: NameId) -> u32 {
+        self.0.local_of[id.0 as usize]
+    }
+
+    /// Number of distinct names interned.
+    pub fn len(&self) -> usize {
+        self.0.names.len()
+    }
+
+    /// `true` when nothing has been interned yet.
+    pub fn is_empty(&self) -> bool {
+        self.0.names.is_empty()
+    }
+
+    /// [`TextPool::truncate`] for names.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        let table = Arc::make_mut(&mut self.0);
+        table.local_of.truncate(len);
+        for dropped in table.names.drain(len..) {
+            let ids = table
+                .by_local
+                .get_mut(dropped.local.as_str())
+                .expect("every interned name is listed under its local part");
+            ids.retain(|&id| (id as usize) < len);
+            if ids.is_empty() {
+                table.by_local.remove(dropped.local.as_str());
+            }
+        }
     }
 }
 

@@ -44,7 +44,7 @@ pub mod intern;
 pub mod node;
 pub mod nodeset;
 pub mod ops;
-pub mod parse;
+mod parse;
 pub mod sequence;
 pub mod serialize;
 pub mod shard;
@@ -57,13 +57,13 @@ pub use cow::{CowStore, StoreMut};
 pub use error::XdmError;
 pub use fail::{FaultAction, FaultError, FaultTrigger};
 pub use hash::{IdMap, IdSet};
-pub use intern::{Interner, StrId, TextPool};
-pub use node::{Axis, NodeId, NodeKind, NodeTest, QName};
+pub use intern::{Interner, NameId, NameTable, StrId, TextPool};
+pub use node::{Axis, Matcher, NodeId, NodeKind, NodeTest, QName};
 pub use nodeset::NodeSet;
 pub use ops::{ddo, ddo_vec, intersect, is_subset, node_except, node_union, set_equal};
 pub use sequence::Sequence;
 pub use stats::{DocumentStatistics, StoreStatistics};
-pub use store::{DocId, NodeStore, StrView};
+pub use store::{DocId, NodeStore, Step, StrView};
 pub use value::{AtomicValue, Item, UText};
 
 /// Convenient result alias used throughout the crate.

@@ -1,8 +1,9 @@
 //! Node handles, node kinds, axes and node tests.
 
+use std::cell::Cell;
 use std::fmt;
 
-use crate::intern::StrId;
+use crate::intern::{NameId, NameTable, StrId};
 
 /// A (possibly prefixed) XML name.
 ///
@@ -28,19 +29,19 @@ impl QName {
 
     /// Parse a lexical QName of the form `local` or `prefix:local`.
     pub fn parse(lexical: &str) -> Self {
-        match lexical.split_once(':') {
-            Some((p, l)) => QName {
-                prefix: Some(p.to_string()),
-                local: l.to_string(),
-            },
-            None => QName::local(lexical),
+        let (prefix, local) = QName::parse_parts(lexical);
+        QName {
+            prefix: prefix.map(String::from),
+            local: local.to_string(),
         }
     }
 
-    /// `true` if this name matches `other` ignoring prefixes (namespace-free
-    /// matching, which is what the benchmark queries require).
-    pub fn matches_local(&self, local: &str) -> bool {
-        self.local == local
+    /// The prefix (if any) and the local part of a lexical QName.
+    pub fn parse_parts(lexical: &str) -> (Option<&str>, &str) {
+        match lexical.split_once(':') {
+            Some((prefix, local)) => (Some(prefix), local),
+            None => (None, lexical),
+        }
     }
 }
 
@@ -80,7 +81,8 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// The kind of a node, together with kind-specific payload.
+/// The kind of a node, together with kind-specific payload: twelve bytes,
+/// `Copy`, no pointer.
 ///
 /// Text-shaped payloads (attribute values, text/comment content, PI targets
 /// and content) are interned into the owning store's text pool at creation
@@ -88,14 +90,18 @@ impl fmt::Display for NodeId {
 /// [`NodeStore::resolve_text`](crate::NodeStore::resolve_text) (or the
 /// higher-level `string_value_ref` / `attribute_value` accessors).  This is
 /// what makes `string_value` of leaf nodes a borrow instead of a clone.
-#[derive(Debug, Clone, PartialEq)]
+/// Element and attribute names are [`NameId`] symbols of the store's name
+/// table — [`NodeStore::name`](crate::NodeStore::name) and
+/// [`NodeStore::resolve_name`](crate::NodeStore::resolve_name) give the
+/// [`QName`] back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// The document node (root of a parsed document).
     Document,
-    /// An element node with its name.
-    Element(QName),
-    /// An attribute node with name and interned string value.
-    Attribute(QName, StrId),
+    /// An element node with its interned name.
+    Element(NameId),
+    /// An attribute node with interned name and interned string value.
+    Attribute(NameId, StrId),
     /// A text node (interned content).
     Text(StrId),
     /// A comment node (interned content).
@@ -117,10 +123,10 @@ impl NodeKind {
         }
     }
 
-    /// The node's name, if it has one.
-    pub fn name(&self) -> Option<&QName> {
+    /// The symbol of the node's name, if it has one.
+    pub fn name_id(&self) -> Option<NameId> {
         match self {
-            NodeKind::Element(n) | NodeKind::Attribute(n, _) => Some(n),
+            NodeKind::Element(n) | NodeKind::Attribute(n, _) => Some(*n),
             _ => None,
         }
     }
@@ -260,51 +266,111 @@ pub enum NodeTest {
 }
 
 impl NodeTest {
-    /// Does `kind` satisfy this node test when reached via `axis`?
+    /// Start checking nodes reached via `axis` against this test, with
+    /// `names` the table the nodes' name symbols come from.  Make one
+    /// [`Matcher`] per step and run every candidate through it.
     ///
-    /// The *principal node kind* rule of XPath applies: on the `attribute`
-    /// axis, name tests and `*` match attribute nodes; on every other axis
-    /// they match element nodes.
-    pub fn matches(&self, axis: Axis, kind: &NodeKind) -> bool {
-        let principal_is_attribute = axis == Axis::Attribute;
-        match self {
-            NodeTest::AnyNode => true,
-            NodeTest::Text => kind.is_text(),
-            NodeTest::Comment => matches!(kind, NodeKind::Comment(_)),
-            NodeTest::ProcessingInstruction => {
-                matches!(kind, NodeKind::ProcessingInstruction(_, _))
-            }
-            NodeTest::Document => matches!(kind, NodeKind::Document),
-            NodeTest::AnyElement => {
-                if principal_is_attribute {
-                    kind.is_attribute()
-                } else {
-                    kind.is_element()
-                }
-            }
-            NodeTest::Name(name) => {
-                let principal = if principal_is_attribute {
-                    kind.is_attribute()
-                } else {
-                    kind.is_element()
-                };
-                principal && kind.name().map(|n| n.matches_local(name)).unwrap_or(false)
-            }
-            NodeTest::Element(name) => {
-                kind.is_element()
-                    && name
-                        .as_ref()
-                        .map(|n| kind.name().map(|q| q.matches_local(n)).unwrap_or(false))
-                        .unwrap_or(true)
-            }
-            NodeTest::Attribute(name) => {
-                kind.is_attribute()
-                    && name
-                        .as_ref()
-                        .map(|n| kind.name().map(|q| q.matches_local(n)).unwrap_or(false))
-                        .unwrap_or(true)
-            }
+    /// The *principal node kind* rule of XPath is applied here: on the
+    /// `attribute` axis, name tests and `*` select attribute nodes; on
+    /// every other axis they select element nodes.
+    pub fn matcher<'a>(&'a self, axis: Axis, names: &'a NameTable) -> Matcher<'a> {
+        let principal = match axis {
+            Axis::Attribute => KindTest::Attribute,
+            _ => KindTest::Element,
+        };
+        let (kind, name) = match self {
+            NodeTest::AnyNode => (KindTest::AnyNode, None),
+            NodeTest::Text => (KindTest::Text, None),
+            NodeTest::Comment => (KindTest::Comment, None),
+            NodeTest::ProcessingInstruction => (KindTest::ProcessingInstruction, None),
+            NodeTest::Document => (KindTest::Document, None),
+            NodeTest::AnyElement => (principal, None),
+            NodeTest::Name(name) => (principal, Some(name.as_str())),
+            NodeTest::Element(name) => (KindTest::Element, name.as_deref()),
+            NodeTest::Attribute(name) => (KindTest::Attribute, name.as_deref()),
+        };
+        Matcher::new(kind, name, names)
+    }
+}
+
+/// The node kind a [`Matcher`] lets through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KindTest {
+    AnyNode,
+    Text,
+    Comment,
+    ProcessingInstruction,
+    Document,
+    Element,
+    Attribute,
+}
+
+/// A [`NodeTest`] at work on one store's nodes.
+///
+/// Names match *ignoring prefixes*, on both sides: the test `p:a`, like
+/// `a`, selects `a` and `q:a` alike.  A node carries its name as a
+/// [`NameId`], whose local class ([`NameTable::local_of`]) is one integer
+/// per distinct local part, so the wanted name has to meet the table only
+/// once: the first candidate of each class is compared by its spelling,
+/// and from the first hit on every candidate is decided by comparing two
+/// integers — no lookup per step, no string per candidate.
+#[derive(Debug)]
+pub struct Matcher<'a> {
+    names: &'a NameTable,
+    kind: KindTest,
+    /// The local part the name must have, if the test names one.
+    local: Option<&'a str>,
+    /// The wanted name's local class, once a candidate has shown it.
+    class: Cell<Option<u32>>,
+    /// Until then: the class last seen *not* to be it.
+    other: Cell<Option<u32>>,
+}
+
+impl<'a> Matcher<'a> {
+    /// The one place a test's spelling is taken apart: its prefix, if it
+    /// has one, is not significant.
+    fn new(kind: KindTest, name: Option<&'a str>, names: &'a NameTable) -> Self {
+        Matcher {
+            names,
+            kind,
+            local: name.map(|n| QName::parse_parts(n).1),
+            class: Cell::new(None),
+            other: Cell::new(None),
         }
+    }
+
+    /// Attributes called `name`.
+    pub(crate) fn attribute(name: &'a str, names: &'a NameTable) -> Self {
+        Matcher::new(KindTest::Attribute, Some(name), names)
+    }
+
+    /// Does a node of `kind` satisfy the test?
+    #[inline]
+    pub fn matches(&self, kind: &NodeKind) -> bool {
+        let name = match (self.kind, kind) {
+            (KindTest::AnyNode, _)
+            | (KindTest::Text, NodeKind::Text(_))
+            | (KindTest::Comment, NodeKind::Comment(_))
+            | (KindTest::ProcessingInstruction, NodeKind::ProcessingInstruction(..))
+            | (KindTest::Document, NodeKind::Document) => return true,
+            (KindTest::Element, NodeKind::Element(name))
+            | (KindTest::Attribute, NodeKind::Attribute(name, _)) => *name,
+            _ => return false,
+        };
+        let Some(local) = self.local else {
+            return true;
+        };
+        let class = self.names.local_of(name);
+        if let Some(wanted) = self.class.get() {
+            return class == wanted;
+        }
+        if self.other.get() == Some(class) {
+            return false;
+        }
+        let hit = self.names.resolve(NameId(class)).local == local;
+        let seen = if hit { &self.class } else { &self.other };
+        seen.set(Some(class));
+        hit
     }
 }
 
@@ -372,38 +438,86 @@ mod tests {
         assert!(!Axis::Descendant.is_reverse());
     }
 
+    /// A table knowing `id`, `a`, `b`, `x` and `p:a`, in that order.
+    fn table() -> (NameTable, [NameId; 5]) {
+        let mut names = NameTable::default();
+        let ids = ["id", "a", "b", "x", "p:a"].map(|n| names.intern_lexical(n));
+        (names, ids)
+    }
+
+    fn matches(test: &NodeTest, axis: Axis, kind: &NodeKind, names: &NameTable) -> bool {
+        test.matcher(axis, names).matches(kind)
+    }
+
     #[test]
     fn name_test_respects_principal_node_kind() {
-        let elem = NodeKind::Element(QName::local("id"));
-        let attr = NodeKind::Attribute(QName::local("id"), StrId(0));
+        let (names, [id, ..]) = table();
+        let elem = NodeKind::Element(id);
+        let attr = NodeKind::Attribute(id, StrId(0));
         let test = NodeTest::Name("id".into());
-        assert!(test.matches(Axis::Child, &elem));
-        assert!(!test.matches(Axis::Child, &attr));
-        assert!(test.matches(Axis::Attribute, &attr));
-        assert!(!test.matches(Axis::Attribute, &elem));
+        assert!(matches(&test, Axis::Child, &elem, &names));
+        assert!(!matches(&test, Axis::Child, &attr, &names));
+        assert!(matches(&test, Axis::Attribute, &attr, &names));
+        assert!(!matches(&test, Axis::Attribute, &elem, &names));
+    }
+
+    #[test]
+    fn name_tests_ignore_prefixes_on_both_sides() {
+        let (names, [id, a, b, _, pa]) = table();
+        for test in ["a", "p:a", "q:a"] {
+            let test = NodeTest::Name(test.into());
+            assert!(matches(&test, Axis::Child, &NodeKind::Element(a), &names));
+            assert!(matches(&test, Axis::Child, &NodeKind::Element(pa), &names));
+            assert!(!matches(&test, Axis::Child, &NodeKind::Element(b), &names));
+            // One matcher over a run of candidates: whichever class it
+            // meets first, misses and hits alike stay right afterwards.
+            let matcher = test.matcher(Axis::Child, &names);
+            let run = [b, id, b, pa, a, id, b, a, pa];
+            let hits: Vec<bool> = run
+                .iter()
+                .map(|&n| matcher.matches(&NodeKind::Element(n)))
+                .collect();
+            assert_eq!(hits, run.map(|n| n == a || n == pa));
+        }
+        let never = NodeTest::Element(Some("p:never".into()));
+        assert!(!matches(&never, Axis::Child, &NodeKind::Element(a), &names));
     }
 
     #[test]
     fn wildcard_matches_elements_only_on_child_axis() {
-        let elem = NodeKind::Element(QName::local("a"));
+        let (names, [_, a, ..]) = table();
+        let elem = NodeKind::Element(a);
         let text = NodeKind::Text(StrId(0));
-        assert!(NodeTest::AnyElement.matches(Axis::Child, &elem));
-        assert!(!NodeTest::AnyElement.matches(Axis::Child, &text));
-        assert!(NodeTest::AnyNode.matches(Axis::Child, &text));
+        assert!(matches(&NodeTest::AnyElement, Axis::Child, &elem, &names));
+        assert!(!matches(&NodeTest::AnyElement, Axis::Child, &text, &names));
+        assert!(matches(&NodeTest::AnyNode, Axis::Child, &text, &names));
     }
 
     #[test]
     fn kind_tests_match_their_kinds() {
-        assert!(NodeTest::Text.matches(Axis::Child, &NodeKind::Text(StrId(0))));
-        assert!(NodeTest::Comment.matches(Axis::Child, &NodeKind::Comment(StrId(0))));
-        assert!(NodeTest::Document.matches(Axis::SelfAxis, &NodeKind::Document));
-        assert!(NodeTest::Element(Some("a".into()))
-            .matches(Axis::Child, &NodeKind::Element(QName::local("a"))));
-        assert!(!NodeTest::Element(Some("a".into()))
-            .matches(Axis::Child, &NodeKind::Element(QName::local("b"))));
-        assert!(NodeTest::Attribute(None).matches(
-            Axis::Attribute,
-            &NodeKind::Attribute(QName::local("x"), StrId(0))
+        let (names, [_, a, b, x, _]) = table();
+        let m = |test: NodeTest, axis, kind| matches(&test, axis, &kind, &names);
+        assert!(m(NodeTest::Text, Axis::Child, NodeKind::Text(StrId(0))));
+        assert!(m(
+            NodeTest::Comment,
+            Axis::Child,
+            NodeKind::Comment(StrId(0))
         ));
+        assert!(m(NodeTest::Document, Axis::SelfAxis, NodeKind::Document));
+        let element_a = || NodeTest::Element(Some("a".into()));
+        assert!(m(element_a(), Axis::Child, NodeKind::Element(a)));
+        assert!(!m(element_a(), Axis::Child, NodeKind::Element(b)));
+        assert!(m(
+            NodeTest::Attribute(None),
+            Axis::Attribute,
+            NodeKind::Attribute(x, StrId(0))
+        ));
+    }
+
+    #[test]
+    fn node_kind_is_a_twelve_byte_copy_value() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<NodeKind>();
+        assert_eq!(std::mem::size_of::<NodeKind>(), 12);
     }
 }

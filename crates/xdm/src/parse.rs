@@ -9,28 +9,33 @@
 //! or DTD content models — ID-typed attributes are instead declared through
 //! [`NodeStore::register_id_attribute`](crate::NodeStore::register_id_attribute).
 
+use std::borrow::Cow;
+
 use crate::error::XdmError;
-use crate::node::{NodeId, QName};
+use crate::node::NodeId;
 use crate::store::{DocId, NodeStore};
 use crate::Result;
 
-/// Parse `text` into a new document inside `store`.
-pub fn parse_into(store: &mut NodeStore, text: &str) -> Result<DocId> {
+/// Parse `text` into a new document inside `store`.  On an error the
+/// document is left behind half-built: [`NodeStore::parse_document`], the
+/// one caller, takes it back out.
+pub(crate) fn parse_into(store: &mut NodeStore, text: &str) -> Result<DocId> {
     let doc = store.new_document();
     let root = store
         .document_node(doc)
         .expect("freshly created document has a document node");
     let mut parser = Parser {
-        input: text.as_bytes(),
+        text,
         pos: 0,
         store,
         doc,
         depth: 0,
+        chars: String::new(),
     };
     parser.skip_prolog()?;
     parser.parse_content(root, true)?;
     parser.skip_whitespace_and_misc()?;
-    if parser.pos != parser.input.len() {
+    if parser.pos != text.len() {
         return Err(XdmError::parse(
             parser.pos,
             "trailing content after document element",
@@ -47,21 +52,26 @@ pub fn parse_into(store: &mut NodeStore, text: &str) -> Result<DocId> {
 const MAX_ELEMENT_DEPTH: usize = 128;
 
 struct Parser<'a, 's> {
-    input: &'a [u8],
+    /// Scanned as bytes.  Every delimiter the parser stops at is ASCII, so
+    /// the offsets it cuts `text` at are character boundaries.
+    text: &'a str,
     pos: usize,
     store: &'s mut NodeStore,
     doc: DocId,
     /// Open elements around `pos`.
     depth: usize,
+    /// The character data gathered since the last node was created.  Runs
+    /// end where child markup begins, so one buffer serves every level.
+    chars: String,
 }
 
 impl<'a, 's> Parser<'a, 's> {
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s.as_bytes())
+        self.text.as_bytes()[self.pos..].starts_with(s.as_bytes())
     }
 
     fn bump(&mut self, n: usize) {
@@ -127,14 +137,14 @@ impl<'a, 's> Parser<'a, 's> {
     }
 
     fn find(&self, needle: &str) -> Result<usize> {
-        let hay = &self.input[self.pos..];
+        let hay = &self.text.as_bytes()[self.pos..];
         hay.windows(needle.len())
             .position(|w| w == needle.as_bytes())
             .map(|p| self.pos + p)
             .ok_or_else(|| self.error(format!("expected '{needle}'")))
     }
 
-    fn read_name(&mut self) -> Result<String> {
+    fn read_name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             let ch = c as char;
@@ -147,32 +157,30 @@ impl<'a, 's> Parser<'a, 's> {
         if self.pos == start {
             return Err(self.error("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(&self.text[start..self.pos])
     }
 
     /// Parse element content (children of `parent`).  When `top_level` is
     /// true exactly one element child is required (the document element).
     fn parse_content(&mut self, parent: NodeId, top_level: bool) -> Result<()> {
         let mut element_seen = false;
-        let mut text = String::new();
         loop {
             match self.peek() {
                 None => {
                     if top_level && !element_seen {
                         return Err(self.error("missing document element"));
                     }
-                    self.flush_text(parent, &mut text)?;
+                    self.flush_text(parent)?;
                     return Ok(());
                 }
                 Some(b'<') => {
                     if self.starts_with("</") {
-                        self.flush_text(parent, &mut text)?;
+                        self.flush_text(parent)?;
                         return Ok(());
                     } else if self.starts_with("<!--") {
-                        self.flush_text(parent, &mut text)?;
+                        self.flush_text(parent)?;
                         let end = self.find("-->")?;
-                        let content =
-                            String::from_utf8_lossy(&self.input[self.pos + 4..end]).into_owned();
+                        let content = &self.text[self.pos + 4..end];
                         let comment = self.store.create_comment(self.doc, content);
                         self.store
                             .append_child(parent, comment)
@@ -180,16 +188,15 @@ impl<'a, 's> Parser<'a, 's> {
                         self.pos = end + 3;
                     } else if self.starts_with("<![CDATA[") {
                         let end = self.find("]]>")?;
-                        text.push_str(&String::from_utf8_lossy(&self.input[self.pos + 9..end]));
+                        self.chars.push_str(&self.text[self.pos + 9..end]);
                         self.pos = end + 3;
                     } else if self.starts_with("<?") {
-                        self.flush_text(parent, &mut text)?;
+                        self.flush_text(parent)?;
                         let end = self.find("?>")?;
-                        let raw =
-                            String::from_utf8_lossy(&self.input[self.pos + 2..end]).into_owned();
+                        let raw = &self.text[self.pos + 2..end];
                         let (target, content) = match raw.split_once(char::is_whitespace) {
-                            Some((t, c)) => (t.to_string(), c.trim_start().to_string()),
-                            None => (raw, String::new()),
+                            Some((t, c)) => (t, c.trim_start()),
+                            None => (raw, ""),
                         };
                         let pi = self.store.create_pi(self.doc, target, content);
                         self.store
@@ -197,7 +204,7 @@ impl<'a, 's> Parser<'a, 's> {
                             .map_err(|e| self.error(e.to_string()))?;
                         self.pos = end + 2;
                     } else {
-                        self.flush_text(parent, &mut text)?;
+                        self.flush_text(parent)?;
                         if top_level && element_seen {
                             return Err(self.error("multiple document elements"));
                         }
@@ -218,33 +225,29 @@ impl<'a, 's> Parser<'a, 's> {
                         }
                         self.pos += 1;
                     } else {
-                        let c = self.read_char_data()?;
-                        text.push_str(&c);
+                        let data = self.read_char_data()?;
+                        self.chars.push_str(&data);
                     }
                 }
             }
         }
     }
 
-    fn flush_text(&mut self, parent: NodeId, text: &mut String) -> Result<()> {
-        if text.is_empty() {
-            return Ok(());
-        }
+    fn flush_text(&mut self, parent: NodeId) -> Result<()> {
         // Whitespace-only runs between elements are not materialized; this
         // mirrors a data-oriented (non-mixed-content) reading of the
         // benchmark documents and keeps node counts meaningful.
-        if text.chars().all(char::is_whitespace) {
-            text.clear();
-            return Ok(());
+        if !self.chars.chars().all(char::is_whitespace) {
+            let node = self.store.create_text(self.doc, &self.chars);
+            self.store
+                .append_child(parent, node)
+                .map_err(|e| self.error(e.to_string()))?;
         }
-        let node = self.store.create_text(self.doc, std::mem::take(text));
-        self.store
-            .append_child(parent, node)
-            .map_err(|e| self.error(e.to_string()))?;
+        self.chars.clear();
         Ok(())
     }
 
-    fn read_char_data(&mut self) -> Result<String> {
+    fn read_char_data(&mut self) -> Result<Cow<'a, str>> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c == b'<' {
@@ -252,10 +255,7 @@ impl<'a, 's> Parser<'a, 's> {
             }
             self.pos += 1;
         }
-        decode_entities(
-            &String::from_utf8_lossy(&self.input[start..self.pos]),
-            start,
-        )
+        decode_entities(&self.text[start..self.pos], start)
     }
 
     fn parse_element(&mut self, parent: NodeId) -> Result<()> {
@@ -267,7 +267,7 @@ impl<'a, 's> Parser<'a, 's> {
         }
         self.bump(1);
         let name = self.read_name()?;
-        let element = self.store.create_element(self.doc, QName::parse(&name));
+        let element = self.store.create_element_lexical(self.doc, name);
         self.store
             .append_child(parent, element)
             .map_err(|e| self.error(e.to_string()))?;
@@ -328,11 +328,10 @@ impl<'a, 's> Parser<'a, 's> {
                     if self.peek() != Some(quote) {
                         return Err(self.error("unterminated attribute value"));
                     }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
+                    let value = decode_entities(&self.text[start..self.pos], start)?;
                     self.bump(1);
-                    let value = decode_entities(&raw, start)?;
                     self.store
-                        .add_attribute(element, QName::parse(&attr_name), value)
+                        .add_attribute_lexical(element, attr_name, &value)
                         .map_err(|e| self.error(e.to_string()))?;
                 }
                 None => return Err(self.error("unexpected end of input inside tag")),
@@ -342,9 +341,9 @@ impl<'a, 's> Parser<'a, 's> {
 }
 
 /// Replace the predefined entities and numeric character references in `raw`.
-fn decode_entities(raw: &str, offset: usize) -> Result<String> {
+fn decode_entities(raw: &str, offset: usize) -> Result<Cow<'_, str>> {
     if !raw.contains('&') {
-        return Ok(raw.to_string());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -382,7 +381,7 @@ fn decode_entities(raw: &str, offset: usize) -> Result<String> {
         rest = &rest[end + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]

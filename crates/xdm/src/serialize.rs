@@ -1,5 +1,7 @@
 //! XML serialization of nodes and subtrees.
 
+use std::fmt::Write;
+
 use crate::node::{NodeId, NodeKind};
 use crate::store::NodeStore;
 
@@ -21,16 +23,12 @@ fn write_node(store: &NodeStore, node: NodeId, out: &mut String) {
             }
         }
         NodeKind::Element(name) => {
-            out.push('<');
-            out.push_str(&name.to_string());
+            let name = store.resolve_name(*name);
+            // Writing into a `String` cannot fail.
+            let _ = write!(out, "<{name}");
             for attr in store.attributes(node) {
-                if let NodeKind::Attribute(aname, value) = store.kind(attr) {
-                    out.push(' ');
-                    out.push_str(&aname.to_string());
-                    out.push_str("=\"");
-                    out.push_str(&escape_attribute(store.resolve_text(*value)));
-                    out.push('"');
-                }
+                out.push(' ');
+                write_node(store, attr, out);
             }
             let children = store.children(node);
             if children.is_empty() {
@@ -40,17 +38,13 @@ fn write_node(store: &NodeStore, node: NodeId, out: &mut String) {
                 for child in children {
                     write_node(store, child, out);
                 }
-                out.push_str("</");
-                out.push_str(&name.to_string());
-                out.push('>');
+                let _ = write!(out, "</{name}>");
             }
         }
         NodeKind::Attribute(name, value) => {
             // A bare attribute node serializes as name="value".
-            out.push_str(&name.to_string());
-            out.push_str("=\"");
-            out.push_str(&escape_attribute(store.resolve_text(*value)));
-            out.push('"');
+            let value = escape_attribute(store.resolve_text(*value));
+            let _ = write!(out, "{}=\"{value}\"", store.resolve_name(*name));
         }
         NodeKind::Text(text) => out.push_str(&escape_text(store.resolve_text(*text))),
         NodeKind::Comment(text) => {

@@ -15,6 +15,17 @@
 //! one by one); document-order ranks, the ID index and the shape statistics
 //! are computed on first use after a mutation.
 //!
+//! # The arena
+//!
+//! A document is one `Vec` of 32-byte `Copy` records and nothing else: a
+//! node's kind with its payload symbols, and five links (parent, first and
+//! last child, next sibling, first attribute) that are indexes into the same
+//! `Vec`.  Names and text payloads are symbols of the two store-owned,
+//! `Arc`-shared tables ([`NameTable`], [`TextPool`]), so a node owns no heap
+//! block, copying a document is a `memcpy`, a name test compares integers,
+//! and every tree walk — axes, string values, deep copies, the derived
+//! state's build — follows links without a stack or a scratch vector.
+//!
 //! # Sharing a store across threads
 //!
 //! A document is an immutable shared value.  The store holds its documents
@@ -48,8 +59,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::error::XdmError;
 use crate::hash::IdMap;
-use crate::intern::{StrId, TextPool};
-use crate::node::{Axis, NodeId, NodeKind, NodeTest, QName};
+use crate::intern::{NameId, NameTable, StrId, TextPool};
+use crate::node::{Axis, Matcher, NodeId, NodeKind, NodeTest, QName};
 use crate::stats::{DocumentStatistics, StoreStatistics};
 use crate::value::UText;
 use crate::Result;
@@ -58,15 +69,99 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
 
-/// Per-node data held in the document arena.
-#[derive(Debug, Clone)]
+/// "No node": the value of a link that leads nowhere.  Arena indexes stay
+/// below it ([`Document::push`]).
+const NIL: u32 = u32::MAX;
+
+/// One node of a document arena: 32 bytes, `Copy`, no heap block of its
+/// own.  The tree is the links — arena indexes into the same document, or
+/// [`NIL`]:
+///
+/// * `parent` — the owner element for an attribute;
+/// * `first_child` / `last_child` — ends of the child list (elements, text,
+///   comments, PIs; never attributes);
+/// * `next_sibling` — the next child of the same parent, or, on an
+///   attribute, the owner's next attribute;
+/// * `first_attr` — head of an element's attribute list.
+///
+/// Attributes have no children, so the *head* attribute's `last_child`
+/// holds the tail of the attribute list: appending an attribute is O(1)
+/// however many the element has.
+#[derive(Debug, Clone, Copy)]
 struct NodeData {
     kind: NodeKind,
-    parent: Option<u32>,
-    /// Child nodes (elements, text, comments, PIs) in document order.
-    children: Vec<u32>,
-    /// Attribute nodes of an element.
-    attributes: Vec<u32>,
+    parent: u32,
+    first_child: u32,
+    last_child: u32,
+    next_sibling: u32,
+    first_attr: u32,
+}
+
+impl NodeData {
+    fn new(kind: NodeKind) -> Self {
+        NodeData {
+            kind,
+            parent: NIL,
+            first_child: NIL,
+            last_child: NIL,
+            next_sibling: NIL,
+            first_attr: NIL,
+        }
+    }
+}
+
+/// The node a link leads to, if any.
+fn link(to: u32) -> Option<u32> {
+    (to != NIL).then_some(to)
+}
+
+/// `first` and everything reachable from it over `next_sibling`: a child
+/// list from `first_child`, an attribute list from `first_attr`.
+fn chain(nodes: &[NodeData], first: u32) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors(link(first), move |&n| link(nodes[n as usize].next_sibling))
+}
+
+/// The descendants of `root` in document order (attributes excluded), found
+/// over the links alone: no stack, so a deep tree costs what a flat one
+/// does.  After `next()` returned a node, `depth` is that node's distance
+/// from `root`.
+struct Descendants<'a> {
+    nodes: &'a [NodeData],
+    root: u32,
+    cur: u32,
+    depth: u64,
+}
+
+fn descendants(nodes: &[NodeData], root: u32) -> Descendants<'_> {
+    Descendants {
+        nodes,
+        root,
+        cur: root,
+        depth: 0,
+    }
+}
+
+impl Iterator for Descendants<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let down = self.nodes[self.cur as usize].first_child;
+        if down != NIL {
+            self.cur = down;
+            self.depth += 1;
+            return Some(down);
+        }
+        while self.cur != self.root {
+            let n = &self.nodes[self.cur as usize];
+            if n.next_sibling != NIL {
+                self.cur = n.next_sibling;
+                return Some(self.cur);
+            }
+            self.cur = n.parent;
+            self.depth -= 1;
+        }
+        None
+    }
 }
 
 /// Everything computed from a document's nodes and ID declarations, built
@@ -93,25 +188,88 @@ struct Derived {
 }
 
 impl Derived {
-    fn build(nodes: &[NodeData], id_attr_names: &[String]) -> Self {
+    /// `names` is the name table of whichever store asks first; any store
+    /// holding this document resolves the ids its nodes carry alike (see
+    /// [`NameTable`]).
+    fn build(nodes: &[NodeData], id_attr_names: &[String], names: &NameTable) -> Self {
         let mut order = vec![0; nodes.len()];
+        let mut max_depth = 0;
         let mut rank = 0u32;
+        let mut assign = |node: u32| {
+            for n in std::iter::once(node).chain(chain(nodes, nodes[node as usize].first_attr)) {
+                order[n as usize] = rank;
+                rank += 1;
+            }
+        };
         // Every node that has no parent is a root of its own fragment;
         // fragments are ordered by arena index of their roots.
-        for root in 0..nodes.len() as u32 {
-            if nodes[root as usize].parent.is_none() {
-                assign_order(nodes, &mut order, root, &mut rank);
+        for root in (0..nodes.len() as u32).filter(|&n| nodes[n as usize].parent == NIL) {
+            assign(root);
+            let mut below = descendants(nodes, root);
+            while let Some(node) = below.next() {
+                assign(node);
+                // Attributes count as nodes but not as depth.
+                max_depth = max_depth.max(below.depth);
             }
         }
-        let id_index = build_id_index(nodes, id_attr_names);
+        let id_index = build_id_index(nodes, id_attr_names, names);
         Derived {
             index_is_order: order.windows(2).all(|w| w[0] < w[1]),
             order,
-            stats: document_statistics(nodes, id_index.len() as u64),
+            stats: document_statistics(nodes, max_depth, id_index.len() as u64),
             id_index,
             text_memo: Mutex::default(),
         }
     }
+}
+
+fn build_id_index(
+    nodes: &[NodeData],
+    id_attr_names: &[String],
+    names: &NameTable,
+) -> IdMap<StrId, u32> {
+    // `id` covers the `xml:id` spelling too (prefixes are not significant
+    // here).
+    let id_typed: Vec<Matcher<'_>> = std::iter::once("id")
+        .chain(id_attr_names.iter().map(String::as_str))
+        .map(|name| Matcher::attribute(name, names))
+        .collect();
+    let mut id_index = IdMap::default();
+    for (idx, node) in nodes.iter().enumerate() {
+        for attr in chain(nodes, node.first_attr) {
+            let kind = &nodes[attr as usize].kind;
+            if let NodeKind::Attribute(_, value) = kind {
+                if id_typed.iter().any(|m| m.matches(kind)) {
+                    id_index.entry(*value).or_insert(idx as u32);
+                }
+            }
+        }
+    }
+    id_index
+}
+
+fn document_statistics(nodes: &[NodeData], max_depth: u64, id_entries: u64) -> DocumentStatistics {
+    let mut d = DocumentStatistics {
+        nodes: nodes.len() as u64,
+        max_depth,
+        id_entries,
+        ..Default::default()
+    };
+    for node in nodes {
+        match node.kind {
+            NodeKind::Element(_) => d.elements += 1,
+            NodeKind::Attribute(..) => d.attributes += 1,
+            NodeKind::Text(_) => d.text_nodes += 1,
+            _ => {}
+        }
+        let fanout = chain(nodes, node.first_child).count() as u64;
+        if fanout > 0 {
+            d.parents += 1;
+            d.child_links += fanout;
+            d.max_fanout = d.max_fanout.max(fanout);
+        }
+    }
+    d
 }
 
 /// Take the memo lock even if a previous holder panicked: every update is
@@ -141,7 +299,8 @@ struct Document {
 }
 
 /// The copy `NodeStore::doc_mut` makes of a document another store still
-/// holds.  It is about to be mutated, so its derived state starts unbuilt.
+/// holds — one `memcpy` of the arena.  It is about to be mutated, so its
+/// derived state starts unbuilt.
 impl Clone for Document {
     fn clone(&self) -> Self {
         Document {
@@ -154,77 +313,52 @@ impl Clone for Document {
 }
 
 impl Document {
-    fn derived(&self) -> &Derived {
+    fn derived(&self, names: &NameTable) -> &Derived {
         self.derived
-            .get_or_init(|| Derived::build(&self.nodes, &self.id_attr_names))
+            .get_or_init(|| Derived::build(&self.nodes, &self.id_attr_names, names))
     }
-}
 
-fn assign_order(nodes: &[NodeData], order: &mut [u32], node: u32, rank: &mut u32) {
-    order[node as usize] = *rank;
-    *rank += 1;
-    for &a in &nodes[node as usize].attributes {
-        order[a as usize] = *rank;
-        *rank += 1;
-    }
-    for &c in &nodes[node as usize].children {
-        assign_order(nodes, order, c, rank);
-    }
-}
-
-fn build_id_index(nodes: &[NodeData], id_attr_names: &[String]) -> IdMap<StrId, u32> {
-    let mut id_index = IdMap::default();
-    for (idx, node) in nodes.iter().enumerate() {
-        if !node.kind.is_element() {
-            continue;
+    /// Add an unattached node.  Arena growth is charged, byte for byte, to
+    /// any installed per-query budget.
+    fn push(&mut self, kind: NodeKind) -> u32 {
+        let idx = self.nodes.len();
+        assert!(idx < NIL as usize, "document arena is full");
+        let held = self.nodes.capacity();
+        self.nodes.push(NodeData::new(kind));
+        let grown = self.nodes.capacity() - held;
+        if grown > 0 {
+            crate::budget::charge((grown * std::mem::size_of::<NodeData>()) as u64);
         }
-        for &attr in &node.attributes {
-            if let NodeKind::Attribute(name, value) = &nodes[attr as usize].kind {
-                // `id` matches both the unprefixed and the `xml:id`
-                // spelling (prefixes are not significant here).
-                let is_id = name.local == "id" || id_attr_names.iter().any(|n| n == &name.local);
-                if is_id {
-                    id_index.entry(*value).or_insert(idx as u32);
-                }
+        idx as u32
+    }
+
+    /// Make the parentless `child` the last child of `parent`.
+    fn link_child(&mut self, parent: u32, child: u32) {
+        let last = std::mem::replace(&mut self.nodes[parent as usize].last_child, child);
+        match last {
+            NIL => self.nodes[parent as usize].first_child = child,
+            last => self.nodes[last as usize].next_sibling = child,
+        }
+        self.nodes[child as usize].parent = parent;
+    }
+
+    /// Make `attr` the last attribute of `element`.
+    fn link_attribute(&mut self, element: u32, attr: u32) {
+        let head = match self.nodes[element as usize].first_attr {
+            NIL => {
+                self.nodes[element as usize].first_attr = attr;
+                attr
             }
-        }
+            head => {
+                let tail = self.nodes[head as usize].last_child;
+                self.nodes[tail as usize].next_sibling = attr;
+                head
+            }
+        };
+        // The head attribute remembers the tail (see [`NodeData`]).
+        self.nodes[head as usize].last_child = attr;
+        self.nodes[attr as usize].parent = element;
     }
-    id_index
-}
-
-fn document_statistics(nodes: &[NodeData], id_entries: u64) -> DocumentStatistics {
-    let mut d = DocumentStatistics {
-        nodes: nodes.len() as u64,
-        id_entries,
-        ..Default::default()
-    };
-    for node in nodes {
-        match node.kind {
-            NodeKind::Element(_) => d.elements += 1,
-            NodeKind::Attribute(..) => d.attributes += 1,
-            NodeKind::Text(_) => d.text_nodes += 1,
-            _ => {}
-        }
-        let fanout = node.children.len() as u64;
-        if fanout > 0 {
-            d.parents += 1;
-            d.child_links += fanout;
-            d.max_fanout = d.max_fanout.max(fanout);
-        }
-    }
-    // Depth via DFS along child links from each parentless root;
-    // attributes count as nodes but not as depth.
-    let mut stack: Vec<(u32, u64)> = (0..nodes.len() as u32)
-        .filter(|&i| nodes[i as usize].parent.is_none())
-        .map(|i| (i, 0))
-        .collect();
-    while let Some((idx, depth)) = stack.pop() {
-        d.max_depth = d.max_depth.max(depth);
-        for &c in &nodes[idx as usize].children {
-            stack.push((c, depth + 1));
-        }
-    }
-    d
 }
 
 /// A node's string value without a forced render: borrowed straight from
@@ -307,6 +441,9 @@ pub struct NodeStore {
     /// [`StrId`].  `Arc`-shared, so cloning the store (the service layer's
     /// `publish()`) shares the table instead of copying every string.
     text: TextPool,
+    /// The store-owned table of element and attribute names, carried in
+    /// [`NodeKind`] as [`NameId`]s; shared and diverged like `text`.
+    names: NameTable,
     /// Count of nodes ever created, across all documents.
     nodes_created: u64,
     /// Set to a *globally unique* value (process-wide counter) whenever the
@@ -331,14 +468,15 @@ pub struct NodeStore {
 }
 
 /// O(documents): one pointer per document, no node.  The clone shares every
-/// document — derived state included, built or not — and the text pool with
-/// `self` until either side mutates.
+/// document — derived state included, built or not — the text pool and the
+/// name table with `self` until either side mutates.
 impl Clone for NodeStore {
     fn clone(&self) -> Self {
         NodeStore {
             docs: self.docs.clone(),
             by_uri: self.by_uri.clone(),
             text: self.text.clone(),
+            names: self.names.clone(),
             nodes_created: self.nodes_created,
             load_epoch: self.load_epoch,
             revision: self.revision,
@@ -431,6 +569,8 @@ impl NodeStore {
 
     fn push_document(&mut self, doc: Document) -> DocId {
         self.touch();
+        // The record and its `Arc` counters, plus the slot in `docs`.
+        crate::budget::charge(std::mem::size_of::<Document>() as u64 + 24);
         self.docs.push(Arc::new(doc));
         DocId(self.docs.len() as u32 - 1)
     }
@@ -438,12 +578,7 @@ impl NodeStore {
     /// Create a fresh, empty document with a document node as its root.
     pub fn new_document(&mut self) -> DocId {
         let mut doc = Document::default();
-        doc.nodes.push(NodeData {
-            kind: NodeKind::Document,
-            parent: None,
-            children: Vec::new(),
-            attributes: Vec::new(),
-        });
+        doc.push(NodeKind::Document);
         self.nodes_created += 1;
         self.push_document(doc)
     }
@@ -454,11 +589,29 @@ impl NodeStore {
         self.push_document(Document::default())
     }
 
-    /// Parse `text` as an XML document and add it to the store.
+    /// Parse `text` as an XML document and add it to the store.  Text that
+    /// is not well-formed leaves the store as it was: no document, no node
+    /// counted, no name or payload interned.
     pub fn parse_document(&mut self, text: &str) -> Result<DocId> {
-        let doc = crate::parse::parse_into(self, text)?;
-        self.load_epoch = fresh_load_epoch();
-        Ok(doc)
+        let (docs, nodes) = (self.docs.len(), self.nodes_created);
+        let (payloads, names) = (self.text.len(), self.names.len());
+        match crate::parse::parse_into(self, text) {
+            Ok(doc) => {
+                // A loaded document is read, not grown: give back the slack
+                // the arena's last doubling left.
+                self.doc_mut(doc.0).nodes.shrink_to_fit();
+                self.load_epoch = fresh_load_epoch();
+                Ok(doc)
+            }
+            Err(e) => {
+                self.touch();
+                self.docs.truncate(docs);
+                self.nodes_created = nodes;
+                self.text.truncate(payloads);
+                self.names.truncate(names);
+                Err(e)
+            }
+        }
     }
 
     /// Parse `text` and register it under `uri` so that subsequent
@@ -483,19 +636,15 @@ impl NodeStore {
     /// The document node (node 0) of `doc`, if the document has one.
     pub fn document_node(&self, doc: DocId) -> Option<NodeId> {
         let d = self.docs.get(doc.0 as usize)?;
-        match d.nodes.first() {
-            Some(n) if matches!(n.kind, NodeKind::Document) => Some(NodeId::new(doc.0, 0)),
-            _ => None,
-        }
+        let first = d.nodes.first()?;
+        matches!(first.kind, NodeKind::Document).then_some(NodeId::new(doc.0, 0))
     }
 
     /// The root element of `doc` (the single element child of the document
     /// node), if any.
     pub fn document_element(&self, doc: DocId) -> Option<NodeId> {
         let root = self.document_node(doc)?;
-        self.children(root)
-            .into_iter()
-            .find(|&c| self.kind(c).is_element())
+        self.child_ids(root).find(|&c| self.kind(c).is_element())
     }
 
     /// Declare that attributes named `name` are ID-typed in `doc` (mirrors a
@@ -526,7 +675,7 @@ impl NodeStore {
         let d = self.docs.get(doc.0 as usize)?;
         let sym = self.text.get(value)?;
         self.id_probe_hits.fetch_add(1, Relaxed);
-        let found = d.derived().id_index.get(&sym).copied();
+        let found = d.derived(&self.names).id_index.get(&sym).copied();
         found.map(|n| NodeId::new(doc.0, n))
     }
 
@@ -544,7 +693,7 @@ impl NodeStore {
         let Some(d) = self.docs.get(doc.0 as usize) else {
             return;
         };
-        let id_index = &d.derived().id_index;
+        let id_index = &d.derived(&self.names).id_index;
         let mut probes = 0u64;
         let mut probe = |sym: StrId| {
             probes += 1;
@@ -619,7 +768,8 @@ impl NodeStore {
     /// cost model can call it on every execution.  Works through `&self`.
     pub fn statistics(&self) -> Arc<StoreStatistics> {
         Arc::clone(self.stats.get_or_init(|| {
-            let per_document: Vec<_> = self.docs.iter().map(|d| d.derived().stats).collect();
+            let derived = self.docs.iter().map(|d| d.derived(&self.names));
+            let per_document: Vec<_> = derived.map(|d| d.stats).collect();
             let mut totals = DocumentStatistics::default();
             per_document.iter().for_each(|d| totals.absorb(d));
             Arc::new(StoreStatistics {
@@ -636,58 +786,37 @@ impl NodeStore {
     // Node construction
     // ------------------------------------------------------------------
 
-    fn push_node(&mut self, doc: DocId, data: NodeData) -> NodeId {
-        // Node construction is the arena growth point: charge the per-node
-        // footprint (arena slot + parent-children backlink) against any
-        // installed per-query budget.
-        crate::budget::charge(std::mem::size_of::<NodeData>() as u64 + 8);
-        let nodes = &mut self.doc_mut(doc.0).nodes;
-        nodes.push(data);
-        let idx = nodes.len() as u32 - 1;
+    fn push_node(&mut self, doc: DocId, kind: NodeKind) -> NodeId {
+        let idx = self.doc_mut(doc.0).push(kind);
         self.nodes_created += 1;
         NodeId::new(doc.0, idx)
     }
 
     /// Create an unattached element node in `doc`.
     pub fn create_element(&mut self, doc: DocId, name: QName) -> NodeId {
-        self.push_node(
-            doc,
-            NodeData {
-                kind: NodeKind::Element(name),
-                parent: None,
-                children: Vec::new(),
-                attributes: Vec::new(),
-            },
-        )
+        let name = self.names.intern(name.prefix.as_deref(), &name.local);
+        self.push_node(doc, NodeKind::Element(name))
+    }
+
+    /// [`create_element`](NodeStore::create_element) from the lexical name
+    /// `local` or `prefix:local`, no `QName` built in between: the XML
+    /// parser's path, allocation-free for a name seen before.
+    pub(crate) fn create_element_lexical(&mut self, doc: DocId, name: &str) -> NodeId {
+        let name = self.names.intern_lexical(name);
+        self.push_node(doc, NodeKind::Element(name))
     }
 
     /// Create an unattached text node in `doc` (the content is interned
     /// into the store's text pool).
     pub fn create_text(&mut self, doc: DocId, text: impl AsRef<str>) -> NodeId {
         let sym = self.text.intern(text.as_ref());
-        self.push_node(
-            doc,
-            NodeData {
-                kind: NodeKind::Text(sym),
-                parent: None,
-                children: Vec::new(),
-                attributes: Vec::new(),
-            },
-        )
+        self.push_node(doc, NodeKind::Text(sym))
     }
 
     /// Create an unattached comment node in `doc`.
     pub fn create_comment(&mut self, doc: DocId, text: impl AsRef<str>) -> NodeId {
         let sym = self.text.intern(text.as_ref());
-        self.push_node(
-            doc,
-            NodeData {
-                kind: NodeKind::Comment(sym),
-                parent: None,
-                children: Vec::new(),
-                attributes: Vec::new(),
-            },
-        )
+        self.push_node(doc, NodeKind::Comment(sym))
     }
 
     /// Create an unattached processing-instruction node in `doc`.
@@ -699,15 +828,7 @@ impl NodeStore {
     ) -> NodeId {
         let target = self.text.intern(target.as_ref());
         let content = self.text.intern(content.as_ref());
-        self.push_node(
-            doc,
-            NodeData {
-                kind: NodeKind::ProcessingInstruction(target, content),
-                parent: None,
-                children: Vec::new(),
-                attributes: Vec::new(),
-            },
-        )
+        self.push_node(doc, NodeKind::ProcessingInstruction(target, content))
     }
 
     /// Attach `child` as the last child of `parent`.  Both must belong to the
@@ -718,24 +839,21 @@ impl NodeStore {
                 "append_child: parent and child belong to different documents".into(),
             ));
         }
-        let d = &self.docs[parent.doc as usize];
-        if d.nodes[child.node as usize].parent.is_some() {
+        if self.data(child).parent != NIL {
             return Err(XdmError::WrongNodeKind(
                 "append_child: child already has a parent".into(),
             ));
         }
-        match d.nodes[parent.node as usize].kind {
+        match self.kind(parent) {
             NodeKind::Element(_) | NodeKind::Document => {}
-            _ => {
+            other => {
                 return Err(XdmError::WrongNodeKind(format!(
                     "append_child: cannot add children to a {} node",
-                    d.nodes[parent.node as usize].kind.kind_name()
+                    other.kind_name()
                 )))
             }
         }
-        let d = self.doc_mut(parent.doc);
-        d.nodes[child.node as usize].parent = Some(parent.node);
-        d.nodes[parent.node as usize].children.push(child.node);
+        self.doc_mut(parent.doc).link_child(parent.node, child.node);
         Ok(())
     }
 
@@ -747,67 +865,84 @@ impl NodeStore {
         name: QName,
         value: impl AsRef<str>,
     ) -> Result<NodeId> {
+        let name = self.names.intern(name.prefix.as_deref(), &name.local);
         let sym = self.text.intern(value.as_ref());
         self.add_attribute_interned(element, name, sym)
     }
 
-    /// Add an attribute whose value is already a symbol of this store's
-    /// text pool — the allocation-free path `deep_copy` and constructor
-    /// re-attachment take.
+    /// [`add_attribute`](NodeStore::add_attribute) from the lexical name;
+    /// see [`create_element_lexical`](NodeStore::create_element_lexical).
+    pub(crate) fn add_attribute_lexical(
+        &mut self,
+        element: NodeId,
+        name: &str,
+        value: &str,
+    ) -> Result<NodeId> {
+        let name = self.names.intern_lexical(name);
+        let sym = self.text.intern(value);
+        self.add_attribute_interned(element, name, sym)
+    }
+
+    /// Add an attribute whose name and value are already symbols of this
+    /// store's name table and text pool — the allocation-free path
+    /// constructor re-attachment takes.
     pub fn add_attribute_interned(
         &mut self,
         element: NodeId,
-        name: QName,
+        name: NameId,
         value: StrId,
     ) -> Result<NodeId> {
-        {
-            let d = &self.docs[element.doc as usize];
-            if !d.nodes[element.node as usize].kind.is_element() {
-                return Err(XdmError::WrongNodeKind(
-                    "add_attribute: target is not an element".into(),
-                ));
-            }
+        if !self.kind(element).is_element() {
+            return Err(XdmError::WrongNodeKind(
+                "add_attribute: target is not an element".into(),
+            ));
         }
-        let attr = self.push_node(
-            DocId(element.doc),
-            NodeData {
-                kind: NodeKind::Attribute(name, value),
-                parent: Some(element.node),
-                children: Vec::new(),
-                attributes: Vec::new(),
-            },
-        );
-        let d = self.doc_mut(element.doc);
-        d.nodes[element.node as usize].attributes.push(attr.node);
+        let attr = self.push_node(DocId(element.doc), NodeKind::Attribute(name, value));
+        self.doc_mut(element.doc)
+            .link_attribute(element.node, attr.node);
         Ok(attr)
     }
 
     /// Deep-copy the subtree rooted at `node` into document `target`,
     /// returning the id of the copy's root.  Used by element constructors,
-    /// which copy their content (new node identities!).
+    /// which copy their content (new node identities!).  Copies are created
+    /// in document order, each element's attributes right behind it.
     pub fn deep_copy(&mut self, node: NodeId, target: DocId) -> NodeId {
-        let kind = self.kind(node).clone();
-        let copy = self.push_node(
-            target,
-            NodeData {
-                kind,
-                parent: None,
-                children: Vec::new(),
-                attributes: Vec::new(),
-            },
-        );
-        for attr in self.attributes(node) {
-            if let NodeKind::Attribute(name, value) = self.kind(attr).clone() {
-                // The copy's root is always an element here; ignore errors on
-                // non-element kinds (they have no attributes to begin with).
-                // The payload symbol belongs to this store's pool already —
-                // no re-interning, no allocation.
-                let _ = self.add_attribute_interned(copy, name, value);
+        let root = self.copy_node(node, target);
+        // `src` is the node copied last and `dst` its copy; the walk needs
+        // no stack because both trees carry parent links.
+        let (mut src, mut dst) = (node, root);
+        loop {
+            // The next node of the subtree in document order, and the copy
+            // it goes under.
+            let mut next = self.data(src).first_child;
+            let mut under = dst;
+            while next == NIL {
+                if src == node {
+                    return root;
+                }
+                next = self.data(src).next_sibling;
+                src.node = self.data(src).parent;
+                under.node = self.data(under).parent;
             }
+            src.node = next;
+            dst = self.copy_node(src, target);
+            self.doc_mut(target.0).link_child(under.node, dst.node);
         }
-        for child in self.children(node) {
-            let child_copy = self.deep_copy(child, target);
-            let _ = self.append_child(copy, child_copy);
+    }
+
+    /// Copy `node` alone — kind, payload and attributes — into `target`.
+    /// Names and payloads are symbols of this store already: nothing is
+    /// re-interned, nothing allocated beyond the arena.
+    fn copy_node(&mut self, node: NodeId, target: DocId) -> NodeId {
+        let copy = self.push_node(target, *self.kind(node));
+        let mut next = self.data(node).first_attr;
+        while next != NIL {
+            let attr = self.docs[node.doc as usize].nodes[next as usize];
+            let attr_copy = self.push_node(target, attr.kind);
+            self.doc_mut(target.0)
+                .link_attribute(copy.node, attr_copy.node);
+            next = attr.next_sibling;
         }
         copy
     }
@@ -835,29 +970,40 @@ impl NodeStore {
 
     /// The node's name, if it has one (elements and attributes).
     pub fn name(&self, node: NodeId) -> Option<&QName> {
-        self.data(node).kind.name()
+        self.kind(node).name_id().map(|id| self.names.resolve(id))
+    }
+
+    /// The name behind a symbol carried by this store's nodes.
+    ///
+    /// # Panics
+    /// Panics if `id` did not come from this store's name table.
+    pub fn resolve_name(&self, id: NameId) -> &QName {
+        self.names.resolve(id)
     }
 
     /// The node's parent, if any.
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.data(node).parent.map(|p| NodeId::new(node.doc, p))
+        link(self.data(node).parent).map(|p| NodeId::new(node.doc, p))
+    }
+
+    /// `first` and its `next_sibling` chain in `doc`, as node ids.
+    fn chain_ids(&self, doc: u32, first: u32) -> impl Iterator<Item = NodeId> + '_ {
+        let nodes = &self.docs[doc as usize].nodes;
+        chain(nodes, first).map(move |n| NodeId::new(doc, n))
+    }
+
+    fn child_ids(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.chain_ids(node.doc, self.data(node).first_child)
     }
 
     /// The node's children (no attributes), in document order.
     pub fn children(&self, node: NodeId) -> Vec<NodeId> {
-        self.data(node)
-            .children
-            .iter()
-            .map(|&c| NodeId::new(node.doc, c))
-            .collect()
+        self.child_ids(node).collect()
     }
 
     /// The node's attribute nodes.
     pub fn attributes(&self, node: NodeId) -> Vec<NodeId> {
-        self.data(node)
-            .attributes
-            .iter()
-            .map(|&a| NodeId::new(node.doc, a))
+        self.chain_ids(node.doc, self.data(node).first_attr)
             .collect()
     }
 
@@ -871,16 +1017,12 @@ impl NodeStore {
     /// present.  The allocation-free form consumers with their own
     /// per-pool caches (the algebraic executor) build on.
     pub fn attribute_value_sym(&self, node: NodeId, name: &str) -> Option<StrId> {
-        for &a in &self.data(node).attributes {
-            if let NodeKind::Attribute(qname, value) =
-                &self.docs[node.doc as usize].nodes[a as usize].kind
-            {
-                if qname.matches_local(name) {
-                    return Some(*value);
-                }
-            }
-        }
-        None
+        let wanted = Matcher::attribute(name, &self.names);
+        let nodes = &self.docs[node.doc as usize].nodes;
+        chain(nodes, self.data(node).first_attr).find_map(|a| match &nodes[a as usize].kind {
+            kind @ NodeKind::Attribute(_, value) if wanted.matches(kind) => Some(*value),
+            _ => None,
+        })
     }
 
     /// The root of the tree containing `node` (the node with no parent).
@@ -985,16 +1127,16 @@ impl NodeStore {
     /// document's memo, charged to the budget of the query that rendered it.
     fn container_text(&self, node: NodeId) -> ContainerText {
         let d = &self.docs[node.doc as usize];
-        match d.nodes[node.node as usize].children.as_slice() {
-            [] => return ContainerText::Empty,
-            &[only] => {
-                if let NodeKind::Text(t) = d.nodes[only as usize].kind {
-                    return ContainerText::Sym(t);
-                }
-            }
-            _ => {}
+        let data = &d.nodes[node.node as usize];
+        if data.first_child == NIL {
+            return ContainerText::Empty;
         }
-        let memo = &d.derived().text_memo;
+        if data.first_child == data.last_child {
+            if let NodeKind::Text(t) = d.nodes[data.first_child as usize].kind {
+                return ContainerText::Sym(t);
+            }
+        }
+        let memo = &d.derived(&self.names).text_memo;
         if let Some(text) = mutex_lock(memo).get(&node.node) {
             return ContainerText::Concat(text.clone());
         }
@@ -1013,15 +1155,13 @@ impl NodeStore {
         }
     }
 
+    /// Append the text nodes below `node`, in document order.
     fn collect_text(&self, node: NodeId, out: &mut String) {
-        match self.kind(node) {
-            NodeKind::Text(t) => out.push_str(self.text.resolve(*t)),
-            NodeKind::Element(_) | NodeKind::Document => {
-                for &c in &self.data(node).children {
-                    self.collect_text(NodeId::new(node.doc, c), out);
-                }
+        let nodes = &self.docs[node.doc as usize].nodes;
+        for n in descendants(nodes, node.node) {
+            if let NodeKind::Text(t) = nodes[n as usize].kind {
+                out.push_str(self.text.resolve(t));
             }
-            _ => {}
         }
     }
 
@@ -1030,7 +1170,7 @@ impl NodeStore {
     // ------------------------------------------------------------------
 
     fn order_rank(&self, node: NodeId) -> (u32, u32) {
-        let derived = self.docs[node.doc as usize].derived();
+        let derived = self.docs[node.doc as usize].derived(&self.names);
         (node.doc, derived.order[node.node as usize])
     }
 
@@ -1053,7 +1193,7 @@ impl NodeStore {
     /// to skip rank sorting on the fast path.
     pub fn index_order_is_document_order(&self, doc: DocId) -> bool {
         match self.docs.get(doc.0 as usize) {
-            Some(d) => d.derived().index_is_order,
+            Some(d) => d.derived(&self.names).index_is_order,
             None => true,
         }
     }
@@ -1069,7 +1209,7 @@ impl NodeStore {
             // One document (every path step of a query over one document):
             // sorted and deduplicated in place — by arena index where that
             // is document order, by rank otherwise.
-            let derived = self.docs[doc as usize].derived();
+            let derived = self.docs[doc as usize].derived(&self.names);
             if derived.index_is_order {
                 nodes.sort_unstable_by_key(|n| n.node);
             } else {
@@ -1085,157 +1225,22 @@ impl NodeStore {
     // Axes
     // ------------------------------------------------------------------
 
+    /// The step `axis::test` over this store's nodes; see [`Step`].
+    pub fn step<'s>(&'s self, axis: Axis, test: &'s NodeTest) -> Step<'s> {
+        Step {
+            store: self,
+            axis,
+            test: test.matcher(axis, &self.names),
+        }
+    }
+
     /// All nodes reachable from `node` along `axis` that satisfy `test`,
     /// in the axis's natural order (document order for forward axes,
     /// reverse document order for reverse axes).
     pub fn axis_nodes(&self, node: NodeId, axis: Axis, test: &NodeTest) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.axis_nodes_into(node, axis, test, &mut out);
+        self.step(axis, test).nodes_into(node, &mut out);
         out
-    }
-
-    /// [`axis_nodes`](NodeStore::axis_nodes) appending into a caller-owned
-    /// buffer — the fused form path evaluation uses to run a whole
-    /// focus sequence through one step without a `Vec` per focus item.
-    pub fn axis_nodes_into(
-        &self,
-        node: NodeId,
-        axis: Axis,
-        test: &NodeTest,
-        out: &mut Vec<NodeId>,
-    ) {
-        match axis {
-            Axis::Child => {
-                // Iterate the arena's child list directly — no intermediate
-                // `children()` vector on the hottest axis.
-                for &c in &self.data(node).children {
-                    self.push_if(NodeId::new(node.doc, c), axis, test, out);
-                }
-            }
-            Axis::Descendant => self.collect_descendants(node, axis, test, out),
-            Axis::DescendantOrSelf => {
-                self.push_if(node, axis, test, out);
-                self.collect_descendants(node, axis, test, out);
-            }
-            Axis::Parent => {
-                if let Some(p) = self.parent(node) {
-                    self.push_if(p, axis, test, out);
-                }
-            }
-            Axis::Ancestor => {
-                let mut cur = self.parent(node);
-                while let Some(p) = cur {
-                    self.push_if(p, axis, test, out);
-                    cur = self.parent(p);
-                }
-            }
-            Axis::AncestorOrSelf => {
-                self.push_if(node, axis, test, out);
-                let mut cur = self.parent(node);
-                while let Some(p) = cur {
-                    self.push_if(p, axis, test, out);
-                    cur = self.parent(p);
-                }
-            }
-            Axis::FollowingSibling => {
-                if let Some(parent) = self.parent(node) {
-                    let siblings = self.children(parent);
-                    let mut seen_self = false;
-                    for s in siblings {
-                        if s == node {
-                            seen_self = true;
-                        } else if seen_self {
-                            self.push_if(s, axis, test, out);
-                        }
-                    }
-                }
-            }
-            Axis::PrecedingSibling => {
-                if let Some(parent) = self.parent(node) {
-                    let siblings = self.children(parent);
-                    let mut before = Vec::new();
-                    for s in siblings {
-                        if s == node {
-                            break;
-                        }
-                        before.push(s);
-                    }
-                    for s in before.into_iter().rev() {
-                        self.push_if(s, axis, test, out);
-                    }
-                }
-            }
-            Axis::Following => {
-                // Following siblings of self and of every ancestor, each with
-                // their whole subtrees, in document order.
-                let mut anchors = vec![node];
-                let mut cur = self.parent(node);
-                while let Some(p) = cur {
-                    anchors.push(p);
-                    cur = self.parent(p);
-                }
-                // Process outermost ancestors last so results stay in
-                // document order relative to each anchor group.
-                let mut groups: Vec<Vec<NodeId>> = Vec::new();
-                for anchor in anchors {
-                    let mut group = Vec::new();
-                    for sib in self.axis_nodes(anchor, Axis::FollowingSibling, &NodeTest::AnyNode) {
-                        self.push_if(sib, axis, test, &mut group);
-                        self.collect_descendants(sib, axis, test, &mut group);
-                    }
-                    groups.push(group);
-                }
-                for group in groups {
-                    out.extend(group);
-                }
-            }
-            Axis::Preceding => {
-                let mut anchors = vec![node];
-                let mut cur = self.parent(node);
-                while let Some(p) = cur {
-                    anchors.push(p);
-                    cur = self.parent(p);
-                }
-                for anchor in anchors {
-                    for sib in self.axis_nodes(anchor, Axis::PrecedingSibling, &NodeTest::AnyNode) {
-                        // Subtree of the preceding sibling, in reverse
-                        // document order (deepest/last first).
-                        let mut subtree = Vec::new();
-                        self.push_if(sib, axis, test, &mut subtree);
-                        self.collect_descendants(sib, axis, test, &mut subtree);
-                        out.extend(subtree.into_iter().rev());
-                    }
-                }
-            }
-            Axis::Attribute => {
-                for &a in &self.data(node).attributes {
-                    self.push_if(NodeId::new(node.doc, a), axis, test, out);
-                }
-            }
-            Axis::SelfAxis => {
-                self.push_if(node, axis, test, out);
-            }
-        }
-    }
-
-    fn push_if(&self, node: NodeId, axis: Axis, test: &NodeTest, out: &mut Vec<NodeId>) {
-        if test.matches(axis, self.kind(node)) {
-            out.push(node);
-        }
-    }
-
-    fn collect_descendants(
-        &self,
-        node: NodeId,
-        axis: Axis,
-        test: &NodeTest,
-        out: &mut Vec<NodeId>,
-    ) {
-        for &c in &self.data(node).children {
-            let child = NodeId::new(node.doc, c);
-            self.push_if(child, axis, test, out);
-            self.collect_descendants(child, axis, test, out);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1247,7 +1252,105 @@ impl NodeStore {
     /// After this no reader pays a build inside a parallel section.
     pub fn refresh_all(&self) {
         for d in &self.docs {
-            d.derived();
+            d.derived(&self.names);
+        }
+    }
+}
+
+/// One `axis::test` step over a store's nodes.  Its [`Matcher`] meets the
+/// wanted name once and from then on checks every candidate of every
+/// [`nodes_into`](Step::nodes_into) call by comparing integers: evaluate a
+/// step over a whole focus set through one `Step`.
+#[derive(Debug)]
+pub struct Step<'s> {
+    store: &'s NodeStore,
+    axis: Axis,
+    test: Matcher<'s>,
+}
+
+/// `first` and its ancestors, innermost first.
+fn ancestors_or_self(nodes: &[NodeData], first: u32) -> impl Iterator<Item = u32> + '_ {
+    std::iter::successors(link(first), move |&n| link(nodes[n as usize].parent))
+}
+
+/// The siblings after `node`, in document order (an attribute has none:
+/// its `next_sibling` is the next attribute).
+fn following_siblings(nodes: &[NodeData], node: u32) -> impl Iterator<Item = u32> + '_ {
+    let data = &nodes[node as usize];
+    let first = match data.kind {
+        NodeKind::Attribute(..) => NIL,
+        _ => data.next_sibling,
+    };
+    chain(nodes, first)
+}
+
+/// The siblings before `node`, in document order (none for an attribute).
+fn preceding_siblings(nodes: &[NodeData], node: u32) -> impl Iterator<Item = u32> + '_ {
+    let data = &nodes[node as usize];
+    let first = match data.kind {
+        NodeKind::Attribute(..) => NIL,
+        _ if data.parent == NIL => NIL,
+        _ => nodes[data.parent as usize].first_child,
+    };
+    chain(nodes, first).take_while(move |&sibling| sibling != node)
+}
+
+impl Step<'_> {
+    /// Append the nodes the step selects from `node`, in the axis's natural
+    /// order (document order for forward axes, reverse document order for
+    /// reverse axes).
+    pub fn nodes_into(&self, node: NodeId, out: &mut Vec<NodeId>) {
+        let nodes = self.store.docs[node.doc as usize].nodes.as_slice();
+        let emit = |n: u32, out: &mut Vec<NodeId>| {
+            if self.test.matches(&nodes[n as usize].kind) {
+                out.push(NodeId::new(node.doc, n));
+            }
+        };
+        let subtree = |n: u32, out: &mut Vec<NodeId>| {
+            emit(n, out);
+            descendants(nodes, n).for_each(|d| emit(d, out));
+        };
+        let here = &nodes[node.node as usize];
+        match self.axis {
+            Axis::Child => chain(nodes, here.first_child).for_each(|c| emit(c, out)),
+            Axis::Descendant => descendants(nodes, node.node).for_each(|d| emit(d, out)),
+            Axis::DescendantOrSelf => subtree(node.node, out),
+            Axis::Parent => link(here.parent).into_iter().for_each(|p| emit(p, out)),
+            Axis::Ancestor => ancestors_or_self(nodes, here.parent).for_each(|p| emit(p, out)),
+            Axis::AncestorOrSelf => ancestors_or_self(nodes, node.node).for_each(|p| emit(p, out)),
+            Axis::FollowingSibling => {
+                following_siblings(nodes, node.node).for_each(|s| emit(s, out))
+            }
+            Axis::PrecedingSibling => {
+                let start = out.len();
+                preceding_siblings(nodes, node.node).for_each(|s| emit(s, out));
+                out[start..].reverse();
+            }
+            Axis::Following => {
+                // Following siblings of self and of every ancestor, each
+                // with their whole subtrees: innermost first is document
+                // order.
+                if here.kind.is_attribute() && here.parent != NIL {
+                    // What follows an attribute first is its owner's content.
+                    chain(nodes, nodes[here.parent as usize].first_child)
+                        .for_each(|c| subtree(c, out));
+                }
+                for anchor in ancestors_or_self(nodes, node.node) {
+                    following_siblings(nodes, anchor).for_each(|s| subtree(s, out));
+                }
+            }
+            Axis::Preceding => {
+                // Per anchor, the preceding siblings' subtrees in document
+                // order, then reversed as a whole: nearest sibling first,
+                // deepest/last node of each subtree first.
+                for anchor in ancestors_or_self(nodes, node.node) {
+                    let start = out.len();
+                    preceding_siblings(nodes, anchor).for_each(|s| subtree(s, out));
+                    out[start..].reverse();
+                }
+            }
+            Axis::Attribute => chain(nodes, here.first_attr).for_each(|a| emit(a, out)),
+            Axis::SelfAxis => emit(node.node, out),
         }
     }
 }
@@ -1297,6 +1400,120 @@ mod tests {
         let a = store.axis_nodes(root, Axis::Child, &NodeTest::Name("a".into()))[0];
         assert_eq!(store.attribute_value(a, "id"), Some("a1"));
         assert_eq!(store.attribute_value(a, "missing"), None);
+    }
+
+    #[test]
+    fn a_node_is_one_32_byte_copy_record() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<NodeData>();
+        assert!(std::mem::size_of::<NodeData>() <= 32);
+    }
+
+    #[test]
+    fn prefixed_name_tests_select_what_their_unprefixed_twins_do() {
+        let mut store = NodeStore::new();
+        let doc = store
+            .parse_document("<r xml:id=\"r1\" id=\"r2\"><p:a/><a/><b/></r>")
+            .unwrap();
+        let r = store.document_element(doc).unwrap();
+        let name = |n: &str| NodeTest::Name(n.into());
+        let both = store.axis_nodes(r, Axis::Child, &name("a"));
+        assert_eq!(both.len(), 2);
+        assert_eq!(store.axis_nodes(r, Axis::Child, &name("p:a")), both);
+        assert_eq!(store.axis_nodes(r, Axis::Child, &name("q:a")), both);
+        let ids = store.axis_nodes(r, Axis::Attribute, &name("id"));
+        assert_eq!(ids.len(), 2);
+        assert_eq!(store.axis_nodes(r, Axis::Attribute, &name("xml:id")), ids);
+        let attribute_id = NodeTest::Attribute(Some("xml:id".into()));
+        assert_eq!(store.axis_nodes(r, Axis::Attribute, &attribute_id), ids);
+        assert_eq!(store.attribute_value(r, "id"), Some("r1"));
+        assert_eq!(store.attribute_value(r, "xml:id"), Some("r1"));
+        // The prefix survives for serialization and `name()`.
+        assert_eq!(store.name(both[0]).unwrap().to_string(), "p:a");
+        assert_eq!(store.name(both[1]).unwrap().to_string(), "a");
+        // A name no node carries: nothing, on any axis.
+        assert!(store
+            .axis_nodes(r, Axis::DescendantOrSelf, &name("p:zzz"))
+            .is_empty());
+        assert_eq!(store.attribute_value(r, "p:zzz"), None);
+    }
+
+    #[test]
+    fn a_failed_parse_leaves_the_store_as_it_was() {
+        let mut store = NodeStore::new();
+        let doc = sample(&mut store);
+        store.refresh_all();
+        let before = (
+            store.document_count(),
+            store.nodes_created(),
+            store.load_epoch(),
+            store.statistics(),
+        );
+        let (payloads, names) = (store.text.len(), store.names.len());
+        for broken in [
+            "<x fresh=\"payload\"><y>more</y>",
+            "<x><unclosed></x>",
+            "<x/><second/>",
+            "<x>&nope;</x>",
+        ] {
+            assert!(store.parse_document(broken).is_err(), "{broken}");
+            assert!(store.parse_document_with_uri("u.xml", broken).is_err());
+        }
+        assert_eq!(store.document_count(), before.0);
+        assert_eq!(store.nodes_created(), before.1);
+        assert_eq!(store.load_epoch(), before.2);
+        let after = store.statistics();
+        assert_eq!(
+            (after.totals, after.fingerprint()),
+            (before.3.totals, before.3.fingerprint())
+        );
+        assert_eq!((store.text.len(), store.names.len()), (payloads, names));
+        assert_eq!(store.text_pool_get("payload"), None);
+        assert_eq!(store.doc("u.xml"), None);
+        // The store still works, and the URI is free for a good document.
+        assert_eq!(store.lookup_id(doc, "a1").map(|n| n.node), Some(2));
+        let good = store
+            .parse_document_with_uri("u.xml", "<x fresh=\"payload\"/>")
+            .unwrap();
+        assert_eq!(good, DocId(before.0 as u32));
+        assert_eq!(store.doc("u.xml"), Some(good));
+        let x = store.document_element(good).unwrap();
+        assert_eq!(store.attribute_value(x, "fresh"), Some("payload"));
+    }
+
+    #[test]
+    fn attributes_have_no_siblings() {
+        let mut store = NodeStore::new();
+        let doc = store
+            .parse_document("<r><a x=\"1\" y=\"2\" z=\"3\"><b/><c/></a><d/></r>")
+            .unwrap();
+        let r = store.document_element(doc).unwrap();
+        let a = store.children(r)[0];
+        let attrs = store.attributes(a);
+        assert_eq!(attrs.len(), 3);
+        for &attr in &attrs {
+            for axis in [Axis::FollowingSibling, Axis::PrecedingSibling] {
+                assert!(store.axis_nodes(attr, axis, &NodeTest::AnyNode).is_empty());
+            }
+            assert_eq!(store.parent(attr), Some(a));
+            assert!(store.children(attr).is_empty());
+            assert!(store
+                .axis_nodes(attr, Axis::Descendant, &NodeTest::AnyNode)
+                .is_empty());
+        }
+        // Many attributes: the list keeps creation order.
+        let e = store.create_element(doc, QName::local("e"));
+        for i in 0..100 {
+            store
+                .add_attribute(e, QName::local(format!("a{i}")), i.to_string())
+                .unwrap();
+        }
+        let values: Vec<String> = store
+            .attributes(e)
+            .into_iter()
+            .map(|a| store.string_value(a))
+            .collect();
+        assert_eq!(values, (0..100).map(|i| i.to_string()).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1649,8 +1866,8 @@ mod tests {
         assert!(clone.shares_text_pool(&store));
         // Built before the clone: the clone reads the writer's copy.
         assert!(std::ptr::eq(
-            store.docs[doc.0 as usize].derived(),
-            clone.docs[doc.0 as usize].derived()
+            store.docs[doc.0 as usize].derived(&store.names),
+            clone.docs[doc.0 as usize].derived(&clone.names)
         ));
         // Built through one holder after the clone: visible through the other.
         let m = clone.document_element(cold).unwrap();
@@ -1714,7 +1931,8 @@ mod tests {
                     s.spawn(|| {
                         barrier.wait();
                         let m = clone.lookup_id(doc, "a").unwrap();
-                        let derived: *const Derived = clone.docs[doc.0 as usize].derived();
+                        let derived: *const Derived =
+                            clone.docs[doc.0 as usize].derived(&clone.names);
                         let stats = clone.statistics().fingerprint();
                         (m, clone.string_value(m), stats, derived as usize)
                     })

@@ -142,3 +142,51 @@ fn strategy_accessors_round_trip() {
     assert_eq!(Strategy::Naive.name(), "naive");
     assert_eq!(Strategy::Auto.name(), "auto");
 }
+
+/// Names match ignoring prefixes, so a prefixed name test selects what its
+/// unprefixed twin does — through the interpreter's steps, a predicate and
+/// the algebraic executor's attribute access alike.
+#[test]
+fn prefixed_name_tests_select_what_their_unprefixed_twins_do() {
+    let mut engine = Engine::new();
+    let xml = "<r xml:id=\"r1\"><p:a xml:id=\"a1\" next=\"a2\"/><a id=\"a2\"/><b/></r>";
+    engine.load_document("d.xml", xml).unwrap();
+    for (prefixed, plain, expected) in [
+        ("doc('d.xml')/r/@xml:id", "doc('d.xml')/r/@id", 1),
+        (
+            "doc('d.xml')/r/attribute::xml:id",
+            "doc('d.xml')/r/attribute::id",
+            1,
+        ),
+        ("doc('d.xml')/r/p:a", "doc('d.xml')/r/a", 2),
+        ("doc('d.xml')/r/child::q:a", "doc('d.xml')/r/child::a", 2),
+        (
+            "doc('d.xml')//*[@xml:id='a1']",
+            "doc('d.xml')//*[@id='a1']",
+            1,
+        ),
+        ("doc('d.xml')/r/p:a/@xml:id", "doc('d.xml')/r/a/@id", 2),
+    ] {
+        let twin = engine.run(plain).unwrap().result.nodes();
+        assert_eq!(twin.len(), expected, "{plain}");
+        assert_eq!(
+            engine.run(prefixed).unwrap().result.nodes(),
+            twin,
+            "{prefixed}"
+        );
+    }
+    // `xml:id` attributes feed the ID index, and a recursion over them runs
+    // on both back-ends.
+    for backend in [xqy_ifp::Backend::SourceLevel, xqy_ifp::Backend::Algebraic] {
+        engine.set_backend(backend);
+        let closure = engine
+            .run("with $x seeded by doc('d.xml')/r/p:a recurse $x/id(./@next)")
+            .unwrap();
+        assert_eq!(closure.result.len(), 1, "{}", backend.name());
+    }
+    assert!(engine
+        .run("doc('d.xml')/r/p:zzz")
+        .unwrap()
+        .result
+        .is_empty());
+}
