@@ -21,20 +21,30 @@
 //!   `as_key()` rendering made `"node:5"` join against node 5).
 //! * **Interning.**  Strings enter the plane once through the executor's
 //!   [`Interner`] (attribute values, `string()` results, literals) and are
-//!   symbols from then on.  The pool lives as long as the executor, so a
+//!   symbols from then on.  The pool outlives the run (see below), so a
 //!   per-item loop pays each distinct string once across *all* seeds.
 //! * **Columnar, shared storage.**  A [`Table`] is a list of
 //!   `Arc<Vec<Key>>` columns.  Cloning a table — what every memo hit,
-//!   static-cache hit and `RecInput` reference does — bumps one reference
+//!   run-cache hit and `RecInput` reference does — bumps one reference
 //!   count per column instead of deep-copying rows, and projection just
 //!   re-arranges column handles.
 //!
-//! The executor itself no longer borrows the store: every entry point takes
-//! `&mut NodeStore`, so one executor (with its interner and its
-//! rec-independent static cache) can outlive any number of fixpoint runs —
-//! the prepared-query layer keeps one per compiled occurrence for the whole
-//! per-item Table-2 loop, invalidating the static cache only when the
-//! store's [document-load epoch](NodeStore::load_epoch) moves.
+//! ## What an executor keeps
+//!
+//! The executor borrows no store — every entry point takes a store handle —
+//! and carries **symbols, not tables**.  Tables live in two scopes only: the
+//! memo of one body evaluation, and the *run cache* of one run (the tables
+//! of the plan nodes that do not depend on the recursion input, computed on
+//! the first iteration and shared by every later one).  Both are built when
+//! the run starts and dropped when it ends, so no plan, store or document
+//! load can make a table stale — there is nothing to invalidate.  What
+//! survives from run to run is the [`Interner`] and the store-symbol
+//! translation table beside it: they depend on the store's text pool and on
+//! no plan, which is why one warm executor serves every plan the
+//! prepared-query layer hands it.  Both restart together when a top-level
+//! run begins on a store with a different
+//! [text pool](NodeStore::text_pool_id); as no table outlives a run, no
+//! `Key::Sym` cell can point into a dropped pool.
 //!
 //! ## Fixpoints
 //!
@@ -255,8 +265,8 @@ impl Table {
 
     /// `true` when `self` and `other` are views of the *same* column
     /// storage (every column pair is `Arc`-pointer-equal).  This is how
-    /// tests verify that memo and static-cache hits hand out shared
-    /// handles instead of deep copies.
+    /// tests verify that operators hand out shared handles instead of deep
+    /// copies.
     pub fn shares_storage(&self, other: &Table) -> bool {
         !self.cols.is_empty()
             && self.cols.len() == other.cols.len()
@@ -414,44 +424,40 @@ impl<'a> From<StoreMut<'a>> for StoreRef<'a> {
     }
 }
 
-/// Every piece of executor state that is scoped to *one plan* — the caches
-/// and the per-node classification bitmaps.  Bundled so that re-entrant
-/// evaluation (a nested `µ`/`µ∆` operator, whose sub-plan's node ids
-/// overlap the outer plan's) can save and restore the whole lot with a
-/// single `mem::take`, instead of a hand-maintained field list that
-/// silently breaks when a cache-coupled field is added.
+/// The executor state scoped to *one run* of one plan: built when the run
+/// starts, dropped when it ends.  Bundled so that re-entrant evaluation (a
+/// nested `µ`/`µ∆` operator, whose sub-plan's node ids overlap the outer
+/// plan's) swaps the whole lot out and back in one move.
 #[derive(Debug, Default)]
 struct PlanState {
-    /// Fingerprint of the plan this state was built for; evaluating a
-    /// different plan invalidates everything here.
-    key: Option<u64>,
-    /// Cache of plan nodes that do not depend on the recursion input —
-    /// their tables are reused across fixpoint iterations *and* across
-    /// fixpoint runs.
-    static_cache: IdMap<PlanNodeId, Table>,
-    /// Per-*run* cache for rec-independent but **volatile** plan nodes —
-    /// subtrees containing `Construct` (fresh node identity per run) or
-    /// `IdLookup` (resolves against the per-run context document).  Reused
-    /// across the iterations of one fixpoint run, cleared at the start of
-    /// the next, never carried across runs or stores.
-    volatile_cache: IdMap<PlanNodeId, Table>,
+    /// Tables of the plan nodes that do not depend on the recursion input,
+    /// each computed once — on the run's first iteration — and handed out
+    /// as a shared handle on every later one.  A constructed node is
+    /// therefore one identity for the whole run, and a fresh one per run.
+    run_cache: IdMap<PlanNodeId, Table>,
     /// `rec_dependent[id]` — does plan node `id` (transitively) consume a
-    /// `RecInput`?  Computed once per plan, not once per body evaluation.
+    /// `RecInput`?
     rec_dependent: Vec<bool>,
-    /// `volatile[id]` — does plan node `id`'s subtree contain a `Construct`
-    /// or `IdLookup` operator?  Such nodes must not outlive a run.
-    volatile: Vec<bool>,
+}
+
+impl PlanState {
+    /// The state a run of `plan` starts from.
+    fn of(plan: &Plan) -> Self {
+        PlanState {
+            run_cache: IdMap::default(),
+            rec_dependent: plan.rec_dependent(),
+        }
+    }
 }
 
 /// The plan executor.
 ///
-/// Holds no store borrow — every entry point takes `&mut NodeStore` — so an
-/// executor is a *persistent* artifact: its [`Interner`] and its
-/// rec-independent static cache survive across fixpoint runs and across
-/// `PreparedQuery::execute` calls.  The static cache is keyed by the plan's
-/// [fingerprint](Plan::fingerprint) and by the store's
-/// [load epoch](NodeStore::load_epoch): evaluating a different plan or
-/// loading a document invalidates it, nothing else does.
+/// Holds no store borrow — every entry point takes a store handle — so an
+/// executor is a *persistent* artifact: its [`Interner`] and store-symbol
+/// translation table survive across runs, plans and
+/// `PreparedQuery::execute` calls, until a run starts on a store with a
+/// different text pool.  Every table it computes is dropped with the run
+/// that computed it (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Executor {
     /// Document used to resolve `IdLookup` when the looked-up strings do not
@@ -473,11 +479,9 @@ pub struct Executor {
     /// names one linear growth history, so a store symbol's string can
     /// never change under an unchanged `sym_xlat_pool`.
     sym_xlat: Vec<u32>,
-    /// Caches and bitmaps for the plan currently (or last) evaluated.
+    /// Run cache and bitmap of the run in progress; empty between runs.
     plan_state: PlanState,
-    /// The store load epoch the static cache was built at.
-    store_epoch: u64,
-    /// Times a static-cache lookup returned a shared handle.
+    /// Times the run cache returned a shared handle.
     static_cache_hits: u64,
     /// Times a rec-independent plan node was actually evaluated.
     static_plan_evals: u64,
@@ -490,8 +494,7 @@ pub struct Executor {
     threads: usize,
     /// Persistent worker executors for parallel batched runs, created
     /// lazily (one per shard).  Like their parent, workers keep their
-    /// interner and static caches across runs, so repeated executions of a
-    /// prepared query re-use worker-side static tables too.
+    /// symbols across runs and their tables for one run.
     workers: Vec<Executor>,
 }
 
@@ -511,7 +514,6 @@ impl Executor {
             sym_xlat_pool: 0,
             sym_xlat: Vec::new(),
             plan_state: PlanState::default(),
-            store_epoch: 0,
             static_cache_hits: 0,
             static_plan_evals: 0,
             limits: Limits::default(),
@@ -524,8 +526,8 @@ impl Executor {
     /// the dense per-pool cache.  On a hit this skips both the payload
     /// render and the hash — equality of pool ids guarantees the cached
     /// executor symbol is exactly what `intern(resolve_text(sym))` would
-    /// return.  A pool-id change (store swapped, or its pool diverged by
-    /// growing while shared) drops only the translation table; executor
+    /// return.  A pool-id change *during* a run (the store's pool diverged
+    /// by growing while shared) drops only the translation table; executor
     /// symbols handed out earlier stay valid because the interner is
     /// untouched.
     fn translate_sym(&mut self, store: &NodeStore, sym: StrId) -> StrId {
@@ -546,17 +548,27 @@ impl Executor {
         exec_sym
     }
 
-    /// Drop the executor's recomputable table caches (static and volatile,
-    /// workers included), returning an estimate of the bytes freed — the
-    /// relational side of budget relief.
-    fn release_static_memory(&mut self) -> u64 {
+    /// Restart the symbols when `store`'s text pool is not the one they
+    /// were taken from.  Only ever called where a top-level run starts — no
+    /// table is alive there, so no `Key::Sym` cell can be left pointing
+    /// into the dropped pool — and it keeps a long-lived executor that
+    /// crosses many stores from accumulating every string it ever saw.
+    fn restart_symbols_for(&mut self, store: &NodeStore) {
+        let pool = store.text_pool_id();
+        if self.sym_xlat_pool != pool {
+            self.interner = Interner::new();
+            self.sym_xlat.clear();
+            self.sym_xlat_pool = pool;
+        }
+    }
+
+    /// Drop the run cache (workers included), returning an estimate of the
+    /// bytes freed — the relational side of budget relief.  The tables are
+    /// recomputable: the next iteration evaluates what it needs again.
+    fn release_run_cache(&mut self) -> u64 {
         fn drain(state: &mut PlanState) -> u64 {
             let bytes = |t: &Table| (t.rows * t.cols.len() * std::mem::size_of::<Key>()) as u64;
-            let freed = state.static_cache.values().map(bytes).sum::<u64>()
-                + state.volatile_cache.values().map(bytes).sum::<u64>();
-            state.static_cache.clear();
-            state.volatile_cache.clear();
-            freed
+            state.run_cache.drain().map(|(_, t)| bytes(&t)).sum()
         }
         let mut freed = drain(&mut self.plan_state);
         for worker in &mut self.workers {
@@ -602,9 +614,11 @@ impl Executor {
         &mut self.interner
     }
 
-    /// How many static-cache lookups returned a shared handle, over the
-    /// executor's lifetime.  The prepared-query layer diffs this around an
-    /// `execute()` call to report per-occurrence reuse.
+    /// How many run-cache lookups returned a shared handle, over the
+    /// executor's lifetime: a rec-independent plan node met again on a
+    /// later iteration of the *same* run (nothing is reused across runs).
+    /// The prepared-query layer diffs this around a run to report it in
+    /// `FixpointStats`.
     pub fn static_cache_hits(&self) -> u64 {
         // Workers run shards of the same plan: their hits are this
         // executor's hits as far as the reuse metrics are concerned.
@@ -617,8 +631,8 @@ impl Executor {
     }
 
     /// How many rec-independent plan nodes were actually evaluated, over
-    /// the executor's lifetime.  A second `execute()` of a prepared query
-    /// against an unchanged store performs zero of these.
+    /// the executor's lifetime — once per node per run that reaches it
+    /// (twice only when budget relief dropped the run cache in between).
     pub fn static_plan_evals(&self) -> u64 {
         self.static_plan_evals
             + self
@@ -628,66 +642,29 @@ impl Executor {
                 .sum::<u64>()
     }
 
-    /// Re-key the caches for `plan` against `store`'s current state.
-    fn prime_for_plan(&mut self, store: &NodeStore, plan: &Plan) {
-        if self.store_epoch != store.load_epoch() {
-            self.plan_state.static_cache.clear();
-            self.plan_state.volatile_cache.clear();
-            // The interner restarts with the caches: every cached table
-            // holding `Sym` cells is dropped on the same line, so no live
-            // executor state references the old pool, and a long-lived
-            // executor crossing many stores/documents doesn't accumulate
-            // every string it ever saw.  (Fixpoint results are node-only
-            // tables; only a caller holding a *direct* `eval_plan` result
-            // across a document load would see its symbols invalidated —
-            // see the `eval_plan` docs.)
-            self.interner = Interner::new();
-            // Cached executor symbols die with the interner they point
-            // into; the translation table must go with them.
-            self.sym_xlat.clear();
-            self.sym_xlat_pool = 0;
-            self.store_epoch = store.load_epoch();
-        }
-        let fingerprint = plan.fingerprint();
-        if self.plan_state.key != Some(fingerprint) {
-            self.plan_state.static_cache.clear();
-            self.plan_state.volatile_cache.clear();
-            self.plan_state.key = Some(fingerprint);
-            let mut bits = vec![false; plan.len()];
-            for id in plan.rec_inputs() {
-                bits[id] = true;
-            }
-            for id in plan.dependents_of(&plan.rec_inputs()) {
-                bits[id] = true;
-            }
-            self.plan_state.rec_dependent = bits;
-            // Volatile taint: Construct creates a fresh identity per run,
-            // IdLookup resolves against the per-run context document — both
-            // propagate upward (construction order guarantees inputs come
-            // before consumers).
-            let mut volatile = vec![false; plan.len()];
-            for (id, node) in plan.iter() {
-                volatile[id] = matches!(node.op, Operator::Construct(_) | Operator::IdLookup)
-                    || node.inputs.iter().any(|&i| volatile[i]);
-            }
-            self.plan_state.volatile = volatile;
-        }
+    /// Run `f` with the state of a fresh run of `plan` installed, and put
+    /// back what was there before: nothing at top level, the outer run's
+    /// state under a nested `µ`/`µ∆`.
+    fn in_run<T>(&mut self, plan: &Plan, f: impl FnOnce(&mut Self) -> T) -> T {
+        let outer = std::mem::replace(&mut self.plan_state, PlanState::of(plan));
+        let out = f(self);
+        self.plan_state = outer;
+        out
     }
 
     /// Evaluate `plan` with the recursion input bound to `rec` (pass an
     /// empty table when the plan has no `RecInput` leaf).
     ///
-    /// A direct call is its own evaluation scope: volatile tables
-    /// (constructed identities, `id()` resolutions) do not carry over from
+    /// A direct call is a run of its own: no table (constructed
+    /// identities and `id()` resolutions included) carries over from
     /// previous calls.  [`Executor::run_fixpoint`] instead scopes them to
-    /// the whole run, so a body's constructed node is stable across the
-    /// iterations of one fixpoint.
+    /// the whole fixpoint, so a body's constructed node is stable across
+    /// its iterations.
     ///
     /// `Key::Sym` cells in the returned table resolve against
-    /// [`Executor::interner`] *as of now*: loading a document into the
-    /// store afterwards resets the pool (alongside the caches keyed on the
-    /// [load epoch](NodeStore::load_epoch)), invalidating symbols held from
-    /// earlier results.  Decode string cells before mutating the store.
+    /// [`Executor::interner`] *as of now*: the next run that starts on a
+    /// store with a different text pool restarts the symbols.  Decode
+    /// string cells before handing the executor another store.
     pub fn eval_plan<'a>(
         &mut self,
         store: impl Into<StoreMut<'a>>,
@@ -695,15 +672,12 @@ impl Executor {
         rec: &Table,
     ) -> Result<Table> {
         let mut store = StoreRef::from(store.into());
-        self.plan_state.volatile_cache.clear();
-        self.prime_for_plan(store.read(), plan);
-        self.eval_plan_in_run(&mut store, plan, rec)
+        self.restart_symbols_for(store.read());
+        self.in_run(plan, |exec| exec.eval_plan_in_run(&mut store, plan, rec))
     }
 
-    /// [`Executor::eval_plan`] without resetting the volatile scope or
-    /// re-priming — the per-iteration entry point used inside a fixpoint
-    /// run, where the plan and the store epoch cannot change between
-    /// iterations (the run primes once up front).
+    /// One evaluation of `plan` inside the run in progress — the
+    /// per-iteration entry point of a fixpoint run.
     fn eval_plan_in_run(
         &mut self,
         store: &mut StoreRef<'_>,
@@ -729,16 +703,8 @@ impl Executor {
             return Ok(cached.clone());
         }
         let is_rec_dependent = self.plan_state.rec_dependent[id];
-        let is_volatile = self.plan_state.volatile[id];
         if !is_rec_dependent {
-            // Volatile nodes (Construct / IdLookup subtrees) live in the
-            // per-run cache and do not count towards the persistent-reuse
-            // metrics; everything else in the persistent one.
-            if is_volatile {
-                if let Some(cached) = self.plan_state.volatile_cache.get(&id) {
-                    return Ok(cached.clone());
-                }
-            } else if let Some(cached) = self.plan_state.static_cache.get(&id) {
+            if let Some(cached) = self.plan_state.run_cache.get(&id) {
                 self.static_cache_hits += 1;
                 return Ok(cached.clone());
             }
@@ -751,11 +717,9 @@ impl Executor {
         let table = self.apply(store, plan, &node.op, &node.inputs, inputs, rec)?;
         if is_rec_dependent {
             memo.insert(id, table.clone());
-        } else if is_volatile {
-            self.plan_state.volatile_cache.insert(id, table.clone());
         } else {
             self.static_plan_evals += 1;
-            self.plan_state.static_cache.insert(id, table.clone());
+            self.plan_state.run_cache.insert(id, table.clone());
         }
         Ok(table)
     }
@@ -1097,10 +1061,9 @@ impl Executor {
             Operator::Mu | Operator::MuDelta => {
                 // input 0: seed plan result; input 1 is the body sub-plan,
                 // which must be re-evaluated per iteration — so it cannot be
-                // passed as a pre-computed table.  We re-drive it here,
-                // saving the outer plan's cache state around the nested run
-                // (plan node ids overlap between plans, so the inner run
-                // must not leave its entries behind).
+                // passed as a pre-computed table.  We re-drive it here; the
+                // nested run installs its own run state and puts the outer
+                // plan's back (plan node ids overlap between plans).
                 let seed = inputs.remove(0);
                 let body_root = input_ids[1];
                 let body_plan = subplan(plan, body_root);
@@ -1109,11 +1072,8 @@ impl Executor {
                 } else {
                     FixpointStrategy::Delta
                 };
-                // The whole plan-scoped state swaps out in one move; the
-                // nested run rebuilds its own and the outer plan's comes
-                // back untouched.  The context document is saved alongside:
-                // the nested run derives its own from its seed.
-                let saved_state = std::mem::take(&mut self.plan_state);
+                // The context document is saved around it: the nested run
+                // derives its own from its seed.
                 let saved_doc = self.context_doc;
                 let seed = seed.item_nodes();
                 let result = self.drive(
@@ -1124,7 +1084,6 @@ impl Executor {
                     false,
                     BatchSharing::PerSeed,
                 );
-                self.plan_state = saved_state;
                 self.context_doc = saved_doc;
                 let (mut groups, _stats) = result?;
                 Ok(Table::from_nodes(&groups.pop().unwrap_or_default()))
@@ -1211,6 +1170,7 @@ impl Executor {
         sharing: BatchSharing,
     ) -> Result<(Vec<Vec<NodeId>>, ExecStats)> {
         let store = &mut StoreRef::from(store.into());
+        self.restart_symbols_for(store.read());
         self.drive(store, body, seeds, strategy, seed_in_result, sharing)
     }
 
@@ -1242,12 +1202,6 @@ impl Executor {
             let (Seeds::Set(nodes) | Seeds::Each(nodes)) = seeds;
             self.context_doc = nodes.first().map(|n| DocId(n.doc));
         }
-        // Volatile tables (constructed identities, id() resolutions) are
-        // scoped to one run; priming happens once here — neither the body
-        // plan nor the store epoch can change between iterations.
-        self.plan_state.volatile_cache.clear();
-        self.prime_for_plan(store.read(), plan);
-
         // Shard only when parallelism is requested, there is more than one
         // source to spread, and the body is construction-free (construction
         // mutates the store and pins the run to the exclusive handle).
@@ -1262,13 +1216,14 @@ impl Executor {
             for worker in &mut self.workers[..threads] {
                 // Workers mirror the parent's per-run state: same context
                 // document (and derivation mode, so nested fixpoints
-                // re-derive exactly as the sequential run would), fresh
-                // volatile scope, caches primed for this plan and store.
+                // re-derive exactly as the sequential run would), a run
+                // state of their own, symbols of this store's pool (only a
+                // top-level run shards, so no worker table is alive).
                 worker.limits = self.limits;
                 worker.context_doc = self.context_doc;
                 worker.context_doc_explicit = self.context_doc_explicit;
-                worker.plan_state.volatile_cache.clear();
-                worker.prime_for_plan(store.read(), plan);
+                worker.restart_symbols_for(store.read());
+                worker.plan_state = PlanState::of(plan);
             }
         }
 
@@ -1279,13 +1234,19 @@ impl Executor {
             threads,
             limits: self.limits,
         };
-        let mut body = PlanBody {
-            executor: self,
-            store,
-            plan,
-            carried: matches!(seeds, Seeds::Each(_)),
-        };
-        let (result, stats) = fixpoint::run(&mut body, &config, seeds);
+        let carried = matches!(seeds, Seeds::Each(_));
+        let (result, stats) = self.in_run(plan, |executor| {
+            let mut body = PlanBody {
+                executor,
+                store,
+                plan,
+                carried,
+            };
+            fixpoint::run(&mut body, &config, seeds)
+        });
+        for worker in &mut self.workers {
+            worker.plan_state = PlanState::default();
+        }
         Ok((result?, stats))
     }
 
@@ -1438,7 +1399,7 @@ impl Body for PlanBody<'_, '_> {
     }
 
     fn release_memory(&mut self) -> u64 {
-        self.executor.release_static_memory()
+        self.executor.release_run_cache()
     }
 
     fn limit_error(&self, error: LimitError) -> AlgebraError {
@@ -1963,8 +1924,8 @@ mod tests {
     }
 
     /// Node constructors create a fresh identity per fixpoint *run* even
-    /// though they are rec-independent: their tables live in the per-run
-    /// volatile cache, never in the persistent static cache.
+    /// though they are rec-independent: their tables live in the run cache,
+    /// which is dropped with the run.
     #[test]
     fn constructed_nodes_are_fresh_per_run_but_stable_within_one() {
         let mut store = NodeStore::new();
@@ -2037,48 +1998,10 @@ mod tests {
         );
     }
 
-    /// Acceptance criterion: a static-cache hit hands out a *shared*
-    /// handle — the columns of the two results are pointer-identical, no
-    /// deep table clone happens.
-    #[test]
-    fn static_cache_hits_return_shared_handles() {
-        let (mut store, _doc) = store_with_curriculum();
-        let mut plan = Plan::new();
-        let docroot = plan.add(Operator::DocRoot("curriculum.xml".into()), vec![]);
-        let courses = plan.add(
-            Operator::Step {
-                axis: Axis::Descendant,
-                test: NodeTest::Name("course".into()),
-            },
-            vec![docroot],
-        );
-        plan.set_root(courses);
-
-        let mut exec = Executor::new();
-        let empty = Table::new(vec!["item".into()]);
-        let first = exec.eval_plan(&mut store, &plan, &empty).unwrap();
-        let evals_after_first = exec.static_plan_evals();
-        let second = exec.eval_plan(&mut store, &plan, &empty).unwrap();
-        assert_eq!(first.len(), 4);
-        assert!(
-            first.shares_storage(&second),
-            "second evaluation must return a shared handle, not a deep clone"
-        );
-        assert_eq!(
-            exec.static_plan_evals(),
-            evals_after_first,
-            "no rec-independent node re-evaluated"
-        );
-        assert!(exec.static_cache_hits() >= 1);
-    }
-
-    /// The static cache survives across fixpoint runs (the per-item loop
-    /// shape) but is invalidated when a document is loaded afterwards.
-    #[test]
-    fn static_cache_persists_across_runs_and_invalidates_on_load() {
-        let (mut store, doc) = store_with_curriculum();
-        // A body with a rec-independent arm: doc-rooted course scan joined
-        // against the recursion input's prerequisite codes.
+    /// The prerequisite closure with `id()` spelt as a join against a
+    /// rec-independent scan (`doc → course → @code`, four plan nodes): a
+    /// seed-local body whose every iteration needs the same scan.
+    fn join_closure_plan() -> Plan {
         let mut plan = Plan::new();
         let rec = plan.add(Operator::RecInput, vec![]);
         let prereq = plan.add(
@@ -2096,8 +2019,6 @@ mod tests {
             vec![prereq],
         );
         let value = plan.add(Operator::StringValue, vec![code]);
-        let lookup = plan.add(Operator::IdLookup, vec![value]);
-        // Rec-independent arm: every c4 course, scanned from the doc root.
         let docroot = plan.add(Operator::DocRoot("curriculum.xml".into()), vec![]);
         let all = plan.add(
             Operator::Step {
@@ -2114,46 +2035,173 @@ mod tests {
             vec![all],
         );
         let attr = plan.add(Operator::AttrValue("code".into()), vec![keep]);
-        let select = plan.add(
-            Operator::Select {
-                column: "item".into(),
-                value: "c4".into(),
+        let join = plan.add(
+            Operator::Join {
+                left: "item".into(),
+                right: "item".into(),
             },
-            vec![attr],
+            vec![value, attr],
         );
-        let fixed = plan.add(
+        let back = plan.add(
             Operator::Project(vec![("item".into(), "node".into())]),
-            vec![select],
+            vec![join],
         );
-        let union = plan.add(Operator::Union, vec![lookup, fixed]);
-        plan.set_root(union);
+        plan.set_root(back);
+        plan
+    }
 
+    /// Rec-independent plan nodes of [`join_closure_plan`].
+    const SCAN_NODES: u64 = 4;
+
+    /// The counters' movement over `run`.
+    fn counted<T>(exec: &mut Executor, run: impl FnOnce(&mut Executor) -> T) -> (T, u64, u64) {
+        let before = (exec.static_plan_evals(), exec.static_cache_hits());
+        let out = run(exec);
+        let evals = exec.static_plan_evals() - before.0;
+        (out, evals, exec.static_cache_hits() - before.1)
+    }
+
+    /// The run cache's whole contract: every run evaluates each
+    /// rec-independent node once and hits it on every later iteration, a
+    /// run inherits nothing from the one before — same plan or not, same
+    /// store or not — and leaves no table behind.
+    #[test]
+    fn run_cache_serves_one_run_and_is_dropped_with_it() {
+        let (mut store, doc) = store_with_curriculum();
+        let plan = join_closure_plan();
         let mut exec = Executor::new();
-        let seed = seed_course(&mut store, doc, "c1");
-        exec.run_fixpoint(&mut store, &plan, &seed, MuStrategy::MuDelta, false)
-            .unwrap();
-        let evals_first_run = exec.static_plan_evals();
+        for code in ["c1", "c2", "c3", "c4", "c1"] {
+            let seed = seed_course(&mut store, doc, code);
+            let ((result, stats), evals, hits) = counted(&mut exec, |exec| {
+                exec.run_fixpoint(&mut store, &plan, &seed, MuStrategy::MuDelta, true)
+                    .unwrap()
+            });
+            let (expected, _) = Executor::new()
+                .run_fixpoint(&mut store, &q1_plan(), &seed, MuStrategy::MuDelta, true)
+                .unwrap();
+            assert_eq!(result, expected, "seed {code}");
+            assert_eq!(evals, SCAN_NODES, "seed {code}: once per run, every run");
+            assert!(stats.body_evaluations >= 2 || code > "c2", "seed {code}");
+            assert_eq!(hits as usize, stats.body_evaluations - 1, "seed {code}");
+            assert!(exec.plan_state.run_cache.is_empty(), "dropped with the run");
+            // Another plan in between thrashes nothing: there is nothing
+            // plan-keyed to thrash.
+            exec.run_fixpoint(&mut store, &q1_plan(), &seed, MuStrategy::Mu, false)
+                .unwrap();
+        }
 
-        // Second run over a different seed: rec-independent work is free.
-        let seed2 = seed_course(&mut store, doc, "c2");
-        exec.run_fixpoint(&mut store, &plan, &seed2, MuStrategy::MuDelta, false)
+        // A document loaded between two runs is seen by the second.
+        let late = r#"<curriculum><course code="c9"/></curriculum>"#;
+        store.parse_document_with_uri("late.xml", late).unwrap();
+        let mut late_plan = Plan::new();
+        let late_root = late_plan.add(Operator::DocRoot("late.xml".into()), vec![]);
+        late_plan.set_root(late_root);
+        let empty = Table::new(vec!["item".into()]);
+        assert_eq!(
+            exec.eval_plan(&mut store, &late_plan, &empty)
+                .unwrap()
+                .len(),
+            1
+        );
+
+        // A run on another store answers from that store, and the symbols
+        // restart with its text pool instead of piling up across stores.
+        let mut other = NodeStore::new();
+        let other_doc = other
+            .parse_document_with_uri(
+                "curriculum.xml",
+                r#"<curriculum><course code="c2"/><course code="c1"><prerequisites>
+                   <pre_code>c2</pre_code></prerequisites></course></curriculum>"#,
+            )
+            .unwrap();
+        let seed = seed_course(&mut other, other_doc, "c1");
+        let (result, _) = exec
+            .run_fixpoint(&mut other, &plan, &seed, MuStrategy::MuDelta, false)
             .unwrap();
         assert_eq!(
-            exec.static_plan_evals(),
-            evals_first_run,
-            "persistent executor must not re-evaluate rec-independent nodes"
+            result.item_nodes(),
+            seed_course(&mut other, other_doc, "c2")
         );
-
-        // Loading a document bumps the store epoch and drops the cache.
-        store
-            .parse_document_with_uri("late.xml", "<late/>")
-            .unwrap();
-        exec.run_fixpoint(&mut store, &plan, &seed, MuStrategy::MuDelta, false)
-            .unwrap();
         assert!(
-            exec.static_plan_evals() > evals_first_run,
-            "document load must invalidate the static cache"
+            exec.interner().get("c4").is_none(),
+            "c4 is the first store's"
         );
+    }
+
+    /// A nested `µ` is a run of its own inside the outer one: its tables
+    /// are dropped when it ends and the outer run's come back.
+    #[test]
+    fn nested_mu_gets_a_run_cache_of_its_own() {
+        let (mut store, doc) = store_with_curriculum();
+        let body = join_closure_plan();
+        let mut plan = Plan::new();
+        let seed = plan.add(Operator::RecInput, vec![]);
+        let mut mapping = IdMap::default();
+        let body_root = copy_into(&body, body.root().unwrap(), &mut plan, &mut mapping);
+        let mu = plan.add(Operator::MuDelta, vec![seed, body_root]);
+        plan.set_root(mu);
+
+        let c1 = seed_course(&mut store, doc, "c1");
+        let (expected, _) = Executor::new()
+            .run_fixpoint(&mut store, &body, &c1, MuStrategy::MuDelta, false)
+            .unwrap();
+        let mut exec = Executor::new();
+        let mut deltas = Vec::new();
+        for _ in 0..2 {
+            let (result, evals, hits) = counted(&mut exec, |exec| {
+                exec.eval_plan(&mut store, &plan, &Table::from_nodes(&c1))
+                    .unwrap()
+            });
+            assert_eq!(result, expected);
+            assert!(hits > 0, "later iterations of the nested run hit");
+            assert_eq!(evals % SCAN_NODES, 0, "whole scans only");
+            assert!(exec.plan_state.rec_dependent.is_empty(), "outer state back");
+            deltas.push((evals, hits));
+        }
+        assert_eq!(deltas[0], deltas[1], "every run pays for itself");
+    }
+
+    /// Shard workers keep a run cache each: per run every executor that
+    /// evaluates the body scans once, whatever ran before.
+    #[test]
+    fn shard_workers_evaluate_rec_independent_nodes_once_per_run() {
+        let (mut store, doc) = store_with_curriculum();
+        let carried = join_closure_plan().seed_carried().expect("seed-local");
+        let seeds: Vec<NodeId> = ["c1", "c2", "c3", "c4"]
+            .iter()
+            .flat_map(|code| seed_course(&mut store, doc, code))
+            .collect();
+        let mut batch = |exec: &mut Executor| {
+            let sharing = BatchSharing::PerSeed;
+            exec.run_fixpoint_batched(
+                &mut store,
+                &carried,
+                &seeds,
+                MuStrategy::MuDelta,
+                false,
+                sharing,
+            )
+            .unwrap()
+        };
+        let (expected, stats) = batch(&mut Executor::new());
+        assert!(stats.body_evaluations >= 2);
+
+        let mut exec = Executor::new();
+        exec.set_threads(2);
+        let mut deltas = Vec::new();
+        for _ in 0..3 {
+            let ((table, _), evals, hits) = counted(&mut exec, &mut batch);
+            assert_eq!(table, expected);
+            assert!(hits > 0);
+            // Two workers, plus the parent once the frontier is one group.
+            assert!([2, 3].contains(&(evals / SCAN_NODES)) && evals % SCAN_NODES == 0);
+            assert!(exec
+                .workers
+                .iter()
+                .all(|w| w.plan_state.run_cache.is_empty()));
+            deltas.push((evals, hits));
+        }
+        assert!(deltas.iter().all(|d| *d == deltas[0]), "{deltas:?}");
     }
 
     /// The batched multi-source driver computes, for every seed of the

@@ -1,7 +1,6 @@
 //! Plan DAGs over the Table-1 algebra dialect.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use xqy_xdm::{Axis, NodeTest};
 
@@ -21,7 +20,7 @@ pub type PlanNodeId = usize;
 pub const SEED_COLUMN: &str = "__seed";
 
 /// A comparison / arithmetic kind for the generic `⊚` operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FunKind {
     /// Equality comparison.
     Eq,
@@ -42,7 +41,7 @@ pub enum FunKind {
 /// Every variant documents whether a `∪` placed below it may be pushed up
 /// through it (the "Push?" column of Table 1); see
 /// [`Operator::union_pushable`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Operator {
     /// The recursion variable's input relation (the `$x` leaf of a recursion
     /// body plan).  This is where the `∪` of the distributivity check is
@@ -187,7 +186,7 @@ impl Operator {
 }
 
 /// One node of the plan DAG: an operator plus its input plan nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanNode {
     /// The operator.
     pub op: Operator,
@@ -246,18 +245,6 @@ impl Plan {
         self.nodes.iter().enumerate()
     }
 
-    /// A structural fingerprint of the plan: equal plans hash equal,
-    /// different plans almost surely differ.  The executor keys its
-    /// rec-independent static cache on this (plan node ids are arena
-    /// indices, so tables cached for one plan must never serve another);
-    /// the hash walks the arena directly, with no intermediate rendering.
-    pub fn fingerprint(&self) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.nodes.hash(&mut hasher);
-        self.root.hash(&mut hasher);
-        hasher.finish()
-    }
-
     /// All node ids whose operator is [`Operator::RecInput`].
     pub fn rec_inputs(&self) -> Vec<PlanNodeId> {
         self.iter()
@@ -289,6 +276,18 @@ impl Plan {
         out
     }
 
+    /// `[id]` — does node `id` (transitively) consume a `RecInput`?  Inputs
+    /// precede their consumers in the arena, so one forward pass
+    /// classifies every node.
+    pub fn rec_dependent(&self) -> Vec<bool> {
+        let mut dependent = vec![false; self.nodes.len()];
+        for (id, node) in self.iter() {
+            dependent[id] =
+                matches!(node.op, Operator::RecInput) || node.inputs.iter().any(|&i| dependent[i]);
+        }
+        dependent
+    }
+
     /// The **seed-column-aware µ/µ∆ form** of a recursion-body plan, used by
     /// the batched multi-source fixpoint driver
     /// ([`Executor::run_fixpoint_batched`](crate::Executor::run_fixpoint_batched)):
@@ -309,13 +308,7 @@ impl Plan {
     /// property test exercises.
     pub fn seed_carried(&self) -> Option<Plan> {
         let root = self.root?;
-        let mut dependent = vec![false; self.nodes.len()];
-        for id in self.rec_inputs() {
-            dependent[id] = true;
-        }
-        for id in self.dependents_of(&self.rec_inputs()) {
-            dependent[id] = true;
-        }
+        let dependent = self.rec_dependent();
         // A rec-independent root means the body ignores its input: every
         // seed would compute the same constant set, and the output would
         // carry no seed column to group by.  Not worth batching.
@@ -549,9 +542,7 @@ mod tests {
                 (SEED_COLUMN.to_string(), SEED_COLUMN.to_string())
             );
         }
-        // The rewrite changes the plan, so the fingerprints differ (the
-        // executor's static cache must not confuse the two forms).
-        assert_ne!(plan.fingerprint(), carried.fingerprint());
+        assert_ne!(plan, carried);
 
         // A rec-dependent aggregation mixes rows across seeds.
         let mut counted = Plan::new();

@@ -19,9 +19,13 @@
 //! artifact: a [`PreparedQuery`] is an immutable plan, so one
 //! `Arc<PreparedQuery>` serves any number of concurrent executions — over
 //! different stores, snapshots and bindings.  What *does* change while a
-//! fixpoint runs — the relational executors, with their interners and
-//! rec-independent static caches — is a separate value, a *runtime*: per
-//! occurrence the `[per-seed, batched]` executor pair.  A runtime belongs to
+//! fixpoint runs is a separate value, a *runtime*: one relational
+//! [`Executor`], which drives every occurrence of the query and both of an
+//! occurrence's plans.  One is enough because an executor carries symbols,
+//! not tables: every table it computes is dropped with the run that
+//! computed it, and what it keeps from run to run — its interner and the
+//! store-symbol translation table, which is what makes a warm runtime pay —
+//! depends on the store's text pool and on no plan.  A runtime belongs to
 //! exactly one execution at a time.  An execution whose plan decision routes
 //! an occurrence through the relational executor checks one out of the
 //! query's pool of idle runtimes (minting one when every pooled runtime is
@@ -29,10 +33,9 @@
 //! query has seen), owns it for the run, and returns it — warm — when it
 //! ends, unless the thread is unwinding from a panic: a runtime that may
 //! hold half-applied state is dropped, and the next execution mints a fresh
-//! one.  The executors key their caches on the plan fingerprint and on the
-//! store's [load epoch](xqy_xdm::NodeStore::load_epoch), so a warm runtime
-//! meeting a different store re-keys itself; nothing about a cached plan can
-//! go stale.
+//! one.  A warm runtime that meets a store with another text pool restarts
+//! its symbols at the start of the run; nothing about a cached plan, or a
+//! pooled runtime, can go stale.
 //!
 //! ```
 //! use xqy_ifp::{Bindings, Engine};
@@ -283,14 +286,6 @@ pub struct OccurrencePlan {
     /// occurrence, in microseconds; `None` when the occurrence did not run
     /// (dead code, empty seed set).
     pub observed_cost_micros: Option<u64>,
-    /// Static-cache hits of the occurrence's fixpoint runs during *this*
-    /// `execute()` call: rec-independent plan tables that came back as
-    /// shared handles.  Always zero on the interpreted back-end.
-    pub static_cache_hits: u64,
-    /// Rec-independent plan nodes actually evaluated during this
-    /// `execute()` call.  A warm runtime makes the second execution of a
-    /// prepared query against an unchanged store report zero here.
-    pub static_plan_evals: u64,
 }
 
 /// Per-query resource budgets, enforced cooperatively at the fixpoint
@@ -311,7 +306,7 @@ pub struct ResourceLimits {
     /// Approximate cap on bytes materialized on behalf of the query
     /// (charged at `TextPool` / `Sequence` / store-arena / `Table` growth
     /// points, see [`xqy_xdm::budget`]).  Before failing, the drivers
-    /// degrade once: store memos and executor static caches are dropped
+    /// degrade once: store memos and executor run caches are dropped
     /// (and credited back), and sharded evaluation falls back to
     /// sequential.
     pub max_memory_bytes: Option<u64>,
@@ -360,20 +355,10 @@ pub struct PreparedQuery {
     runtimes: Arc<RuntimePool>,
 }
 
-/// The run-time state of one execution: per occurrence (index-aligned with
-/// [`PreparedQuery::occurrences`]) the persistent `[per-seed, batched]`
-/// executor pair, whose interners and rec-independent static caches survive
-/// from one execution — and one seed of a per-item loop — to the next.  The
-/// seed-carried batched plan has its own executor because its fingerprint
-/// differs from the per-seed plan's: interleaved
-/// [`PreparedQuery::execute`] and [`PreparedQuery::execute_batched`] calls
-/// would otherwise thrash one static cache on every switch.
-type Runtime = Vec<[Executor; 2]>;
-
-/// Index of the per-seed plan's executor in a [`Runtime`] pair.
-const PER_SEED: usize = 0;
-/// Index of the seed-carried batched plan's executor in a [`Runtime`] pair.
-const BATCHED: usize = 1;
+/// The run-time state of one execution: the executor that drives every
+/// occurrence and both plans of each.  Its symbols survive from one
+/// execution — and one seed of a per-item loop — to the next.
+type Runtime = Executor;
 
 /// The idle runtimes of one prepared query, and how many were ever minted.
 #[derive(Debug, Default)]
@@ -396,14 +381,14 @@ impl RuntimePool {
 /// so that runtime is dropped instead.
 #[derive(Debug)]
 struct CheckedOut {
-    executors: Runtime,
+    executor: Runtime,
     pool: Arc<RuntimePool>,
 }
 
 impl Drop for CheckedOut {
     fn drop(&mut self) {
         if !std::thread::panicking() {
-            self.pool.idle().push(std::mem::take(&mut self.executors));
+            self.pool.idle().push(std::mem::take(&mut self.executor));
         }
     }
 }
@@ -519,15 +504,12 @@ impl PreparedQuery {
     /// Take an idle runtime out of the pool, or mint one.
     fn check_out(&self) -> CheckedOut {
         let pooled = self.runtimes.idle().pop();
-        let executors = pooled.unwrap_or_else(|| {
+        let executor = pooled.unwrap_or_else(|| {
             self.runtimes.minted.fetch_add(1, Ordering::Relaxed);
-            self.occurrences
-                .iter()
-                .map(|_| Default::default())
-                .collect()
+            Executor::new()
         });
         CheckedOut {
-            executors,
+            executor,
             pool: Arc::clone(&self.runtimes),
         }
     }
@@ -642,10 +624,8 @@ impl PreparedQuery {
         self.occurrences
             .iter()
             .zip(decisions)
-            .enumerate()
-            .filter_map(|(occurrence, (occ, decision))| {
+            .filter_map(|(occ, decision)| {
                 decision.plan.as_ref().map(|compiled| PlanEntry {
-                    occurrence,
                     var: occ.var.clone(),
                     body: occ.body.clone(),
                     compiled: compiled.clone(),
@@ -660,10 +640,9 @@ impl PreparedQuery {
     /// `evaluator` logged into each occurrence's feedback cell (keyed on
     /// `fingerprint`) on the way: the decided alternative — corrected by
     /// what *actually* ran when the runtime had to fall back (e.g. a batched
-    /// algebraic route declining a cross-document `id()` seed set) — the
-    /// decision provenance and costs, and the static-cache counters of the
-    /// occurrence's own runs.  Without an evaluator (the runs were inner
-    /// executions', already rolled up) the report is the decisions'.
+    /// algebraic route declining a cross-document `id()` seed set) — and the
+    /// decision provenance and costs.  Without an evaluator (the runs were
+    /// inner executions', already rolled up) the report is the decisions'.
     fn occurrence_plans(
         &self,
         decisions: &[PlanDecision],
@@ -677,7 +656,7 @@ impl PreparedQuery {
                 let runs = evaluator
                     .into_iter()
                     .flat_map(|e| e.fixpoint_runs_of(&occ.var, &occ.body));
-                let ran = occ.feedback.finish_run(fingerprint, runs.clone());
+                let ran = occ.feedback.finish_run(fingerprint, runs);
                 let alternative = ran.map_or(decision.alternative, |r| r.alternative);
                 OccurrencePlan {
                     variable: occ.var.clone(),
@@ -687,8 +666,6 @@ impl PreparedQuery {
                     decided_by: decision.source,
                     estimated_cost_micros: decision.estimated_micros,
                     observed_cost_micros: ran.map(|r| r.wall_micros),
-                    static_cache_hits: runs.clone().map(|r| r.static_cache_hits).sum(),
-                    static_plan_evals: runs.map(|r| r.static_plan_evals).sum(),
                 }
             })
             .collect()
@@ -922,10 +899,9 @@ impl PreparedQuery {
         // module once per seed item, exactly as the contract reads.
         //
         // The inner `execute_on` calls roll their own feedback up; the
-        // outer report is the per-execute decisions with the inner calls'
-        // static-cache counters summed.
+        // outer report is the per-execute decisions.
         let decisions = self.decide_plans(&stats, None)?;
-        let mut occurrences = self.occurrence_plans(&decisions, None, stats.fingerprint());
+        let occurrences = self.occurrence_plans(&decisions, None, stats.fingerprint());
         let mut result = Sequence::empty();
         let mut per_seed = Vec::with_capacity(seeds.len());
         let mut fixpoints = Vec::new();
@@ -937,10 +913,6 @@ impl PreparedQuery {
             result.extend(outcome.result.clone());
             per_seed.push(outcome.result);
             fixpoints.extend(outcome.fixpoints);
-            for (total, inner) in occurrences.iter_mut().zip(&outcome.occurrences) {
-                total.static_cache_hits += inner.static_cache_hits;
-                total.static_plan_evals += inner.static_plan_evals;
-            }
         }
         Ok(BatchedOutcome {
             outcome: QueryOutcome {
@@ -1078,8 +1050,6 @@ struct PlanDecision {
 /// One interceptor entry: an occurrence whose decision routes through the
 /// relational executor, with its pre-compiled plan.
 struct PlanEntry {
-    /// Index of the occurrence, and so of its executor pair in the runtime.
-    occurrence: usize,
     var: String,
     body: Arc<Expr>,
     compiled: Arc<CompiledBody>,
@@ -1095,11 +1065,10 @@ struct PlanEntry {
 /// pre-compiled plans through the relational executor.  Both the
 /// [`CompiledBody`] *and* the [`Executor`] are reused across every
 /// execution and every seed of a per-item workload — the driver hands the
-/// occurrence's long-lived executor `&mut` access to the store per run
-/// instead of building a fresh executor (which would re-intern every
-/// string and re-evaluate every rec-independent plan node per seed).  The
-/// executors are the driver's own for as long as it lives: it holds the
-/// execution's checked-out runtime and gives it back when dropped.
+/// runtime's long-lived executor `&mut` access to the store per run instead
+/// of building a fresh executor (which would re-intern every string per
+/// seed).  The executor is the driver's own for as long as it lives: it
+/// holds the execution's checked-out runtime and gives it back when dropped.
 struct PlanDriver {
     entries: Vec<PlanEntry>,
     runtime: CheckedOut,
@@ -1113,7 +1082,7 @@ struct PlanDriver {
 
 impl PlanEntry {
     /// The eval-layer statistics of a run `executor` just finished for this
-    /// entry, given its cache counters from before the run.
+    /// entry, given its run-cache counters from before the run.
     fn stats(&self, executor: &Executor, run: ExecStats, before: (u64, u64)) -> FixpointStats {
         FixpointStats {
             strategy: Some(self.strategy),
@@ -1150,8 +1119,8 @@ impl FixpointInterceptor for PlanDriver {
             .entries
             .iter()
             .find(|e| e.var == var && *e.body == *body)?;
-        let (route, plan, sharing) = match seeds {
-            Seeds::Set(_) => (PER_SEED, &entry.compiled.plan, BatchSharing::PerSeed),
+        let (plan, sharing) = match seeds {
+            Seeds::Set(_) => (&entry.compiled.plan, BatchSharing::PerSeed),
             Seeds::Each(seeds) => {
                 // The cost decision may prefer the per-seed algebraic route
                 // over the batched one (observed wall times): decline the
@@ -1180,10 +1149,10 @@ impl FixpointInterceptor for PlanDriver {
                 } else {
                     BatchSharing::PerSeed
                 };
-                (BATCHED, batched_plan, sharing)
+                (batched_plan, sharing)
             }
         };
-        let executor = &mut self.runtime.executors[entry.occurrence][route];
+        let executor = &mut self.runtime.executor;
         executor.set_threads(self.threads);
         executor.limits = self.limits;
         let before = (executor.static_cache_hits(), executor.static_plan_evals());
@@ -1419,18 +1388,15 @@ mod tests {
     }
 
     /// Execute `plan` over the course `code` on a store of its own; the
-    /// closure as text and the execution's `static_plan_evals`.
-    fn closure_of(plan: &PreparedQuery, code: &str) -> (String, u64) {
+    /// closure as text and the fixpoint runs the execution made.
+    fn closure_of(plan: &PreparedQuery, code: &str) -> (String, usize) {
         let mut store = curriculum_store();
         let course = store.lookup_id(store.doc("curriculum.xml").unwrap(), code);
         let seed = Bindings::new().with("seed", Sequence::from_nodes(course));
         let outcome = plan
             .execute_on(&mut store, &seed, &ExecOptions::default())
             .unwrap();
-        (
-            outcome.result.display(&store),
-            outcome.occurrences[0].static_plan_evals,
-        )
+        (outcome.result.display(&store), outcome.fixpoints.len())
     }
 
     #[test]
@@ -1472,31 +1438,6 @@ mod tests {
         assert_eq!(plan.runtimes_minted(), minted);
         assert_eq!(wave(), sequential);
         assert!(plan.runtimes_minted() <= 4);
-    }
-
-    #[test]
-    fn second_execute_reuses_the_warm_runtime() {
-        // One store for both executions: the static cache is keyed on its
-        // load epoch.
-        let mut store = curriculum_store();
-        let plan = PreparedQuery::prepare(
-            "with $x seeded by doc('curriculum.xml')/curriculum/course[@code='c1'] \
-             recurse doc('curriculum.xml')/curriculum/course[@code='c4']",
-            Strategy::Auto,
-            Backend::Algebraic,
-            Parallelism::Sequential,
-        )
-        .unwrap();
-        let mut evals = || {
-            let outcome = plan
-                .execute_on(&mut store, &Bindings::new(), &ExecOptions::default())
-                .unwrap();
-            assert_eq!(outcome.result.len(), 1);
-            outcome.occurrences[0].static_plan_evals
-        };
-        assert!(evals() > 0, "the body has a rec-independent sub-plan");
-        assert_eq!(evals(), 0, "the runtime came back to the pool warm");
-        assert_eq!(plan.runtimes_minted(), 1);
     }
 
     #[test]

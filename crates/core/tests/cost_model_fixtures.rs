@@ -270,16 +270,18 @@ fn forced_knobs_bypass_the_model() {
     assert_eq!(d.alternative, only);
 }
 
-/// The misprediction document: 4000 leaves under the root make the store
-/// look wide-and-shallow (estimated depth ≈ 1.7), while the query's seed
-/// sits at the head of a `depth`-deep chain the estimate cannot see.
-fn trap_document(leaves: usize, depth: usize) -> String {
+/// The misprediction document: many leaves under the root make the store
+/// look wide-and-shallow (estimated depth < 2), while the query's seed
+/// sits at the head of a `depth`-deep chain the estimate cannot see, each
+/// link `width` leaves wide.
+fn trap_document(leaves: usize, depth: usize, width: usize) -> String {
     let mut xml = String::from("<r>");
     for _ in 0..leaves {
         xml.push_str("<w/>");
     }
     for _ in 0..depth {
         xml.push_str("<d>");
+        xml.push_str(&"<w/>".repeat(width));
     }
     for _ in 0..depth {
         xml.push_str("</d>");
@@ -295,7 +297,7 @@ fn trap_document(leaves: usize, depth: usize) -> String {
 fn second_execution_reroutes_a_mispredicted_occurrence() {
     let mut engine = Engine::new();
     engine
-        .load_document("trap.xml", &trap_document(4_000, 30))
+        .load_document("trap.xml", &trap_document(40_000, 120, 30))
         .unwrap();
     engine.set_strategy(Strategy::Auto);
 
@@ -306,7 +308,11 @@ fn second_execution_reroutes_a_mispredicted_occurrence() {
         .unwrap()
         .with_backend(Backend::SourceLevel);
 
-    // Seed at the head of the chain: the true recursion is 30 deep.
+    // Seed at the head of the chain: the true recursion is 120 deep — as
+    // deep as the XML parser's nesting limit leaves room for — and wide
+    // enough that feeding nodes, not starting iterations, is where the time
+    // goes: Naïve feeds back ≈ 225 000 nodes, Delta 3 720, so the two wall
+    // times the third run compares are an order of magnitude apart.
     let head = engine.run("doc('trap.xml')/r/d").unwrap().result;
     assert_eq!(head.len(), 1);
     let bindings = Bindings::new().with("seed", head.clone());
@@ -322,7 +328,7 @@ fn second_execution_reroutes_a_mispredicted_occurrence() {
     assert!(plan.observed_cost_micros.is_some());
     let deep_iterations = first.fixpoints[0].iterations;
     assert!(
-        deep_iterations >= 29,
+        deep_iterations >= 119,
         "the chain walk must actually be deep, got {deep_iterations} iterations"
     );
 
@@ -350,7 +356,7 @@ fn second_execution_reroutes_a_mispredicted_occurrence() {
 /// under batched execution.
 #[test]
 fn adapted_plans_preserve_the_oracle_answer() {
-    let xml = trap_document(200, 12);
+    let xml = trap_document(200, 12, 0);
     let mut oracle_engine = Engine::new();
     oracle_engine.load_document("trap.xml", &xml).unwrap();
     oracle_engine.set_strategy(Strategy::Naive);

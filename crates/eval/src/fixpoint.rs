@@ -103,15 +103,14 @@ pub struct FixpointStats {
     pub payload_calls: usize,
     /// Size of the final result (number of nodes).
     pub result_size: usize,
-    /// Static-cache hits during this run: rec-independent plan nodes whose
-    /// table came back as a shared handle instead of being re-evaluated.
-    /// Only the algebraic back-end has such a cache; interpreted runs
-    /// report zero.
+    /// Run-cache hits during this run: a rec-independent plan node met
+    /// again on a later iteration, whose table came back as a shared handle
+    /// instead of being re-evaluated.  Only the algebraic back-end has such
+    /// a cache; interpreted runs report zero.
     pub static_cache_hits: u64,
-    /// Rec-independent plan nodes actually evaluated during this run.  With
-    /// a persistent executor this is non-zero only the first time a plan
-    /// meets a store state; later runs (and later `execute()` calls of the
-    /// same prepared query) report zero.
+    /// Rec-independent plan nodes actually evaluated during this run: each
+    /// one once, on the iteration that first reaches it.  Nothing carries
+    /// over from an earlier run, so every run of a body reports its own.
     pub static_plan_evals: u64,
     /// Number of seeds this run evaluated together as a **batched
     /// multi-source fixpoint** — `0` for an ordinary single-source run.

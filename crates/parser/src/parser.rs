@@ -45,11 +45,25 @@ pub fn parse_expr(source: &str) -> Result<Expr> {
 /// at the limit parses, runs and drops on a 2 MiB thread with room to spare.
 const MAX_NESTING: usize = 32;
 
+/// Most chain links on one path of the tree the parser returns.  Operator
+/// and step chains (`1+1+…`, `/a/a/…`) and binder lists (`for $a in …, $b
+/// in …`) are parsed by loops, not by recursion, so no [`Parser::nested`]
+/// level sees them — but each link adds a level to the *tree*, and every
+/// later pass recurses over that.  Counted along the deepest path, chains
+/// inside chains included, so this bounds what the loops add to the height
+/// [`MAX_NESTING`] allows.  Sized the same way: an unoptimised evaluation
+/// takes ≈ 22 KB of stack per operator link (≈ 11 KB per step or binder),
+/// and a tree with both limits exhausted runs in ≈ 1.45 MiB.
+const MAX_CHAIN: usize = 40;
+
 struct Parser<'a> {
     lexer: Lexer<'a>,
     peeked: Option<Token>,
     /// Live [`Parser::nested`] levels.
     depth: usize,
+    /// Most chain links on one path of any expression completed since the
+    /// counter was last taken (see [`Parser::measured`]).
+    spine: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -58,6 +72,7 @@ impl<'a> Parser<'a> {
             lexer: Lexer::new(source),
             peeked: None,
             depth: 0,
+            spine: 0,
         }
     }
 
@@ -66,19 +81,63 @@ impl<'a> Parser<'a> {
     /// run out of stack, which aborts the process.
     fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         if self.depth == MAX_NESTING {
-            let offset = match &self.peeked {
-                Some(tok) => tok.offset,
-                None => self.lexer.pos(),
-            };
-            return Err(ParseError::new(
-                offset,
-                format!("expression nested deeper than {MAX_NESTING} levels"),
-            ));
+            return Err(self.too_deep(format!("{MAX_NESTING} levels")));
         }
         self.depth += 1;
         let parsed = parse(self);
         self.depth -= 1;
         parsed
+    }
+
+    fn too_deep(&self, limit: String) -> ParseError {
+        let offset = match &self.peeked {
+            Some(tok) => tok.offset,
+            None => self.lexer.pos(),
+        };
+        ParseError::new(offset, format!("expression nested deeper than {limit}"))
+    }
+
+    /// Run `parse` and report the most chain links on one path of what it
+    /// parsed — chains complete bottom-up, so that is the count of the
+    /// outermost chains inside.  The caller either links the expression into
+    /// a chain of its own ([`Parser::link`]) or leaves the count standing.
+    fn measured<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<(T, usize)> {
+        let outer = std::mem::take(&mut self.spine);
+        let parsed = parse(self)?;
+        let links = std::mem::replace(&mut self.spine, outer);
+        Ok((parsed, links))
+    }
+
+    /// One more link above a spine of `below`, or fail once [`MAX_CHAIN`]
+    /// are stacked: a typed error where evaluating or dropping the tree
+    /// would otherwise run out of stack.
+    fn link(&self, below: usize) -> Result<usize> {
+        if below == MAX_CHAIN {
+            return Err(self.too_deep(format!("{MAX_CHAIN} chained operators, steps or binders")));
+        }
+        Ok(below + 1)
+    }
+
+    /// `operand (operator operand)*` as a left-deep tree — built by a loop,
+    /// so its height is bounded here and not by [`Parser::nested`].
+    fn parse_left_chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr>,
+        operator: fn(&mut Self) -> Result<Option<BinaryOp>>,
+    ) -> Result<Expr> {
+        let (mut lhs, mut links) = self.measured(operand)?;
+        while let Some(op) = operator(self)? {
+            self.next()?;
+            let (rhs, below) = self.measured(operand)?;
+            links = self.link(links.max(below))?;
+            lhs = Expr::Binary {
+                op,
+                lhs: Box::new(lhs),
+                rhs: Box::new(rhs),
+            };
+        }
+        self.spine = self.spine.max(links);
+        Ok(lhs)
     }
 
     // ------------------------------------------------------------------
@@ -383,6 +442,7 @@ impl<'a> Parser<'a> {
             Where(Expr),
         }
 
+        let outer = std::mem::take(&mut self.spine);
         let mut clauses = Vec::new();
         loop {
             if self.at_keyword("for")? {
@@ -435,7 +495,10 @@ impl<'a> Parser<'a> {
         self.expect_keyword("return")?;
         let mut body = self.parse_expr_single()?;
 
+        // One link per clause above the deepest of the parts just parsed.
+        let mut links = self.spine;
         for clause in clauses.into_iter().rev() {
+            links = self.link(links)?;
             body = match clause {
                 Clause::For { var, pos_var, seq } => Expr::For {
                     var,
@@ -455,6 +518,7 @@ impl<'a> Parser<'a> {
                 },
             };
         }
+        self.spine = outer.max(links);
         Ok(body)
     }
 
@@ -462,6 +526,7 @@ impl<'a> Parser<'a> {
         let every = self.at_keyword("every")?;
         self.next()?;
         // Multiple binders desugar into nested quantifiers.
+        let outer = std::mem::take(&mut self.spine);
         let mut binders = Vec::new();
         loop {
             let var = self.expect_variable()?;
@@ -477,7 +542,9 @@ impl<'a> Parser<'a> {
         }
         self.expect_keyword("satisfies")?;
         let mut cond = self.parse_expr_single()?;
+        let mut links = self.spine;
         for (var, seq) in binders.into_iter().rev() {
+            links = self.link(links)?;
             cond = Expr::Quantified {
                 every,
                 var,
@@ -485,6 +552,7 @@ impl<'a> Parser<'a> {
                 cond: Box::new(cond),
             };
         }
+        self.spine = outer.max(links);
         Ok(cond)
     }
 
@@ -545,31 +613,15 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_and_expr()?;
-        while self.at_keyword("or")? {
-            self.next()?;
-            let rhs = self.parse_and_expr()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
+        self.parse_left_chain(Self::parse_and_expr, |p| {
+            Ok(p.at_keyword("or")?.then_some(BinaryOp::Or))
+        })
     }
 
     fn parse_and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_comparison_expr()?;
-        while self.at_keyword("and")? {
-            self.next()?;
-            let rhs = self.parse_comparison_expr()?;
-            lhs = Expr::Binary {
-                op: BinaryOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
+        self.parse_left_chain(Self::parse_comparison_expr, |p| {
+            Ok(p.at_keyword("and")?.then_some(BinaryOp::And))
+        })
     }
 
     fn comparison_op(&mut self) -> Result<Option<BinaryOp>> {
@@ -626,88 +678,42 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_additive_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_multiplicative_expr()?;
-        loop {
-            let op = if self.at(&TokenKind::Plus)? {
-                BinaryOp::Add
-            } else if self.at(&TokenKind::Minus)? {
-                BinaryOp::Sub
-            } else {
-                break;
-            };
-            self.next()?;
-            let rhs = self.parse_multiplicative_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
+        self.parse_left_chain(Self::parse_multiplicative_expr, |p| {
+            Ok(match p.peek()?.kind {
+                TokenKind::Plus => Some(BinaryOp::Add),
+                TokenKind::Minus => Some(BinaryOp::Sub),
+                _ => None,
+            })
+        })
     }
 
     fn parse_multiplicative_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_union_expr()?;
-        loop {
-            let op = if self.at(&TokenKind::Star)? {
-                BinaryOp::Mul
-            } else if self.at_keyword("div")? {
-                BinaryOp::Div
-            } else if self.at_keyword("idiv")? {
-                BinaryOp::IDiv
-            } else if self.at_keyword("mod")? {
-                BinaryOp::Mod
-            } else {
-                break;
-            };
-            self.next()?;
-            let rhs = self.parse_union_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
+        self.parse_left_chain(Self::parse_union_expr, |p| {
+            Ok(match &p.peek()?.kind {
+                TokenKind::Star => Some(BinaryOp::Mul),
+                kind if kind.is_keyword("div") => Some(BinaryOp::Div),
+                kind if kind.is_keyword("idiv") => Some(BinaryOp::IDiv),
+                kind if kind.is_keyword("mod") => Some(BinaryOp::Mod),
+                _ => None,
+            })
+        })
     }
 
     fn parse_union_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_intersect_except_expr()?;
-        loop {
-            if self.at(&TokenKind::Pipe)? || self.at_keyword("union")? {
-                self.next()?;
-                let rhs = self.parse_intersect_except_expr()?;
-                lhs = Expr::Binary {
-                    op: BinaryOp::Union,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                };
-            } else {
-                break;
-            }
-        }
-        Ok(lhs)
+        self.parse_left_chain(Self::parse_intersect_except_expr, |p| {
+            let union = p.at(&TokenKind::Pipe)? || p.at_keyword("union")?;
+            Ok(union.then_some(BinaryOp::Union))
+        })
     }
 
     fn parse_intersect_except_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.parse_unary_expr()?;
-        loop {
-            let op = if self.at_keyword("intersect")? {
-                BinaryOp::Intersect
-            } else if self.at_keyword("except")? {
-                BinaryOp::Except
-            } else {
-                break;
-            };
-            self.next()?;
-            let rhs = self.parse_unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
+        self.parse_left_chain(Self::parse_unary_expr, |p| {
+            Ok(match &p.peek()?.kind {
+                kind if kind.is_keyword("intersect") => Some(BinaryOp::Intersect),
+                kind if kind.is_keyword("except") => Some(BinaryOp::Except),
+                _ => None,
+            })
+        })
     }
 
     fn parse_unary_expr(&mut self) -> Result<Expr> {
@@ -736,76 +742,51 @@ impl<'a> Parser<'a> {
 
     fn parse_path_expr(&mut self) -> Result<Expr> {
         if self.at(&TokenKind::DoubleSlash)? {
-            self.next()?;
-            let rest = self.parse_relative_path_from(Expr::RootPath { step: None })?;
             // `//x` ≡ root()/descendant-or-self::node()/x
-            return Ok(rest);
+            return self.parse_path_tail(Expr::RootPath { step: None }, 0);
         }
         if self.at(&TokenKind::Slash)? {
             self.next()?;
             // A bare `/` selects the root; otherwise a relative path follows.
             if self.starts_step()? {
-                let step = self.parse_step_expr()?;
+                let (step, links) = self.measured(Self::parse_step_expr)?;
                 let first = Expr::RootPath {
                     step: Some(Box::new(step)),
                 };
-                return self.parse_path_tail(first);
+                return self.parse_path_tail(first, links);
             }
             return Ok(Expr::RootPath { step: None });
         }
-        let first = self.parse_step_expr()?;
-        self.parse_path_tail(first)
+        let (first, links) = self.measured(Self::parse_step_expr)?;
+        self.parse_path_tail(first, links)
     }
 
-    /// After `//` at the start of a path: build
-    /// `RootPath/descendant-or-self::node()/…`.
-    fn parse_relative_path_from(&mut self, root: Expr) -> Result<Expr> {
-        let dos = Expr::AxisStep {
-            axis: Axis::DescendantOrSelf,
-            test: NodeTest::AnyNode,
-            predicates: vec![],
-        };
-        let base = Expr::Path {
-            input: Box::new(root),
-            step: Box::new(dos),
-        };
-        let step = self.parse_step_expr()?;
-        let first = Expr::Path {
-            input: Box::new(base),
-            step: Box::new(step),
-        };
-        self.parse_path_tail(first)
-    }
-
-    fn parse_path_tail(&mut self, mut lhs: Expr) -> Result<Expr> {
+    /// The `/step` and `//step` links after `lhs`, whose own spine is
+    /// `links` long; `//` is `/descendant-or-self::node()/`, two links.
+    fn parse_path_tail(&mut self, mut lhs: Expr, mut links: usize) -> Result<Expr> {
         loop {
-            if self.at(&TokenKind::Slash)? {
-                self.next()?;
-                let step = self.parse_step_expr()?;
-                lhs = Expr::Path {
-                    input: Box::new(lhs),
-                    step: Box::new(step),
-                };
-            } else if self.at(&TokenKind::DoubleSlash)? {
-                self.next()?;
+            if self.eat(&TokenKind::DoubleSlash)? {
                 let dos = Expr::AxisStep {
                     axis: Axis::DescendantOrSelf,
                     test: NodeTest::AnyNode,
                     predicates: vec![],
                 };
+                links = self.link(links)?;
                 lhs = Expr::Path {
                     input: Box::new(lhs),
                     step: Box::new(dos),
                 };
-                let step = self.parse_step_expr()?;
-                lhs = Expr::Path {
-                    input: Box::new(lhs),
-                    step: Box::new(step),
-                };
-            } else {
+            } else if !self.eat(&TokenKind::Slash)? {
                 break;
             }
+            let (step, below) = self.measured(Self::parse_step_expr)?;
+            links = self.link(links.max(below))?;
+            lhs = Expr::Path {
+                input: Box::new(lhs),
+                step: Box::new(step),
+            };
         }
+        self.spine = self.spine.max(links);
         Ok(lhs)
     }
 

@@ -13,8 +13,9 @@
 //!
 //! Nothing invalidates an entry.  A plan never read the store, so a
 //! publication cannot make it wrong: `doc(...)` resolves at run time, a
-//! warm executor meeting a snapshot with a different load epoch re-keys its
-//! own caches, and every execution takes its cost-based decisions from the
+//! warm executor keeps symbols but no table from one run to the next (and
+//! restarts the symbols when a snapshot brings another text pool), and
+//! every execution takes its cost-based decisions from the
 //! statistics of the snapshot it runs on (the plan's feedback cells drop
 //! their observations themselves when the data changes *materially*).  An
 //! execution that still holds a plan when its entry is evicted simply

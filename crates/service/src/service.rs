@@ -21,8 +21,8 @@
 //! execution — a concurrent republish never changes data under a running
 //! query, and dropping the last pin frees what only the superseded
 //! snapshot held.  Because the swap replaces a whole
-//! `Arc<PublishedSnapshot>` (store + epoch + revision built before the
-//! swap), no reader can observe a half-published store.  Publication is
+//! `Arc<PublishedSnapshot>` (store + revision built before the swap), no
+//! reader can observe a half-published store.  Publication is
 //! also **all-or-nothing under failure**: the fresh snapshot is built
 //! fully before the published slot is touched, so a panic or injected
 //! fault mid-clone or mid-refresh leaves the previous snapshot
@@ -152,15 +152,12 @@ impl Default for RetryPolicy {
 }
 
 /// One published store version: the frozen snapshot queries execute
-/// against, plus the identity (`load_epoch`, `revision`) it was published
-/// at.
+/// against, plus the `revision` that names it.
 #[derive(Debug, Clone)]
 pub struct PublishedSnapshot {
     /// The frozen store.  Shared — executions that construct nodes get a
     /// private copy-on-write divergence instead of mutating this.
     pub store: Arc<NodeStore>,
-    /// [`NodeStore::load_epoch`] at publication.
-    pub epoch: u64,
     /// [`NodeStore::revision`] at publication.
     pub revision: u64,
 }
@@ -175,8 +172,6 @@ pub struct ServiceStats {
     /// [`queue_wait`](Self::queue_wait), and neither the cache lookup nor a
     /// miss's preparation is counted.
     pub execute_time: Duration,
-    /// `load_epoch` of the snapshot the query ran against.
-    pub snapshot_epoch: u64,
     /// `revision` of the snapshot the query ran against.
     pub snapshot_revision: u64,
     /// Whether the plan came from the cross-session cache.
@@ -333,7 +328,7 @@ impl QueryService {
     /// The plan cache is not touched, whatever changed: a prepared plan
     /// never read the store, so a plan cached under the old snapshot is as
     /// right on the new one — `doc(...)` resolves at run time, and a warm
-    /// executor that meets the new load epoch re-keys its own caches.
+    /// executor keeps no table from one run to the next.
     /// Every execution decides from its own snapshot's statistics, and a
     /// plan's feedback cells drop observations taken under a materially
     /// different shape, so a cached plan re-costs without being re-prepared.
@@ -352,7 +347,6 @@ impl QueryService {
             fail::point("publish.refresh").map_err(|e| fault_internal(e, "publish (refresh)"))?;
             clone.refresh_all();
             Ok(PublishedSnapshot {
-                epoch: clone.load_epoch(),
                 revision: clone.revision(),
                 store: Arc::new(clone),
             })
@@ -536,7 +530,6 @@ impl QueryService {
             stats: ServiceStats {
                 queue_wait,
                 execute_time,
-                snapshot_epoch: pinned.epoch,
                 snapshot_revision: pinned.revision,
                 cache: cache_outcome,
             },
@@ -685,7 +678,6 @@ fn publish_clone(master: &NodeStore) -> PublishedSnapshot {
     let clone = master.clone();
     clone.refresh_all();
     PublishedSnapshot {
-        epoch: clone.load_epoch(),
         revision: clone.revision(),
         store: Arc::new(clone),
     }
@@ -738,12 +730,19 @@ mod tests {
         let service = Arc::new(service_with_curriculum());
         let client = Arc::clone(&service);
         let refused = std::thread::spawn(move || {
-            client.execute(&format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000)))
+            [
+                format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000)),
+                // No nesting for the parser to count, 5 000 levels of tree.
+                format!("1{}", "+1".repeat(4_999)),
+            ]
+            .map(|hostile| client.execute(&hostile))
         });
-        assert!(matches!(
-            refused.join().expect("client thread"),
-            Err(ServiceError::Query(xqy_ifp::IfpError::Parse(_)))
-        ));
+        for refusal in refused.join().expect("client thread") {
+            assert!(matches!(
+                refusal,
+                Err(ServiceError::Query(xqy_ifp::IfpError::Parse(_)))
+            ));
+        }
         let deep = format!("{}{}", "<e>".repeat(10_000), "</e>".repeat(10_000));
         assert!(matches!(
             service.load_document("deep.xml", &deep),
@@ -773,7 +772,6 @@ mod tests {
         service.publish().unwrap();
         let after = service.published();
         assert_eq!(shape(&after), shape(&before));
-        assert_eq!(after.epoch, before.epoch);
         assert_eq!(after.store.doc("late.xml"), None);
 
         service
@@ -803,60 +801,6 @@ mod tests {
         let counters = service.counters();
         assert_eq!(counters.succeeded, 2);
         assert!(counters.cache.hits >= 1);
-    }
-
-    /// The plan cache is not keyed on the load epoch — a plan never read
-    /// the store — so no publication drops an entry.  What *is* keyed on it
-    /// is the executor's static cache, inside the runtime the plan pools: a
-    /// republish at the same epoch keeps that warm too, an epoch move
-    /// invalidates it, and only it.
-    #[test]
-    fn publish_same_epoch_keeps_cache_epoch_move_invalidates() {
-        let service = QueryService::new(ServiceConfig {
-            backend: Backend::Algebraic,
-            ..ServiceConfig::default()
-        });
-        service
-            .load_document_with_ids("curriculum.xml", CURRICULUM, &["code"])
-            .unwrap();
-        service.publish().unwrap();
-        // A body with rec-independent work: the doc-rooted course scan.
-        let query = "with $x seeded by doc('curriculum.xml')/curriculum/course[@code='c1'] \
-                     recurse doc('curriculum.xml')/curriculum/course[@code='c3']";
-        let run = || {
-            let served = service.execute(query).unwrap();
-            assert_eq!(served.outcome.result.len(), 1);
-            (
-                served.stats.cache,
-                served.outcome.occurrences[0].static_plan_evals,
-            )
-        };
-        let (cache, evals) = run();
-        assert_eq!(cache, CacheOutcome::Miss);
-        assert!(evals > 0);
-
-        // Republishing unchanged data: same epoch, everything stays warm.
-        let before = service.publish().unwrap();
-        assert_eq!(service.counters().cache.entries, 1);
-        assert_eq!(run(), (CacheOutcome::Hit, 0));
-
-        // An ID declaration (matching nothing, so the data's shape stays)
-        // moves the load epoch.
-        service
-            .load_document_with_ids("curriculum.xml", CURRICULUM, &["label"])
-            .unwrap();
-        let after = service.publish().unwrap();
-        assert_ne!(before.epoch, after.epoch);
-        assert_eq!(
-            before.store.statistics().fingerprint(),
-            after.store.statistics().fingerprint()
-        );
-        assert_eq!(service.counters().cache.entries, 1);
-        let (cache, evals) = run();
-        assert_eq!(cache, CacheOutcome::Hit, "the same plan serves on");
-        assert!(evals > 0, "its executor re-keyed itself on the new epoch");
-        assert_eq!(run(), (CacheOutcome::Hit, 0));
-        assert_eq!(service.counters().cache.forks, 0);
     }
 
     /// The plan cache is keyed on text and knobs only, so a republish never

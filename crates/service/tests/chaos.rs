@@ -182,7 +182,7 @@ fn failed_publish_leaves_previous_snapshot_and_cache_intact() {
     let cached_before = service.counters().cache.entries;
     assert!(cached_before >= 1);
 
-    // The writer moves the load epoch; were the failed publish not atomic,
+    // The writer moves the master on; were the failed publish not atomic,
     // a half-built snapshot would be installed.
     service.load_document("late.xml", "<late/>").unwrap();
 
@@ -202,7 +202,6 @@ fn failed_publish_leaves_previous_snapshot_and_cache_intact() {
             "expected Internal from {site}, got {err:?}"
         );
         let now = service.published();
-        assert_eq!(now.epoch, before.epoch, "{site}: snapshot replaced");
         assert_eq!(now.revision, before.revision, "{site}: snapshot replaced");
         assert_eq!(
             service.counters().cache.entries,
@@ -216,10 +215,10 @@ fn failed_publish_leaves_previous_snapshot_and_cache_intact() {
     }
     fail::reset();
 
-    // With faults cleared the pending load finally publishes.  The epoch
-    // moves; the cached plans, which never read the store, stay.
+    // With faults cleared the pending load finally publishes.  The
+    // revision moves; the cached plans, which never read the store, stay.
     let published = service.publish().unwrap();
-    assert!(published.epoch > before.epoch);
+    assert!(published.revision > before.revision);
     assert_eq!(service.counters().cache.entries, cached_before);
 }
 

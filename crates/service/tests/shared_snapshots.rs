@@ -76,7 +76,7 @@ fn pinned_reader_is_untouched_by_an_id_declaration_published_later() {
         .load_document_with_ids("g.xml", GRAPH, &["key"])
         .unwrap();
     let next = service.publish().unwrap();
-    assert_ne!(next.epoch, pinned.epoch);
+    assert_ne!(next.revision, pinned.revision);
     assert!(!shares_document(&pinned.store, &next.store, g));
     assert!(shares_document(&pinned.store, &next.store, other));
 
@@ -160,9 +160,10 @@ fn publishing_one_small_document_shares_every_older_one() {
 /// A cached plan never read the store, so nothing a publication does can
 /// make it wrong — `publish()` leaves the plan cache alone.  One plan, and
 /// the one warm runtime it has pooled, serve the snapshots on both sides of
-/// a publication that moved the load epoch: the executor re-keys its static
-/// cache on the epoch it meets and resolves `id()` per run, and that alone
-/// has to keep every answer equal to a fresh service's on the same data.
+/// a publication that changed what `id()` resolves: the executor keeps no
+/// table from one run to the next and resolves `id()` per run, and that
+/// alone has to keep every answer equal to a fresh service's on the same
+/// data.
 #[test]
 fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
     let closure = QUERIES[0];
@@ -193,25 +194,25 @@ fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
     assert_eq!(first.display(), "", "no ID declared on g.xml yet");
     assert_eq!(service.counters().cache.entries, 1);
 
-    // The writer declares an ID attribute on a published document: the load
-    // epoch moves and the closure's answer changes.
+    // The writer declares an ID attribute on a published document: the
+    // closure's answer changes.
     service
         .load_document_with_ids("g.xml", GRAPH, &["key"])
         .unwrap();
     let next = service.publish().unwrap();
-    assert_ne!(next.epoch, pinned.epoch);
+    assert_ne!(next.revision, pinned.revision);
     assert_eq!(service.counters().cache.entries, 1, "publish() dropped it");
     for _ in 0..3 {
         let after = service.execute(closure).unwrap();
         assert_eq!(after.stats.cache, CacheOutcome::Hit);
-        assert_eq!(after.stats.snapshot_epoch, next.epoch);
+        assert_eq!(after.stats.snapshot_revision, next.revision);
         assert_eq!(after.display(), fresh(true, false));
         assert_ne!(after.display(), "");
     }
     assert_eq!(service.counters().cache.forks, 0, "one runtime served both");
 
     // Readers still pinned to the old snapshot share plans with readers of
-    // the new one: one plan, back and forth across the epochs.
+    // the new one: one plan, back and forth across the revisions.
     let plan = PreparedQuery::prepare(
         closure,
         Strategy::Auto,
@@ -224,7 +225,7 @@ fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
         let outcome = plan
             .execute_on(&mut cow, &Bindings::new(), &ExecOptions::default())
             .unwrap();
-        let declared = snapshot.epoch == next.epoch;
+        let declared = snapshot.revision == next.revision;
         assert_eq!(outcome.result.display(cow.read()), fresh(declared, false));
     }
     assert_eq!(plan.runtimes_minted(), 1);
@@ -233,7 +234,7 @@ fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
     // moves with the document count, and the same entry serves on.
     service.load_document("late.xml", "<late/>").unwrap();
     let last = service.publish().unwrap();
-    assert_ne!(last.epoch, next.epoch);
+    assert_ne!(last.revision, next.revision);
     assert_ne!(
         last.store.statistics().fingerprint(),
         next.store.statistics().fingerprint()

@@ -71,8 +71,8 @@ fn concurrent_sessions_match_sequential_execution_per_revision() {
         .insert(initial.revision, initial.clone());
 
     // Writer: keeps loading fresh documents and republishing while the
-    // readers run.  Every publish moves the load epoch, so this also
-    // exercises plan-cache invalidation under load.
+    // readers run.  Every publish installs a new revision, so cached plans
+    // and pooled runtimes keep meeting stores they have not seen.
     let writer = {
         let service = Arc::clone(&service);
         let snapshots = Arc::clone(&snapshots);
@@ -188,7 +188,7 @@ fn concurrent_sessions_match_sequential_execution_per_revision() {
     assert_eq!(counters.failed, 0);
     assert_eq!(counters.active, 0);
     // With 8 sessions sharing 5 query texts, preparation happened once per
-    // (text, epoch) and everyone else hit the shared cache.
+    // text and everyone else hit the shared cache.
     assert!(
         counters.cache.hits >= 1,
         "expected cross-session plan-cache hits, got {:?}",

@@ -30,10 +30,9 @@ use crate::store::NodeStore;
 /// Cloning the handle's `Arc` is O(1); the backing store is cloned at most
 /// once — O(documents), no node copied — on the first
 /// [`write`](CowStore::write) while the `Arc` is still shared.  The clone
-/// preserves every [`NodeId`](crate::NodeId), the
-/// [load epoch](NodeStore::load_epoch) and the
-/// [revision](NodeStore::revision), so node handles, caches keyed on the
-/// epoch, and document-order state all remain valid across the switch.
+/// preserves every [`NodeId`](crate::NodeId) and continues the
+/// [revision](NodeStore::revision) count, so node handles and
+/// document-order state remain valid across the switch.
 #[derive(Debug, Clone)]
 pub struct CowStore {
     inner: Arc<NodeStore>,
@@ -178,8 +177,8 @@ mod tests {
         assert_eq!(shared.revision(), revision_before);
         assert_eq!(shared.document_count(), 1);
         assert_eq!(cow.read().document_count(), 2);
-        // Node identities and epochs carried over to the private copy.
-        assert_eq!(cow.read().load_epoch(), shared.load_epoch());
+        // The private copy continues the shared store's revision count.
+        assert!(cow.read().revision() > shared.revision());
     }
 
     #[test]

@@ -153,7 +153,7 @@ impl NodeKind {
 /// need: the vertical axes (`child`, `descendant`, `parent`, `ancestor`,
 /// plus their `-or-self` variants), the horizontal sibling axes, the global
 /// `following` / `preceding` axes, and `attribute` / `self`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
     /// The children of the context node, in document order.
     Child,
@@ -241,7 +241,7 @@ impl fmt::Display for Axis {
 }
 
 /// A node test, filtering the nodes produced by an axis step.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeTest {
     /// `*` — any element (or any attribute on the attribute axis).
     AnyElement,

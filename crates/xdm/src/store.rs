@@ -446,17 +446,10 @@ pub struct NodeStore {
     names: NameTable,
     /// Count of nodes ever created, across all documents.
     nodes_created: u64,
-    /// Set to a *globally unique* value (process-wide counter) whenever the
-    /// set of addressable documents changes — a parse, or an ID-attribute
-    /// registration that alters `id()` resolution.  Caches derived from
-    /// document contents (e.g. the algebraic executor's rec-independent
-    /// static cache) compare this to decide staleness.
-    load_epoch: u64,
     /// Bumped by **every** mutating method (node construction, attachment,
-    /// parses, ID registrations).  Unlike `load_epoch` (which deliberately
-    /// ignores construction), this counter moves exactly when the store's
-    /// node data could have changed; the service layer names a published
-    /// snapshot by it.
+    /// parses, ID registrations): this counter moves exactly when the
+    /// store's node data could have changed; the service layer names a
+    /// published snapshot by it.
     revision: u64,
     /// Lifetime count of `fn:id` probes answered by a document's ID index
     /// ([`NodeStore::id_probe_hits`]).  Monotonic telemetry that publishes
@@ -478,32 +471,11 @@ impl Clone for NodeStore {
             text: self.text.clone(),
             names: self.names.clone(),
             nodes_created: self.nodes_created,
-            load_epoch: self.load_epoch,
             revision: self.revision,
             id_probe_hits: AtomicU64::new(self.id_probe_hits.load(Relaxed)),
             stats: self.stats.clone(),
         }
     }
-}
-
-/// Process-wide source of [`NodeStore::load_epoch`] values.  Epochs being
-/// globally unique — not per-store counters — means equal epochs imply the
-/// same document set: a cache keyed on an epoch can never be fooled by a
-/// *different* store that happens to have performed the same number of
-/// loads.  (Epoch 0 is shared by stores that never loaded anything, which
-/// all agree on the empty document set.)
-///
-/// Memory ordering: `Relaxed` is deliberate and load-bearing.  The counter
-/// provides *uniqueness only* — no thread ever reads another thread's epoch
-/// value through this atomic to synchronize with other memory.  An epoch
-/// becomes visible to other threads only as a plain field of a store (or a
-/// snapshot pinned from it), and whatever mechanism hands that store across
-/// threads (scoped-thread spawn, mutex, channel) supplies the
-/// happens-before edge.  Stronger orderings here would buy nothing.
-static NEXT_LOAD_EPOCH: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_load_epoch() -> u64 {
-    NEXT_LOAD_EPOCH.fetch_add(1, Relaxed)
 }
 
 impl NodeStore {
@@ -517,22 +489,6 @@ impl NodeStore {
     /// fixed point computations.
     pub fn nodes_created(&self) -> u64 {
         self.nodes_created
-    }
-
-    /// The store's document-load epoch: changes whenever a new document is
-    /// parsed into the store or an ID-typed attribute is registered.
-    ///
-    /// Long-lived consumers that cache tables derived from document contents
-    /// (notably the algebraic executor's rec-independent static cache)
-    /// snapshot this value and invalidate when it moves — this is what makes
-    /// it safe to keep one executor alive across many `execute()` calls while
-    /// still seeing documents loaded after prepare.  Node *construction*
-    /// (fragments built by element constructors) deliberately does not bump
-    /// the epoch: constructed fragments are unreachable through `doc(…)`, and
-    /// bumping per construction would defeat the cache for bodies that build
-    /// nodes every iteration.
-    pub fn load_epoch(&self) -> u64 {
-        self.load_epoch
     }
 
     /// The store's mutation revision: bumped by every mutating method.
@@ -600,7 +556,6 @@ impl NodeStore {
                 // A loaded document is read, not grown: give back the slack
                 // the arena's last doubling left.
                 self.doc_mut(doc.0).nodes.shrink_to_fit();
-                self.load_epoch = fresh_load_epoch();
                 Ok(doc)
             }
             Err(e) => {
@@ -655,7 +610,6 @@ impl NodeStore {
         let declared = |d: &Arc<Document>| d.id_attr_names.iter().any(|n| n == name);
         if self.docs.get(doc.0 as usize).is_some_and(|d| !declared(d)) {
             self.doc_mut(doc.0).id_attr_names.push(name.to_string());
-            self.load_epoch = fresh_load_epoch();
         }
     }
 
@@ -1446,7 +1400,6 @@ mod tests {
         let before = (
             store.document_count(),
             store.nodes_created(),
-            store.load_epoch(),
             store.statistics(),
         );
         let (payloads, names) = (store.text.len(), store.names.len());
@@ -1461,11 +1414,10 @@ mod tests {
         }
         assert_eq!(store.document_count(), before.0);
         assert_eq!(store.nodes_created(), before.1);
-        assert_eq!(store.load_epoch(), before.2);
         let after = store.statistics();
         assert_eq!(
             (after.totals, after.fingerprint()),
-            (before.3.totals, before.3.fingerprint())
+            (before.2.totals, before.2.fingerprint())
         );
         assert_eq!((store.text.len(), store.names.len()), (payloads, names));
         assert_eq!(store.text_pool_get("payload"), None);
@@ -1562,8 +1514,8 @@ mod tests {
         assert_eq!(store.lookup_id(doc, "c1"), None);
         assert_eq!(id_nodes(&store, doc, &next), vec![]);
 
-        // Registering an ID attribute bumps the load epoch: the earlier
-        // misses must NOT survive — both routes now find the elements.
+        // Registering an ID attribute drops the document's derived state:
+        // the earlier misses must NOT survive — both routes now find the elements.
         store.register_id_attribute(doc, "code");
         let c1 = store.lookup_id(doc, "c1").expect("index was rebuilt");
         assert_eq!(store.attribute_value(c1, "code"), Some("c1"));
@@ -1579,8 +1531,8 @@ mod tests {
         assert_eq!(id_nodes(&store, doc, &next), vec![c2]);
         assert_eq!(store.id_probe_hits(), hits + 3);
 
-        // Loading a new document bumps the epoch too; probes against the
-        // old document still resolve correctly afterwards.
+        // Loading a new document leaves the old one alone; probes against
+        // it still resolve correctly afterwards.
         let _ = store.parse_document("<x/>").unwrap();
         assert_eq!(store.lookup_id(doc, "c1"), Some(c1));
         assert_eq!(id_nodes(&store, doc, &next), vec![c2]);
@@ -1588,9 +1540,9 @@ mod tests {
 
     #[test]
     fn id_probe_cache_sees_same_epoch_document_mutation() {
-        // Mutating a document (construction) drops its derived state without
-        // moving the load epoch; the next probe — by string or by symbol — must
-        // see the post-mutation index.
+        // Mutating a document (construction) drops its derived state; the
+        // next probe — by string or by symbol — must see the post-mutation
+        // index.
         let mut store = NodeStore::new();
         let doc = store
             .parse_document("<r><a id=\"n1\" to=\"n2\" then=\"n3\"/></r>")

@@ -2,10 +2,13 @@
 //! overflow (an abort no `catch_unwind` contains).
 //!
 //! Both recursive descents — the query parser and the XML parser — stop at
-//! a fixed depth.  Every case runs on a spawned thread with the default
-//! 2 MiB stack, the stack every `QueryService` client has: an input *at*
-//! the limit must parse, prepare, execute and drop there, and an input far
-//! beyond it must come back as `IfpError::Parse` / `IfpError::Document`.
+//! a fixed depth, and the query parser also bounds the height its *loops*
+//! add to the tree (operator chains, step chains, binder lists: no
+//! recursion in the parser, one tree level per link for every later pass).
+//! Every case runs on a spawned thread with the default 2 MiB stack, the
+//! stack every `QueryService` client has: an input *at* the limit must
+//! parse, prepare, execute and drop there, and an input far beyond it must
+//! come back as `IfpError::Parse` / `IfpError::Document`.
 
 use xqy_ifp::{Bindings, Engine, IfpError};
 
@@ -92,6 +95,62 @@ fn nested_function_calls() {
 fn nested_direct_element_constructors() {
     query_shape_round_trips(|n| format!("{}{}", "<e>".repeat(n), "</e>".repeat(n)));
     query_shape_round_trips(|n| format!("{}1{}", "<e>{".repeat(n), "}</e>".repeat(n)));
+}
+
+/// `first` followed by `n` copies of `link`.
+fn chain(first: &str, link: &str, n: usize) -> String {
+    format!("{first}{}", link.repeat(n))
+}
+
+#[test]
+fn operator_chains() {
+    query_shape_round_trips(|n| chain("1", "+1", n));
+    query_shape_round_trips(|n| chain("1", "*1", n));
+    query_shape_round_trips(|n| chain("0", " or 0", n));
+    query_shape_round_trips(|n| chain("1", " and 1", n));
+    query_shape_round_trips(|n| chain("doc('d')", " union doc('d')", n));
+    query_shape_round_trips(|n| chain("doc('d')//a", " except doc('d')/a", n));
+}
+
+#[test]
+fn step_chains() {
+    query_shape_round_trips(|n| chain("doc('d')", "/a", n));
+    query_shape_round_trips(|n| chain("doc('d')", "//a", n));
+    // …as a recursion body, which the algebra compiler walks as well.
+    query_shape_round_trips(|n| {
+        let body = chain("$x", "/self::a", n);
+        format!("with $x seeded by doc('d')/a recurse {body}")
+    });
+}
+
+#[test]
+fn binder_lists() {
+    query_shape_round_trips(|n| format!("for $i in 1{} return $i", ", $i in 1".repeat(n)));
+    query_shape_round_trips(|n| format!("let $v := 1{} return $v", ", $v := 1".repeat(n)));
+    query_shape_round_trips(|n| format!("some $i in 1{} satisfies $i", ", $i in 1".repeat(n)));
+}
+
+/// The two limits are independent, so the worst tree exhausts both: the
+/// longest chain under the deepest nesting.
+#[test]
+fn a_chain_at_its_limit_under_nesting_at_its_limit() {
+    on_default_stack(|| {
+        let mut engine = engine();
+        let links = deepest_accepted(&engine, |n| chain("1", "+1", n));
+        for (open, close) in [("count(", ")"), ("<e>{", "}</e>"), ("-", "")] {
+            let nested = |n: usize| {
+                let sum = chain("1", "+1", links);
+                format!("{}{sum}{}", open.repeat(n), close.repeat(n))
+            };
+            let levels = (1..HOSTILE)
+                .take_while(|&n| engine.prepare(&nested(n)).is_ok())
+                .count();
+            assert!(levels > 8, "{open}: {levels} levels");
+            let prepared = engine.prepare(&nested(levels)).unwrap();
+            let outcome = prepared.execute(&mut engine, &Bindings::new()).unwrap();
+            engine.display(&outcome.result);
+        }
+    });
 }
 
 #[test]

@@ -299,105 +299,89 @@ fn bindings_shadow_nothing_and_support_rebinding() {
     assert_eq!(engine.display(&outcome.result), "4");
 }
 
-#[test]
-fn second_execute_performs_zero_rec_independent_plan_evaluations() {
-    // The tentpole promise of the persistent-executor refactor: the
-    // rec-independent static cache survives across `execute()` calls, so
-    // re-running a prepared query against an unchanged store evaluates
-    // *zero* rec-independent plan nodes and reports its reuse per
-    // occurrence in the outcome.
-    let mut engine = curriculum_engine();
-    engine.set_backend(Backend::Algebraic);
-    // A body with rec-independent work: the doc-rooted course scan.
-    let prepared = engine
-        .prepare(
-            "with $x seeded by $seed recurse \
-             doc('curriculum.xml')/curriculum/course[@code='c4']",
-        )
-        .unwrap();
-    let bindings = seed_for(&mut engine, "c1");
-
-    let first = prepared.execute(&mut engine, &bindings).unwrap();
-    assert!(
-        first.occurrences[0].static_plan_evals > 0,
-        "first execution must evaluate the rec-independent scan once"
-    );
-
-    let second = prepared.execute(&mut engine, &bindings).unwrap();
-    assert_eq!(
-        second.occurrences[0].static_plan_evals, 0,
-        "second execution must reuse every rec-independent table"
-    );
-    assert!(
-        second.occurrences[0].static_cache_hits > 0,
-        "…and report the shared-handle hits"
-    );
-    // The per-run fixpoint statistics carry the same counters.
-    assert!(second.fixpoints.iter().all(|s| s.static_plan_evals == 0));
-}
+/// A body with a rec-independent arm: the doc-rooted scan for `c4`.
+const SCAN_BODY: &str = "($x/id(./prerequisites/pre_code) union \
+                         doc('curriculum.xml')/curriculum/course[@code='c4'])";
 
 #[test]
-fn loading_a_document_after_execute_invalidates_the_static_cache() {
+fn every_run_evaluates_its_rec_independent_nodes_once_and_hits_them_after() {
+    // The run cache's contract at the query surface: a per-seed loop pays
+    // the rec-independent scan once per seed — nothing is carried from one
+    // run to the next; sharing across seeds is the batched run's job — and
+    // every later iteration of a run gets the table back as a shared handle.
     let mut engine = curriculum_engine();
     engine.set_backend(Backend::Algebraic);
     let prepared = engine
-        .prepare(
-            "with $x seeded by $seed recurse \
-             doc('curriculum.xml')/curriculum/course[@code='c4']",
-        )
-        .unwrap();
-    let bindings = seed_for(&mut engine, "c1");
-    prepared.execute(&mut engine, &bindings).unwrap();
-
-    // A document load bumps the store's load epoch: the persistent
-    // executors must drop their static caches and re-derive.
-    engine.load_document("late.xml", "<late/>").unwrap();
-    let outcome = prepared.execute(&mut engine, &bindings).unwrap();
-    assert!(
-        outcome.occurrences[0].static_plan_evals > 0,
-        "a post-prepare document load must invalidate the static cache"
-    );
-}
-
-#[test]
-fn per_item_loop_shares_static_work_across_seeds() {
-    // One fixpoint per seed course: the rec-independent scan is evaluated
-    // for the first seed only; the remaining seeds hit the cache.
-    let mut engine = curriculum_engine();
-    engine.set_backend(Backend::Algebraic);
-    let prepared = engine
-        .prepare(
-            "for $s in $seed return (with $x seeded by $s recurse \
-             doc('curriculum.xml')/curriculum/course[@code='c4'])",
-        )
+        .prepare(&format!(
+            "for $s in $seed return (with $x seeded by $s recurse {SCAN_BODY})"
+        ))
         .unwrap();
     let all = engine
         .run("doc('curriculum.xml')/curriculum/course")
         .unwrap()
         .result;
-    let outcome = prepared
-        .execute(&mut engine, &Bindings::new().with("seed", all))
+    let bindings = Bindings::new().with("seed", all);
+    for _ in 0..2 {
+        let outcome = prepared.execute(&mut engine, &bindings).unwrap();
+        assert_eq!(outcome.fixpoints.len(), 4);
+        let evals: Vec<u64> = outcome
+            .fixpoints
+            .iter()
+            .map(|s| s.static_plan_evals)
+            .collect();
+        assert!(evals[0] > 0, "the body has a rec-independent scan");
+        assert!(evals.iter().all(|&e| e == evals[0]), "{evals:?}");
+        for run in &outcome.fixpoints {
+            assert!(run.payload_calls >= 2);
+            assert_eq!(run.static_cache_hits as usize, run.payload_calls - 1);
+        }
+    }
+    assert_eq!(prepared.runtimes_minted(), 1);
+}
+
+#[test]
+fn loading_a_document_after_execute_invalidates_the_static_cache() {
+    // Named for the cache it once pinned; what it holds now is the answer:
+    // a warm runtime that meets a later load answers from the store as it
+    // is.  The first execution gets as far as the `c4` scan and fails on
+    // the document that is not there yet.
+    let mut engine = curriculum_engine();
+    engine.set_backend(Backend::Algebraic);
+    let prepared = engine
+        .prepare(
+            "with $x seeded by $seed recurse \
+             (doc('curriculum.xml')/curriculum/course[@code='c4'] union \
+              doc('late.xml')/late/course)",
+        )
         .unwrap();
-    assert_eq!(outcome.fixpoints.len(), 4);
-    let evals: Vec<u64> = outcome
-        .fixpoints
-        .iter()
-        .map(|s| s.static_plan_evals)
-        .collect();
-    assert!(evals[0] > 0, "first seed pays the static work: {evals:?}");
-    assert!(
-        evals[1..].iter().all(|&e| e == 0),
-        "later seeds must ride the cache: {evals:?}"
+    let bindings = seed_for(&mut engine, "c1");
+    assert!(prepared.execute(&mut engine, &bindings).is_err());
+
+    engine
+        .load_document("late.xml", "<late><course code='l1'/></late>")
+        .unwrap();
+    let outcome = prepared.execute(&mut engine, &bindings).unwrap();
+    let expected = engine
+        .run(
+            "doc('curriculum.xml')/curriculum/course[@code='c4'] union \
+             doc('late.xml')/late/course",
+        )
+        .unwrap();
+    assert_eq!(outcome.result.nodes(), expected.result.nodes());
+    assert_eq!(outcome.result.len(), 2);
+    assert_eq!(
+        prepared.runtimes_minted(),
+        1,
+        "the same runtime, still warm"
     );
 }
 
 #[test]
 fn prepared_query_executed_against_a_different_engine_sees_that_store() {
-    // A prepared query's persistent executors cache tables keyed on the
-    // store's load epoch.  Epochs are globally unique, so executing the
-    // same prepared artifact against a *different* engine — even one that
-    // performed the same number of loads — must invalidate and re-derive
-    // from that engine's documents, never serve node ids from the first.
+    // A prepared query's warm runtime keeps symbols but no table: executing
+    // the same artifact against a *different* engine — even one that
+    // performed the same number of loads — answers from that engine's
+    // documents, never with node ids or strings of the first.
     let mut a = curriculum_engine();
     a.set_backend(Backend::Algebraic);
     let prepared = a
@@ -427,12 +411,112 @@ fn prepared_query_executed_against_a_different_engine_sees_that_store() {
     assert_eq!(
         on_b.result.len(),
         0,
-        "engine B has no c4 course; a stale cached table from A would leak one"
+        "engine B has no c4 course; a table kept from A would leak one"
     );
-    assert!(
-        on_b.occurrences[0].static_plan_evals > 0,
-        "the switch of stores must invalidate the static cache"
+    // …and back: the runtime's symbols restarted for B's text pool, and
+    // restart again for A's.
+    let again = prepared.execute(&mut a, &bindings_a).unwrap();
+    assert_eq!(again.result.nodes(), on_a.result.nodes());
+    assert_eq!(prepared.runtimes_minted(), 1);
+}
+
+#[test]
+fn one_runtime_serves_every_occurrence_and_both_plans() {
+    // Two algebraic occurrences, and `execute` interleaved with
+    // `execute_batched`: one executor drives all of it, and every answer is
+    // what a fresh engine with a freshly prepared query gives.
+    let two = format!(
+        "(with $x seeded by $seed recurse {PREREQ_BODY}, \
+          count(with $x seeded by $seed recurse {SCAN_BODY}))"
     );
+    // A bare fixpoint, so that `execute_batched` runs the seed-carried plan
+    // where `execute` runs the per-seed one.
+    let bare = format!("with $x seeded by $seed recurse {PREREQ_BODY}");
+    for query in [two, bare] {
+        let mut engine = curriculum_engine();
+        engine.set_backend(Backend::Algebraic);
+        let prepared = engine.prepare(&query).unwrap();
+        let seeds = engine
+            .run("doc('curriculum.xml')/curriculum/course")
+            .unwrap()
+            .result;
+        let fresh = |batched: bool, code: &str| {
+            let mut engine = curriculum_engine();
+            engine.set_backend(Backend::Algebraic);
+            let prepared = engine.prepare(&query).unwrap();
+            let outcome = if batched {
+                let none = Bindings::new();
+                let batch = prepared.execute_batched(&mut engine, "seed", &seeds, &none);
+                batch.unwrap().outcome
+            } else {
+                let bindings = seed_for(&mut engine, code);
+                prepared.execute(&mut engine, &bindings).unwrap()
+            };
+            engine.display(&outcome.result)
+        };
+        let mut batched = Vec::new();
+        for code in ["c1", "c2", "c1"] {
+            let batch = prepared
+                .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
+                .unwrap();
+            batched.push(batch.batched);
+            assert_eq!(engine.display(&batch.outcome.result), fresh(true, code));
+            let bindings = seed_for(&mut engine, code);
+            let single = prepared.execute(&mut engine, &bindings).unwrap();
+            assert_eq!(engine.display(&single.result), fresh(false, code));
+        }
+        // Measured wall times may route a later batch seed by seed.
+        assert_eq!(batched[0], prepared.occurrences().len() == 1, "{batched:?}");
+        assert_eq!(prepared.runtimes_minted(), 1);
+    }
+}
+
+#[test]
+fn text_constructed_between_two_algebraic_runs_restarts_the_symbols_unseen() {
+    use std::sync::Arc;
+    use xqy_ifp::xdm::{CowStore, NodeStore};
+    use xqy_ifp::{ExecOptions, Parallelism, PreparedQuery};
+
+    // Both fixpoints compare strings (`string(pre_code)` against the ID
+    // index).  The first runs on the shared snapshot's text pool; the
+    // constructor between them interns a new string, so the session's store
+    // diverges and the second run starts on a pool of another identity.
+    let query = format!(
+        "(with $x seeded by $seed recurse {PREREQ_BODY}, \
+          <note at='never seen before'>a text no document holds</note>, \
+          with $y seeded by $seed recurse {})",
+        PREREQ_BODY.replace("$x", "$y")
+    );
+    let mut store = NodeStore::new();
+    let doc = store
+        .parse_document_with_uri("curriculum.xml", CURRICULUM)
+        .unwrap();
+    store.register_id_attribute(doc, "code");
+    let seed = store.lookup_id(doc, "c1").unwrap();
+    let snapshot = Arc::new(store);
+    let bindings = Bindings::new().with("seed", xqy_ifp::xdm::Sequence::from_nodes(vec![seed]));
+
+    let answer = |prepared: &PreparedQuery| {
+        let mut cow = CowStore::new(Arc::clone(&snapshot));
+        let outcome = prepared
+            .execute_on(&mut cow, &bindings, &ExecOptions::default())
+            .unwrap();
+        assert!(cow.diverged());
+        assert_ne!(cow.read().text_pool_id(), snapshot.text_pool_id());
+        outcome.result.display(cow.read())
+    };
+    let prepare = |backend| {
+        PreparedQuery::prepare(&query, Strategy::Auto, backend, Parallelism::Sequential).unwrap()
+    };
+    let algebraic = prepare(Backend::Algebraic);
+    let expected = answer(&prepare(Backend::SourceLevel));
+    assert!(expected.contains("a text no document holds"));
+    // The second execution starts on the snapshot's pool again, with the
+    // runtime the first returned.
+    for _ in 0..2 {
+        assert_eq!(answer(&algebraic), expected);
+    }
+    assert_eq!(algebraic.runtimes_minted(), 1);
 }
 
 /// An execution's run summary is its own.  The feedback cell is shared by
