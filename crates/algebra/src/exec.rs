@@ -52,17 +52,14 @@
 //! and [`Executor::run_fixpoint_batched`] hand a compiled body to the
 //! shared Figure-3 driver ([`xqy_xdm::fixpoint`]) as a
 //! [`Body`], and a nested `µ`/`µ∆` operator
-//! re-enters the same driver.  A batched run can shard its body evaluation
-//! across OS threads ([`Executor::set_threads`]): every evaluation path
-//! goes through an internal `StoreRef` — exclusive for the sequential paths,
-//! shared read-only for parallel shards — and the parallel path is gated on
-//! the body being construction-free ([`Plan::contains_construct`]), because
-//! `Construct` is the one operator that mutates the store.
+//! re-enters the same driver.  The body always runs on the caller thread,
+//! against the caller's [`StoreMut`] handle; [`Executor::set_threads`] only
+//! lets the driver shard its per-seed folds, as on the interpreter.
 
 use std::sync::Arc;
 
 use xqy_xdm::fixpoint::{self, Body, Config, FixpointStrategy, Group, LimitError, Limits, Seeds};
-use xqy_xdm::{shard, CowStore, DocId, IdMap, IdSet, Interner, NodeId, NodeStore, StoreMut, StrId};
+use xqy_xdm::{DocId, IdMap, IdSet, Interner, NodeId, NodeStore, StoreMut, StrId};
 
 pub use xqy_xdm::fixpoint::{BatchSharing, ExecStats};
 
@@ -372,58 +369,6 @@ impl From<MuStrategy> for FixpointStrategy {
     }
 }
 
-/// Exclusive-or-shared access to the node store during plan evaluation.
-///
-/// The executor's public entry points take any [`StoreMut`]-convertible
-/// handle (`&mut NodeStore` or a session's `&mut CowStore`) and wrap it in
-/// the matching variant; a parallel batched run instead hands each
-/// worker executor a [`StoreRef::Shared`] view of the same store.  Every
-/// operator reads through [`StoreRef::read`]; only `Construct` — the one
-/// operator that mutates the store — goes through [`StoreRef::write`],
-/// which fails on a shared view (and lazily clones a copy-on-write store).
-/// The parallel path never reaches that error because it is gated on
-/// [`Plan::contains_construct`] being `false`, but the check turns a
-/// would-be data race into a reported error if the gate is ever bypassed.
-enum StoreRef<'a> {
-    /// Exclusive access — the sequential paths; construction allowed.
-    Unique(&'a mut NodeStore),
-    /// A session's copy-on-write store — construction clones it privately.
-    Cow(&'a mut CowStore),
-    /// Shared read-only access — one shard of a parallel batched run.
-    Shared(&'a NodeStore),
-}
-
-impl StoreRef<'_> {
-    fn read(&self) -> &NodeStore {
-        match self {
-            StoreRef::Unique(store) => store,
-            StoreRef::Cow(cow) => cow.read(),
-            StoreRef::Shared(store) => store,
-        }
-    }
-
-    fn write(&mut self) -> Result<&mut NodeStore> {
-        match self {
-            StoreRef::Unique(store) => Ok(store),
-            StoreRef::Cow(cow) => Ok(cow.write()),
-            StoreRef::Shared(_) => Err(AlgebraError::Execution(
-                "node construction requires exclusive store access \
-                 (parallel fixpoint shards evaluate construction-free plans only)"
-                    .into(),
-            )),
-        }
-    }
-}
-
-impl<'a> From<StoreMut<'a>> for StoreRef<'a> {
-    fn from(handle: StoreMut<'a>) -> Self {
-        match handle {
-            StoreMut::Exclusive(store) => StoreRef::Unique(store),
-            StoreMut::Cow(cow) => StoreRef::Cow(cow),
-        }
-    }
-}
-
 /// The executor state scoped to *one run* of one plan: built when the run
 /// starts, dropped when it ends.  Bundled so that re-entrant evaluation (a
 /// nested `µ`/`µ∆` operator, whose sub-plan's node ids overlap the outer
@@ -461,12 +406,9 @@ impl PlanState {
 #[derive(Debug)]
 pub struct Executor {
     /// Document used to resolve `IdLookup` when the looked-up strings do not
-    /// come with an obvious anchor node; derived from the fixpoint seed
-    /// unless set explicitly.
+    /// come with an obvious anchor node: the seeds' document, derived per
+    /// fixpoint run.
     context_doc: Option<DocId>,
-    /// `true` when `context_doc` was set by [`Executor::set_context_doc`]
-    /// (and must not be re-derived from later seeds).
-    context_doc_explicit: bool,
     /// The string pool backing every `Key::Sym` this executor produced.
     interner: Interner,
     /// Identity of the store text pool `sym_xlat` translates from (`0` is
@@ -490,12 +432,8 @@ pub struct Executor {
     /// reset; a breach stops the run between iterations, never
     /// mid-mutation.
     pub limits: Limits,
-    /// Shard count for batched fixpoint runs; `1` = sequential (default).
+    /// Shard count of the driver's per-seed folds; `1` = sequential (default).
     threads: usize,
-    /// Persistent worker executors for parallel batched runs, created
-    /// lazily (one per shard).  Like their parent, workers keep their
-    /// symbols across runs and their tables for one run.
-    workers: Vec<Executor>,
 }
 
 impl Default for Executor {
@@ -509,7 +447,6 @@ impl Executor {
     pub fn new() -> Self {
         Executor {
             context_doc: None,
-            context_doc_explicit: false,
             interner: Interner::new(),
             sym_xlat_pool: 0,
             sym_xlat: Vec::new(),
@@ -518,7 +455,6 @@ impl Executor {
             static_plan_evals: 0,
             limits: Limits::default(),
             threads: 1,
-            workers: Vec::new(),
         }
     }
 
@@ -562,45 +498,29 @@ impl Executor {
         }
     }
 
-    /// Drop the run cache (workers included), returning an estimate of the
-    /// bytes freed — the relational side of budget relief.  The tables are
-    /// recomputable: the next iteration evaluates what it needs again.
+    /// Drop the run cache, returning an estimate of the bytes freed — the
+    /// relational side of budget relief.  The tables are recomputable: the
+    /// next iteration evaluates what it needs again.
     fn release_run_cache(&mut self) -> u64 {
-        fn drain(state: &mut PlanState) -> u64 {
-            let bytes = |t: &Table| (t.rows * t.cols.len() * std::mem::size_of::<Key>()) as u64;
-            state.run_cache.drain().map(|(_, t)| bytes(&t)).sum()
-        }
-        let mut freed = drain(&mut self.plan_state);
-        for worker in &mut self.workers {
-            freed += drain(&mut worker.plan_state);
-        }
-        freed
+        let bytes = |t: &Table| (t.rows * t.cols.len() * std::mem::size_of::<Key>()) as u64;
+        self.plan_state
+            .run_cache
+            .drain()
+            .map(|(_, t)| bytes(&t))
+            .sum()
     }
 
-    /// Set the shard count for [`Executor::run_fixpoint_batched`]
-    /// ([`xqy_xdm::fixpoint::Config::threads`]).  The one sharding rule: the
-    /// driver splits its per-seed phases over at most this many threads and
-    /// offers the same count to the body, which shards the seed-carried
-    /// plan's tagged groups across persistent worker executors reading a
-    /// shared view of the store.  A single seed has nothing to split, a
-    /// constructing body pins the run to the exclusive store handle, `1`
-    /// (the default) runs everything inline, and once a memory budget has
-    /// used its relief round the rest of the query is sequential.  Results
-    /// and statistics are identical at any count.
+    /// Set the shard count of the fixpoint driver
+    /// ([`xqy_xdm::fixpoint::Config::threads`]).  The one sharding rule, as
+    /// on the interpreter: the driver splits its per-seed `except`/`union`
+    /// folds and final materialisations over at most this many threads,
+    /// and the body always runs on the caller thread.  A single seed has
+    /// nothing to split, `1` (the default; `0` clamps to it) runs
+    /// everything inline, and once a memory budget has used its relief
+    /// round the rest of the query is sequential.  Results and statistics
+    /// are identical at any count.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// The configured shard count for batched fixpoint runs.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Set the document used for `IdLookup` resolution (overrides the
-    /// per-run derivation from the seed).
-    pub fn set_context_doc(&mut self, doc: DocId) {
-        self.context_doc = Some(doc);
-        self.context_doc_explicit = true;
     }
 
     /// The executor's string pool (resolve `Key::Sym` cells through this).
@@ -620,14 +540,7 @@ impl Executor {
     /// The prepared-query layer diffs this around a run to report it in
     /// `FixpointStats`.
     pub fn static_cache_hits(&self) -> u64 {
-        // Workers run shards of the same plan: their hits are this
-        // executor's hits as far as the reuse metrics are concerned.
         self.static_cache_hits
-            + self
-                .workers
-                .iter()
-                .map(Executor::static_cache_hits)
-                .sum::<u64>()
     }
 
     /// How many rec-independent plan nodes were actually evaluated, over
@@ -635,11 +548,6 @@ impl Executor {
     /// (twice only when budget relief dropped the run cache in between).
     pub fn static_plan_evals(&self) -> u64 {
         self.static_plan_evals
-            + self
-                .workers
-                .iter()
-                .map(Executor::static_plan_evals)
-                .sum::<u64>()
     }
 
     /// Run `f` with the state of a fresh run of `plan` installed, and put
@@ -671,7 +579,7 @@ impl Executor {
         plan: &Plan,
         rec: &Table,
     ) -> Result<Table> {
-        let mut store = StoreRef::from(store.into());
+        let mut store: StoreMut<'_> = store.into();
         self.restart_symbols_for(store.read());
         self.in_run(plan, |exec| exec.eval_plan_in_run(&mut store, plan, rec))
     }
@@ -680,7 +588,7 @@ impl Executor {
     /// per-iteration entry point of a fixpoint run.
     fn eval_plan_in_run(
         &mut self,
-        store: &mut StoreRef<'_>,
+        store: &mut StoreMut<'_>,
         plan: &Plan,
         rec: &Table,
     ) -> Result<Table> {
@@ -693,7 +601,7 @@ impl Executor {
 
     fn eval_node(
         &mut self,
-        store: &mut StoreRef<'_>,
+        store: &mut StoreMut<'_>,
         plan: &Plan,
         id: PlanNodeId,
         rec: &Table,
@@ -726,7 +634,7 @@ impl Executor {
 
     fn apply(
         &mut self,
-        store: &mut StoreRef<'_>,
+        store: &mut StoreMut<'_>,
         plan: &Plan,
         op: &Operator,
         input_ids: &[PlanNodeId],
@@ -1025,7 +933,7 @@ impl Executor {
                             let d = self.context_doc.ok_or_else(|| {
                                 AlgebraError::Execution(
                                     "IdLookup requires a context document \
-                                     (Executor::set_context_doc)"
+                                     (the seeds' document of a fixpoint run)"
                                         .into(),
                                 )
                             })?;
@@ -1052,7 +960,7 @@ impl Executor {
             }
             Operator::Construct(name) => {
                 let input = inputs.remove(0);
-                let store = store.write()?;
+                let store = store.write();
                 let frag = store.new_fragment();
                 let element = store.create_element(frag, xqy_xdm::QName::local(name.clone()));
                 let _ = input;
@@ -1169,69 +1077,39 @@ impl Executor {
         seed_in_result: bool,
         sharing: BatchSharing,
     ) -> Result<(Vec<Vec<NodeId>>, ExecStats)> {
-        let store = &mut StoreRef::from(store.into());
+        let mut store: StoreMut<'_> = store.into();
         self.restart_symbols_for(store.read());
-        self.drive(store, body, seeds, strategy, seed_in_result, sharing)
+        self.drive(&mut store, body, seeds, strategy, seed_in_result, sharing)
     }
 
     /// Hand `plan` to the shared Figure-3 driver as a [`Body`] — the one
     /// entry every fixpoint of this executor goes through, the nested
-    /// `µ`/`µ∆` operator included (which is why it takes a [`StoreRef`]: a
-    /// nested fixpoint inside a parallel shard runs against the shared
-    /// store view).  A batch ([`Seeds::Each`]) takes `plan` in seed-carried
-    /// form, a single-source run in per-seed form.
+    /// `µ`/`µ∆` operator included.  A batch ([`Seeds::Each`]) takes `plan`
+    /// in seed-carried form, a single-source run in per-seed form.
     fn drive(
         &mut self,
-        store: &mut StoreRef<'_>,
+        store: &mut StoreMut<'_>,
         plan: &Plan,
         seeds: Seeds<'_>,
         strategy: FixpointStrategy,
         seed_in_result: bool,
         sharing: BatchSharing,
     ) -> Result<(Vec<Vec<NodeId>>, ExecStats)> {
-        if !self.context_doc_explicit {
-            // Resolve id() lookups against the seed's document by default,
-            // re-derived per run so a persistent executor follows its seeds
-            // — and reset to None on an empty seed, so a run never resolves
-            // IDs against a stale document from a previous run (or store).
-            // IdLookup demands the document lazily, so empty-seeded runs
-            // over id()-bodies still evaluate to empty rather than erroring.
-            // The batched dispatcher only batches same-document seed sets
-            // over id()-using plans, so "the first seed's document" is *the*
-            // document of a batch.
-            let (Seeds::Set(nodes) | Seeds::Each(nodes)) = seeds;
-            self.context_doc = nodes.first().map(|n| DocId(n.doc));
-        }
-        // Shard only when parallelism is requested, there is more than one
-        // source to spread, and the body is construction-free (construction
-        // mutates the store and pins the run to the exclusive handle).
-        let threads = match seeds {
-            Seeds::Each(seeds) if !plan.contains_construct() => self.threads.min(seeds.len()),
-            _ => 1,
-        };
-        if threads > 1 {
-            while self.workers.len() < threads {
-                self.workers.push(Executor::new());
-            }
-            for worker in &mut self.workers[..threads] {
-                // Workers mirror the parent's per-run state: same context
-                // document (and derivation mode, so nested fixpoints
-                // re-derive exactly as the sequential run would), a run
-                // state of their own, symbols of this store's pool (only a
-                // top-level run shards, so no worker table is alive).
-                worker.limits = self.limits;
-                worker.context_doc = self.context_doc;
-                worker.context_doc_explicit = self.context_doc_explicit;
-                worker.restart_symbols_for(store.read());
-                worker.plan_state = PlanState::of(plan);
-            }
-        }
-
+        // Resolve id() lookups against the seed's document, re-derived per
+        // run so a persistent executor follows its seeds — and reset to None
+        // on an empty seed, so a run never resolves IDs against a stale
+        // document from a previous run (or store).  IdLookup demands the
+        // document lazily, so empty-seeded runs over id()-bodies still
+        // evaluate to empty rather than erroring.  The batched dispatcher
+        // only batches same-document seed sets over id()-using plans, so
+        // "the first seed's document" is *the* document of a batch.
+        let (Seeds::Set(nodes) | Seeds::Each(nodes)) = seeds;
+        self.context_doc = nodes.first().map(|n| DocId(n.doc));
         let config = Config {
             strategy,
             sharing,
             seed_in_result,
-            threads,
+            threads: self.threads,
             limits: self.limits,
         };
         let carried = matches!(seeds, Seeds::Each(_));
@@ -1244,9 +1122,6 @@ impl Executor {
             };
             fixpoint::run(&mut body, &config, seeds)
         });
-        for worker in &mut self.workers {
-            worker.plan_state = PlanState::default();
-        }
         Ok((result?, stats))
     }
 
@@ -1258,60 +1133,15 @@ impl Executor {
     /// [`BatchSharing::DistinctNodes`] mode).
     fn eval_tagged_batch(
         &mut self,
-        store: &mut StoreRef<'_>,
+        store: &mut StoreMut<'_>,
         body: &Plan,
         tagged: &[(NodeId, &[NodeId])],
-        shards: usize,
         stats: &mut ExecStats,
     ) -> Result<Vec<Vec<NodeId>>> {
         let total_rows: usize = tagged.iter().map(|(_, nodes)| nodes.len()).sum();
         stats.rows_fed_back += total_rows as u64;
         stats.frontier_curve.push(total_rows as u64);
-        // One *logical* body evaluation per iteration regardless of shard
-        // count, so batched statistics stay comparable across thread
-        // settings (the whole point of the stat is counting shared
-        // iterations, not OS-level plan walks).
         stats.body_evaluations += 1;
-        let shards = shards.min(tagged.len()).max(1);
-        if shards <= 1 {
-            return self.eval_tagged_chunk(store, body, tagged);
-        }
-        // Shard the tagged groups across the persistent worker executors,
-        // each evaluating the body over a shared read-only store view.
-        // Sound because the body is seed-carried — each group's rows stay
-        // disjoint inside the plan, so a chunk's output equals those
-        // groups evaluated alone — and construction-free (the parallel
-        // gate).  Workers intern strings independently, which is harmless:
-        // only node cells are regrouped into the fixpoint.
-        let shared: &NodeStore = store.read();
-        let chunk = tagged.len().div_ceil(shards);
-        type WorkItem<'w, 'g> = (&'w mut Executor, &'g [(NodeId, &'g [NodeId])]);
-        let mut work: Vec<WorkItem<'_, '_>> = self.workers[..shards]
-            .iter_mut()
-            .zip(tagged.chunks(chunk))
-            .collect();
-        let results = shard::for_each_shard(work.len(), &mut work, |_, items| {
-            // `for_each_shard` with threads == len hands each closure
-            // exactly one (worker, chunk) pair.
-            let (worker, part) = &mut items[0];
-            worker.eval_tagged_chunk(&mut StoreRef::Shared(shared), body, part)
-        });
-        let mut groups = Vec::with_capacity(tagged.len());
-        for result in results {
-            groups.extend(result?);
-        }
-        Ok(groups)
-    }
-
-    /// The sequential core of [`Executor::eval_tagged_batch`]: evaluate the
-    /// seed-carried body once over `tagged` and regroup the output rows by
-    /// tag — either the whole batch, or one shard's chunk of it.
-    fn eval_tagged_chunk(
-        &mut self,
-        store: &mut StoreRef<'_>,
-        body: &Plan,
-        tagged: &[(NodeId, &[NodeId])],
-    ) -> Result<Vec<Vec<NodeId>>> {
         let mut tag_col = Vec::new();
         let mut item_col = Vec::new();
         for (tag, nodes) in tagged {
@@ -1349,7 +1179,7 @@ impl Executor {
 
     fn eval_body(
         &mut self,
-        store: &mut StoreRef<'_>,
+        store: &mut StoreMut<'_>,
         body: &Plan,
         input: &[NodeId],
         stats: &mut ExecStats,
@@ -1365,11 +1195,10 @@ impl Executor {
 }
 
 /// A compiled recursion body as the driver sees it: the per-seed plan is
-/// evaluated group by group, the seed-carried plan once over all groups
-/// (on the worker shards when asked to).
+/// evaluated group by group, the seed-carried plan once over all groups.
 struct PlanBody<'a, 's> {
     executor: &'a mut Executor,
-    store: &'a mut StoreRef<'s>,
+    store: &'a mut StoreMut<'s>,
     plan: &'a Plan,
     carried: bool,
 }
@@ -1377,16 +1206,11 @@ struct PlanBody<'a, 's> {
 impl Body for PlanBody<'_, '_> {
     type Error = AlgebraError;
 
-    fn images(
-        &mut self,
-        groups: &[Group<'_>],
-        shards: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Vec<NodeId>>> {
+    fn images(&mut self, groups: &[Group<'_>], stats: &mut ExecStats) -> Result<Vec<Vec<NodeId>>> {
         if self.carried {
             return self
                 .executor
-                .eval_tagged_batch(self.store, self.plan, groups, shards, stats);
+                .eval_tagged_batch(self.store, self.plan, groups, stats);
         }
         groups
             .iter()
@@ -1720,9 +1544,8 @@ mod tests {
         let mu = plan.add(Operator::Mu, vec![seed, lookup]);
         plan.set_root(mu);
 
-        let doc_id = store.doc("curriculum.xml").unwrap();
+        // The nested µ resolves id() against its seeds' document.
         let mut exec = Executor::new();
-        exec.set_context_doc(doc_id);
         let result = exec
             .eval_plan(&mut store, &plan, &Table::new(vec!["item".into()]))
             .unwrap();
@@ -2161,49 +1984,6 @@ mod tests {
         assert_eq!(deltas[0], deltas[1], "every run pays for itself");
     }
 
-    /// Shard workers keep a run cache each: per run every executor that
-    /// evaluates the body scans once, whatever ran before.
-    #[test]
-    fn shard_workers_evaluate_rec_independent_nodes_once_per_run() {
-        let (mut store, doc) = store_with_curriculum();
-        let carried = join_closure_plan().seed_carried().expect("seed-local");
-        let seeds: Vec<NodeId> = ["c1", "c2", "c3", "c4"]
-            .iter()
-            .flat_map(|code| seed_course(&mut store, doc, code))
-            .collect();
-        let mut batch = |exec: &mut Executor| {
-            let sharing = BatchSharing::PerSeed;
-            exec.run_fixpoint_batched(
-                &mut store,
-                &carried,
-                &seeds,
-                MuStrategy::MuDelta,
-                false,
-                sharing,
-            )
-            .unwrap()
-        };
-        let (expected, stats) = batch(&mut Executor::new());
-        assert!(stats.body_evaluations >= 2);
-
-        let mut exec = Executor::new();
-        exec.set_threads(2);
-        let mut deltas = Vec::new();
-        for _ in 0..3 {
-            let ((table, _), evals, hits) = counted(&mut exec, &mut batch);
-            assert_eq!(table, expected);
-            assert!(hits > 0);
-            // Two workers, plus the parent once the frontier is one group.
-            assert!([2, 3].contains(&(evals / SCAN_NODES)) && evals % SCAN_NODES == 0);
-            assert!(exec
-                .workers
-                .iter()
-                .all(|w| w.plan_state.run_cache.is_empty()));
-            deltas.push((evals, hits));
-        }
-        assert!(deltas.iter().all(|d| *d == deltas[0]), "{deltas:?}");
-    }
-
     /// The batched multi-source driver computes, for every seed of the
     /// batch, exactly the per-seed fixpoint — grouped by seed, in document
     /// order within each group — while evaluating the shared body only
@@ -2326,12 +2106,11 @@ mod tests {
         assert_eq!(table.len(), 4); // c1 plus its closure {c2, c3, c4}
     }
 
-    /// A parallel batched run (`threads > 1`) is bit-identical to the
-    /// sequential driver — same table, same stats — for every strategy ×
-    /// sharing × seed-inclusion combination and several shard counts
-    /// (including more shards than seeds).  The Q1 body contains an
-    /// `IdLookup`, so this also exercises the shared id-probe memo from
-    /// multiple worker threads.
+    /// A batched run whose driver shards its per-seed folds (`threads > 1`)
+    /// is bit-identical to the sequential one — same table, same stats —
+    /// for every strategy × sharing × seed-inclusion combination and
+    /// several shard counts (including more shards than seeds, and `0`,
+    /// which clamps to sequential).
     #[test]
     fn parallel_batched_matches_sequential() {
         let (mut store, doc) = store_with_curriculum();
@@ -2354,7 +2133,7 @@ mod tests {
                             sharing,
                         )
                         .unwrap();
-                    for threads in [2, 3, 8] {
+                    for threads in [0, 2, 3, 8] {
                         let mut exec = Executor::new();
                         exec.set_threads(threads);
                         let (table, stats) = exec
@@ -2378,50 +2157,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Worker executors persist: a second parallel run on the same
-    /// executor reuses them (and still matches the sequential result).
-    /// `set_threads(0)` clamps to the sequential setting.
-    #[test]
-    fn parallel_batched_workers_persist_across_runs() {
-        let (mut store, doc) = store_with_curriculum();
-        let batched_plan = q1_plan().seed_carried().unwrap();
-        let seeds: Vec<NodeId> = ["c1", "c2"]
-            .iter()
-            .flat_map(|code| seed_course(&mut store, doc, code))
-            .collect();
-        let (expected, _) = Executor::new()
-            .run_fixpoint_batched(
-                &mut store,
-                &batched_plan,
-                &seeds,
-                MuStrategy::MuDelta,
-                false,
-                BatchSharing::PerSeed,
-            )
-            .unwrap();
-
-        let mut exec = Executor::new();
-        exec.set_threads(2);
-        assert_eq!(exec.threads(), 2);
-        for _ in 0..2 {
-            let (table, _) = exec
-                .run_fixpoint_batched(
-                    &mut store,
-                    &batched_plan,
-                    &seeds,
-                    MuStrategy::MuDelta,
-                    false,
-                    BatchSharing::PerSeed,
-                )
-                .unwrap();
-            assert_eq!(table, expected);
-        }
-        assert_eq!(exec.workers.len(), 2, "workers are created once and kept");
-
-        exec.set_threads(0);
-        assert_eq!(exec.threads(), 1, "set_threads clamps to sequential");
     }
 
     /// Projection shares column storage with its input (zero-copy π).

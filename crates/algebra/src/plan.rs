@@ -397,17 +397,6 @@ impl Plan {
             .any(|n| matches!(n.op, Operator::IdLookup))
     }
 
-    /// `true` when any operator of the plan is an [`Operator::Construct`].
-    /// Construction mints fresh node identities — the one operator that
-    /// *mutates* the store — so such plans cannot be sharded across threads
-    /// over a shared store view; a parallel batched run checks this
-    /// and falls back to the sequential path.
-    pub fn contains_construct(&self) -> bool {
-        self.nodes
-            .iter()
-            .any(|n| matches!(n.op, Operator::Construct(_)))
-    }
-
     /// Render the plan as an indented tree rooted at the plan root (shared
     /// sub-DAGs are printed once per reference).
     pub fn render(&self) -> String {

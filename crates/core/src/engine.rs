@@ -60,20 +60,18 @@ impl From<FixpointStrategy> for Strategy {
     }
 }
 
-/// Thread-count policy for **parallel batched fixpoint execution**.
+/// Thread-count policy for **batched fixpoint execution**.
 ///
-/// Applies to the per-seed phases of batched multi-source fixpoints — the
-/// relational executor shards body evaluation, frontier materialization and
-/// the per-seed merges across OS threads over a frozen read-only view of
-/// the store; the source-level driver shards its image folds and result
-/// materializations.  Single-source fixpoints and bodies that construct
-/// nodes (the one store-mutating operator) always run sequentially, and
-/// `threads == 1` takes the sequential code path exactly, so results are
-/// identical for every setting.
+/// One sharding rule on both back-ends: the fixpoint driver splits the
+/// per-seed phases of a batched multi-source run — its `except`/`union`
+/// folds and final materialisations — across OS threads, and the recursion
+/// body always runs on the caller thread.  Single-source fixpoints have
+/// nothing to split, and `threads == 1` takes the sequential code path
+/// exactly, so results are identical for every setting.
 ///
 /// The `XQY_FIXPOINT_THREADS` environment variable overrides the engine
-/// default at [`Engine::new`] time: a number (`0`/`1` mean sequential) or
-/// `auto`.
+/// default at [`Engine::new`] time with a shard count (`0`/`1` mean
+/// sequential).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Parallelism {
     /// Everything on the caller thread (the default).
@@ -81,26 +79,20 @@ pub enum Parallelism {
     Sequential,
     /// Exactly this many shards (clamped to at least 1).
     Fixed(usize),
-    /// One shard per available CPU core
-    /// ([`std::thread::available_parallelism`]).
-    Auto,
 }
 
 impl Parallelism {
-    /// The shard count this policy resolves to on this machine.
+    /// The shard count this policy resolves to.
     pub fn threads(&self) -> usize {
         match self {
             Parallelism::Sequential => 1,
             Parallelism::Fixed(n) => (*n).max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
         }
     }
 
     /// The policy named by the `XQY_FIXPOINT_THREADS` environment variable,
-    /// if it is set and well-formed: `auto`, or a shard count (`0` and `1`
-    /// both mean [`Parallelism::Sequential`]).
+    /// if it is set and well-formed: a shard count (`0` and `1` both mean
+    /// [`Parallelism::Sequential`]).
     ///
     /// A set-but-malformed value is **not** silently ignored: a warning is
     /// printed to stderr (and the engine default applies), so a typo like
@@ -123,18 +115,14 @@ impl Parallelism {
         let Some(value) = value else {
             return (None, None);
         };
-        let trimmed = value.trim();
-        if trimmed.eq_ignore_ascii_case("auto") {
-            return (Some(Parallelism::Auto), None);
-        }
-        match trimmed.parse::<usize>() {
+        match value.trim().parse::<usize>() {
             Ok(0) | Ok(1) => (Some(Parallelism::Sequential), None),
             Ok(n) => (Some(Parallelism::Fixed(n)), None),
             Err(_) => (
                 None,
                 Some(format!(
                     "ignoring invalid XQY_FIXPOINT_THREADS value {value:?}: \
-                     expected a shard count or \"auto\""
+                     expected a shard count"
                 )),
             ),
         }
@@ -499,27 +487,14 @@ mod tests {
         assert_eq!(Parallelism::Fixed(4).threads(), 4);
         // Fixed(0) is clamped: there is always at least the caller thread.
         assert_eq!(Parallelism::Fixed(0).threads(), 1);
-        assert!(Parallelism::Auto.threads() >= 1);
-    }
-
-    #[test]
-    fn auto_parallelism_uses_available_parallelism() {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        assert_eq!(Parallelism::Auto.threads(), cores);
     }
 
     #[test]
     fn env_parallelism_parses_valid_values_without_warning() {
         assert_eq!(Parallelism::from_env_value(None), (None, None));
         assert_eq!(
-            Parallelism::from_env_value(Some("auto")),
-            (Some(Parallelism::Auto), None)
-        );
-        assert_eq!(
-            Parallelism::from_env_value(Some(" AUTO ")),
-            (Some(Parallelism::Auto), None)
+            Parallelism::from_env_value(Some(" 2 ")),
+            (Some(Parallelism::Fixed(2)), None)
         );
         assert_eq!(
             Parallelism::from_env_value(Some("0")),
@@ -537,7 +512,8 @@ mod tests {
 
     #[test]
     fn env_parallelism_warns_on_invalid_values() {
-        for bad in ["fourteen", "-2", "4x", ""] {
+        // `auto` is not a policy (only shard counts are).
+        for bad in ["fourteen", "-2", "4x", "", "auto"] {
             let (policy, warning) = Parallelism::from_env_value(Some(bad));
             assert_eq!(policy, None, "invalid value {bad:?} must not resolve");
             let warning = warning.expect("invalid value must produce a warning");

@@ -1072,8 +1072,9 @@ struct PlanEntry {
 struct PlanDriver {
     entries: Vec<PlanEntry>,
     runtime: CheckedOut,
-    /// Shard count for batched runs (from the prepared query's
-    /// [`Parallelism`] policy); a single-source run has nothing to shard.
+    /// Shard count of the driver's per-seed folds in batched runs (from the
+    /// prepared query's [`Parallelism`] policy); a single-source run has
+    /// nothing to shard.
     threads: usize,
     /// What the iteration barrier enforces, installed on the entry's
     /// executor before each run: the same limits the evaluator runs under.

@@ -11,10 +11,25 @@
 //! ([`xqy_algebra::check_distributivity`]).
 //!
 //! Rule names follow Figure 5 (`CONST`, `VAR`, `IF`, `CONCAT`, `FOR1/2`,
-//! `LET1/2`, `TYPESW`, `STEP1/2`, `FUNCALL`); two sound extensions beyond
-//! the figure are documented on [`DsJudgement`].
+//! `LET1/2`, `TYPESW`, `STEP1/2`, `FUNCALL`, `FIXPOINT`), plus the sound
+//! extensions `INDEPENDENT` ($x not free), `EXCEPT` ($x only left of
+//! `except`/`intersect`) and `BUILTIN` (item-wise built-ins).  Three side
+//! conditions are spelt out here because the figure leaves them implicit:
+//!
+//! * **Constructors** are never safe (Section 3.2: fresh identities on
+//!   every call).  [`is_distributivity_safe`] checks this once, on the
+//!   expression and on every declared function body it reaches.
+//! * **`FUNCALL`**: `$x` may be free in at most one argument of a call —
+//!   the linearity FOR and LET enforce, since `f($x, $x)` pairs items of
+//!   `$x` — that argument must be `ds_$x`, and a declared function's body
+//!   must be `ds` for the matching parameter (a recursive call already
+//!   under analysis is assumed safe).
+//! * **`FIXPOINT`**: in `with $y seeded by e_s recurse e_b`, `$x` may be
+//!   free in the seed only, `e_s` must be `ds_$x` and `e_b` must be
+//!   `ds_$y`: a distributive body makes the nested fixpoint distribute over
+//!   its seed.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use xqy_parser::ast::{Expr, FunctionDecl};
 use xqy_parser::BinaryOp;
@@ -53,8 +68,37 @@ pub fn is_distributivity_safe(expr: &Expr, var: &str, functions: &[FunctionDecl]
         .iter()
         .map(|f| (strip_prefix(&f.name), f))
         .collect();
+    // Node constructors create fresh identities on every invocation and are
+    // therefore never distributivity-safe, even when independent of $x
+    // (Section 3.2's text { "c" } example) — wherever they sit: in the
+    // expression or in a declared function it reaches.
+    if constructs(expr, &map) {
+        return DsJudgement::unsafe_because("node constructor in expression");
+    }
     let mut in_progress = Vec::new();
     ds(expr, var, &map, &mut in_progress)
+}
+
+/// `true` when `expr`, or the body of a declared function it calls
+/// (transitively, each body visited once), contains a node constructor.
+fn constructs<'a>(expr: &'a Expr, functions: &HashMap<&str, &'a FunctionDecl>) -> bool {
+    let mut pending = vec![expr];
+    let mut visited: HashSet<&str> = HashSet::new();
+    while let Some(expr) = pending.pop() {
+        if expr.contains_node_constructor() {
+            return true;
+        }
+        expr.walk(&mut |e| {
+            if let Expr::FunctionCall { name, .. } = e {
+                if let Some((&local, decl)) = functions.get_key_value(strip_prefix(name)) {
+                    if visited.insert(local) {
+                        pending.push(&decl.body);
+                    }
+                }
+            }
+        });
+    }
+    false
 }
 
 /// The paper's "distributivity hint" (Section 3.2): every distributive
@@ -83,12 +127,6 @@ fn ds(
     functions: &HashMap<&str, &FunctionDecl>,
     in_progress: &mut Vec<String>,
 ) -> DsJudgement {
-    // Node constructors create fresh identities on every invocation and are
-    // therefore never distributivity-safe, even when independent of $x
-    // (Section 3.2's text { "c" } example).
-    if expr.contains_node_constructor() {
-        return DsJudgement::unsafe_because("node constructor in expression");
-    }
     // Blanket independence rule (sound): an expression in which $x does not
     // occur free evaluates to the same items for every binding of $x, so the
     // `for $y in $x return e` expansion is set-equal to `e`.
@@ -318,6 +356,13 @@ fn ds(
         }
         Expr::FunctionCall { name, args } => {
             let local = strip_prefix(name);
+            // Linearity, as FOR and LET enforce it: a call may see $x
+            // through one argument only (`f($x, $x)` pairs items of $x).
+            if args.iter().filter(|arg| arg.has_free_var(var)).count() > 1 {
+                return DsJudgement::unsafe_because(format!(
+                    "${var} occurs in more than one argument of {local}()"
+                ));
+            }
             match functions.get(local) {
                 Some(decl) => {
                     // FUNCALL: for every argument in which $x occurs free,
@@ -393,17 +438,25 @@ fn ds(
             var: inner,
         } => {
             // A nested IFP: safe if $x only flows into the seed and the
-            // nested body is well-behaved for its own variable.
+            // nested body is distributive in its own variable — then the
+            // nested fixpoint distributes over its seed.
             if body.has_free_var(var) && inner != var {
                 return DsJudgement::unsafe_because(format!(
                     "${var} occurs free in a nested recursion body"
                 ));
             }
             let s = ds(seed, var, functions, in_progress);
-            if s.safe {
+            if !s.safe {
+                return s;
+            }
+            let b = ds(body, inner, functions, in_progress);
+            if b.safe {
                 DsJudgement::safe("FIXPOINT")
             } else {
-                s
+                DsJudgement::unsafe_because(format!(
+                    "nested recursion body is not distributive in ${inner}: {}",
+                    b.rule
+                ))
             }
         }
         Expr::DirectElement { .. }
@@ -422,6 +475,18 @@ mod tests {
 
     fn check(src: &str) -> DsJudgement {
         is_distributivity_safe(&parse_expr(src).unwrap(), "x", &[])
+    }
+
+    /// The judgement of the body of `query` — a module whose body is one
+    /// `with $x …` fixpoint — under the module's declared functions.
+    fn check_fixpoint_body(query: &str) -> DsJudgement {
+        let module = parse_query(query).unwrap();
+        match &module.body {
+            xqy_parser::Expr::Fixpoint { body, .. } => {
+                is_distributivity_safe(body, "x", &module.functions)
+            }
+            other => panic!("expected fixpoint, got {other:?}"),
+        }
     }
 
     #[test]
@@ -510,20 +575,14 @@ mod tests {
 
     #[test]
     fn funcall_rule_analyses_declared_bodies() {
-        let module = parse_query(
+        let j = check_fixpoint_body(
             "declare function bidder($in as node()*) as node()* {\n\
                for $id in $in/@id\n\
                let $b := doc('auction.xml')//open_auction[seller/@person = $id]/bidder/personref\n\
                return doc('auction.xml')//people/person[@id = $b/@person]\n\
              };\n\
              with $x seeded by doc('auction.xml')//person[@id='p0'] recurse bidder($x)",
-        )
-        .unwrap();
-        let body = match &module.body {
-            xqy_parser::Expr::Fixpoint { body, .. } => body.as_ref().clone(),
-            other => panic!("expected fixpoint, got {other:?}"),
-        };
-        let j = is_distributivity_safe(&body, "x", &module.functions);
+        );
         assert!(
             j.safe,
             "bidder() body should be distributivity-safe: {}",
@@ -533,34 +592,74 @@ mod tests {
 
     #[test]
     fn funcall_rule_rejects_aggregating_bodies() {
-        let module = parse_query(
+        let j = check_fixpoint_body(
             "declare function f($in) { count($in) };\n\
              with $x seeded by doc('d.xml')//a recurse f($x)",
-        )
-        .unwrap();
-        let body = match &module.body {
-            xqy_parser::Expr::Fixpoint { body, .. } => body.as_ref().clone(),
-            other => panic!("expected fixpoint, got {other:?}"),
-        };
-        let j = is_distributivity_safe(&body, "x", &module.functions);
+        );
         assert!(!j.safe);
     }
 
     #[test]
     fn recursive_functions_do_not_loop_the_checker() {
-        let module = parse_query(
-            "declare function walk($n) { $n/child::a union walk($n/child::b) };\n\
-             with $x seeded by doc('d.xml')//r recurse walk($x)",
-        )
-        .unwrap();
-        let body = match &module.body {
-            xqy_parser::Expr::Fixpoint { body, .. } => body.as_ref().clone(),
-            other => panic!("expected fixpoint, got {other:?}"),
-        };
         // Must terminate; the exact verdict is less important than not
         // diverging, but this particular body is derivable.
-        let j = is_distributivity_safe(&body, "x", &module.functions);
+        let j = check_fixpoint_body(
+            "declare function walk($n) { $n/child::a union walk($n/child::b) };\n\
+             with $x seeded by doc('d.xml')//r recurse walk($x)",
+        );
         assert!(j.safe);
+    }
+
+    /// Counterexample (a): the nested body inspects `$y` as a whole, so the
+    /// nested fixpoint does not distribute over its seed `$x`.
+    #[test]
+    fn fixpoint_rule_requires_a_distributive_nested_body() {
+        let j = check(
+            "$x/following-sibling::*[1] union (with $y seeded by $x recurse \
+             if (count($y) >= 2) then doc('d.xml')//z else ())",
+        );
+        assert!(!j.safe);
+        assert!(
+            j.rule
+                .contains("nested recursion body is not distributive in $y"),
+            "{}",
+            j.rule
+        );
+        let j = check("with $y seeded by $x/a recurse $y/b");
+        assert_eq!((j.safe, j.rule.as_str()), (true, "FIXPOINT"));
+    }
+
+    /// Counterexample (b): `f($x, $x)` pairs items of `$x` inside `f`.
+    #[test]
+    fn funcall_rule_keeps_linearity_across_arguments() {
+        let j = check_fixpoint_body(
+            "declare function f($a, $b) { for $i in $a return \
+               (for $j in $b return if ($i is $j) then () else $i/parent::*) };\n\
+             with $x seeded by doc('d.xml')//a recurse $x/following-sibling::*[1] union f($x, $x)",
+        );
+        assert!(!j.safe);
+        assert!(
+            j.rule.contains("more than one argument of f()"),
+            "{}",
+            j.rule
+        );
+    }
+
+    /// Counterexample (c): the constructor hides in a declared function —
+    /// here two calls deep, behind a recursive one.
+    #[test]
+    fn constructors_reached_through_declared_functions_are_never_safe() {
+        for query in [
+            "declare function f() { <c/> };\n\
+             with $x seeded by doc('d.xml')//a recurse $x/* union f()",
+            "declare function g($n) { if (doc('d.xml')/r) then $n/* else (g($n), h()) };\n\
+             declare function h() { text { 'c' } };\n\
+             with $x seeded by doc('d.xml')//a recurse g($x)",
+        ] {
+            let j = check_fixpoint_body(query);
+            assert!(!j.safe, "{query}");
+            assert_eq!(j.rule, "node constructor in expression");
+        }
     }
 
     #[test]

@@ -198,14 +198,8 @@ impl Interpreted<'_, '_> {
 impl Body for Interpreted<'_, '_> {
     type Error = EvalError;
 
-    /// Group by group on the interpreter thread (the evaluator holds the
-    /// store mutably), whatever `shards` says.
-    fn images(
-        &mut self,
-        groups: &[Group<'_>],
-        _shards: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Vec<NodeId>>> {
+    /// Group by group, in order.
+    fn images(&mut self, groups: &[Group<'_>], stats: &mut ExecStats) -> Result<Vec<Vec<NodeId>>> {
         let mut images = Vec::with_capacity(groups.len());
         for &(tag, nodes) in groups {
             let known = self.memo.as_ref().and_then(|memo| memo.get(&tag));

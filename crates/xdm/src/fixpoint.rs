@@ -100,7 +100,7 @@ pub struct ExecStats {
     pub rows_fed_back: u64,
     /// Number of body evaluations, as the body counts them (the
     /// interpreter: one per group it evaluates; the relational batch: one
-    /// per round, however many groups and shards).
+    /// per round, however many groups).
     pub body_evaluations: usize,
     /// Nodes in the final result, summed over sources.
     pub result_rows: usize,
@@ -242,13 +242,12 @@ pub trait Body {
     /// [`BatchSharing::PerSeed`] they are the tags of the run's sources,
     /// under [`BatchSharing::DistinctNodes`] every group is `(n, [n])`.  A
     /// body that carries tags through its evaluation (the relational
-    /// seed-carried plan) may evaluate all groups at once, on up to
-    /// `shards` threads; any other body evaluates group by group, in order.
-    /// The body adds what it actually evaluated to `stats`.
+    /// seed-carried plan) may evaluate all groups at once; any other body
+    /// evaluates group by group, in order.  Either way it runs on the
+    /// caller thread.  The body adds what it actually evaluated to `stats`.
     fn images(
         &mut self,
         groups: &[Group<'_>],
-        shards: usize,
         stats: &mut ExecStats,
     ) -> Result<Vec<Vec<NodeId>>, Self::Error>;
 
@@ -274,9 +273,9 @@ pub struct Config {
     /// `false`: start from `e_rec(e_seed)` (Definition 2.1).  `true`: start
     /// from the seed itself (the reading of the paper's Example 2.4).
     pub seed_in_result: bool,
-    /// Shard count for the per-source phases and for [`Body::images`];
-    /// `≤ 1` is sequential.  Forced to 1 once the memory budget has used
-    /// its relief round.
+    /// Shard count for the per-source phases (the `except`/`union` folds
+    /// and the final materialisations); `≤ 1` is sequential.  Forced to 1
+    /// once the memory budget has used its relief round.
     pub threads: usize,
     /// What the barrier enforces.
     pub limits: Limits,
@@ -407,12 +406,11 @@ impl<B: Body> Run<'_, B> {
 
     /// Apply the body to the frontiers of the active sources.
     fn feed(&mut self) -> Result<Images, B::Error> {
-        let shards = self.shards();
         let active = || self.sources.iter().filter(|s| s.active);
         match self.config.sharing {
             BatchSharing::PerSeed => {
                 let groups: Vec<Group<'_>> = active().map(|s| (s.tag, &s.frontier[..])).collect();
-                let images = self.body.images(&groups, shards, &mut self.stats)?;
+                let images = self.body.images(&groups, &mut self.stats)?;
                 for (source, image) in self.sources.iter_mut().filter(|s| s.active).zip(images) {
                     source.image = image;
                 }
@@ -432,7 +430,7 @@ impl<B: Body> Run<'_, B> {
                     .iter()
                     .map(|node| (*node, std::slice::from_ref(node)))
                     .collect();
-                let images = self.body.images(&groups, shards, &mut self.stats)?;
+                let images = self.body.images(&groups, &mut self.stats)?;
                 Ok(Images::Shared { index, images })
             }
         }
@@ -544,8 +542,6 @@ mod tests {
         guard: bool,
         /// What `release_memory` claims to free.
         releases: u64,
-        /// The `shards` argument of every `images` call.
-        shards_seen: Vec<usize>,
     }
 
     impl<'a> Children<'a> {
@@ -555,7 +551,6 @@ mod tests {
                 axis: Axis::Child,
                 guard: false,
                 releases: 0,
-                shards_seen: Vec::new(),
             }
         }
     }
@@ -566,10 +561,8 @@ mod tests {
         fn images(
             &mut self,
             groups: &[Group<'_>],
-            shards: usize,
             stats: &mut ExecStats,
         ) -> Result<Vec<Vec<NodeId>>, LimitError> {
-            self.shards_seen.push(shards);
             let is_a = |n: &NodeId| self.store.name(*n).is_some_and(|q| q.local == "a");
             Ok(groups
                 .iter()
@@ -850,7 +843,20 @@ mod tests {
         assert!(budget.relieved());
         assert_eq!(budget.used(), 90);
         assert_eq!(stats.iterations, 2);
-        assert_eq!(body.shards_seen, [4, 1, 1]);
+        let mut relieved = Run {
+            body: &mut body,
+            config: &config,
+            budget: Some(over_budget()),
+            sources: Vec::new(),
+            stats: ExecStats::default(),
+        };
+        assert_eq!(relieved.shards(), 4);
+        relieved.barrier().unwrap();
+        assert_eq!(
+            relieved.shards(),
+            1,
+            "sequential from the relieving barrier on"
+        );
 
         // Relief that does not: a typed error at that same barrier.
         let budget = over_budget();

@@ -108,6 +108,42 @@ fn auto_strategy_is_per_occurrence_with_mixed_bodies() {
     );
 }
 
+/// Two bodies the syntactic check must refuse: a nested µ whose body
+/// inspects its variable as a whole, and a call that sees `$x` through two
+/// arguments.  Certified, `Auto` ran them with Delta and lost nodes; now it
+/// answers what forced Naïve answers, on both back-end settings.
+#[test]
+fn auto_equals_naive_on_bodies_the_syntactic_check_refuses() {
+    let mut engine = Engine::new();
+    engine
+        .load_document("d.xml", "<r><s><a/><b/><c/></s><z/></r>")
+        .unwrap();
+    let nested = "with $x seeded by doc('d.xml')//a recurse ($x/following-sibling::*[1] union \
+                  (with $y seeded by $x recurse if (count($y) >= 2) then doc('d.xml')//z else ()))";
+    let two_args = "declare function f($a, $b) { for $i in $a return \
+                      (for $j in $b return if ($i is $j) then () else $i/parent::*) };\n\
+                    with $x seeded by doc('d.xml')//a recurse $x/following-sibling::*[1] union f($x, $x)";
+    for (query, naive_size) in [(nested, 3), (two_args, 5)] {
+        for backend in [xqy_ifp::Backend::SourceLevel, xqy_ifp::Backend::Auto] {
+            engine.set_backend(backend);
+            let mut answer = |strategy| {
+                engine.set_strategy(strategy);
+                let outcome = engine.run(query).unwrap();
+                assert!(!outcome.distributivity[0].syntactic, "{query}");
+                outcome.result.nodes()
+            };
+            let naive = answer(Strategy::Naive);
+            assert_eq!(naive.len(), naive_size, "{query}");
+            assert_eq!(
+                answer(Strategy::Auto),
+                naive,
+                "{query} on {}",
+                backend.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn queries_across_multiple_documents() {
     let mut engine = Engine::new();

@@ -6,9 +6,9 @@
 //!
 //! The property test draws random reference graphs, random seed sets (with
 //! duplicates) and random recursion bodies from a pool that mixes
-//! algebraic-subset bodies (exercising the relational executor's sharded
-//! `eval_tagged_batch`) with predicate-filtered ones (exercising the
-//! interpreter's sharded image folds), then checks thread counts 2 and 8
+//! algebraic-subset bodies (driven over the relational executor) with
+//! predicate-filtered ones (driven over the interpreter) — on both, the
+//! driver shards its per-seed folds — then checks thread counts 2 and 8
 //! against the sequential default under every back-end.
 
 use proptest::prelude::*;
@@ -64,15 +64,14 @@ proptest! {
         seed_picks in proptest::collection::vec(0usize..9, 1..7),
         body in prop_oneof![
             // Algebraic subset: batched runs go through the relational
-            // executor, whose tagged body evaluation shards across workers.
+            // executor's seed-carried plan.
             Just("$x/id(./prerequisites/pre_code)"),
             Just("$x/prerequisites/pre_code"),
             Just("$x/*"),
             Just("$x/prerequisites union $x/self::course"),
             Just("$x/id(./prerequisites/pre_code) except $x/self::course"),
             // Outside the subset (predicates): batched runs go through the
-            // interpreter driver, whose image folds and materializations
-            // shard via `fixpoint_threads`.
+            // interpreter.
             Just("$x/id(./prerequisites/pre_code)[@code]"),
             Just("$x/*[exists(./pre_code)]"),
             Just("$x/id(./prerequisites/pre_code)[exists(../prerequisites)] union $x/self::course[@code='c0']"),
@@ -194,10 +193,11 @@ fn parallel_batched_respects_seed_in_result() {
     }
 }
 
-/// `Parallelism::Auto` resolves to the machine's core count and still
-/// matches sequential output exactly.
+/// One shard per core — what a caller sizing the pool from the machine
+/// would pick — still matches sequential output exactly.
 #[test]
-fn parallel_auto_matches_sequential() {
+fn parallel_core_count_matches_sequential() {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let xml = curriculum_from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 4), (5, 0), (6, 5)]);
     let mut engine = curriculum_engine(&xml);
     let query = "with $x seeded by $seed recurse $x/id(./prerequisites/pre_code)";
@@ -210,7 +210,7 @@ fn parallel_auto_matches_sequential() {
         .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
         .unwrap();
     let parallel = prepared
-        .with_parallelism(Parallelism::Auto)
+        .with_parallelism(Parallelism::Fixed(cores))
         .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
         .unwrap();
     assert!(parallel.batched);
@@ -223,9 +223,9 @@ fn parallel_auto_matches_sequential() {
     }
 }
 
-/// Node-constructing bodies are the one thing the parallel gate must refuse
-/// to shard (construction mutates the store): they still run, sequentially,
-/// and match the sequential baseline.
+/// Node-constructing bodies mutate the store, which is why bodies run on
+/// the caller thread: with the driver's folds sharded they still match the
+/// sequential baseline.
 #[test]
 fn constructing_bodies_stay_sequential_but_correct() {
     let xml = curriculum_from_edges(4, &[(0, 1), (1, 2)]);

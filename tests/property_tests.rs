@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use xqy_ifp::eval::{Evaluator, FixpointStrategy};
-use xqy_ifp::xdm::{ddo, is_subset, node_except, node_union, NodeStore};
+use xqy_ifp::xdm::{ddo, is_subset, node_except, node_union, NodeId, NodeStore};
 use xqy_ifp::{Backend, Engine, Strategy};
 
 /// Build a curriculum-like document from an arbitrary edge list over
@@ -136,46 +136,104 @@ proptest! {
     }
 
     /// Soundness of the syntactic judgement (Definition 3.1): whenever
-    /// `ds_$x(e)` holds for a generated path body, evaluating `e` over a
-    /// sequence equals the union of evaluating it over the singletons.
+    /// `ds_$x(e)` holds for a generated body — path steps, and one body per
+    /// Figure-5 rule beyond them — evaluating `e` over a sequence equals the
+    /// union of evaluating it over the singletons.
     #[test]
     fn syntactic_judgement_is_sound_for_step_bodies(
         courses in 2usize..8,
         edges in edge_strategy(7),
-        step in prop_oneof![
-            Just("$x/id(./prerequisites/pre_code)"),
-            Just("$x/prerequisites/pre_code"),
-            Just("$x/*"),
-            Just("$x/self::course"),
-            Just("$x/prerequisites union $x/self::course"),
+        case in prop_oneof![
+            Just(("", "$x/id(./prerequisites/pre_code)")),
+            Just(("", "$x/prerequisites/pre_code")),
+            Just(("", "$x/*")),
+            Just(("", "$x/self::course")),
+            Just(("", "$x/prerequisites union $x/self::course")),
+            // LET2
+            Just(("", "let $p := $x/prerequisites return $p/pre_code")),
+            // FOR1, FOR2
+            Just(("", "for $k in (1, 2) return $x/prerequisites")),
+            Just(("", "for $c in $x return $c/id(./prerequisites/pre_code)")),
+            // EXCEPT
+            Just(("", "$x/id(./prerequisites/pre_code) except doc('c.xml')//course[@code='c0']")),
+            // FUNCALL, one argument
+            Just((
+                "declare function pre($c) { $c/id(./prerequisites/pre_code) };\n",
+                "pre($x)",
+            )),
+            // FIXPOINT, a distributive nested body
+            Just(("", "with $y seeded by $x recurse $y/id(./prerequisites/pre_code)")),
         ],
     ) {
+        let (prolog, body) = case;
         let xml = curriculum_from_edges(courses, &edges);
-        let body = xqy_ifp::parser::parse_expr(step).unwrap();
-        let judgement = xqy_ifp::is_distributivity_safe(&body, "x", &[]);
-        prop_assert!(judgement.safe);
-
-        let mut store = NodeStore::new();
-        let doc = store.parse_document_with_uri("c.xml", &xml).unwrap();
-        store.register_id_attribute(doc, "code");
-        let mut evaluator = Evaluator::new(&mut store);
+        let judgement = judge(prolog, body);
+        prop_assert!(judgement.safe, "{}: {}", body, judgement.rule);
         // X = all courses; e(X) vs union over singletons.
-        let whole = evaluator
-            .eval_query_str(&format!(
-                "let $x := doc('c.xml')/curriculum/course return {step}"
-            ))
-            .unwrap();
-        let split = evaluator
-            .eval_query_str(&format!(
-                "for $y in doc('c.xml')/curriculum/course return \
-                 (let $x := $y return {step})"
-            ))
-            .unwrap();
-        let mut w = whole.nodes();
-        let mut s = split.nodes();
-        store.sort_distinct(&mut w);
-        store.sort_distinct(&mut s);
-        prop_assert_eq!(w, s);
+        let (whole, split) = whole_and_split(&xml, prolog, body, "doc('c.xml')/curriculum/course");
+        prop_assert_eq!(whole, split);
+    }
+}
+
+/// `ds_$x(body)` under `prolog`'s function declarations.
+fn judge(prolog: &str, body: &str) -> xqy_ifp::DsJudgement {
+    let module = xqy_ifp::parser::parse_query(&format!("{prolog}{body}")).unwrap();
+    xqy_ifp::is_distributivity_safe(&module.body, "x", &module.functions)
+}
+
+/// `e(X)` and `⋃ₓ e({x})` for `e` = `body` and `X` = what `x` selects in
+/// the document `xml` (loaded as `c.xml`, IDs on `@code`), each in
+/// document order.
+fn whole_and_split(xml: &str, prolog: &str, body: &str, x: &str) -> (Vec<NodeId>, Vec<NodeId>) {
+    let mut store = NodeStore::new();
+    let doc = store.parse_document_with_uri("c.xml", xml).unwrap();
+    store.register_id_attribute(doc, "code");
+    let mut evaluator = Evaluator::new(&mut store);
+    let mut eval = |query: String| evaluator.eval_query_str(&query).unwrap().nodes();
+    let mut whole = eval(format!("{prolog}let $x := {x} return {body}"));
+    let mut split = eval(format!(
+        "{prolog}for $item in {x} return (let $x := $item return {body})"
+    ));
+    store.sort_distinct(&mut whole);
+    store.sort_distinct(&mut split);
+    (whole, split)
+}
+
+/// The negative table: bodies an earlier judgement certified although they
+/// are not distributive.  Each is refused now, and each really does give
+/// `e(X) ≠ ⋃ₓ e({x})` on `X = (a, b)`.
+#[test]
+fn syntactic_judgement_refuses_non_distributive_bodies() {
+    let xml = "<r><s><a/><b/><c/></s><z/></r>";
+    let two_args = "declare function f($a, $b) { for $i in $a return \
+                      (for $j in $b return if ($i is $j) then () else $i/parent::*) };\n";
+    for (prolog, body, reason) in [
+        (
+            "",
+            "$x/following-sibling::*[1] union (with $y seeded by $x recurse \
+             if (count($y) >= 2) then doc('c.xml')//z else ())",
+            "nested recursion body is not distributive",
+        ),
+        (
+            two_args,
+            "$x/following-sibling::*[1] union f($x, $x)",
+            "more than one argument of f()",
+        ),
+        (
+            "declare function f() { <c/> };\n",
+            "$x/* union f()",
+            "node constructor",
+        ),
+    ] {
+        let judgement = judge(prolog, body);
+        assert!(!judgement.safe, "{body}");
+        assert!(
+            judgement.rule.contains(reason),
+            "{body}: {}",
+            judgement.rule
+        );
+        let (whole, split) = whole_and_split(xml, prolog, body, "doc('c.xml')//(a | b)");
+        assert_ne!(whole, split, "{body} distributes over (a, b) after all");
     }
 }
 
