@@ -10,7 +10,7 @@
 //! fall back to the source-level evaluator instead of executing a wrong
 //! plan.
 
-use xqy_parser::ast::{Expr, Literal};
+use xqy_parser::ast::{local_name, Expr, Literal};
 use xqy_parser::BinaryOp;
 use xqy_xdm::{Axis, NodeTest};
 
@@ -207,7 +207,7 @@ impl Compiler {
         let (id, kind) = match cond {
             // count(e) / exists(e) / empty(e): already aggregates.
             Expr::FunctionCall { name, args }
-                if matches!(strip(name), "count" | "exists" | "empty") && args.len() == 1 =>
+                if matches!(local_name(name), "count" | "exists" | "empty") && args.len() == 1 =>
             {
                 let (inner, _) = self.compile(&args[0])?;
                 (
@@ -348,7 +348,7 @@ impl Compiler {
         name: &str,
         args: &[Expr],
     ) -> Result<(PlanNodeId, ItemKind)> {
-        match (strip(name), args.len()) {
+        match (local_name(name), args.len()) {
             ("doc", 1) => {
                 let Expr::Literal(Literal::String(uri)) = &args[0] else {
                     return Err(self.unsupported("doc() with a non-literal URI"));
@@ -398,13 +398,6 @@ impl Compiler {
                 "function {other}() in a recursion body (compiler subset: doc, id, data, string, count)"
             ))),
         }
-    }
-}
-
-fn strip(name: &str) -> &str {
-    match name.split_once(':') {
-        Some((_, local)) => local,
-        None => name,
     }
 }
 

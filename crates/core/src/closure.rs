@@ -54,10 +54,10 @@ pub fn check_step_restrictions(step: &Expr) -> std::result::Result<(), ClosureRe
     let mut positional = false;
     step.walk(&mut |e| {
         if let Expr::FunctionCall { name, .. } = e {
-            let local = name.rsplit(':').next().unwrap_or(name);
-            if local == "position" || local == "last" {
-                positional = true;
-            }
+            positional |= matches!(
+                xqy_eval::distributivity::builtin(name),
+                Some("position" | "last")
+            );
         }
     });
     if positional {

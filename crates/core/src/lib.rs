@@ -8,9 +8,11 @@
 //! distributivity property that decide when Delta may be used — behind one
 //! [`Engine`] API.
 //!
-//! * [`syntactic`] implements the `ds_$x(·)` inference rules of Figure 5
+//! * [`syntactic`] re-exports the `ds_$x(·)` inference rules of Figure 5
 //!   (the purely syntactic distributivity approximation) together with the
-//!   "distributivity hint" rewrite of Section 3.2.
+//!   "distributivity hint" rewrite of Section 3.2.  The rules themselves
+//!   live in [`xqy_eval::distributivity`], where the interpreter reads them
+//!   over the context item too.
 //! * The algebraic approximation of Section 4 (the `∪` push-up over
 //!   Pathfinder-style plans) is re-exported from [`xqy_algebra`].
 //! * [`rewrite`] performs the source-level Naïve→Delta transformation the

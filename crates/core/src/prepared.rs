@@ -75,17 +75,17 @@ use std::time::Instant;
 use xqy_algebra::{
     compile_recursion_body, AlgebraError, BatchSharing, CompiledBody, ExecStats, Executor,
 };
+use xqy_eval::distributivity::{builtin, declared_in, is_distributivity_safe, reaches_constructor};
 use xqy_eval::{
     EvalError, Evaluator, FixpointBackendTag, FixpointInterceptor, FixpointStats, FixpointStrategy,
 };
-use xqy_parser::ast::{Expr, QueryModule};
+use xqy_parser::ast::{Expr, FunctionDecl, QueryModule};
 use xqy_parser::parse_query;
 use xqy_xdm::fixpoint::{Limits, Seeds};
 use xqy_xdm::{NodeId, QueryBudget, Sequence, StoreMut, StoreStatistics};
 
 use crate::cost::{self, DecisionSource, FeedbackCell, OccurrenceFeatures, PlanAlternative};
 use crate::engine::{DistributivityReport, Engine, Parallelism, QueryOutcome, Strategy};
-use crate::syntactic::is_distributivity_safe;
 use crate::{IfpError, Result};
 
 /// Which back-end executes the fixpoint occurrences of a prepared query.
@@ -631,6 +631,7 @@ impl PreparedQuery {
                     compiled: compiled.clone(),
                     strategy: decision.alternative.strategy,
                     batched: decision.alternative.batched,
+                    share: occ.report.is_distributive(),
                 })
             })
             .collect()
@@ -960,8 +961,8 @@ impl PreparedQuery {
         let _budget_scope = install_budget(&opts.limits);
         let mut evaluator = self.evaluator(store, opts, &decisions);
         // Distributive occurrences may share per-node body evaluations
-        // across seeds on the batched source-level route (the analogue of
-        // `BatchSharing::DistinctNodes`).
+        // across seeds on the batched source-level route — the same grant
+        // `PlanEntry::share` gives the relational one.
         for o in &self.occurrences {
             evaluator.set_fixpoint_batch_sharing_for(
                 &o.var,
@@ -1058,6 +1059,10 @@ struct PlanEntry {
     /// inside a batched execution: the interceptor declines the batch so the
     /// evaluator falls back to one (algebraic) fixpoint per seed.
     batched: bool,
+    /// The grant of `BatchSharing::DistinctNodes` for a batch: the
+    /// occurrence's `DistributivityReport::is_distributive`, which the
+    /// batched source-level route reads too.
+    share: bool,
 }
 
 /// The [`FixpointInterceptor`] installed by [`PreparedQuery::execute`]: it
@@ -1140,12 +1145,13 @@ impl FixpointInterceptor for PlanDriver {
                 {
                     return None;
                 }
-                // Distributive bodies (`e(X) = ⋃ₓ e({x})`, certified by the
-                // ∪ push-up check) additionally share body scans between
-                // seeds whose frontiers overlap: each distinct frontier node
-                // is evaluated once per iteration.  Non-distributive
-                // seed-local bodies keep strict per-seed rows.
-                let sharing = if entry.compiled.distributivity.distributive {
+                // Distributive bodies (`e(X) = ⋃ₓ e({x})`, certified by
+                // either approximation) additionally share body scans
+                // between seeds whose frontiers overlap: each distinct
+                // frontier node is evaluated once per iteration.
+                // Non-distributive seed-local bodies keep strict per-seed
+                // rows.
+                let sharing = if entry.share {
                     BatchSharing::DistinctNodes
                 } else {
                     BatchSharing::PerSeed
@@ -1199,7 +1205,7 @@ pub(crate) fn analyse_occurrences(
         } else {
             FixpointStrategy::Naive
         });
-        let features = occurrence_features(&body, &report, &compiled);
+        let features = occurrence_features(&body, &module.functions, &report, &compiled);
         // Identical occurrences share one feedback cell: the evaluator logs
         // their runs under one (var, body) pair.
         let feedback = occurrences
@@ -1220,26 +1226,23 @@ pub(crate) fn analyse_occurrences(
     occurrences
 }
 
-/// Extract the static cost-model features of one recursion body.
+/// Extract the static cost-model features of one recursion body, whose
+/// calls resolve against the module's `functions`.
 fn occurrence_features(
     body: &Expr,
+    functions: &[FunctionDecl],
     report: &DistributivityReport,
     compiled: &std::result::Result<Arc<CompiledBody>, String>,
 ) -> OccurrenceFeatures {
     let mut body_size = 0usize;
     let mut uses_id = false;
-    let mut constructs = false;
     body.walk(&mut |e| {
         body_size += 1;
-        match e {
-            Expr::FunctionCall { name, .. } if name == "id" || name == "fn:id" => uses_id = true,
-            Expr::DirectElement { .. }
-            | Expr::ComputedElement { .. }
-            | Expr::ComputedAttribute { .. }
-            | Expr::ComputedText { .. } => constructs = true,
-            _ => {}
+        if let Expr::FunctionCall { name, .. } = e {
+            uses_id |= builtin(name) == Some("id");
         }
     });
+    let constructs = reaches_constructor(body, &declared_in(functions));
     OccurrenceFeatures {
         distributive: report.is_distributive(),
         algebraic: compiled.is_ok(),

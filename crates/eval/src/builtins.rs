@@ -14,66 +14,65 @@ use crate::error::EvalError;
 use crate::evaluator::Evaluator;
 use crate::Result;
 
-/// Names of every supported built-in (without namespace prefixes).
-pub const BUILTIN_NAMES: &[&str] = &[
-    "count",
-    "empty",
-    "exists",
-    "not",
-    "boolean",
-    "true",
-    "false",
-    "position",
-    "last",
-    "data",
-    "string",
-    "number",
-    "string-length",
-    "normalize-space",
-    "concat",
-    "contains",
-    "starts-with",
-    "ends-with",
-    "substring",
-    "substring-before",
-    "substring-after",
-    "string-join",
-    "upper-case",
-    "lower-case",
-    "name",
-    "local-name",
-    "node-name",
-    "root",
-    "doc",
-    "id",
-    "distinct-values",
-    "deep-equal",
-    "sum",
-    "min",
-    "max",
-    "avg",
-    "abs",
-    "floor",
-    "ceiling",
-    "round",
-    "reverse",
-    "subsequence",
-    "index-of",
-    "insert-before",
-    "remove",
-    "exactly-one",
-    "zero-or-one",
-    "one-or-more",
-    "ddo",
-    "distinct-doc-order",
-    "integer",
-    "double",
-    "decimal",
-];
-
-/// Is `name` (already prefix-stripped) a built-in function?
+/// Is `name` (already prefix-stripped) a built-in function?  A `match`, not
+/// a list scan: every call and every path-step gate asks.
 pub fn is_builtin(name: &str) -> bool {
-    BUILTIN_NAMES.contains(&name)
+    matches!(
+        name,
+        "count"
+            | "empty"
+            | "exists"
+            | "not"
+            | "boolean"
+            | "true"
+            | "false"
+            | "position"
+            | "last"
+            | "data"
+            | "string"
+            | "number"
+            | "string-length"
+            | "normalize-space"
+            | "concat"
+            | "contains"
+            | "starts-with"
+            | "ends-with"
+            | "substring"
+            | "substring-before"
+            | "substring-after"
+            | "string-join"
+            | "upper-case"
+            | "lower-case"
+            | "name"
+            | "local-name"
+            | "node-name"
+            | "root"
+            | "doc"
+            | "id"
+            | "distinct-values"
+            | "deep-equal"
+            | "sum"
+            | "min"
+            | "max"
+            | "avg"
+            | "abs"
+            | "floor"
+            | "ceiling"
+            | "round"
+            | "reverse"
+            | "subsequence"
+            | "index-of"
+            | "insert-before"
+            | "remove"
+            | "exactly-one"
+            | "zero-or-one"
+            | "one-or-more"
+            | "ddo"
+            | "distinct-doc-order"
+            | "integer"
+            | "double"
+            | "decimal"
+    )
 }
 
 /// Invoke a built-in function on already-evaluated argument sequences.

@@ -8,17 +8,22 @@
 //! user-defined functions and the `with … seeded by … recurse` form directly
 //! over the [`xqy-xdm`](xqy_xdm) data model.
 //!
-//! The crate contributes two things to the reproduction:
+//! The crate contributes three things to the reproduction:
 //!
 //! 1. a faithful implementation of the **dynamic semantics** of the subset
 //!    (sequences, node identity, document order, effective boolean values,
 //!    general vs. value comparisons, node construction with fresh
 //!    identities, and the built-in function library the paper's queries
-//!    use); and
+//!    use);
 //! 2. the **inflationary fixed point runtime** ([`fixpoint`]) implementing
 //!    both the *Naïve* and the *Delta* algorithm of Figure 3, with the
 //!    statistics (iterations, nodes fed back into the recursion body) that
-//!    Table 2 of the paper reports.
+//!    Table 2 of the paper reports; and
+//! 3. the **distributivity judgement** of Figure 5 ([`distributivity`]),
+//!    next to the semantics it must follow: read over a recursion variable
+//!    it licenses Delta and batch sharing (the `xqy_ifp` crate reads it
+//!    so), read over the context item it licenses evaluating a path step
+//!    once per focus set instead of once per focus node.
 //!
 //! The evaluator is built to be *driven by a prepared query*: external
 //! variables are supplied up front with [`Evaluator::bind_global`], the
@@ -66,6 +71,7 @@ pub mod builtins;
 pub mod compare;
 pub mod construct;
 pub mod context;
+pub mod distributivity;
 pub mod error;
 pub mod evaluator;
 pub mod fixpoint;

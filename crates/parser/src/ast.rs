@@ -35,6 +35,15 @@ pub struct FunctionDecl {
     pub body: Expr,
 }
 
+/// A function name without its (ignored) namespace prefix: `fn:count` →
+/// `count`, `local:fix` → `fix`.
+pub fn local_name(name: &str) -> &str {
+    match name.split_once(':') {
+        Some((_, local)) => local,
+        None => name,
+    }
+}
+
 /// A literal value in the source text.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
@@ -712,22 +721,25 @@ impl Expr {
         }
     }
 
+    /// `true` if this very expression is a node constructor.
+    pub fn is_node_constructor(&self) -> bool {
+        matches!(
+            self,
+            Expr::DirectElement { .. }
+                | Expr::ComputedElement { .. }
+                | Expr::ComputedAttribute { .. }
+                | Expr::ComputedText { .. }
+        )
+    }
+
     /// `true` if the expression (or any subexpression) constructs nodes —
     /// the condition under which an IFP may fail to terminate and under
-    /// which distributivity is lost (Section 3.2 of the paper).
+    /// which distributivity is lost (Section 3.2 of the paper).  Calls are
+    /// not followed; `xqy_eval::distributivity::reaches_constructor` is
+    /// the transitive check.
     pub fn contains_node_constructor(&self) -> bool {
         let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(
-                e,
-                Expr::DirectElement { .. }
-                    | Expr::ComputedElement { .. }
-                    | Expr::ComputedAttribute { .. }
-                    | Expr::ComputedText { .. }
-            ) {
-                found = true;
-            }
-        });
+        self.walk(&mut |e| found |= e.is_node_constructor());
         found
     }
 

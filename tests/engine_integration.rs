@@ -4,7 +4,8 @@
 use xqy_ifp::closure::{reflexive_transitive_closure, transitive_closure};
 use xqy_ifp::eval::FixpointStrategy;
 use xqy_ifp::parser::ast::QueryModule;
-use xqy_ifp::{Engine, Strategy};
+use xqy_ifp::xdm::Sequence;
+use xqy_ifp::{Bindings, Engine, Strategy};
 
 const TREE: &str = "<r><a><b><c/></b></a><d><e/></d></r>";
 
@@ -108,27 +109,59 @@ fn auto_strategy_is_per_occurrence_with_mixed_bodies() {
     );
 }
 
-/// Two bodies the syntactic check must refuse: a nested µ whose body
-/// inspects its variable as a whole, and a call that sees `$x` through two
-/// arguments.  Certified, `Auto` ran them with Delta and lost nodes; now it
-/// answers what forced Naïve answers, on both back-end settings.
+/// Bodies the syntactic check must refuse: a nested µ whose body inspects
+/// its variable as a whole, a call that sees `$x` through two arguments, a
+/// call whose overload by arity is not distributive, and a built-in a
+/// declaration of the same name cannot shadow.  Certified, `Auto` ran them
+/// with Delta and lost nodes, and a forced-Naïve `execute_batched` shared
+/// frontier nodes across seeds; now both answer what per-seed Naïve
+/// answers, on both back-end settings.
 #[test]
 fn auto_equals_naive_on_bodies_the_syntactic_check_refuses() {
-    let mut engine = Engine::new();
-    engine
-        .load_document("d.xml", "<r><s><a/><b/><c/></s><z/></r>")
-        .unwrap();
-    let nested = "with $x seeded by doc('d.xml')//a recurse ($x/following-sibling::*[1] union \
-                  (with $y seeded by $x recurse if (count($y) >= 2) then doc('d.xml')//z else ()))";
+    let siblings = "<r><s><a/><b/><c/></s><z/></r>";
+    let four = "<r><a/><a/><a/><a/></r>";
+    let nested = "$x/following-sibling::*[1] union \
+                  (with $y seeded by $x recurse if (count($y) >= 2) then doc('d.xml')//z else ())";
     let two_args = "declare function f($a, $b) { for $i in $a return \
-                      (for $j in $b return if ($i is $j) then () else $i/parent::*) };\n\
-                    with $x seeded by doc('d.xml')//a recurse $x/following-sibling::*[1] union f($x, $x)";
-    for (query, naive_size) in [(nested, 3), (two_args, 5)] {
+                      (for $j in $b return if ($i is $j) then () else $i/parent::*) };\n";
+    let overloaded =
+        "declare function f($a) { if (count($a) >= 2) then doc('d.xml')/r else () };\n\
+                      declare function f($a, $b) { $a/b };\n";
+    let shadowing = "declare function local:subsequence($a, $b, $c) { $a/self::* };\n";
+    for (xml, prolog, body, seed, naive_size) in [
+        (siblings, "", nested, "doc('d.xml')//a", 3),
+        (
+            siblings,
+            two_args,
+            "$x/following-sibling::*[1] union f($x, $x)",
+            "doc('d.xml')//a",
+            5,
+        ),
+        (
+            four,
+            overloaded,
+            "$x/following-sibling::*[1] union f($x)",
+            "doc('d.xml')/r/a[1]",
+            4,
+        ),
+        (
+            four,
+            shadowing,
+            "$x/following-sibling::*[1] union subsequence($x, 2, 1)/parent::*",
+            "doc('d.xml')/r/a[1]",
+            4,
+        ),
+    ] {
+        let mut engine = Engine::new();
+        engine.load_document("d.xml", xml).unwrap();
+        let query = format!("{prolog}with $x seeded by {seed} recurse {body}");
+        let seeded = format!("{prolog}with $x seeded by $seed recurse {body}");
+        let seed_nodes = engine.run(seed).unwrap().result;
         for backend in [xqy_ifp::Backend::SourceLevel, xqy_ifp::Backend::Auto] {
             engine.set_backend(backend);
             let mut answer = |strategy| {
                 engine.set_strategy(strategy);
-                let outcome = engine.run(query).unwrap();
+                let outcome = engine.run(&query).unwrap();
                 assert!(!outcome.distributivity[0].syntactic, "{query}");
                 outcome.result.nodes()
             };
@@ -140,6 +173,27 @@ fn auto_equals_naive_on_bodies_the_syntactic_check_refuses() {
                 "{query} on {}",
                 backend.name()
             );
+            // Through `execute` with `$seed` bound, again once feedback from
+            // earlier runs may tip the cost model toward Delta.
+            let prepared = engine.prepare(&seeded).unwrap();
+            let bindings = Bindings::new().with("seed", seed_nodes.clone());
+            for run in 0..3 {
+                let outcome = prepared.execute(&mut engine, &bindings).unwrap();
+                assert_eq!(outcome.result.nodes(), naive, "{seeded}, run {run}");
+            }
+        }
+        // One batch over every element under forced Naïve: no frontier node
+        // may be shared, so each seed gets its per-seed Naïve answer.
+        engine.set_strategy(Strategy::Naive);
+        let prepared = engine.prepare(&seeded).unwrap();
+        let seeds = engine.run("doc('d.xml')//*").unwrap().result;
+        let batch = prepared
+            .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
+            .unwrap();
+        for (seed, batched) in seeds.iter().zip(&batch.per_seed) {
+            let alone = Bindings::new().with("seed", Sequence::singleton(seed.clone()));
+            let per_seed = prepared.execute(&mut engine, &alone).unwrap().result;
+            assert_eq!(batched.nodes(), per_seed.nodes(), "{body} from {seed:?}");
         }
     }
 }

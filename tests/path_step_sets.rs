@@ -1,14 +1,14 @@
 //! Differential tests for set-at-a-time path steps.
 //!
-//! The interpreter evaluates a path step that is *distributive in its
-//! context item* once for the whole focus set (`Evaluator::step_over_set`)
-//! and everything else once per focus node.  Here random steps meet random
-//! focus sets — unordered, with duplicates, spanning two or three loaded
-//! documents and a constructed fragment — and four readings of `E/step`
-//! must agree:
+//! The interpreter evaluates a path step that the distributivity judgement
+//! read over the context item certifies once for the whole focus set
+//! (`Evaluator::step_over_set`) and everything else once per focus node.
+//! Here random steps meet random focus sets — unordered, with duplicates,
+//! spanning two or three loaded documents and a constructed fragment — and
+//! four readings of `E/step` must agree:
 //!
 //! * **set**: `$e/step` over a node-backed focus (the set-valued routine
-//!   for steps of the grammar);
+//!   for the steps the judgement certifies);
 //! * **loop**: `$ei/step` over the same focus built item by item, which
 //!   forces the general per-focus loop at the top;
 //! * **singletons**: `ddo(for $d in $e return $d/step)`;
@@ -19,7 +19,9 @@
 //!
 //! The negative half appends what must *not* be distributed — positional
 //! and boolean predicates, `position()`, `last()`, a filtered or
-//! two-argument `id` — and checks the same agreement.
+//! two-argument `id`, and a node-returning right-hand side of `/` that
+//! reads the intermediate focus, which `E/(p/s)` must not re-associate as
+//! `(E/p)/s` — and checks the same agreement.
 
 use proptest::prelude::*;
 
@@ -361,7 +363,49 @@ proptest! {
                 prop_assert_eq!(&set, &by_loop, "{}/{} over {:?}", p, function, focus);
                 prop_assert_eq!(&set, &expanded, "{}/{} over {:?}", p, function, focus);
             }
+
+            // … and a node-returning `s` in `p/s` that reads them.
+            for (test, per_node) in [
+                (
+                    "position() = 1",
+                    format!("for $m at $i in {px} return if ($i = 1) then $m/self::* else ()"),
+                ),
+                (
+                    "position() = last()",
+                    format!(
+                        "let $s := {px} return \
+                         for $m at $i in $s return if ($i = count($s)) then $m/self::* else ()"
+                    ),
+                ),
+            ] {
+                let step = format!("({p}/(if ({test}) then self::* else ()))");
+                assert_readings_agree(&mut store, &focus, &step, &format!("ddo({per_node})"));
+            }
         }
+    }
+}
+
+/// Over two `<s>` focus nodes, `child::*/(if (position() = 1) …)` keeps one
+/// child per `<s>`: re-associated as `($e/child::*)/(if …)` it would number
+/// the four children together and keep one in all.
+#[test]
+fn a_right_hand_side_reading_the_intermediate_focus_is_not_reassociated() {
+    let mut store = NodeStore::new();
+    store
+        .parse_document_with_uri("d.xml", "<r><s><a/><b/></s><s><a/><b/></s></r>")
+        .unwrap();
+    let mut evaluator = Evaluator::new(&mut store);
+    let focus = evaluator.eval_query_str("doc('d.xml')/r/s").unwrap();
+    evaluator.bind_global("e", focus);
+    for (test, kept) in [("position() = 1", "a"), ("position() = last()", "b")] {
+        let query = format!("$e/(child::*/(if ({test}) then self::* else ()))");
+        let nodes = evaluator.eval_query_str(&query).unwrap().nodes();
+        let store = evaluator.store_ref();
+        let names: Vec<&str> = nodes
+            .iter()
+            .map(|&n| store.name(n).unwrap().local.as_str())
+            .collect();
+        assert_eq!(names, [kept, kept], "{query}");
     }
 }
 

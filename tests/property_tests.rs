@@ -200,7 +200,9 @@ fn whole_and_split(xml: &str, prolog: &str, body: &str, x: &str) -> (Vec<NodeId>
 }
 
 /// The negative table: bodies an earlier judgement certified although they
-/// are not distributive.  Each is refused now, and each really does give
+/// are not distributive (the FIXPOINT, FUNCALL-linearity and transitive
+/// constructor holes of PR 25; call resolution by name alone, declarations
+/// over built-ins, and unjudged arguments of recursive calls).  Each is refused now, and each really does give
 /// `e(X) ≠ ⋃ₓ e({x})` on `X = (a, b)`.
 #[test]
 fn syntactic_judgement_refuses_non_distributive_bodies() {
@@ -223,6 +225,31 @@ fn syntactic_judgement_refuses_non_distributive_bodies() {
             "declare function f() { <c/> };\n",
             "$x/* union f()",
             "node constructor",
+        ),
+        // Calls resolve by name *and* arity: `f($x)` runs the one-parameter
+        // `f`, and `g()` the constructing one.
+        (
+            "declare function f($a) { if (count($a) >= 2) then doc('c.xml')/r else () };\n\
+             declare function f($a, $b) { $a/b };\n",
+            "$x/following-sibling::*[1] union f($x)",
+            "body of f() is not distributive in $a",
+        ),
+        (
+            "declare function g() { <c/> };\ndeclare function g($n) { $n };\n",
+            "$x/* union g()",
+            "node constructor",
+        ),
+        // Built-ins win over declarations, as in the evaluator.
+        (
+            "declare function local:subsequence($a, $b, $c) { $a/self::* };\n",
+            "$x/following-sibling::*[1] union subsequence($x, 2, 1)/parent::*",
+            "built-in subsequence() inspects the sequence bound to $x",
+        ),
+        // A recursive call is assumed safe, its arguments are still judged.
+        (
+            "declare function f($a, $n) { if ($n > 0) then f($a[1], $n - 1) else $a };\n",
+            "f($x, 1)",
+            "filter expression over a sequence containing $a",
         ),
     ] {
         let judgement = judge(prolog, body);
