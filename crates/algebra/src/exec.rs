@@ -1039,7 +1039,8 @@ impl Executor {
     /// The result table has columns `[`[`SEED_COLUMN`]`, item]`, grouped by
     /// seed in input order with each group in document order — exactly the
     /// concatenation of the per-seed [`Executor::run_fixpoint`] results.
-    /// [`ExecStats::iterations`] is the *maximum* per-seed depth and
+    /// [`ExecStats::iterations`] is the *maximum* per-seed depth,
+    /// [`ExecStats::rows_fed_back`] the sum of the per-seed counts and
     /// [`ExecStats::body_evaluations`] counts the shared iterations.
     pub fn run_fixpoint_batched<'a>(
         &mut self,
@@ -1139,7 +1140,6 @@ impl Executor {
         stats: &mut ExecStats,
     ) -> Result<Vec<Vec<NodeId>>> {
         let total_rows: usize = tagged.iter().map(|(_, nodes)| nodes.len()).sum();
-        stats.rows_fed_back += total_rows as u64;
         stats.frontier_curve.push(total_rows as u64);
         stats.body_evaluations += 1;
         let mut tag_col = Vec::new();
@@ -1184,7 +1184,6 @@ impl Executor {
         input: &[NodeId],
         stats: &mut ExecStats,
     ) -> Result<Vec<NodeId>> {
-        stats.rows_fed_back += input.len() as u64;
         stats.frontier_curve.push(input.len() as u64);
         stats.body_evaluations += 1;
         xqy_xdm::fail::point("alloc.table").map_err(|e| AlgebraError::Execution(e.to_string()))?;

@@ -68,6 +68,7 @@
 //! }
 //! ```
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -76,6 +77,7 @@ use xqy_algebra::{
     compile_recursion_body, AlgebraError, BatchSharing, CompiledBody, ExecStats, Executor,
 };
 use xqy_eval::distributivity::{builtin, declared_in, is_distributivity_safe, reaches_constructor};
+use xqy_eval::evaluator::per_item_fixpoint;
 use xqy_eval::{
     EvalError, Evaluator, FixpointBackendTag, FixpointInterceptor, FixpointStats, FixpointStrategy,
 };
@@ -208,6 +210,13 @@ pub struct PreparedOccurrence {
     /// Static features feeding the cost model (body size, `id()` usage,
     /// constructor presence, capability flags).
     features: OccurrenceFeatures,
+    /// The occurrence is the whole body of a per-item loop, `for $s in E
+    /// return with $x seeded by $s recurse b`, whose `b` reads no variable
+    /// but `$x` and the module's globals and externals
+    /// ([`per_item_fixpoint`]): the evaluator may run the loop as one
+    /// batch, so [`PreparedQuery::execute`] prices the batched routes for
+    /// it too.
+    per_item_loop: bool,
     /// The occurrence's feedback loop: what completed executions observed,
     /// keyed on the store-statistics fingerprint and consulted by every
     /// plan decision.  Shared by every execution (and clone) of the query —
@@ -271,8 +280,8 @@ pub struct OccurrencePlan {
     /// The back-end that drove the occurrence.
     pub backend: FixpointBackendTag,
     /// `true` when the occurrence ran as a single batched multi-source
-    /// fixpoint (only possible under
-    /// [`execute_batched`](PreparedQuery::execute_batched)).
+    /// fixpoint: under [`execute_batched`](PreparedQuery::execute_batched),
+    /// or as the body of a per-item `for` loop the evaluator batched.
     pub batched: bool,
     /// Who settled the plan: the knobs ([`DecisionSource::Forced`]), the
     /// static cost estimate, or feedback from earlier runs on the same
@@ -525,7 +534,9 @@ impl PreparedQuery {
     /// from shooting your own foot); the algebraic routes need a compiled
     /// plan, the batched algebraic route a seed-carried one.  A forced
     /// [`Backend::Algebraic`] over an uncompilable body is an error, as
-    /// before.
+    /// before.  The batched routes enter for an `execute_batched` call
+    /// (`batch`) and, Delta only, for a per-item loop the evaluator can
+    /// batch ([`PreparedOccurrence::per_item_loop`]).
     fn candidate_grid(
         &self,
         occ: &PreparedOccurrence,
@@ -557,12 +568,15 @@ impl PreparedQuery {
             (Backend::Auto, Err(_)) => &[FixpointBackendTag::Interpreted],
         };
         let mut grid = Vec::new();
-        if batch {
+        if batch || occ.per_item_loop {
             for &backend in backends {
                 if backend == FixpointBackendTag::Algebraic && !occ.is_batch_capable() {
                     continue;
                 }
                 for &strategy in strategies {
+                    if !batch && strategy != FixpointStrategy::Delta {
+                        continue;
+                    }
                     grid.push(PlanAlternative {
                         strategy,
                         backend,
@@ -613,6 +627,7 @@ impl PreparedQuery {
                 source: decision.source,
                 estimated_micros: decision.estimated_micros,
                 plan,
+                share: decision.alternative.batched && occ.report.is_distributive(),
             });
         }
         Ok(decisions)
@@ -631,7 +646,7 @@ impl PreparedQuery {
                     compiled: compiled.clone(),
                     strategy: decision.alternative.strategy,
                     batched: decision.alternative.batched,
-                    share: occ.report.is_distributive(),
+                    share: decision.share,
                 })
             })
             .collect()
@@ -723,10 +738,10 @@ impl PreparedQuery {
     }
 
     /// The evaluator every execution route runs on: options and limits
-    /// from `opts`, the decided algorithm per occurrence, and — only when a
-    /// decision routes through the relational executor — the interceptor
-    /// that drives those decisions on a checked-out runtime, which it owns
-    /// until the evaluator is dropped.
+    /// from `opts`, the decided algorithm and batch-sharing grant per
+    /// occurrence, and — only when a decision routes through the relational
+    /// executor — the interceptor that drives those decisions on a
+    /// checked-out runtime, which it owns until the evaluator is dropped.
     fn evaluator<'s>(
         &self,
         store: StoreMut<'s>,
@@ -748,6 +763,7 @@ impl PreparedQuery {
         for (occ, decision) in self.occurrences.iter().zip(decisions) {
             let strategy = decision.alternative.strategy;
             evaluator.set_fixpoint_strategy_for(&occ.var, occ.body.clone(), strategy);
+            evaluator.set_fixpoint_batch_sharing_for(&occ.var, occ.body.clone(), decision.share);
         }
         let entries = self.plan_entries(decisions);
         if !entries.is_empty() {
@@ -812,6 +828,11 @@ impl PreparedQuery {
     /// ran; only non-seed-local algebraic plans (and non-fixpoint query
     /// shapes) still run one fixpoint per seed, with results identical
     /// either way.
+    ///
+    /// A query that loops over the seeds itself — `for $s in $seed return
+    /// (with $x seeded by $s recurse …)` — gets the shared-frontier batch
+    /// from plain [`execute`](Self::execute) when its body is distributive
+    /// and decided Delta (see the evaluator's per-item loops).
     ///
     /// `bindings` supplies every external variable except `seed_var`
     /// (a `seed_var` entry, if present, is ignored — the seeds come from
@@ -944,32 +965,8 @@ impl PreparedQuery {
         stats: &StoreStatistics,
         decisions: Vec<PlanDecision>,
     ) -> Result<BatchedOutcome> {
-        // Duplicate seeds fold onto one fixpoint each; remember where each
-        // input position points so the per-seed results expand back.
-        let items = seeds.nodes();
-        let mut unique: Vec<NodeId> = Vec::new();
-        let mut index: std::collections::HashMap<NodeId, usize> = std::collections::HashMap::new();
-        let mut positions = Vec::with_capacity(items.len());
-        for node in items {
-            let idx = *index.entry(node).or_insert_with(|| {
-                unique.push(node);
-                unique.len() - 1
-            });
-            positions.push(idx);
-        }
-
         let _budget_scope = install_budget(&opts.limits);
         let mut evaluator = self.evaluator(store, opts, &decisions);
-        // Distributive occurrences may share per-node body evaluations
-        // across seeds on the batched source-level route — the same grant
-        // `PlanEntry::share` gives the relational one.
-        for o in &self.occurrences {
-            evaluator.set_fixpoint_batch_sharing_for(
-                &o.var,
-                o.body.clone(),
-                o.report.is_distributive(),
-            );
-        }
         // The source-level fallback evaluates the recursion body directly;
         // give it the module's functions and the non-seed externals.
         evaluator.register_functions(&self.module.functions);
@@ -979,11 +976,9 @@ impl PreparedQuery {
             }
         }
 
-        let (groups, batched) = evaluator.run_fixpoint_batched(&occ.var, &occ.body, &unique)?;
-        let per_seed: Vec<Sequence> = positions
-            .iter()
-            .map(|&i| Sequence::from_nodes(groups[i].clone()))
-            .collect();
+        let (groups, batched) =
+            evaluator.run_fixpoint_batched(&occ.var, &occ.body, &seeds.nodes())?;
+        let per_seed: Vec<Sequence> = groups.into_iter().map(Sequence::from_nodes).collect();
         let mut result = Sequence::empty();
         for seq in &per_seed {
             result.extend(seq.clone());
@@ -1046,6 +1041,10 @@ struct PlanDecision {
     estimated_micros: u64,
     /// `Some` iff `alternative.backend` is algebraic.
     plan: Option<Arc<CompiledBody>>,
+    /// The batch-sharing grant (`BatchSharing::DistinctNodes`) every route
+    /// reads: the decision batches the occurrence and
+    /// `DistributivityReport::is_distributive` certifies its body.
+    share: bool,
 }
 
 /// One interceptor entry: an occurrence whose decision routes through the
@@ -1059,9 +1058,8 @@ struct PlanEntry {
     /// inside a batched execution: the interceptor declines the batch so the
     /// evaluator falls back to one (algebraic) fixpoint per seed.
     batched: bool,
-    /// The grant of `BatchSharing::DistinctNodes` for a batch: the
-    /// occurrence's `DistributivityReport::is_distributive`, which the
-    /// batched source-level route reads too.
+    /// The grant of `BatchSharing::DistinctNodes` for a batch
+    /// ([`PlanDecision::share`]), which the source-level routes read too.
     share: bool,
 }
 
@@ -1181,7 +1179,7 @@ pub(crate) fn analyse_occurrences(
     strategy: Strategy,
 ) -> Vec<PreparedOccurrence> {
     let mut occurrences = Vec::new();
-    for (var, body) in collect_occurrences(module) {
+    for (var, body, per_item_loop) in collect_occurrences(module) {
         let syntactic = is_distributivity_safe(&body, &var, &module.functions);
         let compiled = compile_recursion_body(&body, &var)
             .map(Arc::new)
@@ -1221,6 +1219,7 @@ pub(crate) fn analyse_occurrences(
             compiled,
             features,
             feedback,
+            per_item_loop,
         });
     }
     occurrences
@@ -1256,16 +1255,40 @@ fn occurrence_features(
     }
 }
 
-/// Collect the `(recursion variable, body)` of every IFP occurrence in the
-/// module, in syntactic order (functions, then variable declarations, then
-/// the main body) — the order `QueryOutcome::distributivity` reports.
-fn collect_occurrences(module: &QueryModule) -> Vec<(String, Expr)> {
-    let mut bodies: Vec<(String, Expr)> = Vec::new();
+/// Collect the `(recursion variable, body, per-item loop)` of every IFP
+/// occurrence in the module, in syntactic order (functions, then variable
+/// declarations, then the main body) — the order
+/// `QueryOutcome::distributivity` reports.  The flag is
+/// [`PreparedOccurrence::per_item_loop`].
+fn collect_occurrences(module: &QueryModule) -> Vec<(String, Expr, bool)> {
+    // The module's globals and externals, computed on the first question.
+    let globals: OnceCell<Vec<String>> = OnceCell::new();
+    let is_global = |v: &str| {
+        let globals = globals.get_or_init(|| {
+            let declared = module.variables.iter().map(|(name, _)| name.clone());
+            external_variables(module)
+                .into_iter()
+                .chain(declared)
+                .collect()
+        });
+        globals.iter().any(|g| g == v)
+    };
+    let mut bodies: Vec<(String, Expr, bool)> = Vec::new();
+    // The fixpoints that are a per-item loop's whole body; `walk` visits
+    // the loop before its body.
+    let mut loop_bodies: Vec<*const Expr> = Vec::new();
     let mut collect = |expr: &Expr| {
-        expr.walk(&mut |e| {
-            if let Expr::Fixpoint { var, body, .. } = e {
-                bodies.push((var.clone(), body.as_ref().clone()));
+        expr.walk(&mut |e| match e {
+            Expr::For { .. } => {
+                if let Some(fixpoint) = per_item_fixpoint(e, is_global) {
+                    loop_bodies.push(fixpoint);
+                }
             }
+            Expr::Fixpoint { var, body, .. } => {
+                let per_item_loop = loop_bodies.contains(&(e as *const Expr));
+                bodies.push((var.clone(), body.as_ref().clone(), per_item_loop));
+            }
+            _ => {}
         });
     };
     for f in &module.functions {

@@ -197,8 +197,11 @@ impl<'s> Evaluator<'s> {
     /// paper) — the caller certifies distributivity, and the driver trusts
     /// the grant (the prepared-query layer grants
     /// `DistributivityReport::is_distributive`, whose syntactic half refuses
-    /// constructors).  Occurrences without a grant run group-wise (one body
-    /// evaluation per seed per iteration), which is exact for every body.
+    /// constructors, where its plan decision batches the occurrence).
+    /// Occurrences without a grant run group-wise (one body evaluation per
+    /// seed per iteration), which is exact for every body.  The grant also
+    /// licenses a Delta occurrence's per-item `for` loop to run as one
+    /// batch (see [`eval_expr`](Self::eval_expr)).
     pub fn set_fixpoint_batch_sharing_for(&mut self, var: &str, body: Arc<Expr>, share: bool) {
         self.occurrence_overrides_for(var, body).share = share;
     }
@@ -304,8 +307,11 @@ impl<'s> Evaluator<'s> {
     /// (index-aligned with `seeds`) and whether they were computed by a
     /// single *batched* multi-source run.
     ///
-    /// This is the batched dispatch point of the eval layer.  Routing, in
-    /// order:
+    /// This is the batched dispatch point of the eval layer, shared by
+    /// `PreparedQuery::execute_batched` and the evaluator's own per-item
+    /// loops (see [`eval_expr`](Self::eval_expr)'s `for` arm).  A seed that
+    /// occurs more than once is computed once and its result replicated.
+    /// Routing of the distinct seeds, in order:
     ///
     /// 1. the installed [`FixpointInterceptor`], offered the whole batch
     ///    ([`Seeds::Each`]) — one shared fixpoint over the `(seed, node)`
@@ -327,13 +333,55 @@ impl<'s> Evaluator<'s> {
     ///
     /// Every run is recorded in [`fixpoint_runs`](Self::fixpoint_runs):
     /// one entry with [`FixpointStats::batch_seeds`]` > 0` on routes 1 and
-    /// 3, one entry per seed on route 2.  `seeds` must be distinct; callers
-    /// deduplicate and re-expand.
+    /// 3, one entry per distinct seed on route 2.
     pub fn run_fixpoint_batched(
         &mut self,
         var: &str,
         body: &Expr,
         seeds: &[NodeId],
+    ) -> Result<(Vec<Vec<NodeId>>, bool)> {
+        let mut env = self.env_with_globals();
+        self.run_fixpoint_per_item(var, body, seeds, &mut env)
+    }
+
+    /// [`run_fixpoint_batched`](Self::run_fixpoint_batched) with the
+    /// source-level routes evaluating `body` under `env`: fold duplicate
+    /// items onto one seed each, run the distinct seeds, and expand the
+    /// groups back to one per item.
+    fn run_fixpoint_per_item(
+        &mut self,
+        var: &str,
+        body: &Expr,
+        items: &[NodeId],
+        env: &mut Environment,
+    ) -> Result<(Vec<Vec<NodeId>>, bool)> {
+        let mut index: HashMap<NodeId, usize> = HashMap::with_capacity(items.len());
+        let mut seeds: Vec<NodeId> = Vec::with_capacity(items.len());
+        let positions: Vec<usize> = items
+            .iter()
+            .map(|&node| {
+                *index.entry(node).or_insert_with(|| {
+                    seeds.push(node);
+                    seeds.len() - 1
+                })
+            })
+            .collect();
+        let (groups, batched) = self.run_fixpoint_distinct(var, body, &seeds, env)?;
+        if seeds.len() == items.len() {
+            return Ok((groups, batched));
+        }
+        let groups = positions.iter().map(|&i| groups[i].clone()).collect();
+        Ok((groups, batched))
+    }
+
+    /// The routes of [`run_fixpoint_batched`](Self::run_fixpoint_batched)
+    /// over distinct `seeds`.
+    fn run_fixpoint_distinct(
+        &mut self,
+        var: &str,
+        body: &Expr,
+        seeds: &[NodeId],
+        env: &mut Environment,
     ) -> Result<(Vec<Vec<NodeId>>, bool)> {
         if seeds.is_empty() {
             // Zero seeds means zero fixpoints: nothing runs, nothing is
@@ -353,21 +401,22 @@ impl<'s> Evaluator<'s> {
                     // so a decline is seed-independent: the whole batch is
                     // source-level.  Run it as one batched fixpoint instead
                     // of one interpreter loop per seed.
-                    return self
-                        .run_fixpoint_batched_source(var, body, seeds)
-                        .map(|groups| (groups, true));
+                    let strategy = self.fixpoint_strategy_for(var, body);
+                    let share = self.fixpoint_batch_sharing_for(var, body);
+                    return fixpoint::evaluate_fixpoint_batched(
+                        self, var, seeds, body, env, strategy, share,
+                    )
+                    .map(|groups| (groups, true));
                 }
                 None => {
                     // Defensive: an interceptor that accepts some seeds but
                     // declines others (none of ours does) still gets exact
                     // per-seed semantics.
-                    let mut env = self.env_with_globals();
                     let strategy = self.fixpoint_strategy_for(var, body);
                     let seed_seq = Sequence::from_nodes(vec![seed]);
-                    let nodes = fixpoint::evaluate_fixpoint(
-                        self, var, &seed_seq, body, &mut env, strategy,
-                    )?
-                    .nodes();
+                    let nodes =
+                        fixpoint::evaluate_fixpoint(self, var, &seed_seq, body, env, strategy)?
+                            .nodes();
                     groups.push(nodes);
                 }
             }
@@ -402,19 +451,42 @@ impl<'s> Evaluator<'s> {
         Ok(Some(groups))
     }
 
-    /// Route 3 of [`run_fixpoint_batched`](Self::run_fixpoint_batched): the
-    /// batched **source-level** driver, sharing frontier nodes exactly when
-    /// the occurrence holds a distributivity grant.
-    fn run_fixpoint_batched_source(
+    /// **Automatic batching**: the loop `expr`, when
+    /// [`per_item_fixpoint`] accepts it, as one
+    /// [`run_fixpoint_per_item`](Self::run_fixpoint_per_item) call over its
+    /// evaluated `input`, the groups concatenated in item order — what the
+    /// per-item loop returns.  `None` (take the loop) unless, besides the
+    /// shape, `input` is all nodes and the occurrence is decided Delta and
+    /// holds the batch-sharing grant.  Shared frontiers only: under the
+    /// grant every seed's frontier node is evaluated once for the batch,
+    /// which is where the route wins; Naïve keeps its per-item loop.
+    fn batch_per_item_loop(
         &mut self,
-        var: &str,
-        body: &Expr,
-        seeds: &[NodeId],
-    ) -> Result<Vec<Vec<NodeId>>> {
-        let mut env = self.env_with_globals();
-        let strategy = self.fixpoint_strategy_for(var, body);
-        let share = self.fixpoint_batch_sharing_for(var, body);
-        fixpoint::evaluate_fixpoint_batched(self, var, seeds, body, &mut env, strategy, share)
+        expr: &Expr,
+        input: &Sequence,
+        env: &mut Environment,
+    ) -> Option<Result<Sequence>> {
+        if !input.all_nodes() {
+            return None;
+        }
+        let is_global = |v: &str| self.names.get(v).is_some_and(|id| self.is_global(id));
+        let Some(Expr::Fixpoint { var, body, .. }) = per_item_fixpoint(expr, is_global) else {
+            return None;
+        };
+        if self.fixpoint_strategy_for(var, body) != FixpointStrategy::Delta
+            || !self.fixpoint_batch_sharing_for(var, body)
+        {
+            return None;
+        }
+        let items = input.nodes();
+        let run = self.run_fixpoint_per_item(var, body, &items, env);
+        Some(run.map(|(groups, _)| Sequence::from_nodes(groups.into_iter().flatten())))
+    }
+
+    /// `true` when `name` is bound by [`bind_global`](Self::bind_global) or
+    /// a module's variable declaration.
+    fn is_global(&self, name: StrId) -> bool {
+        self.globals.iter().any(|(global, _)| *global == name)
     }
 
     /// Parse and evaluate a complete query.
@@ -482,6 +554,9 @@ impl<'s> Evaluator<'s> {
                 body,
             } => {
                 let input = self.eval_expr(seq, env, focus)?;
+                if let Some(result) = self.batch_per_item_loop(expr, &input, env) {
+                    return result;
+                }
                 let var_id = self.names.intern(var);
                 let pos_id = pos_var.as_ref().map(|p| self.names.intern(p));
                 let mut out = Sequence::empty();
@@ -1185,6 +1260,33 @@ impl<'s> Evaluator<'s> {
     }
 }
 
+/// The fixpoint of a per-item loop `for $s in E return with $x seeded by
+/// $s recurse b` (no `at`), when `b` reads no variable but `$x` and those
+/// `is_global` names — the shape the evaluator may run as one batch, and
+/// the one the prepared-query layer prices batched routes for.  `None` for
+/// every other expression.
+pub fn per_item_fixpoint(expr: &Expr, is_global: impl Fn(&str) -> bool) -> Option<&Expr> {
+    let Expr::For {
+        var: item,
+        pos_var: None,
+        body: fixpoint,
+        ..
+    } = expr
+    else {
+        return None;
+    };
+    let Expr::Fixpoint { var, seed, body } = fixpoint.as_ref() else {
+        return None;
+    };
+    let seeded_by_item = matches!(seed.as_ref(), Expr::VarRef(s) if s == item);
+    let reads_globals = || {
+        body.free_vars()
+            .iter()
+            .all(|v| v == var || (v != item && is_global(v)))
+    };
+    (seeded_by_item && reads_globals()).then_some(fixpoint.as_ref())
+}
+
 fn literal_item(lit: &Literal) -> Item {
     match lit {
         Literal::Integer(i) => Item::integer(*i),
@@ -1489,6 +1591,63 @@ mod tests {
             eval_err("doc('missing.xml')"),
             EvalError::DocumentNotFound(_)
         ));
+    }
+
+    #[test]
+    fn a_per_item_fixpoint_loop_batches_only_in_its_exact_shape() {
+        // Element ancestors of the `b`s, three distinct seeds.
+        const ITEMS: &str = "doc('doc.xml')//b";
+        let run = |query: &str, body: &str, strategy, grant| {
+            let mut store = NodeStore::new();
+            let doc = "<r><a><b/><b/></a><c><b/></c></r>";
+            store.parse_document_with_uri("doc.xml", doc).unwrap();
+            let mut evaluator = Evaluator::new(&mut store);
+            evaluator.set_fixpoint_strategy(strategy);
+            let body = Arc::new(xqy_parser::parse_expr(body).unwrap());
+            evaluator.set_fixpoint_batch_sharing_for("x", body, grant);
+            evaluator.bind_global("g", Sequence::empty());
+            let twin = query.replacen("for $s in", "for $s at $i in", 1);
+            let looped = evaluator.eval_query_str(&twin).unwrap().nodes();
+            let loop_runs = evaluator.fixpoint_runs().len();
+            let result = evaluator.eval_query_str(query).unwrap().nodes();
+            assert_eq!(result, looped, "{query}");
+            let runs = &evaluator.fixpoint_runs()[loop_runs..];
+            runs.iter().map(|s| s.batch_seeds).collect::<Vec<_>>()
+        };
+        let per_item = |items: &str, body: &str| {
+            format!("for $s in {items} return with $x seeded by $s recurse {body}")
+        };
+        let up = "$x/parent::*";
+        let delta = FixpointStrategy::Delta;
+        assert_eq!(run(&per_item(ITEMS, up), up, delta, true), [3]);
+        // Duplicate items fold onto one seed each and are replicated.
+        let twice = format!("({ITEMS}, {ITEMS})");
+        assert_eq!(run(&per_item(&twice, up), up, delta, true), [3]);
+        let reads_global = "$x/parent::* union $g";
+        assert_eq!(
+            run(&per_item(ITEMS, reads_global), reads_global, delta, true),
+            [3]
+        );
+        // Each condition, broken alone, keeps the loop.
+        assert_eq!(run(&per_item(ITEMS, up), up, delta, false), [0, 0, 0]);
+        let naive = FixpointStrategy::Naive;
+        assert_eq!(run(&per_item(ITEMS, up), up, naive, true), [0, 0, 0]);
+        let reads_item = "$x/parent::* union $s/self::c";
+        assert_eq!(
+            run(&per_item(ITEMS, reads_item), reads_item, delta, true),
+            [0, 0, 0]
+        );
+        let local = format!(
+            "let $l := () return {}",
+            per_item(ITEMS, "$x/parent::* union $l")
+        );
+        assert_eq!(run(&local, "$x/parent::* union $l", delta, true), [0, 0, 0]);
+        let parent_seeded =
+            format!("for $s in {ITEMS} return with $x seeded by $s/.. recurse {up}");
+        assert_eq!(run(&parent_seeded, up, delta, true), [0, 0, 0]);
+        let positioned =
+            format!("for $s at $p in {ITEMS} return with $x seeded by $s recurse {up}");
+        assert_eq!(run(&positioned, up, delta, true), [0, 0, 0]);
     }
 
     #[test]

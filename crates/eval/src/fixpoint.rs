@@ -96,10 +96,13 @@ pub struct FixpointStats {
     /// Number of do-while iterations executed (the paper's
     /// "recursion depth").
     pub iterations: usize,
-    /// Total number of nodes fed into the recursion body across all calls —
-    /// the paper's "Total # of Nodes Fed Back" column.
+    /// The paper's "Total # of Nodes Fed Back" column: the frontier
+    /// lengths fed back, summed over iterations — and, for a batch, over
+    /// seeds, so a batch reports the sum of its seeds' own Figure-3 counts
+    /// however much of that work it shared ([`ExecStats::rows_fed_back`]).
     pub nodes_fed_back: u64,
-    /// Number of invocations of the recursion body.
+    /// Number of invocations of the recursion body (memo hits and shared
+    /// evaluations excluded: the "work saved" view).
     pub payload_calls: usize,
     /// Size of the final result (number of nodes).
     pub result_size: usize,
@@ -114,9 +117,10 @@ pub struct FixpointStats {
     pub static_plan_evals: u64,
     /// Number of seeds this run evaluated together as a **batched
     /// multi-source fixpoint** — `0` for an ordinary single-source run.
-    /// When non-zero, `iterations` is the maximum per-seed recursion depth
-    /// and `payload_calls` counts the *shared* body evaluations (one per
-    /// batched iteration, however many seeds are still iterating).
+    /// When non-zero, `iterations` is the maximum per-seed recursion depth,
+    /// `nodes_fed_back` the sum of the per-seed counts and `payload_calls`
+    /// counts the *shared* body evaluations (on the relational back-end one
+    /// per batched iteration, however many seeds are still iterating).
     pub batch_seeds: usize,
     /// Nodes fed into each recursion-body call, in call order — the
     /// frontier-growth curve.  Deterministic for a given (query, store,
@@ -178,7 +182,6 @@ struct Interpreted<'a, 's> {
 impl Interpreted<'_, '_> {
     /// One invocation of the recursion body, counted.
     fn call(&mut self, input: &[NodeId], stats: &mut ExecStats) -> Result<Vec<NodeId>> {
-        stats.rows_fed_back += input.len() as u64;
         stats.frontier_curve.push(input.len() as u64);
         stats.body_evaluations += 1;
         xqy_xdm::fail::point("alloc.sequence").map_err(|e| EvalError::Xdm(e.to_string()))?;
@@ -287,9 +290,8 @@ pub fn evaluate_fixpoint(
 ///   `e(X) = ⋃ₓ e({x})`, Theorem 3.2; the caller screens both): the body is
 ///   evaluated once per **distinct** frontier node across all seeds, the
 ///   images are memoized across iterations and distributed to every owning
-///   seed.  Under that precondition Naïve and Delta coincide, and feeding
-///   each frontier node once is equivalent to both, so the run feeds `∆`
-///   whatever `strategy` (which is still the one recorded) says.
+///   seed.  Each seed still follows `strategy` — Naïve re-feeds its whole
+///   `res`, which the memo answers with lookups.
 /// * `share_frontiers = false`: the body is evaluated on each seed's own
 ///   frontier, exactly as a per-seed loop would — correct for every body.
 ///
@@ -298,8 +300,9 @@ pub fn evaluate_fixpoint(
 /// [`evaluate_fixpoint`] over that singleton seed returns.  One
 /// [`FixpointStats`] entry is recorded for the whole batch:
 /// [`FixpointStats::batch_seeds`]` = seeds.len()`, `iterations` is the
-/// maximum per-seed recursion depth, `payload_calls` / `nodes_fed_back`
-/// count the body evaluations actually performed.
+/// maximum per-seed recursion depth, `nodes_fed_back` the sum of the
+/// per-seed Figure-3 counts, and `payload_calls` the body evaluations
+/// actually performed.
 pub fn evaluate_fixpoint_batched(
     eval: &mut Evaluator<'_>,
     var: &str,
@@ -324,17 +327,17 @@ fn drive(
     seeds: Seeds<'_>,
 ) -> Result<Vec<Vec<NodeId>>> {
     let options = eval.options();
-    let mut config = Config {
+    let config = Config {
         strategy,
-        sharing: BatchSharing::PerSeed,
+        sharing: if share {
+            BatchSharing::DistinctNodes
+        } else {
+            BatchSharing::PerSeed
+        },
         seed_in_result: options.seed_in_result,
         threads: options.fixpoint_threads,
         limits: options.limits,
     };
-    if share {
-        config.strategy = FixpointStrategy::Delta;
-        config.sharing = BatchSharing::DistinctNodes;
-    }
     let mut interpreted = Interpreted {
         eval,
         var,

@@ -7,13 +7,16 @@
 //! The central property test draws random algebraic-subset bodies and random
 //! seed sets and checks batched ≡ per-seed on both back-ends; the unit tests
 //! pin the edge cases (empty seed set, duplicate seeds, non-algebraic
-//! fallback, per-batch statistics).
+//! fallback, per-batch statistics).  The same holds for the plain per-item
+//! loop `for $s in $seed return (with $x seeded by $s recurse b)`, which the
+//! evaluator batches by itself (`for_route_equals_the_per_item_loop` and
+//! the negative table `loops_off_the_route_keep_the_per_item_loop`).
 
 use proptest::prelude::*;
 
-use xqy_ifp::eval::FixpointBackendTag;
+use xqy_ifp::eval::{FixpointBackendTag, FixpointStrategy};
 use xqy_ifp::xdm::Sequence;
-use xqy_ifp::{Backend, Bindings, Engine, Strategy};
+use xqy_ifp::{Backend, Bindings, Engine, QueryOutcome, Strategy};
 
 /// Build a curriculum-like document from an arbitrary edge list over
 /// `courses` nodes (the same generator the cross-backend property test
@@ -202,6 +205,8 @@ proptest! {
 fn batched_fast_path_runs_one_shared_fixpoint() {
     let xml = curriculum_from_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 0)]);
     let mut engine = curriculum_engine(&xml);
+    // One algorithm on both sides, so the fed-back counts are comparable.
+    engine.set_strategy(Strategy::Delta);
     let prepared = engine
         .prepare(BATCHED_QUERY)
         .unwrap()
@@ -239,12 +244,278 @@ fn batched_fast_path_runs_one_shared_fixpoint() {
         shared.payload_calls,
         per_seed_calls
     );
-    assert!(
-        shared.nodes_fed_back <= per_seed_fed,
-        "batched fed back {} rows, per-seed {}",
-        shared.nodes_fed_back,
-        per_seed_fed
+    // Nodes fed back are each seed's own Figure-3 count, summed — at least
+    // the seeds themselves, which the first round feeds.
+    assert_eq!(shared.nodes_fed_back, per_seed_fed);
+    assert!(per_seed_fed >= 6, "{per_seed_fed}");
+}
+
+#[test]
+fn forced_naive_batches_run_and_record_naive_on_both_back_ends() {
+    // A shared-frontier batch follows the strategy it records: under a
+    // forced Naïve each seed re-feeds its whole accumulator, so both
+    // back-ends report the per-seed Naïve count.
+    let xml = curriculum_from_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 0), (5, 0)]);
+    let mut engine = curriculum_engine(&xml);
+    engine.set_strategy(Strategy::Naive);
+    let prepared = engine.prepare(BATCHED_QUERY).unwrap();
+    assert!(prepared.occurrences()[0].report().is_distributive());
+    let seeds = all_courses(&mut engine);
+    let (mut per_seed_fed, mut per_seed) = (0, Vec::new());
+    for &seed in &seeds.nodes() {
+        let bindings = Bindings::new().with("seed", Sequence::from_nodes(vec![seed]));
+        let outcome = prepared.execute(&mut engine, &bindings).unwrap();
+        per_seed_fed += outcome.fixpoints[0].nodes_fed_back;
+        per_seed.push(outcome.result.nodes());
+    }
+    for backend in [Backend::SourceLevel, Backend::Algebraic] {
+        let batch = prepared
+            .clone()
+            .with_backend(backend)
+            .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
+            .unwrap();
+        assert!(batch.batched, "{}", backend.name());
+        let run = &batch.outcome.fixpoints[0];
+        assert_eq!(run.strategy, Some(FixpointStrategy::Naive));
+        assert_eq!(run.batch_seeds, 6);
+        assert_eq!(run.nodes_fed_back, per_seed_fed, "{}", backend.name());
+        let results: Vec<_> = batch.per_seed.iter().map(Sequence::nodes).collect();
+        assert_eq!(results, per_seed);
+    }
+}
+
+/// `query` with `$seed` bound to `seeds`.
+fn execute_query(
+    engine: &mut Engine,
+    query: &str,
+    strategy: Strategy,
+    backend: Backend,
+    seeds: &Sequence,
+) -> Result<QueryOutcome, String> {
+    engine.set_strategy(strategy);
+    let prepared = engine
+        .prepare(query)
+        .map_err(|e| e.to_string())?
+        .with_backend(backend);
+    let bindings = Bindings::new().with("seed", seeds.clone());
+    prepared
+        .execute(engine, &bindings)
+        .map_err(|e| e.to_string())
+}
+
+/// The per-item loop over `$seed` for `body`, and the same loop with a
+/// position variable, which keeps the evaluator off the batched route.
+fn loop_queries(body: &str) -> (String, String) {
+    (
+        format!("for $s in $seed return (with $x seeded by $s recurse {body})"),
+        format!("for $s at $i in $seed return (with $x seeded by $s recurse {body})"),
+    )
+}
+
+/// Result nodes, summed nodes fed back and maximum depth of an outcome.
+fn table_2(outcome: &QueryOutcome) -> (Vec<xqy_ifp::xdm::NodeId>, u64, usize) {
+    (
+        outcome.result.nodes(),
+        outcome.fixpoints.iter().map(|s| s.nodes_fed_back).sum(),
+        outcome
+            .fixpoints
+            .iter()
+            .map(|s| s.iterations)
+            .max()
+            .unwrap_or(0),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Automatic batching ≡ the per-item loop: at every grid point
+    /// (strategy × back-end), for random algebraic-subset bodies, reference
+    /// graphs and distinct seed sets, the plain loop returns the loop's
+    /// results in order, the same summed nodes fed back and the same
+    /// maximum depth — and under Delta with a distributive body it ran as
+    /// one batch.
+    #[test]
+    fn for_route_equals_the_per_item_loop(
+        courses in 2usize..9,
+        edges in edge_strategy(8),
+        seed_picks in proptest::collection::vec(0usize..9, 1..6),
+        body in prop_oneof![
+            Just("$x/id(./prerequisites/pre_code)"),
+            Just("$x/prerequisites/pre_code"),
+            Just("$x/*"),
+            Just("$x/prerequisites union $x/self::course"),
+            Just("$x/id(./prerequisites/pre_code) union $x/self::course"),
+            Just("if (count($x/prerequisites/pre_code)) then $x/id(./prerequisites/pre_code) else ()"),
+        ],
+    ) {
+        let xml = curriculum_from_edges(courses, &edges);
+        let (routed, looped) = loop_queries(body);
+        let mut engine = curriculum_engine(&xml);
+        let all = all_courses(&mut engine).nodes();
+        let mut picked = Vec::new();
+        for i in seed_picks {
+            let node = all[i % all.len()];
+            if !picked.contains(&node) {
+                picked.push(node);
+            }
+        }
+        let seeds = Sequence::from_nodes(picked);
+        for strategy in [Strategy::Naive, Strategy::Delta, Strategy::Auto] {
+            for backend in [Backend::SourceLevel, Backend::Algebraic, Backend::Auto] {
+                let at = format!("{body} under {strategy:?}/{}", backend.name());
+                let route = execute_query(&mut engine, &routed, strategy, backend, &seeds).unwrap();
+                let reference = execute_query(&mut engine, &looped, strategy, backend, &seeds).unwrap();
+                prop_assert_eq!(table_2(&route), table_2(&reference), "{}", &at);
+                prop_assert!(reference.fixpoints.iter().all(|s| s.batch_seeds == 0));
+                let decided_delta = route.occurrences[0].strategy == FixpointStrategy::Delta;
+                if decided_delta && route.distributivity[0].is_distributive() {
+                    prop_assert_eq!(route.fixpoints.len(), 1, "{}", &at);
+                    prop_assert_eq!(route.fixpoints[0].batch_seeds, seeds.len(), "{}", &at);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn loops_off_the_route_keep_the_per_item_loop() {
+    // Each row changes one thing about the batched shape or its conditions;
+    // the loop must answer exactly as its position-variable twin (which
+    // never batches), and, except where noted, by one run per item.
+    const CLOSURE: &str = "$x/id(./prerequisites/pre_code)";
+    const EXAMPLE_2_4: &str = "if (count($x/self::course[prerequisites/pre_code])) \
+                               then $x/id(./prerequisites/pre_code) else ()";
+    let xml_a = curriculum_from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 1)]);
+    let xml_b = curriculum_from_edges(3, &[(0, 2), (2, 1)]);
+    let mut engine = curriculum_engine(&xml_a);
+    engine
+        .load_document_with_ids("d.xml", &xml_b, &["code"])
+        .unwrap();
+    let courses = all_courses(&mut engine);
+    let mut both = courses.nodes();
+    both.extend(
+        engine
+            .run("doc('d.xml')/curriculum/course")
+            .unwrap()
+            .result
+            .nodes(),
     );
+    let both = Sequence::from_nodes(both);
+    let per_item = |body: &str| loop_queries(body).0;
+    let rows: Vec<(&str, String, Strategy, Backend, Sequence, bool)> = vec![
+        (
+            "a position variable",
+            loop_queries(CLOSURE).1,
+            Strategy::Delta,
+            Backend::SourceLevel,
+            courses.clone(),
+            false,
+        ),
+        (
+            "a body reading $s",
+            per_item("$x/id(./prerequisites/pre_code) union $s/self::course[@code = 'c9']"),
+            Strategy::Delta,
+            Backend::SourceLevel,
+            courses.clone(),
+            false,
+        ),
+        (
+            "seeded by $s/..",
+            format!("for $s in $seed return (with $x seeded by $s/.. recurse {CLOSURE})"),
+            Strategy::Delta,
+            Backend::SourceLevel,
+            courses.clone(),
+            false,
+        ),
+        (
+            "an atomic item",
+            format!("for $s in ($seed, 1) return (with $x seeded by $s recurse {CLOSURE})"),
+            Strategy::Delta,
+            Backend::SourceLevel,
+            courses.clone(),
+            false,
+        ),
+        (
+            "duplicate items (batched; the duplicate replicated)",
+            format!("for $s in ($seed, $seed) return (with $x seeded by $s recurse {CLOSURE})"),
+            Strategy::Delta,
+            Backend::SourceLevel,
+            courses.clone(),
+            true,
+        ),
+        (
+            "no item",
+            per_item(CLOSURE),
+            Strategy::Delta,
+            Backend::Algebraic,
+            Sequence::empty(),
+            false,
+        ),
+        (
+            "a forced Naïve",
+            per_item(CLOSURE),
+            Strategy::Naive,
+            Backend::Algebraic,
+            courses.clone(),
+            false,
+        ),
+        (
+            "Example 2.4's body",
+            per_item(EXAMPLE_2_4),
+            Strategy::Delta,
+            Backend::SourceLevel,
+            courses.clone(),
+            false,
+        ),
+        (
+            "an id() body over two documents (the executor declines the batch)",
+            per_item(CLOSURE),
+            Strategy::Delta,
+            Backend::Algebraic,
+            both.clone(),
+            false,
+        ),
+    ];
+    for (name, query, strategy, backend, seeds, batches) in rows {
+        let twin = query.replacen("for $s in", "for $s at $i in", 1);
+        let outcome = execute_query(&mut engine, &query, strategy, backend, &seeds);
+        let reference = execute_query(&mut engine, &twin, strategy, backend, &seeds);
+        match (&outcome, &reference) {
+            (Ok(outcome), Ok(reference)) => {
+                assert_eq!(outcome.result.nodes(), reference.result.nodes(), "{name}");
+                let batched = outcome.fixpoints.iter().any(|s| s.batch_seeds > 0);
+                assert_eq!(batched, batches, "{name}");
+                if !batches {
+                    assert_eq!(table_2(outcome), table_2(reference), "{name}");
+                }
+            }
+            (Err(error), Err(expected)) => assert_eq!(error, expected, "{name}"),
+            _ => panic!("{name}: {outcome:?} against {reference:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_batched_loop_stays_batched_across_executions() {
+    // Feedback only ever observes the batched run, so a plan that decided
+    // to batch the loop keeps deciding so.
+    let xml = curriculum_from_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 0), (5, 0)]);
+    let (query, _) = loop_queries("$x/id(./prerequisites/pre_code)");
+    for backend in [Backend::SourceLevel, Backend::Algebraic] {
+        let mut engine = curriculum_engine(&xml);
+        engine.set_strategy(Strategy::Delta);
+        let prepared = engine.prepare(&query).unwrap().with_backend(backend);
+        let seeds = all_courses(&mut engine);
+        let bindings = Bindings::new().with("seed", seeds.clone());
+        for run in 0..3 {
+            let outcome = prepared.execute(&mut engine, &bindings).unwrap();
+            let at = format!("run {run} on {}", backend.name());
+            assert!(outcome.occurrences.iter().all(|o| o.batched), "{at}");
+            assert_eq!(outcome.fixpoints.len(), 1, "{at}");
+            assert_eq!(outcome.fixpoints[0].batch_seeds, seeds.len(), "{at}");
+        }
+    }
 }
 
 #[test]

@@ -65,12 +65,13 @@ fn executing_n_times_parses_and_compiles_exactly_once() {
             .result;
         Bindings::new().with("seed", seed)
     };
-    // …and N executions (4 fixpoints each: one per seed course) pay neither.
+    // …and N executions (4 fixpoints each: one per seed course, run as
+    // one batch of four) pay neither.
     let parses = xqy_ifp::parser::parse_count();
     let compiles = xqy_ifp::algebra::compile_count();
     for _ in 0..5 {
         let outcome = prepared.execute(&mut engine, &bindings).unwrap();
-        assert_eq!(outcome.fixpoints.len(), 4);
+        assert_eq!(outcome.batch_seeds(), 4);
     }
     assert_eq!(xqy_ifp::parser::parse_count(), parses, "no re-parsing");
     assert_eq!(
@@ -255,7 +256,9 @@ fn prepared_backend_override_beats_the_engine_default() {
 #[test]
 fn per_item_prepared_query_batches_per_seed_fixpoints() {
     // The Figure-10 shape: one fixpoint per seed node, all sharing one
-    // prepared artifact (and, on the algebraic back-end, one compiled plan).
+    // prepared artifact (and, on the algebraic back-end, one compiled plan)
+    // — and, the body being distributive and decided Delta, one batched
+    // run of the seed-carried plan.
     let mut engine = curriculum_engine();
     engine.set_backend(Backend::Algebraic);
     let prepared = engine
@@ -271,11 +274,13 @@ fn per_item_prepared_query_batches_per_seed_fixpoints() {
     let compiles = xqy_ifp::algebra::compile_count();
     let outcome = prepared.execute(&mut engine, &bindings).unwrap();
     assert_eq!(xqy_ifp::algebra::compile_count(), compiles);
-    assert_eq!(outcome.fixpoints.len(), 4, "one fixpoint per course");
-    assert!(outcome
-        .fixpoints
-        .iter()
-        .all(|s| s.backend == FixpointBackendTag::Algebraic));
+    assert_eq!(outcome.fixpoints.len(), 1, "one batch for the courses");
+    assert_eq!(
+        outcome.fixpoints[0].batch_seeds, 4,
+        "one fixpoint per course"
+    );
+    assert_eq!(outcome.fixpoints[0].backend, FixpointBackendTag::Algebraic);
+    assert!(outcome.occurrences[0].batched);
     // c1 -> 3, c2 -> 1, c3/c4 -> 0; the for-loop concatenates the closures.
     assert_eq!(outcome.result.len(), 4);
 }
