@@ -512,8 +512,8 @@ impl Executor {
 
     /// Set the shard count of the fixpoint driver
     /// ([`xqy_xdm::fixpoint::Config::threads`]).  The one sharding rule, as
-    /// on the interpreter: the driver splits its per-seed `except`/`union`
-    /// folds and final materialisations over at most this many threads,
+    /// on the interpreter: the driver splits its per-seed folds and final
+    /// materialisations over at most this many threads,
     /// and the body always runs on the caller thread.  A single seed has
     /// nothing to split, `1` (the default; `0` clamps to it) runs
     /// everything inline, and once a memory budget has used its relief
@@ -1033,15 +1033,17 @@ impl Executor {
     /// distinct; the caller deduplicates (a duplicated seed would fold two
     /// identical fixpoints into one group).  `sharing` picks the frontier
     /// representation: [`BatchSharing::DistinctNodes`] additionally shares
-    /// body scans between seeds whose frontiers overlap, and is only sound
-    /// for distributive bodies — pass [`BatchSharing::PerSeed`] otherwise.
+    /// body scans between seeds whose frontiers overlap, evaluating each
+    /// distinct node once per run, and is only sound for distributive
+    /// bodies — pass [`BatchSharing::PerSeed`] otherwise.
     ///
     /// The result table has columns `[`[`SEED_COLUMN`]`, item]`, grouped by
     /// seed in input order with each group in document order — exactly the
     /// concatenation of the per-seed [`Executor::run_fixpoint`] results.
     /// [`ExecStats::iterations`] is the *maximum* per-seed depth,
     /// [`ExecStats::rows_fed_back`] the sum of the per-seed counts and
-    /// [`ExecStats::body_evaluations`] counts the shared iterations.
+    /// [`ExecStats::body_evaluations`] counts the shared iterations (under
+    /// [`BatchSharing::DistinctNodes`], those that met a new node).
     pub fn run_fixpoint_batched<'a>(
         &mut self,
         store: impl Into<StoreMut<'a>>,

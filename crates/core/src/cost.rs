@@ -177,14 +177,16 @@ pub fn static_params(
 ///   as per iteration and per run (constants below), so a per-seed loop
 ///   goes to the interpreter whenever both are available; the interesting
 ///   choice is batched:
-/// * **Batched** — the shared source-level driver evaluates each distinct
-///   frontier node once per run, as one body call on a singleton; the
-///   algebraic batched driver evaluates the whole distinct frontier in one
-///   call per iteration, but re-evaluates it every iteration.  A shallow
-///   recursion therefore favours the executor (few iterations, no per-node
-///   call overhead) and a deep one the interpreter.  A batched run can
-///   always degenerate to the grouped per-seed loop (sharing only setup),
-///   so its static cost is capped just below the per-seed loop's.
+/// * **Batched** — over a distributive body the driver hands each distinct
+///   node to the body once per run on either back-end, and folds every
+///   seed with the same pass.  The interpreter evaluates a handed node as
+///   one body call on a singleton; the executor evaluates a round's new
+///   nodes in one call.  So the executor wins when rounds are few against
+///   distinct nodes (a wide batch, no per-node call overhead), and the
+///   interpreter when each round meets only a node or two (a deep, narrow
+///   walk, where a set call buys nothing).  A batched run can always
+///   degenerate to the grouped per-seed loop (sharing only setup), so its
+///   static cost is capped just below the per-seed loop's.
 ///
 /// # Calibration
 ///
@@ -202,9 +204,14 @@ pub fn static_params(
 /// | curriculum S per seed (104, 1 656, 3 514) | 1 386 | 4 463 |
 /// | curriculum M per seed (816, 26 659, 229 434) | 50 868 | 151 835 |
 /// | bidders M per seed (400, 2 747, 133 462) | 95 695 | 123 912 |
-/// | hospital S per patient, batched (depth 4) | 1 422 | 1 174 |
-/// | bidders S batched (depth 9) | 1 578 | 2 356 |
-/// | curriculum M batched (depth 49) | 22 502 | 26 976 |
+/// | hospital S per patient, batched (depth 4) | 867–890 | 597–625 |
+/// | bidders S batched (depth 9) | 731–765 | 680–716 |
+/// | curriculum S batched (depth 21) | 212–223 | 205–225 |
+/// | curriculum M batched (depth 49) | 9 204–9 697 | 10 076–10 422 |
+/// | chain of 120, two seeds, batched (depth 119) | 52–56 | 122–127 |
+///
+/// The batched rows are three runs of best of nine, measured once both
+/// back-ends evaluated each distinct node once per run.
 ///
 /// * *Per fed node.*  The single-run hospital cells are all per-node work:
 ///   0.11–0.22 µs in the interpreter against 0.16–0.32 in the executor, a
@@ -223,12 +230,16 @@ pub fn static_params(
 ///   bidder rows refute.  Nothing measured grows with the store per run
 ///   (hospital's per-node cost does, S → L, but that is per fed node), so
 ///   the term is gone.
-/// * *Batched, source-level.*  The shared driver's run reports one body
-///   call per distinct frontier node (`payload_calls` = `nodes_fed_back`),
-///   so a distinct node costs a call *and* a node, `per_iter + per_node`.
-///   With the executor at `0.6·I` evaluations per distinct node the two
-///   routes cross near depth 7, between the measured depth-4 cell (executor
-///   ahead by 17 %) and depth-9 cell (interpreter ahead by 33 %).
+/// * *Batched.*  A distinct node costs the interpreter a call *and* a
+///   node, `per_iter + per_node`, and the executor a node, plus
+///   `per_iter` per round.  With the per-run and fold terms shared, the
+///   executor is ahead once `I` is below about half the distinct nodes:
+///   it leads the hospital (30 %) and bidder (6 %) cells, and the
+///   interpreter leads the chain, where every round meets one node.  The
+///   curriculum batches sit within noise at S and go 5–8 % the
+///   interpreter's way at M, which this model cannot see: the executor's
+///   per-node cost on that body is three times the interpreter's (the
+///   per-seed rows), against 1.5 in `per_node`.
 pub fn cost(alt: PlanAlternative, params: &CostParams, features: &OccurrenceFeatures) -> f64 {
     let i = params.depth.max(1.0);
     let r = params.result.max(1.0);
@@ -253,28 +264,26 @@ pub fn cost(alt: PlanAlternative, params: &CostParams, features: &OccurrenceFeat
     // Distinct frontier nodes a shared run touches in total: seeds'
     // closures overlap, and the store bounds them.
     let distinct = (0.7 * s * r).min(params.store_nodes).max(1.0);
-    let batched = match alt.backend {
-        FixpointBackendTag::Algebraic => {
-            let feed = if features.distributive {
-                // Shared distinct-frontier mode, re-evaluated per iteration.
-                0.6 * i * distinct
-            } else {
-                // Strict per-seed rows in one shared loop.
-                s * fed
-            };
-            setup + per_iter * i + per_node * feed + 0.05 * i * s
-        }
-        FixpointBackendTag::Interpreted => {
-            if features.distributive {
-                // Shared mode: one singleton body call per distinct node,
-                // once per run; the per-iteration work left is cheap set
-                // folding.
-                setup + (per_iter + per_node) * distinct + 0.02 * i * s
-            } else {
-                // Grouped lockstep: the same evaluations as the per-seed
-                // loop, sharing only the setup.
-                setup + per_iter * i + per_node * s * fed
+    let batched = if features.distributive {
+        // Shared mode: the driver hands each distinct node to the body once
+        // per run, on either back-end, and folds every seed with the same
+        // test-and-set pass.
+        let body = match alt.backend {
+            // One set evaluation per round that meets a new node.
+            FixpointBackendTag::Algebraic => per_iter * i + per_node * distinct,
+            // One singleton call per distinct node.
+            FixpointBackendTag::Interpreted => (per_iter + per_node) * distinct,
+        };
+        setup + body + 0.02 * i * s
+    } else {
+        match alt.backend {
+            // Strict per-seed rows in one shared loop.
+            FixpointBackendTag::Algebraic => {
+                setup + per_iter * i + per_node * s * fed + 0.05 * i * s
             }
+            // Grouped lockstep: the same evaluations as the per-seed loop,
+            // sharing only the setup.
+            FixpointBackendTag::Interpreted => setup + per_iter * i + per_node * s * fed,
         }
     };
     batched.min(0.95 * per_seed_loop)
@@ -698,34 +707,55 @@ mod tests {
 
     #[test]
     fn batched_backend_ranking_flips_with_depth() {
+        // Both back-ends hand each distinct node to the body once per run;
+        // what is left to choose between is the executor's one set call per
+        // round against the interpreter's one singleton call per distinct
+        // node.  Measured on shared batches over run-local ids (Delta,
+        // `execute_batched`, best of nine).
         let f = features(true);
         let batched = |backend, params: &CostParams| {
             cost(alt(FixpointStrategy::Delta, backend, true), params, &f)
         };
-        // Shallow, the shape of hospital S run per patient (422 seeds, five
-        // ancestors each, depth 4): one set evaluation per iteration beats
-        // one singleton call per distinct node — measured 1.17 ms on the
-        // executor against 1.42 ms on the interpreter.
-        let shallow = CostParams {
-            depth: 4.0,
-            result: 5.0,
-            seeds: 422.0,
-            store_nodes: 10_760.0,
-        };
-        let alg = batched(FixpointBackendTag::Algebraic, &shallow);
-        let src = batched(FixpointBackendTag::Interpreted, &shallow);
-        assert!(
-            alg < src,
-            "shallow: algebraic {alg} should beat source {src}"
-        );
-        // Deep, the shape of bidders S (120 seeds, ~90 persons each, depth
-        // 9): evaluating each distinct node once per run wins — measured
-        // 1.58 ms on the interpreter against 2.36 ms on the executor.
+        // Shallow, the shape of hospital S run per diseased patient (422
+        // seeds, five ancestors each, depth 4): 0.60–0.63 ms on the executor
+        // against 0.87–0.89 ms on the interpreter.  Wide and deeper, the
+        // shape of bidders S (120 seeds, ~90 persons each, depth 9): the
+        // executor still leads, 0.68–0.72 ms against 0.73–0.77 ms.
+        for (name, params) in [
+            (
+                "shallow",
+                CostParams {
+                    depth: 4.0,
+                    result: 5.0,
+                    seeds: 422.0,
+                    store_nodes: 10_760.0,
+                },
+            ),
+            (
+                "wide",
+                CostParams {
+                    depth: 9.0,
+                    result: 90.0,
+                    seeds: 120.0,
+                    store_nodes: 3_624.0,
+                },
+            ),
+        ] {
+            let alg = batched(FixpointBackendTag::Algebraic, &params);
+            let src = batched(FixpointBackendTag::Interpreted, &params);
+            assert!(
+                alg < src,
+                "{name}: algebraic {alg} should beat source {src}"
+            );
+        }
+        // Deep and narrow, two seeds walking a 120-link chain one node a
+        // round: a round is one node, so its set call buys nothing — 52–56
+        // µs on the interpreter against 122–127 µs on the executor.
         let deep = CostParams {
-            depth: 9.0,
-            result: 90.0,
-            seeds: 120.0,
-            store_nodes: 3_624.0,
+            depth: 120.0,
+            result: 119.0,
+            seeds: 2.0,
+            store_nodes: 122.0,
         };
         let alg = batched(FixpointBackendTag::Algebraic, &deep);
         let src = batched(FixpointBackendTag::Interpreted, &deep);

@@ -1146,7 +1146,7 @@ impl FixpointInterceptor for PlanDriver {
                 // Distributive bodies (`e(X) = ⋃ₓ e({x})`, certified by
                 // either approximation) additionally share body scans
                 // between seeds whose frontiers overlap: each distinct
-                // frontier node is evaluated once per iteration.
+                // node is evaluated once per run.
                 // Non-distributive seed-local bodies keep strict per-seed
                 // rows.
                 let sharing = if entry.share {

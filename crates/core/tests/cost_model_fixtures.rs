@@ -185,13 +185,17 @@ fn table2_cell_choices_are_pinned() {
         );
     }
 
-    // Q1 batched: the shared source-level driver, which evaluates each
-    // distinct frontier node once per run, at every scale.  Measured:
-    // curriculum S batched 0.55 ms source-level against 0.96 ms algebraic,
-    // curriculum M (depth 49) 22.5 against 27.0.  (Before path steps ran
-    // set-at-a-time the small cell went to the executor; the executor still
-    // takes shallow batches of tiny closures — `cost`'s unit tests pin that
-    // flip on the measured depth-4 hospital cell.)
+    // Q1 batched: the executor's shared batch at every scale.  Both
+    // back-ends hand each distinct node to the body once per run, so a
+    // batch of many seeds pays the executor's one set call per round
+    // against the interpreter's one call per distinct node.  Measured
+    // (Delta, `execute_batched`, three runs of best of nine): curriculum S,
+    // 32 seeds, 45–50 µs algebraic against 47–50 µs source-level, all 104
+    // seeds 205–225 against 212–223; curriculum M, 128 seeds, 302–307
+    // against 291–317 — ties within noise.  The whole of curriculum M (816
+    // seeds, depth 49) goes the other way by 5–8 %, 10.1–10.4 ms against
+    // 9.2–9.7; `cost`'s calibration notes say why the model misses it, and
+    // its unit tests pin the cells where the back-ends are far apart.
     for (name, st, seeds) in [
         ("q1/small/batched", small(), 32),
         ("q1/medium/batched", medium(), 128),
@@ -203,11 +207,7 @@ fn table2_cell_choices_are_pinned() {
             &q1(),
             true,
             seeds,
-            alt(
-                FixpointStrategy::Delta,
-                FixpointBackendTag::Interpreted,
-                true,
-            ),
+            alt(FixpointStrategy::Delta, FixpointBackendTag::Algebraic, true),
         );
     }
 

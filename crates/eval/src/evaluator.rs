@@ -8,8 +8,8 @@ use xqy_parser::ast::{
 };
 use xqy_parser::{parse_query, BinaryOp};
 use xqy_xdm::{
-    ddo, ddo_vec, intersect, node_except, node_union, AtomicValue, DocId, Interner, Item, NodeId,
-    NodeKind, NodeStore, Sequence, StoreMut, StrId,
+    ddo, ddo_vec, intersect, node_except, node_union, AtomicValue, DocId, IdMap, Interner, Item,
+    NodeId, NodeKind, NodeStore, Sequence, StoreMut, StrId,
 };
 
 use crate::compare::{arithmetic, effective_boolean_value, general_pair_compare, value_compare};
@@ -39,8 +39,8 @@ pub struct EvalOptions {
     pub max_recursion_depth: usize,
     /// Shard count of the fixpoint driver ([`xqy_xdm::fixpoint::Config::threads`]).
     /// The one sharding rule, the same on both back-ends: the driver splits
-    /// its per-source phases — the `except`/`union` folds and the
-    /// document-order materializations — over at most this many threads,
+    /// its per-source phases — the folds and the document-order
+    /// materializations — over at most this many threads,
     /// and the recursion body always runs on the caller thread.  A run over
     /// one source has nothing to split, `1` (the default) runs everything
     /// inline, and once a memory budget has used its relief round the rest
@@ -355,7 +355,8 @@ impl<'s> Evaluator<'s> {
         items: &[NodeId],
         env: &mut Environment,
     ) -> Result<(Vec<Vec<NodeId>>, bool)> {
-        let mut index: HashMap<NodeId, usize> = HashMap::with_capacity(items.len());
+        let mut index: IdMap<NodeId, usize> =
+            IdMap::with_capacity_and_hasher(items.len(), Default::default());
         let mut seeds: Vec<NodeId> = Vec::with_capacity(items.len());
         let positions: Vec<usize> = items
             .iter()

@@ -11,7 +11,7 @@
 
 use xqy_parser::ast::Expr;
 use xqy_xdm::fixpoint::{self, BatchSharing, Body, Config, ExecStats, Group, LimitError, Seeds};
-use xqy_xdm::{IdMap, NodeId, NodeStore, Sequence};
+use xqy_xdm::{NodeId, NodeStore, Sequence};
 
 use crate::context::Environment;
 use crate::error::EvalError;
@@ -101,8 +101,8 @@ pub struct FixpointStats {
     /// seeds, so a batch reports the sum of its seeds' own Figure-3 counts
     /// however much of that work it shared ([`ExecStats::rows_fed_back`]).
     pub nodes_fed_back: u64,
-    /// Number of invocations of the recursion body (memo hits and shared
-    /// evaluations excluded: the "work saved" view).
+    /// Number of invocations of the recursion body (a shared-frontier batch
+    /// hands each node over once per run: the "work saved" view).
     pub payload_calls: usize,
     /// Size of the final result (number of nodes).
     pub result_size: usize,
@@ -120,7 +120,8 @@ pub struct FixpointStats {
     /// When non-zero, `iterations` is the maximum per-seed recursion depth,
     /// `nodes_fed_back` the sum of the per-seed counts and `payload_calls`
     /// counts the *shared* body evaluations (on the relational back-end one
-    /// per batched iteration, however many seeds are still iterating).
+    /// per batched iteration, however many seeds are still iterating — and,
+    /// over distinct nodes, only an iteration that met a new node).
     pub batch_seeds: usize,
     /// Nodes fed into each recursion-body call, in call order — the
     /// frontier-growth curve.  Deterministic for a given (query, store,
@@ -171,12 +172,6 @@ struct Interpreted<'a, 's> {
     var: &'a str,
     body: &'a Expr,
     env: &'a mut Environment,
-    /// node → image of the singleton body application, kept for the whole
-    /// run.  `Some` only under [`BatchSharing::DistinctNodes`], where every
-    /// group is `(n, [n])` and the body is distributive and pure by the
-    /// caller's precondition — so a node discovered by several seeds in
-    /// different rounds costs one evaluation in total.
-    memo: Option<IdMap<NodeId, Vec<NodeId>>>,
 }
 
 impl Interpreted<'_, '_> {
@@ -203,21 +198,10 @@ impl Body for Interpreted<'_, '_> {
 
     /// Group by group, in order.
     fn images(&mut self, groups: &[Group<'_>], stats: &mut ExecStats) -> Result<Vec<Vec<NodeId>>> {
-        let mut images = Vec::with_capacity(groups.len());
-        for &(tag, nodes) in groups {
-            let known = self.memo.as_ref().and_then(|memo| memo.get(&tag));
-            images.push(match known {
-                Some(image) => image.clone(),
-                None => {
-                    let image = self.call(nodes, stats)?;
-                    if let Some(memo) = &mut self.memo {
-                        memo.insert(tag, image.clone());
-                    }
-                    image
-                }
-            });
-        }
-        Ok(images)
+        groups
+            .iter()
+            .map(|&(_, nodes)| self.call(nodes, stats))
+            .collect()
     }
 
     fn store(&self) -> &NodeStore {
@@ -288,10 +272,10 @@ pub fn evaluate_fixpoint(
 ///
 /// * `share_frontiers = true` (only sound for *distributive*, pure bodies —
 ///   `e(X) = ⋃ₓ e({x})`, Theorem 3.2; the caller screens both): the body is
-///   evaluated once per **distinct** frontier node across all seeds, the
-///   images are memoized across iterations and distributed to every owning
-///   seed.  Each seed still follows `strategy` — Naïve re-feeds its whole
-///   `res`, which the memo answers with lookups.
+///   evaluated once per **distinct** node the run meets, across all seeds
+///   and rounds ([`BatchSharing::DistinctNodes`]: the driver keeps the
+///   images).  Each seed still follows `strategy` — Naïve re-feeds its
+///   whole `res`, which the kept images answer without a body call.
 /// * `share_frontiers = false`: the body is evaluated on each seed's own
 ///   frontier, exactly as a per-seed loop would — correct for every body.
 ///
@@ -343,7 +327,6 @@ fn drive(
         var,
         body,
         env,
-        memo: share.then(IdMap::default),
     };
     let (result, stats) = fixpoint::run(&mut interpreted, &config, seeds);
     let stats = FixpointStats {

@@ -26,20 +26,29 @@
 //! Delta replaces Naïve safely only for *distributive* bodies (Theorem
 //! 3.2); the driver does not check this, its callers do.
 //!
+//! The two frontier representations ([`BatchSharing`]) are two fold
+//! loops.  Per seed, each source keeps its `res` as a [`NodeSet`] and the
+//! round runs `except`/`union` on it.  Over distinct nodes, the run gives
+//! every node it meets a dense run-local id and keeps each node's image,
+//! computed once per run: a distributive body's image of a node depends on
+//! the node alone (Definition 3.1).  A source is then a bitmap over local
+//! ids, and its fold is one test-and-set pass over its frontier's images.
+//!
 //! Who counts what: the driver counts the paper's columns — rounds, nodes
 //! fed back ([`ExecStats::rows_fed_back`]: each source's own frontier, so
 //! the count is the per-seed Figure-3 count whatever the frontier
 //! representation), result size and wall time; the body counts what it
 //! evaluates ([`ExecStats::body_evaluations`], [`ExecStats::frontier_curve`]
-//! — so a memoizing or sharing body reports the work it saved).
+//! — so a sharing run reports the work it saved: over distinct nodes the
+//! body is handed each node once per run).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Instant;
 
 use crate::budget::{self, QueryBudget};
 use crate::fail::{self, FaultError};
-use crate::{shard, NodeId, NodeSet, NodeStore};
+use crate::nodeset::BitIter;
+use crate::{shard, IdMap, NodeId, NodeSet, NodeStore};
 
 /// Which algorithm evaluates `with … seeded by … recurse`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -70,10 +79,12 @@ pub enum BatchSharing {
     /// non-distributive and constructing ones.
     #[default]
     PerSeed,
-    /// One group per **distinct** frontier node, `(n, [n])`, whose image is
-    /// distributed to every source whose frontier contained `n`.
-    /// Overlapping frontiers — the common case in the per-item workloads —
-    /// pay each node once instead of once per source.  Sound only for
+    /// One group per **distinct** node, `(n, [n])`, handed to the body the
+    /// first round some source's frontier contains `n`; the image is kept
+    /// for the rest of the run and read by every source whose frontier
+    /// contains `n`, in that round or a later one.  Overlapping frontiers —
+    /// the common case in the per-item workloads — pay each node once per
+    /// run instead of once per source and round.  Sound only for
     /// **distributive** bodies (`e(X) = ⋃ₓ∈X e({x})`, Theorem 3.2): a
     /// non-distributive body evaluated per node is simply a different
     /// function.
@@ -105,8 +116,10 @@ pub struct ExecStats {
     /// and [`frontier_curve`](Self::frontier_curve).
     pub rows_fed_back: u64,
     /// Number of body evaluations, as the body counts them (the
-    /// interpreter: one per group it evaluates, memo hits excluded; the
-    /// relational batch: one per round, however many groups).
+    /// interpreter: one per group it evaluates; the relational batch: one
+    /// per call, however many groups).  Over distinct nodes the driver
+    /// skips a round that meets no new node, so there it counts the rounds
+    /// that did.
     pub body_evaluations: usize,
     /// Nodes in the final result, summed over sources.
     pub result_rows: usize,
@@ -246,7 +259,9 @@ pub trait Body {
     ///
     /// Tags are distinct within one call and otherwise opaque: under
     /// [`BatchSharing::PerSeed`] they are the tags of the run's sources,
-    /// under [`BatchSharing::DistinctNodes`] every group is `(n, [n])`.  A
+    /// under [`BatchSharing::DistinctNodes`] every group is `(n, [n])`, for
+    /// a node `n` the run has not handed over before, and `groups` is never
+    /// empty.  A
     /// body that carries tags through its evaluation (the relational
     /// seed-carried plan) may evaluate all groups at once; any other body
     /// evaluates group by group, in order.  Either way it runs on the
@@ -279,35 +294,12 @@ pub struct Config {
     /// `false`: start from `e_rec(e_seed)` (Definition 2.1).  `true`: start
     /// from the seed itself (the reading of the paper's Example 2.4).
     pub seed_in_result: bool,
-    /// Shard count for the per-source phases (the `except`/`union` folds
-    /// and the final materialisations); `≤ 1` is sequential.  Forced to 1
+    /// Shard count for the per-source phases (the folds and the final
+    /// materialisations); `≤ 1` is sequential.  Forced to 1
     /// once the memory budget has used its relief round.
     pub threads: usize,
     /// What the barrier enforces.
     pub limits: Limits,
-}
-
-/// One source's loop state.
-struct Source {
-    tag: NodeId,
-    res: NodeSet,
-    /// What the next body evaluation is fed.
-    frontier: Vec<NodeId>,
-    /// This source's own image of the current round ([`Images::Own`]).
-    image: Vec<NodeId>,
-    /// Cleared the round the source stops growing.
-    active: bool,
-}
-
-/// Where a round's images are, per frontier representation.
-enum Images {
-    /// In each active source's `image`.
-    Own,
-    /// One image per distinct frontier node: `images[index[node]]`.
-    Shared {
-        index: HashMap<NodeId, usize>,
-        images: Vec<Vec<NodeId>>,
-    },
 }
 
 /// Run one inflationary fixed point per source of `seeds`, returning the
@@ -319,39 +311,24 @@ pub fn run<B: Body>(
     seeds: Seeds<'_>,
 ) -> (Result<Vec<Vec<NodeId>>, B::Error>, ExecStats) {
     let started = Instant::now();
-    let source = |tag, frontier| Source {
-        tag,
-        res: NodeSet::new(),
-        frontier,
-        image: Vec::new(),
-        active: true,
-    };
-    let (sources, batch_seeds) = match seeds {
-        Seeds::Set(seed) => {
-            let untagged = NodeId::new(u32::MAX, u32::MAX);
-            (vec![source(untagged, seed.to_vec())], 0)
-        }
+    let batch_seeds = match seeds {
+        Seeds::Set(_) => 0,
         Seeds::Each(seeds) => {
             debug_assert!(
-                seeds.iter().collect::<std::collections::HashSet<_>>().len() == seeds.len(),
+                seeds.iter().collect::<crate::IdSet<_>>().len() == seeds.len(),
                 "the seeds of a batch must be distinct"
             );
-            let sources = seeds.iter().map(|&seed| source(seed, vec![seed]));
-            (sources.collect(), seeds.len())
+            seeds.len()
         }
     };
-    let mut run = Run {
-        body,
-        config,
-        budget: budget::current(),
-        sources,
-        stats: ExecStats {
-            batch_seeds,
-            ..ExecStats::default()
-        },
+    let stats = ExecStats {
+        batch_seeds,
+        ..ExecStats::default()
     };
-    let result = run.iterate();
-    let mut stats = run.stats;
+    let (result, mut stats) = match config.sharing {
+        BatchSharing::PerSeed => Run::iterate(body, config, own_sources(seeds), stats),
+        BatchSharing::DistinctNodes => Run::iterate(body, config, Shared::new(seeds), stats),
+    };
     if let Ok(groups) = &result {
         stats.result_rows = groups.iter().map(Vec::len).sum();
     }
@@ -359,112 +336,99 @@ pub fn run<B: Body>(
     (result, stats)
 }
 
-/// The state of one [`run`].
-struct Run<'a, B> {
-    body: &'a mut B,
-    config: &'a Config,
-    budget: Option<std::sync::Arc<QueryBudget>>,
-    sources: Vec<Source>,
-    stats: ExecStats,
+/// Which fold of a run [`Sources::absorb`] performs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// The first, from the seed itself (`seed_in_result`): each source's
+    /// image is its own frontier.
+    Seeds,
+    /// The first, from `e_rec(e_seed)`.
+    First,
+    /// A later round's: a source whose `∆` is empty has converged.
+    Round,
 }
 
-impl<B: Body> Run<'_, B> {
-    /// Figure 3, line by line.
-    fn iterate(&mut self) -> Result<Vec<Vec<NodeId>>, B::Error> {
-        if self.sources.is_empty() {
-            // Zero sources are zero fixpoints: the body is never evaluated.
-            return Ok(Vec::new());
-        }
-        // res ← e_rec(e_seed); ∆ ← res — or both ← e_seed.
-        let initial = if self.config.seed_in_result {
-            for source in &mut self.sources {
-                source.image = std::mem::take(&mut source.frontier);
-            }
-            Images::Own
-        } else {
-            self.feed()?
-        };
-        self.absorb(&initial, true);
-        // do … while res grows
-        while self.sources.iter().any(|s| s.active) {
-            self.barrier()
-                .map_err(|error| self.body.limit_error(error))?;
-            self.stats.iterations += 1;
-            // e_rec(res) resp. e_rec(∆) …
-            let images = self.feed()?;
-            // … except res; union res
-            self.absorb(&images, false);
-        }
-        let store = self.body.store();
-        Ok(shard::map_sharded(self.shards(), &self.sources, |s| {
-            s.res.to_vec(store)
-        }))
-    }
+/// A run's sources in one frontier representation ([`BatchSharing`]).
+trait Sources {
+    /// `true` while some source still grows.
+    fn any_active(&self) -> bool;
 
-    /// The shard count, re-read wherever it is used: budget relief drops
-    /// the rest of the run (and of the query) to sequential.
-    fn shards(&self) -> usize {
-        match &self.budget {
-            Some(budget) if budget.relieved() => 1,
-            _ => self.config.threads,
-        }
-    }
+    /// The largest accumulator, in nodes.
+    fn largest(&self) -> usize;
 
-    /// Apply the body to the frontiers of the active sources, counting
-    /// every source's frontier as fed back.
-    fn feed(&mut self) -> Result<Images, B::Error> {
-        let active = || self.sources.iter().filter(|s| s.active);
-        self.stats.rows_fed_back += active().map(|s| s.frontier.len() as u64).sum::<u64>();
-        match self.config.sharing {
-            BatchSharing::PerSeed => {
-                let groups: Vec<Group<'_>> = active().map(|s| (s.tag, &s.frontier[..])).collect();
-                let images = self.body.images(&groups, &mut self.stats)?;
-                for (source, image) in self.sources.iter_mut().filter(|s| s.active).zip(images) {
-                    source.image = image;
-                }
-                Ok(Images::Own)
-            }
-            BatchSharing::DistinctNodes => {
-                // The distinct frontier nodes, in first-appearance order.
-                let mut index: HashMap<NodeId, usize> = HashMap::new();
-                let mut distinct: Vec<NodeId> = Vec::new();
-                for &node in active().flat_map(|s| &s.frontier) {
-                    index.entry(node).or_insert_with(|| {
-                        distinct.push(node);
-                        distinct.len() - 1
-                    });
-                }
-                let groups: Vec<Group<'_>> = distinct
-                    .iter()
-                    .map(|node| (*node, std::slice::from_ref(node)))
-                    .collect();
-                let images = self.body.images(&groups, &mut self.stats)?;
-                Ok(Images::Shared { index, images })
-            }
-        }
-    }
+    /// Hand the body the active sources' frontiers, counting each one as
+    /// fed back, and keep the images for [`absorb`](Self::absorb).
+    fn feed<B: Body>(&mut self, body: &mut B, stats: &mut ExecStats) -> Result<(), B::Error>;
 
-    /// Fold a round's images into the active sources, sharded by source:
+    /// Fold the images into the active sources, sharded by source:
     /// `∆ ← image except res; res ← ∆ union res`, then the next frontier is
-    /// `res` (Naïve) or `∆` (Delta).  A source whose `∆` is empty has
-    /// converged — except in the `first` fold, which only initialises `res`
-    /// (from singleton seeds in a batch, so it is not worth sharding).
-    fn absorb(&mut self, images: &Images, first: bool) {
-        let shards = if first { 1 } else { self.shards() };
-        let (strategy, store) = (self.config.strategy, self.body.store());
-        shard::for_each_shard(shards, &mut self.sources, |_, chunk| {
+    /// `res` (Naïve) or `∆` (Delta).
+    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, store: &NodeStore, shards: usize);
+
+    /// Every source's result, in document order.
+    fn results(&self, store: &NodeStore, shards: usize) -> Vec<Vec<NodeId>>;
+}
+
+/// One source's loop state under [`BatchSharing::PerSeed`].
+struct Source {
+    tag: NodeId,
+    res: NodeSet,
+    /// What the next body evaluation is fed.
+    frontier: Vec<NodeId>,
+    /// This source's own image of the current round.
+    image: Vec<NodeId>,
+    /// Cleared the round the source stops growing.
+    active: bool,
+}
+
+/// The sources of a [`BatchSharing::PerSeed`] run.
+fn own_sources(seeds: Seeds<'_>) -> Vec<Source> {
+    let source = |tag, frontier| Source {
+        tag,
+        res: NodeSet::new(),
+        frontier,
+        image: Vec::new(),
+        active: true,
+    };
+    match seeds {
+        Seeds::Set(seed) => {
+            let untagged = NodeId::new(u32::MAX, u32::MAX);
+            vec![source(untagged, seed.to_vec())]
+        }
+        Seeds::Each(seeds) => seeds.iter().map(|&seed| source(seed, vec![seed])).collect(),
+    }
+}
+
+impl Sources for Vec<Source> {
+    fn any_active(&self) -> bool {
+        self.iter().any(|s| s.active)
+    }
+
+    fn largest(&self) -> usize {
+        self.iter().map(|s| s.res.len()).max().unwrap_or(0)
+    }
+
+    /// One group per active source: its tag and its own frontier.
+    fn feed<B: Body>(&mut self, body: &mut B, stats: &mut ExecStats) -> Result<(), B::Error> {
+        let active = || self.iter().filter(|s| s.active);
+        stats.rows_fed_back += active().map(|s| s.frontier.len() as u64).sum::<u64>();
+        let groups: Vec<Group<'_>> = active().map(|s| (s.tag, &s.frontier[..])).collect();
+        let images = body.images(&groups, stats)?;
+        for (source, image) in self.iter_mut().filter(|s| s.active).zip(images) {
+            source.image = image;
+        }
+        Ok(())
+    }
+
+    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, store: &NodeStore, shards: usize) {
+        shard::for_each_shard(shards, self, |_, chunk| {
             for source in chunk.iter_mut().filter(|s| s.active) {
-                let mut delta = match images {
-                    Images::Own => NodeSet::from_nodes(std::mem::take(&mut source.image)),
-                    Images::Shared { index, images } => NodeSet::from_nodes(
-                        source
-                            .frontier
-                            .iter()
-                            .flat_map(|node| images[index[node]].iter().copied()),
-                    ),
-                };
+                if fold == Fold::Seeds {
+                    source.image = std::mem::take(&mut source.frontier);
+                }
+                let mut delta = NodeSet::from_nodes(std::mem::take(&mut source.image));
                 delta.except_in_place(&source.res);
-                if delta.is_empty() && !first {
+                if delta.is_empty() && fold == Fold::Round {
                     source.active = false;
                     continue;
                 }
@@ -478,6 +442,255 @@ impl<B: Body> Run<'_, B> {
         });
     }
 
+    fn results(&self, store: &NodeStore, shards: usize) -> Vec<Vec<NodeId>> {
+        shard::map_sharded(shards, self, |s| s.res.to_vec(store))
+    }
+}
+
+/// The state of a [`BatchSharing::DistinctNodes`] run: every node it meets
+/// has a dense run-local id, and its image, in local ids, once the body
+/// has computed it — once per run, and read by every source in every round.
+#[derive(Default)]
+struct Shared {
+    /// Local id → node.
+    nodes: Vec<NodeId>,
+    /// Node → local id.
+    ids: IdMap<NodeId, u32>,
+    /// Local id → the span of `flat` holding its image; `None` until the
+    /// body has been handed the node.
+    spans: Vec<Option<(u32, u32)>>,
+    /// Every image, back to back.
+    flat: Vec<u32>,
+    sources: Vec<LocalSource>,
+}
+
+/// One source's loop state over local ids.
+struct LocalSource {
+    res: LocalSet,
+    /// What the next round reads the images of.
+    frontier: Vec<u32>,
+    /// Cleared the round the source stops growing.
+    active: bool,
+}
+
+/// A set of local ids, one bit each.
+#[derive(Default)]
+struct LocalSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl LocalSet {
+    /// Add `id`; `true` if it was absent.
+    fn test_and_set(&mut self, id: u32) -> bool {
+        let (word, mask) = (id as usize / 64, 1u64 << (id % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & mask == 0;
+        self.words[word] |= mask;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(i, &word)| BitIter(word).map(move |bit| (i * 64 + bit) as u32))
+    }
+}
+
+impl Shared {
+    fn new(seeds: Seeds<'_>) -> Self {
+        let mut shared = Shared::default();
+        let source = |frontier| LocalSource {
+            res: LocalSet::default(),
+            frontier,
+            active: true,
+        };
+        let sources = match seeds {
+            Seeds::Set(seed) => vec![source(seed.iter().map(|&n| shared.id(n)).collect())],
+            Seeds::Each(seeds) => seeds.iter().map(|&n| source(vec![shared.id(n)])).collect(),
+        };
+        shared.sources = sources;
+        shared
+    }
+
+    /// The local id of `node`, assigned on first sight.
+    fn id(&mut self, node: NodeId) -> u32 {
+        *self.ids.entry(node).or_insert_with(|| {
+            self.nodes.push(node);
+            self.spans.push(None);
+            (self.nodes.len() - 1) as u32
+        })
+    }
+}
+
+impl Sources for Shared {
+    fn any_active(&self) -> bool {
+        self.sources.iter().any(|s| s.active)
+    }
+
+    fn largest(&self) -> usize {
+        self.sources.iter().map(|s| s.res.len).max().unwrap_or(0)
+    }
+
+    /// One group per frontier node that has no image yet, in
+    /// first-appearance order; no call at all when there is none.
+    fn feed<B: Body>(&mut self, body: &mut B, stats: &mut ExecStats) -> Result<(), B::Error> {
+        let active = self.sources.iter().filter(|s| s.active);
+        let mut fresh = Vec::new();
+        for source in active {
+            stats.rows_fed_back += source.frontier.len() as u64;
+            for &id in &source.frontier {
+                let span = &mut self.spans[id as usize];
+                if span.is_none() {
+                    // Claimed; the image lands below.
+                    *span = Some((0, 0));
+                    fresh.push(id);
+                }
+            }
+        }
+        if fresh.is_empty() {
+            return Ok(());
+        }
+        let groups: Vec<Group<'_>> = fresh
+            .iter()
+            .map(|&id| {
+                let node = &self.nodes[id as usize];
+                (*node, std::slice::from_ref(node))
+            })
+            .collect();
+        let images = body.images(&groups, stats)?;
+        for (id, image) in fresh.into_iter().zip(images) {
+            let start = self.flat.len() as u32;
+            for node in image {
+                let local = self.id(node);
+                self.flat.push(local);
+            }
+            self.spans[id as usize] = Some((start, self.flat.len() as u32));
+        }
+        Ok(())
+    }
+
+    /// One test-and-set pass per source over its frontier's images: a bit
+    /// newly set is a node of `∆`.
+    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, _: &NodeStore, shards: usize) {
+        let Shared {
+            spans,
+            flat,
+            sources,
+            ..
+        } = self;
+        let image = |id: &u32| match spans[*id as usize] {
+            Some((start, end)) => &flat[start as usize..end as usize],
+            None => unreachable!("a frontier node is fed before it is folded"),
+        };
+        shard::for_each_shard(shards, sources, |_, chunk| {
+            for source in chunk.iter_mut().filter(|s| s.active) {
+                let mut delta = Vec::new();
+                for id in &source.frontier {
+                    let image = match fold {
+                        Fold::Seeds => std::slice::from_ref(id),
+                        Fold::First | Fold::Round => image(id),
+                    };
+                    for &m in image {
+                        if source.res.test_and_set(m) {
+                            delta.push(m);
+                        }
+                    }
+                }
+                if delta.is_empty() && fold == Fold::Round {
+                    source.active = false;
+                    continue;
+                }
+                source.frontier = match strategy {
+                    FixpointStrategy::Naive => source.res.iter().collect(),
+                    FixpointStrategy::Delta => delta,
+                };
+            }
+        });
+    }
+
+    /// Back to node ids, sorted into document order once.
+    fn results(&self, store: &NodeStore, shards: usize) -> Vec<Vec<NodeId>> {
+        shard::map_sharded(shards, &self.sources, |s| {
+            let mut nodes: Vec<NodeId> = s.res.iter().map(|id| self.nodes[id as usize]).collect();
+            store.sort_distinct(&mut nodes);
+            nodes
+        })
+    }
+}
+
+/// The state of one [`run`].
+struct Run<'a, B, S> {
+    body: &'a mut B,
+    config: &'a Config,
+    budget: Option<std::sync::Arc<QueryBudget>>,
+    sources: S,
+    stats: ExecStats,
+}
+
+impl<'a, B: Body, S: Sources> Run<'a, B, S> {
+    /// Run `sources` to their fixed points, returning their results and
+    /// the run's statistics.
+    fn iterate(
+        body: &'a mut B,
+        config: &'a Config,
+        sources: S,
+        stats: ExecStats,
+    ) -> (Result<Vec<Vec<NodeId>>, B::Error>, ExecStats) {
+        let mut run = Run {
+            body,
+            config,
+            budget: budget::current(),
+            sources,
+            stats,
+        };
+        let result = run.figure_3();
+        (result, run.stats)
+    }
+
+    /// Figure 3, line by line.
+    fn figure_3(&mut self) -> Result<Vec<Vec<NodeId>>, B::Error> {
+        if !self.sources.any_active() {
+            // Zero sources are zero fixpoints: the body is never evaluated.
+            return Ok(Vec::new());
+        }
+        let strategy = self.config.strategy;
+        // res ← e_rec(e_seed); ∆ ← res — or both ← e_seed.  This fold only
+        // initialises `res` (from singleton seeds in a batch, so it is not
+        // worth sharding).
+        let first = if self.config.seed_in_result {
+            Fold::Seeds
+        } else {
+            self.sources.feed(self.body, &mut self.stats)?;
+            Fold::First
+        };
+        self.sources.absorb(first, strategy, self.body.store(), 1);
+        // do … while res grows
+        while self.sources.any_active() {
+            self.barrier()
+                .map_err(|error| self.body.limit_error(error))?;
+            self.stats.iterations += 1;
+            // e_rec(res) resp. e_rec(∆) …
+            self.sources.feed(self.body, &mut self.stats)?;
+            // … except res; union res
+            let shards = self.shards();
+            self.sources
+                .absorb(Fold::Round, strategy, self.body.store(), shards);
+        }
+        Ok(self.sources.results(self.body.store(), self.shards()))
+    }
+
+    /// The shard count, re-read wherever it is used: budget relief drops
+    /// the rest of the run (and of the query) to sequential.
+    fn shards(&self) -> usize {
+        match &self.budget {
+            Some(budget) if budget.relieved() => 1,
+            _ => self.config.threads,
+        }
+    }
+
     /// The iteration barrier, checked before every round: failpoint,
     /// deadline, iteration budget, iteration guard, result-size budget, node
     /// guard, memory budget.  On the first memory breach the run *degrades*
@@ -487,7 +700,7 @@ impl<B: Body> Run<'_, B> {
     fn barrier(&mut self) -> Result<(), LimitError> {
         let limits = &self.config.limits;
         let iterations = self.stats.iterations;
-        let largest = self.sources.iter().map(|s| s.res.len()).max().unwrap_or(0);
+        let largest = self.sources.largest();
         fail::point("fixpoint.barrier").map_err(LimitError::Fault)?;
         if limits
             .deadline
@@ -724,20 +937,24 @@ mod tests {
             assert_eq!((expected[0].len(), expected[0][0]), (3, root));
             let sharded = run_up(&config(strategy, PerSeed, 4));
             assert_eq!(sharded, (expected.clone(), expected_stats.clone()));
+            // The nodes the run meets: the leaves and their ancestors r, a,
+            // b, d — nine, against 16 evaluations per seed.
+            let met: crate::IdSet<NodeId> = leaves
+                .iter()
+                .chain(expected.iter().flatten())
+                .copied()
+                .collect();
+            assert_eq!((met.len(), expected_stats.body_evaluations), (9, 16));
             for threads in [1, 4] {
                 let (shared, shared_stats) = run_up(&config(strategy, DistinctNodes, threads));
                 assert_eq!(shared, expected);
                 assert_eq!(shared_stats.iterations, expected_stats.iterations);
                 // Every source is fed its own frontier, so the Figure-3
-                // count is the per-seed one; overlapping frontiers pay each
-                // distinct node once a round (Delta: 12 evaluations against
-                // 16; Naïve's whole accumulators tie at 16 here).
+                // count is the per-seed one; the body is handed each node
+                // the run meets exactly once.
                 assert_eq!(shared_stats.rows_fed_back, expected_stats.rows_fed_back);
-                let (shared, own) = (
-                    shared_stats.body_evaluations,
-                    expected_stats.body_evaluations,
-                );
-                assert!(shared < own || (strategy == Naive && shared == own));
+                assert_eq!(shared_stats.body_evaluations, met.len());
+                assert_eq!(shared_stats.frontier_curve, vec![1; met.len()]);
             }
         }
         assert!(run_ok(&store, &Config::default(), Seeds::Each(&[]))
@@ -746,90 +963,152 @@ mod tests {
     }
 
     #[test]
+    fn seed_in_result_is_the_same_under_either_representation() {
+        let (store, tops) = tree();
+        for strategy in [Naive, Delta] {
+            let seeded = |sharing| Config {
+                seed_in_result: true,
+                ..config(strategy, sharing, 1)
+            };
+            let (expected, expected_stats) = run_ok(&store, &seeded(PerSeed), Seeds::Each(&tops));
+            // Each seed is part of its own result, ahead of its subtree.
+            assert!(expected.iter().zip(&tops).all(|(r, seed)| r[0] == *seed));
+            let (shared, shared_stats) = run_ok(&store, &seeded(DistinctNodes), Seeds::Each(&tops));
+            assert_eq!(shared, expected);
+            assert_eq!(shared_stats.iterations, expected_stats.iterations);
+            assert_eq!(shared_stats.rows_fed_back, expected_stats.rows_fed_back);
+            assert_eq!(shared_stats.result_rows, expected_stats.result_rows);
+        }
+    }
+
+    #[test]
+    fn results_over_two_documents_come_back_in_document_order() {
+        // Seeds from the later document first, and each document's nodes
+        // late in document order first: local ids follow first sight, so
+        // only the final sort puts the results in order.
+        let mut store = NodeStore::new();
+        let mut roots = Vec::new();
+        for xml in ["<r><a><b/></a><c/></r>", "<s><d/><e><f/></e></s>"] {
+            let doc = store.parse_document(xml).unwrap();
+            roots.push(store.document_element(doc).unwrap());
+        }
+        let mut seeds = store.axis_nodes(roots[1], Axis::Descendant, &NodeTest::AnyElement);
+        seeds.extend(store.axis_nodes(roots[0], Axis::Descendant, &NodeTest::AnyElement));
+        seeds.reverse();
+        let ordered = |nodes: &[NodeId]| {
+            nodes
+                .windows(2)
+                .all(|w| store.doc_order(w[0], w[1]).is_lt())
+        };
+        let up = |config: &Config, seeds| {
+            let mut body = Children::new(&store);
+            body.axis = Axis::Ancestor;
+            let (result, stats) = run(&mut body, config, seeds);
+            (result.unwrap(), stats)
+        };
+        for strategy in [Naive, Delta] {
+            let (expected, _) = up(&config(strategy, PerSeed, 1), Seeds::Each(&seeds));
+            let (shared, _) = up(&config(strategy, DistinctNodes, 1), Seeds::Each(&seeds));
+            assert_eq!(shared, expected);
+            assert!(shared.iter().all(|r| ordered(r)));
+            // One source over both documents: its result (r, a, s, e)
+            // spans them.
+            let (set, _) = up(&config(strategy, DistinctNodes, 1), Seeds::Set(&seeds));
+            assert_eq!(set[0].len(), 4);
+            assert!(ordered(&set[0]));
+            assert_eq!((set[0][0], set[0][2]), (roots[0], roots[1]));
+        }
+    }
+
+    #[test]
     fn each_limit_stops_the_run_at_its_round() {
         let (store, tops) = tree();
-        let stopped = |limits: Limits| {
+        // Under either representation the result-nodes budget reads each
+        // source's own count, not the nodes the run has met.
+        for sharing in [PerSeed, DistinctNodes] {
+            let stopped = |limits: Limits| {
+                let config = Config {
+                    limits,
+                    ..config(Delta, sharing, 1)
+                };
+                let (result, stats) = run(&mut Children::new(&store), &config, Seeds::Each(&tops));
+                (result.unwrap_err(), stats.iterations)
+            };
+            let unlimited = Limits::default();
+            // The deepest seed needs two rounds; its accumulator holds 2 and 4
+            // nodes at the barriers before them.
+            let past = Instant::now();
+            assert_eq!(
+                stopped(Limits {
+                    deadline: Some(past),
+                    ..unlimited
+                }),
+                (LimitError::Deadline { iterations: 0 }, 0)
+            );
+            let budget = |budget, used, limit, iterations| LimitError::Budget {
+                budget,
+                used,
+                limit,
+                iterations,
+            };
+            assert_eq!(
+                stopped(Limits {
+                    budget_iterations: Some(1),
+                    ..unlimited
+                }),
+                (budget("iterations", 1, 1, 1), 1)
+            );
+            assert_eq!(
+                stopped(Limits {
+                    max_iterations: 1,
+                    budget_iterations: Some(2),
+                    ..unlimited
+                })
+                .0,
+                LimitError::NoFixpoint {
+                    iterations: 1,
+                    limit: "iteration"
+                }
+            );
+            assert_eq!(
+                stopped(Limits {
+                    max_result_nodes: Some(3),
+                    ..unlimited
+                }),
+                (budget("result-nodes", 4, 3, 1), 1)
+            );
+            assert_eq!(
+                stopped(Limits {
+                    max_nodes: 1,
+                    max_result_nodes: Some(1),
+                    ..unlimited
+                })
+                .0,
+                budget("result-nodes", 2, 1, 0)
+            );
+            assert_eq!(
+                stopped(Limits {
+                    max_nodes: 1,
+                    ..unlimited
+                })
+                .0,
+                LimitError::NoFixpoint {
+                    iterations: 0,
+                    limit: "node"
+                }
+            );
+            // Generous limits change nothing.
+            let limits = Limits {
+                budget_iterations: Some(2),
+                max_result_nodes: Some(4),
+                ..unlimited
+            };
             let config = Config {
                 limits,
-                ..config(Delta, PerSeed, 1)
+                ..config(Delta, sharing, 1)
             };
-            let (result, stats) = run(&mut Children::new(&store), &config, Seeds::Each(&tops));
-            (result.unwrap_err(), stats.iterations)
-        };
-        let unlimited = Limits::default();
-        // The deepest seed needs two rounds; its accumulator holds 2 and 4
-        // nodes at the barriers before them.
-        let past = Instant::now();
-        assert_eq!(
-            stopped(Limits {
-                deadline: Some(past),
-                ..unlimited
-            }),
-            (LimitError::Deadline { iterations: 0 }, 0)
-        );
-        let budget = |budget, used, limit, iterations| LimitError::Budget {
-            budget,
-            used,
-            limit,
-            iterations,
-        };
-        assert_eq!(
-            stopped(Limits {
-                budget_iterations: Some(1),
-                ..unlimited
-            }),
-            (budget("iterations", 1, 1, 1), 1)
-        );
-        assert_eq!(
-            stopped(Limits {
-                max_iterations: 1,
-                budget_iterations: Some(2),
-                ..unlimited
-            })
-            .0,
-            LimitError::NoFixpoint {
-                iterations: 1,
-                limit: "iteration"
-            }
-        );
-        assert_eq!(
-            stopped(Limits {
-                max_result_nodes: Some(3),
-                ..unlimited
-            }),
-            (budget("result-nodes", 4, 3, 1), 1)
-        );
-        assert_eq!(
-            stopped(Limits {
-                max_nodes: 1,
-                max_result_nodes: Some(1),
-                ..unlimited
-            })
-            .0,
-            budget("result-nodes", 2, 1, 0)
-        );
-        assert_eq!(
-            stopped(Limits {
-                max_nodes: 1,
-                ..unlimited
-            })
-            .0,
-            LimitError::NoFixpoint {
-                iterations: 0,
-                limit: "node"
-            }
-        );
-        // Generous limits change nothing.
-        let limits = Limits {
-            budget_iterations: Some(2),
-            max_result_nodes: Some(4),
-            ..unlimited
-        };
-        let config = Config {
-            limits,
-            ..config(Delta, PerSeed, 1)
-        };
-        assert_eq!(run_ok(&store, &config, Seeds::Each(&tops)).1.iterations, 2);
+            assert_eq!(run_ok(&store, &config, Seeds::Each(&tops)).1.iterations, 2);
+        }
     }
 
     #[test]
@@ -862,7 +1141,7 @@ mod tests {
             body: &mut body,
             config: &config,
             budget: Some(over_budget()),
-            sources: Vec::new(),
+            sources: Vec::<Source>::new(),
             stats: ExecStats::default(),
         };
         assert_eq!(relieved.shards(), 4);

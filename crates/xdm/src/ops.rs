@@ -14,10 +14,11 @@
 //! and scan far more than the operands warrant — those calls take a sparse
 //! path instead (sort / nested scans over at most [`SPARSE_LIMIT`] ids).
 //!
-//! The fixpoint runtimes in `xqy_eval` / `xqy_algebra` keep their
-//! accumulators as `NodeSet`s directly and bypass the slice round-trip
-//! entirely; the slice API here serves the general evaluator (`union` /
-//! `intersect` / `except` expressions, `fs:ddo`).
+//! The fixpoint driver ([`crate::fixpoint`]) bypasses the slice round-trip
+//! entirely: a per-seed run keeps each accumulator as a `NodeSet`, and a
+//! shared-frontier batch as a bitmap over the run's own node ids.  The
+//! slice API here serves the general evaluator (`union` / `intersect` /
+//! `except` expressions, `fs:ddo`).
 //!
 //! The pre-`NodeSet` implementations (sort-based `ddo`, `HashSet` filters)
 //! live on in the test module `baseline`, as the reference the unit tests

@@ -11,6 +11,9 @@
 //! loop `for $s in $seed return (with $x seeded by $s recurse b)`, which the
 //! evaluator batches by itself (`for_route_equals_the_per_item_loop` and
 //! the negative table `loops_off_the_route_keep_the_per_item_loop`).
+//! `a_shared_batch_hands_each_node_to_the_body_once` pins what sharing
+//! buys: on either back-end a shared-frontier batch evaluates each distinct
+//! node once per run.
 
 use proptest::prelude::*;
 
@@ -197,6 +200,58 @@ proptest! {
                 concatenated.extend(reference.result.nodes());
             }
             prop_assert_eq!(batch.outcome.result.nodes(), concatenated);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// On the shared route, on both back-ends and under either algorithm,
+    /// the body is handed each distinct node once per run: the seeds in the
+    /// first round, and every node a seed's result gains in the round after
+    /// — so the run's frontier curve sums to |seeds ∪ ⋃ results|.
+    #[test]
+    fn a_shared_batch_hands_each_node_to_the_body_once(
+        courses in 2usize..9,
+        edges in edge_strategy(8),
+        seed_picks in proptest::collection::vec(0usize..9, 1..6),
+        body in prop_oneof![
+            Just("$x/id(./prerequisites/pre_code)"),
+            Just("$x/prerequisites/pre_code"),
+            Just("$x/*"),
+            Just("($x/id(./prerequisites/pre_code) union $x/self::course)"),
+        ],
+    ) {
+        let xml = curriculum_from_edges(courses, &edges);
+        let query = format!("with $x seeded by $seed recurse {body}");
+        let mut engine = curriculum_engine(&xml);
+        let all = all_courses(&mut engine).nodes();
+        let seeds: Vec<_> = seed_picks.iter().map(|&i| all[i % all.len()]).collect();
+        let seeds = Sequence::from_nodes(seeds);
+        for strategy in [Strategy::Naive, Strategy::Delta] {
+            for (backend, tag) in [
+                (Backend::SourceLevel, FixpointBackendTag::Interpreted),
+                (Backend::Algebraic, FixpointBackendTag::Algebraic),
+            ] {
+                let at = format!("{body} under {strategy:?}/{}", backend.name());
+                engine.set_strategy(strategy);
+                let prepared = engine.prepare(&query).unwrap().with_backend(backend);
+                prop_assert!(prepared.occurrences()[0].report().is_distributive());
+                let batch = prepared
+                    .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
+                    .unwrap();
+                prop_assert!(batch.batched, "{}", &at);
+                prop_assert_eq!(batch.outcome.fixpoints.len(), 1, "{}", &at);
+                let run = &batch.outcome.fixpoints[0];
+                prop_assert_eq!(run.backend, tag, "{}", &at);
+                let mut met = seeds.nodes();
+                met.extend(batch.per_seed.iter().flat_map(Sequence::nodes));
+                met.sort_unstable();
+                met.dedup();
+                let handed: u64 = run.frontier_curve.iter().sum();
+                prop_assert_eq!(handed, met.len() as u64, "{}", &at);
+            }
         }
     }
 }
