@@ -54,7 +54,8 @@
 //! [`Body`], and a nested `µ`/`µ∆` operator
 //! re-enters the same driver.  The body always runs on the caller thread,
 //! against the caller's [`StoreMut`] handle; [`Executor::set_threads`] only
-//! lets the driver shard its per-seed folds, as on the interpreter.
+//! lets the driver shard its folds (by seed, or by lane of 64 seeds in a
+//! shared batch), as on the interpreter.
 
 use std::sync::Arc;
 
@@ -432,7 +433,7 @@ pub struct Executor {
     /// reset; a breach stops the run between iterations, never
     /// mid-mutation.
     pub limits: Limits,
-    /// Shard count of the driver's per-seed folds; `1` = sequential (default).
+    /// Shard count of the driver's folds; `1` = sequential (default).
     threads: usize,
 }
 
@@ -512,8 +513,9 @@ impl Executor {
 
     /// Set the shard count of the fixpoint driver
     /// ([`xqy_xdm::fixpoint::Config::threads`]).  The one sharding rule, as
-    /// on the interpreter: the driver splits its per-seed folds and final
-    /// materialisations over at most this many threads,
+    /// on the interpreter: the driver splits its folds and final
+    /// materialisations — by seed, or by lane of 64 seeds in a shared
+    /// batch — over at most this many threads,
     /// and the body always runs on the caller thread.  A single seed has
     /// nothing to split, `1` (the default; `0` clamps to it) runs
     /// everything inline, and once a memory budget has used its relief
@@ -2107,7 +2109,7 @@ mod tests {
         assert_eq!(table.len(), 4); // c1 plus its closure {c2, c3, c4}
     }
 
-    /// A batched run whose driver shards its per-seed folds (`threads > 1`)
+    /// A batched run whose driver shards its folds (`threads > 1`)
     /// is bit-identical to the sequential one — same table, same stats —
     /// for every strategy × sharing × seed-inclusion combination and
     /// several shard counts (including more shards than seeds, and `0`,

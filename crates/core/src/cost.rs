@@ -178,8 +178,8 @@ pub fn static_params(
 ///   goes to the interpreter whenever both are available; the interesting
 ///   choice is batched:
 /// * **Batched** — over a distributive body the driver hands each distinct
-///   node to the body once per run on either back-end, and folds every
-///   seed with the same pass.  The interpreter evaluates a handed node as
+///   node to the body once per run on either back-end, and folds the seeds
+///   64 to a word, a lane at a time.  The interpreter evaluates a handed node as
 ///   one body call on a singleton; the executor evaluates a round's new
 ///   nodes in one call.  So the executor wins when rounds are few against
 ///   distinct nodes (a wide batch, no per-node call overhead), and the
@@ -204,14 +204,17 @@ pub fn static_params(
 /// | curriculum S per seed (104, 1 656, 3 514) | 1 386 | 4 463 |
 /// | curriculum M per seed (816, 26 659, 229 434) | 50 868 | 151 835 |
 /// | bidders M per seed (400, 2 747, 133 462) | 95 695 | 123 912 |
-/// | hospital S per patient, batched (depth 4) | 867–890 | 597–625 |
-/// | bidders S batched (depth 9) | 731–765 | 680–716 |
-/// | curriculum S batched (depth 21) | 212–223 | 205–225 |
-/// | curriculum M batched (depth 49) | 9 204–9 697 | 10 076–10 422 |
-/// | chain of 120, two seeds, batched (depth 119) | 52–56 | 122–127 |
+/// | hospital S per patient, batched (422 seeds, depth 4) | 813–823 | 511–533 |
+/// | bidders S batched (120 seeds, depth 9) | 261–282 | 231–247 |
+/// | curriculum S batched (104 seeds, depth 21) | 107–110 | 88–94 |
+/// | curriculum M batched (816 seeds, depth 49) | 3 195–3 326 | 2 223–3 067 |
+/// | chain of 120, two seeds, batched (depth 120) | 82–83 | 277–288 |
 ///
-/// The batched rows are three runs of best of nine, measured once both
-/// back-ends evaluated each distinct node once per run.
+/// The batched rows are three runs of best of nine on a 2-core host,
+/// measured once the driver folded its seeds in lanes of 64; the same
+/// runs of the per-seed fold before it read 910–934 / 660–671, 814–853 /
+/// 795–800, 231–245 / 242–255, 9 779–10 252 / 10 054–11 448 and 94–101 /
+/// 297–299: the fold was most of every wide batch.
 ///
 /// * *Per fed node.*  The single-run hospital cells are all per-node work:
 ///   0.11–0.22 µs in the interpreter against 0.16–0.32 in the executor, a
@@ -234,12 +237,17 @@ pub fn static_params(
 ///   node, `per_iter + per_node`, and the executor a node, plus
 ///   `per_iter` per round.  With the per-run and fold terms shared, the
 ///   executor is ahead once `I` is below about half the distinct nodes:
-///   it leads the hospital (30 %) and bidder (6 %) cells, and the
-///   interpreter leads the chain, where every round meets one node.  The
-///   curriculum batches sit within noise at S and go 5–8 % the
-///   interpreter's way at M, which this model cannot see: the executor's
-///   per-node cost on that body is three times the interpreter's (the
-///   per-seed rows), against 1.5 in `per_node`.
+///   it leads the hospital, bidder and curriculum batches (by 8–37 %),
+///   and the interpreter leads the chain, where every round meets one
+///   node — the model's verdict on every row.
+/// * *Fold.*  The driver folds a lane of 64 seeds with one `|=` per image
+///   node, so the fold is priced per lane and round, not per seed.  Timed
+///   inside the driver (fold plus results, best of 54 runs), a lane-round
+///   costs 0.15 µs on the chain, 0.3–0.6 µs on the curriculum S batches,
+///   3.1 µs on curriculum M and 4.1–4.2 µs on bidders S and hospital S;
+///   `1.0` is their geometric middle.  The term is the same on both
+///   back-ends and the batched cost is capped below the per-seed loop's,
+///   so it ranks nothing by itself.
 pub fn cost(alt: PlanAlternative, params: &CostParams, features: &OccurrenceFeatures) -> f64 {
     let i = params.depth.max(1.0);
     let r = params.result.max(1.0);
@@ -266,15 +274,15 @@ pub fn cost(alt: PlanAlternative, params: &CostParams, features: &OccurrenceFeat
     let distinct = (0.7 * s * r).min(params.store_nodes).max(1.0);
     let batched = if features.distributive {
         // Shared mode: the driver hands each distinct node to the body once
-        // per run, on either back-end, and folds every seed with the same
-        // test-and-set pass.
+        // per run, on either back-end, and folds the seeds in lanes of 64.
         let body = match alt.backend {
             // One set evaluation per round that meets a new node.
             FixpointBackendTag::Algebraic => per_iter * i + per_node * distinct,
             // One singleton call per distinct node.
             FixpointBackendTag::Interpreted => (per_iter + per_node) * distinct,
         };
-        setup + body + 0.02 * i * s
+        let lanes = (s / 64.0).ceil();
+        setup + body + 1.0 * i * lanes
     } else {
         match alt.backend {
             // Strict per-seed rows in one shared loop.
@@ -710,17 +718,17 @@ mod tests {
         // Both back-ends hand each distinct node to the body once per run;
         // what is left to choose between is the executor's one set call per
         // round against the interpreter's one singleton call per distinct
-        // node.  Measured on shared batches over run-local ids (Delta,
+        // node.  Measured on shared batches folded in lanes of 64 (Delta,
         // `execute_batched`, best of nine).
         let f = features(true);
         let batched = |backend, params: &CostParams| {
             cost(alt(FixpointStrategy::Delta, backend, true), params, &f)
         };
         // Shallow, the shape of hospital S run per diseased patient (422
-        // seeds, five ancestors each, depth 4): 0.60–0.63 ms on the executor
-        // against 0.87–0.89 ms on the interpreter.  Wide and deeper, the
+        // seeds, five ancestors each, depth 4): 0.51–0.53 ms on the executor
+        // against 0.81–0.82 ms on the interpreter.  Wide and deeper, the
         // shape of bidders S (120 seeds, ~90 persons each, depth 9): the
-        // executor still leads, 0.68–0.72 ms against 0.73–0.77 ms.
+        // executor still leads, 0.23–0.25 ms against 0.26–0.28 ms.
         for (name, params) in [
             (
                 "shallow",
@@ -749,8 +757,8 @@ mod tests {
             );
         }
         // Deep and narrow, two seeds walking a 120-link chain one node a
-        // round: a round is one node, so its set call buys nothing — 52–56
-        // µs on the interpreter against 122–127 µs on the executor.
+        // round: a round is one node, so its set call buys nothing — 82–83
+        // µs on the interpreter against 277–288 µs on the executor.
         let deep = CostParams {
             depth: 120.0,
             result: 119.0,

@@ -63,8 +63,9 @@ impl From<FixpointStrategy> for Strategy {
 /// Thread-count policy for **batched fixpoint execution**.
 ///
 /// One sharding rule on both back-ends: the fixpoint driver splits the
-/// per-seed phases of a batched multi-source run — its folds and final
-/// materialisations — across OS threads, and the recursion
+/// phases of a batched multi-source run — its folds and final
+/// materialisations, by seed or, in a shared batch, by lane of 64 seeds —
+/// across OS threads, and the recursion
 /// body always runs on the caller thread.  Single-source fixpoints have
 /// nothing to split, and `threads == 1` takes the sequential code path
 /// exactly, so results are identical for every setting.

@@ -1075,7 +1075,7 @@ struct PlanEntry {
 struct PlanDriver {
     entries: Vec<PlanEntry>,
     runtime: CheckedOut,
-    /// Shard count of the driver's per-seed folds in batched runs (from the
+    /// Shard count of the driver's folds in batched runs (from the
     /// prepared query's [`Parallelism`] policy); a single-source run has
     /// nothing to shard.
     threads: usize,

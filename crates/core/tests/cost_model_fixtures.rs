@@ -189,13 +189,12 @@ fn table2_cell_choices_are_pinned() {
     // back-ends hand each distinct node to the body once per run, so a
     // batch of many seeds pays the executor's one set call per round
     // against the interpreter's one call per distinct node.  Measured
-    // (Delta, `execute_batched`, three runs of best of nine): curriculum S,
-    // 32 seeds, 45–50 µs algebraic against 47–50 µs source-level, all 104
-    // seeds 205–225 against 212–223; curriculum M, 128 seeds, 302–307
-    // against 291–317 — ties within noise.  The whole of curriculum M (816
-    // seeds, depth 49) goes the other way by 5–8 %, 10.1–10.4 ms against
-    // 9.2–9.7; `cost`'s calibration notes say why the model misses it, and
-    // its unit tests pin the cells where the back-ends are far apart.
+    // (Delta, `execute_batched`, three runs of best of nine, seeds folded
+    // in lanes of 64): curriculum S, 32 seeds, 30–33 µs algebraic against
+    // 32–34 µs source-level — a tie — and all 104 seeds 88–94 against
+    // 107–110; curriculum M, 128 seeds, 116–126 against 135–140, and all
+    // 816 seeds (depth 49) 2.2–3.6 ms against 3.2–3.9.  `cost`'s unit tests
+    // pin the cells where the back-ends are far apart.
     for (name, st, seeds) in [
         ("q1/small/batched", small(), 32),
         ("q1/medium/batched", medium(), 128),

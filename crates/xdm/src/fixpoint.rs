@@ -31,8 +31,11 @@
 //! round runs `except`/`union` on it.  Over distinct nodes, the run gives
 //! every node it meets a dense run-local id and keeps each node's image,
 //! computed once per run: a distributive body's image of a node depends on
-//! the node alone (Definition 3.1).  A source is then a bitmap over local
-//! ids, and its fold is one test-and-set pass over its frontier's images.
+//! the node alone (Definition 3.1).  The sources are then folded in
+//! *lanes* of 64, one bit each, as in a multi-source bit-parallel BFS: a
+//! lane keeps one word per local id, and one `|=` over a frontier node's
+//! image advances every source of the lane whose frontier holds the node.
+//! The results leave in document order from one sort of the run's nodes.
 //!
 //! Who counts what: the driver counts the paper's columns — rounds, nodes
 //! fed back ([`ExecStats::rows_fed_back`]: each source's own frontier, so
@@ -47,7 +50,6 @@ use std::time::Instant;
 
 use crate::budget::{self, QueryBudget};
 use crate::fail::{self, FaultError};
-use crate::nodeset::BitIter;
 use crate::{shard, IdMap, NodeId, NodeSet, NodeStore};
 
 /// Which algorithm evaluates `with … seeded by … recurse`.
@@ -295,8 +297,9 @@ pub struct Config {
     /// from the seed itself (the reading of the paper's Example 2.4).
     pub seed_in_result: bool,
     /// Shard count for the per-source phases (the folds and the final
-    /// materialisations); `≤ 1` is sequential.  Forced to 1
-    /// once the memory budget has used its relief round.
+    /// materialisations); `≤ 1` is sequential.  A shared run splits
+    /// lanes of 64 sources, so a batch of at most 64 seeds never shards.
+    /// Forced to 1 once the memory budget has used its relief round.
     pub threads: usize,
     /// What the barrier enforces.
     pub limits: Limits,
@@ -360,7 +363,8 @@ trait Sources {
     /// fed back, and keep the images for [`absorb`](Self::absorb).
     fn feed<B: Body>(&mut self, body: &mut B, stats: &mut ExecStats) -> Result<(), B::Error>;
 
-    /// Fold the images into the active sources, sharded by source:
+    /// Fold the images into the active sources, sharded by source (by
+    /// lane, in a shared run):
     /// `∆ ← image except res; res ← ∆ union res`, then the next frontier is
     /// `res` (Naïve) or `∆` (Delta).
     fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, store: &NodeStore, shards: usize);
@@ -450,6 +454,7 @@ impl Sources for Vec<Source> {
 /// The state of a [`BatchSharing::DistinctNodes`] run: every node it meets
 /// has a dense run-local id, and its image, in local ids, once the body
 /// has computed it — once per run, and read by every source in every round.
+/// The sources are folded in [`Lane`]s of 64.
 #[derive(Default)]
 struct Shared {
     /// Local id → node.
@@ -461,63 +466,158 @@ struct Shared {
     spans: Vec<Option<(u32, u32)>>,
     /// Every image, back to back.
     flat: Vec<u32>,
-    sources: Vec<LocalSource>,
+    lanes: Vec<Lane>,
 }
 
-/// One source's loop state over local ids.
-struct LocalSource {
-    res: LocalSet,
-    /// What the next round reads the images of.
-    frontier: Vec<u32>,
-    /// Cleared the round the source stops growing.
-    active: bool,
+/// Up to 64 sources of a shared run, one bit each — a multi-source
+/// bit-parallel BFS (Then et al., PVLDB 2014): one `|=` advances every
+/// source of the lane whose frontier holds a node.
+struct Lane {
+    /// Local id → the sources whose `res` holds it.
+    seen: Vec<u64>,
+    /// Local id → the sources whose image of this round holds it; all zero
+    /// between folds.
+    next: Vec<u64>,
+    /// What the next round reads the images of: a node and the sources
+    /// whose frontier holds it.
+    frontier: Vec<(u32, u64)>,
+    /// The local ids whose `next` word a fold has made non-zero; empty
+    /// between folds.
+    touched: Vec<u32>,
+    /// The sources still growing.
+    active: u64,
+    /// Each source's result size.
+    counts: Vec<usize>,
 }
 
-/// A set of local ids, one bit each.
-#[derive(Default)]
-struct LocalSet {
-    words: Vec<u64>,
-    len: usize,
-}
+/// Bytes a lane keeps per node the run has met: `seen` and `next`.
+const LANE_BYTES_PER_NODE: u64 = 16;
 
-impl LocalSet {
-    /// Add `id`; `true` if it was absent.
-    fn test_and_set(&mut self, id: u32) -> bool {
-        let (word, mask) = (id as usize / 64, 1u64 << (id % 64));
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
+/// Bytes the run keeps per node it has met, besides the lanes: `nodes`,
+/// `spans` and the `ids` entry.
+const SHARED_BYTES_PER_NODE: u64 = 32;
+
+impl Lane {
+    /// A lane of `width` (1 ..= 64) sources, all active.
+    fn new(width: usize, frontier: Vec<(u32, u64)>) -> Self {
+        Lane {
+            seen: Vec::new(),
+            next: Vec::new(),
+            frontier,
+            touched: Vec::new(),
+            active: u64::MAX >> (64 - width),
+            counts: vec![0; width],
         }
-        let fresh = self.words[word] & mask == 0;
-        self.words[word] |= mask;
-        self.len += usize::from(fresh);
-        fresh
     }
 
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let words = self.words.iter().enumerate();
-        words.flat_map(|(i, &word)| BitIter(word).map(move |bit| (i * 64 + bit) as u32))
+    /// One fold: `next[m] |= bits` over the frontier's images, then `∆ ←
+    /// next except seen; seen ← seen union ∆`, a word at a time.
+    fn fold<'i>(
+        &mut self,
+        fold: Fold,
+        strategy: FixpointStrategy,
+        met: usize,
+        image: impl Fn(u32) -> &'i [u32],
+    ) {
+        let Lane {
+            seen,
+            next,
+            frontier,
+            touched,
+            active,
+            counts,
+        } = self;
+        if seen.len() < met {
+            budget::charge((met - seen.len()) as u64 * LANE_BYTES_PER_NODE);
+            seen.resize(met, 0);
+            next.resize(met, 0);
+        }
+        for &(v, bits) in frontier.iter() {
+            let image = match fold {
+                Fold::Seeds => std::slice::from_ref(&v),
+                Fold::First | Fold::Round => image(v),
+            };
+            for &m in image {
+                let slot = &mut next[m as usize];
+                if *slot == 0 {
+                    touched.push(m);
+                }
+                *slot |= bits;
+            }
+        }
+        frontier.clear();
+        let mut grew = 0;
+        for m in touched.drain(..) {
+            let fresh = std::mem::take(&mut next[m as usize]) & !seen[m as usize];
+            if fresh == 0 {
+                continue;
+            }
+            seen[m as usize] |= fresh;
+            grew |= fresh;
+            let mut bits = fresh;
+            while bits != 0 {
+                counts[bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+            if strategy == FixpointStrategy::Delta {
+                frontier.push((m, fresh));
+            }
+        }
+        if fold == Fold::Round {
+            *active &= grew;
+        }
+        if strategy == FixpointStrategy::Naive {
+            let active = *active;
+            frontier.extend(
+                (seen.iter().enumerate())
+                    .filter(|(_, &bits)| bits & active != 0)
+                    .map(|(v, &bits)| (v as u32, bits & active)),
+            );
+        }
+    }
+
+    /// Each source's result: the nodes of `order` (every local id, in
+    /// document order) whose bit it has set.
+    fn results(&self, order: &[u32], nodes: &[NodeId]) -> Vec<Vec<NodeId>> {
+        let mut results: Vec<Vec<NodeId>> =
+            self.counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for &id in order {
+            // The nodes met in the last images were never folded.
+            let mut bits = self.seen.get(id as usize).copied().unwrap_or(0);
+            while bits != 0 {
+                results[bits.trailing_zeros() as usize].push(nodes[id as usize]);
+                bits &= bits - 1;
+            }
+        }
+        results
     }
 }
 
 impl Shared {
     fn new(seeds: Seeds<'_>) -> Self {
         let mut shared = Shared::default();
-        let source = |frontier| LocalSource {
-            res: LocalSet::default(),
-            frontier,
-            active: true,
+        let lanes = match seeds {
+            Seeds::Set(seed) => {
+                let frontier = seed.iter().map(|&n| (shared.id(n), 1)).collect();
+                vec![Lane::new(1, frontier)]
+            }
+            Seeds::Each(seeds) => (seeds.chunks(64))
+                .map(|chunk| {
+                    let frontier = (chunk.iter().enumerate())
+                        .map(|(j, &n)| (shared.id(n), 1 << j))
+                        .collect();
+                    Lane::new(chunk.len(), frontier)
+                })
+                .collect(),
         };
-        let sources = match seeds {
-            Seeds::Set(seed) => vec![source(seed.iter().map(|&n| shared.id(n)).collect())],
-            Seeds::Each(seeds) => seeds.iter().map(|&n| source(vec![shared.id(n)])).collect(),
-        };
-        shared.sources = sources;
+        shared.lanes = lanes;
         shared
     }
 
-    /// The local id of `node`, assigned on first sight.
+    /// The local id of `node`, assigned (and charged) on first sight.
     fn id(&mut self, node: NodeId) -> u32 {
         *self.ids.entry(node).or_insert_with(|| {
+            budget::charge(SHARED_BYTES_PER_NODE);
             self.nodes.push(node);
             self.spans.push(None);
             (self.nodes.len() - 1) as u32
@@ -527,27 +627,26 @@ impl Shared {
 
 impl Sources for Shared {
     fn any_active(&self) -> bool {
-        self.sources.iter().any(|s| s.active)
+        self.lanes.iter().any(|lane| lane.active != 0)
     }
 
     fn largest(&self) -> usize {
-        self.sources.iter().map(|s| s.res.len).max().unwrap_or(0)
+        let counts = self.lanes.iter().flat_map(|lane| &lane.counts);
+        counts.copied().max().unwrap_or(0)
     }
 
     /// One group per frontier node that has no image yet, in
-    /// first-appearance order; no call at all when there is none.
+    /// first-appearance order; no call at all when there is none.  Each
+    /// source is counted as fed its own frontier: a node once per bit.
     fn feed<B: Body>(&mut self, body: &mut B, stats: &mut ExecStats) -> Result<(), B::Error> {
-        let active = self.sources.iter().filter(|s| s.active);
         let mut fresh = Vec::new();
-        for source in active {
-            stats.rows_fed_back += source.frontier.len() as u64;
-            for &id in &source.frontier {
-                let span = &mut self.spans[id as usize];
-                if span.is_none() {
-                    // Claimed; the image lands below.
-                    *span = Some((0, 0));
-                    fresh.push(id);
-                }
+        for &(id, bits) in self.lanes.iter().flat_map(|lane| &lane.frontier) {
+            stats.rows_fed_back += u64::from(bits.count_ones());
+            let span = &mut self.spans[id as usize];
+            if span.is_none() {
+                // Claimed; the image lands below.
+                *span = Some((0, 0));
+                fresh.push(id);
             }
         }
         if fresh.is_empty() {
@@ -561,6 +660,7 @@ impl Sources for Shared {
             })
             .collect();
         let images = body.images(&groups, stats)?;
+        let flat = self.flat.len();
         for (id, image) in fresh.into_iter().zip(images) {
             let start = self.flat.len() as u32;
             for node in image {
@@ -569,55 +669,40 @@ impl Sources for Shared {
             }
             self.spans[id as usize] = Some((start, self.flat.len() as u32));
         }
+        budget::charge(((self.flat.len() - flat) * std::mem::size_of::<u32>()) as u64);
         Ok(())
     }
 
-    /// One test-and-set pass per source over its frontier's images: a bit
-    /// newly set is a node of `∆`.
+    /// One [`Lane::fold`] per lane, sharded by lane.
     fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, _: &NodeStore, shards: usize) {
         let Shared {
+            nodes,
             spans,
             flat,
-            sources,
+            lanes,
             ..
         } = self;
-        let image = |id: &u32| match spans[*id as usize] {
+        let image = |id: u32| match spans[id as usize] {
             Some((start, end)) => &flat[start as usize..end as usize],
             None => unreachable!("a frontier node is fed before it is folded"),
         };
-        shard::for_each_shard(shards, sources, |_, chunk| {
-            for source in chunk.iter_mut().filter(|s| s.active) {
-                let mut delta = Vec::new();
-                for id in &source.frontier {
-                    let image = match fold {
-                        Fold::Seeds => std::slice::from_ref(id),
-                        Fold::First | Fold::Round => image(id),
-                    };
-                    for &m in image {
-                        if source.res.test_and_set(m) {
-                            delta.push(m);
-                        }
-                    }
-                }
-                if delta.is_empty() && fold == Fold::Round {
-                    source.active = false;
-                    continue;
-                }
-                source.frontier = match strategy {
-                    FixpointStrategy::Naive => source.res.iter().collect(),
-                    FixpointStrategy::Delta => delta,
-                };
+        shard::for_each_shard(shards, lanes, |_, chunk| {
+            for lane in chunk.iter_mut().filter(|lane| lane.active != 0) {
+                lane.fold(fold, strategy, nodes.len(), image);
             }
         });
     }
 
-    /// Back to node ids, sorted into document order once.
+    /// The run's nodes sorted into document order once; each lane reads
+    /// its sources' results off that order.
     fn results(&self, store: &NodeStore, shards: usize) -> Vec<Vec<NodeId>> {
-        shard::map_sharded(shards, &self.sources, |s| {
-            let mut nodes: Vec<NodeId> = s.res.iter().map(|id| self.nodes[id as usize]).collect();
-            store.sort_distinct(&mut nodes);
-            nodes
-        })
+        let mut sorted = self.nodes.clone();
+        store.sort_distinct(&mut sorted);
+        let order: Vec<u32> = sorted.iter().map(|node| self.ids[node]).collect();
+        let lanes = shard::map_sharded(shards, &self.lanes, |lane| {
+            lane.results(&order, &self.nodes)
+        });
+        lanes.into_iter().flatten().collect()
     }
 }
 
@@ -960,6 +1045,98 @@ mod tests {
         assert!(run_ok(&store, &Config::default(), Seeds::Each(&[]))
             .0
             .is_empty());
+    }
+
+    /// 40 `a`s, each over a three-level chain, every third one also over a
+    /// leaf `e`; the seeds are every element, the root last — whose parent
+    /// is no element, so its first image is empty.  175 seeds are two full
+    /// lanes and a partial third.
+    fn forest() -> (NodeStore, Vec<NodeId>) {
+        let mut store = NodeStore::new();
+        let mut xml = String::from("<r>");
+        for i in 0..40 {
+            xml.push_str("<a><b><c><d/></c></b>");
+            if i % 3 == 0 {
+                xml.push_str("<e/>");
+            }
+            xml.push_str("</a>");
+        }
+        xml.push_str("</r>");
+        let doc = store.parse_document(&xml).unwrap();
+        let root = store.document_element(doc).unwrap();
+        let mut seeds = store.axis_nodes(root, Axis::Descendant, &NodeTest::AnyElement);
+        seeds.push(root);
+        assert_eq!((seeds.len(), seeds.len() / 64), (175, 2));
+        (store, seeds)
+    }
+
+    #[test]
+    fn lanes_of_64_fold_like_the_seeds_one_by_one() {
+        let (store, seeds) = forest();
+        for axis in [Axis::Child, Axis::Parent] {
+            let go = |config: &Config| {
+                let mut body = Children::new(&store);
+                body.axis = axis;
+                let (result, stats) = run(&mut body, config, Seeds::Each(&seeds));
+                (result.unwrap(), stats)
+            };
+            for strategy in [Naive, Delta] {
+                for seed_in_result in [false, true] {
+                    let at = |sharing| Config {
+                        seed_in_result,
+                        ..config(strategy, sharing, 1)
+                    };
+                    let (expected, expected_stats) = go(&at(PerSeed));
+                    for threads in [1, 4] {
+                        let shared = Config {
+                            threads,
+                            ..at(DistinctNodes)
+                        };
+                        let (result, stats) = go(&shared);
+                        let case = (axis, strategy, seed_in_result, threads);
+                        assert_eq!(result, expected, "{case:?}");
+                        assert_eq!(stats.rows_fed_back, expected_stats.rows_fed_back);
+                        assert_eq!(stats.iterations, expected_stats.iterations);
+                        assert_eq!(stats.result_rows, expected_stats.result_rows);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_run_charges_its_lanes_to_the_memory_budget() {
+        // The toy body charges nothing: what the budget sees is the run's
+        // own state.
+        let (store, seeds) = forest();
+        let config = config(Delta, DistinctNodes, 1);
+        let metered = |limit| {
+            let budget = QueryBudget::new(limit);
+            let (result, _) = {
+                let _scope = budget::install(budget.clone());
+                run(&mut Children::new(&store), &config, Seeds::Each(&seeds))
+            };
+            (result, budget.used())
+        };
+        // Every node the run meets is a seed; each of the three lanes keeps
+        // 16 bytes a node.
+        let (result, used) = metered(u64::MAX);
+        assert!(result.is_ok());
+        assert!(
+            used >= 3 * LANE_BYTES_PER_NODE * seeds.len() as u64,
+            "{used}"
+        );
+        // Under a small budget: a typed error at the first barrier, after
+        // relief has found nothing to free.
+        let (result, _) = metered(used / 4);
+        assert!(matches!(
+            result,
+            Err(LimitError::Budget {
+                budget: "memory",
+                iterations: 0,
+                ..
+            })
+        ));
     }
 
     #[test]

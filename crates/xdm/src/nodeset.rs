@@ -301,7 +301,7 @@ impl<'a> FromIterator<&'a NodeId> for NodeSet {
 }
 
 /// Iterator over the set bit positions of one word.
-pub(crate) struct BitIter(pub(crate) u64);
+struct BitIter(u64);
 
 impl Iterator for BitIter {
     type Item = usize;

@@ -1,12 +1,13 @@
-//! A minimal scoped-thread shard pool for the parallel fixpoint drivers.
+//! A minimal scoped-thread shard pool for the fixpoint driver.
 //!
-//! The batched fixpoint loops of `xqy_eval` / `xqy_algebra` are built from
-//! embarrassingly parallel per-seed phases separated by an iteration
-//! barrier.  This module provides the two splitting primitives they need,
-//! on plain [`std::thread::scope`] — no vendored thread-pool crate, no
-//! global state, no work stealing.  Threads are
-//! spawned per call; the drivers only shard phases whose work comfortably
-//! dwarfs thread spawn cost, and callers pass `threads <= 1` to run the
+//! The driver's batched loop ([`crate::fixpoint`]) is built from
+//! embarrassingly parallel phases — the folds and the final
+//! materialisations, per seed or, in a shared-frontier run, per lane of 64
+//! seeds — separated by an iteration barrier.  This module provides the
+//! two splitting primitives they need, on plain [`std::thread::scope`] —
+//! no vendored thread-pool crate, no global state, no work stealing.
+//! Threads are spawned per call; the driver only shards phases whose work
+//! comfortably dwarfs thread spawn cost, and callers pass `threads <= 1` to run the
 //! exact sequential code path (the parallelism gate the engine's
 //! `Parallelism::Sequential` default relies on).
 //!

@@ -13,7 +13,8 @@
 //! the negative table `loops_off_the_route_keep_the_per_item_loop`).
 //! `a_shared_batch_hands_each_node_to_the_body_once` pins what sharing
 //! buys: on either back-end a shared-frontier batch evaluates each distinct
-//! node once per run.
+//! node once per run, and `a_batch_wider_than_a_lane_equals_the_per_seed_loop`
+//! checks both across the boundaries of the driver's 64-seed lanes.
 
 use proptest::prelude::*;
 
@@ -252,6 +253,61 @@ proptest! {
                 let handed: u64 = run.frontier_curve.iter().sum();
                 prop_assert_eq!(handed, met.len() as u64, "{}", &at);
             }
+        }
+    }
+}
+
+/// A shared batch folds its seeds in lanes of 64: 140 seeds are two full
+/// lanes and a partial one, so bits 63 and 64 and a short last lane are all
+/// exercised.  On both back-ends and under either algorithm the batch is
+/// the per-seed loop, and the body is still handed each node once per run.
+#[test]
+fn a_batch_wider_than_a_lane_equals_the_per_seed_loop() {
+    const COURSES: usize = 140;
+    // Chains of ten, each course also pointing into another chain.
+    let edges: Vec<_> = (0..COURSES)
+        .flat_map(|i| {
+            [
+                (i, if i % 10 == 9 { i } else { i + 1 }),
+                (i, (3 * i + 7) % COURSES),
+            ]
+        })
+        .collect();
+    let mut engine = curriculum_engine(&curriculum_from_edges(COURSES, &edges));
+    // Seeds against document order, so local ids do not follow it.
+    let mut seeds = all_courses(&mut engine).nodes();
+    seeds.reverse();
+    assert!(seeds.len() > 128 && !seeds.len().is_multiple_of(64));
+    let seeds = Sequence::from_nodes(seeds);
+    for strategy in [Strategy::Naive, Strategy::Delta] {
+        for backend in [Backend::SourceLevel, Backend::Algebraic] {
+            let at = format!("{strategy:?}/{}", backend.name());
+            engine.set_strategy(strategy);
+            let prepared = engine.prepare(BATCHED_QUERY).unwrap().with_backend(backend);
+            let batch = prepared
+                .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
+                .unwrap();
+            assert!(batch.batched, "{at}");
+            let run = &batch.outcome.fixpoints[0];
+            assert_eq!(run.batch_seeds, COURSES, "{at}");
+            let mut fed = 0;
+            for (i, &seed) in seeds.nodes().iter().enumerate() {
+                let bindings = Bindings::new().with("seed", Sequence::from_nodes(vec![seed]));
+                let reference = prepared.execute(&mut engine, &bindings).unwrap();
+                assert_eq!(
+                    batch.per_seed[i].nodes(),
+                    reference.result.nodes(),
+                    "seed #{i} under {at}"
+                );
+                fed += reference.fixpoints[0].nodes_fed_back;
+            }
+            assert_eq!(run.nodes_fed_back, fed, "{at}");
+            let mut met = seeds.nodes();
+            met.extend(batch.per_seed.iter().flat_map(Sequence::nodes));
+            met.sort_unstable();
+            met.dedup();
+            let handed: u64 = run.frontier_curve.iter().sum();
+            assert_eq!(handed, met.len() as u64, "{at}");
         }
     }
 }

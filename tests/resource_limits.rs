@@ -114,6 +114,46 @@ fn max_result_nodes_caps_the_accumulator_on_every_route() {
     }
 }
 
+#[test]
+fn a_shared_batch_over_its_memory_budget_stops_with_a_typed_error() {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut engine = chain_engine(80);
+    engine.set_strategy(Strategy::Delta);
+    let seeds = courses(&mut engine, 72);
+    let small = ExecOptions {
+        limits: ResourceLimits {
+            max_memory_bytes: Some(4 << 10),
+            ..ResourceLimits::default()
+        },
+        ..ExecOptions::default()
+    };
+    for backend in [Backend::SourceLevel, Backend::Algebraic] {
+        let prepared = engine.prepare(CLOSURE).unwrap().with_backend(backend);
+        let store = engine.store_mut();
+        let free = prepared
+            .execute_batched_on(
+                &mut *store,
+                "seed",
+                &seeds,
+                &Bindings::new(),
+                &ExecOptions::default(),
+            )
+            .unwrap();
+        assert!(free.batched);
+        let capped =
+            prepared.execute_batched_on(&mut *store, "seed", &seeds, &Bindings::new(), &small);
+        match capped {
+            Err(IfpError::Eval(EvalError::BudgetExceeded { budget, .. })) => {
+                assert_eq!(budget, "memory", "on the {} back-end", backend.name())
+            }
+            other => panic!(
+                "a shared batch on the {} back-end ignored max_memory_bytes: {other:?}",
+                backend.name()
+            ),
+        }
+    }
+}
+
 /// `shard.worker` hits of one batched algebraic run at four threads on a
 /// fresh executor under `budget` (armed with a trigger that never fires,
 /// so the site only counts), and the run's `(seed, item)` rows.  The
@@ -169,14 +209,16 @@ fn sharded_run(
 #[test]
 fn memory_relief_drops_the_rest_of_the_run_to_sequential() {
     let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut engine = chain_engine(24);
-    let seeds = courses(&mut engine, 8).nodes();
+    // A shared batch folds its seeds in lanes of 64, and threads split
+    // lanes: 72 seeds are two lanes.
+    let mut engine = chain_engine(80);
+    let seeds = courses(&mut engine, 72).nodes();
 
     // Unbudgeted (a metering cell nothing trips): every round shards.
     let meter = QueryBudget::new(u64::MAX);
     let (rows, sharded_hits) = sharded_run(&mut engine, &seeds, &meter);
     let rows = rows.unwrap();
-    assert!(sharded_hits > 0, "four threads over eight seeds must shard");
+    assert!(sharded_hits > 0, "four threads over two lanes must shard");
     assert_eq!(
         sharded_run(&mut engine, &seeds, &QueryBudget::new(u64::MAX)),
         (Ok(rows), sharded_hits),
