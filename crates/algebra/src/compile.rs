@@ -2,13 +2,22 @@
 //!
 //! The Pathfinder compiler of the paper translates arbitrary XQuery into
 //! loop-lifted relational plans.  This reproduction compiles the expression
-//! subset that the paper's examples and the benchmark recursion bodies use —
-//! paths over the recursion variable and over `doc(…)`, attribute access,
-//! `id(·)` lookups, `data`/`string`, simple `@attr = 'literal'` predicates,
-//! the node-set operators, `count`, and `if`/`then`/`else` — and reports
-//! everything else as [`AlgebraError::Unsupported`] so that the engine can
-//! fall back to the source-level evaluator instead of executing a wrong
-//! plan.
+//! subset that the paper's examples and the benchmark recursion bodies use:
+//!
+//! * paths over the recursion variable and over `doc('literal')` (never
+//!   `doc()` in step position), with steps on every axis — attribute steps
+//!   select attribute *nodes*, as on the interpreter;
+//! * `id(p)` over a relative node path `p`, resolved in each argument
+//!   node's own document;
+//! * `@name = 'literal'` predicates;
+//! * `data`/`string` and `count` (whose atomic results only a condition
+//!   may consume), the node-set operators, `,` and `if`/`then`/`else`.
+//!
+//! A body must yield nodes, whatever branch it takes.  Everything else —
+//! atomic bodies, constructors, FLWOR, filters — is reported as
+//! [`AlgebraError::Unsupported`], so that the engine falls back to the
+//! source-level evaluator instead of executing a plan whose answer differs
+//! from the interpreter's.
 
 use xqy_parser::ast::{local_name, Expr, Literal};
 use xqy_parser::BinaryOp;
@@ -34,13 +43,27 @@ pub struct CompiledBody {
     pub batched_plan: Option<Plan>,
 }
 
-/// What kind of value the `item` column currently carries; used to insert
-/// `StringValue` coercions before `IdLookup`.
+/// What the `item` column of a compiled expression carries.  The
+/// interpreter raises a type error where a body, a path's input or an
+/// `id()` argument yields an atomic value, and the executor would silently
+/// drop one, so those positions demand [`ItemKind::Nodes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ItemKind {
+    /// Nodes only (`()` included).
     Nodes,
-    Strings,
-    Unknown,
+    /// Possibly atomic values.
+    Atomic,
+}
+
+impl ItemKind {
+    /// The kind of a sequence holding items of both kinds.
+    fn and(self, other: ItemKind) -> ItemKind {
+        if self == ItemKind::Nodes && other == ItemKind::Nodes {
+            ItemKind::Nodes
+        } else {
+            ItemKind::Atomic
+        }
+    }
 }
 
 std::thread_local! {
@@ -67,7 +90,7 @@ pub fn compile_recursion_body(body: &Expr, var: &str) -> Result<CompiledBody> {
         plan: Plan::new(),
         var: var.to_string(),
     };
-    let (root, _kind) = compiler.compile(body)?;
+    let root = compiler.compile_nodes(body, "a recursion body")?;
     compiler.plan.set_root(root);
     let distributivity = crate::pushup::check_distributivity(&compiler.plan);
     let batched_plan = compiler.plan.seed_carried();
@@ -88,7 +111,24 @@ impl Compiler {
         AlgebraError::Unsupported(what.to_string())
     }
 
+    /// `kind` must be nodes where `what` stands.
+    fn require_nodes(&self, (id, kind): (PlanNodeId, ItemKind), what: &str) -> Result<PlanNodeId> {
+        match kind {
+            ItemKind::Nodes => Ok(id),
+            ItemKind::Atomic => Err(self.unsupported(&format!(
+                "{what} that can yield atomic values (only node sequences compile there)"
+            ))),
+        }
+    }
+
+    fn compile_nodes(&mut self, expr: &Expr, what: &str) -> Result<PlanNodeId> {
+        let compiled = self.compile(expr)?;
+        self.require_nodes(compiled, what)
+    }
+
     fn compile(&mut self, expr: &Expr) -> Result<(PlanNodeId, ItemKind)> {
+        let literal =
+            |plan: &mut Plan, values: Vec<String>| plan.add(Operator::Literal(values), vec![]);
         match expr {
             Expr::VarRef(v) if *v == self.var => {
                 Ok((self.plan.add(Operator::RecInput, vec![]), ItemKind::Nodes))
@@ -97,24 +137,17 @@ impl Compiler {
                 "free variable ${v} (only the recursion variable ${} is supported)",
                 self.var
             ))),
-            Expr::EmptySequence => Ok((
-                self.plan.add(Operator::Literal(Vec::new()), vec![]),
-                ItemKind::Strings,
-            )),
-            Expr::Literal(Literal::String(s)) => Ok((
-                self.plan.add(Operator::Literal(vec![s.clone()]), vec![]),
-                ItemKind::Strings,
-            )),
-            Expr::Literal(Literal::Integer(i)) => Ok((
-                self.plan.add(Operator::Literal(vec![i.to_string()]), vec![]),
-                ItemKind::Strings,
-            )),
-            Expr::Literal(Literal::Double(d)) => Ok((
-                self.plan.add(Operator::Literal(vec![d.to_string()]), vec![]),
-                ItemKind::Strings,
-            )),
+            Expr::EmptySequence => Ok((literal(&mut self.plan, Vec::new()), ItemKind::Nodes)),
+            Expr::Literal(lit) => {
+                let text = match lit {
+                    Literal::String(s) => s.clone(),
+                    Literal::Integer(i) => i.to_string(),
+                    Literal::Double(d) => d.to_string(),
+                };
+                Ok((literal(&mut self.plan, vec![text]), ItemKind::Atomic))
+            }
             Expr::Path { input, step } => {
-                let (input_id, _) = self.compile(input)?;
+                let input_id = self.compile_nodes(input, "a path's input")?;
                 self.compile_step(input_id, step)
             }
             Expr::AxisStep { .. } => Err(self.unsupported(
@@ -123,7 +156,8 @@ impl Compiler {
             Expr::FunctionCall { name, args } => self.compile_call_with_input(None, name, args),
             Expr::Binary { op, lhs, rhs } => {
                 let (l, lk) = self.compile(lhs)?;
-                let (r, _) = self.compile(rhs)?;
+                let (r, rk) = self.compile(rhs)?;
+                let kind = lk.and(rk);
                 let operator = match op {
                     BinaryOp::Union => Operator::Union,
                     BinaryOp::Except => Operator::Difference,
@@ -131,7 +165,7 @@ impl Compiler {
                         // a ∩ b  ≡  a \ (a \ b)
                         let a_minus_b = self.plan.add(Operator::Difference, vec![l, r]);
                         let id = self.plan.add(Operator::Difference, vec![l, a_minus_b]);
-                        return Ok((id, lk));
+                        return Ok((id, kind));
                     }
                     other => {
                         return Err(self.unsupported(&format!(
@@ -140,30 +174,30 @@ impl Compiler {
                         )))
                     }
                 };
-                Ok((self.plan.add(operator, vec![l, r]), lk))
+                Ok((self.plan.add(operator, vec![l, r]), kind))
             }
             Expr::If {
                 cond,
                 then_branch,
                 else_branch,
             } => {
-                let (cond_id, _) = self.compile_condition(cond)?;
+                let cond_id = self.compile_condition(cond)?;
                 let (then_id, then_kind) = self.compile(then_branch)?;
-                let (else_id, _) = self.compile(else_branch)?;
+                let (else_id, else_kind) = self.compile(else_branch)?;
                 Ok((
                     self.plan
                         .add(Operator::IfThenElse, vec![cond_id, then_id, else_id]),
-                    then_kind,
+                    then_kind.and(else_kind),
                 ))
             }
             Expr::Sequence(items) => {
                 // Sequence construction over node sets behaves like union for
                 // the (set-based) purposes of the algebra backend.
                 let mut compiled = Vec::new();
-                let mut kind = ItemKind::Unknown;
+                let mut kind = ItemKind::Nodes;
                 for item in items {
                     let (id, k) = self.compile(item)?;
-                    kind = k;
+                    kind = kind.and(k);
                     compiled.push(id);
                 }
                 let mut iter = compiled.into_iter();
@@ -178,20 +212,15 @@ impl Compiler {
             Expr::RootPath { .. } | Expr::ContextItem => Err(self.unsupported(
                 "the context item outside of a step position (recursion bodies are functions of the recursion variable)",
             )),
-            Expr::DirectElement { name, .. } | Expr::ComputedElement { name, .. } => {
-                let lit = self.plan.add(Operator::Literal(Vec::new()), vec![]);
-                Ok((
-                    self.plan.add(Operator::Construct(name.clone()), vec![lit]),
-                    ItemKind::Nodes,
-                ))
-            }
-            Expr::ComputedText { .. } | Expr::ComputedAttribute { .. } => {
-                let lit = self.plan.add(Operator::Literal(Vec::new()), vec![]);
-                Ok((
-                    self.plan.add(Operator::Construct("text".into()), vec![lit]),
-                    ItemKind::Nodes,
-                ))
-            }
+            // A constructor mints fresh nodes on every evaluation
+            // (Definition 2.1), which no plan operator reproduces.
+            Expr::DirectElement { .. }
+            | Expr::ComputedElement { .. }
+            | Expr::ComputedText { .. }
+            | Expr::ComputedAttribute { .. } => Err(self.unsupported(&format!(
+                "{} (constructed nodes are fresh per evaluation)",
+                variant_name(expr)
+            ))),
             other => Err(self.unsupported(&format!(
                 "expression form {:?} (general FLWOR/filters are outside the compiler subset)",
                 variant_name(other)
@@ -203,32 +232,23 @@ impl Compiler {
     /// effective-boolean-value aggregation is explicit in the plan (an EBV
     /// inspects its operand as a whole, which is what blocks distributivity
     /// when the operand depends on the recursion variable).
-    fn compile_condition(&mut self, cond: &Expr) -> Result<(PlanNodeId, ItemKind)> {
-        let (id, kind) = match cond {
-            // count(e) / exists(e) / empty(e): already aggregates.
+    /// `count(e)` and `exists(e)` already aggregate, so `e` is counted.
+    fn compile_condition(&mut self, cond: &Expr) -> Result<PlanNodeId> {
+        let operand = match cond {
             Expr::FunctionCall { name, args }
-                if matches!(local_name(name), "count" | "exists" | "empty") && args.len() == 1 =>
+                if matches!(local_name(name), "count" | "exists") && args.len() == 1 =>
             {
-                let (inner, _) = self.compile(&args[0])?;
-                (
-                    self.plan
-                        .add(Operator::Count { group_by: None }, vec![inner]),
-                    ItemKind::Strings,
-                )
+                &args[0]
             }
-            other => {
-                let (inner, _) = self.compile(other)?;
-                (
-                    self.plan
-                        .add(Operator::Count { group_by: None }, vec![inner]),
-                    ItemKind::Strings,
-                )
-            }
+            other => other,
         };
-        Ok((id, kind))
+        let (inner, _) = self.compile(operand)?;
+        Ok(self
+            .plan
+            .add(Operator::Count { group_by: None }, vec![inner]))
     }
 
-    /// Compile a path step applied to the rows of `input`.
+    /// Compile a path step applied to the node rows of `input`.
     fn compile_step(&mut self, input: PlanNodeId, step: &Expr) -> Result<(PlanNodeId, ItemKind)> {
         match step {
             Expr::AxisStep {
@@ -236,32 +256,19 @@ impl Compiler {
                 test,
                 predicates,
             } => {
-                let (mut id, mut kind) = match (axis, test) {
-                    (Axis::Attribute, NodeTest::Name(name)) => (
-                        self.plan
-                            .add(Operator::AttrValue(name.clone()), vec![input]),
-                        ItemKind::Strings,
-                    ),
-                    (Axis::Attribute, _) => {
-                        return Err(self.unsupported("wildcard attribute steps"))
-                    }
-                    _ => (
-                        self.plan.add(
-                            Operator::Step {
-                                axis: *axis,
-                                test: test.clone(),
-                            },
-                            vec![input],
-                        ),
-                        ItemKind::Nodes,
-                    ),
-                };
+                let mut id = self.plan.add(
+                    Operator::Step {
+                        axis: *axis,
+                        test: test.clone(),
+                    },
+                    vec![input],
+                );
                 for pred in predicates {
-                    (id, kind) = self.compile_predicate(id, pred)?;
+                    id = self.compile_predicate(id, pred)?;
                 }
-                Ok((id, kind))
+                Ok((id, ItemKind::Nodes))
             }
-            Expr::ContextItem => Ok((input, ItemKind::Unknown)),
+            Expr::ContextItem => Ok((input, ItemKind::Nodes)),
             Expr::FunctionCall { name, args } => {
                 self.compile_call_with_input(Some(input), name, args)
             }
@@ -270,7 +277,8 @@ impl Compiler {
                 step,
             } => {
                 // A nested relative path (e.g. from `./a/b` inside id(…)).
-                let (nested_id, _) = self.compile_step(input, nested)?;
+                let nested = self.compile_step(input, nested)?;
+                let nested_id = self.require_nodes(nested, "a path's input")?;
                 self.compile_step(nested_id, step)
             }
             other => Err(self.unsupported(&format!("path step of form {}", variant_name(other)))),
@@ -279,65 +287,58 @@ impl Compiler {
 
     /// Compile a predicate `[…]` applied to the node rows of `input`.  Only
     /// the `@attr = 'literal'` form is supported.
-    fn compile_predicate(
-        &mut self,
-        input: PlanNodeId,
-        pred: &Expr,
-    ) -> Result<(PlanNodeId, ItemKind)> {
-        match pred {
+    fn compile_predicate(&mut self, input: PlanNodeId, pred: &Expr) -> Result<PlanNodeId> {
+        let named_attribute = |step: &Expr| {
+            matches!(step, Expr::AxisStep {
+                axis: Axis::Attribute,
+                test: NodeTest::Name(_),
+                predicates,
+            } if predicates.is_empty())
+        };
+        let (attr, literal) = match pred {
             Expr::Binary {
                 op: BinaryOp::GeneralEq,
                 lhs,
                 rhs,
-            } => {
-                let (attr_name, literal) = match (lhs.as_ref(), rhs.as_ref()) {
-                    (
-                        Expr::AxisStep {
-                            axis: Axis::Attribute,
-                            test: NodeTest::Name(name),
-                            ..
-                        },
-                        Expr::Literal(Literal::String(value)),
-                    ) => (name.clone(), value.clone()),
-                    (
-                        Expr::Literal(Literal::String(value)),
-                        Expr::AxisStep {
-                            axis: Axis::Attribute,
-                            test: NodeTest::Name(name),
-                            ..
-                        },
-                    ) => (name.clone(), value.clone()),
-                    _ => {
-                        return Err(self.unsupported("predicates other than @attribute = 'literal'"))
-                    }
-                };
-                // Carry the node, test its attribute, project the node back.
-                let keep = self.plan.add(
-                    Operator::Project(vec![
-                        ("node".into(), "item".into()),
-                        ("item".into(), "item".into()),
-                    ]),
-                    vec![input],
-                );
-                let attr = self.plan.add(Operator::AttrValue(attr_name), vec![keep]);
-                let select = self.plan.add(
-                    Operator::Select {
-                        column: "item".into(),
-                        value: literal,
-                    },
-                    vec![attr],
-                );
-                let back = self.plan.add(
-                    Operator::Project(vec![("item".into(), "node".into())]),
-                    vec![select],
-                );
-                Ok((back, ItemKind::Nodes))
+            } => match (lhs.as_ref(), rhs.as_ref()) {
+                (attr, Expr::Literal(Literal::String(value)))
+                | (Expr::Literal(Literal::String(value)), attr)
+                    if named_attribute(attr) =>
+                {
+                    (attr, value.clone())
+                }
+                _ => return Err(self.unsupported("predicates other than @attribute = 'literal'")),
+            },
+            other => {
+                return Err(self.unsupported(&format!(
+                    "predicate of form {} (only @attr = 'literal' predicates compile)",
+                    variant_name(other)
+                )))
             }
-            other => Err(self.unsupported(&format!(
-                "predicate of form {} (only @attr = 'literal' predicates compile)",
-                variant_name(other)
-            ))),
-        }
+        };
+        // Carry the node, step to its attribute, compare the attribute's
+        // string value, project the node back.  An element has at most one
+        // attribute of a name, so no node comes back twice.
+        let keep = self.plan.add(
+            Operator::Project(vec![
+                ("node".into(), "item".into()),
+                ("item".into(), "item".into()),
+            ]),
+            vec![input],
+        );
+        let (attr, _) = self.compile_step(keep, attr)?;
+        let value = self.plan.add(Operator::StringValue, vec![attr]);
+        let select = self.plan.add(
+            Operator::Select {
+                column: "item".into(),
+                value: literal,
+            },
+            vec![value],
+        );
+        Ok(self.plan.add(
+            Operator::Project(vec![("item".into(), "node".into())]),
+            vec![select],
+        ))
     }
 
     /// Compile a function call, possibly in step position (with the nodes of
@@ -350,6 +351,11 @@ impl Compiler {
     ) -> Result<(PlanNodeId, ItemKind)> {
         match (local_name(name), args.len()) {
             ("doc", 1) => {
+                // In step position `doc()` would leave its focus node's
+                // document, and with it the anchor `id()` resolves in.
+                if input.is_some() {
+                    return Err(self.unsupported("doc() in step position"));
+                }
                 let Expr::Literal(Literal::String(uri)) = &args[0] else {
                     return Err(self.unsupported("doc() with a non-literal URI"));
                 };
@@ -362,37 +368,27 @@ impl Compiler {
                 let context = input.ok_or_else(|| {
                     self.unsupported("id() outside of a path step (no context nodes)")
                 })?;
-                // The argument is evaluated relative to the context nodes.
-                let (arg, kind) = self.compile_step(context, &args[0])?;
-                let strings = if kind == ItemKind::Strings {
-                    arg
-                } else {
-                    self.plan.add(Operator::StringValue, vec![arg])
-                };
+                // The argument is a relative node path from the context
+                // nodes; each of its nodes resolves in its own document,
+                // which is its context node's.
+                let arg = self.compile_step(context, &args[0])?;
+                let arg = self.require_nodes(arg, "an id() argument")?;
                 Ok((
-                    self.plan.add(Operator::IdLookup, vec![strings]),
+                    self.plan.add(Operator::IdLookup, vec![arg]),
                     ItemKind::Nodes,
                 ))
             }
-            ("data" | "string", 1) => {
+            ("data" | "string" | "count", 1) => {
                 let (arg, _) = match input {
                     Some(ctx) => self.compile_step(ctx, &args[0])?,
                     None => self.compile(&args[0])?,
                 };
-                Ok((
-                    self.plan.add(Operator::StringValue, vec![arg]),
-                    ItemKind::Strings,
-                ))
-            }
-            ("count", 1) => {
-                let (arg, _) = match input {
-                    Some(ctx) => self.compile_step(ctx, &args[0])?,
-                    None => self.compile(&args[0])?,
+                let op = if local_name(name) == "count" {
+                    Operator::Count { group_by: None }
+                } else {
+                    Operator::StringValue
                 };
-                Ok((
-                    self.plan.add(Operator::Count { group_by: None }, vec![arg]),
-                    ItemKind::Strings,
-                ))
+                Ok((self.plan.add(op, vec![arg]), ItemKind::Atomic))
             }
             (other, _) => Err(self.unsupported(&format!(
                 "function {other}() in a recursion body (compiler subset: doc, id, data, string, count)"
@@ -463,10 +459,19 @@ mod tests {
     }
 
     #[test]
-    fn constructor_bodies_are_not_distributive() {
-        let body = body_of("($x/*, <grow/>)");
-        let compiled = compile_recursion_body(&body, "x").unwrap();
-        assert!(!compiled.distributivity.distributive);
+    fn constructor_bodies_are_refused() {
+        for src in [
+            "($x/*, <grow/>)",
+            "<w>{$x/q}</w>",
+            "element w {$x/q}",
+            "text {'t'}",
+            "attribute z {'v'}",
+            "$x/q union <w/>",
+            "if (count($x/q)) then $x/q else <w/>",
+        ] {
+            let err = compile_recursion_body(&body_of(src), "x").unwrap_err();
+            assert!(matches!(err, AlgebraError::Unsupported(_)), "{src}");
+        }
     }
 
     #[test]
@@ -485,12 +490,38 @@ mod tests {
 
     #[test]
     fn unsupported_expressions_are_reported_not_guessed() {
-        let body = body_of("for $y in $x return $y[1]");
-        let err = compile_recursion_body(&body, "x").unwrap_err();
-        assert!(matches!(err, AlgebraError::Unsupported(_)));
-
-        let body = body_of("$x[1]");
-        assert!(compile_recursion_body(&body, "x").is_err());
+        // Outside the subset, or able to yield atomic values where the
+        // interpreter demands nodes.
+        for src in [
+            "for $y in $x return $y[1]",
+            "$x[1]",
+            "string($x)",
+            "$x/string(.)",
+            "count($x/q)",
+            "($x/q, 'lit')",
+            "('lit', $x/q)",
+            "$x/q union 'lit'",
+            "if (count($x/q)) then $x/q else 'x'",
+            "if (count($x/q)) then 1 else $x/q",
+            "if (empty($x/q)) then $x/q else ()",
+            "$x/id('x')",
+            "$x/id(string(.))",
+            "string($x)/..",
+            "$x/doc('d.xml')",
+            "$x/id(doc('d.xml'))",
+            "$x/q[@a/@b = '1']",
+        ] {
+            let err = compile_recursion_body(&body_of(src), "x").unwrap_err();
+            assert!(matches!(err, AlgebraError::Unsupported(_)), "{src}");
+        }
+        for src in [
+            "()",
+            "$x/@*",
+            "$x/q/@a/..",
+            "if (count($x/q)) then $x/q else ()",
+        ] {
+            assert!(compile_recursion_body(&body_of(src), "x").is_ok(), "{src}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   a string cell can never collide with a node or boolean cell (the old
 //!   `as_key()` rendering made `"node:5"` join against node 5).
 //! * **Interning.**  Strings enter the plane once through the executor's
-//!   [`Interner`] (attribute values, `string()` results, literals) and are
+//!   [`Interner`] (`string()` results and literals) and are
 //!   symbols from then on.  The pool outlives the run (see below), so a
 //!   per-item loop pays each distinct string once across *all* seeds.
 //! * **Columnar, shared storage.**  A [`Table`] is a list of
@@ -406,10 +406,6 @@ impl PlanState {
 /// that computed it (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Executor {
-    /// Document used to resolve `IdLookup` when the looked-up strings do not
-    /// come with an obvious anchor node: the seeds' document, derived per
-    /// fixpoint run.
-    context_doc: Option<DocId>,
     /// The string pool backing every `Key::Sym` this executor produced.
     interner: Interner,
     /// Identity of the store text pool `sym_xlat` translates from (`0` is
@@ -447,7 +443,6 @@ impl Executor {
     /// Create a fresh executor.
     pub fn new() -> Self {
         Executor {
-            context_doc: None,
             interner: Interner::new(),
             sym_xlat_pool: 0,
             sym_xlat: Vec::new(),
@@ -871,23 +866,6 @@ impl Executor {
                 }
                 Ok(replace_item_column(&input, idx, src, items).distinct())
             }
-            Operator::AttrValue(name) => {
-                let store = store.read();
-                let input = inputs.remove(0);
-                let idx = input.column_index("item")?;
-                let mut src = Vec::new();
-                let mut items = Vec::new();
-                for (r, key) in input.cols[idx].iter().enumerate() {
-                    let Some(node) = key.as_node() else {
-                        continue;
-                    };
-                    if let Some(sym) = store.attribute_value_sym(node, name) {
-                        src.push(r);
-                        items.push(Key::Sym(self.translate_sym(store, sym)));
-                    }
-                }
-                Ok(replace_item_column(&input, idx, src, items))
-            }
             Operator::StringValue => {
                 let store = store.read();
                 let input = inputs.remove(0);
@@ -917,39 +895,19 @@ impl Executor {
                 let store = store.read();
                 let input = inputs.remove(0);
                 let idx = input.column_index("item")?;
-                // The context document is demanded lazily — only when there
-                // is actually an ID string to resolve — so an empty input
-                // (e.g. a nested µ whose seed produced nothing) evaluates to
-                // the empty table instead of erroring or, worse, resolving
-                // against a stale document from a previous run.
-                let mut doc: Option<DocId> = None;
+                // `fn:id` as the interpreter runs it: an argument node
+                // resolves in its own document, through the kernel that
+                // probes the ID index with the node's text symbol.
                 let mut src = Vec::new();
                 let mut items = Vec::new();
-                for (r, &key) in input.cols[idx].iter().enumerate() {
-                    // Only string cells carry ID text; the old code rendered
-                    // node cells as "node:…", which could never resolve.
-                    let Key::Sym(s) = key else { continue };
-                    let d = match doc {
-                        Some(d) => d,
-                        None => {
-                            let d = self.context_doc.ok_or_else(|| {
-                                AlgebraError::Execution(
-                                    "IdLookup requires a context document \
-                                     (the seeds' document of a fixpoint run)"
-                                        .into(),
-                                )
-                            })?;
-                            doc = Some(d);
-                            d
-                        }
+                let mut found = Vec::new();
+                for (r, key) in input.cols[idx].iter().enumerate() {
+                    let Some(node) = key.as_node() else {
+                        continue;
                     };
-                    let text = self.interner.resolve(s);
-                    for token in text.split_whitespace() {
-                        if let Some(node) = store.lookup_id(d, token) {
-                            src.push(r);
-                            items.push(Key::Node(node));
-                        }
-                    }
+                    store.lookup_id_nodes(DocId(node.doc), &[node], &mut found);
+                    src.resize(src.len() + found.len(), r);
+                    items.extend(found.drain(..).map(Key::Node));
                 }
                 Ok(replace_item_column(&input, idx, src, items).distinct())
             }
@@ -982,20 +940,15 @@ impl Executor {
                 } else {
                     FixpointStrategy::Delta
                 };
-                // The context document is saved around it: the nested run
-                // derives its own from its seed.
-                let saved_doc = self.context_doc;
                 let seed = seed.item_nodes();
-                let result = self.drive(
+                let (mut groups, _stats) = self.drive(
                     store,
                     &body_plan,
                     Seeds::Set(&seed),
                     strategy,
                     false,
                     BatchSharing::PerSeed,
-                );
-                self.context_doc = saved_doc;
-                let (mut groups, _stats) = result?;
+                )?;
                 Ok(Table::from_nodes(&groups.pop().unwrap_or_default()))
             }
         }
@@ -1100,16 +1053,6 @@ impl Executor {
         seed_in_result: bool,
         sharing: BatchSharing,
     ) -> Result<(Vec<Vec<NodeId>>, ExecStats)> {
-        // Resolve id() lookups against the seed's document, re-derived per
-        // run so a persistent executor follows its seeds — and reset to None
-        // on an empty seed, so a run never resolves IDs against a stale
-        // document from a previous run (or store).  IdLookup demands the
-        // document lazily, so empty-seeded runs over id()-bodies still
-        // evaluate to empty rather than erroring.  The batched dispatcher
-        // only batches same-document seed sets over id()-using plans, so
-        // "the first seed's document" is *the* document of a batch.
-        let (Seeds::Set(nodes) | Seeds::Each(nodes)) = seeds;
-        self.context_doc = nodes.first().map(|n| DocId(n.doc));
         let config = Config {
             strategy,
             sharing,
@@ -1385,8 +1328,7 @@ mod tests {
             },
             vec![prereq],
         );
-        let value = plan.add(Operator::StringValue, vec![code]);
-        let lookup = plan.add(Operator::IdLookup, vec![value]);
+        let lookup = plan.add(Operator::IdLookup, vec![code]);
         plan.set_root(lookup);
         plan
     }
@@ -1420,7 +1362,14 @@ mod tests {
             ]),
             vec![courses],
         );
-        let attr = plan.add(Operator::AttrValue("code".into()), vec![keep]);
+        let attr = plan.add(
+            Operator::Step {
+                axis: Axis::Attribute,
+                test: NodeTest::Name("code".into()),
+            },
+            vec![keep],
+        );
+        let attr = plan.add(Operator::StringValue, vec![attr]);
         let select = plan.add(
             Operator::Select {
                 column: "item".into(),
@@ -1514,7 +1463,14 @@ mod tests {
             ]),
             vec![courses],
         );
-        let attr = plan.add(Operator::AttrValue("code".into()), vec![keep]);
+        let attr = plan.add(
+            Operator::Step {
+                axis: Axis::Attribute,
+                test: NodeTest::Name("code".into()),
+            },
+            vec![keep],
+        );
+        let attr = plan.add(Operator::StringValue, vec![attr]);
         let select = plan.add(
             Operator::Select {
                 column: "item".into(),
@@ -1542,12 +1498,11 @@ mod tests {
             },
             vec![prereq],
         );
-        let value = plan.add(Operator::StringValue, vec![code]);
-        let lookup = plan.add(Operator::IdLookup, vec![value]);
+        let lookup = plan.add(Operator::IdLookup, vec![code]);
         let mu = plan.add(Operator::Mu, vec![seed, lookup]);
         plan.set_root(mu);
 
-        // The nested µ resolves id() against its seeds' document.
+        // The nested µ resolves id() in its argument nodes' document.
         let mut exec = Executor::new();
         let result = exec
             .eval_plan(&mut store, &plan, &Table::new(vec!["item".into()]))
@@ -1784,18 +1739,15 @@ mod tests {
     }
 
     /// An empty-seeded run over an id()-using body evaluates to the empty
-    /// set — it neither errors for lack of a context document nor resolves
-    /// IDs against a stale document from a previous run.
+    /// set, also right after a seeded run of the same body.
     #[test]
-    fn empty_seed_id_lookup_returns_empty_without_stale_context() {
+    fn empty_seed_id_lookup_returns_empty_after_a_seeded_run() {
         let (mut store, doc) = store_with_curriculum();
         let plan = q1_plan();
         let mut exec = Executor::new();
-        // A first run establishes a derived context document…
         let seed = seed_course(&mut store, doc, "c1");
         exec.run_fixpoint(&mut store, &plan, &seed, MuStrategy::MuDelta, false)
             .unwrap();
-        // …which an empty-seeded run must not reuse.
         let (result, _) = exec
             .run_fixpoint(&mut store, &plan, &[], MuStrategy::MuDelta, false)
             .unwrap();
@@ -1825,7 +1777,8 @@ mod tests {
     }
 
     /// The prerequisite closure with `id()` spelt as a join against a
-    /// rec-independent scan (`doc → course → @code`, four plan nodes): a
+    /// rec-independent scan (`doc → course → π → @code → string()`, five
+    /// plan nodes): a
     /// seed-local body whose every iteration needs the same scan.
     fn join_closure_plan() -> Plan {
         let mut plan = Plan::new();
@@ -1860,7 +1813,14 @@ mod tests {
             ]),
             vec![all],
         );
-        let attr = plan.add(Operator::AttrValue("code".into()), vec![keep]);
+        let attr = plan.add(
+            Operator::Step {
+                axis: Axis::Attribute,
+                test: NodeTest::Name("code".into()),
+            },
+            vec![keep],
+        );
+        let attr = plan.add(Operator::StringValue, vec![attr]);
         let join = plan.add(
             Operator::Join {
                 left: "item".into(),
@@ -1877,7 +1837,7 @@ mod tests {
     }
 
     /// Rec-independent plan nodes of [`join_closure_plan`].
-    const SCAN_NODES: u64 = 4;
+    const SCAN_NODES: u64 = 5;
 
     /// The counters' movement over `run`.
     fn counted<T>(exec: &mut Executor, run: impl FnOnce(&mut Executor) -> T) -> (T, u64, u64) {

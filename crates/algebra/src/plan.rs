@@ -102,13 +102,11 @@ pub enum Operator {
         /// The node test.
         test: NodeTest,
     },
-    /// Attribute-value access: extend node rows with the string value of the
-    /// named attribute (rows without the attribute are dropped).
-    AttrValue(String),
     /// String-value access: extend node rows with their string value.
     StringValue,
     /// ID lookup join (the `id ref ⋈` micro-plan of Figure 9(a)): map a
-    /// column of ID strings to the element nodes carrying those IDs.
+    /// column of argument nodes to the elements of each node's document
+    /// whose ID is a token of the node's string value.
     IdLookup,
     /// Conditional: inputs are (condition, then-branch, else-branch).  The
     /// condition's effective-boolean-value aggregation is represented by a
@@ -139,7 +137,6 @@ impl Operator {
             | Operator::Fun { .. }
             | Operator::RowTag
             | Operator::Step { .. }
-            | Operator::AttrValue(_)
             | Operator::StringValue
             | Operator::IdLookup
             | Operator::IfThenElse
@@ -174,7 +171,6 @@ impl Operator {
             Operator::RowTag => "#".into(),
             Operator::RowNum => "ϱ".into(),
             Operator::Step { axis, test } => format!("{}::{}", axis.name(), test),
-            Operator::AttrValue(name) => format!("@{name}"),
             Operator::StringValue => "string()".into(),
             Operator::IdLookup => "id()".into(),
             Operator::IfThenElse => "if".into(),
@@ -339,7 +335,6 @@ impl Plan {
                 | Operator::Select { .. }
                 | Operator::Distinct
                 | Operator::Step { .. }
-                | Operator::AttrValue(_)
                 | Operator::StringValue
                 | Operator::IdLookup
                 | Operator::Fun { .. } => true,
@@ -385,16 +380,6 @@ impl Plan {
             }
         }
         Some(out)
-    }
-
-    /// `true` when any operator of the plan is an [`Operator::IdLookup`].
-    /// Such plans resolve `id()` against one context document per run; the
-    /// batched dispatcher uses this to insist that all seeds of a batch
-    /// live in the same document (per-seed runs follow each seed's own).
-    pub fn contains_id_lookup(&self) -> bool {
-        self.nodes
-            .iter()
-            .any(|n| matches!(n.op, Operator::IdLookup))
     }
 
     /// Render the plan as an indented tree rooted at the plan root (shared
@@ -508,13 +493,20 @@ mod tests {
             ]),
             vec![step],
         );
-        let attr = plan.add(Operator::AttrValue("code".into()), vec![keep]);
+        let attr = plan.add(
+            Operator::Step {
+                axis: Axis::Attribute,
+                test: NodeTest::Name("code".into()),
+            },
+            vec![keep],
+        );
+        let value = plan.add(Operator::StringValue, vec![attr]);
         let select = plan.add(
             Operator::Select {
                 column: "item".into(),
                 value: "c1".into(),
             },
-            vec![attr],
+            vec![value],
         );
         let back = plan.add(
             Operator::Project(vec![("item".into(), "node".into())]),
@@ -568,7 +560,6 @@ mod tests {
         let cons = constructed.add(Operator::Construct("a".into()), vec![rec]);
         constructed.set_root(cons);
         assert!(constructed.seed_carried().is_none());
-        assert!(!constructed.contains_id_lookup());
     }
 
     #[test]

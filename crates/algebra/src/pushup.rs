@@ -108,8 +108,7 @@ mod tests {
             },
             vec![prereq],
         );
-        let value = plan.add(Operator::StringValue, vec![code]);
-        let lookup = plan.add(Operator::IdLookup, vec![value]);
+        let lookup = plan.add(Operator::IdLookup, vec![code]);
         let project = plan.add(
             Operator::Project(vec![("item".into(), "item".into())]),
             vec![lookup],
@@ -156,9 +155,9 @@ mod tests {
         let outcome = check_distributivity(&plan);
         assert!(outcome.distributive);
         assert!(outcome.blocked_at.is_none());
-        // The ∪ passes through the two steps, the value access, the id
-        // lookup and the projection.
-        assert_eq!(outcome.pushed_through.len(), 5);
+        // The ∪ passes through the two steps, the id lookup and the
+        // projection.
+        assert_eq!(outcome.pushed_through.len(), 4);
     }
 
     #[test]

@@ -655,8 +655,7 @@ impl PreparedQuery {
     /// The per-occurrence report of one execution, rolling the runs
     /// `evaluator` logged into each occurrence's feedback cell (keyed on
     /// `fingerprint`) on the way: the decided alternative — corrected by
-    /// what *actually* ran when the runtime had to fall back (e.g. a batched
-    /// algebraic route declining a cross-document `id()` seed set) — and the
+    /// what *actually* ran where that differs from the decision — and the
     /// decision provenance and costs.  Without an evaluator (the runs were
     /// inner executions', already rolled up) the report is the decisions'.
     fn occurrence_plans(
@@ -1027,8 +1026,8 @@ pub struct BatchedOutcome {
     /// fixpoint** — on the relational back-end (seed-carried plan) or
     /// through the batched source-level driver (non-algebraic bodies).
     /// `false` when they ran one fixpoint per seed: non-seed-local
-    /// *algebraic* plans, seed sets that span documents under an
-    /// `id()`-using algebraic body, or non-fixpoint query shapes.
+    /// *algebraic* plans, a cost decision for the per-seed algebraic route,
+    /// or non-fixpoint query shapes.
     pub batched: bool,
 }
 
@@ -1125,7 +1124,7 @@ impl FixpointInterceptor for PlanDriver {
             .find(|e| e.var == var && *e.body == *body)?;
         let (plan, sharing) = match seeds {
             Seeds::Set(_) => (&entry.compiled.plan, BatchSharing::PerSeed),
-            Seeds::Each(seeds) => {
+            Seeds::Each(_) => {
                 // The cost decision may prefer the per-seed algebraic route
                 // over the batched one (observed wall times): decline the
                 // batch, so the evaluator offers it seed by seed.
@@ -1135,14 +1134,6 @@ impl FixpointInterceptor for PlanDriver {
                 // Bodies outside the seed-local subset have no seed-carried
                 // plan: decline likewise.
                 let batched_plan = entry.compiled.batched_plan.as_ref()?;
-                // `id()` resolves against one context document per run;
-                // per-seed runs follow each seed's own document, so a batch
-                // may only fold seeds of a single document.
-                if entry.compiled.plan.contains_id_lookup()
-                    && seeds.iter().any(|n| n.doc != seeds[0].doc)
-                {
-                    return None;
-                }
                 // Distributive bodies (`e(X) = ⋃ₓ e({x})`, certified by
                 // either approximation) additionally share body scans
                 // between seeds whose frontiers overlap: each distinct

@@ -69,9 +69,9 @@ pub trait FixpointInterceptor {
     /// what a separate run over that singleton seed would return — plus
     /// the [`FixpointStats`] of the whole run.  Implementors decline
     /// (return `None`) an occurrence they have no plan for, and a batch
-    /// they cannot fold — e.g. a body outside the seed-local subset, or an
-    /// `id()`-using body whose seeds span documents; the evaluator then
-    /// offers the batch seed by seed before running it source-level.
+    /// they cannot fold — e.g. a body outside the seed-local subset; the
+    /// evaluator then offers the batch seed by seed before running it
+    /// source-level.
     ///
     /// `store` is the evaluator's store handle — exclusive or copy-on-write
     /// (see [`StoreMut`](xqy_xdm::StoreMut)); implementors that construct

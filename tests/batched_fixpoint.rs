@@ -580,12 +580,12 @@ fn loops_off_the_route_keep_the_per_item_loop() {
             false,
         ),
         (
-            "an id() body over two documents (the executor declines the batch)",
+            "an id() body over two documents (batched)",
             per_item(CLOSURE),
             Strategy::Delta,
             Backend::Algebraic,
             both.clone(),
-            false,
+            true,
         ),
     ];
     for (name, query, strategy, backend, seeds, batches) in rows {
@@ -743,9 +743,9 @@ fn batched_source_level_shares_body_evaluations_on_distributive_bodies() {
 
 #[test]
 fn batched_source_level_handles_cross_document_seeds() {
-    // Unlike the algebraic batched plan (one context document per run), the
-    // source-level driver resolves `id()` per frontier node, so seed sets
-    // spanning documents batch fine and match per-seed results.
+    // The source-level driver resolves `id()` in each frontier node's own
+    // document, so seed sets spanning documents batch and match per-seed
+    // results.
     let xml_a = curriculum_from_edges(3, &[(0, 1), (1, 2)]);
     let xml_b = curriculum_from_edges(4, &[(0, 2), (2, 3)]);
     let mut engine = Engine::new();
@@ -870,9 +870,10 @@ fn batched_execution_reuses_the_persistent_static_cache() {
 }
 
 #[test]
-fn batched_seeds_spanning_documents_fall_back_for_id_bodies() {
-    // id() resolves against one document per run; a batch mixing documents
-    // must decline the fast path and still return per-seed-correct results.
+fn algebraic_batches_fold_seeds_spanning_documents_for_id_bodies() {
+    // id() resolves each argument node in its own document, so a batch
+    // mixing documents runs as one seed-carried plan and every seed still
+    // gets its per-seed answer.
     let xml_a = curriculum_from_edges(3, &[(0, 1), (1, 2)]);
     let xml_b = curriculum_from_edges(3, &[(0, 2)]);
     let mut engine = Engine::new();
@@ -902,7 +903,8 @@ fn batched_seeds_spanning_documents_fall_back_for_id_bodies() {
     let batch = prepared
         .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
         .unwrap();
-    assert!(!batch.batched, "cross-document id() batch must fall back");
+    assert!(batch.batched, "a cross-document id() batch folds");
+    assert_eq!(batch.outcome.fixpoints[0].batch_seeds, seeds.len());
     for (i, &seed) in seeds.nodes().iter().enumerate() {
         let bindings = Bindings::new().with("seed", Sequence::from_nodes(vec![seed]));
         let reference = prepared.execute(&mut engine, &bindings).unwrap();

@@ -280,3 +280,107 @@ fn prefixed_name_tests_select_what_their_unprefixed_twins_do() {
         .result
         .is_empty());
 }
+
+/// One answer per body, whichever back-end runs it: on every row the
+/// interpreter, the forced relational executor and `Auto` give the same
+/// node set — or, for a body that can return atomic values, the executor
+/// refuses it as `Unsupported` while the interpreter (and so `Auto`)
+/// raises its "must return nodes" type error.
+#[test]
+fn back_ends_agree_on_attribute_atomic_and_cross_document_bodies() {
+    use xqy_ifp::algebra::AlgebraError;
+    use xqy_ifp::eval::EvalError;
+    use xqy_ifp::{Backend, IfpError};
+
+    const BACKENDS: [Backend; 3] = [Backend::SourceLevel, Backend::Algebraic, Backend::Auto];
+    let mut engine = Engine::new();
+    engine
+        .load_document("t.xml", "<r><p k='p1'><q a='1'/><q a='2'/></p></r>")
+        .unwrap();
+    // Equal IDs in two documents: each reference must resolve in its own.
+    engine
+        .load_document_with_ids(
+            "d1.xml",
+            "<r><s ref='z'/><m id='z' ref='y'/><m id='y'/></r>",
+            &["id"],
+        )
+        .unwrap();
+    engine
+        .load_document_with_ids("d2.xml", "<r><s ref='z'/><m id='z'/></r>", &["id"])
+        .unwrap();
+    let fixpoint = |body: &str| format!("with $x seeded by doc('t.xml')/r/p recurse {body}");
+    let node_rows = [
+        ("$x/q/@a", 2),
+        ("$x/@k", 1),
+        ("$x/q/attribute::a", 2),
+        ("$x/descendant::q/@a", 2),
+        ("$x/q/@a/..", 2),
+        ("$x/@*", 1),
+    ];
+    let both = "(doc('d1.xml')/r/s, doc('d2.xml')/r/s)";
+    let cross_document = [
+        format!("with $x seeded by {both} recurse $x/id(./@ref)"),
+        format!("for $s in {both} return (with $x seeded by $s recurse $x/id(./@ref))"),
+    ];
+    let rows = node_rows
+        .iter()
+        .map(|&(body, n)| (fixpoint(body), n))
+        .chain(cross_document.into_iter().map(|query| (query, 3)));
+    for (query, expected) in rows {
+        engine.set_backend(Backend::SourceLevel);
+        let reference = engine.run(&query).unwrap().result.nodes();
+        assert_eq!(reference.len(), expected, "{query}");
+        for backend in BACKENDS {
+            engine.set_backend(backend);
+            let nodes = engine.run(&query).unwrap().result.nodes();
+            assert_eq!(nodes, reference, "{query} on {}", backend.name());
+        }
+    }
+    for body in [
+        "string($x)",
+        "($x/q, 'lit')",
+        "('lit', $x/q)",
+        "if (count($x/q)) then $x/q else 'x'",
+    ] {
+        for backend in BACKENDS {
+            engine.set_backend(backend);
+            let error = engine.run(&fixpoint(body)).unwrap_err();
+            let at = format!("{body} on {}: {error}", backend.name());
+            match backend {
+                Backend::Algebraic => assert!(
+                    matches!(error, IfpError::Algebra(AlgebraError::Unsupported(_))),
+                    "{at}"
+                ),
+                _ => assert!(
+                    matches!(&error, IfpError::Eval(EvalError::Type(m)) if m.contains("must return nodes")),
+                    "{at}"
+                ),
+            }
+        }
+    }
+    // Outside the compiler subset the executor refuses and `Auto` answers
+    // as the interpreter does: `empty()` (whose count the plan would read
+    // as its negation) and every constructor form (fresh nodes per round).
+    let unsupported = |engine: &mut Engine, body: &str| {
+        engine.set_backend(Backend::Algebraic);
+        let error = engine.run(&fixpoint(body)).unwrap_err();
+        assert!(
+            matches!(error, IfpError::Algebra(AlgebraError::Unsupported(_))),
+            "{body}: {error}"
+        );
+    };
+    let body = "if (empty($x/zz)) then $x/q else ()";
+    unsupported(&mut engine, body);
+    for backend in [Backend::SourceLevel, Backend::Auto] {
+        engine.set_backend(backend);
+        assert_eq!(engine.run(&fixpoint(body)).unwrap().result.len(), 2);
+    }
+    for body in [
+        "<w>{$x/q}</w>",
+        "element w {$x/q}",
+        "text {'t'}",
+        "attribute z {'v'}",
+    ] {
+        unsupported(&mut engine, body);
+    }
+}

@@ -71,32 +71,50 @@ proptest! {
     }
 
     /// The relational µ / µ∆ operators agree with each other and with the
-    /// source-level engine on arbitrary reference graphs.
+    /// source-level engine — node for node — on arbitrary reference graphs,
+    /// for bodies with attribute steps and seed sets that may span two
+    /// documents whose course codes coincide.
     #[test]
     fn algebraic_and_source_level_backends_agree(
         courses in 2usize..10,
         edges in edge_strategy(9),
-        seed_course in 0usize..10,
+        other_edges in edge_strategy(9),
+        seed_picks in proptest::collection::vec(0usize..20, 1..4),
+        body in prop_oneof![
+            Just(xqy_datagen::curriculum::BODY),
+            Just("$x/@code/.."),
+            Just("$x/id(./prerequisites/pre_code)/@code/.."),
+            Just("$x/id(./prerequisites/pre_code) union $x/@code/.."),
+            Just("$x/id(./prerequisites/pre_code)/self::course[@code = 'c1']"),
+        ],
     ) {
-        let xml = curriculum_from_edges(courses, &edges);
-        let seed_course = seed_course % courses;
         let mut engine = Engine::new();
-        engine.load_document_with_ids("c.xml", &xml, &["code"]).unwrap();
+        engine
+            .load_document_with_ids("c.xml", &curriculum_from_edges(courses, &edges), &["code"])
+            .unwrap();
+        engine
+            .load_document_with_ids("d.xml", &curriculum_from_edges(courses, &other_edges), &["code"])
+            .unwrap();
+        // Picks below 10 seed in c.xml, the others in d.xml.
+        let seeds: Vec<String> = seed_picks
+            .iter()
+            .map(|&i| {
+                let uri = if i < 10 { "c.xml" } else { "d.xml" };
+                format!("doc('{uri}')/curriculum/course[@code='c{}']", i % 10 % courses)
+            })
+            .collect();
+        let query = format!("with $x seeded by ({}) recurse {body}", seeds.join(", "));
         engine.set_strategy(Strategy::Delta);
-        let query = format!(
-            "with $x seeded by doc('c.xml')/curriculum/course[@code='c{seed_course}'] \
-             recurse $x/id(./prerequisites/pre_code)"
-        );
-        let reference = engine.run(&query).unwrap();
+        let reference = engine.run(&query).unwrap().result.nodes();
         // The same query on the relational back-end, prepared once per
         // algorithm: µ (Naïve) and µ∆ (Delta) drive the compiled plan.
         engine.set_backend(Backend::Algebraic);
         engine.set_strategy(Strategy::Naive);
-        let mu = engine.run(&query).unwrap();
+        let mu = engine.run(&query).unwrap().result.nodes();
         engine.set_strategy(Strategy::Delta);
-        let mud = engine.run(&query).unwrap();
-        prop_assert_eq!(mu.result.len(), reference.result.len());
-        prop_assert_eq!(mud.result.len(), reference.result.len());
+        let mud = engine.run(&query).unwrap().result.nodes();
+        prop_assert_eq!(&mu, &reference, "µ: {}", &query);
+        prop_assert_eq!(&mud, &reference, "µ∆: {}", &query);
     }
 
     /// Set-algebra laws of the node-set operations under document order.
