@@ -9,15 +9,18 @@
 //!   select attribute *nodes*, as on the interpreter;
 //! * `id(p)` over a relative node path `p`, resolved in each argument
 //!   node's own document;
-//! * `@name = 'literal'` predicates;
-//! * `data`/`string` and `count` (whose atomic results only a condition
-//!   may consume), the node-set operators, `,` and `if`/`then`/`else`.
+//! * `@name = 'literal'` predicates, which compare the attribute nodes'
+//!   string values with the literal;
+//! * `()`, the node-set operators, `,` and `if`/`then`/`else`, whose
+//!   condition is a node sequence or `count`/`exists` of one.
 //!
-//! A body must yield nodes, whatever branch it takes.  Everything else —
-//! atomic bodies, constructors, FLWOR, filters — is reported as
-//! [`AlgebraError::Unsupported`], so that the engine falls back to the
-//! source-level evaluator instead of executing a plan whose answer differs
-//! from the interpreter's.
+//! A plan carries nodes, and a condition's count only.  Every form that
+//! yields atomic values — literals, `data()`, `string()`, `count()` outside
+//! a condition, comparisons and arithmetic — is refused with one message,
+//! and so is everything else outside the subset (constructors, FLWOR,
+//! filters): the compiler reports [`AlgebraError::Unsupported`], so that
+//! the engine falls back to the source-level evaluator instead of
+//! executing a plan whose answer differs from the interpreter's.
 
 use xqy_parser::ast::{local_name, Expr, Literal};
 use xqy_parser::BinaryOp;
@@ -41,29 +44,6 @@ pub struct CompiledBody {
     /// ([`crate::Executor::run_fixpoint_batched`]).  `None` means the body
     /// must run one fixpoint per seed.
     pub batched_plan: Option<Plan>,
-}
-
-/// What the `item` column of a compiled expression carries.  The
-/// interpreter raises a type error where a body, a path's input or an
-/// `id()` argument yields an atomic value, and the executor would silently
-/// drop one, so those positions demand [`ItemKind::Nodes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ItemKind {
-    /// Nodes only (`()` included).
-    Nodes,
-    /// Possibly atomic values.
-    Atomic,
-}
-
-impl ItemKind {
-    /// The kind of a sequence holding items of both kinds.
-    fn and(self, other: ItemKind) -> ItemKind {
-        if self == ItemKind::Nodes && other == ItemKind::Nodes {
-            ItemKind::Nodes
-        } else {
-            ItemKind::Atomic
-        }
-    }
 }
 
 std::thread_local! {
@@ -90,7 +70,7 @@ pub fn compile_recursion_body(body: &Expr, var: &str) -> Result<CompiledBody> {
         plan: Plan::new(),
         var: var.to_string(),
     };
-    let root = compiler.compile_nodes(body, "a recursion body")?;
+    let root = compiler.compile(body)?;
     compiler.plan.set_root(root);
     let distributivity = crate::pushup::check_distributivity(&compiler.plan);
     let batched_plan = compiler.plan.seed_carried();
@@ -111,43 +91,25 @@ impl Compiler {
         AlgebraError::Unsupported(what.to_string())
     }
 
-    /// `kind` must be nodes where `what` stands.
-    fn require_nodes(&self, (id, kind): (PlanNodeId, ItemKind), what: &str) -> Result<PlanNodeId> {
-        match kind {
-            ItemKind::Nodes => Ok(id),
-            ItemKind::Atomic => Err(self.unsupported(&format!(
-                "{what} that can yield atomic values (only node sequences compile there)"
-            ))),
-        }
+    /// The one refusal of every atomic-yielding form.
+    fn atomic(&self, what: &str) -> AlgebraError {
+        self.unsupported(&format!(
+            "{what} yields atomic values (a plan carries nodes, and a condition's count only)"
+        ))
     }
 
-    fn compile_nodes(&mut self, expr: &Expr, what: &str) -> Result<PlanNodeId> {
-        let compiled = self.compile(expr)?;
-        self.require_nodes(compiled, what)
-    }
-
-    fn compile(&mut self, expr: &Expr) -> Result<(PlanNodeId, ItemKind)> {
-        let literal =
-            |plan: &mut Plan, values: Vec<String>| plan.add(Operator::Literal(values), vec![]);
+    fn compile(&mut self, expr: &Expr) -> Result<PlanNodeId> {
         match expr {
-            Expr::VarRef(v) if *v == self.var => {
-                Ok((self.plan.add(Operator::RecInput, vec![]), ItemKind::Nodes))
-            }
+            Expr::VarRef(v) if *v == self.var => Ok(self.plan.add(Operator::RecInput, vec![])),
             Expr::VarRef(v) => Err(self.unsupported(&format!(
                 "free variable ${v} (only the recursion variable ${} is supported)",
                 self.var
             ))),
-            Expr::EmptySequence => Ok((literal(&mut self.plan, Vec::new()), ItemKind::Nodes)),
-            Expr::Literal(lit) => {
-                let text = match lit {
-                    Literal::String(s) => s.clone(),
-                    Literal::Integer(i) => i.to_string(),
-                    Literal::Double(d) => d.to_string(),
-                };
-                Ok((literal(&mut self.plan, vec![text]), ItemKind::Atomic))
-            }
+            Expr::EmptySequence => Ok(self.plan.add(Operator::Empty, vec![])),
+            Expr::Literal(_) => Err(self.atomic("a literal")),
+            Expr::Unary { .. } => Err(self.atomic("a unary operator")),
             Expr::Path { input, step } => {
-                let input_id = self.compile_nodes(input, "a path's input")?;
+                let input_id = self.compile(input)?;
                 self.compile_step(input_id, step)
             }
             Expr::AxisStep { .. } => Err(self.unsupported(
@@ -155,26 +117,19 @@ impl Compiler {
             )),
             Expr::FunctionCall { name, args } => self.compile_call_with_input(None, name, args),
             Expr::Binary { op, lhs, rhs } => {
-                let (l, lk) = self.compile(lhs)?;
-                let (r, rk) = self.compile(rhs)?;
-                let kind = lk.and(rk);
                 let operator = match op {
                     BinaryOp::Union => Operator::Union,
-                    BinaryOp::Except => Operator::Difference,
-                    BinaryOp::Intersect => {
-                        // a ∩ b  ≡  a \ (a \ b)
-                        let a_minus_b = self.plan.add(Operator::Difference, vec![l, r]);
-                        let id = self.plan.add(Operator::Difference, vec![l, a_minus_b]);
-                        return Ok((id, kind));
-                    }
-                    other => {
-                        return Err(self.unsupported(&format!(
-                            "binary operator '{}' in a recursion body",
-                            other.symbol()
-                        )))
-                    }
+                    BinaryOp::Except | BinaryOp::Intersect => Operator::Difference,
+                    other => return Err(self.atomic(&format!("operator '{}'", other.symbol()))),
                 };
-                Ok((self.plan.add(operator, vec![l, r]), kind))
+                let l = self.compile(lhs)?;
+                let r = self.compile(rhs)?;
+                let id = self.plan.add(operator, vec![l, r]);
+                if matches!(op, BinaryOp::Intersect) {
+                    // a ∩ b  ≡  a \ (a \ b)
+                    return Ok(self.plan.add(Operator::Difference, vec![l, id]));
+                }
+                Ok(id)
             }
             Expr::If {
                 cond,
@@ -182,32 +137,26 @@ impl Compiler {
                 else_branch,
             } => {
                 let cond_id = self.compile_condition(cond)?;
-                let (then_id, then_kind) = self.compile(then_branch)?;
-                let (else_id, else_kind) = self.compile(else_branch)?;
-                Ok((
-                    self.plan
-                        .add(Operator::IfThenElse, vec![cond_id, then_id, else_id]),
-                    then_kind.and(else_kind),
-                ))
+                let then_id = self.compile(then_branch)?;
+                let else_id = self.compile(else_branch)?;
+                Ok(self
+                    .plan
+                    .add(Operator::IfThenElse, vec![cond_id, then_id, else_id]))
             }
             Expr::Sequence(items) => {
                 // Sequence construction over node sets behaves like union for
                 // the (set-based) purposes of the algebra backend.
                 let mut compiled = Vec::new();
-                let mut kind = ItemKind::Nodes;
                 for item in items {
-                    let (id, k) = self.compile(item)?;
-                    kind = kind.and(k);
-                    compiled.push(id);
+                    compiled.push(self.compile(item)?);
                 }
                 let mut iter = compiled.into_iter();
                 let first = iter
                     .next()
                     .ok_or_else(|| self.unsupported("empty sequence constructor"))?;
-                let combined = iter.fold(first, |acc, next| {
+                Ok(iter.fold(first, |acc, next| {
                     self.plan.add(Operator::Union, vec![acc, next])
-                });
-                Ok((combined, kind))
+                }))
             }
             Expr::RootPath { .. } | Expr::ContextItem => Err(self.unsupported(
                 "the context item outside of a step position (recursion bodies are functions of the recursion variable)",
@@ -231,8 +180,9 @@ impl Compiler {
     /// Compile a condition expression; the result is wrapped so its
     /// effective-boolean-value aggregation is explicit in the plan (an EBV
     /// inspects its operand as a whole, which is what blocks distributivity
-    /// when the operand depends on the recursion variable).
-    /// `count(e)` and `exists(e)` already aggregate, so `e` is counted.
+    /// when the operand depends on the recursion variable).  The operand
+    /// is a node sequence, whose EBV is "non-empty"; `count(e)` and
+    /// `exists(e)` already aggregate, so `e` is counted.
     fn compile_condition(&mut self, cond: &Expr) -> Result<PlanNodeId> {
         let operand = match cond {
             Expr::FunctionCall { name, args }
@@ -242,14 +192,14 @@ impl Compiler {
             }
             other => other,
         };
-        let (inner, _) = self.compile(operand)?;
+        let inner = self.compile(operand)?;
         Ok(self
             .plan
             .add(Operator::Count { group_by: None }, vec![inner]))
     }
 
     /// Compile a path step applied to the node rows of `input`.
-    fn compile_step(&mut self, input: PlanNodeId, step: &Expr) -> Result<(PlanNodeId, ItemKind)> {
+    fn compile_step(&mut self, input: PlanNodeId, step: &Expr) -> Result<PlanNodeId> {
         match step {
             Expr::AxisStep {
                 axis,
@@ -266,9 +216,9 @@ impl Compiler {
                 for pred in predicates {
                     id = self.compile_predicate(id, pred)?;
                 }
-                Ok((id, ItemKind::Nodes))
+                Ok(id)
             }
-            Expr::ContextItem => Ok((input, ItemKind::Nodes)),
+            Expr::ContextItem => Ok(input),
             Expr::FunctionCall { name, args } => {
                 self.compile_call_with_input(Some(input), name, args)
             }
@@ -277,10 +227,10 @@ impl Compiler {
                 step,
             } => {
                 // A nested relative path (e.g. from `./a/b` inside id(…)).
-                let nested = self.compile_step(input, nested)?;
-                let nested_id = self.require_nodes(nested, "a path's input")?;
+                let nested_id = self.compile_step(input, nested)?;
                 self.compile_step(nested_id, step)
             }
+            Expr::Literal(_) => Err(self.atomic("a literal")),
             other => Err(self.unsupported(&format!("path step of form {}", variant_name(other)))),
         }
     }
@@ -316,9 +266,9 @@ impl Compiler {
                 )))
             }
         };
-        // Carry the node, step to its attribute, compare the attribute's
-        // string value, project the node back.  An element has at most one
-        // attribute of a name, so no node comes back twice.
+        // Carry the node, step to its attribute, keep the attributes whose
+        // string value is the literal, project the node back.  An element
+        // has at most one attribute of a name, so no node comes back twice.
         let keep = self.plan.add(
             Operator::Project(vec![
                 ("node".into(), "item".into()),
@@ -326,14 +276,13 @@ impl Compiler {
             ]),
             vec![input],
         );
-        let (attr, _) = self.compile_step(keep, attr)?;
-        let value = self.plan.add(Operator::StringValue, vec![attr]);
+        let attr = self.compile_step(keep, attr)?;
         let select = self.plan.add(
             Operator::Select {
                 column: "item".into(),
                 value: literal,
             },
-            vec![value],
+            vec![attr],
         );
         Ok(self.plan.add(
             Operator::Project(vec![("item".into(), "node".into())]),
@@ -348,7 +297,7 @@ impl Compiler {
         input: Option<PlanNodeId>,
         name: &str,
         args: &[Expr],
-    ) -> Result<(PlanNodeId, ItemKind)> {
+    ) -> Result<PlanNodeId> {
         match (local_name(name), args.len()) {
             ("doc", 1) => {
                 // In step position `doc()` would leave its focus node's
@@ -359,10 +308,7 @@ impl Compiler {
                 let Expr::Literal(Literal::String(uri)) = &args[0] else {
                     return Err(self.unsupported("doc() with a non-literal URI"));
                 };
-                Ok((
-                    self.plan.add(Operator::DocRoot(uri.clone()), vec![]),
-                    ItemKind::Nodes,
-                ))
+                Ok(self.plan.add(Operator::DocRoot(uri.clone()), vec![]))
             }
             ("id", 1) => {
                 let context = input.ok_or_else(|| {
@@ -372,26 +318,13 @@ impl Compiler {
                 // nodes; each of its nodes resolves in its own document,
                 // which is its context node's.
                 let arg = self.compile_step(context, &args[0])?;
-                let arg = self.require_nodes(arg, "an id() argument")?;
-                Ok((
-                    self.plan.add(Operator::IdLookup, vec![arg]),
-                    ItemKind::Nodes,
-                ))
+                Ok(self.plan.add(Operator::IdLookup, vec![arg]))
             }
-            ("data" | "string" | "count", 1) => {
-                let (arg, _) = match input {
-                    Some(ctx) => self.compile_step(ctx, &args[0])?,
-                    None => self.compile(&args[0])?,
-                };
-                let op = if local_name(name) == "count" {
-                    Operator::Count { group_by: None }
-                } else {
-                    Operator::StringValue
-                };
-                Ok((self.plan.add(op, vec![arg]), ItemKind::Atomic))
+            (atomic @ ("data" | "string" | "count"), _) => {
+                Err(self.atomic(&format!("{atomic}()")))
             }
             (other, _) => Err(self.unsupported(&format!(
-                "function {other}() in a recursion body (compiler subset: doc, id, data, string, count)"
+                "function {other}() in a recursion body (compiler subset: doc, id, and count or exists as a condition)"
             ))),
         }
     }
@@ -490,11 +423,8 @@ mod tests {
 
     #[test]
     fn unsupported_expressions_are_reported_not_guessed() {
-        // Outside the subset, or able to yield atomic values where the
-        // interpreter demands nodes.
+        // Able to yield atomic values: one refusal, whatever the form.
         for src in [
-            "for $y in $x return $y[1]",
-            "$x[1]",
             "string($x)",
             "$x/string(.)",
             "count($x/q)",
@@ -503,10 +433,27 @@ mod tests {
             "$x/q union 'lit'",
             "if (count($x/q)) then $x/q else 'x'",
             "if (count($x/q)) then 1 else $x/q",
-            "if (empty($x/q)) then $x/q else ()",
+            "if ('') then $x/q else ()",
+            "if (0) then $x/q else ()",
+            "if (data($x/@a)) then $x/q else ()",
+            "if (string($x/q)) then $x/q else ()",
+            "if (count($x/q) = 2) then $x/q else ()",
             "$x/id('x')",
             "$x/id(string(.))",
             "string($x)/..",
+            "-$x",
+        ] {
+            let err = compile_recursion_body(&body_of(src), "x").unwrap_err();
+            assert!(
+                matches!(&err, AlgebraError::Unsupported(m) if m.contains("a plan carries nodes")),
+                "{src}: {err}"
+            );
+        }
+        // Outside the subset.
+        for src in [
+            "for $y in $x return $y[1]",
+            "$x[1]",
+            "if (empty($x/q)) then $x/q else ()",
             "$x/doc('d.xml')",
             "$x/id(doc('d.xml'))",
             "$x/q[@a/@b = '1']",
@@ -518,7 +465,9 @@ mod tests {
             "()",
             "$x/@*",
             "$x/q/@a/..",
+            "$x/q[@a = '']",
             "if (count($x/q)) then $x/q else ()",
+            "if ($x/q) then $x/q else ()",
         ] {
             assert!(compile_recursion_body(&body_of(src), "x").is_ok(), "{src}");
         }

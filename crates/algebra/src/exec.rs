@@ -10,19 +10,15 @@
 //! ## Data plane
 //!
 //! The body plan is re-evaluated once per fixpoint iteration, so the
-//! per-row representation is the hot path.  Three choices keep it
+//! per-row representation is the hot path.  Two choices keep it
 //! allocation-free:
 //!
 //! * **Typed keys.**  Every table cell is a [`Key`] — a `Copy` word that is
-//!   a node id, an interned string symbol, an integer or a boolean.
-//!   Selections, joins, difference, grouping and duplicate elimination all
-//!   hash and compare `Key`s directly; nothing is stringified per row, and
-//!   a string cell can never collide with a node or boolean cell (the old
-//!   `as_key()` rendering made `"node:5"` join against node 5).
-//! * **Interning.**  Strings enter the plane once through the executor's
-//!   [`Interner`] (`string()` results and literals) and are
-//!   symbols from then on.  The pool outlives the run (see below), so a
-//!   per-item loop pays each distinct string once across *all* seeds.
+//!   a node id, an integer or a boolean.  Selections, joins, difference,
+//!   grouping and duplicate elimination all hash and compare `Key`s
+//!   directly.  No cell holds a string: a body yields nodes, plus the
+//!   integer a condition counts, and a `[@a = 'lit']` selection reads its
+//!   node cells' string values through the store.
 //! * **Columnar, shared storage.**  A [`Table`] is a list of
 //!   `Arc<Vec<Key>>` columns.  Cloning a table — what every memo hit,
 //!   run-cache hit and `RecInput` reference does — bumps one reference
@@ -32,19 +28,14 @@
 //! ## What an executor keeps
 //!
 //! The executor borrows no store — every entry point takes a store handle —
-//! and carries **symbols, not tables**.  Tables live in two scopes only: the
-//! memo of one body evaluation, and the *run cache* of one run (the tables
-//! of the plan nodes that do not depend on the recursion input, computed on
-//! the first iteration and shared by every later one).  Both are built when
-//! the run starts and dropped when it ends, so no plan, store or document
-//! load can make a table stale — there is nothing to invalidate.  What
-//! survives from run to run is the [`Interner`] and the store-symbol
-//! translation table beside it: they depend on the store's text pool and on
-//! no plan, which is why one warm executor serves every plan the
-//! prepared-query layer hands it.  Both restart together when a top-level
-//! run begins on a store with a different
-//! [text pool](NodeStore::text_pool_id); as no table outlives a run, no
-//! `Key::Sym` cell can point into a dropped pool.
+//! and keeps no table from one run to the next.  Tables live in two scopes
+//! only: the memo of one body evaluation, and the *run cache* of one run
+//! (the tables of the plan nodes that do not depend on the recursion input,
+//! computed on the first iteration and shared by every later one).  Both
+//! are built when the run starts and dropped when it ends, so no plan,
+//! store or document load can make a table stale — there is nothing to
+//! invalidate.  What outlives a run is its limits, its shard count and two
+//! counters; the prepared-query layer makes one executor per execution.
 //!
 //! ## Fixpoints
 //!
@@ -60,7 +51,7 @@
 use std::sync::Arc;
 
 use xqy_xdm::fixpoint::{self, Body, Config, FixpointStrategy, Group, LimitError, Limits, Seeds};
-use xqy_xdm::{DocId, IdMap, IdSet, Interner, NodeId, NodeStore, StoreMut, StrId};
+use xqy_xdm::{DocId, IdMap, IdSet, NodeId, NodeStore, StoreMut};
 
 pub use xqy_xdm::fixpoint::{BatchSharing, ExecStats};
 
@@ -68,55 +59,12 @@ use crate::error::AlgebraError;
 use crate::plan::{FunKind, Operator, Plan, PlanNodeId, SEED_COLUMN};
 use crate::Result;
 
-/// A cell value at the executor's API boundary, with strings materialized.
-///
-/// Inside tables every cell is a [`Key`]; `Value` is the convenience used
-/// to build literals and read results without touching the interner at
-/// every call site.  Convert with [`Value::key`] / [`Key::value`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A node reference.
-    Node(NodeId),
-    /// A string.
-    Str(String),
-    /// An integer.
-    Int(i64),
-    /// A boolean.
-    Bool(bool),
-}
-
-impl Value {
-    /// Encode into the typed key representation, interning strings.
-    pub fn key(&self, interner: &mut Interner) -> Key {
-        match self {
-            Value::Node(n) => Key::Node(*n),
-            Value::Str(s) => Key::Sym(interner.intern(s)),
-            Value::Int(i) => Key::Int(*i),
-            Value::Bool(b) => Key::Bool(*b),
-        }
-    }
-
-    /// The node, if this value is one.
-    pub fn as_node(&self) -> Option<NodeId> {
-        match self {
-            Value::Node(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
 /// A typed, `Copy` table cell — also the key the executor selects, joins,
-/// groups and deduplicates on.
-///
-/// Keys compare by variant *and* payload: `Sym("node:5")` never equals
-/// `Node(5)` and `Sym("true")` never equals `Bool(true)`, which is the
-/// typed fix for the tag-collision hazard of the old string rendering.
+/// groups and deduplicates on.  Keys compare by variant *and* payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Key {
     /// A node reference.
     Node(NodeId),
-    /// An interned string (resolve through the executor's [`Interner`]).
-    Sym(StrId),
     /// An integer.
     Int(i64),
     /// A boolean.
@@ -128,24 +76,6 @@ impl Key {
     pub fn as_node(&self) -> Option<NodeId> {
         match self {
             Key::Node(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// Decode into a [`Value`], materializing interned strings.
-    pub fn value(&self, interner: &Interner) -> Value {
-        match self {
-            Key::Node(n) => Value::Node(*n),
-            Key::Sym(s) => Value::Str(interner.resolve(*s).to_string()),
-            Key::Int(i) => Value::Int(*i),
-            Key::Bool(b) => Value::Bool(*b),
-        }
-    }
-
-    /// The interned string behind this key, if it is a symbol.
-    pub fn as_str<'i>(&self, interner: &'i Interner) -> Option<&'i str> {
-        match self {
-            Key::Sym(s) => Some(interner.resolve(*s)),
             _ => None,
         }
     }
@@ -248,11 +178,6 @@ impl Table {
     /// The cell at (`row`, `col`).
     pub fn key(&self, row: usize, col: usize) -> Key {
         self.cols[col][row]
-    }
-
-    /// The cell at (`row`, `col`) decoded through `interner`.
-    pub fn value(&self, row: usize, col: usize, interner: &Interner) -> Value {
-        self.key(row, col).value(interner)
     }
 
     /// One row, materialized (test/debug convenience — the executor itself
@@ -398,26 +323,10 @@ impl PlanState {
 
 /// The plan executor.
 ///
-/// Holds no store borrow — every entry point takes a store handle — so an
-/// executor is a *persistent* artifact: its [`Interner`] and store-symbol
-/// translation table survive across runs, plans and
-/// `PreparedQuery::execute` calls, until a run starts on a store with a
-/// different text pool.  Every table it computes is dropped with the run
-/// that computed it (see the [module docs](self)).
+/// Holds no store borrow — every entry point takes a store handle — and no
+/// table beyond the run that computed it (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Executor {
-    /// The string pool backing every `Key::Sym` this executor produced.
-    interner: Interner,
-    /// Identity of the store text pool `sym_xlat` translates from (`0` is
-    /// never a real pool id, so it doubles as "no cache built yet").
-    sym_xlat_pool: u64,
-    /// Dense store-symbol → executor-symbol translation table, indexed by
-    /// the store `StrId`'s raw value, `u32::MAX` marking an untranslated
-    /// slot.  A hit turns `intern(store.resolve_text(sym))` — a hash over
-    /// the payload bytes — into one array load: sound because a pool id
-    /// names one linear growth history, so a store symbol's string can
-    /// never change under an unchanged `sym_xlat_pool`.
-    sym_xlat: Vec<u32>,
     /// Run cache and bitmap of the run in progress; empty between runs.
     plan_state: PlanState,
     /// Times the run cache returned a shared handle.
@@ -443,54 +352,11 @@ impl Executor {
     /// Create a fresh executor.
     pub fn new() -> Self {
         Executor {
-            interner: Interner::new(),
-            sym_xlat_pool: 0,
-            sym_xlat: Vec::new(),
             plan_state: PlanState::default(),
             static_cache_hits: 0,
             static_plan_evals: 0,
             limits: Limits::default(),
             threads: 1,
-        }
-    }
-
-    /// Map a store text-pool symbol to this executor's interner through
-    /// the dense per-pool cache.  On a hit this skips both the payload
-    /// render and the hash — equality of pool ids guarantees the cached
-    /// executor symbol is exactly what `intern(resolve_text(sym))` would
-    /// return.  A pool-id change *during* a run (the store's pool diverged
-    /// by growing while shared) drops only the translation table; executor
-    /// symbols handed out earlier stay valid because the interner is
-    /// untouched.
-    fn translate_sym(&mut self, store: &NodeStore, sym: StrId) -> StrId {
-        let pool = store.text_pool_id();
-        if self.sym_xlat_pool != pool {
-            self.sym_xlat.clear();
-            self.sym_xlat_pool = pool;
-        }
-        let idx = sym.0 as usize;
-        if idx >= self.sym_xlat.len() {
-            self.sym_xlat.resize(idx + 1, u32::MAX);
-        }
-        if self.sym_xlat[idx] != u32::MAX {
-            return StrId(self.sym_xlat[idx]);
-        }
-        let exec_sym = self.interner.intern(store.resolve_text(sym));
-        self.sym_xlat[idx] = exec_sym.0;
-        exec_sym
-    }
-
-    /// Restart the symbols when `store`'s text pool is not the one they
-    /// were taken from.  Only ever called where a top-level run starts — no
-    /// table is alive there, so no `Key::Sym` cell can be left pointing
-    /// into the dropped pool — and it keeps a long-lived executor that
-    /// crosses many stores from accumulating every string it ever saw.
-    fn restart_symbols_for(&mut self, store: &NodeStore) {
-        let pool = store.text_pool_id();
-        if self.sym_xlat_pool != pool {
-            self.interner = Interner::new();
-            self.sym_xlat.clear();
-            self.sym_xlat_pool = pool;
         }
     }
 
@@ -518,17 +384,6 @@ impl Executor {
     /// are identical at any count.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// The executor's string pool (resolve `Key::Sym` cells through this).
-    pub fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
-    /// Mutable access to the string pool (to build `Key::Sym` cells when
-    /// constructing input tables by hand).
-    pub fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
     }
 
     /// How many run-cache lookups returned a shared handle, over the
@@ -565,11 +420,6 @@ impl Executor {
     /// previous calls.  [`Executor::run_fixpoint`] instead scopes them to
     /// the whole fixpoint, so a body's constructed node is stable across
     /// its iterations.
-    ///
-    /// `Key::Sym` cells in the returned table resolve against
-    /// [`Executor::interner`] *as of now*: the next run that starts on a
-    /// store with a different text pool restarts the symbols.  Decode
-    /// string cells before handing the executor another store.
     pub fn eval_plan<'a>(
         &mut self,
         store: impl Into<StoreMut<'a>>,
@@ -577,7 +427,6 @@ impl Executor {
         rec: &Table,
     ) -> Result<Table> {
         let mut store: StoreMut<'_> = store.into();
-        self.restart_symbols_for(store.read());
         self.in_run(plan, |exec| exec.eval_plan_in_run(&mut store, plan, rec))
     }
 
@@ -640,13 +489,7 @@ impl Executor {
     ) -> Result<Table> {
         match op {
             Operator::RecInput => Ok(rec.clone()),
-            Operator::Literal(values) => Ok(Table::from_columns(
-                vec!["item".into()],
-                vec![values
-                    .iter()
-                    .map(|v| Key::Sym(self.interner.intern(v)))
-                    .collect()],
-            )),
+            Operator::Empty => Ok(Table::new(vec!["item".into()])),
             Operator::DocRoot(uri) => {
                 let store = store.read();
                 let doc = store
@@ -671,26 +514,16 @@ impl Executor {
                 })
             }
             Operator::Select { column, value } => {
+                let store = store.read();
                 let input = inputs.remove(0);
                 let idx = input.column_index(column)?;
-                // The literal is compared *typed*: string cells against the
-                // interned symbol, numeric/boolean cells against the parsed
-                // literal, and node cells never match a string literal (the
-                // tag-collision fix).
-                let lit_sym = self.interner.intern(value);
-                let lit_int: Option<i64> = value.trim().parse().ok();
-                let lit_bool: Option<bool> = match value.as_str() {
-                    "true" => Some(true),
-                    "false" => Some(false),
-                    _ => None,
-                };
+                // A row stays iff its cell is a node whose string value is
+                // the literal; the value is read in place, never copied.
                 let mask: Vec<bool> = input.cols[idx]
                     .iter()
-                    .map(|&k| match k {
-                        Key::Sym(s) => s == lit_sym,
-                        Key::Int(i) => lit_int == Some(i),
-                        Key::Bool(b) => lit_bool == Some(b),
-                        Key::Node(_) => false,
+                    .map(|key| {
+                        key.as_node()
+                            .is_some_and(|node| store.string_value_ref(node) == **value)
                     })
                     .collect();
                 Ok(input.filter_rows(&mask))
@@ -827,7 +660,7 @@ impl Executor {
                 let li = input.column_index(left)?;
                 let ri = input.column_index(right)?;
                 let res: Vec<Key> = (0..input.rows)
-                    .map(|r| apply_fun(*kind, input.cols[li][r], input.cols[ri][r], &self.interner))
+                    .map(|r| apply_fun(*kind, input.cols[li][r], input.cols[ri][r]))
                     .collect();
                 let mut names: Vec<String> = input.names.as_ref().clone();
                 names.push("res".into());
@@ -865,31 +698,6 @@ impl Executor {
                     items.extend(selected.drain(..).map(Key::Node));
                 }
                 Ok(replace_item_column(&input, idx, src, items).distinct())
-            }
-            Operator::StringValue => {
-                let store = store.read();
-                let input = inputs.remove(0);
-                let idx = input.column_index("item")?;
-                // Row count is preserved: only the item column is rewritten,
-                // every other column handle is shared untouched.
-                let items: Vec<Key> = input.cols[idx]
-                    .iter()
-                    .map(|&key| match key.as_node() {
-                        Some(node) => match store.string_value_sym(node) {
-                            // Leaf payload: store symbol → executor symbol
-                            // through the per-pool cache, no render.
-                            Some(sym) => Key::Sym(self.translate_sym(store, sym)),
-                            // Element/document concatenation: borrow the
-                            // store's memoized render instead of building
-                            // a fresh String per row.
-                            None => Key::Sym(self.interner.intern(&store.string_value_ref(node))),
-                        },
-                        None => key,
-                    })
-                    .collect();
-                let mut cols = input.cols.clone();
-                cols[idx] = Arc::new(items);
-                Ok(Table::with_schema(input.names.clone(), cols))
             }
             Operator::IdLookup => {
                 let store = store.read();
@@ -1036,7 +844,6 @@ impl Executor {
         sharing: BatchSharing,
     ) -> Result<(Vec<Vec<NodeId>>, ExecStats)> {
         let mut store: StoreMut<'_> = store.into();
-        self.restart_symbols_for(store.read());
         self.drive(&mut store, body, seeds, strategy, seed_in_result, sharing)
     }
 
@@ -1199,15 +1006,12 @@ fn replace_item_column(input: &Table, item_idx: usize, src: Vec<usize>, items: V
     Table::with_schema(input.names.clone(), cols)
 }
 
-fn apply_fun(kind: FunKind, left: Key, right: Key, interner: &Interner) -> Key {
+fn apply_fun(kind: FunKind, left: Key, right: Key) -> Key {
     match kind {
-        // Equality is typed (`Sym` never equals `Node`/`Bool`), with a
-        // numeric bridge between symbols and integers so that a count
-        // compared against a literal (compiled as a string symbol) works.
-        FunKind::Eq => Key::Bool(keys_equal(left, right, interner)),
-        FunKind::Ne => Key::Bool(!keys_equal(left, right, interner)),
+        FunKind::Eq => Key::Bool(left == right),
+        FunKind::Ne => Key::Bool(left != right),
         FunKind::Lt | FunKind::Gt => {
-            let (l, r) = (numeric(left, interner), numeric(right, interner));
+            let (l, r) = (numeric(left), numeric(right));
             Key::Bool(if matches!(kind, FunKind::Lt) {
                 l < r
             } else {
@@ -1215,7 +1019,7 @@ fn apply_fun(kind: FunKind, left: Key, right: Key, interner: &Interner) -> Key {
             })
         }
         FunKind::Add | FunKind::Sub => {
-            let (l, r) = (numeric(left, interner), numeric(right, interner));
+            let (l, r) = (numeric(left), numeric(right));
             Key::Int(if matches!(kind, FunKind::Add) {
                 l + r
             } else {
@@ -1225,23 +1029,10 @@ fn apply_fun(kind: FunKind, left: Key, right: Key, interner: &Interner) -> Key {
     }
 }
 
-fn keys_equal(left: Key, right: Key, interner: &Interner) -> bool {
-    match (left, right) {
-        // The bridge fires only when the symbol *is* an integer rendering;
-        // a non-numeric string never equals any integer (in particular not
-        // 0, which a parse fallback would silently produce).
-        (Key::Sym(s), Key::Int(i)) | (Key::Int(i), Key::Sym(s)) => {
-            interner.resolve(s).trim().parse::<i64>() == Ok(i)
-        }
-        _ => left == right,
-    }
-}
-
-fn numeric(key: Key, interner: &Interner) -> i64 {
+fn numeric(key: Key) -> i64 {
     match key {
         Key::Int(i) => i,
         Key::Bool(b) => b as i64,
-        Key::Sym(s) => interner.resolve(s).trim().parse().unwrap_or(0),
         Key::Node(_) => 0,
     }
 }
@@ -1369,7 +1160,6 @@ mod tests {
             },
             vec![keep],
         );
-        let attr = plan.add(Operator::StringValue, vec![attr]);
         let select = plan.add(
             Operator::Select {
                 column: "item".into(),
@@ -1470,7 +1260,6 @@ mod tests {
             },
             vec![keep],
         );
-        let attr = plan.add(Operator::StringValue, vec![attr]);
         let select = plan.add(
             Operator::Select {
                 column: "item".into(),
@@ -1510,18 +1299,33 @@ mod tests {
         assert_eq!(result.len(), 3);
     }
 
+    /// `doc('curriculum.xml')/descendant::pre_code/id(.)`: the courses
+    /// some course requires, {c2, c3, c4}.
+    fn required_courses(plan: &mut Plan) -> PlanNodeId {
+        let docroot = plan.add(Operator::DocRoot("curriculum.xml".into()), vec![]);
+        let codes = plan.add(
+            Operator::Step {
+                axis: Axis::Descendant,
+                test: NodeTest::Name("pre_code".into()),
+            },
+            vec![docroot],
+        );
+        plan.add(Operator::IdLookup, vec![codes])
+    }
+
+    fn courses(store: &mut NodeStore, doc: DocId, codes: &[&str]) -> Vec<NodeId> {
+        codes
+            .iter()
+            .flat_map(|code| seed_course(store, doc, code))
+            .collect()
+    }
+
     #[test]
     fn join_and_count_operators() {
-        let mut store = NodeStore::new();
+        let (mut store, doc) = store_with_curriculum();
         let mut plan = Plan::new();
-        let left = plan.add(
-            Operator::Literal(vec!["a".into(), "b".into(), "c".into()]),
-            vec![],
-        );
-        let right = plan.add(
-            Operator::Literal(vec!["b".into(), "c".into(), "d".into()]),
-            vec![],
-        );
+        let left = plan.add(Operator::RecInput, vec![]);
+        let right = required_courses(&mut plan);
         let join = plan.add(
             Operator::Join {
                 left: "item".into(),
@@ -1531,166 +1335,73 @@ mod tests {
         );
         let count = plan.add(Operator::Count { group_by: None }, vec![join]);
         plan.set_root(count);
-        let mut exec = Executor::new();
-        let result = exec
-            .eval_plan(&mut store, &plan, &Table::new(vec!["item".into()]))
-            .unwrap();
-        assert_eq!(result.key(0, 0), Key::Int(2));
+        let rec = Table::from_nodes(&courses(&mut store, doc, &["c1", "c2", "c3"]));
+        let result = Executor::new().eval_plan(&mut store, &plan, &rec).unwrap();
+        assert_eq!(result.key(0, 0), Key::Int(2)); // c2, c3
     }
 
     #[test]
     fn union_difference_and_distinct() {
-        let mut store = NodeStore::new();
+        let (mut store, doc) = store_with_curriculum();
+        let mut exec = Executor::new();
         let mut plan = Plan::new();
-        let a = plan.add(
-            Operator::Literal(vec!["x".into(), "y".into(), "y".into()]),
-            vec![],
-        );
-        let b = plan.add(Operator::Literal(vec!["y".into(), "z".into()]), vec![]);
+        let a = plan.add(Operator::RecInput, vec![]);
+        let b = required_courses(&mut plan);
         let union = plan.add(Operator::Union, vec![a, b]);
         plan.set_root(union);
-        let mut exec = Executor::new();
-        let result = exec
-            .eval_plan(&mut store, &plan, &Table::new(vec!["item".into()]))
-            .unwrap();
-        assert_eq!(result.len(), 3); // x, y, z — set semantics
+        let rec = Table::from_nodes(&courses(&mut store, doc, &["c1", "c2", "c2"]));
+        let result = exec.eval_plan(&mut store, &plan, &rec).unwrap();
+        assert_eq!(result.len(), 4); // c1, c2, c3, c4 — set semantics
 
         let mut plan2 = Plan::new();
-        let a = plan2.add(Operator::Literal(vec!["x".into(), "y".into()]), vec![]);
-        let b = plan2.add(Operator::Literal(vec!["y".into()]), vec![]);
+        let a = plan2.add(Operator::RecInput, vec![]);
+        let b = required_courses(&mut plan2);
         let diff = plan2.add(Operator::Difference, vec![a, b]);
         plan2.set_root(diff);
-        let result = exec
-            .eval_plan(&mut store, &plan2, &Table::new(vec!["item".into()]))
-            .unwrap();
-        assert_eq!(result.len(), 1);
-        assert_eq!(result.value(0, 0, exec.interner()), Value::Str("x".into()));
+        let rec = Table::from_nodes(&courses(&mut store, doc, &["c1", "c2"]));
+        let result = exec.eval_plan(&mut store, &plan2, &rec).unwrap();
+        assert_eq!(result.item_nodes(), courses(&mut store, doc, &["c1"]));
     }
 
     #[test]
     fn if_then_else_executes_on_count_condition() {
-        let mut store = NodeStore::new();
+        let (mut store, doc) = store_with_curriculum();
         let mut plan = Plan::new();
-        let input = plan.add(Operator::Literal(vec!["a".into()]), vec![]);
+        let input = plan.add(Operator::RecInput, vec![]);
         let cond = plan.add(Operator::Count { group_by: None }, vec![input]);
-        let then_branch = plan.add(Operator::Literal(vec!["then".into()]), vec![]);
-        let else_branch = plan.add(Operator::Literal(vec!["else".into()]), vec![]);
+        let then_branch = required_courses(&mut plan);
+        let else_branch = plan.add(Operator::Empty, vec![]);
         let ite = plan.add(Operator::IfThenElse, vec![cond, then_branch, else_branch]);
         plan.set_root(ite);
         let mut exec = Executor::new();
-        let result = exec
-            .eval_plan(&mut store, &plan, &Table::new(vec!["item".into()]))
-            .unwrap();
+        let c1 = Table::from_nodes(&courses(&mut store, doc, &["c1"]));
+        let result = exec.eval_plan(&mut store, &plan, &c1).unwrap();
         assert_eq!(
-            result.value(0, 0, exec.interner()),
-            Value::Str("then".into())
+            result.item_nodes(),
+            courses(&mut store, doc, &["c2", "c3", "c4"])
         );
+        let none = Table::from_nodes(&[]);
+        assert!(exec.eval_plan(&mut store, &plan, &none).unwrap().is_empty());
     }
 
     #[test]
     fn missing_column_reports_schema() {
-        let mut store = NodeStore::new();
+        let (mut store, doc) = store_with_curriculum();
         let mut plan = Plan::new();
-        let lit = plan.add(Operator::Literal(vec!["a".into()]), vec![]);
+        let rec = plan.add(Operator::RecInput, vec![]);
         let select = plan.add(
             Operator::Select {
                 column: "nope".into(),
-                value: "a".into(),
+                value: "c1".into(),
             },
-            vec![lit],
+            vec![rec],
         );
         plan.set_root(select);
-        let mut exec = Executor::new();
-        let err = exec
-            .eval_plan(&mut store, &plan, &Table::new(vec!["item".into()]))
+        let rec = Table::from_nodes(&courses(&mut store, doc, &["c1"]));
+        let err = Executor::new()
+            .eval_plan(&mut store, &plan, &rec)
             .unwrap_err();
         assert!(err.to_string().contains("nope"));
-    }
-
-    /// Regression test for the `as_key` tag collision: the old string
-    /// rendering made `Str("node:<k>")` join/dedup against `Node(k)` and
-    /// `Str("true")` against `Bool(true)`.  With typed keys these are four
-    /// distinct cells.
-    #[test]
-    fn string_cells_never_collide_with_node_or_bool_cells() {
-        let (mut store, doc) = store_with_curriculum();
-        let course = seed_course(&mut store, doc, "c1")[0];
-
-        // A document string column that *spells* the old rendering of the
-        // course node must not join against the node itself.
-        let mut exec = Executor::new();
-        let forged = format!("node:{course}");
-        let mut plan = Plan::new();
-        let strings = plan.add(Operator::Literal(vec![forged.clone()]), vec![]);
-        let rec = plan.add(Operator::RecInput, vec![]);
-        let join = plan.add(
-            Operator::Join {
-                left: "item".into(),
-                right: "item".into(),
-            },
-            vec![strings, rec],
-        );
-        plan.set_root(join);
-        let result = exec
-            .eval_plan(&mut store, &plan, &Table::from_nodes(&[course]))
-            .unwrap();
-        assert!(
-            result.is_empty(),
-            "string '{forged}' must not join against the node it spells"
-        );
-
-        // Dedup: a table holding Node(k), Sym("node:<k>"), Bool(true) and
-        // Sym("true") has four distinct rows, and difference removes none
-        // of the string rows when subtracting the node/bool rows.
-        let interner = exec.interner_mut();
-        let forged_sym = Key::Sym(interner.intern(&forged));
-        let true_sym = Key::Sym(interner.intern("true"));
-        let mixed = Table::from_columns(
-            vec!["item".into()],
-            vec![vec![
-                Key::Node(course),
-                forged_sym,
-                Key::Bool(true),
-                true_sym,
-                Key::Bool(true),
-            ]],
-        );
-        assert_eq!(mixed.distinct().len(), 4);
-        let typed_only = Table::from_columns(
-            vec!["item".into()],
-            vec![vec![Key::Node(course), Key::Bool(true)]],
-        );
-        let mut diff_plan = Plan::new();
-        let lits = diff_plan.add(
-            Operator::Literal(vec![forged.clone(), "true".into()]),
-            vec![],
-        );
-        let rec_typed = diff_plan.add(Operator::RecInput, vec![]);
-        let diff = diff_plan.add(Operator::Difference, vec![lits, rec_typed]);
-        diff_plan.set_root(diff);
-        let surviving = exec.eval_plan(&mut store, &diff_plan, &typed_only).unwrap();
-        assert_eq!(
-            surviving.len(),
-            2,
-            "subtracting Node(k)/Bool(true) rows must remove neither string row"
-        );
-
-        // Select: a node cell never matches a string literal, even the one
-        // that spells its old rendering.
-        let mut plan2 = Plan::new();
-        let rec2 = plan2.add(Operator::RecInput, vec![]);
-        let select = plan2.add(
-            Operator::Select {
-                column: "item".into(),
-                value: forged.clone(),
-            },
-            vec![rec2],
-        );
-        plan2.set_root(select);
-        let selected = exec
-            .eval_plan(&mut store, &plan2, &Table::from_nodes(&[course]))
-            .unwrap();
-        assert!(selected.is_empty());
     }
 
     /// `Executor::default()` must behave like `Executor::new()` — in
@@ -1711,8 +1422,8 @@ mod tests {
     fn constructed_nodes_are_fresh_per_run_but_stable_within_one() {
         let mut store = NodeStore::new();
         let mut plan = Plan::new();
-        let lit = plan.add(Operator::Literal(Vec::new()), vec![]);
-        let flag = plan.add(Operator::Construct("flag".into()), vec![lit]);
+        let empty = plan.add(Operator::Empty, vec![]);
+        let flag = plan.add(Operator::Construct("flag".into()), vec![empty]);
         plan.set_root(flag);
         let mut exec = Executor::new();
         let (r1, s1) = exec
@@ -1754,50 +1465,13 @@ mod tests {
         assert!(result.is_empty());
     }
 
-    /// The `⊚ Eq` Sym↔Int bridge compares numerically only when the symbol
-    /// actually parses as an integer; a non-numeric string must not equal
-    /// `Int(0)` through a parse fallback.
-    #[test]
-    fn fun_eq_numeric_bridge_requires_a_numeric_symbol() {
-        let mut interner = Interner::new();
-        let na = Key::Sym(interner.intern("n/a"));
-        let five = Key::Sym(interner.intern("5"));
-        assert_eq!(
-            apply_fun(FunKind::Eq, na, Key::Int(0), &interner),
-            Key::Bool(false)
-        );
-        assert_eq!(
-            apply_fun(FunKind::Ne, na, Key::Int(0), &interner),
-            Key::Bool(true)
-        );
-        assert_eq!(
-            apply_fun(FunKind::Eq, five, Key::Int(5), &interner),
-            Key::Bool(true)
-        );
-    }
-
-    /// The prerequisite closure with `id()` spelt as a join against a
-    /// rec-independent scan (`doc → course → π → @code → string()`, five
-    /// plan nodes): a
-    /// seed-local body whose every iteration needs the same scan.
+    /// The prerequisite closure with its `id()` targets joined against a
+    /// rec-independent scan of every course (`doc → descendant::course →
+    /// π`, three plan nodes): a seed-local body whose every iteration needs
+    /// the same scan.
     fn join_closure_plan() -> Plan {
-        let mut plan = Plan::new();
-        let rec = plan.add(Operator::RecInput, vec![]);
-        let prereq = plan.add(
-            Operator::Step {
-                axis: Axis::Child,
-                test: NodeTest::Name("prerequisites".into()),
-            },
-            vec![rec],
-        );
-        let code = plan.add(
-            Operator::Step {
-                axis: Axis::Child,
-                test: NodeTest::Name("pre_code".into()),
-            },
-            vec![prereq],
-        );
-        let value = plan.add(Operator::StringValue, vec![code]);
+        let mut plan = q1_plan();
+        let targets = plan.root().unwrap();
         let docroot = plan.add(Operator::DocRoot("curriculum.xml".into()), vec![]);
         let all = plan.add(
             Operator::Step {
@@ -1806,38 +1480,23 @@ mod tests {
             },
             vec![docroot],
         );
-        let keep = plan.add(
-            Operator::Project(vec![
-                ("node".into(), "item".into()),
-                ("item".into(), "item".into()),
-            ]),
+        let scan = plan.add(
+            Operator::Project(vec![("course".into(), "item".into())]),
             vec![all],
         );
-        let attr = plan.add(
-            Operator::Step {
-                axis: Axis::Attribute,
-                test: NodeTest::Name("code".into()),
-            },
-            vec![keep],
-        );
-        let attr = plan.add(Operator::StringValue, vec![attr]);
         let join = plan.add(
             Operator::Join {
                 left: "item".into(),
-                right: "item".into(),
+                right: "course".into(),
             },
-            vec![value, attr],
+            vec![targets, scan],
         );
-        let back = plan.add(
-            Operator::Project(vec![("item".into(), "node".into())]),
-            vec![join],
-        );
-        plan.set_root(back);
+        plan.set_root(join);
         plan
     }
 
     /// Rec-independent plan nodes of [`join_closure_plan`].
-    const SCAN_NODES: u64 = 5;
+    const SCAN_NODES: u64 = 3;
 
     /// The counters' movement over `run`.
     fn counted<T>(exec: &mut Executor, run: impl FnOnce(&mut Executor) -> T) -> (T, u64, u64) {
@@ -1890,8 +1549,7 @@ mod tests {
             1
         );
 
-        // A run on another store answers from that store, and the symbols
-        // restart with its text pool instead of piling up across stores.
+        // A run on another store answers from that store.
         let mut other = NodeStore::new();
         let other_doc = other
             .parse_document_with_uri(
@@ -1900,6 +1558,7 @@ mod tests {
                    <pre_code>c2</pre_code></prerequisites></course></curriculum>"#,
             )
             .unwrap();
+        other.register_id_attribute(other_doc, "code");
         let seed = seed_course(&mut other, other_doc, "c1");
         let (result, _) = exec
             .run_fixpoint(&mut other, &plan, &seed, MuStrategy::MuDelta, false)
@@ -1907,10 +1566,6 @@ mod tests {
         assert_eq!(
             result.item_nodes(),
             seed_course(&mut other, other_doc, "c2")
-        );
-        assert!(
-            exec.interner().get("c4").is_none(),
-            "c4 is the first store's"
         );
     }
 

@@ -40,7 +40,7 @@ pub mod pushup;
 
 pub use compile::{compile_count, compile_recursion_body, CompiledBody};
 pub use error::AlgebraError;
-pub use exec::{BatchSharing, ExecStats, Executor, Key, MuStrategy, Table, Value};
+pub use exec::{BatchSharing, ExecStats, Executor, Key, MuStrategy, Table};
 pub use plan::{Operator, Plan, PlanNode, PlanNodeId, SEED_COLUMN};
 pub use pushup::{check_distributivity, PushupOutcome};
 

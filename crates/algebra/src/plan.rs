@@ -47,19 +47,19 @@ pub enum Operator {
     /// body plan).  This is where the `∪` of the distributivity check is
     /// initially placed.
     RecInput,
-    /// A literal relation (constant table), e.g. the empty sequence `()` or
-    /// a string constant.
-    Literal(Vec<String>),
+    /// The empty relation: the empty sequence `()`.
+    Empty,
     /// Scan of a document registered under a URI; produces the document's
     /// root node.
     DocRoot(String),
     /// π — projection onto (and renaming of) columns.
     Project(Vec<(String, String)>),
-    /// σ — selection: keep rows whose column equals the given string.
+    /// σ — selection: keep the rows whose column holds a node with the
+    /// given string value.
     Select {
         /// Column inspected.
         column: String,
-        /// Literal the column is compared against.
+        /// Literal the nodes' string values are compared against.
         value: String,
     },
     /// ⋈ — join on equality between one column of each input.
@@ -102,8 +102,6 @@ pub enum Operator {
         /// The node test.
         test: NodeTest,
     },
-    /// String-value access: extend node rows with their string value.
-    StringValue,
     /// ID lookup join (the `id ref ⋈` micro-plan of Figure 9(a)): map a
     /// column of argument nodes to the elements of each node's document
     /// whose ID is a token of the node's string value.
@@ -137,7 +135,6 @@ impl Operator {
             | Operator::Fun { .. }
             | Operator::RowTag
             | Operator::Step { .. }
-            | Operator::StringValue
             | Operator::IdLookup
             | Operator::IfThenElse
             | Operator::Mu
@@ -149,7 +146,7 @@ impl Operator {
             | Operator::RowNum
             | Operator::Construct(_) => false,
             // Leaves never sit above a ∪.
-            Operator::RecInput | Operator::Literal(_) | Operator::DocRoot(_) => false,
+            Operator::RecInput | Operator::Empty | Operator::DocRoot(_) => false,
         }
     }
 
@@ -157,7 +154,7 @@ impl Operator {
     pub fn name(&self) -> String {
         match self {
             Operator::RecInput => "rec-input".into(),
-            Operator::Literal(_) => "literal".into(),
+            Operator::Empty => "()".into(),
             Operator::DocRoot(uri) => format!("doc({uri})"),
             Operator::Project(_) => "π".into(),
             Operator::Select { column, value } => format!("σ[{column}='{value}']"),
@@ -171,7 +168,6 @@ impl Operator {
             Operator::RowTag => "#".into(),
             Operator::RowNum => "ϱ".into(),
             Operator::Step { axis, test } => format!("{}::{}", axis.name(), test),
-            Operator::StringValue => "string()".into(),
             Operator::IdLookup => "id()".into(),
             Operator::IfThenElse => "if".into(),
             Operator::Construct(name) => format!("ε<{name}>"),
@@ -335,7 +331,6 @@ impl Plan {
                 | Operator::Select { .. }
                 | Operator::Distinct
                 | Operator::Step { .. }
-                | Operator::StringValue
                 | Operator::IdLookup
                 | Operator::Fun { .. } => true,
                 // ∪ / ∖ over `(seed, item)` rows are the per-seed set
@@ -361,7 +356,7 @@ impl Plan {
                 Operator::Count { .. } | Operator::RowTag | Operator::RowNum => false,
                 // Leaves are never rec-dependent; constructors and nested
                 // fixpoints were rejected above.
-                Operator::Literal(_)
+                Operator::Empty
                 | Operator::DocRoot(_)
                 | Operator::Construct(_)
                 | Operator::Mu
@@ -500,13 +495,12 @@ mod tests {
             },
             vec![keep],
         );
-        let value = plan.add(Operator::StringValue, vec![attr]);
         let select = plan.add(
             Operator::Select {
                 column: "item".into(),
                 value: "c1".into(),
             },
-            vec![value],
+            vec![attr],
         );
         let back = plan.add(
             Operator::Project(vec![("item".into(), "node".into())]),
@@ -542,8 +536,8 @@ mod tests {
             },
             vec![rec],
         );
-        let lit = mixed.add(Operator::Literal(vec!["x".into()]), vec![]);
-        let union = mixed.add(Operator::Union, vec![step, lit]);
+        let empty = mixed.add(Operator::Empty, vec![]);
+        let union = mixed.add(Operator::Union, vec![step, empty]);
         mixed.set_root(union);
         assert!(mixed.seed_carried().is_none());
 

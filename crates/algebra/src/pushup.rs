@@ -171,8 +171,8 @@ mod tests {
     #[test]
     fn constructors_break_distributivity_even_without_rec_input() {
         let mut plan = Plan::new();
-        let lit = plan.add(Operator::Literal(vec!["c".into()]), vec![]);
-        let ctor = plan.add(Operator::Construct("out".into()), vec![lit]);
+        let empty = plan.add(Operator::Empty, vec![]);
+        let ctor = plan.add(Operator::Construct("out".into()), vec![empty]);
         plan.set_root(ctor);
         let outcome = check_distributivity(&plan);
         assert!(!outcome.distributive);
@@ -201,7 +201,7 @@ mod tests {
         for blocker in [Operator::Difference, Operator::RowNum, Operator::Distinct] {
             let mut plan = Plan::new();
             let rec = plan.add(Operator::RecInput, vec![]);
-            let other = plan.add(Operator::Literal(vec![]), vec![]);
+            let other = plan.add(Operator::Empty, vec![]);
             let node = if matches!(blocker, Operator::Difference) {
                 plan.add(blocker.clone(), vec![rec, other])
             } else {
@@ -222,7 +222,7 @@ mod tests {
         // test documents the conservative behaviour.
         let mut plan = Plan::new();
         let rec = plan.add(Operator::RecInput, vec![]);
-        let fixed = plan.add(Operator::Literal(vec!["r".into()]), vec![]);
+        let fixed = plan.add(Operator::DocRoot("r.xml".into()), vec![]);
         let diff = plan.add(Operator::Difference, vec![rec, fixed]);
         plan.set_root(diff);
         let outcome = check_distributivity(&plan);

@@ -13,29 +13,19 @@
 //! current document store, with externally bound variables supplied through
 //! [`Bindings`].
 //!
-//! # The plan and its runtimes
+//! # The plan and its executors
 //!
 //! Preparation consults no store, and executing never writes to the
 //! artifact: a [`PreparedQuery`] is an immutable plan, so one
 //! `Arc<PreparedQuery>` serves any number of concurrent executions — over
 //! different stores, snapshots and bindings.  What *does* change while a
-//! fixpoint runs is a separate value, a *runtime*: one relational
+//! fixpoint runs belongs to the execution: an execution whose plan decision
+//! routes an occurrence through the relational executor makes one
 //! [`Executor`], which drives every occurrence of the query and both of an
-//! occurrence's plans.  One is enough because an executor carries symbols,
-//! not tables: every table it computes is dropped with the run that
-//! computed it, and what it keeps from run to run — its interner and the
-//! store-symbol translation table, which is what makes a warm runtime pay —
-//! depends on the store's text pool and on no plan.  A runtime belongs to
-//! exactly one execution at a time.  An execution whose plan decision routes
-//! an occurrence through the relational executor checks one out of the
-//! query's pool of idle runtimes (minting one when every pooled runtime is
-//! in flight, so the pool never holds more than the peak concurrency the
-//! query has seen), owns it for the run, and returns it — warm — when it
-//! ends, unless the thread is unwinding from a panic: a runtime that may
-//! hold half-applied state is dropped, and the next execution mints a fresh
-//! one.  A warm runtime that meets a store with another text pool restarts
-//! its symbols at the start of the run; nothing about a cached plan, or a
-//! pooled runtime, can go stale.
+//! occurrence's plans, and drops it when it ends.  An executor keeps no
+//! table from one run to the next and no string at all, so there is
+//! nothing a later execution could reuse, and nothing about a cached plan
+//! can go stale.
 //!
 //! ```
 //! use xqy_ifp::{Bindings, Engine};
@@ -69,8 +59,7 @@
 //! ```
 
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use xqy_algebra::{
@@ -346,7 +335,7 @@ pub struct ExecOptions {
 /// executed any number of times — concurrently, through one shared
 /// reference.  Create with [`Engine::prepare`]; see the [module docs](self)
 /// for the amortization story and for how the immutable plan is kept apart
-/// from the runtimes that execute it.
+/// from the executors that run it.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     module: QueryModule,
@@ -359,47 +348,6 @@ pub struct PreparedQuery {
     parallelism: Parallelism,
     occurrences: Vec<PreparedOccurrence>,
     external_vars: Vec<String>,
-    /// The query's idle runtimes (shared with its clones, whose occurrences
-    /// are the same).
-    runtimes: Arc<RuntimePool>,
-}
-
-/// The run-time state of one execution: the executor that drives every
-/// occurrence and both plans of each.  Its symbols survive from one
-/// execution — and one seed of a per-item loop — to the next.
-type Runtime = Executor;
-
-/// The idle runtimes of one prepared query, and how many were ever minted.
-#[derive(Debug, Default)]
-struct RuntimePool {
-    idle: Mutex<Vec<Runtime>>,
-    minted: AtomicU64,
-}
-
-impl RuntimePool {
-    /// The idle list; it is only ever pushed to and popped from, so a
-    /// poisoned lock still guards a valid list.
-    fn idle(&self) -> std::sync::MutexGuard<'_, Vec<Runtime>> {
-        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// One execution's exclusive hold on a [`Runtime`].  Dropping it returns the
-/// runtime to the pool it came from — unless the thread is unwinding: a
-/// fixpoint aborted mid-iteration may have left the executors half-applied,
-/// so that runtime is dropped instead.
-#[derive(Debug)]
-struct CheckedOut {
-    executor: Runtime,
-    pool: Arc<RuntimePool>,
-}
-
-impl Drop for CheckedOut {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            self.pool.idle().push(std::mem::take(&mut self.executor));
-        }
-    }
 }
 
 impl PreparedQuery {
@@ -444,7 +392,6 @@ impl PreparedQuery {
             parallelism,
             occurrences,
             external_vars,
-            runtimes: Arc::default(),
         }
     }
 
@@ -500,27 +447,6 @@ impl PreparedQuery {
     /// The parsed module.
     pub fn module(&self) -> &QueryModule {
         &self.module
-    }
-
-    /// How many runtimes this query (with its clones) has minted so far:
-    /// one for its first execution on the relational executor, one more
-    /// each time an execution found every pooled runtime in flight, and
-    /// one to replace each runtime dropped by a panic.
-    pub fn runtimes_minted(&self) -> u64 {
-        self.runtimes.minted.load(Ordering::Relaxed)
-    }
-
-    /// Take an idle runtime out of the pool, or mint one.
-    fn check_out(&self) -> CheckedOut {
-        let pooled = self.runtimes.idle().pop();
-        let executor = pooled.unwrap_or_else(|| {
-            self.runtimes.minted.fetch_add(1, Ordering::Relaxed);
-            Executor::new()
-        });
-        CheckedOut {
-            executor,
-            pool: Arc::clone(&self.runtimes),
-        }
     }
 
     /// The grid of plan alternatives the knobs leave open for `occ`,
@@ -739,8 +665,8 @@ impl PreparedQuery {
     /// The evaluator every execution route runs on: options and limits
     /// from `opts`, the decided algorithm and batch-sharing grant per
     /// occurrence, and — only when a decision routes through the relational
-    /// executor — the interceptor that drives those decisions on a
-    /// checked-out runtime, which it owns until the evaluator is dropped.
+    /// executor — the interceptor that drives those decisions on an
+    /// executor of its own, dropped with the evaluator.
     fn evaluator<'s>(
         &self,
         store: StoreMut<'s>,
@@ -768,7 +694,7 @@ impl PreparedQuery {
         if !entries.is_empty() {
             evaluator.set_fixpoint_interceptor(Box::new(PlanDriver {
                 entries,
-                runtime: self.check_out(),
+                executor: Executor::new(),
                 threads,
                 limits: evaluator.options().limits,
             }));
@@ -1064,16 +990,13 @@ struct PlanEntry {
 
 /// The [`FixpointInterceptor`] installed by [`PreparedQuery::execute`]: it
 /// recognises occurrences by their `(var, body)` pair and drives their
-/// pre-compiled plans through the relational executor.  Both the
-/// [`CompiledBody`] *and* the [`Executor`] are reused across every
-/// execution and every seed of a per-item workload — the driver hands the
-/// runtime's long-lived executor `&mut` access to the store per run instead
-/// of building a fresh executor (which would re-intern every string per
-/// seed).  The executor is the driver's own for as long as it lives: it
-/// holds the execution's checked-out runtime and gives it back when dropped.
+/// pre-compiled plans through the relational executor.  The
+/// [`CompiledBody`] is the prepared query's, shared by every execution; the
+/// [`Executor`] is this execution's, and serves every seed of a per-item
+/// loop.
 struct PlanDriver {
     entries: Vec<PlanEntry>,
-    runtime: CheckedOut,
+    executor: Executor,
     /// Shard count of the driver's folds in batched runs (from the
     /// prepared query's [`Parallelism`] policy); a single-source run has
     /// nothing to shard.
@@ -1148,7 +1071,7 @@ impl FixpointInterceptor for PlanDriver {
                 (batched_plan, sharing)
             }
         };
-        let executor = &mut self.runtime.executor;
+        let executor = &mut self.executor;
         executor.set_threads(self.threads);
         executor.limits = self.limits;
         let before = (executor.static_cache_hits(), executor.static_plan_evals());
@@ -1394,7 +1317,7 @@ mod tests {
     }
 
     /// The prerequisite closure of `$seed` on the relational executor, so
-    /// every execution needs a runtime.
+    /// every execution makes an executor.
     fn algebraic_closure() -> PreparedQuery {
         PreparedQuery::prepare(
             "with $x seeded by $seed recurse $x/id(./prerequisites/pre_code)",
@@ -1406,23 +1329,23 @@ mod tests {
     }
 
     /// Execute `plan` over the course `code` on a store of its own; the
-    /// closure as text and the fixpoint runs the execution made.
-    fn closure_of(plan: &PreparedQuery, code: &str) -> (String, usize) {
+    /// closure as text.
+    fn closure_of(plan: &PreparedQuery, code: &str) -> String {
         let mut store = curriculum_store();
         let course = store.lookup_id(store.doc("curriculum.xml").unwrap(), code);
         let seed = Bindings::new().with("seed", Sequence::from_nodes(course));
         let outcome = plan
             .execute_on(&mut store, &seed, &ExecOptions::default())
             .unwrap();
-        (outcome.result.display(&store), outcome.fixpoints.len())
+        outcome.result.display(&store)
     }
 
     #[test]
-    fn concurrent_executions_share_one_plan_and_pool_their_runtimes() {
+    fn concurrent_executions_share_one_plan() {
         const CODES: [&str; 4] = ["c1", "c2", "c3", "c4"];
         let sequential: Vec<String> = CODES
             .iter()
-            .map(|code| closure_of(&algebraic_closure(), code).0)
+            .map(|code| closure_of(&algebraic_closure(), code))
             .collect();
         assert!(sequential[0].contains("c4") && sequential[3].is_empty());
 
@@ -1436,7 +1359,7 @@ mod tests {
                         let (plan, start) = (&plan, &start);
                         scope.spawn(move || {
                             start.wait();
-                            closure_of(plan, code).0
+                            closure_of(plan, code)
                         })
                     })
                     .collect();
@@ -1444,47 +1367,9 @@ mod tests {
             })
         };
         assert_eq!(wave(), sequential);
-        let minted = plan.runtimes_minted();
-        assert!((1..=4).contains(&minted), "minted {minted}");
-        assert_eq!(plan.runtimes.idle().len() as u64, minted, "all came back");
-        // Sequential executions find a runtime in the pool: nothing is minted
-        // for them.  (A second concurrent wave may still mint, up to the
-        // peak concurrency, if the first happened to overlap less.)
         for (code, expected) in CODES.iter().zip(&sequential) {
-            assert_eq!(&closure_of(&plan, code).0, expected);
+            assert_eq!(&closure_of(&plan, code), expected);
         }
-        assert_eq!(plan.runtimes_minted(), minted);
         assert_eq!(wave(), sequential);
-        assert!(plan.runtimes_minted() <= 4);
-    }
-
-    #[test]
-    fn runtime_dropped_during_unwind_is_not_pooled() {
-        let plan = algebraic_closure();
-        drop(plan.check_out());
-        assert_eq!(
-            plan.runtimes.idle().len(),
-            1,
-            "a finished execution pools it"
-        );
-        let in_flight = plan.check_out();
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _held = in_flight;
-            panic!("mid-query panic");
-        }));
-        assert!(unwound.is_err());
-        assert!(
-            plan.runtimes.idle().is_empty(),
-            "possibly half-applied state"
-        );
-        assert_eq!(
-            closure_of(&plan, "c2").0,
-            closure_of(&algebraic_closure(), "c2").0
-        );
-        assert_eq!(
-            plan.runtimes_minted(),
-            2,
-            "the next execution minted afresh"
-        );
     }
 }

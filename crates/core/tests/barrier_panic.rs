@@ -1,5 +1,5 @@
-//! A panic at the fixpoint barrier costs the plan the runtime that was in
-//! flight, and nothing else.
+//! A panic at the fixpoint barrier fails the execution in flight, and
+//! nothing else: the plan answers as before on the next one.
 //!
 //! In a test binary of its own: the failpoint registry is process-global,
 //! and `fixpoint.barrier` armed on its first hit would fire in whichever
@@ -35,7 +35,7 @@ fn closure_of_c1(plan: &PreparedQuery, store: &mut NodeStore) -> String {
 }
 
 #[test]
-fn panic_at_the_barrier_discards_the_runtime_in_flight() {
+fn a_panic_at_the_barrier_leaves_the_plan_answering() {
     let mut store = NodeStore::new();
     let doc = store
         .parse_document_with_uri("curriculum.xml", CURRICULUM)
@@ -46,10 +46,8 @@ fn panic_at_the_barrier_discards_the_runtime_in_flight() {
 
     let plan = closure();
     assert_eq!(closure_of_c1(&plan, &mut store), expected);
-    assert_eq!(plan.runtimes_minted(), 1);
 
-    // The warm runtime is checked out again, and the run panics between
-    // two iterations — executors mid-run.
+    // The next run panics between two iterations — the executor mid-run.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     fail::configure(
@@ -63,12 +61,8 @@ fn panic_at_the_barrier_discards_the_runtime_in_flight() {
     fail::reset();
     std::panic::set_hook(default_hook);
     assert!(panicked.is_err(), "the armed barrier fires");
-    assert_eq!(plan.runtimes_minted(), 1, "it ran on the pooled runtime");
 
-    // That runtime never came back: the next execution mints a fresh one,
-    // answers correctly, and pools it.
+    // The executions after it answer correctly.
     assert_eq!(closure_of_c1(&plan, &mut store), expected);
-    assert_eq!(plan.runtimes_minted(), 2);
     assert_eq!(closure_of_c1(&plan, &mut store), expected);
-    assert_eq!(plan.runtimes_minted(), 2);
 }

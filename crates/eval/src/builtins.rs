@@ -112,18 +112,18 @@ pub fn call_builtin(
             )))
         }
         ("string", 1) => {
-            if args[0].is_empty() {
-                return Ok(Sequence::singleton(Item::string("")));
-            }
-            Ok(Sequence::singleton(Item::string(
-                eval.item_string(&args[0].items()[0]),
-            )))
+            let text = match args[0].items() {
+                [] => String::new(),
+                [item] => eval.item_string(item),
+                _ => return Err(more_than_one("string")),
+            };
+            Ok(Sequence::singleton(Item::string(text)))
         }
         ("number", 1) => {
-            let atoms = eval.atomize(&args[0]);
-            let value = match atoms.first() {
-                Some(a) => a.to_double(),
-                None => f64::NAN,
+            let value = match eval.atomize(&args[0]).as_slice() {
+                [] => f64::NAN,
+                [atom] => atom.to_double(),
+                _ => return Err(more_than_one("number")),
             };
             Ok(Sequence::singleton(Item::double(value)))
         }
@@ -442,6 +442,12 @@ pub fn call_builtin(
     }
 }
 
+/// The type error of a function whose argument is typed `?` (zero or one
+/// item) and received more.
+fn more_than_one(function: &str) -> EvalError {
+    EvalError::Type(format!("{function}(): more than one item"))
+}
+
 fn string_arg(eval: &Evaluator<'_>, seq: &Sequence) -> String {
     seq.items()
         .first()
@@ -637,6 +643,23 @@ mod tests {
         assert!(evaluator.eval_query_str("exactly-one((1, 2))").is_err());
         assert!(evaluator.eval_query_str("zero-or-one((1, 2))").is_err());
         assert!(evaluator.eval_query_str("one-or-more(())").is_err());
+        // `fn:string` and `fn:number` take `item()?`.
+        for query in ["string((1, 2))", "number((1, 2))", "string(('a', 'b'))"] {
+            let err = evaluator.eval_query_str(query).unwrap_err();
+            assert!(
+                matches!(&err, EvalError::Type(m) if m.contains("more than one item")),
+                "{query}: {err}"
+            );
+        }
+        assert_eq!(
+            one_string(&evaluator.eval_query_str("string(())").unwrap()),
+            ""
+        );
+        assert!(evaluator.eval_query_str("number(())").unwrap().items()[0]
+            .as_atomic()
+            .unwrap()
+            .to_double()
+            .is_nan());
     }
 
     #[test]

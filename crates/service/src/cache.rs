@@ -4,20 +4,19 @@
 //! is the expensive, *store-independent* half of query processing, and a
 //! [`PreparedQuery`] is an immutable value: it captures the analysed module
 //! and its compiled plans, pins no documents and is never written to by an
-//! execution (the executors that run it are checked out of the query's own
-//! runtime pool, one per execution in flight — see [`xqy_ifp::prepared`]).
+//! execution (each execution makes the executor it runs on — see
+//! [`xqy_ifp::prepared`]).
 //! So the cache is a plain map from [`Key`] — the query *text* plus the
 //! knobs that change the prepared artifact (backend, strategy, parallelism)
 //! — to one `Arc<PreparedQuery>` that every session executes directly and
 //! concurrently, on any snapshot.
 //!
 //! Nothing invalidates an entry.  A plan never read the store, so a
-//! publication cannot make it wrong: `doc(...)` resolves at run time, a
-//! warm executor keeps symbols but no table from one run to the next (and
-//! restarts the symbols when a snapshot brings another text pool), and
-//! every execution takes its cost-based decisions from the
-//! statistics of the snapshot it runs on (the plan's feedback cells drop
-//! their observations themselves when the data changes *materially*).  An
+//! publication cannot make it wrong: `doc(...)` resolves at run time, no
+//! executor outlives its execution, and every execution takes its
+//! cost-based decisions from the statistics of the snapshot it runs on
+//! (the plan's feedback cells drop their observations themselves when the
+//! data changes *materially*).  An
 //! execution that still holds a plan when its entry is evicted simply
 //! finishes on it.
 //!
@@ -48,9 +47,9 @@ pub struct CacheCounters {
     pub misses: u64,
     /// Entries displaced by capacity pressure (LRU).
     pub evictions: u64,
-    /// Runtimes minted beyond a plan's first — because every pooled one was
-    /// in flight (or the one in flight was lost to a panic) — summed over
-    /// the resident plans and, as of their eviction, the retired ones.
+    /// Always 0: executions share no executor, so none is ever forked.
+    /// Kept for the benchmark adapter, which reports it as
+    /// `service.forks`; it retires with that metric (ROADMAP 2a).
     pub forks: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -73,11 +72,6 @@ struct Entry {
     last_used: u64,
 }
 
-/// The runtimes `plan` minted beyond its first.
-fn forks(plan: &PreparedQuery) -> u64 {
-    plan.runtimes_minted().saturating_sub(1)
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     entries: HashMap<Key, Entry>,
@@ -85,8 +79,6 @@ struct Inner {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// [`forks`] of the evicted plans, as of their eviction.
-    retired_forks: u64,
 }
 
 impl Inner {
@@ -148,9 +140,8 @@ impl PlanCache {
                 .iter()
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(key, _)| key.clone());
-            if let Some(retired) = victim.and_then(|key| inner.entries.remove(&key)) {
+            if victim.and_then(|key| inner.entries.remove(&key)).is_some() {
                 inner.evictions += 1;
-                inner.retired_forks += forks(&retired.plan);
             }
         }
         let last_used = inner.tick;
@@ -162,12 +153,11 @@ impl PlanCache {
     /// Cumulative counters plus current occupancy.
     pub(crate) fn counters(&self) -> CacheCounters {
         let inner = self.lock();
-        let resident_forks: u64 = inner.entries.values().map(|e| forks(&e.plan)).sum();
         CacheCounters {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
-            forks: inner.retired_forks + resident_forks,
+            forks: 0,
             entries: inner.entries.len(),
         }
     }
@@ -262,7 +252,6 @@ mod tests {
         let second = put(&cache, Q1);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.counters().entries, 1);
-        assert_eq!(cache.counters().forks, 0);
     }
 
     const CURRICULUM: &str = r#"<curriculum>
@@ -271,8 +260,8 @@ mod tests {
         <course code="c3"><prerequisites/></course>
     </curriculum>"#;
 
-    /// A closure on the relational executor (so it needs a runtime), then a
-    /// loop of `$n` steps that keeps the runtime checked out for a while.
+    /// A closure on the relational executor, then a loop of `$n` steps that
+    /// keeps the execution in flight for a while.
     const SLOW_CLOSURE: &str = "(count(with $x seeded by \
         doc('curriculum.xml')/curriculum/course[@code='c1'] \
         recurse $x/id(./prerequisites/pre_code)), \
@@ -287,11 +276,11 @@ mod tests {
         outcome.result.display(&store)
     }
 
-    /// An execution needs only the `Arc` it was handed: it finishes
-    /// correctly on a plan whose entry was evicted meanwhile, and the
-    /// runtimes the plan minted stay in `forks` after the entry is gone.
+    /// An execution needs only the `Arc` it was handed: overlapping
+    /// executions of one plan each answer on their own, and one finishes
+    /// correctly on a plan whose entry was evicted meanwhile.
     #[test]
-    fn a_plan_held_across_its_eviction_still_executes_and_its_forks_stay_counted() {
+    fn a_plan_held_across_its_eviction_still_executes() {
         let mut store = NodeStore::new();
         let doc = store
             .parse_document_with_uri("curriculum.xml", CURRICULUM)
@@ -307,26 +296,16 @@ mod tests {
         let cache = PlanCache::new(1);
         let plan = cache.insert(key(SLOW_CLOSURE), Arc::new(algebraic));
 
-        // Two executions of the one plan, started together, overlap — the
-        // later one finds the pool empty and mints a second runtime — unless
-        // the scheduler happens to run them back to back; retry until it
-        // does not.
-        for _ in 0..50 {
-            let start = Barrier::new(2);
-            std::thread::scope(|scope| {
-                for _ in 0..2 {
-                    scope.spawn(|| {
-                        start.wait();
-                        assert_eq!(run_slow_closure(&plan, &store, 100_000), "2 100000");
-                    });
-                }
-            });
-            if plan.runtimes_minted() >= 2 {
-                break;
+        // Two executions of the one plan, started together.
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    assert_eq!(run_slow_closure(&plan, &store, 100_000), "2 100000");
+                });
             }
-        }
-        let minted = cache.counters().forks;
-        assert!(minted >= 1, "two overlapping executions share one runtime");
+        });
 
         // An execution is in flight on the plan when another query takes
         // the cache's only slot.
@@ -344,9 +323,5 @@ mod tests {
         assert_eq!(run_slow_closure(&plan, &store, 0), "2 0");
         let counters = cache.counters();
         assert_eq!((counters.entries, counters.evictions), (1, 1));
-        assert_eq!(
-            counters.forks, minted,
-            "a retired plan's mints stay counted"
-        );
     }
 }

@@ -68,10 +68,9 @@ pub enum ServiceError {
     /// variable, missing document, diverging fixpoint, …).
     Query(IfpError),
     /// A panic inside the engine was caught at the service boundary and
-    /// contained: the admission permit was released, the runtime the
-    /// execution had checked out of its plan — executors possibly
-    /// half-applied — was dropped by the unwind instead of returning to the
-    /// plan's pool, and the cached plan and the published snapshot, which
+    /// contained: the admission permit was released, the executor the
+    /// execution made — possibly half-applied — was dropped by the unwind,
+    /// and the cached plan and the published snapshot, which
     /// an execution cannot write to, are untouched.  Subsequent queries are
     /// unaffected.
     Internal {

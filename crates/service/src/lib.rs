@@ -18,7 +18,7 @@
 //!   analysis, algebraic compilation) happens once per distinct query
 //!   text; every session executes the one shared, immutable
 //!   [`xqy_ifp::PreparedQuery`] directly and concurrently, each execution
-//!   on a runtime of its own from the plan's pool.  A plain LRU map with
+//!   on an executor of its own.  A plain LRU map with
 //!   hit/miss/eviction counters: a plan never read the store, so no
 //!   publication invalidates it.
 //! * **Admission, deadlines and budgets** — a bounded semaphore caps
@@ -32,10 +32,10 @@
 //!   cannot take the service down.
 //! * **Failure-domain isolation** — each query is its own failure
 //!   domain: an engine panic is caught at the service boundary and
-//!   surfaced as the typed [`ServiceError::Internal`]; the runtime that
-//!   was in flight, possibly half-applied, is dropped by the unwind
-//!   instead of returned to its pool, the admission slot is released, and
-//!   every other session continues undisturbed.
+//!   surfaced as the typed [`ServiceError::Internal`]; the executor that
+//!   was in flight, possibly half-applied, is dropped by the unwind, the
+//!   admission slot is released, and every other session continues
+//!   undisturbed.
 //!
 //! ```
 //! use std::sync::Arc;

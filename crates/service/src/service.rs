@@ -42,10 +42,9 @@
 //! the engine — an evaluator bug, a shard worker, an injected fault — is
 //! caught at the service boundary (`catch_unwind`), converted to the
 //! typed [`ServiceError::Internal`], and contained: the admission permit
-//! is released by RAII, the runtime the execution had checked out — its
-//! executors possibly half-applied — is *dropped* by the unwind instead of
-//! returned to the plan's pool (see [`xqy_ifp::prepared`]), and the cached
-//! plan, the published snapshot and the writer master, none of which the
+//! is released by RAII, the executor the execution made — possibly
+//! half-applied — is dropped by the unwind (see [`xqy_ifp::prepared`]),
+//! and the cached plan, the published snapshot and the writer master, none of which the
 //! execution could write to, are untouched.  Subsequent queries observe
 //! nothing.
 //!
@@ -505,9 +504,8 @@ impl QueryService {
         // happens to each captured value when the closure panics:
         //   * `cow` is private to this query and never used again — the
         //     shared snapshot behind it is only read;
-        //   * the plan is immutable; the runtime the execution checked out
-        //     of it may hold half-applied state and was dropped, not
-        //     pooled, by the unwind itself;
+        //   * the plan is immutable; the executor the execution made may
+        //     hold half-applied state and was dropped by the unwind itself;
         //   * the budget scope and shard-worker state are thread-local and
         //     unwound by RAII.
         let executed = catch_unwind(AssertUnwindSafe(|| {
@@ -862,14 +860,13 @@ mod tests {
         // one storage.
         let second = service.publish().unwrap();
         assert!(first.store.shares_text_pool(&second.store));
-        assert_eq!(first.store.text_pool_id(), second.store.text_pool_id());
         // Loading a document grows the writer's pool; because the storage
-        // was shared with live snapshots, the writer deep-copies and takes
-        // a fresh identity — the old snapshots keep theirs untouched.
+        // was shared with live snapshots, the writer deep-copies — the old
+        // snapshots keep theirs untouched.
         service.load_document("p.xml", "<r>payload</r>").unwrap();
         let third = service.publish().unwrap();
         assert!(!first.store.shares_text_pool(&third.store));
-        assert_ne!(first.store.text_pool_id(), third.store.text_pool_id());
+        assert!(first.store.shares_text_pool(&second.store));
         // And the diverged snapshots still resolve their own payloads.
         assert_eq!(
             third

@@ -112,8 +112,8 @@ fn contained_panic_leaves_service_bit_identical_to_fresh() {
     let chaos = service_with_generated_curriculum(default_config());
     let fresh = service_with_generated_curriculum(default_config());
 
-    // Warm the plan so the panic hits a pooled runtime — the exact
-    // artifact that must be discarded, not reused, afterwards.
+    // Warm the plan, so the panic hits a cached plan that must serve on
+    // unchanged afterwards.
     chaos.execute(CURRICULUM_QUERIES[0]).unwrap();
 
     fail::configure(

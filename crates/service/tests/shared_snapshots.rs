@@ -158,12 +158,11 @@ fn publishing_one_small_document_shares_every_older_one() {
 }
 
 /// A cached plan never read the store, so nothing a publication does can
-/// make it wrong — `publish()` leaves the plan cache alone.  One plan, and
-/// the one warm runtime it has pooled, serve the snapshots on both sides of
-/// a publication that changed what `id()` resolves: the executor keeps no
-/// table from one run to the next and resolves `id()` per run, and that
-/// alone has to keep every answer equal to a fresh service's on the same
-/// data.
+/// make it wrong — `publish()` leaves the plan cache alone.  One plan
+/// serves the snapshots on both sides of a publication that changed what
+/// `id()` resolves: each execution makes its own executor, which resolves
+/// `id()` per run, and that alone has to keep every answer equal to a
+/// fresh service's on the same data.
 #[test]
 fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
     let closure = QUERIES[0];
@@ -209,7 +208,6 @@ fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
         assert_eq!(after.display(), fresh(true, false));
         assert_ne!(after.display(), "");
     }
-    assert_eq!(service.counters().cache.forks, 0, "one runtime served both");
 
     // Readers still pinned to the old snapshot share plans with readers of
     // the new one: one plan, back and forth across the revisions.
@@ -228,7 +226,6 @@ fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
         let declared = snapshot.revision == next.revision;
         assert_eq!(outcome.result.display(cow.read()), fresh(declared, false));
     }
-    assert_eq!(plan.runtimes_minted(), 1);
 
     // The writer loads a document as well: the statistics fingerprint
     // moves with the document count, and the same entry serves on.

@@ -72,7 +72,7 @@ fn concurrent_sessions_match_sequential_execution_per_revision() {
 
     // Writer: keeps loading fresh documents and republishing while the
     // readers run.  Every publish installs a new revision, so cached plans
-    // and pooled runtimes keep meeting stores they have not seen.
+    // keep meeting stores they have not seen.
     let writer = {
         let service = Arc::clone(&service);
         let snapshots = Arc::clone(&snapshots);

@@ -1,19 +1,15 @@
 //! String interning: map strings to dense, `Copy` integer symbols.
 //!
-//! The relational executor compares, joins and deduplicates on string
-//! values constantly — attribute values, `string()` results, literals.
-//! Carrying those as `String` cells means every probe allocates and every
-//! comparison walks bytes.  An [`Interner`] assigns each distinct string a
-//! stable [`StrId`] once; afterwards equality is an integer compare and a
-//! table cell is a `Copy` word.
+//! An [`Interner`] assigns each distinct string a stable [`StrId`] once;
+//! afterwards equality is an integer compare and a symbol is a `Copy` word.
+//! The evaluator names its variables this way, a store its node text
+//! payloads ([`TextPool`]) and its element and attribute names
+//! ([`NameTable`]).
 //!
-//! The pool only ever grows (symbols stay valid for the interner's whole
-//! lifetime), which is exactly the lifetime story of a prepared query's
-//! executor: strings interned while evaluating one seed are still valid —
-//! and already cached — for every later seed of a per-item loop.
+//! A pool only ever grows, so a symbol stays valid for the pool's whole
+//! lifetime.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use crate::node::QName;
@@ -26,16 +22,6 @@ use crate::node::QName;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StrId(pub u32);
 
-/// Process-wide source of [`TextPool::pool_id`] values.  Pool ids being
-/// globally unique means equal ids imply one linear growth history: a cache
-/// translating another pool's symbols can never be fooled by a different
-/// pool that happens to have interned the same number of strings.
-static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_pool_id() -> u64 {
-    NEXT_POOL_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
 /// A grow-only, `Arc`-shared string pool for node text payloads.
 ///
 /// This is the store-owned variant of [`Interner`]: cloning a `TextPool` is
@@ -45,24 +31,12 @@ fn fresh_pool_id() -> u64 {
 /// first `intern` *after* a shared clone deep-copies the storage once
 /// (`Arc::make_mut`), so diverging copies pay for their own growth and only
 /// they do.
-///
-/// # Pool identity
-///
-/// Every pool carries a globally unique [`pool_id`](TextPool::pool_id).
-/// The id is kept across private growth but **replaced** whenever an intern
-/// grows the pool while its storage is still shared: the id therefore names
-/// one linear growth history, so for two pools with equal ids every symbol
-/// they both know resolves to the same string.  Consumers caching per-pool
-/// symbol translations (the algebraic executor) key on the id and compare
-/// it to detect divergence.
 #[derive(Debug, Clone)]
 pub struct TextPool {
     /// Lookup map; shares the `Arc<str>` storage with `strings`.
     map: Arc<HashMap<Arc<str>, u32>>,
     /// `strings[id]` is the string of `StrId(id)`.
     strings: Arc<Vec<Arc<str>>>,
-    /// Globally unique identity of this pool's growth history.
-    pool_id: u64,
 }
 
 impl Default for TextPool {
@@ -72,18 +46,12 @@ impl Default for TextPool {
 }
 
 impl TextPool {
-    /// An empty pool with a fresh identity.
+    /// An empty pool.
     pub fn new() -> Self {
         TextPool {
             map: Arc::new(HashMap::new()),
             strings: Arc::new(Vec::new()),
-            pool_id: fresh_pool_id(),
         }
-    }
-
-    /// The pool's globally unique identity (see the type docs).
-    pub fn pool_id(&self) -> u64 {
-        self.pool_id
     }
 
     /// `true` when `self` and `other` share the same backing storage
@@ -95,14 +63,10 @@ impl TextPool {
     /// Intern `s`, returning its symbol (allocating only on first sight).
     ///
     /// Growing a pool whose storage is still shared with clones first
-    /// deep-copies the storage and takes a fresh [`pool_id`](TextPool::pool_id)
-    /// — the clones keep the old identity, this pool starts a new one.
+    /// deep-copies the storage; the clones keep theirs.
     pub fn intern(&mut self, s: &str) -> StrId {
         if let Some(&id) = self.map.get(s) {
             return StrId(id);
-        }
-        if Arc::strong_count(&self.strings) > 1 || Arc::strong_count(&self.map) > 1 {
-            self.pool_id = fresh_pool_id();
         }
         let strings = Arc::make_mut(&mut self.strings);
         let map = Arc::make_mut(&mut self.map);
@@ -184,8 +148,7 @@ pub struct NameId(pub u32);
 ///
 /// The table only grows, and a store's clones extend it independently, so
 /// every id a shared document carries resolves to the same name in every
-/// store holding that document.  Nothing outside a store caches name ids,
-/// hence no identity like [`TextPool::pool_id`].
+/// store holding that document.
 #[derive(Debug, Clone, Default)]
 pub struct NameTable(Arc<Names>);
 
@@ -371,40 +334,21 @@ mod tests {
 
         let clone = pool.clone();
         assert!(clone.shares_storage_with(&pool));
-        assert_eq!(clone.pool_id(), pool.pool_id());
         assert_eq!(clone.resolve(a), "alpha");
 
         // Re-interning an existing string never diverges.
         let mut clone2 = clone.clone();
         assert_eq!(clone2.intern("alpha"), a);
         assert!(clone2.shares_storage_with(&pool));
-        assert_eq!(clone2.pool_id(), pool.pool_id());
 
-        // Growing while shared deep-copies and takes a fresh identity; the
-        // original keeps its storage, id and symbols.
-        let old_id = pool.pool_id();
+        // Growing while shared deep-copies; the original keeps its storage
+        // and symbols.
         let b = clone2.intern("beta");
         assert!(!clone2.shares_storage_with(&pool));
-        assert_ne!(clone2.pool_id(), old_id);
-        assert_eq!(pool.pool_id(), old_id);
+        assert!(clone.shares_storage_with(&pool));
         assert_eq!(pool.get("beta"), None);
         assert_eq!(clone2.resolve(a), "alpha");
         assert_eq!(clone2.resolve(b), "beta");
-    }
-
-    #[test]
-    fn text_pool_private_growth_keeps_identity() {
-        let mut pool = TextPool::new();
-        let id = pool.pool_id();
-        pool.intern("x");
-        pool.intern("y");
-        assert_eq!(pool.pool_id(), id, "sole owner keeps its linear history");
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn distinct_pools_have_distinct_identities() {
-        assert_ne!(TextPool::new().pool_id(), TextPool::new().pool_id());
     }
 
     #[test]

@@ -687,7 +687,7 @@ impl NodeStore {
     /// found or not; a value the text pool has never seen is refused before
     /// it reaches an index and is not counted.  The name dates from a probe
     /// memo that no longer exists; it is kept for the benchmark adapter and
-    /// retires with it (ROADMAP 1a).
+    /// retires with it (ROADMAP 2a).
     pub fn id_probe_hits(&self) -> u64 {
         self.id_probe_hits.load(Relaxed)
     }
@@ -1003,13 +1003,6 @@ impl NodeStore {
         self.text.get(s)
     }
 
-    /// The globally unique identity of this store's text pool — the key
-    /// external per-pool symbol caches compare to detect divergence (see
-    /// [`TextPool::pool_id`](crate::intern::TextPool::pool_id)).
-    pub fn text_pool_id(&self) -> u64 {
-        self.text.pool_id()
-    }
-
     /// `true` when `self` and `other` still share one text-pool storage —
     /// i.e. one is a clone of the other and neither has interned a new
     /// string since.  What makes the service layer's publish-clone cheap.
@@ -1020,7 +1013,7 @@ impl NodeStore {
     /// The text-pool symbol of a *leaf-shaped* node's string value
     /// (attributes, text, comments, PIs); `None` for elements and
     /// documents, whose value is a concatenation.
-    pub fn string_value_sym(&self, node: NodeId) -> Option<StrId> {
+    fn string_value_sym(&self, node: NodeId) -> Option<StrId> {
         match self.kind(node) {
             NodeKind::Attribute(_, v) => Some(*v),
             NodeKind::Text(t) => Some(*t),

@@ -845,8 +845,8 @@ fn non_fixpoint_query_shapes_fall_back_to_per_seed_execution() {
 #[test]
 fn batched_execution_reuses_the_persistent_static_cache() {
     // Named for the cross-run cache it once pinned.  What it holds now: a
-    // second batch on the warm runtime the first one returned answers the
-    // same, and each is one batched run with a run cache of its own.
+    // second batch answers as the first did, and each is one batched run
+    // with a run cache of its own.
     let xml = curriculum_from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
     let mut engine = curriculum_engine(&xml);
     let query = "with $x seeded by $seed recurse \
@@ -866,7 +866,6 @@ fn batched_execution_reuses_the_persistent_static_cache() {
     assert!(second.batched);
     assert_eq!(first.outcome.result.nodes(), second.outcome.result.nodes());
     assert_eq!(first.outcome.fixpoints, second.outcome.fixpoints);
-    assert_eq!(prepared.runtimes_minted(), 1);
 }
 
 #[test]

@@ -295,7 +295,10 @@ fn back_ends_agree_on_attribute_atomic_and_cross_document_bodies() {
     const BACKENDS: [Backend; 3] = [Backend::SourceLevel, Backend::Algebraic, Backend::Auto];
     let mut engine = Engine::new();
     engine
-        .load_document("t.xml", "<r><p k='p1'><q a='1'/><q a='2'/></p></r>")
+        .load_document(
+            "t.xml",
+            "<r><p k='p1'><q a='1'/><q a='2'/></p><o k=''><q/><q a=''/><q/></o></r>",
+        )
         .unwrap();
     // Equal IDs in two documents: each reference must resolve in its own.
     engine
@@ -356,6 +359,55 @@ fn back_ends_agree_on_attribute_atomic_and_cross_document_bodies() {
                     "{at}"
                 ),
             }
+        }
+    }
+    // A condition that yields atomic values: the executor refuses it, and
+    // `Auto` answers as the interpreter does — ∅ where the value's EBV is
+    // false, a type error where it has none (`Some(0)` vs `None` below).
+    let conditioned = |cond: &str| {
+        format!("with $x seeded by doc('t.xml')/r/o recurse if ({cond}) then $x/q else ()")
+    };
+    for (cond, expected) in [
+        ("''", Some(0)),
+        ("0", Some(0)),
+        ("data($x/@k)", Some(0)),
+        ("string($x/@k)", Some(0)),
+        ("data($x/q)", None),
+        ("string($x/q)", None),
+        ("data($x/q/@a)", Some(0)),
+    ] {
+        let query = conditioned(cond);
+        for backend in BACKENDS {
+            engine.set_backend(backend);
+            let outcome = engine.run(&query);
+            let at = format!("{cond} on {}", backend.name());
+            match (backend, expected, outcome) {
+                (Backend::Algebraic, _, Err(error)) => assert!(
+                    matches!(error, IfpError::Algebra(AlgebraError::Unsupported(_))),
+                    "{at}: {error}"
+                ),
+                (Backend::SourceLevel | Backend::Auto, Some(n), Ok(outcome)) => {
+                    assert_eq!(outcome.result.len(), n, "{at}")
+                }
+                (Backend::SourceLevel | Backend::Auto, None, Err(error)) => assert!(
+                    matches!(error, IfpError::Eval(EvalError::Type(_))),
+                    "{at}: {error}"
+                ),
+                (_, _, outcome) => panic!("{at}: {:?}", outcome.map(|o| o.result.len())),
+            }
+        }
+    }
+    // `[@a = 'lit']` compares attribute nodes' string values: the empty
+    // string, a value, and a literal no document holds.
+    for (literal, expected) in [("''", 1), ("'1'", 1), ("'zz'", 0)] {
+        let query = format!("with $x seeded by doc('t.xml')/r/* recurse $x/q[@a = {literal}]");
+        engine.set_backend(Backend::SourceLevel);
+        let reference = engine.run(&query).unwrap().result.nodes();
+        assert_eq!(reference.len(), expected, "{query}");
+        for backend in BACKENDS {
+            engine.set_backend(backend);
+            let nodes = engine.run(&query).unwrap().result.nodes();
+            assert_eq!(nodes, reference, "{query} on {}", backend.name());
         }
     }
     // Outside the compiler subset the executor refuses and `Auto` answers

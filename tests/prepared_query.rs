@@ -341,14 +341,12 @@ fn every_run_evaluates_its_rec_independent_nodes_once_and_hits_them_after() {
             assert_eq!(run.static_cache_hits as usize, run.payload_calls - 1);
         }
     }
-    assert_eq!(prepared.runtimes_minted(), 1);
 }
 
 #[test]
 fn loading_a_document_after_execute_invalidates_the_static_cache() {
     // Named for the cache it once pinned; what it holds now is the answer:
-    // a warm runtime that meets a later load answers from the store as it
-    // is.  The first execution gets as far as the `c4` scan and fails on
+    // a plan executed after a later load answers from the store as it is.  The first execution gets as far as the `c4` scan and fails on
     // the document that is not there yet.
     let mut engine = curriculum_engine();
     engine.set_backend(Backend::Algebraic);
@@ -374,19 +372,14 @@ fn loading_a_document_after_execute_invalidates_the_static_cache() {
         .unwrap();
     assert_eq!(outcome.result.nodes(), expected.result.nodes());
     assert_eq!(outcome.result.len(), 2);
-    assert_eq!(
-        prepared.runtimes_minted(),
-        1,
-        "the same runtime, still warm"
-    );
 }
 
 #[test]
 fn prepared_query_executed_against_a_different_engine_sees_that_store() {
-    // A prepared query's warm runtime keeps symbols but no table: executing
-    // the same artifact against a *different* engine — even one that
-    // performed the same number of loads — answers from that engine's
-    // documents, never with node ids or strings of the first.
+    // A prepared query keeps no table from one execution to the next:
+    // executing the same artifact against a *different* engine — even one
+    // that performed the same number of loads — answers from that engine's
+    // documents, never with node ids of the first.
     let mut a = curriculum_engine();
     a.set_backend(Backend::Algebraic);
     let prepared = a
@@ -418,18 +411,17 @@ fn prepared_query_executed_against_a_different_engine_sees_that_store() {
         0,
         "engine B has no c4 course; a table kept from A would leak one"
     );
-    // …and back: the runtime's symbols restarted for B's text pool, and
-    // restart again for A's.
+    // …and back.
     let again = prepared.execute(&mut a, &bindings_a).unwrap();
     assert_eq!(again.result.nodes(), on_a.result.nodes());
-    assert_eq!(prepared.runtimes_minted(), 1);
 }
 
 #[test]
 fn one_runtime_serves_every_occurrence_and_both_plans() {
     // Two algebraic occurrences, and `execute` interleaved with
-    // `execute_batched`: one executor drives all of it, and every answer is
-    // what a fresh engine with a freshly prepared query gives.
+    // `execute_batched`: one executor per execution drives all of it, and
+    // every answer is what a fresh engine with a freshly prepared query
+    // gives.
     let two = format!(
         "(with $x seeded by $seed recurse {PREREQ_BODY}, \
           count(with $x seeded by $seed recurse {SCAN_BODY}))"
@@ -472,20 +464,19 @@ fn one_runtime_serves_every_occurrence_and_both_plans() {
         }
         // Measured wall times may route a later batch seed by seed.
         assert_eq!(batched[0], prepared.occurrences().len() == 1, "{batched:?}");
-        assert_eq!(prepared.runtimes_minted(), 1);
     }
 }
 
 #[test]
-fn text_constructed_between_two_algebraic_runs_restarts_the_symbols_unseen() {
+fn text_constructed_between_two_algebraic_runs_leaves_both_answers_alone() {
     use std::sync::Arc;
     use xqy_ifp::xdm::{CowStore, NodeStore};
     use xqy_ifp::{ExecOptions, Parallelism, PreparedQuery};
 
-    // Both fixpoints compare strings (`string(pre_code)` against the ID
-    // index).  The first runs on the shared snapshot's text pool; the
-    // constructor between them interns a new string, so the session's store
-    // diverges and the second run starts on a pool of another identity.
+    // Both fixpoints resolve `id()` through the store's ID index, whose
+    // keys are text-pool symbols.  The first runs on the shared snapshot's
+    // text pool; the constructor between them interns a new string, so the
+    // session's store diverges and the second run reads its private copy.
     let query = format!(
         "(with $x seeded by $seed recurse {PREREQ_BODY}, \
           <note at='never seen before'>a text no document holds</note>, \
@@ -507,7 +498,7 @@ fn text_constructed_between_two_algebraic_runs_restarts_the_symbols_unseen() {
             .execute_on(&mut cow, &bindings, &ExecOptions::default())
             .unwrap();
         assert!(cow.diverged());
-        assert_ne!(cow.read().text_pool_id(), snapshot.text_pool_id());
+        assert!(!cow.read().shares_text_pool(&snapshot));
         outcome.result.display(cow.read())
     };
     let prepare = |backend| {
@@ -516,12 +507,10 @@ fn text_constructed_between_two_algebraic_runs_restarts_the_symbols_unseen() {
     let algebraic = prepare(Backend::Algebraic);
     let expected = answer(&prepare(Backend::SourceLevel));
     assert!(expected.contains("a text no document holds"));
-    // The second execution starts on the snapshot's pool again, with the
-    // runtime the first returned.
+    // The second execution starts on the snapshot's pool again.
     for _ in 0..2 {
         assert_eq!(answer(&algebraic), expected);
     }
-    assert_eq!(algebraic.runtimes_minted(), 1);
 }
 
 /// An execution's run summary is its own.  The feedback cell is shared by
