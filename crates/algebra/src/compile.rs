@@ -193,9 +193,7 @@ impl Compiler {
             other => other,
         };
         let inner = self.compile(operand)?;
-        Ok(self
-            .plan
-            .add(Operator::Count { group_by: None }, vec![inner]))
+        Ok(self.plan.add(Operator::Count, vec![inner]))
     }
 
     /// Compile a path step applied to the node rows of `input`.
@@ -500,16 +498,52 @@ mod tests {
         let compiled = compile_recursion_body(&body, "x").unwrap();
         let mut exec = Executor::new();
         let (result, stats) = exec
-            .run_fixpoint(
-                &mut store,
-                &compiled.plan,
-                &seed,
-                MuStrategy::MuDelta,
-                false,
-            )
+            .run_fixpoint(&store, &compiled.plan, &seed, MuStrategy::MuDelta, false)
             .unwrap();
         assert_eq!(result.len(), 2); // c2, c3
         assert_eq!(stats.result_rows, 2);
+    }
+
+    /// The index of `op`'s variant.  No wildcard arm: a new operator does
+    /// not build until this test names it — and a body that compiles to it.
+    fn variant(op: &Operator) -> usize {
+        match op {
+            Operator::RecInput => 0,
+            Operator::Empty => 1,
+            Operator::DocRoot(_) => 2,
+            Operator::Project(_) => 3,
+            Operator::Select { .. } => 4,
+            Operator::Union => 5,
+            Operator::Difference => 6,
+            Operator::Count => 7,
+            Operator::Step { .. } => 8,
+            Operator::IdLookup => 9,
+            Operator::IfThenElse => 10,
+        }
+    }
+
+    /// The algebra is what the compiler emits: every operator variant
+    /// appears in the compiled plan of some body.
+    #[test]
+    fn every_operator_is_emitted() {
+        const VARIANTS: usize = 11;
+        let mut emitted = [false; VARIANTS];
+        for src in [
+            "()",
+            "doc('d.xml')/a",
+            "$x/q[@a = 'v']",
+            "$x/id(./r)",
+            "$x/a union $x/b",
+            "$x/a except $x/b",
+            "if ($x/q) then $x/q else ()",
+        ] {
+            let compiled = compile_recursion_body(&body_of(src), "x").unwrap();
+            for (_, node) in compiled.plan.iter() {
+                emitted[variant(&node.op)] = true;
+            }
+        }
+        let missing: Vec<usize> = (0..VARIANTS).filter(|&v| !emitted[v]).collect();
+        assert!(missing.is_empty(), "no body emits variants {missing:?}");
     }
 
     #[test]

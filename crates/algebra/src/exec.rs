@@ -14,11 +14,11 @@
 //! allocation-free:
 //!
 //! * **Typed keys.**  Every table cell is a [`Key`] — a `Copy` word that is
-//!   a node id, an integer or a boolean.  Selections, joins, difference,
-//!   grouping and duplicate elimination all hash and compare `Key`s
-//!   directly.  No cell holds a string: a body yields nodes, plus the
-//!   integer a condition counts, and a `[@a = 'lit']` selection reads its
-//!   node cells' string values through the store.
+//!   a node id or an integer.  Union, difference and duplicate elimination
+//!   hash and compare `Key`s directly.  No cell holds a string: a body
+//!   yields nodes, plus the integer a condition counts, and a
+//!   `[@a = 'lit']` selection reads its node cells' string values through
+//!   the store.
 //! * **Columnar, shared storage.**  A [`Table`] is a list of
 //!   `Arc<Vec<Key>>` columns.  Cloning a table — what every memo hit,
 //!   run-cache hit and `RecInput` reference does — bumps one reference
@@ -27,9 +27,10 @@
 //!
 //! ## What an executor keeps
 //!
-//! The executor borrows no store — every entry point takes a store handle —
-//! and keeps no table from one run to the next.  Tables live in two scopes
-//! only: the memo of one body evaluation, and the *run cache* of one run
+//! The executor borrows no store — every entry point takes a `&NodeStore`,
+//! which it only reads: no compiled plan constructs a node — and keeps no
+//! table from one run to the next.  Tables live in two scopes only: the
+//! memo of one body evaluation, and the *run cache* of one run
 //! (the tables of the plan nodes that do not depend on the recursion input,
 //! computed on the first iteration and shared by every later one).  Both
 //! are built when the run starts and dropped when it ends, so no plan,
@@ -41,34 +42,30 @@
 //!
 //! The executor does not own a fixpoint loop: [`Executor::run_fixpoint`]
 //! and [`Executor::run_fixpoint_batched`] hand a compiled body to the
-//! shared Figure-3 driver ([`xqy_xdm::fixpoint`]) as a
-//! [`Body`], and a nested `µ`/`µ∆` operator
-//! re-enters the same driver.  The body always runs on the caller thread,
-//! against the caller's [`StoreMut`] handle; [`Executor::set_threads`] only
-//! lets the driver shard its folds (by seed, or by lane of 64 seeds in a
-//! shared batch), as on the interpreter.
+//! shared Figure-3 driver ([`xqy_xdm::fixpoint`]) as a [`Body`].  The body
+//! always runs on the caller thread, against the caller's store;
+//! [`Executor::set_threads`] only lets the driver shard its folds (by seed,
+//! or by lane of 64 seeds in a shared batch), as on the interpreter.
 
 use std::sync::Arc;
 
 use xqy_xdm::fixpoint::{self, Body, Config, FixpointStrategy, Group, LimitError, Limits, Seeds};
-use xqy_xdm::{DocId, IdMap, IdSet, NodeId, NodeStore, StoreMut};
+use xqy_xdm::{DocId, IdMap, IdSet, NodeId, NodeStore};
 
 pub use xqy_xdm::fixpoint::{BatchSharing, ExecStats};
 
 use crate::error::AlgebraError;
-use crate::plan::{FunKind, Operator, Plan, PlanNodeId, SEED_COLUMN};
+use crate::plan::{Operator, Plan, PlanNodeId, SEED_COLUMN};
 use crate::Result;
 
-/// A typed, `Copy` table cell — also the key the executor selects, joins,
-/// groups and deduplicates on.  Keys compare by variant *and* payload.
+/// A typed, `Copy` table cell — also the key the executor unites,
+/// subtracts and deduplicates on.  Keys compare by variant *and* payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Key {
     /// A node reference.
     Node(NodeId),
-    /// An integer.
+    /// An integer: the one cell of a `count`.
     Int(i64),
-    /// A boolean.
-    Bool(bool),
 }
 
 impl Key {
@@ -76,7 +73,7 @@ impl Key {
     pub fn as_node(&self) -> Option<NodeId> {
         match self {
             Key::Node(n) => Some(*n),
-            _ => None,
+            Key::Int(_) => None,
         }
     }
 }
@@ -296,15 +293,12 @@ impl From<MuStrategy> for FixpointStrategy {
 }
 
 /// The executor state scoped to *one run* of one plan: built when the run
-/// starts, dropped when it ends.  Bundled so that re-entrant evaluation (a
-/// nested `µ`/`µ∆` operator, whose sub-plan's node ids overlap the outer
-/// plan's) swaps the whole lot out and back in one move.
+/// starts, dropped when it ends.
 #[derive(Debug, Default)]
 struct PlanState {
     /// Tables of the plan nodes that do not depend on the recursion input,
     /// each computed once — on the run's first iteration — and handed out
-    /// as a shared handle on every later one.  A constructed node is
-    /// therefore one identity for the whole run, and a fresh one per run.
+    /// as a shared handle on every later one.
     run_cache: IdMap<PlanNodeId, Table>,
     /// `rec_dependent[id]` — does plan node `id` (transitively) consume a
     /// `RecInput`?
@@ -323,7 +317,7 @@ impl PlanState {
 
 /// The plan executor.
 ///
-/// Holds no store borrow — every entry point takes a store handle — and no
+/// Holds no store borrow — every entry point takes a `&NodeStore` — and no
 /// table beyond the run that computed it (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Executor {
@@ -402,42 +396,28 @@ impl Executor {
         self.static_plan_evals
     }
 
-    /// Run `f` with the state of a fresh run of `plan` installed, and put
-    /// back what was there before: nothing at top level, the outer run's
-    /// state under a nested `µ`/`µ∆`.
+    /// Run `f` with the state of a fresh run of `plan` installed, and drop
+    /// that state afterwards.
     fn in_run<T>(&mut self, plan: &Plan, f: impl FnOnce(&mut Self) -> T) -> T {
-        let outer = std::mem::replace(&mut self.plan_state, PlanState::of(plan));
+        self.plan_state = PlanState::of(plan);
         let out = f(self);
-        self.plan_state = outer;
+        self.plan_state = PlanState::default();
         out
     }
 
     /// Evaluate `plan` with the recursion input bound to `rec` (pass an
     /// empty table when the plan has no `RecInput` leaf).
     ///
-    /// A direct call is a run of its own: no table (constructed
-    /// identities and `id()` resolutions included) carries over from
-    /// previous calls.  [`Executor::run_fixpoint`] instead scopes them to
-    /// the whole fixpoint, so a body's constructed node is stable across
-    /// its iterations.
-    pub fn eval_plan<'a>(
-        &mut self,
-        store: impl Into<StoreMut<'a>>,
-        plan: &Plan,
-        rec: &Table,
-    ) -> Result<Table> {
-        let mut store: StoreMut<'_> = store.into();
-        self.in_run(plan, |exec| exec.eval_plan_in_run(&mut store, plan, rec))
+    /// A direct call is a run of its own: no table carries over from
+    /// previous calls.  [`Executor::run_fixpoint`] instead scopes the run
+    /// cache to the whole fixpoint.
+    pub fn eval_plan(&mut self, store: &NodeStore, plan: &Plan, rec: &Table) -> Result<Table> {
+        self.in_run(plan, |exec| exec.eval_plan_in_run(store, plan, rec))
     }
 
     /// One evaluation of `plan` inside the run in progress — the
     /// per-iteration entry point of a fixpoint run.
-    fn eval_plan_in_run(
-        &mut self,
-        store: &mut StoreMut<'_>,
-        plan: &Plan,
-        rec: &Table,
-    ) -> Result<Table> {
+    fn eval_plan_in_run(&mut self, store: &NodeStore, plan: &Plan, rec: &Table) -> Result<Table> {
         let root = plan
             .root()
             .ok_or_else(|| AlgebraError::InvalidPlan("plan has no root".into()))?;
@@ -447,7 +427,7 @@ impl Executor {
 
     fn eval_node(
         &mut self,
-        store: &mut StoreMut<'_>,
+        store: &NodeStore,
         plan: &Plan,
         id: PlanNodeId,
         rec: &Table,
@@ -463,12 +443,12 @@ impl Executor {
                 return Ok(cached.clone());
             }
         }
-        let node = plan.node(id).clone();
+        let node = plan.node(id);
         let mut inputs = Vec::with_capacity(node.inputs.len());
         for &input in &node.inputs {
             inputs.push(self.eval_node(store, plan, input, rec, memo)?);
         }
-        let table = self.apply(store, plan, &node.op, &node.inputs, inputs, rec)?;
+        let table = Self::apply(store, &node.op, inputs, rec)?;
         if is_rec_dependent {
             memo.insert(id, table.clone());
         } else {
@@ -478,12 +458,11 @@ impl Executor {
         Ok(table)
     }
 
+    /// Apply `op` to its evaluated `inputs` (in plan order), with the recursion
+    /// input bound to `rec`.
     fn apply(
-        &mut self,
-        store: &mut StoreMut<'_>,
-        plan: &Plan,
+        store: &NodeStore,
         op: &Operator,
-        input_ids: &[PlanNodeId],
         mut inputs: Vec<Table>,
         rec: &Table,
     ) -> Result<Table> {
@@ -491,7 +470,6 @@ impl Executor {
             Operator::RecInput => Ok(rec.clone()),
             Operator::Empty => Ok(Table::new(vec!["item".into()])),
             Operator::DocRoot(uri) => {
-                let store = store.read();
                 let doc = store
                     .doc(uri)
                     .ok_or_else(|| AlgebraError::Execution(format!("document not found: {uri}")))?;
@@ -514,7 +492,6 @@ impl Executor {
                 })
             }
             Operator::Select { column, value } => {
-                let store = store.read();
                 let input = inputs.remove(0);
                 let idx = input.column_index(column)?;
                 // A row stays iff its cell is a node whose string value is
@@ -528,73 +505,6 @@ impl Executor {
                     .collect();
                 Ok(input.filter_rows(&mask))
             }
-            Operator::Join { left, right } => {
-                let right_table = inputs.remove(1);
-                let left_table = inputs.remove(0);
-                let li = left_table.column_index(left)?;
-                let ri = right_table.column_index(right)?;
-                // Hash index over the right input, on typed keys.
-                let mut index: IdMap<Key, Vec<usize>> = IdMap::default();
-                for (row_idx, &key) in right_table.cols[ri].iter().enumerate() {
-                    index.entry(key).or_default().push(row_idx);
-                }
-                // Matching (left row, right row) pairs.
-                let mut lsrc = Vec::new();
-                let mut rsrc = Vec::new();
-                for (l, key) in left_table.cols[li].iter().enumerate() {
-                    if let Some(matches) = index.get(key) {
-                        for &r in matches {
-                            lsrc.push(l);
-                            rsrc.push(r);
-                        }
-                    }
-                }
-                // Output columns: left columns plus the right columns except
-                // the join column, suffixing clashes.
-                let mut names: Vec<String> = left_table.names.as_ref().clone();
-                let mut cols: Vec<Arc<Vec<Key>>> = left_table
-                    .cols
-                    .iter()
-                    .map(|col| Arc::new(gather(col, &lsrc)))
-                    .collect();
-                for (i, c) in right_table.names.iter().enumerate() {
-                    if i == ri {
-                        continue;
-                    }
-                    let name = if names.contains(c) {
-                        format!("{c}_r")
-                    } else {
-                        c.clone()
-                    };
-                    names.push(name);
-                    cols.push(Arc::new(gather(&right_table.cols[i], &rsrc)));
-                }
-                Ok(Table::with_schema(Arc::new(names), cols))
-            }
-            Operator::Cross => {
-                let right = inputs.remove(1);
-                let left = inputs.remove(0);
-                let mut names: Vec<String> = left.names.as_ref().clone();
-                for c in right.names.iter() {
-                    let name = if names.contains(c) {
-                        format!("{c}_r")
-                    } else {
-                        c.clone()
-                    };
-                    names.push(name);
-                }
-                let (lsrc, rsrc): (Vec<usize>, Vec<usize>) = (0..left.rows)
-                    .flat_map(|l| (0..right.rows).map(move |r| (l, r)))
-                    .unzip();
-                let mut cols: Vec<Arc<Vec<Key>>> = left
-                    .cols
-                    .iter()
-                    .map(|col| Arc::new(gather(col, &lsrc)))
-                    .collect();
-                cols.extend(right.cols.iter().map(|col| Arc::new(gather(col, &rsrc))));
-                Ok(Table::with_schema(Arc::new(names), cols))
-            }
-            Operator::Distinct => Ok(inputs.remove(0).distinct()),
             Operator::Union => {
                 let right = inputs.remove(1);
                 let left = inputs.remove(0);
@@ -630,59 +540,11 @@ impl Executor {
                 };
                 Ok(left.filter_rows(&mask))
             }
-            Operator::Count { group_by } => {
-                let input = inputs.remove(0);
-                match group_by {
-                    None => Ok(Table::from_columns(
-                        vec!["count".into()],
-                        vec![vec![Key::Int(input.rows as i64)]],
-                    )),
-                    Some(col) => {
-                        let idx = input.column_index(col)?;
-                        let mut order: Vec<Key> = Vec::new();
-                        let mut groups: IdMap<Key, i64> = IdMap::default();
-                        for &key in input.cols[idx].iter() {
-                            *groups.entry(key).or_insert_with(|| {
-                                order.push(key);
-                                0
-                            }) += 1;
-                        }
-                        let counts = order.iter().map(|k| Key::Int(groups[k])).collect();
-                        Ok(Table::from_columns(
-                            vec![col.clone(), "count".into()],
-                            vec![order, counts],
-                        ))
-                    }
-                }
-            }
-            Operator::Fun { kind, left, right } => {
-                let input = inputs.remove(0);
-                let li = input.column_index(left)?;
-                let ri = input.column_index(right)?;
-                let res: Vec<Key> = (0..input.rows)
-                    .map(|r| apply_fun(*kind, input.cols[li][r], input.cols[ri][r]))
-                    .collect();
-                let mut names: Vec<String> = input.names.as_ref().clone();
-                names.push("res".into());
-                let mut cols = input.cols;
-                cols.push(Arc::new(res));
-                Ok(Table::with_schema(Arc::new(names), cols))
-            }
-            Operator::RowTag | Operator::RowNum => {
-                let input = inputs.remove(0);
-                let mut names: Vec<String> = input.names.as_ref().clone();
-                names.push(if matches!(op, Operator::RowTag) {
-                    "tag".into()
-                } else {
-                    "rownum".into()
-                });
-                let numbers = (0..input.rows).map(|i| Key::Int(i as i64 + 1)).collect();
-                let mut cols = input.cols;
-                cols.push(Arc::new(numbers));
-                Ok(Table::with_schema(Arc::new(names), cols))
-            }
+            Operator::Count => Ok(Table::from_columns(
+                vec!["count".into()],
+                vec![vec![Key::Int(inputs[0].rows as i64)]],
+            )),
             Operator::Step { axis, test } => {
-                let store = store.read();
                 let input = inputs.remove(0);
                 let idx = input.column_index("item")?;
                 let step = store.step(*axis, test);
@@ -700,7 +562,6 @@ impl Executor {
                 Ok(replace_item_column(&input, idx, src, items).distinct())
             }
             Operator::IdLookup => {
-                let store = store.read();
                 let input = inputs.remove(0);
                 let idx = input.column_index("item")?;
                 // `fn:id` as the interpreter runs it: an argument node
@@ -722,42 +583,8 @@ impl Executor {
             Operator::IfThenElse => {
                 let else_table = inputs.remove(2);
                 let then_table = inputs.remove(1);
-                let cond = inputs.remove(0);
-                let truthy = effective_boolean(&cond);
+                let truthy = effective_boolean(&inputs[0]);
                 Ok(if truthy { then_table } else { else_table })
-            }
-            Operator::Construct(name) => {
-                let input = inputs.remove(0);
-                let store = store.write();
-                let frag = store.new_fragment();
-                let element = store.create_element(frag, xqy_xdm::QName::local(name.clone()));
-                let _ = input;
-                Ok(Table::from_nodes(&[element]))
-            }
-            Operator::Mu | Operator::MuDelta => {
-                // input 0: seed plan result; input 1 is the body sub-plan,
-                // which must be re-evaluated per iteration — so it cannot be
-                // passed as a pre-computed table.  We re-drive it here; the
-                // nested run installs its own run state and puts the outer
-                // plan's back (plan node ids overlap between plans).
-                let seed = inputs.remove(0);
-                let body_root = input_ids[1];
-                let body_plan = subplan(plan, body_root);
-                let strategy = if matches!(op, Operator::Mu) {
-                    FixpointStrategy::Naive
-                } else {
-                    FixpointStrategy::Delta
-                };
-                let seed = seed.item_nodes();
-                let (mut groups, _stats) = self.drive(
-                    store,
-                    &body_plan,
-                    Seeds::Set(&seed),
-                    strategy,
-                    false,
-                    BatchSharing::PerSeed,
-                )?;
-                Ok(Table::from_nodes(&groups.pop().unwrap_or_default()))
             }
         }
     }
@@ -767,9 +594,9 @@ impl Executor {
     /// With `seed_in_result = false` the accumulation starts from the body
     /// applied to the seed (Definition 2.1); with `true` it starts from the
     /// seed itself (the paper's Example 2.4 reading).
-    pub fn run_fixpoint<'a>(
+    pub fn run_fixpoint(
         &mut self,
-        store: impl Into<StoreMut<'a>>,
+        store: &NodeStore,
         body: &Plan,
         seed: &[NodeId],
         strategy: MuStrategy,
@@ -807,9 +634,9 @@ impl Executor {
     /// [`ExecStats::rows_fed_back`] the sum of the per-seed counts and
     /// [`ExecStats::body_evaluations`] counts the shared iterations (under
     /// [`BatchSharing::DistinctNodes`], those that met a new node).
-    pub fn run_fixpoint_batched<'a>(
+    pub fn run_fixpoint_batched(
         &mut self,
-        store: impl Into<StoreMut<'a>>,
+        store: &NodeStore,
         body: &Plan,
         seeds: &[NodeId],
         strategy: MuStrategy,
@@ -830,30 +657,14 @@ impl Executor {
     }
 
     /// The general entry point behind [`Executor::run_fixpoint`] and
-    /// [`Executor::run_fixpoint_batched`]: run the fixpoint(s) of `body`
-    /// over `seeds` and return one node list per source, in document order
-    /// — `body` in per-seed form for [`Seeds::Set`] (where `sharing` is
-    /// immaterial), in seed-carried form for [`Seeds::Each`].
-    pub fn run_fixpoint_groups<'a>(
+    /// [`Executor::run_fixpoint_batched`]: hand `plan` to the shared
+    /// Figure-3 driver as a [`Body`] and return one node list per source,
+    /// in document order — `plan` in per-seed form for [`Seeds::Set`]
+    /// (where `sharing` is immaterial), in seed-carried form for
+    /// [`Seeds::Each`].
+    pub fn run_fixpoint_groups(
         &mut self,
-        store: impl Into<StoreMut<'a>>,
-        body: &Plan,
-        seeds: Seeds<'_>,
-        strategy: FixpointStrategy,
-        seed_in_result: bool,
-        sharing: BatchSharing,
-    ) -> Result<(Vec<Vec<NodeId>>, ExecStats)> {
-        let mut store: StoreMut<'_> = store.into();
-        self.drive(&mut store, body, seeds, strategy, seed_in_result, sharing)
-    }
-
-    /// Hand `plan` to the shared Figure-3 driver as a [`Body`] — the one
-    /// entry every fixpoint of this executor goes through, the nested
-    /// `µ`/`µ∆` operator included.  A batch ([`Seeds::Each`]) takes `plan`
-    /// in seed-carried form, a single-source run in per-seed form.
-    fn drive(
-        &mut self,
-        store: &mut StoreMut<'_>,
+        store: &NodeStore,
         plan: &Plan,
         seeds: Seeds<'_>,
         strategy: FixpointStrategy,
@@ -888,7 +699,7 @@ impl Executor {
     /// [`BatchSharing::DistinctNodes`] mode).
     fn eval_tagged_batch(
         &mut self,
-        store: &mut StoreMut<'_>,
+        store: &NodeStore,
         body: &Plan,
         tagged: &[(NodeId, &[NodeId])],
         stats: &mut ExecStats,
@@ -933,7 +744,7 @@ impl Executor {
 
     fn eval_body(
         &mut self,
-        store: &mut StoreMut<'_>,
+        store: &NodeStore,
         body: &Plan,
         input: &[NodeId],
         stats: &mut ExecStats,
@@ -949,14 +760,14 @@ impl Executor {
 
 /// A compiled recursion body as the driver sees it: the per-seed plan is
 /// evaluated group by group, the seed-carried plan once over all groups.
-struct PlanBody<'a, 's> {
+struct PlanBody<'a> {
     executor: &'a mut Executor,
-    store: &'a mut StoreMut<'s>,
+    store: &'a NodeStore,
     plan: &'a Plan,
     carried: bool,
 }
 
-impl Body for PlanBody<'_, '_> {
+impl Body for PlanBody<'_> {
     type Error = AlgebraError;
 
     fn images(&mut self, groups: &[Group<'_>], stats: &mut ExecStats) -> Result<Vec<Vec<NodeId>>> {
@@ -972,7 +783,7 @@ impl Body for PlanBody<'_, '_> {
     }
 
     fn store(&self) -> &NodeStore {
-        self.store.read()
+        self.store
     }
 
     fn release_memory(&mut self) -> u64 {
@@ -985,7 +796,7 @@ impl Body for PlanBody<'_, '_> {
 }
 
 /// Gather `col[i]` for every `i` in `idx` (the columnar row-selection
-/// primitive joins, crosses and steps are built from).
+/// primitive steps and `id()` lookups are built from).
 fn gather(col: &[Key], idx: &[usize]) -> Vec<Key> {
     idx.iter().map(|&i| col[i]).collect()
 }
@@ -1006,78 +817,15 @@ fn replace_item_column(input: &Table, item_idx: usize, src: Vec<usize>, items: V
     Table::with_schema(input.names.clone(), cols)
 }
 
-fn apply_fun(kind: FunKind, left: Key, right: Key) -> Key {
-    match kind {
-        FunKind::Eq => Key::Bool(left == right),
-        FunKind::Ne => Key::Bool(left != right),
-        FunKind::Lt | FunKind::Gt => {
-            let (l, r) = (numeric(left), numeric(right));
-            Key::Bool(if matches!(kind, FunKind::Lt) {
-                l < r
-            } else {
-                l > r
-            })
-        }
-        FunKind::Add | FunKind::Sub => {
-            let (l, r) = (numeric(left), numeric(right));
-            Key::Int(if matches!(kind, FunKind::Add) {
-                l + r
-            } else {
-                l - r
-            })
-        }
-    }
-}
-
-fn numeric(key: Key) -> i64 {
-    match key {
-        Key::Int(i) => i,
-        Key::Bool(b) => b as i64,
-        Key::Node(_) => 0,
-    }
-}
-
 /// Effective boolean value of a condition table: a single `count`/integer
 /// cell is tested against zero; otherwise any row counts as true.
 fn effective_boolean(table: &Table) -> bool {
     if table.columns().len() == 1 && table.len() == 1 {
-        match table.key(0, 0) {
-            Key::Int(i) => return i != 0,
-            Key::Bool(b) => return b,
-            _ => {}
+        if let Key::Int(i) = table.key(0, 0) {
+            return i != 0;
         }
     }
     !table.is_empty()
-}
-
-/// Extract the sub-plan rooted at `root` as its own [`Plan`] (used to
-/// re-drive the body input of a µ / µ∆ operator).
-fn subplan(plan: &Plan, root: PlanNodeId) -> Plan {
-    let mut mapping: IdMap<PlanNodeId, PlanNodeId> = IdMap::default();
-    let mut out = Plan::new();
-    let new_root = copy_into(plan, root, &mut out, &mut mapping);
-    out.set_root(new_root);
-    out
-}
-
-fn copy_into(
-    plan: &Plan,
-    id: PlanNodeId,
-    out: &mut Plan,
-    mapping: &mut IdMap<PlanNodeId, PlanNodeId>,
-) -> PlanNodeId {
-    if let Some(&mapped) = mapping.get(&id) {
-        return mapped;
-    }
-    let node = plan.node(id).clone();
-    let inputs = node
-        .inputs
-        .iter()
-        .map(|&i| copy_into(plan, i, out, mapping))
-        .collect();
-    let new_id = out.add(node.op, inputs);
-    mapping.insert(id, new_id);
-    new_id
 }
 
 #[cfg(test)]
@@ -1124,7 +872,7 @@ mod tests {
         plan
     }
 
-    fn seed_course(store: &mut NodeStore, doc: DocId, code: &str) -> Vec<NodeId> {
+    fn seed_course(store: &NodeStore, doc: DocId, code: &str) -> Vec<NodeId> {
         let root = store.document_element(doc).unwrap();
         store
             .axis_nodes(root, Axis::Child, &NodeTest::Name("course".into()))
@@ -1135,7 +883,7 @@ mod tests {
 
     #[test]
     fn step_and_select_operators() {
-        let (mut store, doc) = store_with_curriculum();
+        let (store, doc) = store_with_curriculum();
         let root_elem = store.document_element(doc).unwrap();
         let mut plan = Plan::new();
         let rec = plan.add(Operator::RecInput, vec![]);
@@ -1175,7 +923,7 @@ mod tests {
 
         let mut exec = Executor::new();
         let result = exec
-            .eval_plan(&mut store, &plan, &Table::from_nodes(&[root_elem]))
+            .eval_plan(&store, &plan, &Table::from_nodes(&[root_elem]))
             .unwrap();
         assert_eq!(result.len(), 1);
         let node = result.item_nodes()[0];
@@ -1184,12 +932,12 @@ mod tests {
 
     #[test]
     fn mu_computes_transitive_closure() {
-        let (mut store, doc) = store_with_curriculum();
-        let seed = seed_course(&mut store, doc, "c1");
+        let (store, doc) = store_with_curriculum();
+        let seed = seed_course(&store, doc, "c1");
         let plan = q1_plan();
         let mut exec = Executor::new();
         let (result, stats) = exec
-            .run_fixpoint(&mut store, &plan, &seed, MuStrategy::Mu, false)
+            .run_fixpoint(&store, &plan, &seed, MuStrategy::Mu, false)
             .unwrap();
         let mut codes: Vec<String> = result
             .item_nodes()
@@ -1203,18 +951,18 @@ mod tests {
 
     #[test]
     fn mu_delta_matches_mu_and_feeds_fewer_rows() {
-        let (mut store, doc) = store_with_curriculum();
-        let seed = seed_course(&mut store, doc, "c1");
+        let (store, doc) = store_with_curriculum();
+        let seed = seed_course(&store, doc, "c1");
         let plan = q1_plan();
 
         let (naive_result, naive_stats) = {
             let mut exec = Executor::new();
-            exec.run_fixpoint(&mut store, &plan, &seed, MuStrategy::Mu, false)
+            exec.run_fixpoint(&store, &plan, &seed, MuStrategy::Mu, false)
                 .unwrap()
         };
         let (delta_result, delta_stats) = {
             let mut exec = Executor::new();
-            exec.run_fixpoint(&mut store, &plan, &seed, MuStrategy::MuDelta, false)
+            exec.run_fixpoint(&store, &plan, &seed, MuStrategy::MuDelta, false)
                 .unwrap()
         };
         let mut a = naive_result.item_nodes();
@@ -1223,80 +971,6 @@ mod tests {
         b.sort();
         assert_eq!(a, b);
         assert!(delta_stats.rows_fed_back < naive_stats.rows_fed_back);
-    }
-
-    #[test]
-    fn mu_operator_embedded_in_a_plan() {
-        let (mut store, doc) = store_with_curriculum();
-        let _ = doc;
-        let mut plan = Plan::new();
-        // Seed: doc root -> child::course -> select code = c1 (via carry).
-        let docroot = plan.add(Operator::DocRoot("curriculum.xml".into()), vec![]);
-        let curriculum = plan.add(
-            Operator::Step {
-                axis: Axis::Child,
-                test: NodeTest::Name("curriculum".into()),
-            },
-            vec![docroot],
-        );
-        let courses = plan.add(
-            Operator::Step {
-                axis: Axis::Child,
-                test: NodeTest::Name("course".into()),
-            },
-            vec![curriculum],
-        );
-        let keep = plan.add(
-            Operator::Project(vec![
-                ("node".into(), "item".into()),
-                ("item".into(), "item".into()),
-            ]),
-            vec![courses],
-        );
-        let attr = plan.add(
-            Operator::Step {
-                axis: Axis::Attribute,
-                test: NodeTest::Name("code".into()),
-            },
-            vec![keep],
-        );
-        let select = plan.add(
-            Operator::Select {
-                column: "item".into(),
-                value: "c1".into(),
-            },
-            vec![attr],
-        );
-        let seed = plan.add(
-            Operator::Project(vec![("item".into(), "node".into())]),
-            vec![select],
-        );
-        // Body: the Q1 recursion body.
-        let rec = plan.add(Operator::RecInput, vec![]);
-        let prereq = plan.add(
-            Operator::Step {
-                axis: Axis::Child,
-                test: NodeTest::Name("prerequisites".into()),
-            },
-            vec![rec],
-        );
-        let code = plan.add(
-            Operator::Step {
-                axis: Axis::Child,
-                test: NodeTest::Name("pre_code".into()),
-            },
-            vec![prereq],
-        );
-        let lookup = plan.add(Operator::IdLookup, vec![code]);
-        let mu = plan.add(Operator::Mu, vec![seed, lookup]);
-        plan.set_root(mu);
-
-        // The nested µ resolves id() in its argument nodes' document.
-        let mut exec = Executor::new();
-        let result = exec
-            .eval_plan(&mut store, &plan, &Table::new(vec!["item".into()]))
-            .unwrap();
-        assert_eq!(result.len(), 3);
     }
 
     /// `doc('curriculum.xml')/descendant::pre_code/id(.)`: the courses
@@ -1313,44 +987,41 @@ mod tests {
         plan.add(Operator::IdLookup, vec![codes])
     }
 
-    fn courses(store: &mut NodeStore, doc: DocId, codes: &[&str]) -> Vec<NodeId> {
+    fn courses(store: &NodeStore, doc: DocId, codes: &[&str]) -> Vec<NodeId> {
         codes
             .iter()
             .flat_map(|code| seed_course(store, doc, code))
             .collect()
     }
 
+    /// `count($x intersect …)`, with `intersect` spelled as the compiler
+    /// spells it: `a \ (a \ b)`.
     #[test]
-    fn join_and_count_operators() {
-        let (mut store, doc) = store_with_curriculum();
+    fn intersect_and_count_operators() {
+        let (store, doc) = store_with_curriculum();
         let mut plan = Plan::new();
         let left = plan.add(Operator::RecInput, vec![]);
         let right = required_courses(&mut plan);
-        let join = plan.add(
-            Operator::Join {
-                left: "item".into(),
-                right: "item".into(),
-            },
-            vec![left, right],
-        );
-        let count = plan.add(Operator::Count { group_by: None }, vec![join]);
+        let outside = plan.add(Operator::Difference, vec![left, right]);
+        let both = plan.add(Operator::Difference, vec![left, outside]);
+        let count = plan.add(Operator::Count, vec![both]);
         plan.set_root(count);
-        let rec = Table::from_nodes(&courses(&mut store, doc, &["c1", "c2", "c3"]));
-        let result = Executor::new().eval_plan(&mut store, &plan, &rec).unwrap();
+        let rec = Table::from_nodes(&courses(&store, doc, &["c1", "c2", "c3"]));
+        let result = Executor::new().eval_plan(&store, &plan, &rec).unwrap();
         assert_eq!(result.key(0, 0), Key::Int(2)); // c2, c3
     }
 
     #[test]
-    fn union_difference_and_distinct() {
-        let (mut store, doc) = store_with_curriculum();
+    fn union_and_difference_operators() {
+        let (store, doc) = store_with_curriculum();
         let mut exec = Executor::new();
         let mut plan = Plan::new();
         let a = plan.add(Operator::RecInput, vec![]);
         let b = required_courses(&mut plan);
         let union = plan.add(Operator::Union, vec![a, b]);
         plan.set_root(union);
-        let rec = Table::from_nodes(&courses(&mut store, doc, &["c1", "c2", "c2"]));
-        let result = exec.eval_plan(&mut store, &plan, &rec).unwrap();
+        let rec = Table::from_nodes(&courses(&store, doc, &["c1", "c2", "c2"]));
+        let result = exec.eval_plan(&store, &plan, &rec).unwrap();
         assert_eq!(result.len(), 4); // c1, c2, c3, c4 — set semantics
 
         let mut plan2 = Plan::new();
@@ -1358,35 +1029,35 @@ mod tests {
         let b = required_courses(&mut plan2);
         let diff = plan2.add(Operator::Difference, vec![a, b]);
         plan2.set_root(diff);
-        let rec = Table::from_nodes(&courses(&mut store, doc, &["c1", "c2"]));
-        let result = exec.eval_plan(&mut store, &plan2, &rec).unwrap();
-        assert_eq!(result.item_nodes(), courses(&mut store, doc, &["c1"]));
+        let rec = Table::from_nodes(&courses(&store, doc, &["c1", "c2"]));
+        let result = exec.eval_plan(&store, &plan2, &rec).unwrap();
+        assert_eq!(result.item_nodes(), courses(&store, doc, &["c1"]));
     }
 
     #[test]
     fn if_then_else_executes_on_count_condition() {
-        let (mut store, doc) = store_with_curriculum();
+        let (store, doc) = store_with_curriculum();
         let mut plan = Plan::new();
         let input = plan.add(Operator::RecInput, vec![]);
-        let cond = plan.add(Operator::Count { group_by: None }, vec![input]);
+        let cond = plan.add(Operator::Count, vec![input]);
         let then_branch = required_courses(&mut plan);
         let else_branch = plan.add(Operator::Empty, vec![]);
         let ite = plan.add(Operator::IfThenElse, vec![cond, then_branch, else_branch]);
         plan.set_root(ite);
         let mut exec = Executor::new();
-        let c1 = Table::from_nodes(&courses(&mut store, doc, &["c1"]));
-        let result = exec.eval_plan(&mut store, &plan, &c1).unwrap();
+        let c1 = Table::from_nodes(&courses(&store, doc, &["c1"]));
+        let result = exec.eval_plan(&store, &plan, &c1).unwrap();
         assert_eq!(
             result.item_nodes(),
-            courses(&mut store, doc, &["c2", "c3", "c4"])
+            courses(&store, doc, &["c2", "c3", "c4"])
         );
         let none = Table::from_nodes(&[]);
-        assert!(exec.eval_plan(&mut store, &plan, &none).unwrap().is_empty());
+        assert!(exec.eval_plan(&store, &plan, &none).unwrap().is_empty());
     }
 
     #[test]
     fn missing_column_reports_schema() {
-        let (mut store, doc) = store_with_curriculum();
+        let (store, doc) = store_with_curriculum();
         let mut plan = Plan::new();
         let rec = plan.add(Operator::RecInput, vec![]);
         let select = plan.add(
@@ -1397,10 +1068,8 @@ mod tests {
             vec![rec],
         );
         plan.set_root(select);
-        let rec = Table::from_nodes(&courses(&mut store, doc, &["c1"]));
-        let err = Executor::new()
-            .eval_plan(&mut store, &plan, &rec)
-            .unwrap_err();
+        let rec = Table::from_nodes(&courses(&store, doc, &["c1"]));
+        let err = Executor::new().eval_plan(&store, &plan, &rec).unwrap_err();
         assert!(err.to_string().contains("nope"));
     }
 
@@ -1415,88 +1084,44 @@ mod tests {
         assert!(Executor::default().limits.max_iterations > 0);
     }
 
-    /// Node constructors create a fresh identity per fixpoint *run* even
-    /// though they are rec-independent: their tables live in the run cache,
-    /// which is dropped with the run.
-    #[test]
-    fn constructed_nodes_are_fresh_per_run_but_stable_within_one() {
-        let mut store = NodeStore::new();
-        let mut plan = Plan::new();
-        let empty = plan.add(Operator::Empty, vec![]);
-        let flag = plan.add(Operator::Construct("flag".into()), vec![empty]);
-        plan.set_root(flag);
-        let mut exec = Executor::new();
-        let (r1, s1) = exec
-            .run_fixpoint(&mut store, &plan, &[], MuStrategy::Mu, false)
-            .unwrap();
-        let (r2, _) = exec
-            .run_fixpoint(&mut store, &plan, &[], MuStrategy::Mu, false)
-            .unwrap();
-        // Within one run the constructed node is stable (the fixpoint
-        // terminates); across runs the identity is fresh.
-        assert_eq!(r1.len(), 1);
-        assert_eq!(r2.len(), 1);
-        assert!(s1.iterations >= 1);
-        assert_ne!(
-            r1.item_nodes(),
-            r2.item_nodes(),
-            "a second run must construct a fresh element"
-        );
-        // Direct eval_plan calls are each their own scope too.
-        let empty = Table::new(vec!["item".into()]);
-        let e1 = exec.eval_plan(&mut store, &plan, &empty).unwrap();
-        let e2 = exec.eval_plan(&mut store, &plan, &empty).unwrap();
-        assert_ne!(e1.item_nodes(), e2.item_nodes());
-    }
-
     /// An empty-seeded run over an id()-using body evaluates to the empty
     /// set, also right after a seeded run of the same body.
     #[test]
     fn empty_seed_id_lookup_returns_empty_after_a_seeded_run() {
-        let (mut store, doc) = store_with_curriculum();
+        let (store, doc) = store_with_curriculum();
         let plan = q1_plan();
         let mut exec = Executor::new();
-        let seed = seed_course(&mut store, doc, "c1");
-        exec.run_fixpoint(&mut store, &plan, &seed, MuStrategy::MuDelta, false)
+        let seed = seed_course(&store, doc, "c1");
+        exec.run_fixpoint(&store, &plan, &seed, MuStrategy::MuDelta, false)
             .unwrap();
         let (result, _) = exec
-            .run_fixpoint(&mut store, &plan, &[], MuStrategy::MuDelta, false)
+            .run_fixpoint(&store, &plan, &[], MuStrategy::MuDelta, false)
             .unwrap();
         assert!(result.is_empty());
     }
 
-    /// The prerequisite closure with its `id()` targets joined against a
-    /// rec-independent scan of every course (`doc → descendant::course →
-    /// π`, three plan nodes): a seed-local body whose every iteration needs
-    /// the same scan.
-    fn join_closure_plan() -> Plan {
+    /// The prerequisite closure with its `id()` targets minus a
+    /// rec-independent scan (`doc → descendant::prerequisites`, two plan
+    /// nodes) that holds no course: the Q1 answer, from a body whose every
+    /// iteration needs the same scan.
+    fn closure_minus_scan_plan() -> Plan {
         let mut plan = q1_plan();
         let targets = plan.root().unwrap();
         let docroot = plan.add(Operator::DocRoot("curriculum.xml".into()), vec![]);
-        let all = plan.add(
+        let scan = plan.add(
             Operator::Step {
                 axis: Axis::Descendant,
-                test: NodeTest::Name("course".into()),
+                test: NodeTest::Name("prerequisites".into()),
             },
             vec![docroot],
         );
-        let scan = plan.add(
-            Operator::Project(vec![("course".into(), "item".into())]),
-            vec![all],
-        );
-        let join = plan.add(
-            Operator::Join {
-                left: "item".into(),
-                right: "course".into(),
-            },
-            vec![targets, scan],
-        );
-        plan.set_root(join);
+        let minus = plan.add(Operator::Difference, vec![targets, scan]);
+        plan.set_root(minus);
         plan
     }
 
-    /// Rec-independent plan nodes of [`join_closure_plan`].
-    const SCAN_NODES: u64 = 3;
+    /// Rec-independent plan nodes of [`closure_minus_scan_plan`].
+    const SCAN_NODES: u64 = 2;
 
     /// The counters' movement over `run`.
     fn counted<T>(exec: &mut Executor, run: impl FnOnce(&mut Executor) -> T) -> (T, u64, u64) {
@@ -1513,16 +1138,16 @@ mod tests {
     #[test]
     fn run_cache_serves_one_run_and_is_dropped_with_it() {
         let (mut store, doc) = store_with_curriculum();
-        let plan = join_closure_plan();
+        let plan = closure_minus_scan_plan();
         let mut exec = Executor::new();
         for code in ["c1", "c2", "c3", "c4", "c1"] {
-            let seed = seed_course(&mut store, doc, code);
+            let seed = seed_course(&store, doc, code);
             let ((result, stats), evals, hits) = counted(&mut exec, |exec| {
-                exec.run_fixpoint(&mut store, &plan, &seed, MuStrategy::MuDelta, true)
+                exec.run_fixpoint(&store, &plan, &seed, MuStrategy::MuDelta, true)
                     .unwrap()
             });
             let (expected, _) = Executor::new()
-                .run_fixpoint(&mut store, &q1_plan(), &seed, MuStrategy::MuDelta, true)
+                .run_fixpoint(&store, &q1_plan(), &seed, MuStrategy::MuDelta, true)
                 .unwrap();
             assert_eq!(result, expected, "seed {code}");
             assert_eq!(evals, SCAN_NODES, "seed {code}: once per run, every run");
@@ -1531,7 +1156,7 @@ mod tests {
             assert!(exec.plan_state.run_cache.is_empty(), "dropped with the run");
             // Another plan in between thrashes nothing: there is nothing
             // plan-keyed to thrash.
-            exec.run_fixpoint(&mut store, &q1_plan(), &seed, MuStrategy::Mu, false)
+            exec.run_fixpoint(&store, &q1_plan(), &seed, MuStrategy::Mu, false)
                 .unwrap();
         }
 
@@ -1542,12 +1167,7 @@ mod tests {
         let late_root = late_plan.add(Operator::DocRoot("late.xml".into()), vec![]);
         late_plan.set_root(late_root);
         let empty = Table::new(vec!["item".into()]);
-        assert_eq!(
-            exec.eval_plan(&mut store, &late_plan, &empty)
-                .unwrap()
-                .len(),
-            1
-        );
+        assert_eq!(exec.eval_plan(&store, &late_plan, &empty).unwrap().len(), 1);
 
         // A run on another store answers from that store.
         let mut other = NodeStore::new();
@@ -1559,47 +1179,11 @@ mod tests {
             )
             .unwrap();
         other.register_id_attribute(other_doc, "code");
-        let seed = seed_course(&mut other, other_doc, "c1");
+        let seed = seed_course(&other, other_doc, "c1");
         let (result, _) = exec
-            .run_fixpoint(&mut other, &plan, &seed, MuStrategy::MuDelta, false)
+            .run_fixpoint(&other, &plan, &seed, MuStrategy::MuDelta, false)
             .unwrap();
-        assert_eq!(
-            result.item_nodes(),
-            seed_course(&mut other, other_doc, "c2")
-        );
-    }
-
-    /// A nested `µ` is a run of its own inside the outer one: its tables
-    /// are dropped when it ends and the outer run's come back.
-    #[test]
-    fn nested_mu_gets_a_run_cache_of_its_own() {
-        let (mut store, doc) = store_with_curriculum();
-        let body = join_closure_plan();
-        let mut plan = Plan::new();
-        let seed = plan.add(Operator::RecInput, vec![]);
-        let mut mapping = IdMap::default();
-        let body_root = copy_into(&body, body.root().unwrap(), &mut plan, &mut mapping);
-        let mu = plan.add(Operator::MuDelta, vec![seed, body_root]);
-        plan.set_root(mu);
-
-        let c1 = seed_course(&mut store, doc, "c1");
-        let (expected, _) = Executor::new()
-            .run_fixpoint(&mut store, &body, &c1, MuStrategy::MuDelta, false)
-            .unwrap();
-        let mut exec = Executor::new();
-        let mut deltas = Vec::new();
-        for _ in 0..2 {
-            let (result, evals, hits) = counted(&mut exec, |exec| {
-                exec.eval_plan(&mut store, &plan, &Table::from_nodes(&c1))
-                    .unwrap()
-            });
-            assert_eq!(result, expected);
-            assert!(hits > 0, "later iterations of the nested run hit");
-            assert_eq!(evals % SCAN_NODES, 0, "whole scans only");
-            assert!(exec.plan_state.rec_dependent.is_empty(), "outer state back");
-            deltas.push((evals, hits));
-        }
-        assert_eq!(deltas[0], deltas[1], "every run pays for itself");
+        assert_eq!(result.item_nodes(), seed_course(&other, other_doc, "c2"));
     }
 
     /// The batched multi-source driver computes, for every seed of the
@@ -1608,12 +1192,12 @@ mod tests {
     /// `max(per-seed depth)` times.
     #[test]
     fn batched_fixpoint_matches_per_seed_runs() {
-        let (mut store, doc) = store_with_curriculum();
+        let (store, doc) = store_with_curriculum();
         let plan = q1_plan();
         let batched_plan = plan.seed_carried().expect("Q1 body is seed-local");
         let seeds: Vec<NodeId> = ["c1", "c2", "c3"]
             .iter()
-            .flat_map(|code| seed_course(&mut store, doc, code))
+            .flat_map(|code| seed_course(&store, doc, code))
             .collect();
 
         for strategy in [MuStrategy::Mu, MuStrategy::MuDelta] {
@@ -1621,7 +1205,7 @@ mod tests {
                 let (table, stats) = {
                     let mut exec = Executor::new();
                     exec.run_fixpoint_batched(
-                        &mut store,
+                        &store,
                         &batched_plan,
                         &seeds,
                         strategy,
@@ -1640,7 +1224,7 @@ mod tests {
                 for &seed in &seeds {
                     let mut exec = Executor::new();
                     let (result, s) = exec
-                        .run_fixpoint(&mut store, &plan, &[seed], strategy, false)
+                        .run_fixpoint(&store, &plan, &[seed], strategy, false)
                         .unwrap();
                     max_depth = max_depth.max(s.iterations);
                     evaluations += s.body_evaluations;
@@ -1679,12 +1263,12 @@ mod tests {
     /// iterations, no context-document derivation from stale state.
     #[test]
     fn batched_fixpoint_empty_seed_set() {
-        let (mut store, _doc) = store_with_curriculum();
+        let (store, _doc) = store_with_curriculum();
         let batched_plan = q1_plan().seed_carried().unwrap();
         let mut exec = Executor::new();
         let (table, stats) = exec
             .run_fixpoint_batched(
-                &mut store,
+                &store,
                 &batched_plan,
                 &[],
                 MuStrategy::MuDelta,
@@ -1702,13 +1286,13 @@ mod tests {
     /// accumulator from the seed itself.
     #[test]
     fn batched_fixpoint_seed_in_result_includes_seeds() {
-        let (mut store, doc) = store_with_curriculum();
+        let (store, doc) = store_with_curriculum();
         let batched_plan = q1_plan().seed_carried().unwrap();
-        let seeds = seed_course(&mut store, doc, "c1");
+        let seeds = seed_course(&store, doc, "c1");
         let mut exec = Executor::new();
         let (table, _) = exec
             .run_fixpoint_batched(
-                &mut store,
+                &store,
                 &batched_plan,
                 &seeds,
                 MuStrategy::MuDelta,
@@ -1731,11 +1315,11 @@ mod tests {
     /// which clamps to sequential).
     #[test]
     fn parallel_batched_matches_sequential() {
-        let (mut store, doc) = store_with_curriculum();
+        let (store, doc) = store_with_curriculum();
         let batched_plan = q1_plan().seed_carried().unwrap();
         let seeds: Vec<NodeId> = ["c1", "c2", "c3", "c4"]
             .iter()
-            .flat_map(|code| seed_course(&mut store, doc, code))
+            .flat_map(|code| seed_course(&store, doc, code))
             .collect();
 
         for strategy in [MuStrategy::Mu, MuStrategy::MuDelta] {
@@ -1743,7 +1327,7 @@ mod tests {
                 for seed_in_result in [false, true] {
                     let (expected, expected_stats) = Executor::new()
                         .run_fixpoint_batched(
-                            &mut store,
+                            &store,
                             &batched_plan,
                             &seeds,
                             strategy,
@@ -1756,7 +1340,7 @@ mod tests {
                         exec.set_threads(threads);
                         let (table, stats) = exec
                             .run_fixpoint_batched(
-                                &mut store,
+                                &store,
                                 &batched_plan,
                                 &seeds,
                                 strategy,
@@ -1780,7 +1364,7 @@ mod tests {
     /// Projection shares column storage with its input (zero-copy π).
     #[test]
     fn projection_shares_column_storage() {
-        let (mut store, doc) = store_with_curriculum();
+        let (store, doc) = store_with_curriculum();
         let courses = {
             let root = store.document_element(doc).unwrap();
             store.axis_nodes(root, Axis::Child, &NodeTest::Name("course".into()))
@@ -1794,7 +1378,7 @@ mod tests {
         );
         plan.set_root(project);
         let mut exec = Executor::new();
-        let result = exec.eval_plan(&mut store, &plan, &input).unwrap();
+        let result = exec.eval_plan(&store, &plan, &input).unwrap();
         assert_eq!(result.columns(), ["renamed"]);
         assert!(
             result.shares_storage(&input),

@@ -12,17 +12,21 @@
 //!    the plan root (Figures 7 and 8) — if so, the Delta-based fixpoint
 //!    operator `µ∆` may replace the Naïve operator `µ`;
 //! 2. an **executor** evaluates plans over relational encodings of the XML
-//!    documents held in a [`NodeStore`](xqy_xdm::NodeStore), including the
-//!    fixpoint operators `µ` and `µ∆` with the row-feed statistics that
-//!    Table 2 of the paper reports.
+//!    documents held in a [`NodeStore`](xqy_xdm::NodeStore), which it only
+//!    reads, and drives the Naïve (`µ`) and Delta (`µ∆`) fixpoints of a
+//!    body plan with the row-feed statistics that Table 2 of the paper
+//!    reports.
 //!
 //! ## Relationship to the paper's dialect
 //!
-//! The operator set mirrors Table 1: projection, selection, join, Cartesian
-//! product, duplicate elimination, union, difference, the `count` aggregate,
-//! generic arithmetic/comparison operators, row tagging and row numbering,
-//! the XPath step join, node constructors, and the two fixpoint operators.
-//! Two simplifications are documented in `DESIGN.md`:
+//! The operator set is the part of Table 1 the compiler emits: projection,
+//! selection, union, difference, the `count` of a condition, the XPath step
+//! join, the `id()` lookup and the conditional, over the recursion input,
+//! the empty relation and document roots.  A row of Table 1 that no compile
+//! rule emits (join, product, duplicate elimination, the generic operator,
+//! row tagging and numbering, node construction, a nested `µ`) is not an
+//! operator here; the compiler test `every_operator_is_emitted` keeps it
+//! so.  Two simplifications:
 //!
 //! * plans operate on *sets* of rows (the paper notes that duplicate and
 //!   order bookkeeping may be omitted for distributivity assessment; our

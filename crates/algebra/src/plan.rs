@@ -16,27 +16,11 @@ pub type PlanNodeId = usize;
 /// propagates this column alongside the rows it produces, so the output of
 /// each iteration can be regrouped per seed.  The name is double-underscored
 /// so it can never collide with the compiler-generated column names
-/// (`item`, `node`, `count`, `res`, `tag`, `rownum`).
+/// (`item`, `node`, `count`).
 pub const SEED_COLUMN: &str = "__seed";
 
-/// A comparison / arithmetic kind for the generic `⊚` operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FunKind {
-    /// Equality comparison.
-    Eq,
-    /// Inequality.
-    Ne,
-    /// Less-than.
-    Lt,
-    /// Greater-than.
-    Gt,
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-}
-
-/// The relational algebra operators of Table 1 in the paper.
+/// The relational algebra operators of Table 1 that a compiled recursion
+/// body holds — exactly the ones the compiler emits.
 ///
 /// Every variant documents whether a `∪` placed below it may be pushed up
 /// through it (the "Push?" column of Table 1); see
@@ -62,39 +46,13 @@ pub enum Operator {
         /// Literal the nodes' string values are compared against.
         value: String,
     },
-    /// ⋈ — join on equality between one column of each input.
-    Join {
-        /// Column of the left input.
-        left: String,
-        /// Column of the right input.
-        right: String,
-    },
-    /// × — Cartesian product.
-    Cross,
-    /// δ — duplicate elimination.
-    Distinct,
     /// ∪ — union.
     Union,
     /// \ — difference.
     Difference,
-    /// count — aggregation (optionally grouped); blocks union push-up.
-    Count {
-        /// Optional grouping column.
-        group_by: Option<String>,
-    },
-    /// ⊚ — generic arithmetic/comparison operator over two columns.
-    Fun {
-        /// Operation kind.
-        kind: FunKind,
-        /// Left operand column.
-        left: String,
-        /// Right operand column.
-        right: String,
-    },
-    /// # — unique row tagging.
-    RowTag,
-    /// ϱ — ordered row numbering; blocks union push-up.
-    RowNum,
+    /// count — the number of input rows, as one `count` cell; blocks union
+    /// push-up.
+    Count,
     /// XPath step join `α::n` along an axis with a node test.
     Step {
         /// The axis.
@@ -112,13 +70,6 @@ pub enum Operator {
     /// conditional node itself lets a `∪` pass (distributing a union into
     /// both branches is sound when the condition does not change).
     IfThenElse,
-    /// ε — node constructor; blocks union push-up (fresh identities).
-    Construct(String),
-    /// µ — the Naïve fixpoint operator: input 0 is the seed plan, input 1 the
-    /// recursion body plan (whose `RecInput` leaf is fed back each round).
-    Mu,
-    /// µ∆ — the Delta fixpoint operator (same inputs as µ).
-    MuDelta,
 }
 
 impl Operator {
@@ -129,22 +80,12 @@ impl Operator {
             // ⊙ / ⊗ rows of Table 1.
             Operator::Project(_)
             | Operator::Select { .. }
-            | Operator::Join { .. }
-            | Operator::Cross
             | Operator::Union
-            | Operator::Fun { .. }
-            | Operator::RowTag
             | Operator::Step { .. }
             | Operator::IdLookup
-            | Operator::IfThenElse
-            | Operator::Mu
-            | Operator::MuDelta => true,
+            | Operator::IfThenElse => true,
             // "−" rows: these need their complete input to produce output.
-            Operator::Distinct
-            | Operator::Difference
-            | Operator::Count { .. }
-            | Operator::RowNum
-            | Operator::Construct(_) => false,
+            Operator::Difference | Operator::Count => false,
             // Leaves never sit above a ∪.
             Operator::RecInput | Operator::Empty | Operator::DocRoot(_) => false,
         }
@@ -158,21 +99,12 @@ impl Operator {
             Operator::DocRoot(uri) => format!("doc({uri})"),
             Operator::Project(_) => "π".into(),
             Operator::Select { column, value } => format!("σ[{column}='{value}']"),
-            Operator::Join { left, right } => format!("⋈[{left}={right}]"),
-            Operator::Cross => "×".into(),
-            Operator::Distinct => "δ".into(),
             Operator::Union => "∪".into(),
             Operator::Difference => "\\".into(),
-            Operator::Count { .. } => "count".into(),
-            Operator::Fun { kind, .. } => format!("⊚{kind:?}"),
-            Operator::RowTag => "#".into(),
-            Operator::RowNum => "ϱ".into(),
+            Operator::Count => "count".into(),
             Operator::Step { axis, test } => format!("{}::{}", axis.name(), test),
             Operator::IdLookup => "id()".into(),
             Operator::IfThenElse => "if".into(),
-            Operator::Construct(name) => format!("ε<{name}>"),
-            Operator::Mu => "µ".into(),
-            Operator::MuDelta => "µ∆".into(),
         }
     }
 }
@@ -289,12 +221,10 @@ impl Plan {
     /// originated from.
     ///
     /// Returns `None` when the plan is not *seed-local* — when some
-    /// rec-dependent operator could mix rows of different seeds (an
-    /// aggregation, a row numbering, a conditional on a rec-dependent
-    /// condition, a join of two rec-dependent arms, a set operation between
-    /// a rec-dependent and a rec-independent arm) or when the plan
-    /// constructs nodes (batching would merge the per-seed fresh
-    /// identities).  For a seed-local plan, running the body over the union
+    /// rec-dependent operator could mix rows of different seeds: a `count`,
+    /// a conditional on a rec-dependent condition, or a set operation
+    /// between a rec-dependent and a rec-independent arm.  For a seed-local
+    /// plan, running the body over the union
     /// of per-seed rows and regrouping by the seed column is exactly the
     /// per-seed evaluation — the structural fact the batched ≡ per-seed
     /// property test exercises.
@@ -308,41 +238,21 @@ impl Plan {
             return None;
         }
         for (id, node) in self.iter() {
-            // Constructors create fresh node identities per *run*; one
-            // batched run must not merge the distinct identities N per-seed
-            // runs would create.  Nested fixpoints re-drive their own runs
-            // and drop every column but `item`.  Both disqualify the plan
-            // wherever they appear.
-            if matches!(
-                node.op,
-                Operator::Construct(_) | Operator::Mu | Operator::MuDelta
-            ) {
-                return None;
-            }
             if !dependent[id] {
                 continue;
             }
             let seed_local = match &node.op {
-                // Per-row operators (and set operators over full rows):
-                // an output row derives from exactly one input row, so the
-                // carried seed column stays attached to it.
+                // Per-row operators: an output row derives from exactly one
+                // input row, so the carried seed column stays attached to it.
                 Operator::RecInput
                 | Operator::Project(_)
                 | Operator::Select { .. }
-                | Operator::Distinct
                 | Operator::Step { .. }
-                | Operator::IdLookup
-                | Operator::Fun { .. } => true,
+                | Operator::IdLookup => true,
                 // ∪ / ∖ over `(seed, item)` rows are the per-seed set
                 // operations — but only when both arms carry the seed
                 // column (a rec-independent arm has no seed to group by).
                 Operator::Union | Operator::Difference => node.inputs.iter().all(|&i| dependent[i]),
-                // A join against rec-independent data carries the one seed
-                // column through; joining two rec-dependent arms would pair
-                // rows of *different* seeds.
-                Operator::Join { .. } | Operator::Cross => {
-                    node.inputs.iter().filter(|&&i| dependent[i]).count() <= 1
-                }
                 // The branch taken must not depend on the recursion input
                 // (a rec-dependent condition aggregates over all seeds at
                 // once), and both branches must carry the seed column.
@@ -351,16 +261,11 @@ impl Plan {
                         && dependent[node.inputs[1]]
                         && dependent[node.inputs[2]]
                 }
-                // Aggregation and row numbering look at the whole input
-                // relation — rows of every seed at once.
-                Operator::Count { .. } | Operator::RowTag | Operator::RowNum => false,
-                // Leaves are never rec-dependent; constructors and nested
-                // fixpoints were rejected above.
-                Operator::Empty
-                | Operator::DocRoot(_)
-                | Operator::Construct(_)
-                | Operator::Mu
-                | Operator::MuDelta => false,
+                // A count looks at the whole input relation — rows of every
+                // seed at once.
+                Operator::Count => false,
+                // Leaves other than `RecInput` are never rec-dependent.
+                Operator::Empty | Operator::DocRoot(_) => false,
             };
             if !seed_local {
                 return None;
@@ -416,27 +321,17 @@ mod tests {
             value: "x".into()
         }
         .union_pushable());
-        assert!(Operator::Join {
-            left: "a".into(),
-            right: "b".into()
-        }
-        .union_pushable());
-        assert!(Operator::Cross.union_pushable());
         assert!(Operator::Union.union_pushable());
-        assert!(Operator::RowTag.union_pushable());
         assert!(Operator::Step {
             axis: Axis::Child,
             test: NodeTest::AnyElement
         }
         .union_pushable());
-        assert!(Operator::Mu.union_pushable());
-        assert!(Operator::MuDelta.union_pushable());
+        assert!(Operator::IdLookup.union_pushable());
+        assert!(Operator::IfThenElse.union_pushable());
 
-        assert!(!Operator::Distinct.union_pushable());
         assert!(!Operator::Difference.union_pushable());
-        assert!(!Operator::Count { group_by: None }.union_pushable());
-        assert!(!Operator::RowNum.union_pushable());
-        assert!(!Operator::Construct("a".into()).union_pushable());
+        assert!(!Operator::Count.union_pushable());
     }
 
     #[test]
@@ -451,21 +346,15 @@ mod tests {
             },
             vec![rec],
         );
-        let join = plan.add(
-            Operator::Join {
-                left: "item".into(),
-                right: "item".into(),
-            },
-            vec![step, doc],
-        );
-        plan.set_root(join);
+        let union = plan.add(Operator::Union, vec![step, doc]);
+        plan.set_root(union);
 
         let dependents = plan.dependents_of(&[rec]);
-        assert_eq!(dependents, vec![step, join]);
+        assert_eq!(dependents, vec![step, union]);
         // The doc scan is independent of the recursion input.
         assert!(!dependents.contains(&doc));
         assert_eq!(plan.rec_inputs(), vec![rec]);
-        assert!(plan.render().contains("⋈"));
+        assert!(plan.render().contains("∪"));
     }
 
     #[test]
@@ -522,7 +411,7 @@ mod tests {
         // A rec-dependent aggregation mixes rows across seeds.
         let mut counted = Plan::new();
         let rec = counted.add(Operator::RecInput, vec![]);
-        let count = counted.add(Operator::Count { group_by: None }, vec![rec]);
+        let count = counted.add(Operator::Count, vec![rec]);
         counted.set_root(count);
         assert!(counted.seed_carried().is_none());
 
@@ -547,20 +436,13 @@ mod tests {
         let doc = constant.add(Operator::DocRoot("d.xml".into()), vec![]);
         constant.set_root(doc);
         assert!(constant.seed_carried().is_none());
-
-        // Constructors create per-run identities; batching would merge them.
-        let mut constructed = Plan::new();
-        let rec = constructed.add(Operator::RecInput, vec![]);
-        let cons = constructed.add(Operator::Construct("a".into()), vec![rec]);
-        constructed.set_root(cons);
-        assert!(constructed.seed_carried().is_none());
     }
 
     #[test]
     fn render_shows_operator_tree() {
         let mut plan = Plan::new();
         let rec = plan.add(Operator::RecInput, vec![]);
-        let count = plan.add(Operator::Count { group_by: None }, vec![rec]);
+        let count = plan.add(Operator::Count, vec![rec]);
         plan.set_root(count);
         let rendered = plan.render();
         assert!(rendered.starts_with("count"));

@@ -4,10 +4,11 @@
 //! (the `RecInput` leaf), then repeatedly push it up through its parent
 //! operators.  If every copy of the `∪` reaches the plan root, the body is
 //! distributive and the Delta-based fixpoint operator `µ∆` may replace `µ`;
-//! if the push is blocked by an operator that needs its complete input
-//! (duplicate elimination, difference, aggregation, row numbering, node
-//! construction — the "−" rows of Table 1), the processor must stay with
-//! Naïve.
+//! if the push is blocked by an operator that needs its complete input, the
+//! processor must stay with Naïve.  Of the "−" rows of Table 1, a compiled
+//! plan can hold two: difference (`except`, and `intersect` as `a \ (a \ b)`)
+//! and the `count` of a condition.  The compiler refuses node constructors,
+//! so no plan mints the fresh identities Section 3.2 sets apart.
 
 use crate::plan::{Plan, PlanNodeId};
 
@@ -33,24 +34,11 @@ impl PushupOutcome {
 
 /// Run the union push-up check on a recursion body plan.
 ///
-/// A plan with no `RecInput` leaf is trivially distributive (its value does
-/// not depend on the recursion variable at all) *unless* it constructs nodes,
-/// in which case each invocation produces fresh identities and distributivity
-/// is lost — the same special case Section 3.2 of the paper calls out.
+/// A plan with no `RecInput` leaf is trivially distributive: its value does
+/// not depend on the recursion variable at all, and no plan constructs
+/// nodes.  Otherwise the `∪` must pass every operator that consumes the
+/// recursion input; the first `\` or `count` on its way blocks it.
 pub fn check_distributivity(plan: &Plan) -> PushupOutcome {
-    // Node constructors anywhere in the plan break distributivity outright.
-    if let Some((id, node)) = plan
-        .iter()
-        .find(|(_, n)| matches!(n.op, crate::plan::Operator::Construct(_)))
-    {
-        return PushupOutcome {
-            distributive: false,
-            pushed_through: Vec::new(),
-            blocked_at: Some(id),
-            blocked_by: Some(node.op.name()),
-        };
-    }
-
     let sources = plan.rec_inputs();
     if sources.is_empty() {
         return PushupOutcome {
@@ -86,7 +74,7 @@ pub fn check_distributivity(plan: &Plan) -> PushupOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{FunKind, Operator};
+    use crate::plan::Operator;
     use xqy_xdm::{Axis, NodeTest};
 
     /// The recursion body of Query Q1 (Figure 9(a)): steps to the
@@ -117,8 +105,9 @@ mod tests {
         plan
     }
 
-    /// The recursion body of Query Q2 (Figure 9(b)): the count aggregate in
-    /// the right branch blocks the push-up.
+    /// The recursion body of Query Q2 (Figure 9(b)), as the compiler
+    /// spells `if (count($x/self::a)) then $x/* else ()`: the count
+    /// aggregate of the condition blocks the push-up.
     fn q2_body_plan() -> Plan {
         let mut plan = Plan::new();
         let rec = plan.add(Operator::RecInput, vec![]);
@@ -129,7 +118,7 @@ mod tests {
             },
             vec![rec],
         );
-        let count = plan.add(Operator::Count { group_by: None }, vec![self_a]);
+        let count = plan.add(Operator::Count, vec![self_a]);
         let children = plan.add(
             Operator::Step {
                 axis: Axis::Child,
@@ -137,14 +126,8 @@ mod tests {
             },
             vec![rec],
         );
-        let gate = plan.add(
-            Operator::Fun {
-                kind: FunKind::Gt,
-                left: "count".into(),
-                right: "zero".into(),
-            },
-            vec![count, children],
-        );
+        let empty = plan.add(Operator::Empty, vec![]);
+        let gate = plan.add(Operator::IfThenElse, vec![count, children, empty]);
         plan.set_root(gate);
         plan
     }
@@ -169,17 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn constructors_break_distributivity_even_without_rec_input() {
-        let mut plan = Plan::new();
-        let empty = plan.add(Operator::Empty, vec![]);
-        let ctor = plan.add(Operator::Construct("out".into()), vec![empty]);
-        plan.set_root(ctor);
-        let outcome = check_distributivity(&plan);
-        assert!(!outcome.distributive);
-        assert_eq!(outcome.blocked_by.as_deref(), Some("ε<out>"));
-    }
-
-    #[test]
     fn plans_independent_of_the_recursion_variable_are_distributive() {
         let mut plan = Plan::new();
         let doc = plan.add(Operator::DocRoot("d.xml".into()), vec![]);
@@ -197,8 +169,8 @@ mod tests {
     }
 
     #[test]
-    fn difference_and_rownum_block_like_table_1_says() {
-        for blocker in [Operator::Difference, Operator::RowNum, Operator::Distinct] {
+    fn difference_and_count_block_like_table_1_says() {
+        for blocker in [Operator::Difference, Operator::Count] {
             let mut plan = Plan::new();
             let rec = plan.add(Operator::RecInput, vec![]);
             let other = plan.add(Operator::Empty, vec![]);

@@ -73,7 +73,7 @@ use xqy_eval::{
 use xqy_parser::ast::{Expr, FunctionDecl, QueryModule};
 use xqy_parser::parse_query;
 use xqy_xdm::fixpoint::{Limits, Seeds};
-use xqy_xdm::{NodeId, QueryBudget, Sequence, StoreMut, StoreStatistics};
+use xqy_xdm::{NodeId, NodeStore, QueryBudget, Sequence, StoreMut, StoreStatistics};
 
 use crate::cost::{self, DecisionSource, FeedbackCell, OccurrenceFeatures, PlanAlternative};
 use crate::engine::{DistributivityReport, Engine, Parallelism, QueryOutcome, Strategy};
@@ -1035,7 +1035,7 @@ fn backend_error(var: &str, err: AlgebraError) -> EvalError {
 impl FixpointInterceptor for PlanDriver {
     fn run_fixpoint(
         &mut self,
-        store: StoreMut<'_>,
+        store: &NodeStore,
         var: &str,
         body: &Expr,
         seeds: Seeds<'_>,

@@ -428,22 +428,18 @@ impl<'s> Evaluator<'s> {
     /// Offer the occurrence `(var, body)` over `seeds` to the installed
     /// interceptor.  `Ok(None)` when there is none or it declines;
     /// otherwise the run is recorded and its per-source node lists (or its
-    /// error) returned.  The box is taken out for the call so the
-    /// interceptor can receive the store handle, and restored before any
-    /// nested occurrence evaluates.
+    /// error) returned.
     fn intercept(
         &mut self,
         var: &str,
         body: &Expr,
         seeds: Seeds<'_>,
     ) -> Result<Option<Vec<Vec<NodeId>>>> {
-        let Some(mut interceptor) = self.interceptor.take() else {
+        let Some(interceptor) = self.interceptor.as_mut() else {
             return Ok(None);
         };
         let seed_in_result = self.options.seed_in_result;
-        let outcome =
-            interceptor.run_fixpoint(self.store.reborrow(), var, body, seeds, seed_in_result);
-        self.interceptor = Some(interceptor);
+        let outcome = interceptor.run_fixpoint(self.store.read(), var, body, seeds, seed_in_result);
         let Some(result) = outcome else {
             return Ok(None);
         };

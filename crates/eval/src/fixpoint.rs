@@ -73,12 +73,11 @@ pub trait FixpointInterceptor {
     /// evaluator then offers the batch seed by seed before running it
     /// source-level.
     ///
-    /// `store` is the evaluator's store handle — exclusive or copy-on-write
-    /// (see [`StoreMut`](xqy_xdm::StoreMut)); implementors that construct
-    /// nodes write through it like a `&mut NodeStore`.
+    /// `store` is the evaluator's store, read-only: an intercepted
+    /// fixpoint selects nodes and constructs none.
     fn run_fixpoint(
         &mut self,
-        store: xqy_xdm::StoreMut<'_>,
+        store: &NodeStore,
         var: &str,
         body: &Expr,
         seeds: Seeds<'_>,

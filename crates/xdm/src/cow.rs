@@ -13,8 +13,9 @@
 //! so a constructing query pays for the nodes it builds and not for the
 //! documents it reads.
 //!
-//! [`StoreMut`] is the uniform handle the evaluator and the plan executor
-//! thread through their call stacks: either classic exclusive access
+//! [`StoreMut`] is the uniform handle the evaluator threads through its
+//! call stack (the plan executor constructs nothing and takes a plain
+//! `&NodeStore`): either classic exclusive access
 //! (`&mut NodeStore`, the single-query engine path) or a copy-on-write
 //! session store.  It `Deref`s to [`NodeStore`] so read paths are untouched;
 //! `DerefMut` routes through [`CowStore::write`], which is where the
@@ -82,8 +83,8 @@ impl CowStore {
     }
 }
 
-/// Exclusive-or-copy-on-write store access, threaded through the evaluator
-/// and the plan executor.
+/// Exclusive-or-copy-on-write store access, threaded through the
+/// evaluator.
 ///
 /// `Deref`/`DerefMut` make the handle a drop-in replacement for
 /// `&mut NodeStore` at method-call sites: `&self` store methods (all read

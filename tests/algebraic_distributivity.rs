@@ -54,30 +54,18 @@ fn table_1_push_flags() {
             column: "item".into(),
             value: "v".into(),
         },
-        Operator::Join {
-            left: "item".into(),
-            right: "item".into(),
-        },
-        Operator::Cross,
         Operator::Union,
-        Operator::RowTag,
         Operator::Step {
             axis: Axis::Child,
             test: NodeTest::AnyElement,
         },
-        Operator::Mu,
-        Operator::MuDelta,
+        Operator::IdLookup,
+        Operator::IfThenElse,
     ] {
         assert!(op.union_pushable(), "{} should be pushable", op.name());
     }
     // "−" rows.
-    for op in [
-        Operator::Distinct,
-        Operator::Difference,
-        Operator::Count { group_by: None },
-        Operator::RowNum,
-        Operator::Construct("e".into()),
-    ] {
+    for op in [Operator::Difference, Operator::Count] {
         assert!(!op.union_pushable(), "{} should block", op.name());
     }
 }
@@ -96,9 +84,10 @@ fn hand_built_plan_mixing_branches() {
         },
         vec![rec],
     );
-    let agg = plan.add(Operator::Count { group_by: None }, vec![rec]);
-    let cross = plan.add(Operator::Cross, vec![steps, agg]);
-    plan.set_root(cross);
+    let agg = plan.add(Operator::Count, vec![rec]);
+    let empty = plan.add(Operator::Empty, vec![]);
+    let gate = plan.add(Operator::IfThenElse, vec![agg, steps, empty]);
+    plan.set_root(gate);
     let outcome = check_distributivity(&plan);
     assert!(!outcome.distributive);
     assert_eq!(outcome.blocked_by.as_deref(), Some("count"));

@@ -561,3 +561,108 @@ fn concurrent_executions_of_one_plan_keep_their_own_run_summaries() {
         "(slow, fast) executions whose run summary went to another execution"
     );
 }
+
+/// No constructor, no copy: a recursion body selects nodes, so executing it
+/// over a copy-on-write view of a published snapshot never takes a private
+/// copy — on either back-end, single-source, as a `for` loop of per-seed
+/// fixpoints or through `execute_batched`.  A query that constructs a node
+/// is what diverges the view.
+#[test]
+fn selecting_bodies_never_copy_the_snapshot_they_read() {
+    use std::sync::Arc;
+    use xqy_datagen::{auction, curriculum, hospital, play, Scale};
+    use xqy_ifp::xdm::{CowStore, NodeStore, Sequence};
+    use xqy_ifp::{ExecOptions, Parallelism, PreparedQuery};
+
+    let mut engine = Engine::new();
+    let docs = [
+        (
+            curriculum::DOC_URI,
+            curriculum::generate(&curriculum::CurriculumConfig::for_scale(Scale::Small)),
+            &["code"][..],
+        ),
+        (
+            auction::DOC_URI,
+            auction::generate(&auction::AuctionConfig::for_scale(Scale::Small)),
+            &[],
+        ),
+        (
+            play::DOC_URI,
+            play::generate(&play::PlayConfig::for_scale(Scale::Small)),
+            &[],
+        ),
+        (
+            hospital::DOC_URI,
+            hospital::generate(&hospital::HospitalConfig::for_scale(Scale::Small)),
+            &[],
+        ),
+    ];
+    for (uri, xml, ids) in &docs {
+        engine.load_document_with_ids(uri, xml, ids).unwrap();
+    }
+    let cells = [
+        ("doc('curriculum.xml')/curriculum/course", curriculum::BODY),
+        (
+            "doc('curriculum.xml')/curriculum/course",
+            "$x/id(./prerequisites/pre_code)/self::course[@code = 'c7']",
+        ),
+        ("doc('auction.xml')/site/people/person", auction::BODY),
+        ("doc('play.xml')//SPEECH[@start='1']", play::BODY),
+        (
+            "doc('hospital.xml')/hospital/patient[@disease='yes']",
+            hospital::BODY,
+        ),
+    ];
+    let seeds: Vec<Sequence> = cells
+        .iter()
+        .map(|(path, _)| {
+            let nodes = engine.run(path).unwrap().result.nodes();
+            Sequence::from_nodes(nodes[nodes.len() - 6..].to_vec())
+        })
+        .collect();
+    let snapshot = Arc::new(std::mem::replace(engine.store_mut(), NodeStore::new()));
+    let opts = ExecOptions::default();
+    let prepare = |query: &str, backend| {
+        PreparedQuery::prepare(query, Strategy::Auto, backend, Parallelism::Sequential).unwrap()
+    };
+    let untouched = |cow: &CowStore, what: &str| {
+        assert!(!cow.diverged(), "{what}: the view took a private copy");
+        assert!(Arc::ptr_eq(cow.arc(), &snapshot), "{what}: another store");
+    };
+
+    for ((_, body), seed) in cells.iter().zip(&seeds) {
+        let single = format!("with $x seeded by $seed recurse {body}");
+        let looped = format!("for $s in $seed return (with $x seeded by $s recurse {body})");
+        let bindings = Bindings::new().with("seed", seed.clone());
+        for backend in [Backend::SourceLevel, Backend::Algebraic, Backend::Auto] {
+            for query in [&single, &looped] {
+                let mut cow = CowStore::new(Arc::clone(&snapshot));
+                prepare(query, backend)
+                    .execute_on(&mut cow, &bindings, &opts)
+                    .unwrap();
+                untouched(&cow, &format!("{backend:?} {query}"));
+            }
+            let mut cow = CowStore::new(Arc::clone(&snapshot));
+            let outcome = prepare(&single, backend)
+                .execute_batched_on(&mut cow, "seed", seed, &Bindings::new(), &opts)
+                .unwrap();
+            assert_eq!(outcome.per_seed.len(), seed.len());
+            untouched(&cow, &format!("{backend:?} batched {body}"));
+        }
+    }
+
+    let constructing = format!(
+        "(with $x seeded by $seed recurse {}, <note/>)",
+        curriculum::BODY
+    );
+    let mut cow = CowStore::new(Arc::clone(&snapshot));
+    prepare(&constructing, Backend::Auto)
+        .execute_on(
+            &mut cow,
+            &Bindings::new().with("seed", seeds[0].clone()),
+            &opts,
+        )
+        .unwrap();
+    assert!(cow.diverged(), "a constructor writes");
+    assert!(!Arc::ptr_eq(cow.arc(), &snapshot));
+}
