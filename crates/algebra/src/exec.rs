@@ -10,9 +10,16 @@
 //! ## Data plane
 //!
 //! The body plan is re-evaluated once per fixpoint iteration, so the
-//! per-row representation is the hot path.  Two choices keep it
+//! per-row representation is the hot path.  Three choices keep it
 //! allocation-free:
 //!
+//! * **Step chains are one path join.**  Every maximal chain of `Step` and
+//!   `IdLookup` nodes whose lower hops have one consumer each — the hop
+//!   above — runs as one [`PathJoin`] at the chain's top node, compiled
+//!   once per run: the kernel the interpreter runs a path spine through
+//!   ([`xqy_xdm::pathjoin`]).  No table is built for a hop below the top,
+//!   and no hop sorts; the driver puts the body's images in document
+//!   order.  A seed-carried plan runs one pass per tag group.
 //! * **Typed keys.**  Every table cell is a [`Key`] — a `Copy` word that is
 //!   a node id or an integer.  Union, difference and duplicate elimination
 //!   hash and compare `Key`s directly.  No cell holds a string: a body
@@ -50,7 +57,7 @@
 use std::sync::Arc;
 
 use xqy_xdm::fixpoint::{self, Body, Config, FixpointStrategy, Group, LimitError, Limits, Seeds};
-use xqy_xdm::{DocId, IdMap, IdSet, NodeId, NodeStore};
+use xqy_xdm::{Hop, IdMap, IdSet, JoinScratch, NodeId, NodeStore, PathJoin};
 
 pub use xqy_xdm::fixpoint::{BatchSharing, ExecStats};
 
@@ -412,17 +419,26 @@ impl Executor {
     /// previous calls.  [`Executor::run_fixpoint`] instead scopes the run
     /// cache to the whole fixpoint.
     pub fn eval_plan(&mut self, store: &NodeStore, plan: &Plan, rec: &Table) -> Result<Table> {
-        self.in_run(plan, |exec| exec.eval_plan_in_run(store, plan, rec))
+        let mut joins = Joins::of(store, plan);
+        self.in_run(plan, |exec| {
+            exec.eval_plan_in_run(store, plan, rec, &mut joins)
+        })
     }
 
     /// One evaluation of `plan` inside the run in progress — the
     /// per-iteration entry point of a fixpoint run.
-    fn eval_plan_in_run(&mut self, store: &NodeStore, plan: &Plan, rec: &Table) -> Result<Table> {
+    fn eval_plan_in_run(
+        &mut self,
+        store: &NodeStore,
+        plan: &Plan,
+        rec: &Table,
+        joins: &mut Joins<'_>,
+    ) -> Result<Table> {
         let root = plan
             .root()
             .ok_or_else(|| AlgebraError::InvalidPlan("plan has no root".into()))?;
         let mut memo: IdMap<PlanNodeId, Table> = IdMap::default();
-        self.eval_node(store, plan, root, rec, &mut memo)
+        self.eval_node(store, plan, root, rec, &mut memo, joins)
     }
 
     fn eval_node(
@@ -432,6 +448,7 @@ impl Executor {
         id: PlanNodeId,
         rec: &Table,
         memo: &mut IdMap<PlanNodeId, Table>,
+        joins: &mut Joins<'_>,
     ) -> Result<Table> {
         if let Some(cached) = memo.get(&id) {
             return Ok(cached.clone());
@@ -443,12 +460,19 @@ impl Executor {
                 return Ok(cached.clone());
             }
         }
-        let node = plan.node(id);
-        let mut inputs = Vec::with_capacity(node.inputs.len());
-        for &input in &node.inputs {
-            inputs.push(self.eval_node(store, plan, input, rec, memo)?);
-        }
-        let table = Self::apply(store, &node.op, inputs, rec)?;
+        let table = if let Some(input) = joins.input_of(id) {
+            // The top of a chain: the hops below it are never evaluated
+            // on their own.
+            let input = self.eval_node(store, plan, input, rec, memo, joins)?;
+            joins.run(id, &input)?
+        } else {
+            let node = plan.node(id);
+            let mut inputs = Vec::with_capacity(node.inputs.len());
+            for &input in &node.inputs {
+                inputs.push(self.eval_node(store, plan, input, rec, memo, joins)?);
+            }
+            Self::apply(store, &node.op, inputs, rec)?
+        };
         if is_rec_dependent {
             memo.insert(id, table.clone());
         } else {
@@ -544,42 +568,12 @@ impl Executor {
                 vec!["count".into()],
                 vec![vec![Key::Int(inputs[0].rows as i64)]],
             )),
-            Operator::Step { axis, test } => {
-                let input = inputs.remove(0);
-                let idx = input.column_index("item")?;
-                let step = store.step(*axis, test);
-                let mut src = Vec::new();
-                let mut items = Vec::new();
-                let mut selected = Vec::new();
-                for (r, key) in input.cols[idx].iter().enumerate() {
-                    let Some(node) = key.as_node() else {
-                        continue;
-                    };
-                    step.nodes_into(node, &mut selected);
-                    src.resize(src.len() + selected.len(), r);
-                    items.extend(selected.drain(..).map(Key::Node));
-                }
-                Ok(replace_item_column(&input, idx, src, items).distinct())
-            }
-            Operator::IdLookup => {
-                let input = inputs.remove(0);
-                let idx = input.column_index("item")?;
-                // `fn:id` as the interpreter runs it: an argument node
-                // resolves in its own document, through the kernel that
-                // probes the ID index with the node's text symbol.
-                let mut src = Vec::new();
-                let mut items = Vec::new();
-                let mut found = Vec::new();
-                for (r, key) in input.cols[idx].iter().enumerate() {
-                    let Some(node) = key.as_node() else {
-                        continue;
-                    };
-                    store.lookup_id_nodes(DocId(node.doc), &[node], &mut found);
-                    src.resize(src.len() + found.len(), r);
-                    items.extend(found.drain(..).map(Key::Node));
-                }
-                Ok(replace_item_column(&input, idx, src, items).distinct())
-            }
+            // Every step and `id()` runs in the path join of its chain
+            // (`Joins`).
+            Operator::Step { .. } | Operator::IdLookup => Err(AlgebraError::InvalidPlan(format!(
+                "{} evaluated outside its chain",
+                op.name()
+            ))),
             Operator::IfThenElse => {
                 let else_table = inputs.remove(2);
                 let then_table = inputs.remove(1);
@@ -685,6 +679,7 @@ impl Executor {
                 store,
                 plan,
                 carried,
+                joins: Joins::of(store, plan),
             };
             fixpoint::run(&mut body, &config, seeds)
         });
@@ -703,6 +698,7 @@ impl Executor {
         body: &Plan,
         tagged: &[(NodeId, &[NodeId])],
         stats: &mut ExecStats,
+        joins: &mut Joins<'_>,
     ) -> Result<Vec<Vec<NodeId>>> {
         let total_rows: usize = tagged.iter().map(|(_, nodes)| nodes.len()).sum();
         stats.frontier_curve.push(total_rows as u64);
@@ -719,7 +715,7 @@ impl Executor {
             vec![SEED_COLUMN.to_string(), "item".to_string()],
             vec![tag_col, item_col],
         );
-        let out = self.eval_plan_in_run(store, body, &rec)?;
+        let out = self.eval_plan_in_run(store, body, &rec, joins)?;
         let si = out.column_index(SEED_COLUMN)?;
         let ii = out.column_index("item")?;
         let index: IdMap<NodeId, usize> = tagged
@@ -748,12 +744,13 @@ impl Executor {
         body: &Plan,
         input: &[NodeId],
         stats: &mut ExecStats,
+        joins: &mut Joins<'_>,
     ) -> Result<Vec<NodeId>> {
         stats.frontier_curve.push(input.len() as u64);
         stats.body_evaluations += 1;
         xqy_xdm::fail::point("alloc.table").map_err(|e| AlgebraError::Execution(e.to_string()))?;
         let rec = Table::from_nodes(input);
-        let out = self.eval_plan_in_run(store, body, &rec)?;
+        let out = self.eval_plan_in_run(store, body, &rec, joins)?;
         Ok(out.item_nodes())
     }
 }
@@ -765,20 +762,23 @@ struct PlanBody<'a> {
     store: &'a NodeStore,
     plan: &'a Plan,
     carried: bool,
+    /// The run's path joins, built once.
+    joins: Joins<'a>,
 }
 
 impl Body for PlanBody<'_> {
     type Error = AlgebraError;
 
     fn images(&mut self, groups: &[Group<'_>], stats: &mut ExecStats) -> Result<Vec<Vec<NodeId>>> {
+        let (store, plan, joins) = (self.store, self.plan, &mut self.joins);
         if self.carried {
             return self
                 .executor
-                .eval_tagged_batch(self.store, self.plan, groups, stats);
+                .eval_tagged_batch(store, plan, groups, stats, joins);
         }
         groups
             .iter()
-            .map(|&(_, nodes)| self.executor.eval_body(self.store, self.plan, nodes, stats))
+            .map(|&(_, nodes)| self.executor.eval_body(store, plan, nodes, stats, joins))
             .collect()
     }
 
@@ -795,26 +795,109 @@ impl Body for PlanBody<'_> {
     }
 }
 
-/// Gather `col[i]` for every `i` in `idx` (the columnar row-selection
-/// primitive steps and `id()` lookups are built from).
-fn gather(col: &[Key], idx: &[usize]) -> Vec<Key> {
-    idx.iter().map(|&i| col[i]).collect()
+/// The path joins of one run of a plan: every maximal chain of `Step` and
+/// `IdLookup` nodes whose lower hops have one consumer each — the hop
+/// above — runs as one [`PathJoin`] at its top node, so no table is built
+/// for a hop below the top.
+struct Joins<'a> {
+    /// `tops[id]` for the top node `id` of a chain: the plan node below
+    /// the chain's lowest hop, and the chain's join.
+    tops: Vec<Option<(PlanNodeId, PathJoin<'a>)>>,
+    scratch: JoinScratch,
+    /// One tag group's focus nodes, and what the join selected from them.
+    focus: Vec<NodeId>,
+    found: Vec<NodeId>,
 }
 
-/// Rebuild `input` with the `item` column replaced by `items` and every
-/// other column gathered through `src` (one source row per output row).
-fn replace_item_column(input: &Table, item_idx: usize, src: Vec<usize>, items: Vec<Key>) -> Table {
-    debug_assert_eq!(src.len(), items.len());
-    let mut cols: Vec<Arc<Vec<Key>>> = Vec::with_capacity(input.cols.len());
-    for (c, col) in input.cols.iter().enumerate() {
-        if c == item_idx {
-            cols.push(Arc::new(Vec::new())); // replaced just below
-        } else {
-            cols.push(Arc::new(gather(col, &src)));
+impl<'a> Joins<'a> {
+    /// The chains of `plan`, compiled over `store`.
+    fn of(store: &'a NodeStore, plan: &'a Plan) -> Self {
+        let hop = |id: PlanNodeId| match &plan.node(id).op {
+            Operator::Step { axis, test } => Some(Hop::Step(*axis, test)),
+            Operator::IdLookup => Some(Hop::Id),
+            _ => None,
+        };
+        // A hop is absorbed into the hop above it when that is its only
+        // consumer (and it is not the root, whose table is the answer).
+        let mut consumers = vec![0usize; plan.len()];
+        let mut under_hop = vec![false; plan.len()];
+        for (id, node) in plan.iter() {
+            for &input in &node.inputs {
+                consumers[input] += 1;
+                under_hop[input] |= hop(id).is_some();
+            }
+        }
+        let absorbed = |id: PlanNodeId| {
+            hop(id).is_some() && consumers[id] == 1 && under_hop[id] && plan.root() != Some(id)
+        };
+        let tops = (0..plan.len())
+            .map(|top| {
+                if hop(top).is_none() || absorbed(top) {
+                    return None;
+                }
+                let mut chain = vec![top];
+                let mut below = plan.node(top).inputs[0];
+                while absorbed(below) {
+                    chain.push(below);
+                    below = plan.node(below).inputs[0];
+                }
+                let hops = chain.iter().rev().filter_map(|&id| hop(id));
+                Some((below, PathJoin::new(store, hops)))
+            })
+            .collect();
+        Joins {
+            tops,
+            scratch: JoinScratch::default(),
+            focus: Vec::new(),
+            found: Vec::new(),
         }
     }
-    cols[item_idx] = Arc::new(items);
-    Table::with_schema(input.names.clone(), cols)
+
+    /// The input of the chain topped by `id`, if `id` tops one.
+    fn input_of(&self, id: PlanNodeId) -> Option<PlanNodeId> {
+        self.tops[id].as_ref().map(|(input, _)| *input)
+    }
+
+    /// The chain topped by `id` over the `item` column of `input`: one pass
+    /// per run of rows that agree on every other column (a tag group of a
+    /// seed-carried plan; the whole table of a per-seed one), each selected
+    /// node carrying its group's other cells.
+    fn run(&mut self, id: PlanNodeId, input: &Table) -> Result<Table> {
+        let Some((_, join)) = &self.tops[id] else {
+            return Err(AlgebraError::InvalidPlan(format!("{id} tops no chain")));
+        };
+        let item = input.column_index("item")?;
+        let same_group = |a: usize, b: usize| {
+            input
+                .cols
+                .iter()
+                .enumerate()
+                .all(|(c, col)| c == item || col[a] == col[b])
+        };
+        let mut cols: Vec<Vec<Key>> = vec![Vec::new(); input.cols.len()];
+        let mut start = 0;
+        while start < input.rows {
+            let mut end = start + 1;
+            while end < input.rows && same_group(start, end) {
+                end += 1;
+            }
+            self.focus.clear();
+            let group = &input.cols[item][start..end];
+            self.focus.extend(group.iter().filter_map(Key::as_node));
+            self.found.clear();
+            join.select_into(&self.focus, &mut self.scratch, &mut self.found);
+            for (c, col) in cols.iter_mut().enumerate() {
+                if c == item {
+                    col.extend(self.found.iter().map(|&node| Key::Node(node)));
+                } else {
+                    col.extend(std::iter::repeat_n(input.cols[c][start], self.found.len()));
+                }
+            }
+            start = end;
+        }
+        let cols = cols.into_iter().map(Arc::new).collect();
+        Ok(Table::with_schema(input.names.clone(), cols))
+    }
 }
 
 /// Effective boolean value of a condition table: a single `count`/integer
@@ -831,7 +914,7 @@ fn effective_boolean(table: &Table) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xqy_xdm::{Axis, NodeTest};
+    use xqy_xdm::{Axis, DocId, NodeTest};
 
     const CURRICULUM: &str = r#"<curriculum>
         <course code="c1"><prerequisites><pre_code>c2</pre_code><pre_code>c3</pre_code></prerequisites></course>

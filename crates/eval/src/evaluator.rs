@@ -8,8 +8,8 @@ use xqy_parser::ast::{
 };
 use xqy_parser::{parse_query, BinaryOp};
 use xqy_xdm::{
-    ddo, ddo_vec, intersect, node_except, node_union, AtomicValue, DocId, IdMap, Interner, Item,
-    NodeId, NodeKind, NodeStore, Sequence, StoreMut, StrId,
+    ddo, ddo_vec, intersect, node_except, node_union, AtomicValue, DocId, Hop, IdMap, Interner,
+    Item, JoinScratch, NodeId, NodeKind, NodeStore, Sequence, StoreMut, StrId,
 };
 
 use crate::compare::{arithmetic, effective_boolean_value, general_pair_compare, value_compare};
@@ -97,6 +97,33 @@ pub struct Evaluator<'s> {
     /// Optional hook that may take over fixpoint evaluation (e.g. to drive a
     /// pre-compiled algebraic plan on the relational back-end).
     interceptor: Option<Box<dyn FixpointInterceptor>>,
+    /// The set route's state for the execution in progress ([`Evaluator::scoped`]).
+    route: Route,
+}
+
+/// What the set route keeps for one execution: the verdict of each gate
+/// per expression, and the path join's scratch.
+///
+/// Gates are keyed by the expression's address, so they are kept only
+/// inside a scope — a module evaluation or a fixpoint run — during which
+/// every expression evaluated belongs to an AST that outlives the scope;
+/// leaving the outermost scope drops both.
+#[derive(Debug, Default)]
+struct Route {
+    /// Nesting depth of [`Evaluator::scoped`]; gates are kept while > 0.
+    scopes: usize,
+    gates: IdMap<(usize, Gate), bool>,
+    scratch: JoinScratch,
+}
+
+/// The judgements that gate the set route.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Gate {
+    /// `E/step` runs once over the set `E` ([`distributivity::step_distributes`]).
+    Step,
+    /// The step `p/s` runs as `(E/p)/s`: `s` reads nothing of its focus but
+    /// the item and reaches no constructor.
+    Reassociate,
 }
 
 /// The per-occurrence settings a higher layer can install on an evaluator
@@ -132,6 +159,7 @@ impl<'s> Evaluator<'s> {
             recursion_depth: 0,
             occurrence_overrides: Vec::new(),
             interceptor: None,
+            route: Route::default(),
         }
     }
 
@@ -496,14 +524,29 @@ impl<'s> Evaluator<'s> {
     /// global variables, then evaluate the body.
     pub fn eval_module(&mut self, module: &QueryModule) -> Result<Sequence> {
         self.register_functions(&module.functions);
-        let mut env = self.env_with_globals();
-        for (name, expr) in &module.variables {
-            let value = self.eval_expr(expr, &mut env, None)?;
-            let id = self.names.intern(name);
-            env.push(id, value.clone());
-            self.globals.push((id, value));
+        self.scoped(|eval| {
+            let mut env = eval.env_with_globals();
+            for (name, expr) in &module.variables {
+                let value = eval.eval_expr(expr, &mut env, None)?;
+                let id = eval.names.intern(name);
+                env.push(id, value.clone());
+                eval.globals.push((id, value));
+            }
+            eval.eval_expr(&module.body, &mut env, None)
+        })
+    }
+
+    /// Run `f` inside a set-route scope: gate verdicts are kept per
+    /// expression until the outermost scope ends (see [`Route`]).  The
+    /// caller guarantees that every expression `f` evaluates outlives it.
+    pub(crate) fn scoped<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
+        self.route.scopes += 1;
+        let out = f(self);
+        self.route.scopes -= 1;
+        if self.route.scopes == 0 {
+            self.route = Route::default();
         }
-        self.eval_expr(&module.body, &mut env, None)
+        out
     }
 
     /// Evaluate `expr` under `env` with optional focus.
@@ -647,10 +690,7 @@ impl<'s> Evaluator<'s> {
                     Ok(Sequence::singleton(Item::double(value)))
                 }
             }
-            Expr::Path { input, step } => {
-                let input_seq = self.eval_expr(input, env, focus)?;
-                self.eval_path_step(&input_seq, step, env)
-            }
+            Expr::Path { input, step } => self.eval_path(expr, input, step, env, focus),
             Expr::RootPath { step } => {
                 let focus = focus.ok_or(EvalError::MissingContextItem)?;
                 let node = focus
@@ -718,6 +758,34 @@ impl<'s> Evaluator<'s> {
     // Paths, predicates
     // ------------------------------------------------------------------
 
+    /// The path `expr` = `input/step`.  When the top of its spine
+    /// `base/s₁/…/sₙ` is a run of kernel steps, `base` is evaluated and the
+    /// run is one path join; otherwise `step` is applied to `input`.
+    fn eval_path(
+        &mut self,
+        expr: &Expr,
+        input: &Expr,
+        step: &Expr,
+        env: &mut Environment,
+        focus: Option<&Focus>,
+    ) -> Result<Sequence> {
+        let Some(base) = spine(expr) else {
+            let input_seq = self.eval_expr(input, env, focus)?;
+            return self.eval_path_step(&input_seq, step, env);
+        };
+        let value = self.eval_expr(base, env, focus)?;
+        let Some(ids) = value.node_ids() else {
+            // Atomic items: step by step, for the general semantics and its
+            // errors.
+            return self.steps_from(value, expr, base, env);
+        };
+        let mut nodes = Vec::new();
+        let mut run = self.route.scratch.run(&self.store, ids);
+        spine_hops(expr, base, &mut |hop| run.hop(hop));
+        run.finish_into(&mut nodes);
+        Ok(Sequence::from_nodes(ddo_vec(&self.store, nodes)))
+    }
+
     /// Evaluate a path step `input/step`, combining the per-focus results;
     /// node results come back in distinct document order, mirroring `fs:ddo`.
     ///
@@ -734,14 +802,58 @@ impl<'s> Evaluator<'s> {
         env: &mut Environment,
     ) -> Result<Sequence> {
         match input.node_ids() {
-            Some(ids) if distributivity::step_distributes(step, &self.declared()) => {
-                self.step_over_set(ids, step, env).map(Sequence::from_nodes)
+            Some(ids) if self.gate(step, Gate::Step) => {
+                let nodes = self.step_over_set(ids, step, env)?;
+                Ok(Sequence::from_nodes(ddo_vec(&self.store, nodes)))
             }
             // A node-backed input is read off its id buffer, never
             // materializing an `Item` view of the (possibly large) set.
             Some(ids) => self.step_per_focus(ids.len(), |i| Item::Node(ids[i]), step, env),
             None => self.step_per_focus(input.len(), |i| input.items()[i].clone(), step, env),
         }
+    }
+
+    /// `value/s₁/…/sₙ` one step at a time, for the spine of `expr` above
+    /// `base` (whose value `value` is).
+    fn steps_from(
+        &mut self,
+        value: Sequence,
+        expr: &Expr,
+        base: &Expr,
+        env: &mut Environment,
+    ) -> Result<Sequence> {
+        match expr {
+            Expr::Path { input, step } if !std::ptr::eq(expr, base) => {
+                let input = self.steps_from(value, input, base, env)?;
+                self.eval_path_step(&input, step, env)
+            }
+            _ => Ok(value),
+        }
+    }
+
+    /// The verdict of `gate` on `expr`: worked out once per expression in
+    /// a scope ([`Evaluator::scoped`]), on every call outside one.
+    fn gate(&mut self, expr: &Expr, gate: Gate) -> bool {
+        let key = (expr as *const Expr as usize, gate);
+        if let Some(&verdict) = self.route.gates.get(&key) {
+            return verdict;
+        }
+        let verdict = {
+            let declared = &self.declared();
+            match (gate, expr) {
+                (Gate::Step, _) => distributivity::step_distributes(expr, declared),
+                (Gate::Reassociate, Expr::Path { input, step }) => {
+                    distributivity::yields_only_nodes(input)
+                        && distributivity::focus_distributive(step, declared)
+                        && !distributivity::reaches_constructor(step, declared)
+                }
+                (Gate::Reassociate, _) => false,
+            }
+        };
+        if self.route.scopes > 0 {
+            self.route.gates.insert(key, verdict);
+        }
+        verdict
     }
 
     /// `step` evaluated once per focus item — `size` of them, the `i`-th
@@ -778,71 +890,69 @@ impl<'s> Evaluator<'s> {
         }
     }
 
-    /// `ddo(⋃ₙ step(n))` over the focus nodes `focus`.  Precondition, the
-    /// gate's: `step` yields only nodes, and the judgement over `.`
-    /// certifies it or finds it independent of `.`.  By the argument of
-    /// Theorem 3.2 the step applied to the set then equals the union of its
-    /// per-node results, whatever the order and multiplicity of `focus`,
-    /// and one `ddo` at each level replaces one per focus node.  Every part
-    /// recursed into keeps the precondition: CONCAT, STEP2 and BUILTIN hand
-    /// the judgement down to `l | r`, `p` of `p/s` and `p` of `id(p)`; what
-    /// is checked below is what they do not.
+    /// The distinct nodes of `⋃ₙ step(n)` over the focus nodes `focus`, in
+    /// no particular order: the caller puts them in document order once.
+    /// Precondition, the gate's: `step` yields only nodes, and the
+    /// judgement over `.` certifies it or finds it independent of `.`.  By
+    /// the argument of Theorem 3.2 the step applied to the set then equals
+    /// the union of its per-node results, whatever the order and
+    /// multiplicity of `focus`, so no part sorts.  A kernel step (a chain
+    /// of predicate-free axis steps, `.` and one-argument `id()`, however
+    /// nested in `p/s` and `id(p)`) is one path join
+    /// ([`xqy_xdm::pathjoin`]); the other certified forms split into parts
+    /// that keep the precondition — CONCAT, STEP2 and BUILTIN hand the
+    /// judgement down to `l | r`, `p` of `p/s` and `p` of `id(p)` — and
+    /// what is checked below is what they do not.  Everything else runs
+    /// once per focus node.
     fn step_over_set(
         &mut self,
         focus: &[NodeId],
         step: &Expr,
         env: &mut Environment,
     ) -> Result<Vec<NodeId>> {
-        let mut out = Vec::new();
-        match step {
-            Expr::ContextItem => out.extend_from_slice(focus),
-            Expr::AxisStep {
-                axis,
-                test,
-                predicates,
-            } if predicates.is_empty() => {
-                let step = self.store.step(*axis, test);
-                for &node in focus {
-                    step.nodes_into(node, &mut out);
-                }
-            }
+        if kernel_hops(step, &mut |_| ()) {
+            let mut out = Vec::new();
+            let mut run = self.route.scratch.run(&self.store, focus);
+            kernel_hops(step, &mut |hop| run.hop(hop));
+            run.finish_into(&mut out);
+            return Ok(out);
+        }
+        let mut out = match step {
             // `E/(p/s)` is `(E/p)/s` when `s` reads nothing of its focus but
             // the item: then the set `E/p` can stand for every node's own
             // `n/p`.  Anything else — `position()`, `last()` — would see the
             // intermediate set where it should see one node's `n/p`; and a
             // constructor, run once per node of the set `E/p`, would make
             // fewer fresh nodes than once per node of every `n/p`.
-            Expr::Path { input, step }
-                if distributivity::yields_only_nodes(input)
-                    && distributivity::focus_distributive(step, &self.declared())
-                    && !distributivity::reaches_constructor(step, &self.declared()) =>
-            {
+            Expr::Path { input, step: s } if self.gate(step, Gate::Reassociate) => {
                 let mid = self.step_over_set(focus, input, env)?;
-                return self.step_over_set(&mid, step, env);
+                return self.step_over_set(&mid, s, env);
             }
             // One-argument `id` is anchored at the focus node's own
-            // document, so the focus is cut into runs of one document (a
-            // document-ordered focus is one run per document; any other
-            // order only makes more runs) and each run resolves its argument
-            // nodes against that document in one probe.
+            // document, so the focus is cut into runs of one document and
+            // each run resolves its argument nodes against that document in
+            // one probe.
             Expr::FunctionCall { name, args }
                 if args.len() == 1
                     && distributivity::builtin(name) == Some("id")
                     && distributivity::yields_only_nodes(&args[0]) =>
             {
+                let mut out = Vec::new();
                 for run in focus.chunk_by(|a, b| a.doc == b.doc) {
                     let arg_nodes = self.step_over_set(run, &args[0], env)?;
                     self.store
                         .lookup_id_nodes(DocId(run[0].doc), &arg_nodes, &mut out);
                 }
+                out
             }
             Expr::Binary {
                 op: BinaryOp::Union,
                 lhs,
                 rhs,
             } => {
-                out = self.step_over_set(focus, lhs, env)?;
+                let mut out = self.step_over_set(focus, lhs, env)?;
                 out.extend(self.step_over_set(focus, rhs, env)?);
+                out
             }
             // A predicated axis step, a `p/s` or `id(p)` the judgement does
             // not re-associate, and whatever else the gate certified: once
@@ -853,8 +963,9 @@ impl<'s> Evaluator<'s> {
                     .step_per_focus(focus.len(), |i| Item::Node(focus[i]), step, env)
                     .map(|s| s.nodes())
             }
-        }
-        Ok(ddo_vec(&self.store, out))
+        };
+        self.route.scratch.dedupe(&mut out);
+        Ok(out)
     }
 
     fn apply_predicate(
@@ -1257,6 +1368,58 @@ impl<'s> Evaluator<'s> {
     }
 }
 
+/// Hand the hops of `step` to `emit`, in order, when it is a kernel step
+/// — `.`, a predicate-free axis step, one-argument `id(p)` or `p/s` over
+/// kernel steps — and say whether it is (check with a no-op `emit` first:
+/// a step that is not one may have emitted some hops).  A kernel step
+/// reads nothing of its focus but the node, yields only nodes and
+/// constructs none, so the judgement over `.` certifies it and every `/`
+/// in it may re-associate: `E/step` is one path join of its hops.
+fn kernel_hops<'e>(step: &'e Expr, emit: &mut impl FnMut(Hop<'e>)) -> bool {
+    match step {
+        Expr::ContextItem => true,
+        Expr::AxisStep {
+            axis,
+            test,
+            predicates,
+        } if predicates.is_empty() => {
+            emit(Hop::Step(*axis, test));
+            true
+        }
+        Expr::Path { input, step } => kernel_hops(input, emit) && kernel_hops(step, emit),
+        Expr::FunctionCall { name, args }
+            if args.len() == 1 && distributivity::builtin(name) == Some("id") =>
+        {
+            let kernel = kernel_hops(&args[0], emit);
+            emit(Hop::Id);
+            kernel
+        }
+        _ => false,
+    }
+}
+
+/// The base of the path `expr` (`base/s₁/…/sₙ`) below the longest run of
+/// kernel steps at the top of its spine; `None` when the top step is no
+/// kernel step.
+fn spine(expr: &Expr) -> Option<&Expr> {
+    match expr {
+        Expr::Path { input, step } if kernel_hops(step, &mut |_| ()) => {
+            Some(spine(input).unwrap_or(input))
+        }
+        _ => None,
+    }
+}
+
+/// Hand `emit` the hops of the spine of `expr` above `base`, in order.
+fn spine_hops<'e>(expr: &'e Expr, base: &Expr, emit: &mut impl FnMut(Hop<'e>)) {
+    if let Expr::Path { input, step } = expr {
+        if !std::ptr::eq(expr, base) {
+            spine_hops(input, base, emit);
+            kernel_hops(step, emit);
+        }
+    }
+}
+
 /// The fixpoint of a per-item loop `for $s in E return with $x seeded by
 /// $s recurse b` (no `at`), when `b` reads no variable but `$x` and those
 /// `is_global` names — the shape the evaluator may run as one batch, and
@@ -1482,6 +1645,55 @@ mod tests {
         evaluator.bind_global("e", Sequence::from_nodes(vec![s, s]));
         let query = "declare function f() { <x><y/></x> };\ncount($e/(./a/(f()/y)))";
         assert_eq!(ints(&evaluator.eval_query_str(query).unwrap()), vec![2]);
+    }
+
+    /// Predicated and positional steps, a filtered or two-argument `id`,
+    /// and a right-hand side reading the intermediate focus stay off the
+    /// path-join kernel; each Table-2 body's spine is one chain of hops
+    /// over `$x`.
+    #[test]
+    fn predicated_and_positional_steps_stay_off_the_kernel() {
+        let parse = |src: &str| xqy_parser::parse_expr(src).unwrap();
+        let hops = |expr: &Expr| {
+            let mut n = 0;
+            kernel_hops(expr, &mut |_| n += 1).then_some(n)
+        };
+        for src in [
+            "a[1]",
+            "a[last()]",
+            "a[@id]",
+            "a[@ref = 'n1']",
+            "id(./a)[1]",
+            "id(./a, .)",
+            "id(./a[1])",
+            "position()",
+            "a/(if (position() = 1) then self::* else ())",
+            "a/string(.)",
+        ] {
+            assert_eq!(hops(&parse(src)), None, "{src}");
+            let path = parse(&format!("$x/{src}"));
+            assert!(spine(&path).is_none(), "{src}");
+        }
+        for (body, count) in [
+            ("$x/id(./sells/@ref)/bidder/id(./@person)", 6),
+            ("$x/id(./prerequisites/pre_code)", 3),
+            ("$x/id(./parentref/@ref)", 3),
+            ("$x/id(./@cont)", 2),
+        ] {
+            let path = parse(body);
+            let base = spine(&path).unwrap();
+            assert!(matches!(base, Expr::VarRef(x) if x == "x"), "{body}");
+            let mut n = 0;
+            spine_hops(&path, base, &mut |_| n += 1);
+            assert_eq!(n, count, "{body}");
+        }
+        // Only the run above the last non-kernel step joins.
+        let path = parse("$x/a[1]/b/id(./@r)");
+        let base = spine(&path).unwrap();
+        assert!(
+            matches!(base, Expr::Path { step, .. } if hops(step).is_none()),
+            "{base:?}"
+        );
     }
 
     #[test]

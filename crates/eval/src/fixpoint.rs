@@ -299,7 +299,9 @@ pub fn evaluate_fixpoint_batched(
     drive(eval, var, body, env, strategy, share_frontiers, seeds)
 }
 
-/// Run the shared driver over the interpreter and record the run.
+/// Run the shared driver over the interpreter and record the run.  The run
+/// is a set-route scope ([`Evaluator::scoped`]): `body` outlives it, so
+/// each path step's gates are judged once per run, not once per call.
 fn drive(
     eval: &mut Evaluator<'_>,
     var: &str,
@@ -321,13 +323,15 @@ fn drive(
         threads: options.fixpoint_threads,
         limits: options.limits,
     };
-    let mut interpreted = Interpreted {
-        eval,
-        var,
-        body,
-        env,
-    };
-    let (result, stats) = fixpoint::run(&mut interpreted, &config, seeds);
+    let (result, stats) = eval.scoped(|eval| {
+        let mut interpreted = Interpreted {
+            eval,
+            var,
+            body,
+            env,
+        };
+        fixpoint::run(&mut interpreted, &config, seeds)
+    });
     let stats = FixpointStats {
         strategy: Some(strategy),
         ..stats.into()

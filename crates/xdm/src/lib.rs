@@ -45,6 +45,7 @@ pub mod node;
 pub mod nodeset;
 pub mod ops;
 mod parse;
+pub mod pathjoin;
 pub mod sequence;
 pub mod serialize;
 pub mod shard;
@@ -61,6 +62,7 @@ pub use intern::{Interner, NameId, NameTable, StrId, TextPool};
 pub use node::{Axis, Matcher, NodeId, NodeKind, NodeTest, QName};
 pub use nodeset::NodeSet;
 pub use ops::{ddo, ddo_vec, intersect, is_subset, node_except, node_union, set_equal};
+pub use pathjoin::{Hop, JoinScratch, PathJoin};
 pub use sequence::Sequence;
 pub use stats::{DocumentStatistics, StoreStatistics};
 pub use store::{DocId, NodeStore, Step, StrView};

@@ -19,7 +19,9 @@
 # parent's by more than the bound; `unresolved` when either side's
 # interquartile spread is wider than the bound — unless every run of the
 # change reads better than every run of the parent — and then every pair is
-# listed under the table; `ok` otherwise.
+# listed under the table; `ok` otherwise.  Under the table, every cell's
+# (`cell.*`) parent and change median and their ratio say which cells a
+# gain or a loss comes from.
 #
 # The parent is unpacked with `git archive` under target/ledger-ab/ and both
 # ledgers are built by their own, unedited benchmark/run.sh into separate
@@ -133,6 +135,7 @@ awk -F'\t' -v contract="$contract" '
     }
     !($1 in seen) { seen[$1] = 1; workload[++workloads] = $1 }
     $4 == "attempted" || $4 == "failed" { total[$1, $2, $4] += $5; next }
+    $4 ~ /^cell\./ && !(($1, $4) in celled) { celled[$1, $4] = 1; cell[$1, ++cells[$1]] = $4 }
     { value[$1, $2, $4, $3] = $5; if ($3 > count[$1, $4]) count[$1, $4] = $3 }
     END {
         printf "%-16s %-16s %-36s %-36s %-9s %-9s %-6s %s\n", "workload", "metric",
@@ -161,6 +164,16 @@ awk -F'\t' -v contract="$contract" '
             }
         }
         printf "%s", listed
+        for (k = 1; k <= workloads; k++) {
+            w = workload[k]
+            if (cells[w]) printf "%-16s %-36s %-12s %-12s %s\n", w, "cell", "parent", "change", "change/p"
+            for (c = 1; c <= cells[w]; c++) {
+                name = cell[w, c]
+                summary(w, "parent", name); summary(w, "change", name)
+                printf "%-16s %-36s %-12.4g %-12.4g %.3f\n", w, name, mid["parent"], mid["change"],
+                    mid["parent"] ? mid["change"] / mid["parent"] : 0
+            }
+        }
         for (k = 1; k <= workloads; k++) {
             w = workload[k]
             printf "failed: %s parent %d of %d attempted, change %d of %d\n", w,

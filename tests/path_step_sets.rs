@@ -17,16 +17,37 @@
 //!   operator, so nothing but single-node axis steps is left of the path
 //!   machinery.
 //!
+//! Every step the algebra compiler accepts as the body `$x/step` also runs
+//! on the relational executor, over the same focus, in two more readings:
+//!
+//! * **per-seed plan**: the compiled plan over the focus as one relation,
+//!   whose node set must be the set reading's;
+//! * **seed-carried plan**: the batched plan over `(tag, node)` rows, one
+//!   tag per focus node (a repeated node repeats its tag, so a tag's rows
+//!   need not be adjacent), whose nodes per tag must be that node's
+//!   singleton reading.
+//!
+//! Both back-ends run the predicate-free chains of these steps through one
+//! path-join kernel; the generator therefore also emits chains of two and
+//! more `id()` hops (auction's `id(./sells/@ref)/bidder/id(./@person)`)
+//! over element and attribute arguments with whitespace-separated,
+//! dangling and repeated tokens.
+//!
 //! The negative half appends what must *not* be distributed — positional
 //! and boolean predicates, `position()`, `last()`, a filtered or
 //! two-argument `id`, and a node-returning right-hand side of `/` that
 //! reads the intermediate focus, which `E/(p/s)` must not re-associate as
-//! `(E/p)/s` — and checks the same agreement.
+//! `(E/p)/s` — and checks the same agreement (the executor's readings
+//! where the compiler accepts the step: the `[@a = 'lit']` predicate).
+//! That none of these forms reaches the kernel is
+//! `evaluator::tests::predicated_and_positional_steps_stay_off_the_kernel`.
 
 use proptest::prelude::*;
 
+use xqy_ifp::algebra::{compile_recursion_body, Executor, Key, Table, SEED_COLUMN};
 use xqy_ifp::eval::Evaluator;
-use xqy_ifp::xdm::{Axis, Item, NodeId, NodeStore, NodeTest, Sequence};
+use xqy_ifp::parser::parse_expr;
+use xqy_ifp::xdm::{ddo, Axis, Item, NodeId, NodeStore, NodeTest, Sequence};
 
 /// Deterministic splitmix64 stream for the recursive shapes the proptest
 /// shim has no combinator for; seeded per case by the shim.
@@ -210,6 +231,35 @@ impl Step {
         }
     }
 
+    /// A chain of two or three `id()` hops with a step between each two,
+    /// as in `id(./sells/@ref)/bidder/id(./@person)`: element and
+    /// attribute arguments, relative to the node each hop reached.
+    fn id_chain(rng: &mut Rng) -> Step {
+        const ARGUMENTS: &[&str] = &["@ref", "@refs", "@code", "r", "*", "text()"];
+        let arg = |rng: &mut Rng| {
+            let arg = Step::Axis(rng.pick(ARGUMENTS).to_string());
+            match rng.below(3) {
+                0 => Step::Id(Box::new(Step::Path(Box::new(Step::Dot), Box::new(arg)))),
+                1 => Step::Id(Box::new(arg)),
+                _ => Step::Id(Box::new(Step::Path(
+                    Box::new(Step::Axis(format!("child::{}", rng.pick(&["a", "b", "*"])))),
+                    Box::new(arg),
+                ))),
+            }
+        };
+        let mut chain = arg(rng);
+        for _ in 0..1 + rng.below(2) {
+            let between = Step::Axis(format!(
+                "{}::{}",
+                rng.pick(&["child", "self", "descendant-or-self", "parent"]),
+                rng.pick(&["*", "a", "b", "node()"])
+            ));
+            let hop = Step::Path(Box::new(between), Box::new(arg(rng)));
+            chain = Step::Path(Box::new(chain), Box::new(hop));
+        }
+        chain
+    }
+
     /// An axis step with a positional or boolean predicate — outside the
     /// grammar at the top, allowed under a distributed prefix.
     fn predicated(rng: &mut Rng) -> Step {
@@ -282,7 +332,8 @@ fn eval(store: &mut NodeStore, focus: &[NodeId], query: &str) -> Sequence {
         .unwrap_or_else(|e| panic!("{query}: {e}"))
 }
 
-/// The four readings of `E/step` agree.
+/// The four readings of `E/step` agree, and so do the executor's two when
+/// the compiler accepts `$x/step`.
 fn assert_readings_agree(store: &mut NodeStore, focus: &[NodeId], step: &str, expanded: &str) {
     let set = eval(store, focus, &format!("$e/{step}"));
     let readings = [
@@ -298,6 +349,57 @@ fn assert_readings_agree(store: &mut NodeStore, focus: &[NodeId], step: &str, ex
             "set vs {name} reading of `{step}` over {focus:?}\n  {query}"
         );
         assert!(other.all_nodes(), "{query}");
+    }
+    assert_executor_agrees(store, focus, step, &set.nodes());
+}
+
+/// The executor's readings of `$x/step` over `focus`, when the compiler
+/// accepts the body: the per-seed plan gives the set reading `set`, the
+/// seed-carried plan with one tag per focus node gives each node's
+/// singleton reading under its tag.
+fn assert_executor_agrees(store: &mut NodeStore, focus: &[NodeId], step: &str, set: &[NodeId]) {
+    let body = parse_expr(&format!("$x/{step}")).unwrap();
+    let Ok(compiled) = compile_recursion_body(&body, "x") else {
+        return;
+    };
+    let mut executor = Executor::new();
+    let rows = executor
+        .eval_plan(store, &compiled.plan, &Table::from_nodes(focus))
+        .unwrap_or_else(|e| panic!("$x/{step}: {e}"));
+    assert_eq!(
+        ddo(store, &rows.item_nodes()),
+        set,
+        "per-seed plan vs set reading of `{step}` over {focus:?}"
+    );
+
+    let carried = compiled
+        .batched_plan
+        .unwrap_or_else(|| panic!("$x/{step} is seed-local"));
+    let tags: Vec<Key> = focus.iter().map(|&n| Key::Node(n)).collect();
+    let items = tags.clone();
+    let rec = Table::from_columns(vec![SEED_COLUMN.into(), "item".into()], vec![tags, items]);
+    let rows = executor
+        .eval_plan(store, &carried, &rec)
+        .unwrap_or_else(|e| panic!("$x/{step}, seed-carried: {e}"));
+    let (tag, item) = (
+        rows.column_index(SEED_COLUMN).unwrap(),
+        rows.column_index("item").unwrap(),
+    );
+    for &node in focus {
+        let got: Vec<NodeId> = (0..rows.len())
+            .filter(|&r| rows.key(r, tag) == Key::Node(node))
+            .filter_map(|r| rows.key(r, item).as_node())
+            .collect();
+        let single = eval(
+            store,
+            &[node],
+            &format!("ddo(for $d in $e return $d/{step})"),
+        );
+        assert_eq!(
+            ddo(store, &got),
+            single.nodes(),
+            "seed-carried plan vs singleton reading of `{step}` at {node:?}"
+        );
     }
 }
 
@@ -317,6 +419,8 @@ proptest! {
                 let step = Step::random(&mut rng, 0);
                 assert_readings_agree(&mut store, &focus, &step.text(), &step.expanded("d"));
             }
+            let chain = Step::id_chain(&mut rng);
+            assert_readings_agree(&mut store, &focus, &chain.text(), &chain.expanded("d"));
         }
     }
 

@@ -91,38 +91,38 @@ const fn w(allocs: u64, bytes: u64, fed_back: u64, body_evals: usize, depth: usi
 /// above the reading (a release build reads at most one call fewer).
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    ("curriculum", "naive", "source", "single", w(992, 287579, 1217, 21, 20)),
-    ("curriculum", "naive", "source", "for", w(6503, 1500368, 6917, 184, 21)),
-    ("curriculum", "naive", "algebraic", "single", w(1997, 808891, 1217, 21, 20)),
-    ("curriculum", "naive", "algebraic", "for", w(15393, 4407981, 6917, 184, 21)),
-    ("curriculum", "delta", "source", "single", w(382, 30135, 90, 21, 20)),
-    ("curriculum", "delta", "source", "for", w(901, 71729, 511, 85, 21)),
-    ("curriculum", "delta", "algebraic", "single", w(1243, 94042, 90, 21, 20)),
-    ("curriculum", "delta", "algebraic", "for", w(1568, 156353, 511, 21, 21)),
-    ("auction", "naive", "source", "single", w(578, 339558, 486, 6, 5)),
-    ("auction", "naive", "source", "for", w(5197, 2783165, 3927, 72, 9)),
-    ("auction", "naive", "algebraic", "single", w(1036, 867266, 486, 6, 5)),
-    ("auction", "naive", "algebraic", "for", w(10192, 7021262, 3927, 72, 9)),
-    ("auction", "delta", "source", "single", w(377, 121208, 130, 6, 5)),
-    ("auction", "delta", "source", "for", w(1913, 160433, 1074, 119, 9)),
-    ("auction", "delta", "algebraic", "single", w(832, 303677, 130, 6, 5)),
-    ("auction", "delta", "algebraic", "for", w(1172, 457383, 1074, 6, 9)),
-    ("play", "naive", "source", "single", w(414, 83509, 825, 17, 16)),
-    ("play", "naive", "source", "for", w(1319, 120962, 355, 81, 16)),
-    ("play", "naive", "algebraic", "single", w(1002, 195580, 825, 17, 16)),
-    ("play", "naive", "algebraic", "for", w(3392, 224486, 355, 81, 16)),
-    ("play", "delta", "source", "single", w(273, 25482, 80, 17, 16)),
-    ("play", "delta", "source", "for", w(726, 45147, 80, 80, 16)),
-    ("play", "delta", "algebraic", "single", w(706, 47385, 80, 17, 16)),
-    ("play", "delta", "algebraic", "for", w(943, 71849, 80, 17, 16)),
-    ("hospital", "naive", "source", "single", w(227, 67490, 195, 5, 4)),
-    ("hospital", "naive", "source", "for", w(1217, 168833, 206, 60, 4)),
-    ("hospital", "naive", "algebraic", "single", w(461, 122948, 195, 5, 4)),
-    ("hospital", "naive", "algebraic", "for", w(3397, 285856, 206, 60, 4)),
-    ("hospital", "delta", "source", "single", w(141, 23037, 98, 5, 4)),
-    ("hospital", "delta", "source", "for", w(835, 54581, 105, 98, 4)),
-    ("hospital", "delta", "algebraic", "single", w(370, 56195, 98, 5, 4)),
-    ("hospital", "delta", "algebraic", "for", w(545, 90156, 105, 5, 4)),
+    ("curriculum", "naive", "source", "single", w(362, 80586, 1217, 21, 20)),
+    ("curriculum", "naive", "source", "for", w(2513, 446957, 6917, 184, 21)),
+    ("curriculum", "naive", "algebraic", "single", w(626, 123192, 1217, 21, 20)),
+    ("curriculum", "naive", "algebraic", "for", w(5139, 794155, 6917, 184, 21)),
+    ("curriculum", "delta", "source", "single", w(269, 23466, 90, 21, 20)),
+    ("curriculum", "delta", "source", "for", w(640, 63648, 511, 85, 21)),
+    ("curriculum", "delta", "algebraic", "single", w(496, 35924, 90, 21, 20)),
+    ("curriculum", "delta", "algebraic", "for", w(758, 85584, 511, 21, 21)),
+    ("auction", "naive", "source", "single", w(153, 57057, 486, 6, 5)),
+    ("auction", "naive", "source", "for", w(1246, 336632, 3927, 72, 9)),
+    ("auction", "naive", "algebraic", "single", w(233, 73436, 486, 6, 5)),
+    ("auction", "naive", "algebraic", "for", w(2352, 638470, 3927, 72, 9)),
+    ("auction", "delta", "source", "single", w(143, 36536, 130, 6, 5)),
+    ("auction", "delta", "source", "for", w(740, 111764, 1074, 119, 9)),
+    ("auction", "delta", "algebraic", "single", w(224, 48539, 130, 6, 5)),
+    ("auction", "delta", "algebraic", "for", w(509, 155497, 1074, 6, 9)),
+    ("play", "naive", "source", "single", w(246, 51287, 825, 17, 16)),
+    ("play", "naive", "source", "for", w(1079, 110210, 355, 81, 16)),
+    ("play", "naive", "algebraic", "single", w(490, 83214, 825, 17, 16)),
+    ("play", "naive", "algebraic", "for", w(2074, 164307, 355, 81, 16)),
+    ("play", "delta", "source", "single", w(227, 23751, 80, 17, 16)),
+    ("play", "delta", "source", "for", w(573, 40242, 80, 80, 16)),
+    ("play", "delta", "algebraic", "single", w(410, 33217, 80, 17, 16)),
+    ("play", "delta", "algebraic", "for", w(624, 53011, 80, 17, 16)),
+    ("hospital", "naive", "source", "single", w(132, 40367, 195, 5, 4)),
+    ("hospital", "naive", "source", "for", w(954, 159896, 206, 60, 4)),
+    ("hospital", "naive", "algebraic", "single", w(200, 47844, 195, 5, 4)),
+    ("hospital", "naive", "algebraic", "for", w(1743, 210717, 206, 60, 4)),
+    ("hospital", "delta", "source", "single", w(101, 22122, 98, 5, 4)),
+    ("hospital", "delta", "source", "for", w(599, 49549, 105, 98, 4)),
+    ("hospital", "delta", "algebraic", "single", w(174, 29255, 98, 5, 4)),
+    ("hospital", "delta", "algebraic", "for", w(363, 57242, 105, 5, 4)),
 ];
 
 struct Workload {
