@@ -54,6 +54,7 @@
 //! [`Executor::set_threads`] only lets the driver shard its folds (by seed,
 //! or by lane of 64 seeds in a shared batch), as on the interpreter.
 
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 use xqy_xdm::fixpoint::{self, Body, Config, FixpointStrategy, Group, LimitError, Limits, Seeds};
@@ -807,6 +808,8 @@ struct Joins<'a> {
     /// One tag group's focus nodes, and what the join selected from them.
     focus: Vec<NodeId>,
     found: Vec<NodeId>,
+    /// The hashes of the groups one [`Joins::run`] has met.
+    groups: IdSet<u64>,
 }
 
 impl<'a> Joins<'a> {
@@ -850,6 +853,7 @@ impl<'a> Joins<'a> {
             scratch: JoinScratch::default(),
             focus: Vec::new(),
             found: Vec::new(),
+            groups: IdSet::default(),
         }
     }
 
@@ -861,7 +865,11 @@ impl<'a> Joins<'a> {
     /// The chain topped by `id` over the `item` column of `input`: one pass
     /// per run of rows that agree on every other column (a tag group of a
     /// seed-carried plan; the whole table of a per-seed one), each selected
-    /// node carrying its group's other cells.
+    /// node carrying its group's other cells.  The output holds no row
+    /// twice, as every operator's: a group split into several runs — its
+    /// rows interleaved with another group's, as a ∪ leaves them — may
+    /// select a node in more than one run, so then the output is made
+    /// distinct.
     fn run(&mut self, id: PlanNodeId, input: &Table) -> Result<Table> {
         let Some((_, join)) = &self.tops[id] else {
             return Err(AlgebraError::InvalidPlan(format!("{id} tops no chain")));
@@ -875,11 +883,23 @@ impl<'a> Joins<'a> {
                 .all(|(c, col)| c == item || col[a] == col[b])
         };
         let mut cols: Vec<Vec<Key>> = vec![Vec::new(); input.cols.len()];
+        // A group met again is caught by its hash; a collision only costs
+        // the final `distinct`.
+        let grouped = input.cols.len() > 1;
+        let mut split = false;
+        self.groups.clear();
         let mut start = 0;
         while start < input.rows {
             let mut end = start + 1;
             while end < input.rows && same_group(start, end) {
                 end += 1;
+            }
+            if grouped {
+                let mut hasher = self.groups.hasher().build_hasher();
+                for (_, col) in input.cols.iter().enumerate().filter(|&(c, _)| c != item) {
+                    col[start].hash(&mut hasher);
+                }
+                split |= !self.groups.insert(hasher.finish());
             }
             self.focus.clear();
             let group = &input.cols[item][start..end];
@@ -896,7 +916,8 @@ impl<'a> Joins<'a> {
             start = end;
         }
         let cols = cols.into_iter().map(Arc::new).collect();
-        Ok(Table::with_schema(input.names.clone(), cols))
+        let table = Table::with_schema(input.names.clone(), cols);
+        Ok(if split { table.distinct() } else { table })
     }
 }
 
@@ -1340,6 +1361,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A chain above a ∪ of a seed-carried plan meets each tag in two
+    /// runs of rows; what both runs select still comes out once per tag.
+    #[test]
+    fn a_chain_over_split_tag_groups_repeats_no_row() {
+        let (store, doc) = store_with_curriculum();
+        let step = |plan: &mut Plan, name: &str, input| {
+            plan.add(
+                Operator::Step {
+                    axis: Axis::Child,
+                    test: NodeTest::Name(name.into()),
+                },
+                vec![input],
+            )
+        };
+        // (($x/prerequisites) ∪ ($x/prerequisites/pre_code))/descendant-or-self::pre_code
+        let mut plan = Plan::new();
+        let rec = plan.add(Operator::RecInput, vec![]);
+        let left = step(&mut plan, "prerequisites", rec);
+        let mid = step(&mut plan, "prerequisites", rec);
+        let right = step(&mut plan, "pre_code", mid);
+        let union = plan.add(Operator::Union, vec![left, right]);
+        let top = plan.add(
+            Operator::Step {
+                axis: Axis::DescendantOrSelf,
+                test: NodeTest::Name("pre_code".into()),
+            },
+            vec![union],
+        );
+        plan.set_root(top);
+        let carried = plan.seed_carried().expect("the body is seed-local");
+
+        let seeds: Vec<NodeId> = ["c1", "c2"]
+            .iter()
+            .flat_map(|code| seed_course(&store, doc, code))
+            .collect();
+        let rec = Table::from_columns(
+            vec![SEED_COLUMN.to_string(), "item".to_string()],
+            vec![
+                seeds.iter().map(|&s| Key::Node(s)).collect(),
+                seeds.iter().map(|&s| Key::Node(s)).collect(),
+            ],
+        );
+        let out = Executor::new().eval_plan(&store, &carried, &rec).unwrap();
+        // c1 has two pre_codes, c2 one: three rows, none repeated.
+        assert_eq!(out.len(), 3);
+        assert_eq!(out.clone().distinct().len(), 3);
     }
 
     /// An empty batch is a no-op: empty `(seed, item)` table, zero

@@ -55,6 +55,7 @@ use std::fmt;
 
 use xqy_parser::ast::{local_name, Expr, FunctionDecl, TypeswitchCase};
 use xqy_parser::BinaryOp;
+use xqy_xdm::Hop;
 
 use crate::builtins::is_builtin;
 
@@ -178,6 +179,43 @@ pub(crate) fn focus_distributive<'a>(expr: &Expr, declared: &impl Declared<'a>) 
 /// certifies it ([`focus_distributive`]).
 pub(crate) fn step_distributes<'a>(step: &Expr, declared: &impl Declared<'a>) -> bool {
     yields_only_nodes(step) && focus_distributive(step, declared)
+}
+
+/// A *kernel step*: `.`, a predicate-free axis step, one-argument `id(p)`
+/// or `p/s` over kernel steps.  It reads nothing of its focus but the node,
+/// yields only nodes and constructs none, so [`step_distributes`]
+/// certifies it and every `/` in it may re-associate: `E/step` is one path
+/// join ([`xqy_xdm::pathjoin`]) of its hops ([`kernel_hops`]): a path
+/// spine of kernel steps consults neither gate, and the set route never
+/// judges re-association inside one.  Purely syntactic: a match per node
+/// of `step`, no allocation.
+pub(crate) fn is_kernel_step(step: &Expr) -> bool {
+    match step {
+        Expr::ContextItem => true,
+        Expr::AxisStep { predicates, .. } => predicates.is_empty(),
+        Expr::Path { input, step } => is_kernel_step(input) && is_kernel_step(step),
+        Expr::FunctionCall { name, args } => {
+            args.len() == 1 && builtin(name) == Some("id") && is_kernel_step(&args[0])
+        }
+        _ => false,
+    }
+}
+
+/// Hand the hops of the kernel step `step` ([`is_kernel_step`], which the
+/// caller has checked) to `emit`, left to right.
+pub(crate) fn kernel_hops<'e>(step: &'e Expr, emit: &mut impl FnMut(Hop<'e>)) {
+    match step {
+        Expr::AxisStep { axis, test, .. } => emit(Hop::Step(*axis, test)),
+        Expr::Path { input, step } => {
+            kernel_hops(input, emit);
+            kernel_hops(step, emit);
+        }
+        Expr::FunctionCall { args, .. } => {
+            kernel_hops(&args[0], emit);
+            emit(Hop::Id);
+        }
+        _ => {}
+    }
 }
 
 /// `true` when every item `expr` yields over a node focus is a node (or its

@@ -97,33 +97,9 @@ pub struct Evaluator<'s> {
     /// Optional hook that may take over fixpoint evaluation (e.g. to drive a
     /// pre-compiled algebraic plan on the relational back-end).
     interceptor: Option<Box<dyn FixpointInterceptor>>,
-    /// The set route's state for the execution in progress ([`Evaluator::scoped`]).
-    route: Route,
-}
-
-/// What the set route keeps for one execution: the verdict of each gate
-/// per expression, and the path join's scratch.
-///
-/// Gates are keyed by the expression's address, so they are kept only
-/// inside a scope — a module evaluation or a fixpoint run — during which
-/// every expression evaluated belongs to an AST that outlives the scope;
-/// leaving the outermost scope drops both.
-#[derive(Debug, Default)]
-struct Route {
-    /// Nesting depth of [`Evaluator::scoped`]; gates are kept while > 0.
-    scopes: usize,
-    gates: IdMap<(usize, Gate), bool>,
+    /// The path join's buffers and duplicate bitmap, reused by every
+    /// path join of this evaluator.
     scratch: JoinScratch,
-}
-
-/// The judgements that gate the set route.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Gate {
-    /// `E/step` runs once over the set `E` ([`distributivity::step_distributes`]).
-    Step,
-    /// The step `p/s` runs as `(E/p)/s`: `s` reads nothing of its focus but
-    /// the item and reaches no constructor.
-    Reassociate,
 }
 
 /// The per-occurrence settings a higher layer can install on an evaluator
@@ -159,7 +135,7 @@ impl<'s> Evaluator<'s> {
             recursion_depth: 0,
             occurrence_overrides: Vec::new(),
             interceptor: None,
-            route: Route::default(),
+            scratch: JoinScratch::default(),
         }
     }
 
@@ -524,29 +500,14 @@ impl<'s> Evaluator<'s> {
     /// global variables, then evaluate the body.
     pub fn eval_module(&mut self, module: &QueryModule) -> Result<Sequence> {
         self.register_functions(&module.functions);
-        self.scoped(|eval| {
-            let mut env = eval.env_with_globals();
-            for (name, expr) in &module.variables {
-                let value = eval.eval_expr(expr, &mut env, None)?;
-                let id = eval.names.intern(name);
-                env.push(id, value.clone());
-                eval.globals.push((id, value));
-            }
-            eval.eval_expr(&module.body, &mut env, None)
-        })
-    }
-
-    /// Run `f` inside a set-route scope: gate verdicts are kept per
-    /// expression until the outermost scope ends (see [`Route`]).  The
-    /// caller guarantees that every expression `f` evaluates outlives it.
-    pub(crate) fn scoped<T>(&mut self, f: impl FnOnce(&mut Self) -> T) -> T {
-        self.route.scopes += 1;
-        let out = f(self);
-        self.route.scopes -= 1;
-        if self.route.scopes == 0 {
-            self.route = Route::default();
+        let mut env = self.env_with_globals();
+        for (name, expr) in &module.variables {
+            let value = self.eval_expr(expr, &mut env, None)?;
+            let id = self.names.intern(name);
+            env.push(id, value.clone());
+            self.globals.push((id, value));
         }
-        out
+        self.eval_expr(&module.body, &mut env, None)
     }
 
     /// Evaluate `expr` under `env` with optional focus.
@@ -780,7 +741,7 @@ impl<'s> Evaluator<'s> {
             return self.steps_from(value, expr, base, env);
         };
         let mut nodes = Vec::new();
-        let mut run = self.route.scratch.run(&self.store, ids);
+        let mut run = self.scratch.run(&self.store, ids);
         spine_hops(expr, base, &mut |hop| run.hop(hop));
         run.finish_into(&mut nodes);
         Ok(Sequence::from_nodes(ddo_vec(&self.store, nodes)))
@@ -802,7 +763,7 @@ impl<'s> Evaluator<'s> {
         env: &mut Environment,
     ) -> Result<Sequence> {
         match input.node_ids() {
-            Some(ids) if self.gate(step, Gate::Step) => {
+            Some(ids) if distributivity::step_distributes(step, &self.declared()) => {
                 let nodes = self.step_over_set(ids, step, env)?;
                 Ok(Sequence::from_nodes(ddo_vec(&self.store, nodes)))
             }
@@ -829,31 +790,6 @@ impl<'s> Evaluator<'s> {
             }
             _ => Ok(value),
         }
-    }
-
-    /// The verdict of `gate` on `expr`: worked out once per expression in
-    /// a scope ([`Evaluator::scoped`]), on every call outside one.
-    fn gate(&mut self, expr: &Expr, gate: Gate) -> bool {
-        let key = (expr as *const Expr as usize, gate);
-        if let Some(&verdict) = self.route.gates.get(&key) {
-            return verdict;
-        }
-        let verdict = {
-            let declared = &self.declared();
-            match (gate, expr) {
-                (Gate::Step, _) => distributivity::step_distributes(expr, declared),
-                (Gate::Reassociate, Expr::Path { input, step }) => {
-                    distributivity::yields_only_nodes(input)
-                        && distributivity::focus_distributive(step, declared)
-                        && !distributivity::reaches_constructor(step, declared)
-                }
-                (Gate::Reassociate, _) => false,
-            }
-        };
-        if self.route.scopes > 0 {
-            self.route.gates.insert(key, verdict);
-        }
-        verdict
     }
 
     /// `step` evaluated once per focus item — `size` of them, the `i`-th
@@ -898,8 +834,8 @@ impl<'s> Evaluator<'s> {
     /// the union of its per-node results, whatever the order and
     /// multiplicity of `focus`, so no part sorts.  A kernel step (a chain
     /// of predicate-free axis steps, `.` and one-argument `id()`, however
-    /// nested in `p/s` and `id(p)`) is one path join
-    /// ([`xqy_xdm::pathjoin`]); the other certified forms split into parts
+    /// nested in `p/s` and `id(p)`: `distributivity::is_kernel_step`) is
+    /// one path join ([`xqy_xdm::pathjoin`]); the other certified forms split into parts
     /// that keep the precondition — CONCAT, STEP2 and BUILTIN hand the
     /// judgement down to `l | r`, `p` of `p/s` and `p` of `id(p)` — and
     /// what is checked below is what they do not.  Everything else runs
@@ -910,10 +846,10 @@ impl<'s> Evaluator<'s> {
         step: &Expr,
         env: &mut Environment,
     ) -> Result<Vec<NodeId>> {
-        if kernel_hops(step, &mut |_| ()) {
+        if distributivity::is_kernel_step(step) {
             let mut out = Vec::new();
-            let mut run = self.route.scratch.run(&self.store, focus);
-            kernel_hops(step, &mut |hop| run.hop(hop));
+            let mut run = self.scratch.run(&self.store, focus);
+            distributivity::kernel_hops(step, &mut |hop| run.hop(hop));
             run.finish_into(&mut out);
             return Ok(out);
         }
@@ -924,9 +860,13 @@ impl<'s> Evaluator<'s> {
             // intermediate set where it should see one node's `n/p`; and a
             // constructor, run once per node of the set `E/p`, would make
             // fewer fresh nodes than once per node of every `n/p`.
-            Expr::Path { input, step: s } if self.gate(step, Gate::Reassociate) => {
+            Expr::Path { input, step }
+                if distributivity::yields_only_nodes(input)
+                    && distributivity::focus_distributive(step, &self.declared())
+                    && !distributivity::reaches_constructor(step, &self.declared()) =>
+            {
                 let mid = self.step_over_set(focus, input, env)?;
-                return self.step_over_set(&mid, s, env);
+                return self.step_over_set(&mid, step, env);
             }
             // One-argument `id` is anchored at the focus node's own
             // document, so the focus is cut into runs of one document and
@@ -964,7 +904,7 @@ impl<'s> Evaluator<'s> {
                     .map(|s| s.nodes())
             }
         };
-        self.route.scratch.dedupe(&mut out);
+        self.scratch.dedupe(&mut out);
         Ok(out)
     }
 
@@ -1368,54 +1308,25 @@ impl<'s> Evaluator<'s> {
     }
 }
 
-/// Hand the hops of `step` to `emit`, in order, when it is a kernel step
-/// — `.`, a predicate-free axis step, one-argument `id(p)` or `p/s` over
-/// kernel steps — and say whether it is (check with a no-op `emit` first:
-/// a step that is not one may have emitted some hops).  A kernel step
-/// reads nothing of its focus but the node, yields only nodes and
-/// constructs none, so the judgement over `.` certifies it and every `/`
-/// in it may re-associate: `E/step` is one path join of its hops.
-fn kernel_hops<'e>(step: &'e Expr, emit: &mut impl FnMut(Hop<'e>)) -> bool {
-    match step {
-        Expr::ContextItem => true,
-        Expr::AxisStep {
-            axis,
-            test,
-            predicates,
-        } if predicates.is_empty() => {
-            emit(Hop::Step(*axis, test));
-            true
-        }
-        Expr::Path { input, step } => kernel_hops(input, emit) && kernel_hops(step, emit),
-        Expr::FunctionCall { name, args }
-            if args.len() == 1 && distributivity::builtin(name) == Some("id") =>
-        {
-            let kernel = kernel_hops(&args[0], emit);
-            emit(Hop::Id);
-            kernel
-        }
-        _ => false,
-    }
-}
-
 /// The base of the path `expr` (`base/s₁/…/sₙ`) below the longest run of
 /// kernel steps at the top of its spine; `None` when the top step is no
-/// kernel step.
+/// kernel step ([`distributivity::is_kernel_step`]).
 fn spine(expr: &Expr) -> Option<&Expr> {
     match expr {
-        Expr::Path { input, step } if kernel_hops(step, &mut |_| ()) => {
+        Expr::Path { input, step } if distributivity::is_kernel_step(step) => {
             Some(spine(input).unwrap_or(input))
         }
         _ => None,
     }
 }
 
-/// Hand `emit` the hops of the spine of `expr` above `base`, in order.
+/// Hand `emit` the hops of the spine of `expr` above its [`spine`] base
+/// `base`, in order.
 fn spine_hops<'e>(expr: &'e Expr, base: &Expr, emit: &mut impl FnMut(Hop<'e>)) {
     if let Expr::Path { input, step } = expr {
         if !std::ptr::eq(expr, base) {
             spine_hops(input, base, emit);
-            kernel_hops(step, emit);
+            distributivity::kernel_hops(step, emit);
         }
     }
 }
@@ -1656,7 +1567,9 @@ mod tests {
         let parse = |src: &str| xqy_parser::parse_expr(src).unwrap();
         let hops = |expr: &Expr| {
             let mut n = 0;
-            kernel_hops(expr, &mut |_| n += 1).then_some(n)
+            distributivity::is_kernel_step(expr)
+                .then(|| distributivity::kernel_hops(expr, &mut |_| n += 1))
+                .map(|()| n)
         };
         for src in [
             "a[1]",

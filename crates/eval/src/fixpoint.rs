@@ -299,9 +299,7 @@ pub fn evaluate_fixpoint_batched(
     drive(eval, var, body, env, strategy, share_frontiers, seeds)
 }
 
-/// Run the shared driver over the interpreter and record the run.  The run
-/// is a set-route scope ([`Evaluator::scoped`]): `body` outlives it, so
-/// each path step's gates are judged once per run, not once per call.
+/// Run the shared driver over the interpreter and record the run.
 fn drive(
     eval: &mut Evaluator<'_>,
     var: &str,
@@ -323,15 +321,13 @@ fn drive(
         threads: options.fixpoint_threads,
         limits: options.limits,
     };
-    let (result, stats) = eval.scoped(|eval| {
-        let mut interpreted = Interpreted {
-            eval,
-            var,
-            body,
-            env,
-        };
-        fixpoint::run(&mut interpreted, &config, seeds)
-    });
+    let mut interpreted = Interpreted {
+        eval,
+        var,
+        body,
+        env,
+    };
+    let (result, stats) = fixpoint::run(&mut interpreted, &config, seeds);
     let stats = FixpointStats {
         strategy: Some(strategy),
         ..stats.into()
