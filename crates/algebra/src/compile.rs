@@ -12,7 +12,8 @@
 //! * `@name = 'literal'` predicates, which compare the attribute nodes'
 //!   string values with the literal;
 //! * `()`, the node-set operators, `,` and `if`/`then`/`else`, whose
-//!   condition is a node sequence or `count`/`exists` of one.
+//!   condition is a node sequence or `count`/`exists` of one;
+//! * a union in step position, `E/(p | q)`, compiled as `E/p | E/q`.
 //!
 //! A plan carries nodes, and a condition's count only.  Every form that
 //! yields atomic values — literals, `data()`, `string()`, `count()` outside
@@ -228,34 +229,48 @@ impl Compiler {
                 let nested_id = self.compile_step(input, nested)?;
                 self.compile_step(nested_id, step)
             }
+            Expr::Binary {
+                op: BinaryOp::Union,
+                lhs,
+                rhs,
+            } => {
+                // `E/(p | q)` is `E/p | E/q`: a focus node's image is the
+                // union of its two.
+                let l = self.compile_step(input, lhs)?;
+                let r = self.compile_step(input, rhs)?;
+                Ok(self.plan.add(Operator::Union, vec![l, r]))
+            }
             Expr::Literal(_) => Err(self.atomic("a literal")),
             other => Err(self.unsupported(&format!("path step of form {}", variant_name(other)))),
         }
     }
 
     /// Compile a predicate `[…]` applied to the node rows of `input`.  Only
-    /// the `@attr = 'literal'` form is supported.
+    /// the `@attr = 'literal'` form is supported: one σ that keeps the nodes
+    /// with such an attribute.
     fn compile_predicate(&mut self, input: PlanNodeId, pred: &Expr) -> Result<PlanNodeId> {
-        let named_attribute = |step: &Expr| {
-            matches!(step, Expr::AxisStep {
+        let named_attribute = |step: &Expr| match step {
+            Expr::AxisStep {
                 axis: Axis::Attribute,
-                test: NodeTest::Name(_),
+                test: NodeTest::Name(name),
                 predicates,
-            } if predicates.is_empty())
+            } if predicates.is_empty() => Some(name.clone()),
+            _ => None,
         };
-        let (attr, literal) = match pred {
+        let attr_equals = match pred {
             Expr::Binary {
                 op: BinaryOp::GeneralEq,
                 lhs,
                 rhs,
             } => match (lhs.as_ref(), rhs.as_ref()) {
                 (attr, Expr::Literal(Literal::String(value)))
-                | (Expr::Literal(Literal::String(value)), attr)
-                    if named_attribute(attr) =>
-                {
-                    (attr, value.clone())
+                | (Expr::Literal(Literal::String(value)), attr) => {
+                    named_attribute(attr).map(|name| Operator::AttrEquals {
+                        name,
+                        value: value.clone(),
+                    })
                 }
-                _ => return Err(self.unsupported("predicates other than @attribute = 'literal'")),
+                _ => None,
             },
             other => {
                 return Err(self.unsupported(&format!(
@@ -264,28 +279,9 @@ impl Compiler {
                 )))
             }
         };
-        // Carry the node, step to its attribute, keep the attributes whose
-        // string value is the literal, project the node back.  An element
-        // has at most one attribute of a name, so no node comes back twice.
-        let keep = self.plan.add(
-            Operator::Project(vec![
-                ("node".into(), "item".into()),
-                ("item".into(), "item".into()),
-            ]),
-            vec![input],
-        );
-        let attr = self.compile_step(keep, attr)?;
-        let select = self.plan.add(
-            Operator::Select {
-                column: "item".into(),
-                value: literal,
-            },
-            vec![attr],
-        );
-        Ok(self.plan.add(
-            Operator::Project(vec![("item".into(), "node".into())]),
-            vec![select],
-        ))
+        let op = attr_equals
+            .ok_or_else(|| self.unsupported("predicates other than @attribute = 'literal'"))?;
+        Ok(self.plan.add(op, vec![input]))
     }
 
     /// Compile a function call, possibly in step position (with the nodes of
@@ -358,8 +354,9 @@ fn variant_name(expr: &Expr) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Executor, MuStrategy};
+    use crate::exec::Executor;
     use xqy_parser::parse_expr;
+    use xqy_xdm::fixpoint::FixpointStrategy;
     use xqy_xdm::NodeStore;
 
     fn body_of(src: &str) -> Expr {
@@ -455,6 +452,7 @@ mod tests {
             "$x/doc('d.xml')",
             "$x/id(doc('d.xml'))",
             "$x/q[@a/@b = '1']",
+            "$x/(a except b)",
         ] {
             let err = compile_recursion_body(&body_of(src), "x").unwrap_err();
             assert!(matches!(err, AlgebraError::Unsupported(_)), "{src}");
@@ -464,6 +462,7 @@ mod tests {
             "$x/@*",
             "$x/q/@a/..",
             "$x/q[@a = '']",
+            "$x/(a | id(./@r)/self::*[@a = 'v'])",
             "if (count($x/q)) then $x/q else ()",
             "if ($x/q) then $x/q else ()",
         ] {
@@ -498,7 +497,13 @@ mod tests {
         let compiled = compile_recursion_body(&body, "x").unwrap();
         let mut exec = Executor::new();
         let (result, stats) = exec
-            .run_fixpoint(&store, &compiled.plan, &seed, MuStrategy::MuDelta, false)
+            .run_fixpoint(
+                &store,
+                &compiled.plan,
+                &seed,
+                FixpointStrategy::Delta,
+                false,
+            )
             .unwrap();
         assert_eq!(result.len(), 2); // c2, c3
         assert_eq!(stats.result_rows, 2);
@@ -511,14 +516,13 @@ mod tests {
             Operator::RecInput => 0,
             Operator::Empty => 1,
             Operator::DocRoot(_) => 2,
-            Operator::Project(_) => 3,
-            Operator::Select { .. } => 4,
-            Operator::Union => 5,
-            Operator::Difference => 6,
-            Operator::Count => 7,
-            Operator::Step { .. } => 8,
-            Operator::IdLookup => 9,
-            Operator::IfThenElse => 10,
+            Operator::AttrEquals { .. } => 3,
+            Operator::Union => 4,
+            Operator::Difference => 5,
+            Operator::Count => 6,
+            Operator::Step { .. } => 7,
+            Operator::IdLookup => 8,
+            Operator::IfThenElse => 9,
         }
     }
 
@@ -526,7 +530,7 @@ mod tests {
     /// appears in the compiled plan of some body.
     #[test]
     fn every_operator_is_emitted() {
-        const VARIANTS: usize = 11;
+        const VARIANTS: usize = 10;
         let mut emitted = [false; VARIANTS];
         for src in [
             "()",

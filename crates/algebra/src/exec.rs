@@ -1,7 +1,7 @@
 //! Plan execution over relational encodings of the node store.
 //!
 //! The executor evaluates a [`Plan`] bottom-up (with memoisation over the
-//! DAG) into [`Table`]s.  Its most important entry point for the
+//! DAG) into [`Relation`]s.  Its most important entry point for the
 //! reproduction is [`Executor::run_fixpoint`]: given a compiled recursion
 //! body plan and a seed node set, it drives the Naïve (`µ`) or Delta (`µ∆`)
 //! iteration and records how many rows were fed back into the body — the
@@ -17,31 +17,35 @@
 //!   `IdLookup` nodes whose lower hops have one consumer each — the hop
 //!   above — runs as one [`PathJoin`] at the chain's top node, compiled
 //!   once per run: the kernel the interpreter runs a path spine through
-//!   ([`xqy_xdm::pathjoin`]).  No table is built for a hop below the top,
-//!   and no hop sorts; the driver puts the body's images in document
+//!   ([`xqy_xdm::pathjoin`]).  No relation is built for a hop below the
+//!   top, and no hop sorts; the driver puts the body's images in document
 //!   order.  A seed-carried plan runs one pass per tag group.
-//! * **Typed keys.**  Every table cell is a [`Key`] — a `Copy` word that is
-//!   a node id or an integer.  Union, difference and duplicate elimination
-//!   hash and compare `Key`s directly.  No cell holds a string: a body
-//!   yields nodes, plus the integer a condition counts, and a
-//!   `[@a = 'lit']` selection reads its node cells' string values through
-//!   the store.
-//! * **Columnar, shared storage.**  A [`Table`] is a list of
-//!   `Arc<Vec<Key>>` columns.  Cloning a table — what every memo hit,
-//!   run-cache hit and `RecInput` reference does — bumps one reference
-//!   count per column instead of deep-copying rows, and projection just
-//!   re-arranges column handles.
+//! * **One relation shape.**  Every plan node evaluates to a [`Relation`]:
+//!   an `item` column of node ids and, in the rec-dependent part of a
+//!   seed-carried plan, an `iter` column beside it holding each row's
+//!   group — its seed's dense index in the batch.  This is the loop-lifted
+//!   `iter|pos|item` encoding of Pathfinder without `pos`: the driver
+//!   restores document order, so no operator needs positions.  No cell
+//!   holds a string or an integer: a `[@a = 'lit']` selection reads the
+//!   attribute values through the store, and a condition holds when its
+//!   relation is not empty.
+//! * **Shared columns, reused buffers.**  Both columns are `Arc`-shared,
+//!   so a memo hit, run-cache hit or `RecInput` reference bumps a count.
+//!   The memo and the run cache are one vector indexed by plan node, and
+//!   the recursion input's columns, the dedupe set and the join buffers
+//!   are refilled in place for the whole run: an evaluation allocates for
+//!   the relations it makes, not for its bookkeeping.
 //!
 //! ## What an executor keeps
 //!
 //! The executor borrows no store — every entry point takes a `&NodeStore`,
 //! which it only reads: no compiled plan constructs a node — and keeps no
-//! table from one run to the next.  Tables live in two scopes only: the
-//! memo of one body evaluation, and the *run cache* of one run
-//! (the tables of the plan nodes that do not depend on the recursion input,
+//! relation from one run to the next.  Relations live in two scopes only:
+//! the memo of one body evaluation, and the *run cache* of one run (the
+//! relations of the plan nodes that do not depend on the recursion input,
 //! computed on the first iteration and shared by every later one).  Both
 //! are built when the run starts and dropped when it ends, so no plan,
-//! store or document load can make a table stale — there is nothing to
+//! store or document load can make a relation stale — there is nothing to
 //! invalidate.  What outlives a run is its limits, its shard count and two
 //! counters; the prepared-query layer makes one executor per execution.
 //!
@@ -54,282 +58,195 @@
 //! [`Executor::set_threads`] only lets the driver shard its folds (by seed,
 //! or by lane of 64 seeds in a shared batch), as on the interpreter.
 
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::iter::repeat_n;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use xqy_xdm::fixpoint::{self, Body, Config, FixpointStrategy, Group, LimitError, Limits, Seeds};
-use xqy_xdm::{Hop, IdMap, IdSet, JoinScratch, NodeId, NodeStore, PathJoin};
+use xqy_xdm::{Hop, IdSet, JoinScratch, NodeId, NodeStore, PathJoin};
 
 pub use xqy_xdm::fixpoint::{BatchSharing, ExecStats};
 
 use crate::error::AlgebraError;
-use crate::plan::{Operator, Plan, PlanNodeId, SEED_COLUMN};
+use crate::plan::{Operator, Plan, PlanNodeId};
 use crate::Result;
 
-/// A typed, `Copy` table cell — also the key the executor unites,
-/// subtracts and deduplicates on.  Keys compare by variant *and* payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Key {
-    /// A node reference.
-    Node(NodeId),
-    /// An integer: the one cell of a `count`.
-    Int(i64),
-}
-
-impl Key {
-    /// The node, if this key is one.
-    pub fn as_node(&self) -> Option<NodeId> {
-        match self {
-            Key::Node(n) => Some(*n),
-            Key::Int(_) => None,
-        }
-    }
-}
-
-/// A flat relational table: named columns of [`Key`]s in columnar storage.
+/// What a plan node evaluates to: an `item` column of nodes and, in the
+/// rec-dependent part of a seed-carried plan, an `iter` column beside it —
+/// row `r` belongs to group `iter[r]`, a dense index into the batch.
 ///
-/// Columns are `Arc`-shared: `clone()` is O(columns) reference-count bumps
-/// and mutation copies only the columns it touches (projection copies
-/// none).  The executor works with *set* semantics: operators that would
-/// produce duplicate rows may keep them, but the fixpoint driver always
-/// reduces its accumulator to a set of nodes, matching the set-based IFP
-/// semantics.
+/// Both columns are `Arc`-shared: `clone()` is two reference-count bumps.
+/// The executor works with *set* semantics: ∪ and \ hold no row twice, and
+/// the fixpoint driver reduces every group to a set of nodes.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Table {
-    /// Column names (shared across derived tables).
-    names: Arc<Vec<String>>,
-    /// Column data; `cols[c][r]` is row `r`'s value in column `c`.
-    cols: Vec<Arc<Vec<Key>>>,
-    /// Number of rows (every column has exactly this many entries).
-    rows: usize,
+pub struct Relation {
+    iter: Option<Arc<Vec<u32>>>,
+    item: Arc<Vec<NodeId>>,
 }
 
-impl Table {
-    /// An empty table with the given columns.
-    pub fn new(columns: Vec<String>) -> Self {
-        let cols = columns.iter().map(|_| Arc::new(Vec::new())).collect();
-        Table {
-            names: Arc::new(columns),
-            cols,
-            rows: 0,
-        }
+impl Relation {
+    /// Nodes with no `iter` column: the input of a per-seed plan.
+    pub fn new(item: Vec<NodeId>) -> Self {
+        Relation::of(None, item)
     }
 
-    /// A table from column names and column-major data.
+    /// Row `r` is `(iter[r], item[r])`: the input of a seed-carried plan.
     ///
     /// # Panics
-    /// Panics (in debug builds) when the column counts or lengths disagree.
-    pub fn from_columns(columns: Vec<String>, cols: Vec<Vec<Key>>) -> Self {
-        debug_assert_eq!(columns.len(), cols.len());
-        let rows = cols.first().map_or(0, Vec::len);
-        debug_assert!(cols.iter().all(|c| c.len() == rows));
-        // Fresh column-major materialization: the relational `Table` growth
-        // point of the per-query memory accounting (shared-handle reuse via
-        // `with_schema` charges nothing).
-        xqy_xdm::budget::charge((rows * cols.len() * std::mem::size_of::<Key>()) as u64);
-        Table {
-            names: Arc::new(columns),
-            cols: cols.into_iter().map(Arc::new).collect(),
-            rows,
+    /// Panics when the columns' lengths differ.
+    pub fn tagged(iter: Vec<u32>, item: Vec<NodeId>) -> Self {
+        assert_eq!(iter.len(), item.len(), "one iter per item");
+        Relation::of(Some(iter), item)
+    }
+
+    /// Fresh columns: the relational growth point of the per-query memory
+    /// accounting (a shared handle charges nothing).
+    fn of(iter: Option<Vec<u32>>, item: Vec<NodeId>) -> Self {
+        let relation = Relation {
+            iter: iter.map(Arc::new),
+            item: Arc::new(item),
+        };
+        xqy_xdm::budget::charge(relation.bytes());
+        relation
+    }
+
+    /// The rows `rows`, with an `iter` column when `tagged`.
+    fn collect(tagged: bool, rows: impl Iterator<Item = (u32, NodeId)>) -> Self {
+        let (mut iter, mut item) = (Vec::new(), Vec::new());
+        for (group, node) in rows {
+            if tagged {
+                iter.push(group);
+            }
+            item.push(node);
         }
-    }
-
-    /// Internal constructor reusing an existing schema handle.
-    fn with_schema(names: Arc<Vec<String>>, cols: Vec<Arc<Vec<Key>>>) -> Self {
-        let rows = cols.first().map_or(0, |c| c.len());
-        debug_assert_eq!(names.len(), cols.len());
-        debug_assert!(cols.iter().all(|c| c.len() == rows));
-        Table { names, cols, rows }
-    }
-
-    /// A single-column `item` table of nodes.
-    pub fn from_nodes(nodes: &[NodeId]) -> Self {
-        Table::from_columns(
-            vec!["item".to_string()],
-            vec![nodes.iter().map(|&n| Key::Node(n)).collect()],
-        )
+        Relation::of(tagged.then_some(iter), item)
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows
+        self.item.len()
     }
 
-    /// `true` when the table has no rows.
+    /// `true` when the relation has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.item.is_empty()
     }
 
-    /// Column names.
-    pub fn columns(&self) -> &[String] {
-        &self.names
+    /// The `item` column.
+    pub fn items(&self) -> &[NodeId] {
+        &self.item
     }
 
-    /// Index of column `name`.
-    pub fn column_index(&self, name: &str) -> Result<usize> {
-        self.names.iter().position(|c| c == name).ok_or_else(|| {
-            AlgebraError::Execution(format!(
-                "column '{name}' not found (have: {})",
-                self.names.join(", ")
-            ))
-        })
+    /// The `iter` column, if the relation has one.
+    pub fn iters(&self) -> Option<&[u32]> {
+        self.iter.as_deref().map(Vec::as_slice)
     }
 
-    /// Borrow a column's cells.
-    pub fn col(&self, idx: usize) -> &[Key] {
-        &self.cols[idx]
+    fn bytes(&self) -> u64 {
+        let iter = self.iter.as_ref().map_or(0, |_| size_of::<u32>());
+        (self.len() * (iter + size_of::<NodeId>())) as u64
     }
 
-    /// The cell at (`row`, `col`).
-    pub fn key(&self, row: usize, col: usize) -> Key {
-        self.cols[col][row]
+    /// Row `r` as `(iter, item)`; without an `iter` column every row is in
+    /// group 0.
+    fn row(&self, r: usize) -> (u32, NodeId) {
+        (self.iter.as_ref().map_or(0, |iter| iter[r]), self.item[r])
     }
 
-    /// One row, materialized (test/debug convenience — the executor itself
-    /// never builds row vectors).
-    pub fn row(&self, row: usize) -> Vec<Key> {
-        self.cols.iter().map(|c| c[row]).collect()
+    fn rows(&self) -> impl Iterator<Item = (u32, NodeId)> + '_ {
+        (0..self.len()).map(|r| self.row(r))
     }
 
-    /// `true` when `self` and `other` are views of the *same* column
-    /// storage (every column pair is `Arc`-pointer-equal).  This is how
-    /// tests verify that operators hand out shared handles instead of deep
-    /// copies.
-    pub fn shares_storage(&self, other: &Table) -> bool {
-        !self.cols.is_empty()
-            && self.cols.len() == other.cols.len()
-            && self
-                .cols
-                .iter()
-                .zip(&other.cols)
-                .all(|(a, b)| Arc::ptr_eq(a, b))
-    }
-
-    /// The node values of the `item` column (non-node rows are skipped).
-    pub fn item_nodes(&self) -> Vec<NodeId> {
-        let Ok(idx) = self.column_index("item") else {
-            return Vec::new();
-        };
-        self.cols[idx].iter().filter_map(Key::as_node).collect()
-    }
-
-    /// Deduplicate rows (set semantics).  `Key`s hash directly, so no
-    /// per-row rendering happens; single- and two-column tables (the
-    /// overwhelmingly common shapes) avoid building row vectors entirely.
-    pub fn distinct(self) -> Table {
-        let mask: Vec<bool> = match self.cols.len() {
-            0 => return self,
-            1 => {
-                let mut seen = IdSet::with_capacity_and_hasher(self.rows, Default::default());
-                self.cols[0].iter().map(|&k| seen.insert(k)).collect()
-            }
-            2 => {
-                let mut seen = IdSet::with_capacity_and_hasher(self.rows, Default::default());
-                (0..self.rows)
-                    .map(|r| seen.insert((self.cols[0][r], self.cols[1][r])))
-                    .collect()
-            }
-            _ => {
-                let mut seen = IdSet::with_capacity_and_hasher(self.rows, Default::default());
-                (0..self.rows).map(|r| seen.insert(self.row(r))).collect()
-            }
-        };
-        self.filter_rows(&mask)
-    }
-
-    /// Keep the rows whose mask entry is `true`; returns `self` with its
-    /// storage untouched (shared) when nothing is dropped.
-    fn filter_rows(self, mask: &[bool]) -> Table {
-        debug_assert_eq!(mask.len(), self.rows);
-        let kept = mask.iter().filter(|&&m| m).count();
-        if kept == self.rows {
+    /// The rows `keep` accepts; `self`, storage shared, when it keeps all.
+    fn retain(self, mut keep: impl FnMut((u32, NodeId)) -> bool) -> Relation {
+        let Some(first) = (0..self.len()).position(|r| !keep(self.row(r))) else {
             return self;
-        }
-        let cols = self
-            .cols
-            .iter()
-            .map(|col| {
-                Arc::new(
-                    col.iter()
-                        .zip(mask)
-                        .filter(|(_, &m)| m)
-                        .map(|(&k, _)| k)
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        Table::with_schema(self.names, cols)
+        };
+        let rest = (first + 1..self.len())
+            .map(|r| self.row(r))
+            .filter(|&row| keep(row));
+        Relation::collect(self.iter.is_some(), self.rows().take(first).chain(rest))
+    }
+
+    /// The distinct `(iter, item)` rows, deduplicated through `seen`.
+    fn distinct(self, seen: &mut IdSet<(u32, NodeId)>) -> Relation {
+        seen.clear();
+        self.retain(|row| seen.insert(row))
     }
 }
 
-/// Strategy of the fixpoint driver — mirrors the µ / µ∆ operator pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MuStrategy {
-    /// The Naïve operator µ.
-    #[default]
-    Mu,
-    /// The Delta operator µ∆.
-    MuDelta,
-}
-
-impl MuStrategy {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MuStrategy::Mu => "mu",
-            MuStrategy::MuDelta => "mu-delta",
-        }
-    }
-}
-
-impl From<FixpointStrategy> for MuStrategy {
-    fn from(strategy: FixpointStrategy) -> Self {
-        match strategy {
-            FixpointStrategy::Naive => MuStrategy::Mu,
-            FixpointStrategy::Delta => MuStrategy::MuDelta,
-        }
-    }
-}
-
-impl From<MuStrategy> for FixpointStrategy {
-    fn from(strategy: MuStrategy) -> Self {
-        match strategy {
-            MuStrategy::Mu => FixpointStrategy::Naive,
-            MuStrategy::MuDelta => FixpointStrategy::Delta,
-        }
-    }
+/// Refill `column` with `values` — in place, unless something else still
+/// holds it.
+fn refill<T: Clone>(
+    column: &mut Option<Arc<Vec<T>>>,
+    values: impl Iterator<Item = T>,
+) -> Arc<Vec<T>> {
+    let mut column = column.take().unwrap_or_default();
+    let buffer = Arc::make_mut(&mut column);
+    buffer.clear();
+    buffer.extend(values);
+    column
 }
 
 /// The executor state scoped to *one run* of one plan: built when the run
 /// starts, dropped when it ends.
 #[derive(Debug, Default)]
 struct PlanState {
-    /// Tables of the plan nodes that do not depend on the recursion input,
-    /// each computed once — on the run's first iteration — and handed out
-    /// as a shared handle on every later one.
-    run_cache: IdMap<PlanNodeId, Table>,
+    /// `values[id]` — the relation of plan node `id`.  A rec-dependent
+    /// node's is the memo of one evaluation, dropped when it ends; a
+    /// rec-independent node's is the run cache, computed on the run's first
+    /// iteration and handed out as a shared handle on every later one.
+    values: Vec<Option<Relation>>,
     /// `rec_dependent[id]` — does plan node `id` (transitively) consume a
     /// `RecInput`?
     rec_dependent: Vec<bool>,
+    /// The recursion input's columns, refilled by every evaluation.
+    input_iter: Option<Arc<Vec<u32>>>,
+    input_item: Option<Arc<Vec<NodeId>>>,
+    /// The rows a ∪, \ or dedupe has met.
+    seen: IdSet<(u32, NodeId)>,
 }
 
 impl PlanState {
     /// The state a run of `plan` starts from.
     fn of(plan: &Plan) -> Self {
         PlanState {
-            run_cache: IdMap::default(),
+            values: vec![None; plan.len()],
             rec_dependent: plan.rec_dependent(),
+            ..PlanState::default()
         }
+    }
+
+    /// The recursion input `item` — tagged with `iter`, if given — in the
+    /// run's reused columns.
+    fn input(
+        &mut self,
+        iter: Option<impl Iterator<Item = u32>>,
+        item: impl Iterator<Item = NodeId>,
+    ) -> Relation {
+        let rec = Relation {
+            iter: iter.map(|iter| refill(&mut self.input_iter, iter)),
+            item: refill(&mut self.input_item, item),
+        };
+        xqy_xdm::budget::charge(rec.bytes());
+        rec
+    }
+
+    /// Take back the columns of an input made by [`PlanState::input`].
+    fn recycle(&mut self, rec: Relation) {
+        self.input_iter = rec.iter.or(self.input_iter.take());
+        self.input_item = Some(rec.item);
     }
 }
 
 /// The plan executor.
 ///
 /// Holds no store borrow — every entry point takes a `&NodeStore` — and no
-/// table beyond the run that computed it (see the [module docs](self)).
+/// relation beyond the run that computed it (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Executor {
-    /// Run cache and bitmap of the run in progress; empty between runs.
+    /// Memo, run cache and buffers of the run in progress; empty between
+    /// runs.
     plan_state: PlanState,
     /// Times the run cache returned a shared handle.
     static_cache_hits: u64,
@@ -363,14 +280,17 @@ impl Executor {
     }
 
     /// Drop the run cache, returning an estimate of the bytes freed — the
-    /// relational side of budget relief.  The tables are recomputable: the
-    /// next iteration evaluates what it needs again.
+    /// relational side of budget relief.  The relations are recomputable:
+    /// the next iteration evaluates what it needs again.
     fn release_run_cache(&mut self) -> u64 {
-        let bytes = |t: &Table| (t.rows * t.cols.len() * std::mem::size_of::<Key>()) as u64;
-        self.plan_state
-            .run_cache
-            .drain()
-            .map(|(_, t)| bytes(&t))
+        let state = &mut self.plan_state;
+        state
+            .values
+            .iter_mut()
+            .zip(&state.rec_dependent)
+            .filter(|&(_, &dependent)| !dependent)
+            .filter_map(|(value, _)| value.take())
+            .map(|relation| relation.bytes())
             .sum()
     }
 
@@ -414,12 +334,17 @@ impl Executor {
     }
 
     /// Evaluate `plan` with the recursion input bound to `rec` (pass an
-    /// empty table when the plan has no `RecInput` leaf).
+    /// empty relation when the plan has no `RecInput` leaf).
     ///
-    /// A direct call is a run of its own: no table carries over from
+    /// A direct call is a run of its own: no relation carries over from
     /// previous calls.  [`Executor::run_fixpoint`] instead scopes the run
     /// cache to the whole fixpoint.
-    pub fn eval_plan(&mut self, store: &NodeStore, plan: &Plan, rec: &Table) -> Result<Table> {
+    pub fn eval_plan(
+        &mut self,
+        store: &NodeStore,
+        plan: &Plan,
+        rec: &Relation,
+    ) -> Result<Relation> {
         let mut joins = Joins::of(store, plan);
         self.in_run(plan, |exec| {
             exec.eval_plan_in_run(store, plan, rec, &mut joins)
@@ -432,14 +357,21 @@ impl Executor {
         &mut self,
         store: &NodeStore,
         plan: &Plan,
-        rec: &Table,
+        rec: &Relation,
         joins: &mut Joins<'_>,
-    ) -> Result<Table> {
+    ) -> Result<Relation> {
         let root = plan
             .root()
             .ok_or_else(|| AlgebraError::InvalidPlan("plan has no root".into()))?;
-        let mut memo: IdMap<PlanNodeId, Table> = IdMap::default();
-        self.eval_node(store, plan, root, rec, &mut memo, joins)
+        let out = self.eval_node(store, plan, root, rec, joins);
+        // The memo lives for one evaluation, the run cache for the run.
+        let state = &mut self.plan_state;
+        for (value, &dependent) in state.values.iter_mut().zip(&state.rec_dependent) {
+            if dependent {
+                *value = None;
+            }
+        }
+        out
     }
 
     fn eval_node(
@@ -447,53 +379,20 @@ impl Executor {
         store: &NodeStore,
         plan: &Plan,
         id: PlanNodeId,
-        rec: &Table,
-        memo: &mut IdMap<PlanNodeId, Table>,
+        rec: &Relation,
         joins: &mut Joins<'_>,
-    ) -> Result<Table> {
-        if let Some(cached) = memo.get(&id) {
-            return Ok(cached.clone());
+    ) -> Result<Relation> {
+        let dependent = self.plan_state.rec_dependent[id];
+        if let Some(value) = &self.plan_state.values[id] {
+            self.static_cache_hits += u64::from(!dependent);
+            return Ok(value.clone());
         }
-        let is_rec_dependent = self.plan_state.rec_dependent[id];
-        if !is_rec_dependent {
-            if let Some(cached) = self.plan_state.run_cache.get(&id) {
-                self.static_cache_hits += 1;
-                return Ok(cached.clone());
-            }
-        }
-        let table = if let Some(input) = joins.input_of(id) {
-            // The top of a chain: the hops below it are never evaluated
-            // on their own.
-            let input = self.eval_node(store, plan, input, rec, memo, joins)?;
-            joins.run(id, &input)?
-        } else {
-            let node = plan.node(id);
-            let mut inputs = Vec::with_capacity(node.inputs.len());
-            for &input in &node.inputs {
-                inputs.push(self.eval_node(store, plan, input, rec, memo, joins)?);
-            }
-            Self::apply(store, &node.op, inputs, rec)?
-        };
-        if is_rec_dependent {
-            memo.insert(id, table.clone());
-        } else {
-            self.static_plan_evals += 1;
-            self.plan_state.run_cache.insert(id, table.clone());
-        }
-        Ok(table)
-    }
-
-    /// Apply `op` to its evaluated `inputs` (in plan order), with the recursion
-    /// input bound to `rec`.
-    fn apply(
-        store: &NodeStore,
-        op: &Operator,
-        mut inputs: Vec<Table>,
-        rec: &Table,
-    ) -> Result<Table> {
-        match op {
-            Operator::RecInput => Ok(rec.clone()),
-            Operator::Empty => Ok(Table::new(vec!["item".into()])),
+        let node = plan.node(id);
+        let mut input =
+            |exec: &mut Self, i: usize| exec.eval_node(store, plan, node.inputs[i], rec, joins);
+        let relation = match &node.op {
+            Operator::RecInput => rec.clone(),
+            Operator::Empty => Relation::default(),
             Operator::DocRoot(uri) => {
                 let doc = store
                     .doc(uri)
@@ -501,154 +400,118 @@ impl Executor {
                 let node = store.document_node(doc).ok_or_else(|| {
                     AlgebraError::Execution(format!("document has no root: {uri}"))
                 })?;
-                Ok(Table::from_nodes(&[node]))
+                Relation::new(vec![node])
             }
-            Operator::Project(renames) => {
-                let input = inputs.remove(0);
-                let mut cols = Vec::with_capacity(renames.len());
-                for (_, source) in renames {
-                    // Zero-copy: projection re-arranges column handles.
-                    cols.push(input.cols[input.column_index(source)?].clone());
-                }
-                Ok(Table {
-                    names: Arc::new(renames.iter().map(|(out, _)| out.clone()).collect()),
-                    cols,
-                    rows: input.rows,
-                })
-            }
-            Operator::Select { column, value } => {
-                let input = inputs.remove(0);
-                let idx = input.column_index(column)?;
-                // A row stays iff its cell is a node whose string value is
-                // the literal; the value is read in place, never copied.
-                let mask: Vec<bool> = input.cols[idx]
-                    .iter()
-                    .map(|key| {
-                        key.as_node()
-                            .is_some_and(|node| store.string_value_ref(node) == **value)
-                    })
-                    .collect();
-                Ok(input.filter_rows(&mask))
+            Operator::AttrEquals { name, value } => {
+                input(self, 0)?.retain(|(_, node)| store.has_attribute_value(node, name, value))
             }
             Operator::Union => {
-                let right = inputs.remove(1);
-                let left = inputs.remove(0);
-                if *left.names != *right.names {
-                    return Err(AlgebraError::Execution(
-                        "union over tables with different schemas".into(),
-                    ));
-                }
-                let cols = left
-                    .cols
-                    .iter()
-                    .zip(&right.cols)
-                    .map(|(a, b)| {
-                        let mut col = Vec::with_capacity(a.len() + b.len());
-                        col.extend_from_slice(a);
-                        col.extend_from_slice(b);
-                        Arc::new(col)
-                    })
-                    .collect();
-                Ok(Table::with_schema(left.names.clone(), cols).distinct())
+                let (left, right) = (input(self, 0)?, input(self, 1)?);
+                debug_assert_eq!(left.iter.is_some(), right.iter.is_some(), "a tagged ∪ arm");
+                let seen = &mut self.plan_state.seen;
+                seen.clear();
+                let rows = left
+                    .rows()
+                    .chain(right.rows())
+                    .filter(|&row| seen.insert(row));
+                Relation::collect(left.iter.is_some(), rows)
             }
             Operator::Difference => {
-                let right = inputs.remove(1);
-                let left = inputs.remove(0);
-                let mask: Vec<bool> = if left.cols.len() == 1 && right.cols.len() == 1 {
-                    let keys: IdSet<Key> = right.cols[0].iter().copied().collect();
-                    left.cols[0].iter().map(|k| !keys.contains(k)).collect()
-                } else {
-                    let keys: IdSet<Vec<Key>> = (0..right.rows).map(|r| right.row(r)).collect();
-                    (0..left.rows)
-                        .map(|r| !keys.contains(&left.row(r)))
-                        .collect()
-                };
-                Ok(left.filter_rows(&mask))
+                let (left, right) = (input(self, 0)?, input(self, 1)?);
+                debug_assert_eq!(left.iter.is_some(), right.iter.is_some(), "a tagged \\ arm");
+                let seen = &mut self.plan_state.seen;
+                seen.clear();
+                seen.extend(right.rows());
+                left.retain(|row| !seen.contains(&row))
             }
-            Operator::Count => Ok(Table::from_columns(
-                vec!["count".into()],
-                vec![vec![Key::Int(inputs[0].rows as i64)]],
-            )),
-            // Every step and `id()` runs in the path join of its chain
-            // (`Joins`).
-            Operator::Step { .. } | Operator::IdLookup => Err(AlgebraError::InvalidPlan(format!(
-                "{} evaluated outside its chain",
-                op.name()
-            ))),
+            // A condition's count is only asked whether it is zero.
+            Operator::Count => input(self, 0)?,
             Operator::IfThenElse => {
-                let else_table = inputs.remove(2);
-                let then_table = inputs.remove(1);
-                let truthy = effective_boolean(&inputs[0]);
-                Ok(if truthy { then_table } else { else_table })
+                let taken = if input(self, 0)?.is_empty() { 2 } else { 1 };
+                input(self, taken)?
             }
-        }
+            // Every step and `id()` runs in the path join of its chain, at
+            // the chain's top: the hops below it are never evaluated on
+            // their own.
+            Operator::Step { .. } | Operator::IdLookup => {
+                let below = joins.input_of(id).ok_or_else(|| {
+                    AlgebraError::InvalidPlan(format!(
+                        "{} evaluated outside its chain",
+                        node.op.name()
+                    ))
+                })?;
+                let below = self.eval_node(store, plan, below, rec, joins)?;
+                joins.run(id, &below, &mut self.plan_state.seen)
+            }
+        };
+        self.static_plan_evals += u64::from(!dependent);
+        self.plan_state.values[id] = Some(relation.clone());
+        Ok(relation)
     }
 
     /// Run the fixpoint of `body` seeded with `seed` using `strategy`.
     ///
     /// With `seed_in_result = false` the accumulation starts from the body
     /// applied to the seed (Definition 2.1); with `true` it starts from the
-    /// seed itself (the paper's Example 2.4 reading).
+    /// seed itself (the paper's Example 2.4 reading).  The result has no
+    /// `iter` column, and its nodes are in document order.
     pub fn run_fixpoint(
         &mut self,
         store: &NodeStore,
         body: &Plan,
         seed: &[NodeId],
-        strategy: MuStrategy,
+        strategy: impl Into<FixpointStrategy>,
         seed_in_result: bool,
-    ) -> Result<(Table, ExecStats)> {
+    ) -> Result<(Relation, ExecStats)> {
         let seeds = Seeds::Set(seed);
         let sharing = BatchSharing::PerSeed;
         let (mut groups, stats) =
             self.run_fixpoint_groups(store, body, seeds, strategy.into(), seed_in_result, sharing)?;
-        Ok((Table::from_nodes(&groups.pop().unwrap_or_default()), stats))
+        Ok((Relation::new(groups.pop().unwrap_or_default()), stats))
     }
 
     /// Run one **batched multi-source fixpoint**: evaluate the recursion
-    /// body once per iteration over a two-column `(`[`SEED_COLUMN`]`, item)`
-    /// relation holding the frontiers of *all* seeds, instead of running one
-    /// fixpoint per seed.  Every body scan, join and duplicate elimination
-    /// is shared across the batch; Naïve/Delta semantics are applied
-    /// **per seed** by the driver.
+    /// body once per iteration over one relation holding the frontiers of
+    /// *all* seeds, each row's `iter` naming its seed, instead of running
+    /// one fixpoint per seed.  Every body scan and duplicate elimination is
+    /// shared across the batch; Naïve/Delta semantics are applied **per
+    /// seed** by the driver.
     ///
     /// `body` must be the [seed-carried form](Plan::seed_carried) of the
-    /// recursion body — the per-seed plan rewritten so every rec-dependent
-    /// operator propagates the seed column (plans that cannot be rewritten
-    /// are not batchable and should run per seed).  `seeds` must be
-    /// distinct; the caller deduplicates (a duplicated seed would fold two
-    /// identical fixpoints into one group).  `sharing` picks the frontier
-    /// representation: [`BatchSharing::DistinctNodes`] additionally shares
-    /// body scans between seeds whose frontiers overlap, evaluating each
-    /// distinct node once per run, and is only sound for distributive
-    /// bodies — pass [`BatchSharing::PerSeed`] otherwise.
+    /// recursion body (plans that are not seed-local are not batchable and
+    /// should run per seed).  `seeds` must be distinct; the caller
+    /// deduplicates (a duplicated seed would fold two identical fixpoints
+    /// into one group).  `sharing` picks the frontier representation:
+    /// [`BatchSharing::DistinctNodes`] additionally shares body scans
+    /// between seeds whose frontiers overlap, evaluating each distinct node
+    /// once per run, and is only sound for distributive bodies — pass
+    /// [`BatchSharing::PerSeed`] otherwise.
     ///
-    /// The result table has columns `[`[`SEED_COLUMN`]`, item]`, grouped by
-    /// seed in input order with each group in document order — exactly the
-    /// concatenation of the per-seed [`Executor::run_fixpoint`] results.
-    /// [`ExecStats::iterations`] is the *maximum* per-seed depth,
-    /// [`ExecStats::rows_fed_back`] the sum of the per-seed counts and
-    /// [`ExecStats::body_evaluations`] counts the shared iterations (under
-    /// [`BatchSharing::DistinctNodes`], those that met a new node).
+    /// Row `r` of the result is `(i, node)` for a node of the fixpoint of
+    /// `seeds[i]`: grouped by seed in input order with each group in
+    /// document order — exactly the concatenation of the per-seed
+    /// [`Executor::run_fixpoint`] results.  [`ExecStats::iterations`] is
+    /// the *maximum* per-seed depth, [`ExecStats::rows_fed_back`] the sum
+    /// of the per-seed counts and [`ExecStats::body_evaluations`] counts
+    /// the shared iterations (under [`BatchSharing::DistinctNodes`], those
+    /// that met a new node).
     pub fn run_fixpoint_batched(
         &mut self,
         store: &NodeStore,
         body: &Plan,
         seeds: &[NodeId],
-        strategy: MuStrategy,
+        strategy: impl Into<FixpointStrategy>,
         seed_in_result: bool,
         sharing: BatchSharing,
-    ) -> Result<(Table, ExecStats)> {
+    ) -> Result<(Relation, ExecStats)> {
         let batch = Seeds::Each(seeds);
         let (groups, stats) =
             self.run_fixpoint_groups(store, body, batch, strategy.into(), seed_in_result, sharing)?;
-        let mut seed_col = Vec::with_capacity(stats.result_rows);
-        let mut item_col = Vec::with_capacity(stats.result_rows);
-        for (seed, nodes) in seeds.iter().zip(&groups) {
-            seed_col.extend(std::iter::repeat_n(Key::Node(*seed), nodes.len()));
-            item_col.extend(nodes.iter().map(|&node| Key::Node(node)));
-        }
-        let schema = vec![SEED_COLUMN.to_string(), "item".to_string()];
-        Ok((Table::from_columns(schema, vec![seed_col, item_col]), stats))
+        let iter = (0..).zip(&groups);
+        let iter = iter
+            .flat_map(|(i, nodes)| repeat_n(i, nodes.len()))
+            .collect();
+        Ok((Relation::tagged(iter, groups.concat()), stats))
     }
 
     /// The general entry point behind [`Executor::run_fixpoint`] and
@@ -688,53 +551,35 @@ impl Executor {
     }
 
     /// Evaluate the (seed-carried) body once over `tagged` — a list of
-    /// `(tag, nodes)` groups, each row entering as `(tag, node)` — and
-    /// regroup the output rows by tag.  One body evaluation serves the
-    /// entire batch; the tags are opaque to the plan (seeds in
+    /// `(tag, nodes)` groups, group `i`'s rows entering as `(i, node)` —
+    /// and regroup the output rows by `iter`.  One body evaluation serves
+    /// the entire batch; the tags themselves never reach the plan (seeds in
     /// [`BatchSharing::PerSeed`] mode, origin nodes in
     /// [`BatchSharing::DistinctNodes`] mode).
     fn eval_tagged_batch(
         &mut self,
         store: &NodeStore,
         body: &Plan,
-        tagged: &[(NodeId, &[NodeId])],
+        tagged: &[Group<'_>],
         stats: &mut ExecStats,
         joins: &mut Joins<'_>,
     ) -> Result<Vec<Vec<NodeId>>> {
         let total_rows: usize = tagged.iter().map(|(_, nodes)| nodes.len()).sum();
         stats.frontier_curve.push(total_rows as u64);
         stats.body_evaluations += 1;
-        let mut tag_col = Vec::new();
-        let mut item_col = Vec::new();
-        for (tag, nodes) in tagged {
-            for &node in *nodes {
-                tag_col.push(Key::Node(*tag));
-                item_col.push(Key::Node(node));
-            }
-        }
-        let rec = Table::from_columns(
-            vec![SEED_COLUMN.to_string(), "item".to_string()],
-            vec![tag_col, item_col],
+        let iter = (0..).zip(tagged);
+        let rec = self.plan_state.input(
+            Some(iter.flat_map(|(i, (_, nodes))| repeat_n(i, nodes.len()))),
+            tagged.iter().flat_map(|(_, nodes)| nodes.iter().copied()),
         );
         let out = self.eval_plan_in_run(store, body, &rec, joins)?;
-        let si = out.column_index(SEED_COLUMN)?;
-        let ii = out.column_index("item")?;
-        let index: IdMap<NodeId, usize> = tagged
-            .iter()
-            .enumerate()
-            .map(|(i, &(tag, _))| (tag, i))
-            .collect();
+        self.plan_state.recycle(rec);
+        let iter = out.iters().ok_or_else(|| {
+            AlgebraError::InvalidPlan("a seed-carried plan's output has an iter column".into())
+        })?;
         let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); tagged.len()];
-        for r in 0..out.len() {
-            let (Some(tag), Some(item)) = (out.key(r, si).as_node(), out.key(r, ii).as_node())
-            else {
-                // Mirrors `Table::item_nodes`: non-node rows do not feed
-                // back into a node-set fixpoint.
-                continue;
-            };
-            if let Some(&i) = index.get(&tag) {
-                groups[i].push(item);
-            }
+        for (&i, &node) in iter.iter().zip(out.items()) {
+            groups[i as usize].push(node);
         }
         Ok(groups)
     }
@@ -750,9 +595,14 @@ impl Executor {
         stats.frontier_curve.push(input.len() as u64);
         stats.body_evaluations += 1;
         xqy_xdm::fail::point("alloc.table").map_err(|e| AlgebraError::Execution(e.to_string()))?;
-        let rec = Table::from_nodes(input);
+        let rec = self
+            .plan_state
+            .input(None::<std::iter::Empty<u32>>, input.iter().copied());
         let out = self.eval_plan_in_run(store, body, &rec, joins)?;
-        Ok(out.item_nodes())
+        // Unshared unless the body's value is its input or cached.
+        let items = Arc::unwrap_or_clone(out.item);
+        self.plan_state.recycle(rec);
+        Ok(items)
     }
 }
 
@@ -798,18 +648,15 @@ impl Body for PlanBody<'_> {
 
 /// The path joins of one run of a plan: every maximal chain of `Step` and
 /// `IdLookup` nodes whose lower hops have one consumer each — the hop
-/// above — runs as one [`PathJoin`] at its top node, so no table is built
-/// for a hop below the top.
+/// above — runs as one [`PathJoin`] at its top node, so no relation is
+/// built for a hop below the top.
 struct Joins<'a> {
     /// `tops[id]` for the top node `id` of a chain: the plan node below
     /// the chain's lowest hop, and the chain's join.
     tops: Vec<Option<(PlanNodeId, PathJoin<'a>)>>,
     scratch: JoinScratch,
-    /// One tag group's focus nodes, and what the join selected from them.
-    focus: Vec<NodeId>,
-    found: Vec<NodeId>,
-    /// The hashes of the groups one [`Joins::run`] has met.
-    groups: IdSet<u64>,
+    /// `met[i]` — has one [`Joins::run`] met group `i` yet?
+    met: Vec<bool>,
 }
 
 impl<'a> Joins<'a> {
@@ -821,7 +668,7 @@ impl<'a> Joins<'a> {
             _ => None,
         };
         // A hop is absorbed into the hop above it when that is its only
-        // consumer (and it is not the root, whose table is the answer).
+        // consumer (and it is not the root, whose relation is the answer).
         let mut consumers = vec![0usize; plan.len()];
         let mut under_hop = vec![false; plan.len()];
         for (id, node) in plan.iter() {
@@ -851,9 +698,7 @@ impl<'a> Joins<'a> {
         Joins {
             tops,
             scratch: JoinScratch::default(),
-            focus: Vec::new(),
-            found: Vec::new(),
-            groups: IdSet::default(),
+            met: Vec::new(),
         }
     }
 
@@ -862,80 +707,60 @@ impl<'a> Joins<'a> {
         self.tops[id].as_ref().map(|(input, _)| *input)
     }
 
-    /// The chain topped by `id` over the `item` column of `input`: one pass
-    /// per run of rows that agree on every other column (a tag group of a
-    /// seed-carried plan; the whole table of a per-seed one), each selected
-    /// node carrying its group's other cells.  The output holds no row
-    /// twice, as every operator's: a group split into several runs — its
-    /// rows interleaved with another group's, as a ∪ leaves them — may
-    /// select a node in more than one run, so then the output is made
-    /// distinct.
-    fn run(&mut self, id: PlanNodeId, input: &Table) -> Result<Table> {
-        let Some((_, join)) = &self.tops[id] else {
-            return Err(AlgebraError::InvalidPlan(format!("{id} tops no chain")));
+    /// The chain topped by `id` (which must top one) over `input`: one pass
+    /// over the whole relation when it has no `iter` column, else one per
+    /// run of rows of equal `iter`, each selected node keeping its run's
+    /// `iter`.  The output holds no row twice, as every operator's: a group
+    /// split into several runs — its rows interleaved with another group's,
+    /// as a ∪ leaves them — may select a node in more than one run, so then
+    /// the output is made distinct through `seen`.
+    fn run(
+        &mut self,
+        id: PlanNodeId,
+        input: &Relation,
+        seen: &mut IdSet<(u32, NodeId)>,
+    ) -> Relation {
+        let (_, join) = self.tops[id].as_ref().expect("`id` tops a chain");
+        let mut item = Vec::new();
+        let Some(iter) = input.iters() else {
+            join.select_into(input.items(), &mut self.scratch, &mut item);
+            return Relation::new(item);
         };
-        let item = input.column_index("item")?;
-        let same_group = |a: usize, b: usize| {
-            input
-                .cols
-                .iter()
-                .enumerate()
-                .all(|(c, col)| c == item || col[a] == col[b])
-        };
-        let mut cols: Vec<Vec<Key>> = vec![Vec::new(); input.cols.len()];
-        // A group met again is caught by its hash; a collision only costs
-        // the final `distinct`.
-        let grouped = input.cols.len() > 1;
+        let mut out_iter = Vec::new();
         let mut split = false;
-        self.groups.clear();
+        self.met.clear();
         let mut start = 0;
-        while start < input.rows {
-            let mut end = start + 1;
-            while end < input.rows && same_group(start, end) {
-                end += 1;
+        while start < iter.len() {
+            let group = iter[start];
+            let end = iter[start..]
+                .iter()
+                .position(|&i| i != group)
+                .map_or(iter.len(), |run| start + run);
+            let i = group as usize;
+            if i >= self.met.len() {
+                self.met.resize(i + 1, false);
             }
-            if grouped {
-                let mut hasher = self.groups.hasher().build_hasher();
-                for (_, col) in input.cols.iter().enumerate().filter(|&(c, _)| c != item) {
-                    col[start].hash(&mut hasher);
-                }
-                split |= !self.groups.insert(hasher.finish());
-            }
-            self.focus.clear();
-            let group = &input.cols[item][start..end];
-            self.focus.extend(group.iter().filter_map(Key::as_node));
-            self.found.clear();
-            join.select_into(&self.focus, &mut self.scratch, &mut self.found);
-            for (c, col) in cols.iter_mut().enumerate() {
-                if c == item {
-                    col.extend(self.found.iter().map(|&node| Key::Node(node)));
-                } else {
-                    col.extend(std::iter::repeat_n(input.cols[c][start], self.found.len()));
-                }
-            }
+            split |= std::mem::replace(&mut self.met[i], true);
+            join.select_into(&input.items()[start..end], &mut self.scratch, &mut item);
+            out_iter.resize(item.len(), group);
             start = end;
         }
-        let cols = cols.into_iter().map(Arc::new).collect();
-        let table = Table::with_schema(input.names.clone(), cols);
-        Ok(if split { table.distinct() } else { table })
-    }
-}
-
-/// Effective boolean value of a condition table: a single `count`/integer
-/// cell is tested against zero; otherwise any row counts as true.
-fn effective_boolean(table: &Table) -> bool {
-    if table.columns().len() == 1 && table.len() == 1 {
-        if let Key::Int(i) = table.key(0, 0) {
-            return i != 0;
+        let out = Relation::tagged(out_iter, item);
+        if split {
+            out.distinct(seen)
+        } else {
+            out
         }
     }
-    !table.is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xqy_xdm::{Axis, DocId, NodeTest};
+
+    const NAIVE: FixpointStrategy = FixpointStrategy::Naive;
+    const DELTA: FixpointStrategy = FixpointStrategy::Delta;
 
     const CURRICULUM: &str = r#"<curriculum>
         <course code="c1"><prerequisites><pre_code>c2</pre_code><pre_code>c3</pre_code></prerequisites></course>
@@ -998,39 +823,21 @@ mod tests {
             },
             vec![rec],
         );
-        let keep = plan.add(
-            Operator::Project(vec![
-                ("node".into(), "item".into()),
-                ("item".into(), "item".into()),
-            ]),
-            vec![courses],
-        );
-        let attr = plan.add(
-            Operator::Step {
-                axis: Axis::Attribute,
-                test: NodeTest::Name("code".into()),
-            },
-            vec![keep],
-        );
         let select = plan.add(
-            Operator::Select {
-                column: "item".into(),
+            Operator::AttrEquals {
+                name: "code".into(),
                 value: "c2".into(),
             },
-            vec![attr],
+            vec![courses],
         );
-        let back = plan.add(
-            Operator::Project(vec![("item".into(), "node".into())]),
-            vec![select],
-        );
-        plan.set_root(back);
+        plan.set_root(select);
 
         let mut exec = Executor::new();
         let result = exec
-            .eval_plan(&store, &plan, &Table::from_nodes(&[root_elem]))
+            .eval_plan(&store, &plan, &Relation::new(vec![root_elem]))
             .unwrap();
         assert_eq!(result.len(), 1);
-        let node = result.item_nodes()[0];
+        let node = result.items()[0];
         assert_eq!(store.attribute_value(node, "code"), Some("c2"));
     }
 
@@ -1041,10 +848,10 @@ mod tests {
         let plan = q1_plan();
         let mut exec = Executor::new();
         let (result, stats) = exec
-            .run_fixpoint(&store, &plan, &seed, MuStrategy::Mu, false)
+            .run_fixpoint(&store, &plan, &seed, NAIVE, false)
             .unwrap();
         let mut codes: Vec<String> = result
-            .item_nodes()
+            .items()
             .iter()
             .map(|&n| store.attribute_value(n, "code").unwrap().to_string())
             .collect();
@@ -1061,16 +868,16 @@ mod tests {
 
         let (naive_result, naive_stats) = {
             let mut exec = Executor::new();
-            exec.run_fixpoint(&store, &plan, &seed, MuStrategy::Mu, false)
+            exec.run_fixpoint(&store, &plan, &seed, NAIVE, false)
                 .unwrap()
         };
         let (delta_result, delta_stats) = {
             let mut exec = Executor::new();
-            exec.run_fixpoint(&store, &plan, &seed, MuStrategy::MuDelta, false)
+            exec.run_fixpoint(&store, &plan, &seed, DELTA, false)
                 .unwrap()
         };
-        let mut a = naive_result.item_nodes();
-        let mut b = delta_result.item_nodes();
+        let mut a = naive_result.items().to_vec();
+        let mut b = delta_result.items().to_vec();
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -1099,7 +906,8 @@ mod tests {
     }
 
     /// `count($x intersect …)`, with `intersect` spelled as the compiler
-    /// spells it: `a \ (a \ b)`.
+    /// spells it: `a \ (a \ b)`.  What a condition asks of a count is
+    /// whether it is zero, so the count is the counted relation itself.
     #[test]
     fn intersect_and_count_operators() {
         let (store, doc) = store_with_curriculum();
@@ -1110,9 +918,9 @@ mod tests {
         let both = plan.add(Operator::Difference, vec![left, outside]);
         let count = plan.add(Operator::Count, vec![both]);
         plan.set_root(count);
-        let rec = Table::from_nodes(&courses(&store, doc, &["c1", "c2", "c3"]));
+        let rec = Relation::new(courses(&store, doc, &["c1", "c2", "c3"]));
         let result = Executor::new().eval_plan(&store, &plan, &rec).unwrap();
-        assert_eq!(result.key(0, 0), Key::Int(2)); // c2, c3
+        assert_eq!(result.items(), courses(&store, doc, &["c2", "c3"]));
     }
 
     #[test]
@@ -1124,7 +932,7 @@ mod tests {
         let b = required_courses(&mut plan);
         let union = plan.add(Operator::Union, vec![a, b]);
         plan.set_root(union);
-        let rec = Table::from_nodes(&courses(&store, doc, &["c1", "c2", "c2"]));
+        let rec = Relation::new(courses(&store, doc, &["c1", "c2", "c2"]));
         let result = exec.eval_plan(&store, &plan, &rec).unwrap();
         assert_eq!(result.len(), 4); // c1, c2, c3, c4 — set semantics
 
@@ -1133,9 +941,9 @@ mod tests {
         let b = required_courses(&mut plan2);
         let diff = plan2.add(Operator::Difference, vec![a, b]);
         plan2.set_root(diff);
-        let rec = Table::from_nodes(&courses(&store, doc, &["c1", "c2"]));
+        let rec = Relation::new(courses(&store, doc, &["c1", "c2"]));
         let result = exec.eval_plan(&store, &plan2, &rec).unwrap();
-        assert_eq!(result.item_nodes(), courses(&store, doc, &["c1"]));
+        assert_eq!(result.items(), courses(&store, doc, &["c1"]));
     }
 
     #[test]
@@ -1149,32 +957,11 @@ mod tests {
         let ite = plan.add(Operator::IfThenElse, vec![cond, then_branch, else_branch]);
         plan.set_root(ite);
         let mut exec = Executor::new();
-        let c1 = Table::from_nodes(&courses(&store, doc, &["c1"]));
+        let c1 = Relation::new(courses(&store, doc, &["c1"]));
         let result = exec.eval_plan(&store, &plan, &c1).unwrap();
-        assert_eq!(
-            result.item_nodes(),
-            courses(&store, doc, &["c2", "c3", "c4"])
-        );
-        let none = Table::from_nodes(&[]);
+        assert_eq!(result.items(), courses(&store, doc, &["c2", "c3", "c4"]));
+        let none = Relation::default();
         assert!(exec.eval_plan(&store, &plan, &none).unwrap().is_empty());
-    }
-
-    #[test]
-    fn missing_column_reports_schema() {
-        let (store, doc) = store_with_curriculum();
-        let mut plan = Plan::new();
-        let rec = plan.add(Operator::RecInput, vec![]);
-        let select = plan.add(
-            Operator::Select {
-                column: "nope".into(),
-                value: "c1".into(),
-            },
-            vec![rec],
-        );
-        plan.set_root(select);
-        let rec = Table::from_nodes(&courses(&store, doc, &["c1"]));
-        let err = Executor::new().eval_plan(&store, &plan, &rec).unwrap_err();
-        assert!(err.to_string().contains("nope"));
     }
 
     /// `Executor::default()` must behave like `Executor::new()` — in
@@ -1196,11 +983,9 @@ mod tests {
         let plan = q1_plan();
         let mut exec = Executor::new();
         let seed = seed_course(&store, doc, "c1");
-        exec.run_fixpoint(&store, &plan, &seed, MuStrategy::MuDelta, false)
+        exec.run_fixpoint(&store, &plan, &seed, DELTA, false)
             .unwrap();
-        let (result, _) = exec
-            .run_fixpoint(&store, &plan, &[], MuStrategy::MuDelta, false)
-            .unwrap();
+        let (result, _) = exec.run_fixpoint(&store, &plan, &[], DELTA, false).unwrap();
         assert!(result.is_empty());
     }
 
@@ -1247,20 +1032,20 @@ mod tests {
         for code in ["c1", "c2", "c3", "c4", "c1"] {
             let seed = seed_course(&store, doc, code);
             let ((result, stats), evals, hits) = counted(&mut exec, |exec| {
-                exec.run_fixpoint(&store, &plan, &seed, MuStrategy::MuDelta, true)
+                exec.run_fixpoint(&store, &plan, &seed, DELTA, true)
                     .unwrap()
             });
             let (expected, _) = Executor::new()
-                .run_fixpoint(&store, &q1_plan(), &seed, MuStrategy::MuDelta, true)
+                .run_fixpoint(&store, &q1_plan(), &seed, DELTA, true)
                 .unwrap();
             assert_eq!(result, expected, "seed {code}");
             assert_eq!(evals, SCAN_NODES, "seed {code}: once per run, every run");
             assert!(stats.body_evaluations >= 2 || code > "c2", "seed {code}");
             assert_eq!(hits as usize, stats.body_evaluations - 1, "seed {code}");
-            assert!(exec.plan_state.run_cache.is_empty(), "dropped with the run");
+            assert!(exec.plan_state.values.is_empty(), "dropped with the run");
             // Another plan in between thrashes nothing: there is nothing
             // plan-keyed to thrash.
-            exec.run_fixpoint(&store, &q1_plan(), &seed, MuStrategy::Mu, false)
+            exec.run_fixpoint(&store, &q1_plan(), &seed, NAIVE, false)
                 .unwrap();
         }
 
@@ -1270,7 +1055,7 @@ mod tests {
         let mut late_plan = Plan::new();
         let late_root = late_plan.add(Operator::DocRoot("late.xml".into()), vec![]);
         late_plan.set_root(late_root);
-        let empty = Table::new(vec!["item".into()]);
+        let empty = Relation::default();
         assert_eq!(exec.eval_plan(&store, &late_plan, &empty).unwrap().len(), 1);
 
         // A run on another store answers from that store.
@@ -1285,9 +1070,9 @@ mod tests {
         other.register_id_attribute(other_doc, "code");
         let seed = seed_course(&other, other_doc, "c1");
         let (result, _) = exec
-            .run_fixpoint(&other, &plan, &seed, MuStrategy::MuDelta, false)
+            .run_fixpoint(&other, &plan, &seed, DELTA, false)
             .unwrap();
-        assert_eq!(result.item_nodes(), seed_course(&other, other_doc, "c2"));
+        assert_eq!(result.items(), seed_course(&other, other_doc, "c2"));
     }
 
     /// The batched multi-source driver computes, for every seed of the
@@ -1304,7 +1089,7 @@ mod tests {
             .flat_map(|code| seed_course(&store, doc, code))
             .collect();
 
-        for strategy in [MuStrategy::Mu, MuStrategy::MuDelta] {
+        for strategy in [NAIVE, DELTA] {
             for sharing in [BatchSharing::PerSeed, BatchSharing::DistinctNodes] {
                 let (table, stats) = {
                     let mut exec = Executor::new();
@@ -1318,7 +1103,6 @@ mod tests {
                     )
                     .unwrap()
                 };
-                assert_eq!(table.columns(), [SEED_COLUMN, "item"]);
                 assert_eq!(stats.batch_seeds, 3);
 
                 // Reference: one per-seed run per seed, concatenated.
@@ -1332,19 +1116,14 @@ mod tests {
                         .unwrap();
                     max_depth = max_depth.max(s.iterations);
                     evaluations += s.body_evaluations;
-                    for node in result.item_nodes() {
+                    for &node in result.items() {
                         expected_rows.push((seed, node));
                     }
                 }
-                let seed_idx = table.column_index(SEED_COLUMN).unwrap();
-                let item_idx = table.column_index("item").unwrap();
-                let rows: Vec<(NodeId, NodeId)> = (0..table.len())
-                    .map(|r| {
-                        (
-                            table.key(r, seed_idx).as_node().unwrap(),
-                            table.key(r, item_idx).as_node().unwrap(),
-                        )
-                    })
+                let iters = table.iters().expect("a batched result has iter");
+                let rows: Vec<(NodeId, NodeId)> = (iters.iter())
+                    .zip(table.items())
+                    .map(|(&i, &node)| (seeds[i as usize], node))
                     .collect();
                 assert_eq!(
                     rows,
@@ -1398,20 +1177,14 @@ mod tests {
             .iter()
             .flat_map(|code| seed_course(&store, doc, code))
             .collect();
-        let rec = Table::from_columns(
-            vec![SEED_COLUMN.to_string(), "item".to_string()],
-            vec![
-                seeds.iter().map(|&s| Key::Node(s)).collect(),
-                seeds.iter().map(|&s| Key::Node(s)).collect(),
-            ],
-        );
+        let rec = Relation::tagged(vec![0, 1], seeds);
         let out = Executor::new().eval_plan(&store, &carried, &rec).unwrap();
         // c1 has two pre_codes, c2 one: three rows, none repeated.
         assert_eq!(out.len(), 3);
-        assert_eq!(out.clone().distinct().len(), 3);
+        assert_eq!(out.distinct(&mut IdSet::default()).len(), 3);
     }
 
-    /// An empty batch is a no-op: empty `(seed, item)` table, zero
+    /// An empty batch is a no-op: empty `(iter, item)` relation, zero
     /// iterations, no context-document derivation from stale state.
     #[test]
     fn batched_fixpoint_empty_seed_set() {
@@ -1423,13 +1196,13 @@ mod tests {
                 &store,
                 &batched_plan,
                 &[],
-                MuStrategy::MuDelta,
+                DELTA,
                 false,
                 BatchSharing::default(),
             )
             .unwrap();
         assert!(table.is_empty());
-        assert_eq!(table.columns(), [SEED_COLUMN, "item"]);
+        assert_eq!(table.iters(), Some(&[][..]));
         assert_eq!(stats.iterations, 0);
         assert_eq!(stats.batch_seeds, 0);
     }
@@ -1447,21 +1220,20 @@ mod tests {
                 &store,
                 &batched_plan,
                 &seeds,
-                MuStrategy::MuDelta,
+                DELTA,
                 true,
                 BatchSharing::DistinctNodes,
             )
             .unwrap();
-        let items = table.col(1);
         assert!(
-            items.contains(&Key::Node(seeds[0])),
+            table.items().contains(&seeds[0]),
             "seed must be in its own group"
         );
         assert_eq!(table.len(), 4); // c1 plus its closure {c2, c3, c4}
     }
 
     /// A batched run whose driver shards its folds (`threads > 1`)
-    /// is bit-identical to the sequential one — same table, same stats —
+    /// is bit-identical to the sequential one — same relation, same stats —
     /// for every strategy × sharing × seed-inclusion combination and
     /// several shard counts (including more shards than seeds, and `0`,
     /// which clamps to sequential).
@@ -1474,7 +1246,7 @@ mod tests {
             .flat_map(|code| seed_course(&store, doc, code))
             .collect();
 
-        for strategy in [MuStrategy::Mu, MuStrategy::MuDelta] {
+        for strategy in [NAIVE, DELTA] {
             for sharing in [BatchSharing::PerSeed, BatchSharing::DistinctNodes] {
                 for seed_in_result in [false, true] {
                     let (expected, expected_stats) = Executor::new()
@@ -1511,30 +1283,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Projection shares column storage with its input (zero-copy π).
-    #[test]
-    fn projection_shares_column_storage() {
-        let (store, doc) = store_with_curriculum();
-        let courses = {
-            let root = store.document_element(doc).unwrap();
-            store.axis_nodes(root, Axis::Child, &NodeTest::Name("course".into()))
-        };
-        let input = Table::from_nodes(&courses);
-        let mut plan = Plan::new();
-        let rec = plan.add(Operator::RecInput, vec![]);
-        let project = plan.add(
-            Operator::Project(vec![("renamed".into(), "item".into())]),
-            vec![rec],
-        );
-        plan.set_root(project);
-        let mut exec = Executor::new();
-        let result = exec.eval_plan(&store, &plan, &input).unwrap();
-        assert_eq!(result.columns(), ["renamed"]);
-        assert!(
-            result.shares_storage(&input),
-            "π must re-arrange column handles, not copy cells"
-        );
     }
 }

@@ -19,14 +19,15 @@
 //!
 //! ## Relationship to the paper's dialect
 //!
-//! The operator set is the part of Table 1 the compiler emits: projection,
-//! selection, union, difference, the `count` of a condition, the XPath step
-//! join, the `id()` lookup and the conditional, over the recursion input,
-//! the empty relation and document roots.  A row of Table 1 that no compile
-//! rule emits (join, product, duplicate elimination, the generic operator,
-//! row tagging and numbering, node construction, a nested `µ`) is not an
-//! operator here; the compiler test `every_operator_is_emitted` keeps it
-//! so.  Two simplifications:
+//! The operator set is the part of Table 1 the compiler emits: the
+//! selection of an `[@a = 'lit']` predicate, union, difference, the `count`
+//! of a condition, the XPath step join, the `id()` lookup and the
+//! conditional, over the recursion input, the empty relation and document
+//! roots.  A row of Table 1 that no compile rule emits (projection, join,
+//! product, duplicate elimination, the generic operator, row tagging and
+//! numbering, node construction, a nested `µ`) is not an operator here;
+//! the compiler test `every_operator_is_emitted` keeps it so.  Two
+//! simplifications:
 //!
 //! * plans operate on *sets* of rows (the paper notes that duplicate and
 //!   order bookkeeping may be omitted for distributivity assessment; our
@@ -39,13 +40,16 @@
 pub mod compile;
 pub mod error;
 pub mod exec;
+mod ledger_shim;
 pub mod plan;
 pub mod pushup;
 
 pub use compile::{compile_count, compile_recursion_body, CompiledBody};
 pub use error::AlgebraError;
-pub use exec::{BatchSharing, ExecStats, Executor, Key, MuStrategy, Table};
-pub use plan::{Operator, Plan, PlanNode, PlanNodeId, SEED_COLUMN};
+pub use exec::{BatchSharing, ExecStats, Executor, Relation};
+#[doc(hidden)]
+pub use ledger_shim::MuStrategy;
+pub use plan::{Operator, Plan, PlanNode, PlanNodeId};
 pub use pushup::{check_distributivity, PushupOutcome};
 
 /// Result alias for this crate.

@@ -7,18 +7,6 @@ use xqy_xdm::{Axis, NodeTest};
 /// Index of a node inside a [`Plan`]'s arena.
 pub type PlanNodeId = usize;
 
-/// The reserved column name that carries the *seed of origin* through a
-/// batched multi-source fixpoint (see [`Plan::seed_carried`]).
-///
-/// The batched executor feeds the recursion body a two-column
-/// `(SEED_COLUMN, item)` relation instead of the per-seed single-column
-/// `item` relation; every rec-dependent operator of a seed-carried plan
-/// propagates this column alongside the rows it produces, so the output of
-/// each iteration can be regrouped per seed.  The name is double-underscored
-/// so it can never collide with the compiler-generated column names
-/// (`item`, `node`, `count`).
-pub const SEED_COLUMN: &str = "__seed";
-
 /// The relational algebra operators of Table 1 that a compiled recursion
 /// body holds — exactly the ones the compiler emits.
 ///
@@ -36,22 +24,20 @@ pub enum Operator {
     /// Scan of a document registered under a URI; produces the document's
     /// root node.
     DocRoot(String),
-    /// π — projection onto (and renaming of) columns.
-    Project(Vec<(String, String)>),
-    /// σ — selection: keep the rows whose column holds a node with the
-    /// given string value.
-    Select {
-        /// Column inspected.
-        column: String,
-        /// Literal the nodes' string values are compared against.
+    /// σ — the selection of a `[@name = 'value']` predicate: keep the
+    /// nodes with an attribute `name` whose string value is `value`.
+    AttrEquals {
+        /// The attribute's name (its prefix, if any, is not significant).
+        name: String,
+        /// Literal the attribute's string value is compared against.
         value: String,
     },
     /// ∪ — union.
     Union,
     /// \ — difference.
     Difference,
-    /// count — the number of input rows, as one `count` cell; blocks union
-    /// push-up.
+    /// count — the aggregate a condition is tested through (the executor
+    /// asks it only whether its input is empty); blocks union push-up.
     Count,
     /// XPath step join `α::n` along an axis with a node test.
     Step {
@@ -78,8 +64,7 @@ impl Operator {
     pub fn union_pushable(&self) -> bool {
         match self {
             // ⊙ / ⊗ rows of Table 1.
-            Operator::Project(_)
-            | Operator::Select { .. }
+            Operator::AttrEquals { .. }
             | Operator::Union
             | Operator::Step { .. }
             | Operator::IdLookup
@@ -97,8 +82,7 @@ impl Operator {
             Operator::RecInput => "rec-input".into(),
             Operator::Empty => "()".into(),
             Operator::DocRoot(uri) => format!("doc({uri})"),
-            Operator::Project(_) => "π".into(),
-            Operator::Select { column, value } => format!("σ[{column}='{value}']"),
+            Operator::AttrEquals { name, value } => format!("σ[@{name}='{value}']"),
             Operator::Union => "∪".into(),
             Operator::Difference => "\\".into(),
             Operator::Count => "count".into(),
@@ -212,28 +196,26 @@ impl Plan {
         dependent
     }
 
-    /// The **seed-column-aware µ/µ∆ form** of a recursion-body plan, used by
-    /// the batched multi-source fixpoint driver
+    /// The **seed-carried form** of a recursion-body plan, the input of the
+    /// batched multi-source fixpoint driver
     /// ([`Executor::run_fixpoint_batched`](crate::Executor::run_fixpoint_batched)):
-    /// the recursion input becomes a two-column `(`[`SEED_COLUMN`]`, item)`
-    /// relation and every rec-dependent projection is rewritten to carry the
-    /// seed column through, so each output row still names the seed it
-    /// originated from.
+    /// the same plan, run over a recursion input whose rows carry the dense
+    /// index of their seed (the relation's `iter` column), which every
+    /// rec-dependent operator keeps beside the rows it produces.
     ///
     /// Returns `None` when the plan is not *seed-local* — when some
     /// rec-dependent operator could mix rows of different seeds: a `count`,
     /// a conditional on a rec-dependent condition, or a set operation
     /// between a rec-dependent and a rec-independent arm.  For a seed-local
-    /// plan, running the body over the union
-    /// of per-seed rows and regrouping by the seed column is exactly the
-    /// per-seed evaluation — the structural fact the batched ≡ per-seed
-    /// property test exercises.
+    /// plan, running the body over the union of per-seed rows and
+    /// regrouping by `iter` is exactly the per-seed evaluation — the
+    /// structural fact the batched ≡ per-seed property test exercises.
     pub fn seed_carried(&self) -> Option<Plan> {
         let root = self.root?;
         let dependent = self.rec_dependent();
         // A rec-independent root means the body ignores its input: every
         // seed would compute the same constant set, and the output would
-        // carry no seed column to group by.  Not worth batching.
+        // carry no `iter` column to group by.  Not worth batching.
         if !dependent[root] {
             return None;
         }
@@ -243,19 +225,18 @@ impl Plan {
             }
             let seed_local = match &node.op {
                 // Per-row operators: an output row derives from exactly one
-                // input row, so the carried seed column stays attached to it.
+                // input row, so its `iter` stays attached to it.
                 Operator::RecInput
-                | Operator::Project(_)
-                | Operator::Select { .. }
+                | Operator::AttrEquals { .. }
                 | Operator::Step { .. }
                 | Operator::IdLookup => true,
-                // ∪ / ∖ over `(seed, item)` rows are the per-seed set
-                // operations — but only when both arms carry the seed
-                // column (a rec-independent arm has no seed to group by).
+                // ∪ / ∖ over `(iter, item)` rows are the per-seed set
+                // operations — but only when both arms carry `iter` (a
+                // rec-independent arm has no seed to group by).
                 Operator::Union | Operator::Difference => node.inputs.iter().all(|&i| dependent[i]),
                 // The branch taken must not depend on the recursion input
                 // (a rec-dependent condition aggregates over all seeds at
-                // once), and both branches must carry the seed column.
+                // once), and both branches must carry `iter`.
                 Operator::IfThenElse => {
                     !dependent[node.inputs[0]]
                         && dependent[node.inputs[1]]
@@ -271,15 +252,7 @@ impl Plan {
                 return None;
             }
         }
-        let mut out = self.clone();
-        for (id, node) in out.nodes.iter_mut().enumerate() {
-            if dependent[id] {
-                if let Operator::Project(renames) = &mut node.op {
-                    renames.insert(0, (SEED_COLUMN.to_string(), SEED_COLUMN.to_string()));
-                }
-            }
-        }
-        Some(out)
+        Some(self.clone())
     }
 
     /// Render the plan as an indented tree rooted at the plan root (shared
@@ -315,9 +288,8 @@ mod tests {
 
     #[test]
     fn pushability_matches_table_1() {
-        assert!(Operator::Project(vec![]).union_pushable());
-        assert!(Operator::Select {
-            column: "item".into(),
+        assert!(Operator::AttrEquals {
+            name: "code".into(),
             value: "x".into()
         }
         .union_pushable());
@@ -358,9 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn seed_carried_rewrites_projections_and_rejects_mixers() {
-        // A step chain with a predicate-style projection: batchable, and the
-        // rec-dependent projections gain the seed column.
+    fn seed_carried_keeps_seed_local_plans_and_rejects_mixers() {
+        // A step chain under a `[@code = 'c1']` selection: batchable, and
+        // the seed-carried form is the plan itself.
         let mut plan = Plan::new();
         let rec = plan.add(Operator::RecInput, vec![]);
         let step = plan.add(
@@ -370,43 +342,15 @@ mod tests {
             },
             vec![rec],
         );
-        let keep = plan.add(
-            Operator::Project(vec![
-                ("node".into(), "item".into()),
-                ("item".into(), "item".into()),
-            ]),
-            vec![step],
-        );
-        let attr = plan.add(
-            Operator::Step {
-                axis: Axis::Attribute,
-                test: NodeTest::Name("code".into()),
-            },
-            vec![keep],
-        );
         let select = plan.add(
-            Operator::Select {
-                column: "item".into(),
+            Operator::AttrEquals {
+                name: "code".into(),
                 value: "c1".into(),
             },
-            vec![attr],
+            vec![step],
         );
-        let back = plan.add(
-            Operator::Project(vec![("item".into(), "node".into())]),
-            vec![select],
-        );
-        plan.set_root(back);
-        let carried = plan.seed_carried().expect("seed-local plan batches");
-        for id in [keep, back] {
-            let Operator::Project(renames) = &carried.node(id).op else {
-                panic!("projection expected");
-            };
-            assert_eq!(
-                renames[0],
-                (SEED_COLUMN.to_string(), SEED_COLUMN.to_string())
-            );
-        }
-        assert_ne!(plan, carried);
+        plan.set_root(select);
+        assert_eq!(plan.seed_carried(), Some(plan.clone()));
 
         // A rec-dependent aggregation mixes rows across seeds.
         let mut counted = Plan::new();

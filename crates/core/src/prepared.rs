@@ -302,7 +302,7 @@ pub struct ResourceLimits {
     /// Cap on any single fixpoint accumulator's size, in nodes.
     pub max_result_nodes: Option<usize>,
     /// Approximate cap on bytes materialized on behalf of the query
-    /// (charged at `TextPool` / `Sequence` / store-arena / `Table` growth
+    /// (charged at `TextPool` / `Sequence` / store-arena / executor relation growth
     /// points, see [`xqy_xdm::budget`]).  Before failing, the drivers
     /// degrade once: store memos and executor run caches are dropped
     /// (and credited back), and sharded evaluation falls back to

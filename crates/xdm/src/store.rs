@@ -65,6 +65,21 @@ use crate::stats::{DocumentStatistics, StoreStatistics};
 use crate::value::UText;
 use crate::Result;
 
+std::thread_local! {
+    static SORTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many nodes this thread has passed through
+/// [`NodeStore::sort_distinct`], trivial calls included.
+///
+/// An in-place sort allocates nothing, so an allocator count cannot see a
+/// sort put back where none was; this counter can.  Thread-local, like
+/// `xqy_algebra::compile_count`, so concurrently running tests do not
+/// observe each other's sorts.
+pub fn sorted_count() -> u64 {
+    SORTED.with(|sorted| sorted.get())
+}
+
 /// Identifier of a document inside a [`NodeStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DocId(pub u32);
@@ -979,6 +994,20 @@ impl NodeStore {
         })
     }
 
+    /// Does `node` have an attribute `name` whose value is `value`?  Every
+    /// attribute of that name counts — prefixes are not significant, so an
+    /// element may have several — as in the predicate `[@name = 'value']`.
+    pub fn has_attribute_value(&self, node: NodeId, name: &str, value: &str) -> bool {
+        let wanted = Matcher::attribute(name, &self.names);
+        let nodes = &self.docs[node.doc as usize].nodes;
+        chain(nodes, self.data(node).first_attr).any(|a| match &nodes[a as usize].kind {
+            kind @ NodeKind::Attribute(_, v) => {
+                wanted.matches(kind) && self.text.resolve(*v) == value
+            }
+            _ => false,
+        })
+    }
+
     /// The root of the tree containing `node` (the node with no parent).
     pub fn tree_root(&self, node: NodeId) -> NodeId {
         let mut cur = node;
@@ -1148,6 +1177,7 @@ impl NodeStore {
     /// Sort `nodes` into document order and remove duplicates — the
     /// `fs:distinct-doc-order` operation of the XQuery Formal Semantics.
     pub fn sort_distinct(&self, nodes: &mut Vec<NodeId>) {
+        SORTED.with(|sorted| sorted.set(sorted.get() + nodes.len() as u64));
         if nodes.len() <= 1 {
             return;
         }

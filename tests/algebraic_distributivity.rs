@@ -49,9 +49,8 @@ fn benchmark_bodies_are_all_recognised_as_distributive() {
 fn table_1_push_flags() {
     // ⊙ / ⊗ rows.
     for op in [
-        Operator::Project(vec![("item".into(), "item".into())]),
-        Operator::Select {
-            column: "item".into(),
+        Operator::AttrEquals {
+            name: "a".into(),
             value: "v".into(),
         },
         Operator::Union,

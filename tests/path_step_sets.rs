@@ -22,16 +22,17 @@
 //!
 //! * **per-seed plan**: the compiled plan over the focus as one relation,
 //!   whose node set must be the set reading's;
-//! * **seed-carried plan**: the batched plan over `(tag, node)` rows, one
-//!   tag per focus node (a repeated node repeats its tag, so a tag's rows
-//!   need not be adjacent), whose nodes per tag must be that node's
-//!   singleton reading.
+//! * **seed-carried plan**: the batched plan over `(iter, node)` rows, one
+//!   dense `iter` per distinct focus node (a repeated node repeats its
+//!   `iter`, so a group's rows need not be adjacent), whose nodes per
+//!   `iter` must be that node's singleton reading.
 //!
 //! Both back-ends run the predicate-free chains of these steps through one
 //! path-join kernel; the generator therefore also emits chains of two and
 //! more `id()` hops (auction's `id(./sells/@ref)/bidder/id(./@person)`)
 //! over element and attribute arguments with whitespace-separated,
-//! dangling and repeated tokens.
+//! dangling and repeated tokens, and an `[@a = 'lit']` selection after an
+//! `id()` hop and under a ∪ over a focus of every node kind.
 //!
 //! The negative half appends what must *not* be distributed — positional
 //! and boolean predicates, `position()`, `last()`, a filtered or
@@ -44,10 +45,10 @@
 
 use proptest::prelude::*;
 
-use xqy_ifp::algebra::{compile_recursion_body, Executor, Key, Table, SEED_COLUMN};
+use xqy_ifp::algebra::{compile_recursion_body, Executor, Relation};
 use xqy_ifp::eval::Evaluator;
 use xqy_ifp::parser::parse_expr;
-use xqy_ifp::xdm::{ddo, Axis, Item, NodeId, NodeStore, NodeTest, Sequence};
+use xqy_ifp::xdm::{ddo, Axis, Item, NodeId, NodeKind, NodeStore, NodeTest, Sequence};
 
 /// Deterministic splitmix64 stream for the recursive shapes the proptest
 /// shim has no combinator for; seeded per case by the shim.
@@ -260,6 +261,22 @@ impl Step {
         chain
     }
 
+    /// `[@a = 'lit']` after an `id()` hop and on the focus node itself,
+    /// under a ∪, as in `(id(./@ref)/self::*[@id = 'n1'] | self::node()[@code = 'n2'])`.
+    fn selected(rng: &mut Rng) -> Step {
+        let predicate = |rng: &mut Rng| {
+            let name = rng.pick(&["id", "code", "ref"]);
+            format!("[@{name} = '{}']", rng.pick(&["n0", "n1", "n2", "zz", ""]))
+        };
+        let argument = Step::Axis(rng.pick(&["@ref", "@refs", "r"]).to_string());
+        let hop = Step::Path(
+            Box::new(Step::Id(Box::new(argument))),
+            Box::new(Step::Axis(format!("self::*{}", predicate(rng)))),
+        );
+        let here = Step::Axis(format!("self::node(){}", predicate(rng)));
+        Step::Union(Box::new(hop), Box::new(here), rng.pick(&["|", "union"]))
+    }
+
     /// An axis step with a positional or boolean predicate — outside the
     /// grammar at the top, allowed under a distributed prefix.
     fn predicated(rng: &mut Rng) -> Step {
@@ -319,6 +336,31 @@ fn random_focus(rng: &mut Rng, pool: &[NodeId]) -> Vec<NodeId> {
     focus
 }
 
+/// One node of each kind from `pool` — an element with an `id` attribute,
+/// one without, a text, an attribute and a document node — in random order.
+fn mixed_focus(rng: &mut Rng, store: &NodeStore, pool: &[NodeId]) -> Vec<NodeId> {
+    let element = |n: NodeId| matches!(store.kind(n), NodeKind::Element(_));
+    let with_id = |n: NodeId| store.attribute_value(n, "id").is_some();
+    let kinds: [&dyn Fn(NodeId) -> bool; 5] = [
+        &|n| element(n) && with_id(n),
+        &|n| element(n) && !with_id(n),
+        &|n| matches!(store.kind(n), NodeKind::Text(_)),
+        &|n| matches!(store.kind(n), NodeKind::Attribute(..)),
+        &|n| matches!(store.kind(n), NodeKind::Document),
+    ];
+    let mut focus: Vec<NodeId> = kinds
+        .iter()
+        .filter_map(|kind| {
+            let of_kind: Vec<NodeId> = pool.iter().copied().filter(|&n| kind(n)).collect();
+            (!of_kind.is_empty()).then(|| of_kind[rng.below(of_kind.len())])
+        })
+        .collect();
+    for i in (1..focus.len()).rev() {
+        focus.swap(i, rng.below(i + 1));
+    }
+    focus
+}
+
 /// Evaluate `query` with `$e` node-backed and `$ei` item-built over `focus`.
 fn eval(store: &mut NodeStore, focus: &[NodeId], query: &str) -> Sequence {
     let mut evaluator = Evaluator::new(store);
@@ -364,10 +406,10 @@ fn assert_executor_agrees(store: &mut NodeStore, focus: &[NodeId], step: &str, s
     };
     let mut executor = Executor::new();
     let rows = executor
-        .eval_plan(store, &compiled.plan, &Table::from_nodes(focus))
+        .eval_plan(store, &compiled.plan, &Relation::new(focus.to_vec()))
         .unwrap_or_else(|e| panic!("$x/{step}: {e}"));
     assert_eq!(
-        ddo(store, &rows.item_nodes()),
+        ddo(store, rows.items()),
         set,
         "per-seed plan vs set reading of `{step}` over {focus:?}"
     );
@@ -375,20 +417,28 @@ fn assert_executor_agrees(store: &mut NodeStore, focus: &[NodeId], step: &str, s
     let carried = compiled
         .batched_plan
         .unwrap_or_else(|| panic!("$x/{step} is seed-local"));
-    let tags: Vec<Key> = focus.iter().map(|&n| Key::Node(n)).collect();
-    let items = tags.clone();
-    let rec = Table::from_columns(vec![SEED_COLUMN.into(), "item".into()], vec![tags, items]);
+    // A dense `iter` per distinct focus node: a repeated node repeats its
+    // index, so a group's rows need not be adjacent.
+    let mut distinct: Vec<NodeId> = Vec::new();
+    let iters: Vec<u32> = focus
+        .iter()
+        .map(|node| match distinct.iter().position(|d| d == node) {
+            Some(i) => i as u32,
+            None => {
+                distinct.push(*node);
+                distinct.len() as u32 - 1
+            }
+        })
+        .collect();
+    let rec = Relation::tagged(iters, focus.to_vec());
     let rows = executor
         .eval_plan(store, &carried, &rec)
         .unwrap_or_else(|e| panic!("$x/{step}, seed-carried: {e}"));
-    let (tag, item) = (
-        rows.column_index(SEED_COLUMN).unwrap(),
-        rows.column_index("item").unwrap(),
-    );
-    for &node in focus {
-        let got: Vec<NodeId> = (0..rows.len())
-            .filter(|&r| rows.key(r, tag) == Key::Node(node))
-            .filter_map(|r| rows.key(r, item).as_node())
+    let row_iters = rows.iters().expect("a seed-carried plan keeps iter");
+    for (i, &node) in (0..).zip(&distinct) {
+        let got: Vec<NodeId> = (row_iters.iter().zip(rows.items()))
+            .filter(|&(&row, _)| row == i)
+            .map(|(_, &item)| item)
             .collect();
         let single = eval(
             store,
@@ -421,6 +471,9 @@ proptest! {
             }
             let chain = Step::id_chain(&mut rng);
             assert_readings_agree(&mut store, &focus, &chain.text(), &chain.expanded("d"));
+            let mixed = mixed_focus(&mut rng, &store, &pool);
+            let selected = Step::selected(&mut rng);
+            assert_readings_agree(&mut store, &mixed, &selected.text(), &selected.expanded("d"));
         }
     }
 

@@ -4,8 +4,8 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use xqy_ifp::algebra::{compile_recursion_body, BatchSharing, Executor, MuStrategy};
-use xqy_ifp::eval::EvalError;
+use xqy_ifp::algebra::{compile_recursion_body, BatchSharing, Executor};
+use xqy_ifp::eval::{EvalError, FixpointStrategy};
 use xqy_ifp::parser::parse_expr;
 use xqy_ifp::xdm::fail::{self, FaultAction, FaultTrigger};
 use xqy_ifp::xdm::{budget, NodeId, QueryBudget, Sequence};
@@ -156,7 +156,7 @@ fn a_shared_batch_over_its_memory_budget_stops_with_a_typed_error() {
 
 /// `shard.worker` hits of one batched algebraic run at four threads on a
 /// fresh executor under `budget` (armed with a trigger that never fires,
-/// so the site only counts), and the run's `(seed, item)` rows.  The
+/// so the site only counts), and the run's `(iter, item)` rows.  The
 /// store's memos are warmed first, so what the run charges does not depend
 /// on which shard fills them.
 fn sharded_run(
@@ -165,7 +165,7 @@ fn sharded_run(
     budget: &Arc<QueryBudget>,
 ) -> (Result<usize, String>, u64) {
     // The prerequisite closure behind a rec-independent condition: the
-    // condition's tables are what the executor caches across rounds — and
+    // condition's relations are what the executor caches across rounds — and
     // what relief can free — and the plan is still seed-carried.
     let body = "if (doc('chain.xml')/curriculum/course) \
                 then $x/id(./prerequisites/pre_code) else $x/id(./prerequisites/pre_code)";
@@ -178,7 +178,7 @@ fn sharded_run(
             engine.store_mut(),
             plan,
             seeds,
-            MuStrategy::MuDelta,
+            FixpointStrategy::Delta,
             false,
             BatchSharing::DistinctNodes,
         )
@@ -200,7 +200,7 @@ fn sharded_run(
     fail::reset();
     (
         result
-            .map(|(table, _)| table.len())
+            .map(|(relation, _)| relation.len())
             .map_err(|e| e.to_string()),
         hits,
     )
@@ -227,7 +227,7 @@ fn memory_relief_drops_the_rest_of_the_run_to_sequential() {
 
     // Charges only grow, so the smallest limit that never trips is what
     // the last barrier sees; one byte less trips exactly that barrier,
-    // relief frees the executor's static tables, and the last round runs
+    // relief frees the executor's static relations, and the last round runs
     // on.
     let (mut trips, mut passes) = (0, meter.used());
     while passes - trips > 1 {

@@ -7,7 +7,9 @@
 //! seeded by [`BATCH`] nodes, `for`: a loop of one fixpoint per node}.
 //! After a warm-up execution (which fills the store's memos), a freshly
 //! prepared query executes once under the counters: allocator calls and bytes are pinned from above, the nodes
-//! fed back, body evaluations and recursion depth exactly.  The queries are
+//! fed back, body evaluations, recursion depth and the nodes passed through
+//! `NodeStore::sort_distinct` exactly — an in-place sort allocates nothing,
+//! so only the last sees a sort put back where none was.  The queries are
 //! prepared with [`Parallelism::Sequential`], so a run under
 //! `XQY_FIXPOINT_THREADS` reads the same numbers; a fresh prepared query
 //! carries no observed cost, so the plan decision is the same every run.
@@ -20,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use xqy_datagen::{auction, curriculum, hospital, play, Scale};
-use xqy_ifp::xdm::Sequence;
+use xqy_ifp::xdm::{sorted_count, Sequence};
 use xqy_ifp::{Backend, Bindings, Engine, Parallelism, PreparedQuery, Strategy};
 
 /// The system allocator, counting calls and requested bytes.
@@ -71,19 +73,29 @@ struct Work {
     body_evals: usize,
     /// `FixpointStats::iterations`, the deepest run's.
     depth: usize,
+    /// Nodes passed through `NodeStore::sort_distinct` during the execution.
+    sorted: u64,
 }
 
 /// `(workload, strategy, back-end, shape)` and its pinned work: `allocs`
 /// and `bytes` are upper bounds, the rest exact.
 type Pin = (&'static str, &'static str, &'static str, &'static str, Work);
 
-const fn w(allocs: u64, bytes: u64, fed_back: u64, body_evals: usize, depth: usize) -> Work {
+const fn w(
+    allocs: u64,
+    bytes: u64,
+    fed_back: u64,
+    body_evals: usize,
+    depth: usize,
+    sorted: u64,
+) -> Work {
     Work {
         allocs,
         bytes,
         fed_back,
         body_evals,
         depth,
+        sorted,
     }
 }
 
@@ -91,38 +103,38 @@ const fn w(allocs: u64, bytes: u64, fed_back: u64, body_evals: usize, depth: usi
 /// above the reading (a release build reads at most one call fewer).
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    ("curriculum", "naive", "source", "single", w(362, 80586, 1217, 21, 20)),
-    ("curriculum", "naive", "source", "for", w(2513, 446957, 6917, 184, 21)),
-    ("curriculum", "naive", "algebraic", "single", w(626, 123192, 1217, 21, 20)),
-    ("curriculum", "naive", "algebraic", "for", w(5139, 794155, 6917, 184, 21)),
-    ("curriculum", "delta", "source", "single", w(269, 23466, 90, 21, 20)),
-    ("curriculum", "delta", "source", "for", w(640, 63648, 511, 85, 21)),
-    ("curriculum", "delta", "algebraic", "single", w(496, 35924, 90, 21, 20)),
-    ("curriculum", "delta", "algebraic", "for", w(758, 85584, 511, 21, 21)),
-    ("auction", "naive", "source", "single", w(153, 57057, 486, 6, 5)),
-    ("auction", "naive", "source", "for", w(1246, 336632, 3927, 72, 9)),
-    ("auction", "naive", "algebraic", "single", w(233, 73436, 486, 6, 5)),
-    ("auction", "naive", "algebraic", "for", w(2352, 638470, 3927, 72, 9)),
-    ("auction", "delta", "source", "single", w(143, 36536, 130, 6, 5)),
-    ("auction", "delta", "source", "for", w(740, 111764, 1074, 119, 9)),
-    ("auction", "delta", "algebraic", "single", w(224, 48539, 130, 6, 5)),
-    ("auction", "delta", "algebraic", "for", w(509, 155497, 1074, 6, 9)),
-    ("play", "naive", "source", "single", w(246, 51287, 825, 17, 16)),
-    ("play", "naive", "source", "for", w(1079, 110210, 355, 81, 16)),
-    ("play", "naive", "algebraic", "single", w(490, 83214, 825, 17, 16)),
-    ("play", "naive", "algebraic", "for", w(2074, 164307, 355, 81, 16)),
-    ("play", "delta", "source", "single", w(227, 23751, 80, 17, 16)),
-    ("play", "delta", "source", "for", w(573, 40242, 80, 80, 16)),
-    ("play", "delta", "algebraic", "single", w(410, 33217, 80, 17, 16)),
-    ("play", "delta", "algebraic", "for", w(624, 53011, 80, 17, 16)),
-    ("hospital", "naive", "source", "single", w(132, 40367, 195, 5, 4)),
-    ("hospital", "naive", "source", "for", w(954, 159896, 206, 60, 4)),
-    ("hospital", "naive", "algebraic", "single", w(200, 47844, 195, 5, 4)),
-    ("hospital", "naive", "algebraic", "for", w(1743, 210717, 206, 60, 4)),
-    ("hospital", "delta", "source", "single", w(101, 22122, 98, 5, 4)),
-    ("hospital", "delta", "source", "for", w(599, 49549, 105, 98, 4)),
-    ("hospital", "delta", "algebraic", "single", w(174, 29255, 98, 5, 4)),
-    ("hospital", "delta", "algebraic", "for", w(363, 57242, 105, 5, 4)),
+    ("curriculum", "naive", "source", "single", w(362, 80586, 1217, 21, 20, 553)),
+    ("curriculum", "naive", "source", "for", w(2513, 446957, 6917, 184, 21, 6566)),
+    ("curriculum", "naive", "algebraic", "single", w(263, 51624, 1217, 21, 20, 0)),
+    ("curriculum", "naive", "algebraic", "for", w(2174, 373887, 6917, 184, 21, 0)),
+    ("curriculum", "delta", "source", "single", w(269, 23466, 90, 21, 20, 114)),
+    ("curriculum", "delta", "source", "for", w(640, 63648, 511, 85, 21, 231)),
+    ("curriculum", "delta", "algebraic", "single", w(217, 22157, 90, 21, 20, 0)),
+    ("curriculum", "delta", "algebraic", "for", w(417, 57274, 511, 21, 21, 85)),
+    ("auction", "naive", "source", "single", w(153, 57057, 486, 6, 5, 34)),
+    ("auction", "naive", "source", "for", w(1246, 336632, 3927, 72, 9, 497)),
+    ("auction", "naive", "algebraic", "single", w(123, 44792, 486, 6, 5, 0)),
+    ("auction", "naive", "algebraic", "for", w(1164, 388864, 3927, 72, 9, 0)),
+    ("auction", "delta", "source", "single", w(143, 36536, 130, 6, 5, 48)),
+    ("auction", "delta", "source", "for", w(740, 111764, 1074, 119, 9, 615)),
+    ("auction", "delta", "algebraic", "single", w(123, 31571, 130, 6, 5, 0)),
+    ("auction", "delta", "algebraic", "for", w(402, 113539, 1074, 6, 9, 119)),
+    ("play", "naive", "source", "single", w(246, 51287, 825, 17, 16, 705)),
+    ("play", "naive", "source", "for", w(1079, 110210, 355, 81, 16, 343)),
+    ("play", "naive", "algebraic", "single", w(207, 40097, 825, 17, 16, 0)),
+    ("play", "naive", "algebraic", "for", w(1022, 115721, 355, 81, 16, 0)),
+    ("play", "delta", "source", "single", w(227, 23751, 80, 17, 16, 68)),
+    ("play", "delta", "source", "for", w(573, 40242, 80, 80, 16, 148)),
+    ("play", "delta", "algebraic", "single", w(186, 22759, 80, 17, 16, 0)),
+    ("play", "delta", "algebraic", "for", w(343, 31941, 80, 17, 16, 80)),
+    ("hospital", "naive", "source", "single", w(132, 40367, 195, 5, 4, 71)),
+    ("hospital", "naive", "source", "for", w(954, 159896, 206, 60, 4, 235)),
+    ("hospital", "naive", "algebraic", "single", w(113, 32581, 195, 5, 4, 0)),
+    ("hospital", "naive", "algebraic", "for", w(960, 175470, 206, 60, 4, 0)),
+    ("hospital", "delta", "source", "single", w(101, 22122, 98, 5, 4, 86)),
+    ("hospital", "delta", "source", "for", w(599, 49549, 105, 98, 4, 188)),
+    ("hospital", "delta", "algebraic", "single", w(98, 22669, 98, 5, 4, 0)),
+    ("hospital", "delta", "algebraic", "for", w(269, 38798, 105, 5, 4, 98)),
 ];
 
 struct Workload {
@@ -183,9 +195,10 @@ fn measure(
     let prepare = || PreparedQuery::prepare(query, strategy, backend, Parallelism::Sequential);
     prepare().unwrap().execute(engine, bindings).unwrap();
     let prepared = prepare().unwrap();
-    let (calls, bytes) = (CALLS.load(Relaxed), BYTES.load(Relaxed));
+    let (calls, bytes, sorted) = (CALLS.load(Relaxed), BYTES.load(Relaxed), sorted_count());
     let outcome = prepared.execute(engine, bindings).unwrap();
     let (allocs, bytes) = (CALLS.load(Relaxed) - calls, BYTES.load(Relaxed) - bytes);
+    let sorted = sorted_count() - sorted;
     let runs = &outcome.fixpoints;
     Work {
         allocs,
@@ -193,6 +206,7 @@ fn measure(
         fed_back: runs.iter().map(|r| r.nodes_fed_back).sum(),
         body_evals: runs.iter().map(|r| r.payload_calls).sum(),
         depth: runs.iter().map(|r| r.iterations).max().unwrap_or(0),
+        sorted,
     }
 }
 
@@ -239,8 +253,8 @@ fn table_2_cells_stay_within_their_work_pins() {
         .iter()
         .map(|(workload, strategy, backend, shape, m)| {
             format!(
-                "    ({workload:?}, {strategy:?}, {backend:?}, {shape:?}, w({}, {}, {}, {}, {})),\n",
-                m.allocs, m.bytes, m.fed_back, m.body_evals, m.depth
+                "    ({workload:?}, {strategy:?}, {backend:?}, {shape:?}, w({}, {}, {}, {}, {}, {})),\n",
+                m.allocs, m.bytes, m.fed_back, m.body_evals, m.depth, m.sorted
             )
         })
         .collect();
@@ -248,11 +262,11 @@ fn table_2_cells_stay_within_their_work_pins() {
     for (pin, got) in PINS.iter().zip(&measured) {
         let (key, want, work) = ((pin.0, pin.1, pin.2, pin.3), pin.4, got.4);
         assert_eq!(key, (got.0, got.1, got.2, got.3), "measured:\n{table}");
-        let exact = (work.fed_back, work.body_evals, work.depth);
+        let exact = (work.fed_back, work.body_evals, work.depth, work.sorted);
         assert_eq!(
             exact,
-            (want.fed_back, want.body_evals, want.depth),
-            "{key:?}: fed back, body evaluations, depth; measured:\n{table}"
+            (want.fed_back, want.body_evals, want.depth, want.sorted),
+            "{key:?}: fed back, body evaluations, depth, nodes sorted; measured:\n{table}"
         );
         assert!(
             work.allocs <= want.allocs && work.bytes <= want.bytes,
