@@ -108,7 +108,7 @@ pub fn reflexive_transitive_closure(seed: &str, step: &str) -> Result<Expr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syntactic::is_distributivity_safe;
+    use crate::is_distributivity_safe;
     use xqy_eval::Evaluator;
     use xqy_xdm::NodeStore;
 

@@ -8,11 +8,11 @@
 //! distributivity property that decide when Delta may be used — behind one
 //! [`Engine`] API.
 //!
-//! * [`syntactic`] re-exports the `ds_$x(·)` inference rules of Figure 5
-//!   (the purely syntactic distributivity approximation) together with the
-//!   "distributivity hint" rewrite of Section 3.2.  The rules themselves
-//!   live in [`xqy_eval::distributivity`], where the interpreter reads them
-//!   over the context item too.
+//! * [`is_distributivity_safe`] is the `ds_$x(·)` judgement of Figure 5
+//!   (the purely syntactic distributivity approximation) and
+//!   [`distributivity_hint`] the rewrite of Section 3.2, re-exported from
+//!   [`xqy_eval::distributivity`], where the interpreter reads the same
+//!   rules over the context item too.
 //! * The algebraic approximation of Section 4 (the `∪` push-up over
 //!   Pathfinder-style plans) is re-exported from [`xqy_algebra`].
 //! * [`rewrite`] performs the source-level Naïve→Delta transformation the
@@ -67,20 +67,22 @@
 //! ```
 
 pub mod closure;
-pub mod cost;
 pub mod engine;
+#[doc(hidden)]
+pub mod ledger_shim;
 pub mod prepared;
 pub mod rewrite;
-pub mod syntactic;
 
-pub use cost::{CostDecision, DecisionSource, FeedbackCell, OccurrenceFeatures, PlanAlternative};
+#[doc(hidden)]
+pub use ledger_shim as cost;
+
 pub use engine::{DistributivityReport, Engine, Parallelism, QueryOutcome, Strategy};
 pub use prepared::{
-    Backend, BatchedOutcome, Bindings, ExecOptions, OccurrencePlan, PreparedOccurrence,
-    PreparedQuery, ResourceLimits,
+    Backend, BatchedOutcome, Bindings, DecisionSource, ExecOptions, OccurrencePlan,
+    PlanAlternative, PreparedOccurrence, PreparedQuery, ResourceLimits,
 };
 pub use rewrite::{rewrite_fixpoints_to_functions, RewriteStyle};
-pub use syntactic::{distributivity_hint, is_distributivity_safe, DsJudgement};
+pub use xqy_eval::distributivity::{distributivity_hint, is_distributivity_safe, DsJudgement};
 
 // Re-export the building blocks so downstream users need only one crate.
 pub use xqy_algebra as algebra;

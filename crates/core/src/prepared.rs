@@ -65,17 +65,16 @@ use std::time::Instant;
 use xqy_algebra::{
     compile_recursion_body, AlgebraError, BatchSharing, CompiledBody, ExecStats, Executor,
 };
-use xqy_eval::distributivity::{builtin, declared_in, is_distributivity_safe, reaches_constructor};
+use xqy_eval::distributivity::is_distributivity_safe;
 use xqy_eval::evaluator::per_item_fixpoint;
 use xqy_eval::{
     EvalError, Evaluator, FixpointBackendTag, FixpointInterceptor, FixpointStats, FixpointStrategy,
 };
-use xqy_parser::ast::{Expr, FunctionDecl, QueryModule};
+use xqy_parser::ast::{Expr, QueryModule};
 use xqy_parser::parse_query;
 use xqy_xdm::fixpoint::{Limits, Seeds};
-use xqy_xdm::{NodeId, NodeStore, QueryBudget, Sequence, StoreMut, StoreStatistics};
+use xqy_xdm::{NodeId, NodeStore, QueryBudget, Sequence, StoreMut};
 
-use crate::cost::{self, DecisionSource, FeedbackCell, OccurrenceFeatures, PlanAlternative};
 use crate::engine::{DistributivityReport, Engine, Parallelism, QueryOutcome, Strategy};
 use crate::{IfpError, Result};
 
@@ -97,10 +96,9 @@ pub enum Backend {
     /// µ∆).  Preparing succeeds even for bodies outside the algebraic
     /// subset, but executing reports [`xqy_algebra::AlgebraError::Unsupported`].
     Algebraic,
-    /// Per occurrence and per execution: the [cost model](crate::cost)
-    /// picks between the pre-compiled algebraic plan — when the body lies
-    /// inside the algebraic subset — and the interpreter; bodies outside
-    /// the subset always run on the interpreter.
+    /// Per occurrence, by the plan rule ([`PreparedOccurrence::plan`]):
+    /// the relational executor for a batch whose body has a seed-carried
+    /// plan, the interpreter for everything else.
     Auto,
 }
 
@@ -196,22 +194,12 @@ pub struct PreparedOccurrence {
     report: DistributivityReport,
     strategy: FixpointStrategy,
     compiled: std::result::Result<Arc<CompiledBody>, String>,
-    /// Static features feeding the cost model (body size, `id()` usage,
-    /// constructor presence, capability flags).
-    features: OccurrenceFeatures,
     /// The occurrence is the whole body of a per-item loop, `for $s in E
     /// return with $x seeded by $s recurse b`, whose `b` reads no variable
     /// but `$x` and the module's globals and externals
     /// ([`per_item_fixpoint`]): the evaluator may run the loop as one
-    /// batch, so [`PreparedQuery::execute`] prices the batched routes for
-    /// it too.
+    /// batch, so [`PreparedQuery::execute`] offers it the batched route.
     per_item_loop: bool,
-    /// The occurrence's feedback loop: what completed executions observed,
-    /// keyed on the store-statistics fingerprint and consulted by every
-    /// plan decision.  Shared by every execution (and clone) of the query —
-    /// observations describe the data, not an executor, and the cell
-    /// self-invalidates when the data materially changes.
-    feedback: Arc<FeedbackCell>,
 }
 
 impl PreparedOccurrence {
@@ -249,17 +237,86 @@ impl PreparedOccurrence {
             .unwrap_or(false)
     }
 
-    /// The static features the cost model prices this occurrence under.
-    pub fn features(&self) -> &OccurrenceFeatures {
-        &self.features
+    /// The plan rule: the grid point one execution runs this occurrence at
+    /// under the `backend` knob, for an `execute_batched` call (`batch`) or
+    /// any other.  It reads nothing but the knobs and the analysis, never
+    /// the store:
+    ///
+    /// * **Strategy** — [`strategy`](Self::strategy): the forced one, else
+    ///   Delta when the body is certified distributive (Theorem 3.2) and
+    ///   Naïve otherwise.
+    /// * **Batching** — batched whenever a batched route is offered: to an
+    ///   `execute_batched` call, and to a per-item loop the evaluator can
+    ///   batch (Delta over a certified body).  A batch never does more body
+    ///   work than its per-seed loop.  The executor's batched route needs
+    ///   the seed-carried plan, so a forced [`Backend::Algebraic`] without
+    ///   one runs per seed.
+    /// * **Back-end** — the forced one, else the relational executor for a
+    ///   batch with a seed-carried plan (one set evaluation per round) and
+    ///   the interpreter for everything else.
+    ///
+    /// # Errors
+    /// A forced [`Backend::Algebraic`] over a body outside the algebraic
+    /// subset.
+    pub fn plan(&self, backend: Backend, batch: bool) -> Result<PlanAlternative> {
+        let strategy = self.strategy;
+        let offered = batch
+            || (self.per_item_loop
+                && strategy == FixpointStrategy::Delta
+                && self.report.is_distributive());
+        let backend = match (backend, &self.compiled) {
+            (Backend::SourceLevel, _) => FixpointBackendTag::Interpreted,
+            (Backend::Algebraic, Ok(_)) => FixpointBackendTag::Algebraic,
+            (Backend::Algebraic, Err(reason)) => {
+                return Err(IfpError::Algebra(xqy_algebra::AlgebraError::Unsupported(
+                    format!(
+                        "recursion body of ${} is outside the algebraic subset: {reason}",
+                        self.var
+                    ),
+                )))
+            }
+            (Backend::Auto, _) if offered && self.is_batch_capable() => {
+                FixpointBackendTag::Algebraic
+            }
+            (Backend::Auto, _) => FixpointBackendTag::Interpreted,
+        };
+        Ok(PlanAlternative {
+            strategy,
+            backend,
+            batched: offered
+                && (backend == FixpointBackendTag::Interpreted || self.is_batch_capable()),
+        })
     }
+}
+
+/// One point of the `{strategy} × {backend} × {batching}` plan grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PlanAlternative {
+    /// The iteration algorithm (Figure 3): Naïve or Delta.
+    pub strategy: FixpointStrategy,
+    /// Who drives the iterations: the source-level interpreter or the
+    /// relational executor.
+    pub backend: FixpointBackendTag,
+    /// `true` for the batched multi-source route (all seeds in one shared
+    /// fixpoint), `false` for one fixpoint per seed.
+    pub batched: bool,
+}
+
+/// Who settled an occurrence's plan for one execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum DecisionSource {
+    /// The plan rule ([`PreparedOccurrence::plan`]) under a
+    /// [`Strategy::Auto`] or [`Backend::Auto`] knob.
+    Rule,
+    /// Both knobs name a value; only the batching bit was left to the rule.
+    Forced,
 }
 
 /// The per-occurrence execution decision recorded in a [`QueryOutcome`]:
 /// which algorithm, back-end and batching ran each `with … recurse`
-/// occurrence, who decided (knobs, static cost model, or feedback), and at
-/// what estimated vs. observed cost — in syntactic order (index-aligned
-/// with `QueryOutcome::distributivity`).
+/// occurrence and who decided, in syntactic order (index-aligned with
+/// `QueryOutcome::distributivity`).  The wall time of each run is
+/// [`FixpointStats::wall_micros`] in `QueryOutcome::fixpoints`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccurrencePlan {
     /// The recursion variable of the occurrence.
@@ -272,18 +329,8 @@ pub struct OccurrencePlan {
     /// fixpoint: under [`execute_batched`](PreparedQuery::execute_batched),
     /// or as the body of a per-item `for` loop the evaluator batched.
     pub batched: bool,
-    /// Who settled the plan: the knobs ([`DecisionSource::Forced`]), the
-    /// static cost estimate, or feedback from earlier runs on the same
-    /// data.
+    /// Who settled the plan: the knobs or the plan rule.
     pub decided_by: DecisionSource,
-    /// The cost the winning alternative was selected at, in the model's
-    /// abstract microseconds (a rescaled measured wall time once the
-    /// winner has been observed).
-    pub estimated_cost_micros: u64,
-    /// The observed wall time of this execution's fixpoint runs for the
-    /// occurrence, in microseconds; `None` when the occurrence did not run
-    /// (dead code, empty seed set).
-    pub observed_cost_micros: Option<u64>,
 }
 
 /// Per-query resource budgets, enforced cooperatively at the fixpoint
@@ -340,9 +387,8 @@ pub struct ExecOptions {
 pub struct PreparedQuery {
     module: QueryModule,
     backend: Backend,
-    /// The strategy knob as given: [`Strategy::Auto`] widens the
-    /// per-occurrence candidate grid to both sound algorithms, a forced
-    /// strategy collapses it.
+    /// The strategy knob as given, which fixed each occurrence's
+    /// algorithm at prepare time; a decision reads it for `decided_by`.
     strategy: Strategy,
     default_strategy: FixpointStrategy,
     parallelism: Parallelism,
@@ -449,114 +495,31 @@ impl PreparedQuery {
         &self.module
     }
 
-    /// The grid of plan alternatives the knobs leave open for `occ`,
-    /// ordered so preferred routes come first (the tie-break of
-    /// [`cost::decide`]): batched before per-seed, algebraic before
-    /// source-level, Delta before Naïve.
-    ///
-    /// Soundness and capability prune the grid: Delta only enters under
-    /// [`Strategy::Auto`] when a distributivity approximation certified the
-    /// body (a *forced* Delta is kept as-is — the engine does not stop you
-    /// from shooting your own foot); the algebraic routes need a compiled
-    /// plan, the batched algebraic route a seed-carried one.  A forced
-    /// [`Backend::Algebraic`] over an uncompilable body is an error, as
-    /// before.  The batched routes enter for an `execute_batched` call
-    /// (`batch`) and, Delta only, for a per-item loop the evaluator can
-    /// batch ([`PreparedOccurrence::per_item_loop`]).
-    fn candidate_grid(
-        &self,
-        occ: &PreparedOccurrence,
-        batch: bool,
-    ) -> Result<Vec<PlanAlternative>> {
-        let strategies: &[FixpointStrategy] = match self.strategy.forced() {
-            Some(FixpointStrategy::Delta) => &[FixpointStrategy::Delta],
-            Some(FixpointStrategy::Naive) => &[FixpointStrategy::Naive],
-            None if occ.report.is_distributive() => {
-                &[FixpointStrategy::Delta, FixpointStrategy::Naive]
-            }
-            None => &[FixpointStrategy::Naive],
+    /// Every occurrence's plan by [the rule](PreparedOccurrence::plan),
+    /// for an `execute_batched` call (`batch`) or any other.
+    fn decide_plans(&self, batch: bool) -> Result<Vec<PlanDecision>> {
+        let source = if self.strategy.forced().is_some() && self.backend != Backend::Auto {
+            DecisionSource::Forced
+        } else {
+            DecisionSource::Rule
         };
-        let backends: &[FixpointBackendTag] = match (self.backend, &occ.compiled) {
-            (Backend::SourceLevel, _) => &[FixpointBackendTag::Interpreted],
-            (Backend::Algebraic, Ok(_)) => &[FixpointBackendTag::Algebraic],
-            (Backend::Algebraic, Err(reason)) => {
-                return Err(IfpError::Algebra(xqy_algebra::AlgebraError::Unsupported(
-                    format!(
-                        "recursion body of ${} is outside the algebraic subset: {reason}",
-                        occ.var
-                    ),
-                )))
-            }
-            (Backend::Auto, Ok(_)) => &[
-                FixpointBackendTag::Algebraic,
-                FixpointBackendTag::Interpreted,
-            ],
-            (Backend::Auto, Err(_)) => &[FixpointBackendTag::Interpreted],
-        };
-        let mut grid = Vec::new();
-        if batch || occ.per_item_loop {
-            for &backend in backends {
-                if backend == FixpointBackendTag::Algebraic && !occ.is_batch_capable() {
-                    continue;
-                }
-                for &strategy in strategies {
-                    if !batch && strategy != FixpointStrategy::Delta {
-                        continue;
-                    }
-                    grid.push(PlanAlternative {
-                        strategy,
-                        backend,
-                        batched: true,
-                    });
-                }
-            }
-        }
-        for &backend in backends {
-            for &strategy in strategies {
-                grid.push(PlanAlternative {
-                    strategy,
-                    backend,
-                    batched: false,
-                });
-            }
-        }
-        Ok(grid)
-    }
-
-    /// Cost every occurrence's candidate grid against the store statistics
-    /// (and any feedback taken under the same statistics fingerprint) and
-    /// pick a plan each.  `batch_seeds` is `Some(n)` for an
-    /// `execute_batched` call over `n` seeds, which adds the batched routes
-    /// to the grid.
-    fn decide_plans(
-        &self,
-        stats: &StoreStatistics,
-        batch_seeds: Option<usize>,
-    ) -> Result<Vec<PlanDecision>> {
-        let mut decisions = Vec::with_capacity(self.occurrences.len());
-        for occ in &self.occurrences {
-            let candidates = self.candidate_grid(occ, batch_seeds.is_some())?;
-            let decision = cost::decide(
-                &candidates,
-                &occ.features,
-                stats,
-                &occ.feedback,
-                batch_seeds.unwrap_or(1),
-            );
-            let plan = if decision.alternative.backend == FixpointBackendTag::Algebraic {
-                occ.compiled.as_ref().ok().cloned()
-            } else {
-                None
-            };
-            decisions.push(PlanDecision {
-                alternative: decision.alternative,
-                source: decision.source,
-                estimated_micros: decision.estimated_micros,
-                plan,
-                share: decision.alternative.batched && occ.report.is_distributive(),
-            });
-        }
-        Ok(decisions)
+        self.occurrences
+            .iter()
+            .map(|occ| {
+                let alternative = occ.plan(self.backend, batch)?;
+                Ok(PlanDecision {
+                    alternative,
+                    source,
+                    plan: occ
+                        .compiled
+                        .as_ref()
+                        .ok()
+                        .filter(|_| alternative.backend == FixpointBackendTag::Algebraic)
+                        .cloned(),
+                    share: alternative.batched && occ.report.is_distributive(),
+                })
+            })
+            .collect()
     }
 
     /// The interceptor entries for the occurrences whose decision routes
@@ -571,42 +534,42 @@ impl PreparedQuery {
                     body: occ.body.clone(),
                     compiled: compiled.clone(),
                     strategy: decision.alternative.strategy,
-                    batched: decision.alternative.batched,
                     share: decision.share,
                 })
             })
             .collect()
     }
 
-    /// The per-occurrence report of one execution, rolling the runs
-    /// `evaluator` logged into each occurrence's feedback cell (keyed on
-    /// `fingerprint`) on the way: the decided alternative — corrected by
-    /// what *actually* ran where that differs from the decision — and the
-    /// decision provenance and costs.  Without an evaluator (the runs were
-    /// inner executions', already rolled up) the report is the decisions'.
+    /// The per-occurrence report of one execution: the decided plan,
+    /// corrected by what `evaluator` logged as the occurrence's first run
+    /// where that differs (a per-item loop over items that are not all
+    /// nodes runs per seed).  Without an evaluator (the runs were inner
+    /// executions') the report is the decisions'.
     fn occurrence_plans(
         &self,
         decisions: &[PlanDecision],
         evaluator: Option<&Evaluator<'_>>,
-        fingerprint: u64,
     ) -> Vec<OccurrencePlan> {
         self.occurrences
             .iter()
             .zip(decisions)
             .map(|(occ, decision)| {
-                let runs = evaluator
-                    .into_iter()
-                    .flat_map(|e| e.fixpoint_runs_of(&occ.var, &occ.body));
-                let ran = occ.feedback.finish_run(fingerprint, runs);
-                let alternative = ran.map_or(decision.alternative, |r| r.alternative);
+                let ran = evaluator
+                    .and_then(|e| e.fixpoint_runs_of(&occ.var, &occ.body).next())
+                    .and_then(|run| {
+                        Some(PlanAlternative {
+                            strategy: run.strategy?,
+                            backend: run.backend,
+                            batched: run.batch_seeds > 0,
+                        })
+                    });
+                let alternative = ran.unwrap_or(decision.alternative);
                 OccurrencePlan {
                     variable: occ.var.clone(),
                     strategy: alternative.strategy,
                     backend: alternative.backend,
                     batched: alternative.batched,
                     decided_by: decision.source,
-                    estimated_cost_micros: decision.estimated_micros,
-                    observed_cost_micros: ran.map(|r| r.wall_micros),
                 }
             })
             .collect()
@@ -643,10 +606,7 @@ impl PreparedQuery {
             }
         }
         let store: StoreMut<'s> = store.into();
-        // Cost-based selection: summarize the store (memoized per
-        // revision), price each occurrence's candidate grid, pick a plan.
-        let stats = store.read().statistics();
-        let decisions = self.decide_plans(&stats, None)?;
+        let decisions = self.decide_plans(false)?;
         let _budget_scope = install_budget(&opts.limits);
         let mut evaluator = self.evaluator(store, opts, &decisions);
         for (name, value) in bindings.iter() {
@@ -657,7 +617,7 @@ impl PreparedQuery {
         Ok(QueryOutcome {
             result,
             distributivity: self.distributivity(),
-            occurrences: self.occurrence_plans(&decisions, Some(&evaluator), stats.fingerprint()),
+            occurrences: self.occurrence_plans(&decisions, Some(&evaluator)),
             fixpoints: evaluator.fixpoint_runs().to_vec(),
         })
     }
@@ -825,30 +785,21 @@ impl PreparedQuery {
             }
         }
         let mut store: StoreMut<'s> = store.into();
-        let stats = store.read().statistics();
         if seeds.all_nodes() {
             if let Some(occ) = self.batched_occurrence(seed_var) {
-                let decisions = self.decide_plans(&stats, Some(seeds.len().max(1)))?;
-                // The eval-layer route can honor any decision except a
-                // measured preference for the *interpreted per-seed* loop
-                // (its batched source driver always folds the seeds): for
-                // that one, fall through to the general per-seed loop.
-                if decisions[0].alternative.batched || decisions[0].plan.is_some() {
-                    return self.execute_batched_fixpoint(
-                        store, occ, seed_var, seeds, bindings, opts, &stats, decisions,
-                    );
-                }
+                let decisions = self.decide_plans(true)?;
+                return self.execute_batched_fixpoint(
+                    store, occ, seed_var, seeds, bindings, opts, decisions,
+                );
             }
         }
         // General fallback: the query is not a bare fixpoint over
         // `$seed_var` (or the seeds are not all nodes, and the per-seed
         // execution must surface the evaluator's type error) — run the
         // module once per seed item, exactly as the contract reads.
-        //
-        // The inner `execute_on` calls roll their own feedback up; the
-        // outer report is the per-execute decisions.
-        let decisions = self.decide_plans(&stats, None)?;
-        let occurrences = self.occurrence_plans(&decisions, None, stats.fingerprint());
+        // The outer report is the per-execute decisions.
+        let decisions = self.decide_plans(false)?;
+        let occurrences = self.occurrence_plans(&decisions, None);
         let mut result = Sequence::empty();
         let mut per_seed = Vec::with_capacity(seeds.len());
         let mut fixpoints = Vec::new();
@@ -887,7 +838,6 @@ impl PreparedQuery {
         seeds: &Sequence,
         bindings: &Bindings,
         opts: &ExecOptions,
-        stats: &StoreStatistics,
         decisions: Vec<PlanDecision>,
     ) -> Result<BatchedOutcome> {
         let _budget_scope = install_budget(&opts.limits);
@@ -912,11 +862,7 @@ impl PreparedQuery {
             outcome: QueryOutcome {
                 result,
                 distributivity: self.distributivity(),
-                occurrences: self.occurrence_plans(
-                    &decisions,
-                    Some(&evaluator),
-                    stats.fingerprint(),
-                ),
+                occurrences: self.occurrence_plans(&decisions, Some(&evaluator)),
                 fixpoints: evaluator.fixpoint_runs().to_vec(),
             },
             per_seed,
@@ -950,20 +896,17 @@ pub struct BatchedOutcome {
     pub per_seed: Vec<Sequence>,
     /// `true` when the seeds ran as a **single batched multi-source
     /// fixpoint** — on the relational back-end (seed-carried plan) or
-    /// through the batched source-level driver (non-algebraic bodies).
-    /// `false` when they ran one fixpoint per seed: non-seed-local
-    /// *algebraic* plans, a cost decision for the per-seed algebraic route,
-    /// or non-fixpoint query shapes.
+    /// through the batched source-level driver.  `false` when they ran one
+    /// fixpoint per seed: a forced algebraic back-end over a body without
+    /// a seed-carried plan, or non-fixpoint query shapes.
     pub batched: bool,
 }
 
 /// The plan one execution decided for one occurrence: the grid point, its
-/// provenance and estimated cost, and (for the algebraic routes) the
-/// compiled plan to drive.
+/// provenance, and (for the algebraic routes) the compiled plan to drive.
 struct PlanDecision {
     alternative: PlanAlternative,
     source: DecisionSource,
-    estimated_micros: u64,
     /// `Some` iff `alternative.backend` is algebraic.
     plan: Option<Arc<CompiledBody>>,
     /// The batch-sharing grant (`BatchSharing::DistinctNodes`) every route
@@ -979,10 +922,6 @@ struct PlanEntry {
     body: Arc<Expr>,
     compiled: Arc<CompiledBody>,
     strategy: FixpointStrategy,
-    /// `false` when the cost decision picked the per-seed algebraic route
-    /// inside a batched execution: the interceptor declines the batch so the
-    /// evaluator falls back to one (algebraic) fixpoint per seed.
-    batched: bool,
     /// The grant of `BatchSharing::DistinctNodes` for a batch
     /// ([`PlanDecision::share`]), which the source-level routes read too.
     share: bool,
@@ -1048,14 +987,9 @@ impl FixpointInterceptor for PlanDriver {
         let (plan, sharing) = match seeds {
             Seeds::Set(_) => (&entry.compiled.plan, BatchSharing::PerSeed),
             Seeds::Each(_) => {
-                // The cost decision may prefer the per-seed algebraic route
-                // over the batched one (observed wall times): decline the
-                // batch, so the evaluator offers it seed by seed.
-                if !entry.batched {
-                    return None;
-                }
                 // Bodies outside the seed-local subset have no seed-carried
-                // plan: decline likewise.
+                // plan: decline the batch, so the evaluator offers it seed
+                // by seed.
                 let batched_plan = entry.compiled.batched_plan.as_ref()?;
                 // Distributive bodies (`e(X) = ⋃ₓ e({x})`, certified by
                 // either approximation) additionally share body scans
@@ -1117,56 +1051,16 @@ pub(crate) fn analyse_occurrences(
         } else {
             FixpointStrategy::Naive
         });
-        let features = occurrence_features(&body, &module.functions, &report, &compiled);
-        // Identical occurrences share one feedback cell: the evaluator logs
-        // their runs under one (var, body) pair.
-        let feedback = occurrences
-            .iter()
-            .find(|o: &&PreparedOccurrence| o.var == var && *o.body == body)
-            .map(|o| o.feedback.clone())
-            .unwrap_or_else(|| Arc::new(FeedbackCell::new()));
         occurrences.push(PreparedOccurrence {
             var,
             body: Arc::new(body),
             report,
             strategy: chosen,
             compiled,
-            features,
-            feedback,
             per_item_loop,
         });
     }
     occurrences
-}
-
-/// Extract the static cost-model features of one recursion body, whose
-/// calls resolve against the module's `functions`.
-fn occurrence_features(
-    body: &Expr,
-    functions: &[FunctionDecl],
-    report: &DistributivityReport,
-    compiled: &std::result::Result<Arc<CompiledBody>, String>,
-) -> OccurrenceFeatures {
-    let mut body_size = 0usize;
-    let mut uses_id = false;
-    body.walk(&mut |e| {
-        body_size += 1;
-        if let Expr::FunctionCall { name, .. } = e {
-            uses_id |= builtin(name) == Some("id");
-        }
-    });
-    let constructs = reaches_constructor(body, &declared_in(functions));
-    OccurrenceFeatures {
-        distributive: report.is_distributive(),
-        algebraic: compiled.is_ok(),
-        batch_capable: compiled
-            .as_ref()
-            .map(|c| c.batched_plan.is_some())
-            .unwrap_or(false),
-        uses_id,
-        constructs,
-        body_size,
-    }
 }
 
 /// Collect the `(recursion variable, body, per-item loop)` of every IFP
@@ -1298,6 +1192,120 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(Backend::Auto.name(), "auto");
         assert_eq!(Backend::default(), Backend::SourceLevel);
+    }
+
+    /// The plan rule, as a table: every knob pair × distributivity verdict
+    /// × what compiled (nothing, a per-seed plan, a seed-carried plan too)
+    /// × call (`execute`, `execute_batched`, a per-item loop under
+    /// `execute`), each row checked against the rule's clauses.
+    #[test]
+    fn the_plan_rule_decides_every_row_of_the_grid() {
+        use FixpointBackendTag::{Algebraic, Interpreted};
+        const BODIES: [(&str, bool); 2] = [
+            ("$x/id(./prerequisites/pre_code)", true),
+            (
+                "if (count($x) > 1) then $x/self::course else $x/id(./prerequisites/pre_code)",
+                false,
+            ),
+        ];
+        let seed_carried =
+            compile_recursion_body(&xqy_parser::parse_expr(BODIES[0].0).unwrap(), "x")
+                .map(Arc::new)
+                .unwrap();
+        assert!(seed_carried.batched_plan.is_some());
+        let per_seed = Arc::new(CompiledBody {
+            batched_plan: None,
+            ..(*seed_carried).clone()
+        });
+        let compiled = [Err("outside".to_string()), Ok(per_seed), Ok(seed_carried)];
+        let mut rows = 0;
+        for strategy_knob in [Strategy::Auto, Strategy::Naive, Strategy::Delta] {
+            for backend_knob in [Backend::Auto, Backend::SourceLevel, Backend::Algebraic] {
+                for (body, certified) in BODIES {
+                    for compiled in &compiled {
+                        for (batch, per_item_loop) in [(false, false), (true, false), (false, true)]
+                        {
+                            let query = format!("with $x seeded by $seed recurse {body}");
+                            let mut plan = PreparedQuery::prepare(
+                                &query,
+                                strategy_knob,
+                                backend_knob,
+                                Parallelism::Sequential,
+                            )
+                            .unwrap();
+                            let occ = &mut plan.occurrences[0];
+                            assert_eq!(occ.report.is_distributive(), certified);
+                            occ.compiled = compiled.clone();
+                            occ.per_item_loop = per_item_loop;
+                            let seed_carried =
+                                matches!(compiled, Ok(c) if c.batched_plan.is_some());
+                            let row = format!(
+                                "{strategy_knob:?}/{backend_knob:?} certified={certified} \
+                                 compiled={} seed_carried={seed_carried} batch={batch} \
+                                 per_item_loop={per_item_loop}",
+                                compiled.is_ok()
+                            );
+                            rows += 1;
+                            let decided = plan.decide_plans(batch);
+                            if backend_knob == Backend::Algebraic && compiled.is_err() {
+                                let err = decided.err().unwrap_or_else(|| panic!("{row}"));
+                                assert!(
+                                    err.to_string().contains("outside the algebraic subset"),
+                                    "{row}: {err}"
+                                );
+                                continue;
+                            }
+                            let decision = &decided.unwrap()[0];
+                            // Strategy: the forced one, else Delta iff certified.
+                            let strategy = match strategy_knob {
+                                Strategy::Naive => FixpointStrategy::Naive,
+                                Strategy::Delta => FixpointStrategy::Delta,
+                                Strategy::Auto if certified => FixpointStrategy::Delta,
+                                Strategy::Auto => FixpointStrategy::Naive,
+                            };
+                            // Batching is offered to `execute_batched` and to
+                            // a per-item loop the evaluator batches.
+                            let offered = batch
+                                || (per_item_loop
+                                    && strategy == FixpointStrategy::Delta
+                                    && certified);
+                            // Back-end: forced, else the executor for a batch
+                            // with a seed-carried plan only.
+                            let backend = match backend_knob {
+                                Backend::SourceLevel => Interpreted,
+                                Backend::Algebraic => Algebraic,
+                                Backend::Auto if offered && seed_carried => Algebraic,
+                                Backend::Auto => Interpreted,
+                            };
+                            // The executor batches only over a seed-carried plan.
+                            let batched = offered && (backend == Interpreted || seed_carried);
+                            let decided_by = if strategy_knob == Strategy::Auto
+                                || backend_knob == Backend::Auto
+                            {
+                                DecisionSource::Rule
+                            } else {
+                                DecisionSource::Forced
+                            };
+                            assert_eq!(
+                                (decision.alternative, decision.source),
+                                (
+                                    PlanAlternative {
+                                        strategy,
+                                        backend,
+                                        batched
+                                    },
+                                    decided_by
+                                ),
+                                "{row}"
+                            );
+                            assert_eq!(decision.plan.is_some(), backend == Algebraic, "{row}");
+                            assert_eq!(decision.share, batched && certified, "{row}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(rows, 3 * 3 * 2 * 3 * 3);
     }
 
     const CURRICULUM: &str = r#"<curriculum>

@@ -9,7 +9,7 @@
 //! identical — `(len, display)` — to a fixed oracle: forced Naïve on the
 //! source-level interpreter, one execution per seed.
 //!
-//! The `Auto` knobs are then held to the same bar: whatever the cost model
+//! The `Auto` knobs are then held to the same bar: whatever the plan rule
 //! picks must (a) be a point of the valid grid and (b) reproduce the oracle
 //! bit for bit.
 //!
@@ -19,13 +19,12 @@
 use proptest::prelude::*;
 use xqy_ifp::eval::{FixpointBackendTag, FixpointStrategy};
 use xqy_ifp::xdm::Sequence;
-use xqy_ifp::{Backend, Bindings, Engine, PreparedQuery, Strategy};
+use xqy_ifp::{Backend, Bindings, DecisionSource, Engine, OccurrencePlan, PreparedQuery, Strategy};
 
 /// A curriculum document whose prerequisite graph is given by `edges`,
 /// plus a decorative `<filler>` subtree (a `wide`-fanout row of leaves and
-/// a `chain`-deep spine) that perturbs the store statistics — and thereby
-/// the cost model's estimates — without touching the `id()` space the
-/// recursion bodies traverse.
+/// a `chain`-deep spine) that changes the store's shape without touching
+/// the `id()` space the recursion bodies traverse.
 fn curriculum_xml(courses: usize, edges: &[(usize, usize)], wide: usize, chain: usize) -> String {
     let mut out = String::from("<curriculum>");
     for i in 0..courses {
@@ -192,7 +191,7 @@ proptest! {
             }
         }
 
-        // Auto: the cost model may pick any valid grid point — and nothing
+        // Auto: the plan rule may pick any valid grid point — and nothing
         // outside it — and must reproduce the oracle too.
         let mut e = engine_for(&xml);
         e.set_strategy(Strategy::Auto);
@@ -223,8 +222,8 @@ proptest! {
     }
 }
 
-/// Auto's decision report is drawn from the valid grid on a fixed document
-/// too (a deterministic, non-proptest entry point for quick runs).
+/// Auto's decision report on a fixed document is the point the plan rule
+/// picks (a deterministic, non-proptest entry point for quick runs).
 #[test]
 fn auto_decision_is_a_valid_grid_point() {
     let xml = curriculum_xml(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], 10, 4);
@@ -239,11 +238,21 @@ fn auto_decision_is_a_valid_grid_point() {
         .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
         .unwrap();
     assert!(batch.batched);
-    let plan = &batch.outcome.occurrences[0];
-    // The body is distributive and batch-capable: any grid point is legal,
-    // and the report must carry the decision provenance and costs.
-    assert_eq!(plan.strategy, FixpointStrategy::Delta);
-    assert!(plan.batched);
-    assert!(plan.estimated_cost_micros > 0);
-    assert!(plan.observed_cost_micros.is_some());
+    // The body is distributive and has a seed-carried plan: Delta, on the
+    // relational executor, batched, by rule.
+    assert_eq!(
+        batch.outcome.occurrences[0],
+        OccurrencePlan {
+            variable: "x".into(),
+            strategy: FixpointStrategy::Delta,
+            backend: FixpointBackendTag::Algebraic,
+            batched: true,
+            decided_by: DecisionSource::Rule,
+        }
+    );
+    assert_eq!(batch.outcome.fixpoints.len(), 1);
+    assert_eq!(
+        batch.outcome.fixpoints[0].backend,
+        FixpointBackendTag::Algebraic
+    );
 }

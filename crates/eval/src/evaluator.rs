@@ -252,8 +252,8 @@ impl<'s> Evaluator<'s> {
     /// back-end (interpreted or intercepted) produced them — in execution
     /// order.  Only occurrences with an installed override record (e.g. a
     /// [`set_fixpoint_strategy_for`](Self::set_fixpoint_strategy_for)
-    /// call) are tracked; the prepared-query layer reads its cost-model
-    /// feedback from here once evaluation is over.
+    /// call) are tracked; the prepared-query layer reads what ran from
+    /// here once evaluation is over.
     pub fn fixpoint_runs_of(
         &self,
         var: &str,

@@ -13,12 +13,9 @@
 //!
 //! Nothing invalidates an entry.  A plan never read the store, so a
 //! publication cannot make it wrong: `doc(...)` resolves at run time, no
-//! executor outlives its execution, and every execution takes its
-//! cost-based decisions from the statistics of the snapshot it runs on
-//! (the plan's feedback cells drop their observations themselves when the
-//! data changes *materially*).  An
-//! execution that still holds a plan when its entry is evicted simply
-//! finishes on it.
+//! executor outlives its execution, and every execution decides its
+//! occurrences' plans by rule from the plan alone.  An execution that
+//! still holds a plan when its entry is evicted simply finishes on it.
 //!
 //! Eviction is least-recently-used via a monotone tick stamped on every
 //! hit; capacity is fixed at construction.  All counters

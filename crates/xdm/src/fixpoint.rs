@@ -128,8 +128,8 @@ pub struct ExecStats {
     /// Number of seeds a batch ([`Seeds::Each`]) evaluated together; `0`
     /// for a single-source run ([`Seeds::Set`]).
     pub batch_seeds: usize,
-    /// Nodes the body was handed at each evaluation, in evaluation order —
-    /// the frontier-growth curve the cost model's feedback loop consumes.
+    /// Nodes the body was handed at each evaluation, in evaluation order:
+    /// the frontier-growth curve.
     /// Deterministic for a given input at any thread count, so it takes
     /// part in equality.
     pub frontier_curve: Vec<u64>,

@@ -1,14 +1,11 @@
-//! Store statistics for cost-based plan selection.
+//! Store statistics.
 //!
 //! Every document is summarized once — with the rest of its derived state,
 //! shared by every store holding it — into a [`DocumentStatistics`]: node
 //! counts per kind, child-axis fanout, tree depth, `id()` index size.
 //! [`crate::NodeStore::statistics`] adds those up, with the text-pool size,
-//! into a [`StoreStatistics`].  The cost model in `xqy_core::cost` feeds
-//! these numbers into its per-alternative formulas, and the service layer
-//! folds [`StoreStatistics::fingerprint`] into plan-cache keys so a
-//! republish with materially different data re-costs instead of reusing a
-//! stale decision.
+//! into a [`StoreStatistics`].  No plan decision reads them: they describe
+//! a store to its callers (sizes, budgets, the perf ledger).
 
 /// Shape summary of a single document (or constructed fragment).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -61,97 +58,4 @@ pub struct StoreStatistics {
     pub totals: DocumentStatistics,
     /// Distinct strings interned in the store's text pool.
     pub text_pool_strings: u64,
-}
-
-impl StoreStatistics {
-    /// Mean child-axis fanout over nodes that have children at all
-    /// (1.0 for an empty or childless store, so depth estimates stay
-    /// finite).
-    pub fn avg_fanout(&self) -> f64 {
-        if self.totals.parents == 0 {
-            1.0
-        } else {
-            self.totals.child_links as f64 / self.totals.parents as f64
-        }
-    }
-
-    /// A bucketed digest of the statistics: stable across immaterial
-    /// mutations (a handful of constructed nodes), different whenever the
-    /// data changed *materially* — any power-of-two bucket of the node /
-    /// element / id-entry counts moving, the depth or fanout profile
-    /// shifting, or the document count changing.  The service layer stamps
-    /// this into plan-cache keys.
-    pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the log2 buckets; no dependency on the hash RandomState
-        // so the value is stable across processes and can be persisted.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |v: u64| {
-            h ^= v.wrapping_add(1);
-            h = h.wrapping_mul(PRIME);
-        };
-        mix(self.documents);
-        mix(log2_bucket(self.totals.nodes));
-        mix(log2_bucket(self.totals.elements));
-        mix(log2_bucket(self.totals.id_entries));
-        mix(log2_bucket(self.totals.max_depth));
-        mix(log2_bucket(self.totals.max_fanout));
-        mix(log2_bucket(self.avg_fanout().round() as u64));
-        mix(log2_bucket(self.text_pool_strings));
-        h
-    }
-}
-
-/// `floor(log2(v)) + 1`, with 0 reserved for `v == 0`: the bucket moves only
-/// when a quantity roughly doubles or halves.
-fn log2_bucket(v: u64) -> u64 {
-    if v == 0 {
-        0
-    } else {
-        64 - u64::from(v.leading_zeros())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn log2_buckets_move_on_doubling() {
-        assert_eq!(log2_bucket(0), 0);
-        assert_eq!(log2_bucket(1), 1);
-        assert_eq!(log2_bucket(2), 2);
-        assert_eq!(log2_bucket(3), 2);
-        assert_eq!(log2_bucket(4), 3);
-        assert_eq!(log2_bucket(1023), 10);
-        assert_eq!(log2_bucket(1024), 11);
-    }
-
-    #[test]
-    fn fingerprint_ignores_immaterial_growth() {
-        let mut a = StoreStatistics {
-            documents: 1,
-            totals: DocumentStatistics {
-                nodes: 1000,
-                elements: 600,
-                parents: 300,
-                child_links: 900,
-                max_fanout: 10,
-                max_depth: 6,
-                id_entries: 100,
-                ..Default::default()
-            },
-            text_pool_strings: 400,
-            ..Default::default()
-        };
-        let fp = a.fingerprint();
-        // A few more nodes in the same buckets: same fingerprint.
-        a.totals.nodes = 1010;
-        a.revision = 99;
-        assert_eq!(a.fingerprint(), fp);
-        // Doubling the node count moves a bucket: new fingerprint.
-        a.totals.nodes = 2100;
-        assert_ne!(a.fingerprint(), fp);
-    }
 }

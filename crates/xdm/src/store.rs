@@ -733,8 +733,8 @@ impl NodeStore {
     /// kind, child-axis fanout, tree depth, `id()` index density and
     /// text-pool size.  Each document is walked once, when its derived
     /// state is built; this call adds the per-document summaries up —
-    /// `O(documents)` — and keeps the sum until the next mutation, so the
-    /// cost model can call it on every execution.  Works through `&self`.
+    /// `O(documents)` — and keeps the sum until the next mutation.  Works
+    /// through `&self`.
     pub fn statistics(&self) -> Arc<StoreStatistics> {
         Arc::clone(self.stats.get_or_init(|| {
             let derived = self.docs.iter().map(|d| d.derived(&self.names));
@@ -1439,8 +1439,8 @@ mod tests {
         assert_eq!(store.nodes_created(), before.1);
         let after = store.statistics();
         assert_eq!(
-            (after.totals, after.fingerprint()),
-            (before.2.totals, before.2.fingerprint())
+            (after.totals, &after.per_document),
+            (before.2.totals, &before.2.per_document)
         );
         assert_eq!((store.text.len(), store.names.len()), (payloads, names));
         assert_eq!(store.text_pool_get("payload"), None);
@@ -1908,7 +1908,7 @@ mod tests {
                         let m = clone.lookup_id(doc, "a").unwrap();
                         let derived: *const Derived =
                             clone.docs[doc.0 as usize].derived(&clone.names);
-                        let stats = clone.statistics().fingerprint();
+                        let stats = clone.statistics();
                         (m, clone.string_value(m), stats, derived as usize)
                     })
                 })

@@ -170,7 +170,6 @@ impl Live {
         let (stats, expected) = (live.statistics(), fresh.statistics());
         assert_eq!(stats.per_document, expected.per_document);
         assert_eq!(stats.totals, expected.totals);
-        assert_eq!(stats.fingerprint(), expected.fingerprint());
     }
 }
 

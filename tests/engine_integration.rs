@@ -173,8 +173,7 @@ fn auto_equals_naive_on_bodies_the_syntactic_check_refuses() {
                 "{query} on {}",
                 backend.name()
             );
-            // Through `execute` with `$seed` bound, again once feedback from
-            // earlier runs may tip the cost model toward Delta.
+            // Through `execute` with `$seed` bound, run after run.
             let prepared = engine.prepare(&seeded).unwrap();
             let bindings = Bindings::new().with("seed", seed_nodes.clone());
             for run in 0..3 {

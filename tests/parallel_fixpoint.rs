@@ -103,12 +103,8 @@ proptest! {
                 .unwrap();
 
             for threads in [2usize, 8] {
-                // Re-prepare instead of cloning: a clone shares the
-                // occurrence's cost-feedback cell, so the observations of
-                // the sequential baseline would legitimately re-route the
-                // parallel run (a different algorithm reports different
-                // logical stats).  A fresh prepare makes both runs decide
-                // from the same blank slate, isolating the sharding knob —
+                // A fresh prepare decides by the same rule as the
+                // sequential baseline, so only the sharding knob differs —
                 // which is what this property pins.
                 let parallel = engine
                     .prepare(&query)

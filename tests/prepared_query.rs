@@ -189,10 +189,9 @@ fn auto_backend_is_bounded_by_capability_and_settled_by_cost() {
     // `position()` inside a predicate is outside the algebraic compiler's
     // subset, so under Backend::Auto the second occurrence can only run on
     // the interpreter.  The first compiles, which leaves the choice to the
-    // cost model — and since path steps run once per focus set a per-seed
-    // run is cheaper source-level (curriculum S per seed: 1.4 ms against
-    // 4.5 ms on the relational executor), so it goes there too.  Until then
-    // the model sent it to the executor and this query mixed back-ends.
+    // plan rule — and a per-seed run goes to the interpreter too: path
+    // steps run once per focus set there (curriculum S per seed: 1.4 ms
+    // against 4.5 ms on the relational executor).
     let mut engine = curriculum_engine();
     engine.set_backend(Backend::Auto);
     let prepared = engine
@@ -513,12 +512,9 @@ fn text_constructed_between_two_algebraic_runs_leaves_both_answers_alone() {
     }
 }
 
-/// An execution's run summary is its own.  The feedback cell is shared by
-/// every session executing the plan, so it may only hold *completed*
-/// observations: were the in-flight accumulator in there too, the fast
-/// executions below would roll the slow one's runs up as theirs — leaving
-/// the execution that did the work without an observed cost, and the cost
-/// model with two runs' wall time under one observation.
+/// An execution's run summary is its own: every session executing the
+/// plan gets back exactly the fixpoint runs it made, however the fast
+/// executions below interleave with the slow one.
 #[test]
 fn concurrent_executions_of_one_plan_keep_their_own_run_summaries() {
     use xqy_ifp::xdm::{Item, Sequence};
@@ -530,20 +526,17 @@ fn concurrent_executions_of_one_plan_keep_their_own_run_summaries() {
               count(for $i in (1 to $n) return $i))"
         ))
         .unwrap();
-    // One execution with `$n = n`: 1 when it came back without its own
-    // fixpoint run or without that run's observed cost, else 0.
+    // One execution with `$n = n`: 1 when it came back without exactly
+    // its own fixpoint run, else 0.
     let lost = |engine: &mut Engine, n: i64| {
         let steps = Bindings::new().with("n", Sequence::singleton(Item::integer(n)));
         let outcome = prepared.execute(engine, &steps).unwrap();
-        let whole =
-            outcome.fixpoints.len() == 1 && outcome.occurrences[0].observed_cost_micros.is_some();
-        usize::from(!whole)
+        usize::from(outcome.fixpoints.len() != 1)
     };
 
     let (slow_lost, fast_lost) = std::thread::scope(|scope| {
         // The fixpoint runs first; the loop then keeps the execution in
-        // flight, its runs not yet rolled up, while this thread finishes
-        // execution after execution.
+        // flight while this thread finishes execution after execution.
         let slow = scope.spawn(|| {
             let mut engine = curriculum_engine();
             (0..20).map(|_| lost(&mut engine, 200_000)).sum::<usize>()
