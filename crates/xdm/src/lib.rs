@@ -65,7 +65,7 @@ pub use ops::{ddo, ddo_vec, intersect, is_subset, node_except, node_union, set_e
 pub use pathjoin::{Hop, JoinScratch, PathJoin};
 pub use sequence::Sequence;
 pub use stats::{DocumentStatistics, StoreStatistics};
-pub use store::{sorted_count, DocId, NodeStore, Step, StrView};
+pub use store::{sorted_count, tokenised_count, DocId, NodeStore, Step, StrView};
 pub use value::{AtomicValue, Item, UText};
 
 /// Convenient result alias used throughout the crate.

@@ -15,9 +15,10 @@
 //! MonetDB/XQuery back-end runs a location step as one physical operator
 //! over a node set (staircase join, Grust et al., VLDB 2003).  A step runs
 //! its prebuilt [`Step`] (matcher included) over every node of the set;
-//! an `id()` hop probes the ID index once per run of same-document nodes
-//! ([`NodeStore::lookup_id_nodes`]): each argument node resolves in its
-//! own document, as `fn:id` over a relative path does.
+//! an `id()` hop makes one [`NodeStore::lookup_id_nodes`] call per run of
+//! same-document nodes, which copies each node's slice of that document's
+//! ID adjacency: each argument node resolves in its own document, as
+//! `fn:id` over a relative path does.
 //!
 //! **No hop sorts.**  Every hop after the first is a function of its input
 //! *set* — a predicate-free step and `id()` read nothing of a node but the
@@ -31,9 +32,10 @@
 //! end — or not at all, where it folds the result as a set, as the
 //! fixpoint driver does.
 //!
-//! The kernel keeps no state past its scratch: nothing is built per
-//! document, and scratch lives as long as its owner keeps it — one
-//! fixpoint run in the executor, one execution in the interpreter.
+//! The kernel keeps no state past its scratch, which lives as long as its
+//! owner keeps it — one fixpoint run in the executor, one execution in the
+//! interpreter.  The one thing built per document is the store's: the ID
+//! adjacency an `id()` hop reads, kept in the document's derived state.
 
 use crate::node::{Axis, NodeId, NodeTest};
 use crate::store::{DocId, NodeStore, Step};

@@ -38,16 +38,19 @@
 //!
 //! Everything derived from a document's nodes and ID declarations — order
 //! ranks, the ID index, whether arena order is document order, its
-//! [`DocumentStatistics`], and the memo of its string-value concatenations
-//! — lives in one `OnceLock` inside the document.  It is built by whichever
-//! reader needs it first, through `&NodeStore`, and every store, snapshot
-//! and session holding that document then reads the same copy.  "Is this
-//! derived state stale?" is answered by ownership, not by a tag: a shared
-//! document cannot change, and a mutated one has had its derived state
-//! taken away.  An `id()` probe is therefore one atomic load plus one probe
-//! of that index; the only lock on a read path is the per-document `Mutex`
-//! around the string-value memo, held for a lookup or an insert and never
-//! while a concatenation is rendered.  `NodeStore` is [`Sync`]: the parallel
+//! [`DocumentStatistics`], the memo of its string-value concatenations and
+//! the ID adjacency `fn:id` over nodes reads — lives in one `OnceLock`
+//! inside the document.  It is built by whichever reader needs it first,
+//! through `&NodeStore`, and every store, snapshot and session holding that
+//! document then reads the same copy.  "Is this derived state stale?" is
+//! answered by ownership, not by a tag: a shared document cannot change,
+//! and a mutated one has had its derived state taken away.  A `lookup_id`
+//! is therefore one atomic load plus one probe of that index, and an `id()`
+//! hop over argument nodes one more load (the adjacency has a `OnceLock` of
+//! its own, filled by the first such hop) plus a slice copy per argument;
+//! the only lock on a read path is the per-document `Mutex` around the
+//! string-value memo, held for a lookup or an insert and never while a
+//! concatenation is rendered.  `NodeStore` is [`Sync`]: the parallel
 //! fixpoint drivers hand one `&NodeStore` to every shard of a scoped thread
 //! pool.
 
@@ -67,6 +70,7 @@ use crate::Result;
 
 std::thread_local! {
     static SORTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static TOKENISED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// How many nodes this thread has passed through
@@ -78,6 +82,17 @@ std::thread_local! {
 /// observe each other's sorts.
 pub fn sorted_count() -> u64 {
     SORTED.with(|sorted| sorted.get())
+}
+
+/// How many `fn:id` argument nodes this thread has resolved by tokenising
+/// their string value in [`NodeStore::lookup_id_nodes`] — mixed-content
+/// elements and arguments from another document than the anchor — rather
+/// than by copying their slice of the document's ID adjacency.
+///
+/// A time cannot say which route a probe took; this counter can.
+/// Thread-local, like [`sorted_count`].
+pub fn tokenised_count() -> u64 {
+    TOKENISED.with(|tokenised| tokenised.get())
 }
 
 /// Identifier of a document inside a [`NodeStore`].
@@ -200,6 +215,10 @@ struct Derived {
     /// re-renders nothing.  Filled through shared references, hence the
     /// `Mutex`; it only ever holds values that are true of this document.
     text_memo: Mutex<IdMap<u32, Arc<str>>>,
+    /// The `id()` edges out of every node, built by the first
+    /// [`NodeStore::lookup_id_nodes`] into this document and not before:
+    /// a document no `id()` hop touches never pays for it.
+    ids: OnceLock<IdAdjacency>,
 }
 
 impl Derived {
@@ -234,8 +253,137 @@ impl Derived {
             stats: document_statistics(nodes, max_depth, id_index.len() as u64),
             id_index,
             text_memo: Mutex::default(),
+            ids: OnceLock::new(),
         }
     }
+}
+
+/// Marks, in [`IdAdjacency::offsets`], a node whose string value is a
+/// concatenation: its targets are found by tokenising at probe time.
+const CONCAT: u32 = 1 << 31;
+
+/// `fn:id` as an edge relation: for every node of a document, the elements
+/// of that document its string value names, in CSR form — what an `id()`
+/// hop reads instead of tokenising and hashing its argument.
+///
+/// Only a node whose value is at most one text-pool payload (an attribute,
+/// text, comment or PI; an element or document with no children or one
+/// text child) has its edges here; a genuine concatenation is marked
+/// [`CONCAT`] and keeps the tokenising route.  4 bytes per node and 4 per
+/// edge.
+#[derive(Debug)]
+struct IdAdjacency {
+    /// Node `i`'s edges are `targets[offsets[i]..offsets[i + 1]]` (the
+    /// [`CONCAT`] bit masked off); `nodes + 1` entries.
+    offsets: Vec<u32>,
+    /// Arena indexes of elements, as tokens name them (repeats kept).
+    targets: Vec<u32>,
+}
+
+impl IdAdjacency {
+    /// One pass over the arena in index order.
+    fn build(nodes: &[NodeData], id_index: &IdMap<StrId, u32>, text: &TextPool) -> Self {
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut targets = Vec::new();
+        for n in 0..nodes.len() as u32 {
+            let start = targets.len() as u32;
+            offsets.push(match payload(nodes, n) {
+                Payload::Empty => start,
+                Payload::Sym(sym) => {
+                    id_targets(text, id_index, text.resolve(sym), Some(sym), |t| {
+                        targets.push(t)
+                    });
+                    start
+                }
+                Payload::Concat => start | CONCAT,
+            });
+        }
+        assert!(targets.len() < CONCAT as usize, "ID adjacency is full");
+        offsets.push(targets.len() as u32);
+        targets.shrink_to_fit();
+        IdAdjacency { offsets, targets }
+    }
+
+    /// Node `n`'s edges, or `None` when its value must be tokenised.
+    fn targets(&self, n: u32) -> Option<&[u32]> {
+        let (start, end) = (self.offsets[n as usize], self.offsets[n as usize + 1]);
+        (start & CONCAT == 0).then(|| &self.targets[start as usize..(end & !CONCAT) as usize])
+    }
+
+    /// Heap bytes held.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        (self.offsets.capacity() + self.targets.capacity()) * std::mem::size_of::<u32>()
+    }
+}
+
+/// A node's string value as its record and its children's give it,
+/// before any concatenation is rendered.
+enum Payload {
+    /// An element or document with no children: the empty string.
+    Empty,
+    /// One text-pool payload: a leaf's own, or an element's or
+    /// document's single text child's.
+    Sym(StrId),
+    /// A genuine concatenation of descendant text.
+    Concat,
+}
+
+fn payload(nodes: &[NodeData], n: u32) -> Payload {
+    let data = &nodes[n as usize];
+    match data.kind {
+        NodeKind::Attribute(_, v)
+        | NodeKind::Text(v)
+        | NodeKind::Comment(v)
+        | NodeKind::ProcessingInstruction(_, v) => Payload::Sym(v),
+        NodeKind::Element(_) | NodeKind::Document => match data.first_child {
+            NIL => Payload::Empty,
+            only if only == data.last_child => match nodes[only as usize].kind {
+                NodeKind::Text(t) => Payload::Sym(t),
+                _ => Payload::Concat,
+            },
+            _ => Payload::Concat,
+        },
+    }
+}
+
+/// Hand `emit` the element `id_index` holds for each whitespace-separated
+/// token of `value` (whose whole text is the pool symbol `whole`, where
+/// known), returning the number of index probes.  The one tokeniser of
+/// `fn:id` over nodes: the adjacency's build and the probe-time route both
+/// call it.  A value that is one token probes by `whole` as is; a token the
+/// pool has never seen names nothing and is not probed.
+fn id_targets(
+    text: &TextPool,
+    id_index: &IdMap<StrId, u32>,
+    value: &str,
+    whole: Option<StrId>,
+    mut emit: impl FnMut(u32),
+) -> u64 {
+    let mut probes = 0;
+    let mut probe = |sym: StrId| {
+        probes += 1;
+        if let Some(&n) = id_index.get(&sym) {
+            emit(n);
+        }
+    };
+    // Printable ASCII holds no whitespace: one token, no `char` decoding.
+    if let Some(sym) = whole {
+        if !value.is_empty() && value.bytes().all(|b| b > b' ' && b.is_ascii()) {
+            probe(sym);
+            return probes;
+        }
+    }
+    let mut tokens = value.split_whitespace();
+    match (tokens.next(), whole) {
+        (None, _) => {}
+        (Some(first), Some(sym)) if first.len() == value.len() => probe(sym),
+        (Some(first), _) => std::iter::once(first)
+            .chain(tokens)
+            .filter_map(|token| text.get(token))
+            .for_each(probe),
+    }
+    probes
 }
 
 fn build_id_index(
@@ -653,56 +801,57 @@ impl NodeStore {
     /// token of the node's string value (duplicates kept — callers order
     /// and deduplicate).
     ///
-    /// Attribute and text payloads already *are* text-pool symbols and the
-    /// ID index is keyed by symbol, so a whitespace-free payload probes the
-    /// index as is — no string is hashed, no value handle cloned.
-    /// IDREFS-style payloads and genuine element concatenations are
-    /// tokenised first.
+    /// An argument of `doc` whose value is at most one text payload — an
+    /// attribute, text, comment or PI, an element with no children or one
+    /// text child — is answered by copying its slice of the document's ID
+    /// adjacency, built by the first call into `doc` in one pass over its
+    /// nodes and kept in its derived state: no string is resolved,
+    /// tokenised or hashed.  A mixed-content element and an argument from
+    /// another document are tokenised against `doc`'s ID index as the build
+    /// does ([`tokenised_count`] counts them).
     pub fn lookup_id_nodes(&self, doc: DocId, args: &[NodeId], out: &mut Vec<NodeId>) {
         let Some(d) = self.docs.get(doc.0 as usize) else {
             return;
         };
-        let id_index = &d.derived(&self.names).id_index;
+        let derived = d.derived(&self.names);
+        let ids = derived
+            .ids
+            .get_or_init(|| IdAdjacency::build(&d.nodes, &derived.id_index, &self.text));
+        let (text, index) = (&self.text, &derived.id_index);
         let mut probes = 0u64;
-        let mut probe = |sym: StrId| {
-            probes += 1;
-            if let Some(&n) = id_index.get(&sym) {
-                out.push(NodeId::new(doc.0, n));
-            }
-        };
-        let mut probe_tokens = |text: &str, whole: Option<StrId>| {
-            let mut tokens = text.split_whitespace();
-            match (tokens.next(), whole) {
-                (None, _) => {}
-                (Some(first), Some(sym)) if first.len() == text.len() => probe(sym),
-                (Some(first), _) => std::iter::once(first)
-                    .chain(tokens)
-                    .filter_map(|token| self.text.get(token))
-                    .for_each(&mut probe),
-            }
-        };
+        let mut tokenised = 0u64;
         for &arg in args {
-            let sym = match self.string_value_sym(arg) {
-                Some(sym) => sym,
-                None => match self.container_text(arg) {
-                    ContainerText::Empty => continue,
-                    ContainerText::Sym(sym) => sym,
-                    ContainerText::Concat(text) => {
-                        probe_tokens(&text, None);
-                        continue;
-                    }
-                },
+            if arg.doc == doc.0 {
+                if let Some(targets) = ids.targets(arg.node) {
+                    probes += 1;
+                    out.extend(targets.iter().map(|&n| NodeId::new(doc.0, n)));
+                    continue;
+                }
+            }
+            tokenised += 1;
+            let emit = |n| out.push(NodeId::new(doc.0, n));
+            probes += match payload(&self.docs[arg.doc as usize].nodes, arg.node) {
+                Payload::Empty => 0,
+                Payload::Sym(sym) => id_targets(text, index, text.resolve(sym), Some(sym), emit),
+                Payload::Concat => id_targets(text, index, &self.concatenation(arg), None, emit),
             };
-            probe_tokens(self.text.resolve(sym), Some(sym));
+        }
+        if tokenised > 0 {
+            TOKENISED.with(|count| count.set(count.get() + tokenised));
         }
         self.id_probe_hits.fetch_add(probes, Relaxed);
     }
 
-    /// Lifetime count of `fn:id` probes a document's ID index answered —
-    /// found or not; a value the text pool has never seen is refused before
-    /// it reaches an index and is not counted.  The name dates from a probe
-    /// memo that no longer exists; it is kept for the benchmark adapter and
-    /// retires with it (ROADMAP 2a).
+    /// Lifetime count of `fn:id` probes, found or not: one per argument
+    /// node a document's ID adjacency answers
+    /// ([`lookup_id_nodes`](NodeStore::lookup_id_nodes)), and one per value
+    /// or token that reaches a document's ID index ([`lookup_id`] and the
+    /// tokenising route); a value the text pool has never seen is refused
+    /// before it reaches an index and is not counted.  The name dates from
+    /// a probe memo that no longer exists; it is kept for the benchmark
+    /// adapter and retires with it (ROADMAP 2a).
+    ///
+    /// [`lookup_id`]: NodeStore::lookup_id
     pub fn id_probe_hits(&self) -> u64 {
         self.id_probe_hits.load(Relaxed)
     }
@@ -1039,19 +1188,6 @@ impl NodeStore {
         self.text.shares_storage_with(&other.text)
     }
 
-    /// The text-pool symbol of a *leaf-shaped* node's string value
-    /// (attributes, text, comments, PIs); `None` for elements and
-    /// documents, whose value is a concatenation.
-    fn string_value_sym(&self, node: NodeId) -> Option<StrId> {
-        match self.kind(node) {
-            NodeKind::Attribute(_, v) => Some(*v),
-            NodeKind::Text(t) => Some(*t),
-            NodeKind::Comment(c) => Some(*c),
-            NodeKind::ProcessingInstruction(_, c) => Some(*c),
-            NodeKind::Element(_) | NodeKind::Document => None,
-        }
-    }
-
     /// The typed/string value of a node: for elements and documents the
     /// concatenation of all descendant text nodes, for attributes and text
     /// nodes their content, for comments and PIs their text.
@@ -1102,19 +1238,20 @@ impl NodeStore {
     /// concatenation is rendered once per document value and kept in the
     /// document's memo, charged to the budget of the query that rendered it.
     fn container_text(&self, node: NodeId) -> ContainerText {
+        match payload(&self.docs[node.doc as usize].nodes, node.node) {
+            Payload::Empty => ContainerText::Empty,
+            Payload::Sym(sym) => ContainerText::Sym(sym),
+            Payload::Concat => ContainerText::Concat(self.concatenation(node)),
+        }
+    }
+
+    /// The descendant text of an element or document whose value is a
+    /// genuine concatenation, from the document's memo.
+    fn concatenation(&self, node: NodeId) -> Arc<str> {
         let d = &self.docs[node.doc as usize];
-        let data = &d.nodes[node.node as usize];
-        if data.first_child == NIL {
-            return ContainerText::Empty;
-        }
-        if data.first_child == data.last_child {
-            if let NodeKind::Text(t) = d.nodes[data.first_child as usize].kind {
-                return ContainerText::Sym(t);
-            }
-        }
         let memo = &d.derived(&self.names).text_memo;
         if let Some(text) = mutex_lock(memo).get(&node.node) {
-            return ContainerText::Concat(text.clone());
+            return text.clone();
         }
         // Render outside the lock; a reader racing on the same node renders
         // the same text and the first insert wins.
@@ -1122,11 +1259,11 @@ impl NodeStore {
         self.collect_text(node, &mut out);
         let text: Arc<str> = Arc::from(out);
         match mutex_lock(memo).entry(node.node) {
-            Entry::Occupied(first) => ContainerText::Concat(first.get().clone()),
+            Entry::Occupied(first) => first.get().clone(),
             Entry::Vacant(slot) => {
                 crate::budget::charge(memo_cost(&text));
                 slot.insert(text.clone());
-                ContainerText::Concat(text)
+                text
             }
         }
     }
@@ -1648,6 +1785,54 @@ mod tests {
             .collect();
         store.sort_distinct(&mut by_string);
         assert_eq!(id_nodes(&store, doc, &args), by_string);
+    }
+
+    #[test]
+    fn the_id_adjacency_is_built_by_the_first_id_hop_and_stays_small() {
+        let mut store = NodeStore::new();
+        let mut xml = String::from("<r>");
+        for i in 0..500 {
+            let next = (i + 1) % 500;
+            xml.push_str(&format!(
+                "<p id=\"p{i}\" ref=\"p{next} zz p{i}\"><q>p{next}</q><m>p{i}<i/>x</m></p>"
+            ));
+        }
+        xml.push_str("</r>");
+        let doc = store.parse_document(&xml).unwrap();
+        let adjacency = |store: &NodeStore| {
+            let derived = store.docs[doc.0 as usize].derived.get();
+            derived.and_then(|d| d.ids.get()).map(|ids| ids as *const _)
+        };
+        // Derived state without an `id()` hop over nodes: no adjacency.
+        store.refresh_all();
+        assert_eq!(store.lookup_id(doc, "p0").map(|n| n.node), Some(2));
+        assert!(adjacency(&store).is_none());
+        let root = store.document_element(doc).unwrap();
+        let mut out = Vec::new();
+        store.lookup_id_nodes(doc, &[root], &mut out);
+        let built = adjacency(&store).expect("built by the first hop");
+        let ids = store.docs[doc.0 as usize]
+            .derived
+            .get()
+            .unwrap()
+            .ids
+            .get()
+            .unwrap();
+        let nodes = store.docs[doc.0 as usize].nodes.len();
+        // Per `p`: two from `ref`, one each from `id`, `q`, `q`'s text and
+        // `m`'s first text; none from `m`, a concatenation.
+        assert_eq!(ids.targets.len(), 500 * 6);
+        assert!(
+            ids.bytes() as f64 <= 4.25 * nodes as f64 + 4.0 * ids.targets.len() as f64,
+            "{} bytes for {nodes} nodes and {} edges",
+            ids.bytes(),
+            ids.targets.len()
+        );
+        // A clone shares it; a mutation drops it with the derived state.
+        let clone = store.clone();
+        assert_eq!(adjacency(&clone), Some(built));
+        store.register_id_attribute(doc, "ref");
+        assert!(adjacency(&store).is_none());
     }
 
     #[test]

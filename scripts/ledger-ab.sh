@@ -21,7 +21,10 @@
 # change reads better than every run of the parent — and then every pair is
 # listed under the table; `ok` otherwise.  Under the table, every cell's
 # (`cell.*`) parent and change median and their ratio say which cells a
-# gain or a loss comes from.
+# gain or a loss comes from, and each side's median `attempted` a run says
+# how many operations it timed: the ledger keeps every latency sample, so
+# `peak_rss_mb` grows with that count (ROADMAP 2a) and an RSS verdict is
+# read against throughput.
 #
 # The parent is unpacked with `git archive` under target/ledger-ab/ and both
 # ledgers are built by their own, unedited benchmark/run.sh into separate
@@ -134,7 +137,8 @@ awk -F'\t' -v contract="$contract" '
         }
     }
     !($1 in seen) { seen[$1] = 1; workload[++workloads] = $1 }
-    $4 == "attempted" || $4 == "failed" { total[$1, $2, $4] += $5; next }
+    $4 == "attempted" || $4 == "failed" { total[$1, $2, $4] += $5 }
+    $4 == "failed" { next }
     $4 ~ /^cell\./ && !(($1, $4) in celled) { celled[$1, $4] = 1; cell[$1, ++cells[$1]] = $4 }
     { value[$1, $2, $4, $3] = $5; if ($3 > count[$1, $4]) count[$1, $4] = $3 }
     END {
@@ -179,6 +183,8 @@ awk -F'\t' -v contract="$contract" '
             printf "failed: %s parent %d of %d attempted, change %d of %d\n", w,
                 total[w, "parent", "failed"], total[w, "parent", "attempted"],
                 total[w, "change", "failed"], total[w, "change", "attempted"]
+            printf "attempted a run: %s parent %s, change %s\n", w,
+                summary(w, "parent", "attempted"), summary(w, "change", "attempted")
         }
     }
 ' "${tables[@]}"

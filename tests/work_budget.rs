@@ -7,9 +7,12 @@
 //! seeded by [`BATCH`] nodes, `for`: a loop of one fixpoint per node}.
 //! After a warm-up execution (which fills the store's memos), a freshly
 //! prepared query executes once under the counters: allocator calls and bytes are pinned from above, the nodes
-//! fed back, body evaluations, recursion depth and the nodes passed through
-//! `NodeStore::sort_distinct` exactly — an in-place sort allocates nothing,
-//! so only the last sees a sort put back where none was.  The queries are
+//! fed back, body evaluations, recursion depth, the nodes passed through
+//! `NodeStore::sort_distinct` and the `id()` arguments tokenised at probe
+//! time exactly — an in-place sort allocates nothing, so only the sort
+//! column sees a sort put back where none was, and a probe that no longer
+//! reads the document's ID adjacency allocates nothing either, so only the
+//! last column sees it.  The queries are
 //! prepared with [`Parallelism::Sequential`], so a run under
 //! `XQY_FIXPOINT_THREADS` reads the same numbers; a fresh prepared query
 //! carries no observed cost, so the plan decision is the same every run.
@@ -22,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use xqy_datagen::{auction, curriculum, hospital, play, Scale};
-use xqy_ifp::xdm::{sorted_count, Sequence};
+use xqy_ifp::xdm::{sorted_count, tokenised_count, Sequence};
 use xqy_ifp::{Backend, Bindings, Engine, Parallelism, PreparedQuery, Strategy};
 
 /// The system allocator, counting calls and requested bytes.
@@ -75,6 +78,9 @@ struct Work {
     depth: usize,
     /// Nodes passed through `NodeStore::sort_distinct` during the execution.
     sorted: u64,
+    /// `id()` argument nodes resolved by tokenising their string value
+    /// rather than from the document's ID adjacency (`tokenised_count`).
+    tokenised: u64,
 }
 
 /// `(workload, strategy, back-end, shape)` and its pinned work: `allocs`
@@ -88,6 +94,7 @@ const fn w(
     body_evals: usize,
     depth: usize,
     sorted: u64,
+    tokenised: u64,
 ) -> Work {
     Work {
         allocs,
@@ -96,6 +103,7 @@ const fn w(
         body_evals,
         depth,
         sorted,
+        tokenised,
     }
 }
 
@@ -103,38 +111,38 @@ const fn w(
 /// above the reading (a release build reads at most one call fewer).
 #[rustfmt::skip]
 const PINS: &[Pin] = &[
-    ("curriculum", "naive", "source", "single", w(362, 80586, 1217, 21, 20, 553)),
-    ("curriculum", "naive", "source", "for", w(2513, 446957, 6917, 184, 21, 6566)),
-    ("curriculum", "naive", "algebraic", "single", w(263, 51624, 1217, 21, 20, 0)),
-    ("curriculum", "naive", "algebraic", "for", w(2174, 373887, 6917, 184, 21, 0)),
-    ("curriculum", "delta", "source", "single", w(269, 23466, 90, 21, 20, 114)),
-    ("curriculum", "delta", "source", "for", w(640, 63648, 511, 85, 21, 231)),
-    ("curriculum", "delta", "algebraic", "single", w(217, 22157, 90, 21, 20, 0)),
-    ("curriculum", "delta", "algebraic", "for", w(417, 57274, 511, 21, 21, 85)),
-    ("auction", "naive", "source", "single", w(153, 57057, 486, 6, 5, 34)),
-    ("auction", "naive", "source", "for", w(1246, 336632, 3927, 72, 9, 497)),
-    ("auction", "naive", "algebraic", "single", w(123, 44792, 486, 6, 5, 0)),
-    ("auction", "naive", "algebraic", "for", w(1164, 388864, 3927, 72, 9, 0)),
-    ("auction", "delta", "source", "single", w(143, 36536, 130, 6, 5, 48)),
-    ("auction", "delta", "source", "for", w(740, 111764, 1074, 119, 9, 615)),
-    ("auction", "delta", "algebraic", "single", w(123, 31571, 130, 6, 5, 0)),
-    ("auction", "delta", "algebraic", "for", w(402, 113539, 1074, 6, 9, 119)),
-    ("play", "naive", "source", "single", w(246, 51287, 825, 17, 16, 705)),
-    ("play", "naive", "source", "for", w(1079, 110210, 355, 81, 16, 343)),
-    ("play", "naive", "algebraic", "single", w(207, 40097, 825, 17, 16, 0)),
-    ("play", "naive", "algebraic", "for", w(1022, 115721, 355, 81, 16, 0)),
-    ("play", "delta", "source", "single", w(227, 23751, 80, 17, 16, 68)),
-    ("play", "delta", "source", "for", w(573, 40242, 80, 80, 16, 148)),
-    ("play", "delta", "algebraic", "single", w(186, 22759, 80, 17, 16, 0)),
-    ("play", "delta", "algebraic", "for", w(343, 31941, 80, 17, 16, 80)),
-    ("hospital", "naive", "source", "single", w(132, 40367, 195, 5, 4, 71)),
-    ("hospital", "naive", "source", "for", w(954, 159896, 206, 60, 4, 235)),
-    ("hospital", "naive", "algebraic", "single", w(113, 32581, 195, 5, 4, 0)),
-    ("hospital", "naive", "algebraic", "for", w(960, 175470, 206, 60, 4, 0)),
-    ("hospital", "delta", "source", "single", w(101, 22122, 98, 5, 4, 86)),
-    ("hospital", "delta", "source", "for", w(599, 49549, 105, 98, 4, 188)),
-    ("hospital", "delta", "algebraic", "single", w(98, 22669, 98, 5, 4, 0)),
-    ("hospital", "delta", "algebraic", "for", w(269, 38798, 105, 5, 4, 98)),
+    ("curriculum", "naive", "source", "single", w(359, 80187, 1217, 21, 20, 553, 0)),
+    ("curriculum", "naive", "source", "for", w(2510, 446558, 6917, 184, 21, 6566, 0)),
+    ("curriculum", "naive", "algebraic", "single", w(260, 51225, 1217, 21, 20, 0, 0)),
+    ("curriculum", "naive", "algebraic", "for", w(2171, 373488, 6917, 184, 21, 0, 0)),
+    ("curriculum", "delta", "source", "single", w(266, 23067, 90, 21, 20, 114, 0)),
+    ("curriculum", "delta", "source", "for", w(637, 63249, 511, 85, 21, 231, 0)),
+    ("curriculum", "delta", "algebraic", "single", w(214, 21758, 90, 21, 20, 0, 0)),
+    ("curriculum", "delta", "algebraic", "for", w(414, 56875, 511, 21, 21, 85, 0)),
+    ("auction", "naive", "source", "single", w(150, 56658, 486, 6, 5, 34, 0)),
+    ("auction", "naive", "source", "for", w(1243, 336233, 3927, 72, 9, 497, 0)),
+    ("auction", "naive", "algebraic", "single", w(120, 44393, 486, 6, 5, 0, 0)),
+    ("auction", "naive", "algebraic", "for", w(1161, 388465, 3927, 72, 9, 0, 0)),
+    ("auction", "delta", "source", "single", w(140, 36137, 130, 6, 5, 48, 0)),
+    ("auction", "delta", "source", "for", w(737, 111365, 1074, 119, 9, 615, 0)),
+    ("auction", "delta", "algebraic", "single", w(120, 31172, 130, 6, 5, 0, 0)),
+    ("auction", "delta", "algebraic", "for", w(398, 113140, 1074, 6, 9, 119, 0)),
+    ("play", "naive", "source", "single", w(243, 50888, 825, 17, 16, 705, 0)),
+    ("play", "naive", "source", "for", w(1076, 109811, 355, 81, 16, 343, 0)),
+    ("play", "naive", "algebraic", "single", w(204, 39698, 825, 17, 16, 0, 0)),
+    ("play", "naive", "algebraic", "for", w(1019, 115322, 355, 81, 16, 0, 0)),
+    ("play", "delta", "source", "single", w(224, 23352, 80, 17, 16, 68, 0)),
+    ("play", "delta", "source", "for", w(570, 39843, 80, 80, 16, 148, 0)),
+    ("play", "delta", "algebraic", "single", w(183, 22360, 80, 17, 16, 0, 0)),
+    ("play", "delta", "algebraic", "for", w(340, 31542, 80, 17, 16, 80, 0)),
+    ("hospital", "naive", "source", "single", w(129, 39968, 195, 5, 4, 71, 0)),
+    ("hospital", "naive", "source", "for", w(951, 159497, 206, 60, 4, 235, 0)),
+    ("hospital", "naive", "algebraic", "single", w(110, 32182, 195, 5, 4, 0, 0)),
+    ("hospital", "naive", "algebraic", "for", w(957, 175071, 206, 60, 4, 0, 0)),
+    ("hospital", "delta", "source", "single", w(98, 21723, 98, 5, 4, 86, 0)),
+    ("hospital", "delta", "source", "for", w(596, 49150, 105, 98, 4, 188, 0)),
+    ("hospital", "delta", "algebraic", "single", w(95, 22270, 98, 5, 4, 0, 0)),
+    ("hospital", "delta", "algebraic", "for", w(266, 38399, 105, 5, 4, 98, 0)),
 ];
 
 struct Workload {
@@ -195,10 +203,11 @@ fn measure(
     let prepare = || PreparedQuery::prepare(query, strategy, backend, Parallelism::Sequential);
     prepare().unwrap().execute(engine, bindings).unwrap();
     let prepared = prepare().unwrap();
-    let (calls, bytes, sorted) = (CALLS.load(Relaxed), BYTES.load(Relaxed), sorted_count());
+    let (calls, bytes) = (CALLS.load(Relaxed), BYTES.load(Relaxed));
+    let (sorted, tokenised) = (sorted_count(), tokenised_count());
     let outcome = prepared.execute(engine, bindings).unwrap();
     let (allocs, bytes) = (CALLS.load(Relaxed) - calls, BYTES.load(Relaxed) - bytes);
-    let sorted = sorted_count() - sorted;
+    let (sorted, tokenised) = (sorted_count() - sorted, tokenised_count() - tokenised);
     let runs = &outcome.fixpoints;
     Work {
         allocs,
@@ -207,6 +216,7 @@ fn measure(
         body_evals: runs.iter().map(|r| r.payload_calls).sum(),
         depth: runs.iter().map(|r| r.iterations).max().unwrap_or(0),
         sorted,
+        tokenised,
     }
 }
 
@@ -253,8 +263,8 @@ fn table_2_cells_stay_within_their_work_pins() {
         .iter()
         .map(|(workload, strategy, backend, shape, m)| {
             format!(
-                "    ({workload:?}, {strategy:?}, {backend:?}, {shape:?}, w({}, {}, {}, {}, {}, {})),\n",
-                m.allocs, m.bytes, m.fed_back, m.body_evals, m.depth, m.sorted
+                "    ({workload:?}, {strategy:?}, {backend:?}, {shape:?}, w({}, {}, {}, {}, {}, {}, {})),\n",
+                m.allocs, m.bytes, m.fed_back, m.body_evals, m.depth, m.sorted, m.tokenised
             )
         })
         .collect();
@@ -262,11 +272,24 @@ fn table_2_cells_stay_within_their_work_pins() {
     for (pin, got) in PINS.iter().zip(&measured) {
         let (key, want, work) = ((pin.0, pin.1, pin.2, pin.3), pin.4, got.4);
         assert_eq!(key, (got.0, got.1, got.2, got.3), "measured:\n{table}");
-        let exact = (work.fed_back, work.body_evals, work.depth, work.sorted);
+        let exact = (
+            work.fed_back,
+            work.body_evals,
+            work.depth,
+            work.sorted,
+            work.tokenised,
+        );
         assert_eq!(
             exact,
-            (want.fed_back, want.body_evals, want.depth, want.sorted),
-            "{key:?}: fed back, body evaluations, depth, nodes sorted; measured:\n{table}"
+            (
+                want.fed_back,
+                want.body_evals,
+                want.depth,
+                want.sorted,
+                want.tokenised
+            ),
+            "{key:?}: fed back, body evaluations, depth, nodes sorted, id() arguments \
+             tokenised; measured:\n{table}"
         );
         assert!(
             work.allocs <= want.allocs && work.bytes <= want.bytes,
