@@ -46,17 +46,16 @@
 //! computed on the first iteration and shared by every later one).  Both
 //! are built when the run starts and dropped when it ends, so no plan,
 //! store or document load can make a relation stale — there is nothing to
-//! invalidate.  What outlives a run is its limits, its shard count and two
-//! counters; the prepared-query layer makes one executor per execution.
+//! invalidate.  What outlives a run is its limits and two counters; the
+//! prepared-query layer makes one executor per execution.
 //!
 //! ## Fixpoints
 //!
 //! The executor does not own a fixpoint loop: [`Executor::run_fixpoint`]
 //! and [`Executor::run_fixpoint_batched`] hand a compiled body to the
-//! shared Figure-3 driver ([`xqy_xdm::fixpoint`]) as a [`Body`].  The body
-//! always runs on the caller thread, against the caller's store;
-//! [`Executor::set_threads`] only lets the driver shard its folds (by seed,
-//! or by lane of 64 seeds in a shared batch), as on the interpreter.
+//! shared Figure-3 driver ([`xqy_xdm::fixpoint`]) as a [`Body`].  The whole
+//! run — body, folds and materialisation — is on the caller thread,
+//! against the caller's store, as on the interpreter.
 
 use std::iter::repeat_n;
 use std::mem::size_of;
@@ -257,8 +256,6 @@ pub struct Executor {
     /// reset; a breach stops the run between iterations, never
     /// mid-mutation.
     pub limits: Limits,
-    /// Shard count of the driver's folds; `1` = sequential (default).
-    threads: usize,
 }
 
 impl Default for Executor {
@@ -275,7 +272,6 @@ impl Executor {
             static_cache_hits: 0,
             static_plan_evals: 0,
             limits: Limits::default(),
-            threads: 1,
         }
     }
 
@@ -292,20 +288,6 @@ impl Executor {
             .filter_map(|(value, _)| value.take())
             .map(|relation| relation.bytes())
             .sum()
-    }
-
-    /// Set the shard count of the fixpoint driver
-    /// ([`xqy_xdm::fixpoint::Config::threads`]).  The one sharding rule, as
-    /// on the interpreter: the driver splits its folds and final
-    /// materialisations — by seed, or by lane of 64 seeds in a shared
-    /// batch — over at most this many threads,
-    /// and the body always runs on the caller thread.  A single seed has
-    /// nothing to split, `1` (the default; `0` clamps to it) runs
-    /// everything inline, and once a memory budget has used its relief
-    /// round the rest of the query is sequential.  Results and statistics
-    /// are identical at any count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// How many run-cache lookups returned a shared handle, over the
@@ -533,7 +515,6 @@ impl Executor {
             strategy,
             sharing,
             seed_in_result,
-            threads: self.threads,
             limits: self.limits,
         };
         let carried = matches!(seeds, Seeds::Each(_));
@@ -1230,58 +1211,5 @@ mod tests {
             "seed must be in its own group"
         );
         assert_eq!(table.len(), 4); // c1 plus its closure {c2, c3, c4}
-    }
-
-    /// A batched run whose driver shards its folds (`threads > 1`)
-    /// is bit-identical to the sequential one — same relation, same stats —
-    /// for every strategy × sharing × seed-inclusion combination and
-    /// several shard counts (including more shards than seeds, and `0`,
-    /// which clamps to sequential).
-    #[test]
-    fn parallel_batched_matches_sequential() {
-        let (store, doc) = store_with_curriculum();
-        let batched_plan = q1_plan().seed_carried().unwrap();
-        let seeds: Vec<NodeId> = ["c1", "c2", "c3", "c4"]
-            .iter()
-            .flat_map(|code| seed_course(&store, doc, code))
-            .collect();
-
-        for strategy in [NAIVE, DELTA] {
-            for sharing in [BatchSharing::PerSeed, BatchSharing::DistinctNodes] {
-                for seed_in_result in [false, true] {
-                    let (expected, expected_stats) = Executor::new()
-                        .run_fixpoint_batched(
-                            &store,
-                            &batched_plan,
-                            &seeds,
-                            strategy,
-                            seed_in_result,
-                            sharing,
-                        )
-                        .unwrap();
-                    for threads in [0, 2, 3, 8] {
-                        let mut exec = Executor::new();
-                        exec.set_threads(threads);
-                        let (table, stats) = exec
-                            .run_fixpoint_batched(
-                                &store,
-                                &batched_plan,
-                                &seeds,
-                                strategy,
-                                seed_in_result,
-                                sharing,
-                            )
-                            .unwrap();
-                        let label = format!(
-                            "threads {threads} strategy {} sharing {} seed_in_result {seed_in_result}",
-                            strategy.name(),
-                            sharing.name()
-                        );
-                        assert_eq!(table, expected, "{label}");
-                        assert_eq!(stats, expected_stats, "{label}");
-                    }
-                }
-            }
-        }
     }
 }

@@ -1,13 +1,14 @@
 //! The surface the perf ledger's adapter (`benchmark/src/api.rs`) still
-//! names and the engine no longer has: `MuStrategy` and the table reads of
-//! a fixpoint result.  Nothing in the engine or its tests uses this module
-//! (CI fails when anything outside it names what it holds); it goes when
-//! the adapter moves to [`FixpointStrategy`] and [`Relation::items`].
+//! names and the engine no longer has: `MuStrategy`, the table reads of a
+//! fixpoint result and the executor's shard count.  Nothing in the engine
+//! or its tests uses this module (CI fails when anything outside it names
+//! what it holds); it goes when the adapter moves to [`FixpointStrategy`]
+//! and [`Relation::items`] and stops setting a shard count.
 
 use xqy_xdm::fixpoint::FixpointStrategy;
 use xqy_xdm::NodeId;
 
-use crate::exec::Relation;
+use crate::exec::{Executor, Relation};
 
 /// Strategy of the fixpoint driver, spelled after the µ / µ∆ operator pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +64,12 @@ impl Relation {
         assert_eq!(column, 1, "the shim reads the item column only");
         ShimColumn(self.items())
     }
+}
+
+impl Executor {
+    /// Does nothing: every fixpoint runs on the caller thread.
+    #[doc(hidden)]
+    pub fn set_threads(&mut self, _threads: usize) {}
 }
 
 /// The `item` column as the adapter reads it.

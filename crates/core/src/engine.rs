@@ -60,76 +60,6 @@ impl From<FixpointStrategy> for Strategy {
     }
 }
 
-/// Thread-count policy for **batched fixpoint execution**.
-///
-/// One sharding rule on both back-ends: the fixpoint driver splits the
-/// phases of a batched multi-source run — its folds and final
-/// materialisations, by seed or, in a shared batch, by lane of 64 seeds —
-/// across OS threads, and the recursion
-/// body always runs on the caller thread.  Single-source fixpoints have
-/// nothing to split, and `threads == 1` takes the sequential code path
-/// exactly, so results are identical for every setting.
-///
-/// The `XQY_FIXPOINT_THREADS` environment variable overrides the engine
-/// default at [`Engine::new`] time with a shard count (`0`/`1` mean
-/// sequential).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Parallelism {
-    /// Everything on the caller thread (the default).
-    #[default]
-    Sequential,
-    /// Exactly this many shards (clamped to at least 1).
-    Fixed(usize),
-}
-
-impl Parallelism {
-    /// The shard count this policy resolves to.
-    pub fn threads(&self) -> usize {
-        match self {
-            Parallelism::Sequential => 1,
-            Parallelism::Fixed(n) => (*n).max(1),
-        }
-    }
-
-    /// The policy named by the `XQY_FIXPOINT_THREADS` environment variable,
-    /// if it is set and well-formed: a shard count (`0` and `1` both mean
-    /// [`Parallelism::Sequential`]).
-    ///
-    /// A set-but-malformed value is **not** silently ignored: a warning is
-    /// printed to stderr (and the engine default applies), so a typo like
-    /// `XQY_FIXPOINT_THREADS=fourteen` is visible instead of quietly
-    /// running sequentially.
-    pub fn from_env() -> Option<Parallelism> {
-        let value = std::env::var("XQY_FIXPOINT_THREADS").ok();
-        let (policy, warning) = Parallelism::from_env_value(value.as_deref());
-        if let Some(warning) = warning {
-            eprintln!("warning: {warning}");
-        }
-        policy
-    }
-
-    /// Pure parse of an `XQY_FIXPOINT_THREADS` value: the resolved policy
-    /// (if any) plus a warning message for a set-but-malformed value.
-    /// Factored out of [`Parallelism::from_env`] so the parse is unit
-    /// testable without mutating process environment.
-    pub fn from_env_value(value: Option<&str>) -> (Option<Parallelism>, Option<String>) {
-        let Some(value) = value else {
-            return (None, None);
-        };
-        match value.trim().parse::<usize>() {
-            Ok(0) | Ok(1) => (Some(Parallelism::Sequential), None),
-            Ok(n) => (Some(Parallelism::Fixed(n)), None),
-            Err(_) => (
-                None,
-                Some(format!(
-                    "ignoring invalid XQY_FIXPOINT_THREADS value {value:?}: \
-                     expected a shard count"
-                )),
-            ),
-        }
-    }
-}
-
 /// Distributivity assessment of one recursion body found in a query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistributivityReport {
@@ -215,7 +145,6 @@ pub struct Engine {
     pub(crate) strategy: Strategy,
     pub(crate) backend: Backend,
     pub(crate) seed_in_result: bool,
-    pub(crate) parallelism: Parallelism,
 }
 
 impl Default for Engine {
@@ -233,20 +162,7 @@ impl Engine {
             strategy: Strategy::Auto,
             backend: Backend::SourceLevel,
             seed_in_result: false,
-            parallelism: Parallelism::from_env().unwrap_or_default(),
         }
-    }
-
-    /// Select the thread policy for batched fixpoint execution (captured by
-    /// [`Engine::prepare`]; a [`PreparedQuery`] can override it with
-    /// [`PreparedQuery::with_parallelism`](crate::PreparedQuery::with_parallelism)).
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// The currently selected thread policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Select the fixpoint strategy.
@@ -325,7 +241,7 @@ impl Engine {
 
     /// Like [`Engine::prepare`], for an already-parsed module.
     pub fn prepare_module(&self, module: QueryModule) -> PreparedQuery {
-        PreparedQuery::analyse_module(module, self.strategy, self.backend, self.parallelism)
+        PreparedQuery::analyse_module(module, self.strategy, self.backend)
     }
 
     /// Analyse the distributivity of every IFP occurrence in `module`.
@@ -479,60 +395,5 @@ mod tests {
         let mut engine = engine();
         let err = engine.run("count($seed)").unwrap_err();
         assert!(matches!(err, IfpError::UnboundVariable(name) if name == "seed"));
-    }
-
-    #[test]
-    fn parallelism_policies_resolve_to_shard_counts() {
-        assert_eq!(Parallelism::default(), Parallelism::Sequential);
-        assert_eq!(Parallelism::Sequential.threads(), 1);
-        assert_eq!(Parallelism::Fixed(4).threads(), 4);
-        // Fixed(0) is clamped: there is always at least the caller thread.
-        assert_eq!(Parallelism::Fixed(0).threads(), 1);
-    }
-
-    #[test]
-    fn env_parallelism_parses_valid_values_without_warning() {
-        assert_eq!(Parallelism::from_env_value(None), (None, None));
-        assert_eq!(
-            Parallelism::from_env_value(Some(" 2 ")),
-            (Some(Parallelism::Fixed(2)), None)
-        );
-        assert_eq!(
-            Parallelism::from_env_value(Some("0")),
-            (Some(Parallelism::Sequential), None)
-        );
-        assert_eq!(
-            Parallelism::from_env_value(Some("1")),
-            (Some(Parallelism::Sequential), None)
-        );
-        assert_eq!(
-            Parallelism::from_env_value(Some("8")),
-            (Some(Parallelism::Fixed(8)), None)
-        );
-    }
-
-    #[test]
-    fn env_parallelism_warns_on_invalid_values() {
-        // `auto` is not a policy (only shard counts are).
-        for bad in ["fourteen", "-2", "4x", "", "auto"] {
-            let (policy, warning) = Parallelism::from_env_value(Some(bad));
-            assert_eq!(policy, None, "invalid value {bad:?} must not resolve");
-            let warning = warning.expect("invalid value must produce a warning");
-            assert!(warning.contains("XQY_FIXPOINT_THREADS"));
-            assert!(warning.contains(bad));
-        }
-    }
-
-    #[test]
-    fn engine_parallelism_is_settable_and_captured_by_prepare() {
-        let mut engine = engine();
-        engine.set_parallelism(Parallelism::Fixed(4));
-        assert_eq!(engine.parallelism(), Parallelism::Fixed(4));
-        let prepared = engine.prepare(Q1).unwrap();
-        assert_eq!(prepared.parallelism(), Parallelism::Fixed(4));
-        // The prepared-query override does not touch the engine default.
-        let prepared = prepared.with_parallelism(Parallelism::Sequential);
-        assert_eq!(prepared.parallelism(), Parallelism::Sequential);
-        assert_eq!(engine.parallelism(), Parallelism::Fixed(4));
     }
 }

@@ -76,7 +76,9 @@ pub mod rewrite;
 #[doc(hidden)]
 pub use ledger_shim as cost;
 
-pub use engine::{DistributivityReport, Engine, Parallelism, QueryOutcome, Strategy};
+pub use engine::{DistributivityReport, Engine, QueryOutcome, Strategy};
+#[doc(hidden)]
+pub use ledger_shim::Parallelism;
 pub use prepared::{
     Backend, BatchedOutcome, Bindings, DecisionSource, ExecOptions, OccurrencePlan,
     PlanAlternative, PreparedOccurrence, PreparedQuery, ResourceLimits,

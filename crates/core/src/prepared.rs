@@ -75,7 +75,7 @@ use xqy_parser::parse_query;
 use xqy_xdm::fixpoint::{Limits, Seeds};
 use xqy_xdm::{NodeId, NodeStore, QueryBudget, Sequence, StoreMut};
 
-use crate::engine::{DistributivityReport, Engine, Parallelism, QueryOutcome, Strategy};
+use crate::engine::{DistributivityReport, Engine, QueryOutcome, Strategy};
 use crate::{IfpError, Result};
 
 /// Which back-end executes the fixpoint occurrences of a prepared query.
@@ -352,8 +352,7 @@ pub struct ResourceLimits {
     /// (charged at `TextPool` / `Sequence` / store-arena / executor relation growth
     /// points, see [`xqy_xdm::budget`]).  Before failing, the drivers
     /// degrade once: store memos and executor run caches are dropped
-    /// (and credited back), and sharded evaluation falls back to
-    /// sequential.
+    /// (and credited back).
     pub max_memory_bytes: Option<u64>,
     /// Cap on any single fixpoint occurrence's iteration count.
     pub max_iterations: Option<usize>,
@@ -391,7 +390,6 @@ pub struct PreparedQuery {
     /// algorithm at prepare time; a decision reads it for `decided_by`.
     strategy: Strategy,
     default_strategy: FixpointStrategy,
-    parallelism: Parallelism,
     occurrences: Vec<PreparedOccurrence>,
     external_vars: Vec<String>,
 }
@@ -403,19 +401,9 @@ impl PreparedQuery {
     /// purely static (no store is consulted), so the artifact can later be
     /// executed against any store via
     /// [`execute_on`](PreparedQuery::execute_on).
-    pub fn prepare(
-        query: &str,
-        strategy: Strategy,
-        backend: Backend,
-        parallelism: Parallelism,
-    ) -> Result<Self> {
+    pub fn new(query: &str, strategy: Strategy, backend: Backend) -> Result<Self> {
         let module = parse_query(query)?;
-        Ok(PreparedQuery::analyse_module(
-            module,
-            strategy,
-            backend,
-            parallelism,
-        ))
+        Ok(PreparedQuery::analyse_module(module, strategy, backend))
     }
 
     /// Analyse `module`: collect its IFP occurrences, run both
@@ -425,7 +413,6 @@ impl PreparedQuery {
         module: QueryModule,
         strategy: Strategy,
         backend: Backend,
-        parallelism: Parallelism,
     ) -> Self {
         let occurrences = analyse_occurrences(&module, strategy);
         let external_vars = external_variables(&module);
@@ -435,7 +422,6 @@ impl PreparedQuery {
             backend,
             strategy,
             default_strategy,
-            parallelism,
             occurrences,
             external_vars,
         }
@@ -454,23 +440,6 @@ impl PreparedQuery {
     /// Builder-style [`set_backend`](Self::set_backend).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// The thread policy batched fixpoint executions run under.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// Select the thread policy for batched fixpoint executions (overrides
-    /// the engine setting captured at prepare time).
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
-    /// Builder-style [`set_parallelism`](Self::set_parallelism).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -633,11 +602,9 @@ impl PreparedQuery {
         opts: &ExecOptions,
         decisions: &[PlanDecision],
     ) -> Evaluator<'s> {
-        let threads = self.parallelism.threads();
         let mut evaluator = Evaluator::new(store);
         let options = evaluator.options_mut();
         options.seed_in_result = opts.seed_in_result;
-        options.fixpoint_threads = threads;
         options.limits = Limits {
             deadline: opts.limits.deadline,
             budget_iterations: opts.limits.max_iterations,
@@ -655,7 +622,6 @@ impl PreparedQuery {
             evaluator.set_fixpoint_interceptor(Box::new(PlanDriver {
                 entries,
                 executor: Executor::new(),
-                threads,
                 limits: evaluator.options().limits,
             }));
         }
@@ -873,8 +839,8 @@ impl PreparedQuery {
 
 /// Install the per-query memory budget of `limits`, if any, on this thread:
 /// the growth points of the data model and the relational executor charge
-/// the installed cell (shard workers re-install it, see `xqy_xdm::shard`)
-/// and the fixpoint driver checks it at its iteration barrier.
+/// the installed cell and the fixpoint driver checks it at its iteration
+/// barrier.
 fn install_budget(limits: &ResourceLimits) -> Option<xqy_xdm::budget::BudgetScope> {
     limits
         .max_memory_bytes
@@ -936,10 +902,6 @@ struct PlanEntry {
 struct PlanDriver {
     entries: Vec<PlanEntry>,
     executor: Executor,
-    /// Shard count of the driver's folds in batched runs (from the
-    /// prepared query's [`Parallelism`] policy); a single-source run has
-    /// nothing to shard.
-    threads: usize,
     /// What the iteration barrier enforces, installed on the entry's
     /// executor before each run: the same limits the evaluator runs under.
     limits: Limits,
@@ -1006,7 +968,6 @@ impl FixpointInterceptor for PlanDriver {
             }
         };
         let executor = &mut self.executor;
-        executor.set_threads(self.threads);
         executor.limits = self.limits;
         let before = (executor.static_cache_hits(), executor.static_plan_evals());
         let strategy = entry.strategy;
@@ -1226,13 +1187,8 @@ mod tests {
                         for (batch, per_item_loop) in [(false, false), (true, false), (false, true)]
                         {
                             let query = format!("with $x seeded by $seed recurse {body}");
-                            let mut plan = PreparedQuery::prepare(
-                                &query,
-                                strategy_knob,
-                                backend_knob,
-                                Parallelism::Sequential,
-                            )
-                            .unwrap();
+                            let mut plan =
+                                PreparedQuery::new(&query, strategy_knob, backend_knob).unwrap();
                             let occ = &mut plan.occurrences[0];
                             assert_eq!(occ.report.is_distributive(), certified);
                             occ.compiled = compiled.clone();
@@ -1327,11 +1283,10 @@ mod tests {
     /// The prerequisite closure of `$seed` on the relational executor, so
     /// every execution makes an executor.
     fn algebraic_closure() -> PreparedQuery {
-        PreparedQuery::prepare(
+        PreparedQuery::new(
             "with $x seeded by $seed recurse $x/id(./prerequisites/pre_code)",
             Strategy::Auto,
             Backend::Algebraic,
-            Parallelism::Sequential,
         )
         .unwrap()
     }

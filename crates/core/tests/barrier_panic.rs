@@ -6,7 +6,7 @@
 //! test reached a barrier first.
 
 use xqy_ifp::xdm::{fail, NodeStore, Sequence};
-use xqy_ifp::{Backend, Bindings, ExecOptions, Parallelism, PreparedQuery, Strategy};
+use xqy_ifp::{Backend, Bindings, ExecOptions, PreparedQuery, Strategy};
 
 const CURRICULUM: &str = r#"<curriculum>
     <course code="c1"><prerequisites><pre_code>c2</pre_code><pre_code>c3</pre_code></prerequisites></course>
@@ -16,11 +16,10 @@ const CURRICULUM: &str = r#"<curriculum>
 </curriculum>"#;
 
 fn closure() -> PreparedQuery {
-    PreparedQuery::prepare(
+    PreparedQuery::new(
         "with $x seeded by $seed recurse $x/id(./prerequisites/pre_code)",
         Strategy::Auto,
         Backend::Algebraic,
-        Parallelism::Sequential,
     )
     .unwrap()
 }

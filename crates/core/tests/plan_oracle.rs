@@ -12,9 +12,6 @@
 //! The `Auto` knobs are then held to the same bar: whatever the plan rule
 //! picks must (a) be a point of the valid grid and (b) reproduce the oracle
 //! bit for bit.
-//!
-//! The whole suite is thread-policy agnostic: CI re-runs it under
-//! `XQY_FIXPOINT_THREADS=4`, where the batched drivers shard their work.
 
 use proptest::prelude::*;
 use xqy_ifp::eval::{FixpointBackendTag, FixpointStrategy};

@@ -37,14 +37,8 @@ pub struct EvalOptions {
     pub seed_in_result: bool,
     /// Maximum user-defined function recursion depth.
     pub max_recursion_depth: usize,
-    /// Shard count of the fixpoint driver ([`xqy_xdm::fixpoint::Config::threads`]).
-    /// The one sharding rule, the same on both back-ends: the driver splits
-    /// its per-source phases — the folds and the document-order
-    /// materializations — over at most this many threads,
-    /// and the recursion body always runs on the caller thread.  A run over
-    /// one source has nothing to split, `1` (the default) runs everything
-    /// inline, and once a memory budget has used its relief round the rest
-    /// of the query is sequential.
+    /// Ignored; written only by the ledger adapter until ROADMAP 2a.
+    #[doc(hidden)]
     pub fixpoint_threads: usize,
     /// What the fixpoint driver's iteration barrier enforces: the
     /// engine-wide divergence guards (breach: the IFP is *undefined* per

@@ -124,11 +124,11 @@ pub struct FixpointStats {
     pub batch_seeds: usize,
     /// Nodes fed into each recursion-body call, in call order — the
     /// frontier-growth curve.  Deterministic for a given (query, store,
-    /// seed) input at any thread count, so it takes part in equality.
+    /// seed) input, so it takes part in equality.
     pub frontier_curve: Vec<u64>,
     /// Wall time of the run in microseconds.  **Excluded from equality**:
-    /// the parallel ≡ sequential property tests compare whole stats
-    /// structs, and wall time legitimately differs between runs.
+    /// tests compare whole stats structs, and wall time legitimately
+    /// differs between runs.
     pub wall_micros: u64,
 }
 
@@ -318,7 +318,6 @@ fn drive(
             BatchSharing::PerSeed
         },
         seed_in_result: options.seed_in_result,
-        threads: options.fixpoint_threads,
         limits: options.limits,
     };
     let mut interpreted = Interpreted {

@@ -7,7 +7,7 @@
 //! execution (each execution makes the executor it runs on — see
 //! [`xqy_ifp::prepared`]).
 //! So the cache is a plain map from [`Key`] — the query *text* plus the
-//! knobs that change the prepared artifact (backend, strategy, parallelism)
+//! knobs that change the prepared artifact (backend, strategy)
 //! — to one `Arc<PreparedQuery>` that every session executes directly and
 //! concurrently, on any snapshot.
 //!
@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use xqy_ifp::{Backend, Parallelism, PreparedQuery, Strategy};
+use xqy_ifp::{Backend, PreparedQuery, Strategy};
 
 /// How the cache answered a single query's lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,6 @@ pub(crate) struct Key {
     pub(crate) query: String,
     pub(crate) backend: Backend,
     pub(crate) strategy: Strategy,
-    pub(crate) parallelism: Parallelism,
 }
 
 #[derive(Debug)]
@@ -169,13 +168,8 @@ mod tests {
 
     fn prepared(query: &str) -> Arc<PreparedQuery> {
         Arc::new(
-            PreparedQuery::prepare(
-                query,
-                Strategy::Auto,
-                Backend::SourceLevel,
-                Parallelism::Sequential,
-            )
-            .expect("test query prepares"),
+            PreparedQuery::new(query, Strategy::Auto, Backend::SourceLevel)
+                .expect("test query prepares"),
         )
     }
 
@@ -188,7 +182,6 @@ mod tests {
             query: query.to_owned(),
             backend: Backend::Auto,
             strategy: Strategy::Auto,
-            parallelism: Parallelism::Sequential,
         }
     }
 
@@ -283,13 +276,8 @@ mod tests {
             .parse_document_with_uri("curriculum.xml", CURRICULUM)
             .unwrap();
         store.register_id_attribute(doc, "code");
-        let algebraic = PreparedQuery::prepare(
-            SLOW_CLOSURE,
-            Strategy::Auto,
-            Backend::Algebraic,
-            Parallelism::Sequential,
-        )
-        .unwrap();
+        let algebraic =
+            PreparedQuery::new(SLOW_CLOSURE, Strategy::Auto, Backend::Algebraic).unwrap();
         let cache = PlanCache::new(1);
         let plan = cache.insert(key(SLOW_CLOSURE), Arc::new(algebraic));
 

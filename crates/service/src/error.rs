@@ -196,11 +196,11 @@ mod tests {
     #[test]
     fn internal_display_names_context_and_payload() {
         let err = ServiceError::Internal {
-            message: "injected fault at shard.worker (hit 1)".into(),
+            message: "injected fault at fixpoint.barrier (hit 1)".into(),
             context: "query execution".into(),
         };
         let shown = err.to_string();
         assert!(shown.contains("contained"), "got: {shown}");
-        assert!(shown.contains("shard.worker"), "got: {shown}");
+        assert!(shown.contains("fixpoint.barrier"), "got: {shown}");
     }
 }

@@ -85,7 +85,7 @@ pub use service::{
 };
 
 // Convenience re-exports so service users need only this crate.
-pub use xqy_ifp::{Backend, Bindings, Parallelism, ResourceLimits, Strategy};
+pub use xqy_ifp::{Backend, Bindings, ResourceLimits, Strategy};
 
 // The whole point of the crate: the service (and its outcomes) cross
 // threads freely.

@@ -39,7 +39,7 @@
 //! # Failure domains
 //!
 //! Each query execution is a failure domain of its own.  A panic inside
-//! the engine — an evaluator bug, a shard worker, an injected fault — is
+//! the engine — an evaluator bug or an injected fault — is
 //! caught at the service boundary (`catch_unwind`), converted to the
 //! typed [`ServiceError::Internal`], and contained: the admission permit
 //! is released by RAII, the executor the execution made — possibly
@@ -67,8 +67,7 @@ use xqy_ifp::algebra::AlgebraError;
 use xqy_ifp::eval::EvalError;
 use xqy_ifp::xdm::{fail, CowStore, NodeStore};
 use xqy_ifp::{
-    Backend, Bindings, ExecOptions, IfpError, Parallelism, PreparedQuery, QueryOutcome,
-    ResourceLimits, Strategy,
+    Backend, Bindings, ExecOptions, IfpError, PreparedQuery, QueryOutcome, ResourceLimits, Strategy,
 };
 
 use crate::admission::Admission;
@@ -96,8 +95,6 @@ pub struct ServiceConfig {
     pub strategy: Strategy,
     /// Back-end queries are prepared under.
     pub backend: Backend,
-    /// Thread policy for batched fixpoint executions.
-    pub parallelism: Parallelism,
     /// Start IFP accumulations from the seed itself.
     pub seed_in_result: bool,
 }
@@ -112,7 +109,6 @@ impl Default for ServiceConfig {
             limits: ResourceLimits::default(),
             strategy: Strategy::Auto,
             backend: Backend::Auto,
-            parallelism: Parallelism::Sequential,
             seed_in_result: false,
         }
     }
@@ -504,8 +500,7 @@ impl QueryService {
         //     shared snapshot behind it is only read;
         //   * the plan is immutable; the executor the execution made may
         //     hold half-applied state and was dropped by the unwind itself;
-        //   * the budget scope and shard-worker state are thread-local and
-        //     unwound by RAII.
+        //   * the budget scope is thread-local and unwound by RAII.
         let executed = catch_unwind(AssertUnwindSafe(|| {
             plan.execute_on(&mut cow, bindings, &opts)
         }));
@@ -540,14 +535,12 @@ impl QueryService {
             query: query.to_owned(),
             backend: self.config.backend,
             strategy: self.config.strategy,
-            parallelism: self.config.parallelism,
         };
         if let Some(plan) = self.cache.get(&key) {
             return Ok((plan, CacheOutcome::Hit));
         }
         let prepared = Arc::new(
-            PreparedQuery::prepare(query, key.strategy, key.backend, key.parallelism)
-                .map_err(ServiceError::Query)?,
+            PreparedQuery::new(query, key.strategy, key.backend).map_err(ServiceError::Query)?,
         );
         fail::point("cache.insert").map_err(|e| fault_internal(e, "plan-cache insert"))?;
         Ok((self.cache.insert(key, prepared), CacheOutcome::Miss))

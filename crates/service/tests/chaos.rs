@@ -20,13 +20,6 @@
 //!
 //! The failpoint registry is process-global, so every test serializes on
 //! [`FAULT_LOCK`] and disarms with `fail::reset()` before returning.
-//! Honors `XQY_FIXPOINT_THREADS` (CI runs this under `=4`).  The
-//! `shard.worker` site lives inside the scoped worker threads of the
-//! *batched* multi-source drivers, a path only
-//! [`PreparedQuery::execute_batched`] reaches (a seeded `recurse` through
-//! the service is one fixpoint, not a per-seed batch), so its coverage
-//! comes from the dedicated engine-level scenario below rather than the
-//! service matrix.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, Once};
@@ -36,7 +29,7 @@ use std::time::Duration;
 use xqy_datagen::curriculum::{self, CurriculumConfig};
 use xqy_datagen::Scale;
 use xqy_ifp::xdm::{budget, fail, CowStore, QueryBudget};
-use xqy_ifp::{Backend, Bindings, Engine, ExecOptions, Parallelism, PreparedQuery, Strategy};
+use xqy_ifp::{Backend, Bindings, ExecOptions, PreparedQuery, Strategy};
 use xqy_service::{
     QueryService, ResourceLimits, RetryPolicy, ServiceConfig, ServiceError, ServiceOutcome,
 };
@@ -93,13 +86,6 @@ fn service_with_generated_curriculum(config: ServiceConfig) -> QueryService {
     service
 }
 
-fn default_config() -> ServiceConfig {
-    ServiceConfig {
-        parallelism: Parallelism::from_env().unwrap_or_default(),
-        ..ServiceConfig::default()
-    }
-}
-
 /// Acceptance: an injected mid-query panic is contained as a typed
 /// `Internal` error, and the next 100 mixed queries produce results
 /// bit-identical to a fresh, never-panicked service, with the admission
@@ -109,8 +95,8 @@ fn contained_panic_leaves_service_bit_identical_to_fresh() {
     quiet_injected_panics();
     let _guard = fault_guard();
 
-    let chaos = service_with_generated_curriculum(default_config());
-    let fresh = service_with_generated_curriculum(default_config());
+    let chaos = service_with_generated_curriculum(ServiceConfig::default());
+    let fresh = service_with_generated_curriculum(ServiceConfig::default());
 
     // Warm the plan, so the panic hits a cached plan that must serve on
     // unchanged afterwards.
@@ -176,7 +162,7 @@ fn failed_publish_leaves_previous_snapshot_and_cache_intact() {
     quiet_injected_panics();
     let _guard = fault_guard();
 
-    let service = service_with_generated_curriculum(default_config());
+    let service = service_with_generated_curriculum(ServiceConfig::default());
     service.execute(CURRICULUM_QUERIES[0]).unwrap(); // seed the plan cache
     let before = service.published();
     let cached_before = service.counters().cache.entries;
@@ -246,7 +232,7 @@ fn memory_budget_stops_runaway_accumulator() {
     let build = |limits: ResourceLimits| {
         let service = QueryService::new(ServiceConfig {
             limits,
-            ..default_config()
+            ..ServiceConfig::default()
         });
         service
             .load_document_with_ids("chain.xml", &xml, &["code"])
@@ -313,7 +299,7 @@ fn retry_with_backoff_rides_out_saturation() {
     let service = Arc::new(service_with_generated_curriculum(ServiceConfig {
         max_concurrent: 1,
         max_queue: 0,
-        ..default_config()
+        ..ServiceConfig::default()
     }));
     service.execute(CURRICULUM_QUERIES[0]).unwrap(); // warm the plan
 
@@ -376,7 +362,6 @@ fn arm_fault_matrix(seed: u64) {
         ("fixpoint.barrier", 0.04),
         ("alloc.sequence", 0.01),
         ("alloc.table", 0.01),
-        ("shard.worker", 0.02),
         ("cache.insert", 0.25),
         ("publish.clone", 0.30),
         ("publish.refresh", 0.30),
@@ -422,12 +407,10 @@ fn chaos_matrix_neither_deadlocks_nor_corrupts() {
         .ok()
         .and_then(|s| s.parse::<u64>().ok())
         .unwrap_or(0xC0FFEE);
-    let parallelism = Parallelism::from_env().unwrap_or_default();
 
     let service = Arc::new(service_with_generated_curriculum(ServiceConfig {
         max_concurrent: READERS,
         max_queue: READERS,
-        parallelism,
         ..ServiceConfig::default()
     }));
 
@@ -551,11 +534,10 @@ fn chaos_matrix_neither_deadlocks_nor_corrupts() {
             .entry((obs.query, obs.revision))
             .or_insert_with(|| {
                 let snapshot = &snapshots[&obs.revision];
-                let prepared = PreparedQuery::prepare(
+                let prepared = PreparedQuery::new(
                     CURRICULUM_QUERIES[obs.query],
                     Strategy::Auto,
                     Backend::Auto,
-                    parallelism,
                 )
                 .unwrap();
                 let mut cow = CowStore::new(Arc::clone(&snapshot.store));
@@ -597,9 +579,8 @@ fn chaos_matrix_neither_deadlocks_nor_corrupts() {
 }
 
 /// Append a section to the `XQY_FAULT_REPORT` coverage file (no-op when
-/// the variable is unset).  Sections append rather than truncate because
-/// more than one test contributes coverage and their order within the
-/// binary is not fixed; CI starts from a fresh file each run.
+/// the variable is unset).  Sections append rather than truncate; CI
+/// starts from a fresh file each run.
 fn append_fault_report(text: &str) {
     use std::io::Write;
     if let Ok(path) = std::env::var("XQY_FAULT_REPORT") {
@@ -610,103 +591,5 @@ fn append_fault_report(text: &str) {
             .expect("fault report path must be writable");
         file.write_all(text.as_bytes())
             .expect("fault report path must be writable");
-    }
-}
-
-/// Coverage for the `shard.worker` failpoint, which sits inside the
-/// scoped worker threads of the batched multi-source fixpoint drivers.
-/// The service API cannot reach it — a seeded `recurse` is *one*
-/// fixpoint over one accumulator, so nothing shards per seed — which is
-/// why the chaos matrix above reports `shard.worker` at zero hits.  The
-/// batched per-seed path ([`PreparedQuery::execute_batched`], the
-/// ledger/oracle entry point) does shard, so this scenario drives it
-/// directly: an injected worker panic must be re-raised at the shard
-/// join (aborting the whole batched run rather than silently dropping a
-/// shard's contribution), and once disarmed the same engine must
-/// reproduce the sequential ground truth bit-identically.
-#[test]
-fn shard_worker_panic_aborts_batched_run_then_engine_recovers() {
-    quiet_injected_panics();
-    let _guard = fault_guard();
-
-    let mut engine = Engine::new();
-    let xml = curriculum::generate(&CurriculumConfig::for_scale(Scale::Small));
-    engine
-        .load_document_with_ids("curriculum.xml", &xml, &["code"])
-        .unwrap();
-    let seeds = engine
-        .run("doc('curriculum.xml')/curriculum/course")
-        .unwrap()
-        .result;
-    assert!(seeds.len() > 1, "need a multi-seed batch to shard");
-
-    let batched = "with $x seeded by $seed recurse $x/id(./prerequisites/pre_code)";
-    // Sequential ground truth: threads == 1 never spawns workers, so the
-    // failpoint armed below cannot fire on this run even if it were armed.
-    let sequential = PreparedQuery::prepare(
-        batched,
-        Strategy::Auto,
-        Backend::Auto,
-        Parallelism::Sequential,
-    )
-    .unwrap();
-    let expected: Vec<(usize, String)> = sequential
-        .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
-        .unwrap()
-        .per_seed
-        .iter()
-        .map(|seq| (seq.len(), engine.display(seq)))
-        .collect();
-
-    let parallel = PreparedQuery::prepare(
-        batched,
-        Strategy::Auto,
-        Backend::Auto,
-        Parallelism::Fixed(4),
-    )
-    .unwrap();
-
-    fail::configure(
-        "shard.worker",
-        fail::FaultAction::Panic,
-        fail::FaultTrigger::OnNthHit(1),
-    );
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        parallel.execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
-    }));
-    let payload = outcome.expect_err("worker panic must be re-raised at the shard join");
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .expect("injected panics carry a string payload");
-    assert!(
-        message.contains("injected fault at shard.worker"),
-        "unexpected panic payload: {message}"
-    );
-    let report = fail::report();
-    let shard = report
-        .iter()
-        .find(|r| r.site == "shard.worker")
-        .expect("shard.worker was armed");
-    assert!(shard.fired >= 1, "shard.worker never fired: {report:?}");
-    let mut text = String::from("# fault-site coverage: batched shard workers\nsite,hits,fired\n");
-    for site in &report {
-        text.push_str(&format!("{},{},{}\n", site.site, site.hits, site.fired));
-    }
-    append_fault_report(&text);
-    fail::reset();
-
-    // The engine survives the aborted batch: the parallel run now matches
-    // the sequential ground truth per seed, bit for bit.
-    let recovered = parallel
-        .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
-        .unwrap();
-    assert_eq!(recovered.per_seed.len(), expected.len());
-    for (i, (seq, (len, display))) in recovered.per_seed.iter().zip(&expected).enumerate() {
-        assert_eq!(
-            (seq.len(), &engine.display(seq)),
-            (*len, display),
-            "seed {i} diverged after the aborted parallel batch"
-        );
     }
 }

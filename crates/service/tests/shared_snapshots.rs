@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use xqy_ifp::xdm::{CowStore, DocId, DocumentStatistics, NodeId, NodeStore};
-use xqy_ifp::{Backend, Bindings, ExecOptions, Parallelism, PreparedQuery, Strategy};
+use xqy_ifp::{Backend, Bindings, ExecOptions, PreparedQuery, Strategy};
 use xqy_service::{CacheOutcome, PublishedSnapshot, QueryService, ServiceConfig};
 
 const GRAPH: &str = r#"<g><n key="a" to="b">A<i/>a</n><n key="b" to="c">B</n><n key="c">C</n></g>"#;
@@ -37,13 +37,7 @@ fn shape(store: &NodeStore) -> (DocumentStatistics, Vec<DocumentStatistics>) {
 /// What a reader holding `snapshot` gets for each of [`QUERIES`].
 fn answers(snapshot: &PublishedSnapshot) -> Vec<String> {
     let run = |query: &&str| {
-        let prepared = PreparedQuery::prepare(
-            query,
-            Strategy::Auto,
-            Backend::Auto,
-            Parallelism::Sequential,
-        )
-        .unwrap();
+        let prepared = PreparedQuery::new(query, Strategy::Auto, Backend::Auto).unwrap();
         let mut cow = CowStore::new(Arc::clone(&snapshot.store));
         let outcome = prepared
             .execute_on(&mut cow, &Bindings::new(), &ExecOptions::default())
@@ -214,13 +208,7 @@ fn one_cached_plan_serves_snapshots_on_both_sides_of_a_publication() {
 
     // Readers still pinned to the old snapshot share plans with readers of
     // the new one: one plan, back and forth across the revisions.
-    let plan = PreparedQuery::prepare(
-        closure,
-        Strategy::Auto,
-        Backend::Algebraic,
-        Parallelism::Sequential,
-    )
-    .unwrap();
+    let plan = PreparedQuery::new(closure, Strategy::Auto, Backend::Algebraic).unwrap();
     for snapshot in [&pinned, &next, &pinned, &next] {
         let mut cow = CowStore::new(Arc::clone(&snapshot.store));
         let outcome = plan

@@ -5,10 +5,6 @@
 //! revision — results must be bit-identical, which both proves
 //! determinism under concurrency and that no query ever observed a
 //! half-published store (a torn read could not reproduce sequentially).
-//!
-//! Honors `XQY_FIXPOINT_THREADS` (CI runs this under `=4`), so the
-//! batched fixpoint shards run *inside* each of the 8 concurrent sessions
-//! too.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -18,7 +14,7 @@ use std::time::Duration;
 use xqy_datagen::curriculum::{self, CurriculumConfig};
 use xqy_datagen::Scale;
 use xqy_ifp::xdm::CowStore;
-use xqy_ifp::{Backend, Bindings, ExecOptions, Parallelism, PreparedQuery, Strategy};
+use xqy_ifp::{Backend, Bindings, ExecOptions, PreparedQuery, Strategy};
 use xqy_service::{QueryService, ServiceConfig, ServiceError};
 
 const READERS: usize = 8;
@@ -49,11 +45,9 @@ struct Observation {
 
 #[test]
 fn concurrent_sessions_match_sequential_execution_per_revision() {
-    let parallelism = Parallelism::from_env().unwrap_or_default();
     let service = Arc::new(QueryService::new(ServiceConfig {
         max_concurrent: READERS,
         max_queue: READERS,
-        parallelism,
         ..ServiceConfig::default()
     }));
     let xml = curriculum::generate(&CurriculumConfig::for_scale(Scale::Small));
@@ -158,13 +152,8 @@ fn concurrent_sessions_match_sequential_execution_per_revision() {
             .entry((obs.query, obs.revision))
             .or_insert_with(|| {
                 let snapshot = &snapshots[&obs.revision];
-                let prepared = PreparedQuery::prepare(
-                    QUERIES[obs.query],
-                    Strategy::Auto,
-                    Backend::Auto,
-                    parallelism,
-                )
-                .unwrap();
+                let prepared =
+                    PreparedQuery::new(QUERIES[obs.query], Strategy::Auto, Backend::Auto).unwrap();
                 let mut cow = CowStore::new(Arc::clone(&snapshot.store));
                 let outcome = prepared
                     .execute_on(&mut cow, &Bindings::new(), &ExecOptions::default())

@@ -14,9 +14,7 @@
 //! accumulators (Koch's complexity results make unbounded intermediate
 //! results inherent to the workload), not to audit the allocator.  Charges
 //! flow through a thread-local handle installed for the duration of a query
-//! ([`install`]); when no budget is installed every charge is a no-op, and
-//! the shard helpers propagate the installed budget into worker threads so
-//! parallel fixpoint evaluation charges the same counter.
+//! ([`install`]); when no budget is installed every charge is a no-op.
 //!
 //! Before failing, a budget grants one round of **relief**
 //! ([`QueryBudget::try_relieve`]): the checking driver drops recomputable
@@ -87,9 +85,9 @@ impl QueryBudget {
     }
 
     /// Claim the single relief round.  The first caller gets `true` and
-    /// should degrade (drop memos/caches, credit the freed bytes, fall back
-    /// to sequential evaluation) before re-checking; later callers get
-    /// `false` and should fail with `BudgetExceeded`.
+    /// should degrade (drop memos/caches, credit the freed bytes) before
+    /// re-checking; later callers get `false` and should fail with
+    /// `BudgetExceeded`.
     pub fn try_relieve(&self) -> bool {
         !self.relieved.swap(true, Ordering::Relaxed)
     }
@@ -124,8 +122,7 @@ pub fn install(budget: Arc<QueryBudget>) -> BudgetScope {
     })
 }
 
-/// The budget installed on this thread, if any (shard workers re-install
-/// the spawning thread's budget so charges flow to the same cell).
+/// The budget installed on this thread, if any.
 pub fn current() -> Option<Arc<QueryBudget>> {
     ACTIVE.with(|a| a.borrow().clone())
 }

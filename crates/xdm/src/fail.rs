@@ -37,8 +37,7 @@ pub enum FaultAction {
     /// unwind-containment path.
     Panic,
     /// Return a [`FaultError`] from [`point`], exercising the typed error
-    /// path.  Sites without a `Result` channel (e.g. `shard.worker`)
-    /// escalate `Error` to a panic.
+    /// path.
     Error,
 }
 
@@ -301,19 +300,6 @@ fn point_slow(site: &str) -> Result<(), FaultError> {
         }
     }
     Ok(())
-}
-
-/// Execute the failpoint named `site` in a context with no error channel:
-/// both actions escalate to a panic (used by e.g. `shard.worker`, where the
-/// panic is surfaced as a typed error at the service boundary).
-#[inline]
-pub fn point_panic(site: &str) {
-    if !enabled() {
-        return;
-    }
-    if let Err(e) = point_slow(site) {
-        panic!("{e}");
-    }
 }
 
 #[cfg(test)]

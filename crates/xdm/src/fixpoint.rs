@@ -50,7 +50,7 @@ use std::time::Instant;
 
 use crate::budget::{self, QueryBudget};
 use crate::fail::{self, FaultError};
-use crate::{shard, IdMap, NodeId, NodeSet, NodeStore};
+use crate::{IdMap, NodeId, NodeSet, NodeStore};
 
 /// Which algorithm evaluates `with … seeded by … recurse`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -130,12 +130,11 @@ pub struct ExecStats {
     pub batch_seeds: usize,
     /// Nodes the body was handed at each evaluation, in evaluation order:
     /// the frontier-growth curve.
-    /// Deterministic for a given input at any thread count, so it takes
-    /// part in equality.
+    /// Deterministic for a given input, so it takes part in equality.
     pub frontier_curve: Vec<u64>,
     /// Wall time of the run in microseconds.  **Excluded from equality**:
-    /// the parallel ≡ sequential property tests compare whole stats
-    /// structs, and wall time legitimately differs between runs.
+    /// tests compare whole stats structs, and wall time legitimately
+    /// differs between runs.
     pub wall_micros: u64,
 }
 
@@ -296,11 +295,6 @@ pub struct Config {
     /// `false`: start from `e_rec(e_seed)` (Definition 2.1).  `true`: start
     /// from the seed itself (the reading of the paper's Example 2.4).
     pub seed_in_result: bool,
-    /// Shard count for the per-source phases (the folds and the final
-    /// materialisations); `≤ 1` is sequential.  A shared run splits
-    /// lanes of 64 sources, so a batch of at most 64 seeds never shards.
-    /// Forced to 1 once the memory budget has used its relief round.
-    pub threads: usize,
     /// What the barrier enforces.
     pub limits: Limits,
 }
@@ -363,14 +357,13 @@ trait Sources {
     /// fed back, and keep the images for [`absorb`](Self::absorb).
     fn feed<B: Body>(&mut self, body: &mut B, stats: &mut ExecStats) -> Result<(), B::Error>;
 
-    /// Fold the images into the active sources, sharded by source (by
-    /// lane, in a shared run):
+    /// Fold the images into the active sources:
     /// `∆ ← image except res; res ← ∆ union res`, then the next frontier is
     /// `res` (Naïve) or `∆` (Delta).
-    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, store: &NodeStore, shards: usize);
+    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, store: &NodeStore);
 
     /// Every source's result, in document order.
-    fn results(&self, store: &NodeStore, shards: usize) -> Vec<Vec<NodeId>>;
+    fn results(&self, store: &NodeStore) -> Vec<Vec<NodeId>>;
 }
 
 /// One source's loop state under [`BatchSharing::PerSeed`].
@@ -424,30 +417,28 @@ impl Sources for Vec<Source> {
         Ok(())
     }
 
-    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, store: &NodeStore, shards: usize) {
-        shard::for_each_shard(shards, self, |_, chunk| {
-            for source in chunk.iter_mut().filter(|s| s.active) {
-                if fold == Fold::Seeds {
-                    source.image = std::mem::take(&mut source.frontier);
-                }
-                let mut delta = NodeSet::from_nodes(std::mem::take(&mut source.image));
-                delta.except_in_place(&source.res);
-                if delta.is_empty() && fold == Fold::Round {
-                    source.active = false;
-                    continue;
-                }
-                source.res.union_in_place(&delta);
-                let next = match strategy {
-                    FixpointStrategy::Naive => &source.res,
-                    FixpointStrategy::Delta => &delta,
-                };
-                source.frontier = next.to_vec(store);
+    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, store: &NodeStore) {
+        for source in self.iter_mut().filter(|s| s.active) {
+            if fold == Fold::Seeds {
+                source.image = std::mem::take(&mut source.frontier);
             }
-        });
+            let mut delta = NodeSet::from_nodes(std::mem::take(&mut source.image));
+            delta.except_in_place(&source.res);
+            if delta.is_empty() && fold == Fold::Round {
+                source.active = false;
+                continue;
+            }
+            source.res.union_in_place(&delta);
+            let next = match strategy {
+                FixpointStrategy::Naive => &source.res,
+                FixpointStrategy::Delta => &delta,
+            };
+            source.frontier = next.to_vec(store);
+        }
     }
 
-    fn results(&self, store: &NodeStore, shards: usize) -> Vec<Vec<NodeId>> {
-        shard::map_sharded(shards, self, |s| s.res.to_vec(store))
+    fn results(&self, store: &NodeStore) -> Vec<Vec<NodeId>> {
+        self.iter().map(|s| s.res.to_vec(store)).collect()
     }
 }
 
@@ -673,8 +664,8 @@ impl Sources for Shared {
         Ok(())
     }
 
-    /// One [`Lane::fold`] per lane, sharded by lane.
-    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, _: &NodeStore, shards: usize) {
+    /// One [`Lane::fold`] per active lane.
+    fn absorb(&mut self, fold: Fold, strategy: FixpointStrategy, _: &NodeStore) {
         let Shared {
             nodes,
             spans,
@@ -686,23 +677,21 @@ impl Sources for Shared {
             Some((start, end)) => &flat[start as usize..end as usize],
             None => unreachable!("a frontier node is fed before it is folded"),
         };
-        shard::for_each_shard(shards, lanes, |_, chunk| {
-            for lane in chunk.iter_mut().filter(|lane| lane.active != 0) {
-                lane.fold(fold, strategy, nodes.len(), image);
-            }
-        });
+        for lane in lanes.iter_mut().filter(|lane| lane.active != 0) {
+            lane.fold(fold, strategy, nodes.len(), image);
+        }
     }
 
     /// The run's nodes sorted into document order once; each lane reads
     /// its sources' results off that order.
-    fn results(&self, store: &NodeStore, shards: usize) -> Vec<Vec<NodeId>> {
+    fn results(&self, store: &NodeStore) -> Vec<Vec<NodeId>> {
         let mut sorted = self.nodes.clone();
         store.sort_distinct(&mut sorted);
         let order: Vec<u32> = sorted.iter().map(|node| self.ids[node]).collect();
-        let lanes = shard::map_sharded(shards, &self.lanes, |lane| {
-            lane.results(&order, &self.nodes)
-        });
-        lanes.into_iter().flatten().collect()
+        self.lanes
+            .iter()
+            .flat_map(|lane| lane.results(&order, &self.nodes))
+            .collect()
     }
 }
 
@@ -742,16 +731,14 @@ impl<'a, B: Body, S: Sources> Run<'a, B, S> {
             return Ok(Vec::new());
         }
         let strategy = self.config.strategy;
-        // res ← e_rec(e_seed); ∆ ← res — or both ← e_seed.  This fold only
-        // initialises `res` (from singleton seeds in a batch, so it is not
-        // worth sharding).
+        // res ← e_rec(e_seed); ∆ ← res — or both ← e_seed.
         let first = if self.config.seed_in_result {
             Fold::Seeds
         } else {
             self.sources.feed(self.body, &mut self.stats)?;
             Fold::First
         };
-        self.sources.absorb(first, strategy, self.body.store(), 1);
+        self.sources.absorb(first, strategy, self.body.store());
         // do … while res grows
         while self.sources.any_active() {
             self.barrier()
@@ -760,28 +747,18 @@ impl<'a, B: Body, S: Sources> Run<'a, B, S> {
             // e_rec(res) resp. e_rec(∆) …
             self.sources.feed(self.body, &mut self.stats)?;
             // … except res; union res
-            let shards = self.shards();
             self.sources
-                .absorb(Fold::Round, strategy, self.body.store(), shards);
+                .absorb(Fold::Round, strategy, self.body.store());
         }
-        Ok(self.sources.results(self.body.store(), self.shards()))
-    }
-
-    /// The shard count, re-read wherever it is used: budget relief drops
-    /// the rest of the run (and of the query) to sequential.
-    fn shards(&self) -> usize {
-        match &self.budget {
-            Some(budget) if budget.relieved() => 1,
-            _ => self.config.threads,
-        }
+        Ok(self.sources.results(self.body.store()))
     }
 
     /// The iteration barrier, checked before every round: failpoint,
     /// deadline, iteration budget, iteration guard, result-size budget, node
     /// guard, memory budget.  On the first memory breach the run *degrades*
-    /// instead of failing — the body drops its recomputable memory, the
-    /// freed estimate is credited back, and sharding stops (see
-    /// [`Run::shards`]) — only a re-breach after relief is fatal.
+    /// instead of failing — the body drops its recomputable memory and the
+    /// freed estimate is credited back — only a re-breach after relief is
+    /// fatal.
     fn barrier(&mut self) -> Result<(), LimitError> {
         let limits = &self.config.limits;
         let iterations = self.stats.iterations;
@@ -910,11 +887,10 @@ mod tests {
         (store, tops)
     }
 
-    fn config(strategy: FixpointStrategy, sharing: BatchSharing, threads: usize) -> Config {
+    fn config(strategy: FixpointStrategy, sharing: BatchSharing) -> Config {
         Config {
             strategy,
             sharing,
-            threads,
             ..Config::default()
         }
     }
@@ -935,8 +911,8 @@ mod tests {
     fn naive_and_delta_agree_on_a_distributive_body() {
         let (store, tops) = tree();
         let root = store.document_element(crate::DocId(0)).unwrap();
-        let (naive, naive_stats) = run_ok(&store, &config(Naive, PerSeed, 1), Seeds::Set(&[root]));
-        let (delta, delta_stats) = run_ok(&store, &config(Delta, PerSeed, 1), Seeds::Set(&[root]));
+        let (naive, naive_stats) = run_ok(&store, &config(Naive, PerSeed), Seeds::Set(&[root]));
+        let (delta, delta_stats) = run_ok(&store, &config(Delta, PerSeed), Seeds::Set(&[root]));
         assert_eq!(naive, delta);
         // Definition 2.1: the seed itself is not part of the result.
         assert_eq!(naive[0].len(), 8);
@@ -963,7 +939,7 @@ mod tests {
         for strategy in [Naive, Delta] {
             let config = Config {
                 seed_in_result: true,
-                ..config(strategy, PerSeed, 1)
+                ..config(strategy, PerSeed)
             };
             let mut body = Children::new(&store);
             body.guard = true;
@@ -979,7 +955,7 @@ mod tests {
     fn a_batch_is_its_seeds_run_one_by_one() {
         let (store, tops) = tree();
         for strategy in [Naive, Delta] {
-            let config = config(strategy, PerSeed, 1);
+            let config = config(strategy, PerSeed);
             let (batch, batch_stats) = run_ok(&store, &config, Seeds::Each(&tops));
             let mut singles = ExecStats::default();
             for (seed, expected) in tops.iter().zip(&batch) {
@@ -1003,7 +979,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_and_frontier_representation_do_not_change_the_answer() {
+    fn frontier_representation_does_not_change_the_answer() {
         // Ancestors of the leaves: the leaves' frontiers overlap.
         let (store, _) = tree();
         let root = store.document_element(crate::DocId(0)).unwrap();
@@ -1017,11 +993,9 @@ mod tests {
             (result.unwrap(), stats)
         };
         for strategy in [Naive, Delta] {
-            let (expected, expected_stats) = run_up(&config(strategy, PerSeed, 1));
+            let (expected, expected_stats) = run_up(&config(strategy, PerSeed));
             // The first leaf is a `c`: ancestors r, a, b in document order.
             assert_eq!((expected[0].len(), expected[0][0]), (3, root));
-            let sharded = run_up(&config(strategy, PerSeed, 4));
-            assert_eq!(sharded, (expected.clone(), expected_stats.clone()));
             // The nodes the run meets: the leaves and their ancestors r, a,
             // b, d — nine, against 16 evaluations per seed.
             let met: crate::IdSet<NodeId> = leaves
@@ -1030,17 +1004,15 @@ mod tests {
                 .copied()
                 .collect();
             assert_eq!((met.len(), expected_stats.body_evaluations), (9, 16));
-            for threads in [1, 4] {
-                let (shared, shared_stats) = run_up(&config(strategy, DistinctNodes, threads));
-                assert_eq!(shared, expected);
-                assert_eq!(shared_stats.iterations, expected_stats.iterations);
-                // Every source is fed its own frontier, so the Figure-3
-                // count is the per-seed one; the body is handed each node
-                // the run meets exactly once.
-                assert_eq!(shared_stats.rows_fed_back, expected_stats.rows_fed_back);
-                assert_eq!(shared_stats.body_evaluations, met.len());
-                assert_eq!(shared_stats.frontier_curve, vec![1; met.len()]);
-            }
+            let (shared, shared_stats) = run_up(&config(strategy, DistinctNodes));
+            assert_eq!(shared, expected);
+            assert_eq!(shared_stats.iterations, expected_stats.iterations);
+            // Every source is fed its own frontier, so the Figure-3 count
+            // is the per-seed one; the body is handed each node the run
+            // meets exactly once.
+            assert_eq!(shared_stats.rows_fed_back, expected_stats.rows_fed_back);
+            assert_eq!(shared_stats.body_evaluations, met.len());
+            assert_eq!(shared_stats.frontier_curve, vec![1; met.len()]);
         }
         assert!(run_ok(&store, &Config::default(), Seeds::Each(&[]))
             .0
@@ -1084,21 +1056,15 @@ mod tests {
                 for seed_in_result in [false, true] {
                     let at = |sharing| Config {
                         seed_in_result,
-                        ..config(strategy, sharing, 1)
+                        ..config(strategy, sharing)
                     };
                     let (expected, expected_stats) = go(&at(PerSeed));
-                    for threads in [1, 4] {
-                        let shared = Config {
-                            threads,
-                            ..at(DistinctNodes)
-                        };
-                        let (result, stats) = go(&shared);
-                        let case = (axis, strategy, seed_in_result, threads);
-                        assert_eq!(result, expected, "{case:?}");
-                        assert_eq!(stats.rows_fed_back, expected_stats.rows_fed_back);
-                        assert_eq!(stats.iterations, expected_stats.iterations);
-                        assert_eq!(stats.result_rows, expected_stats.result_rows);
-                    }
+                    let (result, stats) = go(&at(DistinctNodes));
+                    let case = (axis, strategy, seed_in_result);
+                    assert_eq!(result, expected, "{case:?}");
+                    assert_eq!(stats.rows_fed_back, expected_stats.rows_fed_back);
+                    assert_eq!(stats.iterations, expected_stats.iterations);
+                    assert_eq!(stats.result_rows, expected_stats.result_rows);
                 }
             }
         }
@@ -1109,7 +1075,7 @@ mod tests {
         // The toy body charges nothing: what the budget sees is the run's
         // own state.
         let (store, seeds) = forest();
-        let config = config(Delta, DistinctNodes, 1);
+        let config = config(Delta, DistinctNodes);
         let metered = |limit| {
             let budget = QueryBudget::new(limit);
             let (result, _) = {
@@ -1145,7 +1111,7 @@ mod tests {
         for strategy in [Naive, Delta] {
             let seeded = |sharing| Config {
                 seed_in_result: true,
-                ..config(strategy, sharing, 1)
+                ..config(strategy, sharing)
             };
             let (expected, expected_stats) = run_ok(&store, &seeded(PerSeed), Seeds::Each(&tops));
             // Each seed is part of its own result, ahead of its subtree.
@@ -1184,13 +1150,13 @@ mod tests {
             (result.unwrap(), stats)
         };
         for strategy in [Naive, Delta] {
-            let (expected, _) = up(&config(strategy, PerSeed, 1), Seeds::Each(&seeds));
-            let (shared, _) = up(&config(strategy, DistinctNodes, 1), Seeds::Each(&seeds));
+            let (expected, _) = up(&config(strategy, PerSeed), Seeds::Each(&seeds));
+            let (shared, _) = up(&config(strategy, DistinctNodes), Seeds::Each(&seeds));
             assert_eq!(shared, expected);
             assert!(shared.iter().all(|r| ordered(r)));
             // One source over both documents: its result (r, a, s, e)
             // spans them.
-            let (set, _) = up(&config(strategy, DistinctNodes, 1), Seeds::Set(&seeds));
+            let (set, _) = up(&config(strategy, DistinctNodes), Seeds::Set(&seeds));
             assert_eq!(set[0].len(), 4);
             assert!(ordered(&set[0]));
             assert_eq!((set[0][0], set[0][2]), (roots[0], roots[1]));
@@ -1206,7 +1172,7 @@ mod tests {
             let stopped = |limits: Limits| {
                 let config = Config {
                     limits,
-                    ..config(Delta, sharing, 1)
+                    ..config(Delta, sharing)
                 };
                 let (result, stats) = run(&mut Children::new(&store), &config, Seeds::Each(&tops));
                 (result.unwrap_err(), stats.iterations)
@@ -1282,24 +1248,24 @@ mod tests {
             };
             let config = Config {
                 limits,
-                ..config(Delta, sharing, 1)
+                ..config(Delta, sharing)
             };
             assert_eq!(run_ok(&store, &config, Seeds::Each(&tops)).1.iterations, 2);
         }
     }
 
     #[test]
-    fn memory_relief_is_granted_once_and_ends_sharding() {
+    fn memory_relief_is_granted_once() {
         let (store, tops) = tree();
-        let config = config(Delta, PerSeed, 4);
+        let config = config(Delta, PerSeed);
         let over_budget = || {
             let budget = QueryBudget::new(100);
             budget.charge(150);
             budget
         };
 
-        // Relief that frees enough: the run completes, sequentially from
-        // the barrier that relieved it (the first) on.
+        // Relief that frees enough: the run completes with the unbudgeted
+        // answer.
         let budget = over_budget();
         let mut body = Children::new(&store);
         body.releases = 60;
@@ -1314,20 +1280,6 @@ mod tests {
         assert!(budget.relieved());
         assert_eq!(budget.used(), 90);
         assert_eq!(stats.iterations, 2);
-        let mut relieved = Run {
-            body: &mut body,
-            config: &config,
-            budget: Some(over_budget()),
-            sources: Vec::<Source>::new(),
-            stats: ExecStats::default(),
-        };
-        assert_eq!(relieved.shards(), 4);
-        relieved.barrier().unwrap();
-        assert_eq!(
-            relieved.shards(),
-            1,
-            "sequential from the relieving barrier on"
-        );
 
         // Relief that does not: a typed error at that same barrier.
         let budget = over_budget();

@@ -48,7 +48,6 @@ mod parse;
 pub mod pathjoin;
 pub mod sequence;
 pub mod serialize;
-pub mod shard;
 pub mod stats;
 pub mod store;
 pub mod value;

@@ -253,8 +253,7 @@ impl NodeSet {
     /// diverged pay for a rank sort.
     ///
     /// Materialization is a pure read: it works through `&NodeStore`, so
-    /// set results can be rendered from shared references — including
-    /// concurrently from the parallel drivers' shards.
+    /// set results can be rendered from shared references.
     pub fn to_vec(&self, store: &NodeStore) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.len);
         for (&doc, words) in &self.docs {

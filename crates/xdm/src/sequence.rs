@@ -62,14 +62,14 @@ impl Default for Repr {
 /// The node-backed representation: a shared order buffer plus a lazily
 /// materialized `Item` view for consumers of the general API.
 #[derive(Debug, Default)]
-/// Thread-safety (audited for the parallel fixpoint drivers): the lazy
+/// Thread-safety (a sequence may be shared across threads): the lazy
 /// `items` view is a [`OnceLock`], so concurrent `items()` calls on a
 /// *shared* `NodeSeq` race benignly inside `get_or_init` — one
 /// initializer wins, every caller observes the same fully-written vector,
 /// and the loser's duplicate is dropped.  Both inputs to the initializer
 /// (`ids`, an immutable `Arc` buffer) are frozen for the value's
 /// lifetime, so every racer computes identical contents.  Clones share
-/// `ids` but reset the cell, so a clone handed to another shard
+/// `ids` but reset the cell, so a clone handed to another thread
 /// re-materializes independently rather than aliasing the view.
 struct NodeSeq {
     ids: Arc<Vec<NodeId>>,

@@ -50,9 +50,8 @@
 //! its own, filled by the first such hop) plus a slice copy per argument;
 //! the only lock on a read path is the per-document `Mutex` around the
 //! string-value memo, held for a lookup or an insert and never while a
-//! concatenation is rendered.  `NodeStore` is [`Sync`]: the parallel
-//! fixpoint drivers hand one `&NodeStore` to every shard of a scoped thread
-//! pool.
+//! concatenation is rendered.  `NodeStore` is [`Sync`]: the query
+//! service's concurrent readers share one published snapshot.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -1363,7 +1362,7 @@ impl NodeStore {
 
     /// Build the derived state (order ranks, ID index, statistics) of every
     /// document that does not have it yet — `O(documents)` when all do.
-    /// After this no reader pays a build inside a parallel section.
+    /// After this no reader of a published snapshot pays a build.
     pub fn refresh_all(&self) {
         for d in &self.docs {
             d.derived(&self.names);
@@ -1469,7 +1468,7 @@ impl Step<'_> {
     }
 }
 
-// `NodeStore` read paths must stay shareable across the scoped thread pool;
+// `NodeStore` read paths must stay shareable across the service's readers;
 // this fails to compile if a non-`Sync` field sneaks in.
 const _: fn() = || {
     fn assert_sync<T: Sync>() {}

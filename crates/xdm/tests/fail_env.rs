@@ -21,7 +21,7 @@ fn env_spec_arms_failpoints_without_any_programmatic_call() {
     assert_eq!(err.site, "env.site");
     assert_eq!(err.hit, 2);
 
-    let caught = std::panic::catch_unwind(|| fail::point_panic("env.panic"));
+    let caught = std::panic::catch_unwind(|| fail::point("env.panic"));
     let payload = caught.expect_err("panic action must fire from the env spec");
     let message = payload
         .downcast_ref::<String>()

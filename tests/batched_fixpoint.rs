@@ -15,6 +15,8 @@
 //! buys: on either back-end a shared-frontier batch evaluates each distinct
 //! node once per run, and `a_batch_wider_than_a_lane_equals_the_per_seed_loop`
 //! checks both across the boundaries of the driver's 64-seed lanes.
+//! `a_constructing_body_batches_one_result_per_seed` is the one batch over
+//! a body that constructs nodes.
 
 use proptest::prelude::*;
 
@@ -933,5 +935,32 @@ fn batched_respects_seed_in_result_reading() {
         let bindings = Bindings::new().with("seed", Sequence::from_nodes(vec![seed]));
         let reference = prepared.execute(&mut engine, &bindings).unwrap();
         assert_eq!(batch.per_seed[i].nodes(), reference.result.nodes());
+    }
+}
+
+/// A node-constructing body changes the store, so it is never distributive
+/// and never compiled: its batch runs on the interpreter with one frontier
+/// per seed, and each seed gets a result of its own.  Seed-inclusive, under Naïve (the
+/// only strategy the body is safe under), each seed's accumulator is the
+/// seed and two `<step/>`s: the third round sees three nodes and constructs
+/// nothing.
+#[test]
+fn a_constructing_body_batches_one_result_per_seed() {
+    let xml = curriculum_from_edges(4, &[(0, 1), (1, 2)]);
+    let mut engine = curriculum_engine(&xml);
+    engine.set_seed_in_result(true);
+    let query = "with $x seeded by $seed recurse \
+                 (if (count($x) < 3) then <step/> else ())";
+    let seeds = all_courses(&mut engine);
+    for backend in [Backend::SourceLevel, Backend::Auto] {
+        let prepared = engine.prepare(query).unwrap().with_backend(backend);
+        let batch = prepared
+            .execute_batched(&mut engine, "seed", &seeds, &Bindings::new())
+            .unwrap();
+        assert_eq!(batch.per_seed.len(), 4, "on {}", backend.name());
+        for (result, &seed) in batch.per_seed.iter().zip(&seeds.nodes()) {
+            assert_eq!(result.len(), 3, "on {}", backend.name());
+            assert_eq!(result.nodes()[0], seed, "on {}", backend.name());
+        }
     }
 }

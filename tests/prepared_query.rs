@@ -470,7 +470,7 @@ fn one_runtime_serves_every_occurrence_and_both_plans() {
 fn text_constructed_between_two_algebraic_runs_leaves_both_answers_alone() {
     use std::sync::Arc;
     use xqy_ifp::xdm::{CowStore, NodeStore};
-    use xqy_ifp::{ExecOptions, Parallelism, PreparedQuery};
+    use xqy_ifp::{ExecOptions, PreparedQuery};
 
     // Both fixpoints resolve `id()` through the store's ID index, whose
     // keys are text-pool symbols.  The first runs on the shared snapshot's
@@ -500,9 +500,7 @@ fn text_constructed_between_two_algebraic_runs_leaves_both_answers_alone() {
         assert!(!cow.read().shares_text_pool(&snapshot));
         outcome.result.display(cow.read())
     };
-    let prepare = |backend| {
-        PreparedQuery::prepare(&query, Strategy::Auto, backend, Parallelism::Sequential).unwrap()
-    };
+    let prepare = |backend| PreparedQuery::new(&query, Strategy::Auto, backend).unwrap();
     let algebraic = prepare(Backend::Algebraic);
     let expected = answer(&prepare(Backend::SourceLevel));
     assert!(expected.contains("a text no document holds"));
@@ -565,7 +563,7 @@ fn selecting_bodies_never_copy_the_snapshot_they_read() {
     use std::sync::Arc;
     use xqy_datagen::{auction, curriculum, hospital, play, Scale};
     use xqy_ifp::xdm::{CowStore, NodeStore, Sequence};
-    use xqy_ifp::{ExecOptions, Parallelism, PreparedQuery};
+    use xqy_ifp::{ExecOptions, PreparedQuery};
 
     let mut engine = Engine::new();
     let docs = [
@@ -615,9 +613,8 @@ fn selecting_bodies_never_copy_the_snapshot_they_read() {
         .collect();
     let snapshot = Arc::new(std::mem::replace(engine.store_mut(), NodeStore::new()));
     let opts = ExecOptions::default();
-    let prepare = |query: &str, backend| {
-        PreparedQuery::prepare(query, Strategy::Auto, backend, Parallelism::Sequential).unwrap()
-    };
+    let prepare =
+        |query: &str, backend| PreparedQuery::new(query, Strategy::Auto, backend).unwrap();
     let untouched = |cow: &CowStore, what: &str| {
         assert!(!cow.diverged(), "{what}: the view took a private copy");
         assert!(Arc::ptr_eq(cow.arc(), &snapshot), "{what}: another store");

@@ -1,19 +1,14 @@
 //! Per-query resource limits are enforced by the one fixpoint iteration
 //! barrier, so they hold on **every** route — either back-end, a single
-//! run or a batch — and budget relief really drops a run to sequential.
+//! run or a batch — and budget relief really lets a run finish.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use xqy_ifp::algebra::{compile_recursion_body, BatchSharing, Executor};
 use xqy_ifp::eval::{EvalError, FixpointStrategy};
 use xqy_ifp::parser::parse_expr;
-use xqy_ifp::xdm::fail::{self, FaultAction, FaultTrigger};
 use xqy_ifp::xdm::{budget, NodeId, QueryBudget, Sequence};
 use xqy_ifp::{Backend, Bindings, Engine, ExecOptions, IfpError, ResourceLimits, Strategy};
-
-/// The second test counts failpoint hits process-wide, and a batch of the
-/// first may shard (`XQY_FIXPOINT_THREADS`): they take turns.
-static TURN: Mutex<()> = Mutex::new(());
 
 const CLOSURE: &str = "with $x seeded by $seed recurse $x/id(./prerequisites/pre_code)";
 
@@ -47,7 +42,6 @@ fn courses(engine: &mut Engine, first: usize) -> Sequence {
 
 #[test]
 fn max_result_nodes_caps_the_accumulator_on_every_route() {
-    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let mut engine = chain_engine(40);
     engine.set_strategy(Strategy::Delta);
     let seeds = courses(&mut engine, 3);
@@ -116,7 +110,6 @@ fn max_result_nodes_caps_the_accumulator_on_every_route() {
 
 #[test]
 fn a_shared_batch_over_its_memory_budget_stops_with_a_typed_error() {
-    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
     let mut engine = chain_engine(80);
     engine.set_strategy(Strategy::Delta);
     let seeds = courses(&mut engine, 72);
@@ -154,16 +147,14 @@ fn a_shared_batch_over_its_memory_budget_stops_with_a_typed_error() {
     }
 }
 
-/// `shard.worker` hits of one batched algebraic run at four threads on a
-/// fresh executor under `budget` (armed with a trigger that never fires,
-/// so the site only counts), and the run's `(iter, item)` rows.  The
-/// store's memos are warmed first, so what the run charges does not depend
-/// on which shard fills them.
-fn sharded_run(
+/// One batched algebraic run on a fresh executor under `budget`: its
+/// `(iter, item)` rows.  The store's memos are warmed first, so what the
+/// run charges is the same on every call.
+fn budgeted_run(
     engine: &mut Engine,
     seeds: &[NodeId],
     budget: &Arc<QueryBudget>,
-) -> (Result<usize, String>, u64) {
+) -> Result<usize, String> {
     // The prerequisite closure behind a rec-independent condition: the
     // condition's relations are what the executor caches across rounds — and
     // what relief can free — and the plan is still seed-carried.
@@ -171,10 +162,8 @@ fn sharded_run(
                 then $x/id(./prerequisites/pre_code) else $x/id(./prerequisites/pre_code)";
     let compiled = compile_recursion_body(&parse_expr(body).unwrap(), "x").unwrap();
     let plan = compiled.batched_plan.as_ref().unwrap();
-    let run = |engine: &mut Engine, threads| {
-        let mut executor = Executor::new();
-        executor.set_threads(threads);
-        executor.run_fixpoint_batched(
+    let run = |engine: &mut Engine| {
+        Executor::new().run_fixpoint_batched(
             engine.store_mut(),
             plan,
             seeds,
@@ -183,46 +172,28 @@ fn sharded_run(
             BatchSharing::DistinctNodes,
         )
     };
-    run(engine, 1).unwrap();
-    fail::configure(
-        "shard.worker",
-        FaultAction::Panic,
-        FaultTrigger::OnNthHit(u64::MAX),
-    );
-    let result = {
-        let _scope = budget::install(Arc::clone(budget));
-        run(engine, 4)
-    };
-    let hits = fail::report()
-        .iter()
-        .find(|site| site.site == "shard.worker")
-        .map_or(0, |site| site.hits);
-    fail::reset();
-    (
-        result
-            .map(|(relation, _)| relation.len())
-            .map_err(|e| e.to_string()),
-        hits,
-    )
+    run(engine).unwrap();
+    let _scope = budget::install(Arc::clone(budget));
+    run(engine)
+        .map(|(relation, _)| relation.len())
+        .map_err(|e| e.to_string())
 }
 
 #[test]
-fn memory_relief_drops_the_rest_of_the_run_to_sequential() {
-    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
-    // A shared batch folds its seeds in lanes of 64, and threads split
-    // lanes: 72 seeds are two lanes.
+fn memory_relief_lets_the_run_finish_with_the_same_rows() {
+    // 72 seeds are two lanes of a shared batch.
     let mut engine = chain_engine(80);
     let seeds = courses(&mut engine, 72).nodes();
 
-    // Unbudgeted (a metering cell nothing trips): every round shards.
+    // Unbudgeted (a metering cell nothing trips).
     let meter = QueryBudget::new(u64::MAX);
-    let (rows, sharded_hits) = sharded_run(&mut engine, &seeds, &meter);
-    let rows = rows.unwrap();
-    assert!(sharded_hits > 0, "four threads over two lanes must shard");
+    let rows = budgeted_run(&mut engine, &seeds, &meter).unwrap();
+    let again = QueryBudget::new(u64::MAX);
+    assert_eq!(budgeted_run(&mut engine, &seeds, &again), Ok(rows));
     assert_eq!(
-        sharded_run(&mut engine, &seeds, &QueryBudget::new(u64::MAX)),
-        (Ok(rows), sharded_hits),
-        "charges and shard phases repeat exactly on a fresh executor"
+        again.used(),
+        meter.used(),
+        "charges repeat exactly on a fresh executor"
     );
 
     // Charges only grow, so the smallest limit that never trips is what
@@ -233,7 +204,7 @@ fn memory_relief_drops_the_rest_of_the_run_to_sequential() {
     while passes - trips > 1 {
         let limit = trips + (passes - trips) / 2;
         let budget = QueryBudget::new(limit);
-        let (result, _) = sharded_run(&mut engine, &seeds, &budget);
+        let result = budgeted_run(&mut engine, &seeds, &budget);
         if result.is_ok() && !budget.relieved() {
             passes = limit;
         } else {
@@ -241,12 +212,7 @@ fn memory_relief_drops_the_rest_of_the_run_to_sequential() {
         }
     }
     let budget = QueryBudget::new(passes - 1);
-    let (result, relieved_hits) = sharded_run(&mut engine, &seeds, &budget);
+    let result = budgeted_run(&mut engine, &seeds, &budget);
     assert!(budget.relieved(), "one byte under the last barrier's usage");
     assert_eq!(result, Ok(rows), "the relieved run returns the same answer");
-    assert!(
-        relieved_hits < sharded_hits,
-        "after relief the remaining phases must run inline: \
-         {relieved_hits} shard.worker hits against {sharded_hits} unbudgeted"
-    );
 }

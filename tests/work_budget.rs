@@ -12,10 +12,8 @@
 //! time exactly — an in-place sort allocates nothing, so only the sort
 //! column sees a sort put back where none was, and a probe that no longer
 //! reads the document's ID adjacency allocates nothing either, so only the
-//! last column sees it.  The queries are
-//! prepared with [`Parallelism::Sequential`], so a run under
-//! `XQY_FIXPOINT_THREADS` reads the same numbers; a fresh prepared query
-//! carries no observed cost, so the plan decision is the same every run.
+//! last column sees it.  A fresh prepared query carries no observed cost,
+//! so the plan decision is the same every run.
 //!
 //! A pin that fails prints the whole measured table in the shape of
 //! [`PINS`].  Lower a pin when the work goes down; a pin that has to go up
@@ -26,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use xqy_datagen::{auction, curriculum, hospital, play, Scale};
 use xqy_ifp::xdm::{sorted_count, tokenised_count, Sequence};
-use xqy_ifp::{Backend, Bindings, Engine, Parallelism, PreparedQuery, Strategy};
+use xqy_ifp::{Backend, Bindings, Engine, PreparedQuery, Strategy};
 
 /// The system allocator, counting calls and requested bytes.
 struct Counting;
@@ -200,7 +198,7 @@ fn measure(
     backend: Backend,
     bindings: &Bindings,
 ) -> Work {
-    let prepare = || PreparedQuery::prepare(query, strategy, backend, Parallelism::Sequential);
+    let prepare = || PreparedQuery::new(query, strategy, backend);
     prepare().unwrap().execute(engine, bindings).unwrap();
     let prepared = prepare().unwrap();
     let (calls, bytes) = (CALLS.load(Relaxed), BYTES.load(Relaxed));
